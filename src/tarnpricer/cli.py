@@ -23,6 +23,7 @@ from .contract import KnockoutType, TarnContract
 from .fd import (
     BoundaryKind,
     FdConfig,
+    IntervalPropagators,
     PinPolicy,
     convergence_order,
     estimate_error,
@@ -442,10 +443,13 @@ def run(config: RunConfig) -> list[ResultRecord]:
     """Price every (knockout, target) case with the enabled engines.
 
     Engine failures are captured per record (status carries the message)
-    and do not stop the remaining cases.
+    and do not stop the remaining cases.  The FD cases share one cache of
+    interval maps: their spot grid and fixing schedule do not depend on the
+    target or the knockout type.
     """
     tag = fingerprint(config)
     records: list[ResultRecord] = []
+    propagators = IntervalPropagators(len(config.knockouts) * len(config.targets))
     for knockout in config.knockouts:
         for target in config.targets:
             contract = TarnContract(
@@ -459,7 +463,8 @@ def run(config: RunConfig) -> list[ResultRecord]:
             fd_value = None
             mc_value = None
             if "fd" in config.engines:
-                fd_records = _run_fd_case(config, contract, knockout, target, tag)
+                fd_records = _run_fd_case(config, contract, knockout, target, tag,
+                                          propagators)
                 records.extend(fd_records)
                 ok = [r for r in fd_records if r.engine == "fd" and r.status == "ok"]
                 if ok:
@@ -486,7 +491,8 @@ def run(config: RunConfig) -> list[ResultRecord]:
     return records
 
 
-def _run_fd_case(config, contract, knockout, target, tag) -> list[ResultRecord]:
+def _run_fd_case(config, contract, knockout, target, tag,
+                 propagators) -> list[ResultRecord]:
     common = dict(knockout=knockout.value, target=target, fingerprint=tag)
     try:
         if config.convergence:
@@ -518,7 +524,8 @@ def _run_fd_case(config, contract, knockout, target, tag) -> list[ResultRecord]:
                     **common,
                 )
             ]
-        res = fd_price(contract, config.model, config.fd, config.spot)
+        res = fd_price(contract, config.model, config.fd, config.spot,
+                       propagators=propagators)
         return [
             ResultRecord(
                 engine="fd", price=res.price, error_metric=None, error_kind="none",

@@ -20,6 +20,21 @@ or below the target and can also push amounts negative; it cannot price any
 knockout variant correctly.  That direction is retained here only as a
 diagnostic (``jump_direction="backward"``) so the failure can be asserted
 in tests.
+
+Between fixings every tracked row is marched by the same operator.  When
+the coefficients are scalars (flat or term-structure volatility), an
+interval's whole march is one affine map ``row -> row @ P + p0`` on the
+spot axis, so the engine builds that map once, by marching identity rows
+and one zero row through the interval's steps with :func:`theta_step`, and
+then applies it to all rows with a single matrix product.  Maps are cached
+by the interval's step sequence (step length, theta and coefficients), so
+intervals of equal length share one map, and a caller pricing several
+contracts on one spot grid can share the cache across them through
+:class:`IntervalPropagators`.  A map is built only when more rows than
+spot nodes will pass through its interval, in this pricing and the ones
+expected to share the cache; otherwise stepping is cheaper.
+Local volatility has per-node coefficients that change every step; it is
+marched step by step.
 """
 
 from __future__ import annotations
@@ -28,6 +43,7 @@ import enum
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,6 +59,7 @@ __all__ = [
     "FdConfig",
     "FdGrid",
     "FdState",
+    "IntervalPropagators",
     "PriceResult",
     "ErrorEstimate",
     "ConvergenceStudy",
@@ -225,7 +242,12 @@ def _spline_second_derivs(values: np.ndarray, h: float) -> np.ndarray:
     """
     j_nodes = values.shape[0]
     rhs = np.zeros_like(values)
-    rhs[1:-1] = 6.0 * (values[2:] - 2.0 * values[1:-1] + values[:-2]) / (h * h)
+    inner = rhs[1:-1]  # 6 (v[j+1] - 2 v[j] + v[j-1]) / h^2, built in place
+    np.multiply(values[1:-1], 2.0, out=inner)
+    np.subtract(values[2:], inner, out=inner)
+    inner += values[:-2]
+    inner *= 6.0
+    inner /= h * h
     lower = np.ones(j_nodes)
     upper = np.ones(j_nodes)
     diag = np.full(j_nodes, 4.0)
@@ -240,19 +262,32 @@ def _spline_eval(values, second_derivs, x0, h, queries):
 
     ``queries`` has shape (Q, M) matching the columns of ``values`` (J, M);
     entry (q, m) is evaluated on column m's spline.  Callers guarantee the
-    queries lie inside the node range.
+    queries lie inside the node range.  The result is
+    ``s y_lo + t y_hi + h^2/6 ((s^3 - s) m_lo + (t^3 - t) m_hi)``, evaluated
+    in place to hold few (Q, M) temporaries at once.
     """
     j_nodes = values.shape[0]
-    u = (queries - x0) / h
-    seg = np.clip(np.floor(u).astype(np.int64), 0, j_nodes - 2)
-    t = u - seg
+    t = queries - x0
+    t /= h
+    seg = np.floor(t).astype(np.int64)
+    np.clip(seg, 0, j_nodes - 2, out=seg)
+    t -= seg
     s = 1.0 - t
-    y_lo = np.take_along_axis(values, seg, axis=0)
-    y_hi = np.take_along_axis(values, seg + 1, axis=0)
-    m_lo = np.take_along_axis(second_derivs, seg, axis=0)
-    m_hi = np.take_along_axis(second_derivs, seg + 1, axis=0)
-    cubic = (s ** 3 - s) * m_lo + (t ** 3 - t) * m_hi
-    return s * y_lo + t * y_hi + (h * h / 6.0) * cubic
+    cubic = s ** 3
+    cubic -= s
+    cubic *= np.take_along_axis(second_derivs, seg, axis=0)
+    s *= np.take_along_axis(values, seg, axis=0)
+    seg += 1
+    upper = t ** 3
+    upper -= t
+    upper *= np.take_along_axis(second_derivs, seg, axis=0)
+    cubic += upper
+    del upper
+    t *= np.take_along_axis(values, seg, axis=0)
+    s += t
+    cubic *= h * h / 6.0
+    s += cubic
+    return s
 
 
 def natural_cubic_spline(nodes, values, queries):
@@ -361,8 +396,8 @@ def build_grid(
     the largest level the specification can reach over the note's life).
     The accumulation grid runs uniformly from zero to the target.
     """
-    if spot <= 0.0:
-        raise ValueError("spot must be positive")
+    if not (spot > 0.0 and math.isfinite(spot)):
+        raise ValueError(f"spot must be positive and finite, got {spot!r}")
     config.validate()
     horizon = contract.maturity
     sigma_bar = model.vol.max_sigma(horizon)
@@ -504,6 +539,134 @@ def theta_step(
     return out[0] if single else out
 
 
+class IntervalPropagators:
+    """Affine maps of whole fixing intervals, for one spot grid at a time.
+
+    An entry maps the row values at an interval's upper end to those at its
+    lower end, ``row @ P + p0``; entries are keyed by the interval's step
+    sequence.  Building a map marches M + 1 rows through the interval, so
+    a map is built only when the interval's rows in all expected pricings
+    exceed the M spot nodes; below that, stepping the rows costs less.
+    ``pricings`` is how many pricings are expected to share the cache, each
+    marching the same rows.  A lookup on another grid clears every entry,
+    so memory stays at the maps of one grid.  Share one instance across
+    pricings on the same grid, one call after another (it is not locked);
+    :func:`fd_price` makes its own when given none.
+    """
+
+    def __init__(self, pricings: int = 1) -> None:
+        self._pricings = pricings
+        self._grid_key = None
+        self._maps: dict = {}
+
+    def lookup(self, key, rows: int, steps, grid: FdGrid, boundary, beta):
+        """The (P, p0) of the interval with map key ``key`` and ``steps``,
+        cached or built now; None while stepping its rows costs less.
+
+        ``rows`` is how many rows one pricing marches through the interval.
+        """
+        grid_key = (grid.dx, grid.spots.size, grid.spots[0], grid.spots[-1],
+                    boundary, beta)
+        if grid_key != self._grid_key:
+            self._grid_key = grid_key
+            self._maps.clear()
+        found = self._maps.get(key)
+        if found is None and rows * self._pricings > grid.spots.size:
+            found = self._maps[key] = _build_map(steps, grid, boundary, beta)
+        return found
+
+
+def _interval_steps(model, grid, t_hi, t_lo, n_steps, config):
+    """The (dt, theta, coef_from, coef_to) of each step from t_hi down to t_lo."""
+    dt = (t_hi - t_lo) / n_steps
+    levels = [t_hi - s * dt for s in range(n_steps)] + [t_lo]
+    coefs = [coefficients_at(model, grid.spots, t) for t in levels]
+    return [
+        (levels[s] - levels[s + 1],
+         1.0 if s < config.implicit_startup_steps else config.theta,
+         coefs[s], coefs[s + 1])
+        for s in range(n_steps)
+    ]
+
+
+def _interval_key(steps):
+    """Hashable identity of a step sequence with scalar coefficients.
+
+    Step lengths are compared to 12 significant digits: fixing dates such
+    as ``k * 30 / 365`` make equal intervals differ in the last bits, and
+    those intervals must share one map.
+    """
+    return tuple(
+        (float(f"{dt:.11e}"), theta,
+         cf.variance, cf.drift, cf.rate, ct.variance, ct.drift, ct.rate)
+        for dt, theta, cf, ct in steps
+    )
+
+
+# Rows marched together while a map is built: bounds the build's temporaries
+# at a few (rows, M) arrays instead of a few (M, M) ones.
+_MAP_BLOCK_ROWS = 128
+
+
+def _build_map(steps, grid, boundary, beta):
+    """(P, p0) of the interval, from identity rows and one zero row marched
+    block by block through its steps."""
+    m = grid.spots.size
+    stacked = np.empty((m + 1, m))
+    for start in range(0, m + 1, _MAP_BLOCK_ROWS):
+        stop = min(start + _MAP_BLOCK_ROWS, m + 1)
+        block = np.zeros((stop - start, m))
+        unit = np.arange(start, min(stop, m))
+        block[unit - start, unit] = 1.0
+        for dt, th, cf, ct in steps:
+            block = theta_step(block, dt, grid.dx, th, cf, ct, boundary,
+                               spots=grid.spots, beta=beta)
+        stacked[start:stop] = block
+    matrix, offset = stacked[:m], stacked[m]
+    matrix -= offset
+    return matrix, offset
+
+
+def _march(values, steps, key, rows, grid, boundary, beta, propagators):
+    """March ``values`` (J, M) through one interval's steps: by its map when
+    ``propagators`` holds or builds one for ``key``, else step by step.
+    ``rows`` counts the rows the pricing marches through intervals of this
+    key."""
+    if key is not None:
+        found = propagators.lookup(key, rows, steps, grid, boundary, beta)
+        if found is not None:
+            matrix, offset = found
+            out = values @ matrix
+            out += offset
+            return out
+    for dt, th, cf, ct in steps:
+        values = theta_step(values, dt, grid.dx, th, cf, ct, boundary,
+                            spots=grid.spots, beta=beta)
+    return values
+
+
+def _check_explicit_stability(grid, model, config) -> None:
+    """Reject a theta < 1/2 scheme whose explicit part would blow up.
+
+    Von Neumann: the scheme is stable when
+    (1 - 2 theta) * dt * sigma^2 / dx^2 <= 1 on every step.
+    """
+    if config.theta >= 0.5:
+        return
+    starts = (0.0,) + grid.fixing_times
+    dt = max((b - a) / n for a, b, n in
+             zip(starts, grid.fixing_times, grid.steps_per_interval))
+    sigma = model.vol.max_sigma(grid.fixing_times[-1])
+    ratio = (1.0 - 2.0 * config.theta) * dt * sigma * sigma / (grid.dx * grid.dx)
+    if ratio > 1.0:
+        raise ValueError(
+            f"unstable explicit scheme: theta = {config.theta} with "
+            f"time_steps = {config.time_steps} gives (1 - 2 theta) dt sigma^2 "
+            f"/ dx^2 = {ratio:.3g} > 1; raise theta to 0.5 or more, or "
+            "raise time_steps"
+        )
+
+
 def _jump_cash_flows(spots, accum, fixing_index, contract):
     """Vectorized fixing cash flows on the (accumulation x spot) lattice.
 
@@ -553,12 +716,14 @@ def apply_jump(state: FdState, fixing_index: int, contract: TarnContract,
     payment, extra, dead = _jump_cash_flows(
         grid.spots, grid.accum_nodes, fixing_index, contract
     )
-    shifted = grid.accum_nodes[:, None] + payment
+    queries = grid.accum_nodes[:, None] + payment
+    np.minimum(queries, contract.target, out=queries)
     second = _spline_second_derivs(values, grid.h)
-    queries = np.minimum(shifted, contract.target)
     continuation = _spline_eval(values, second, 0.0, grid.h, queries)
-    continuation = np.where(dead, 0.0, continuation)
-    return FdState(values=continuation + payment + extra, time=state.time)
+    continuation[dead] = 0.0
+    continuation += payment
+    continuation += extra
+    return FdState(values=continuation, time=state.time)
 
 
 def apply_jump_backward(state: FdState, fixing_index: int, contract: TarnContract,
@@ -598,6 +763,8 @@ def fd_price(
     spot: float,
     jump_direction: str = "forward",
     dump_dir: str | None = None,
+    *,
+    propagators: IntervalPropagators | None = None,
 ) -> PriceResult:
     """Price the note by backward induction on the tracked lattice.
 
@@ -607,7 +774,9 @@ def fd_price(
     date.  The price is the value at the spot node, or a one-off spline
     interpolation in the log-spot when the spot is off-grid.  Optional
     ``dump_dir`` writes the post-jump lattice at each fixing date as a plain
-    text matrix for debugging.
+    text matrix for debugging.  ``propagators`` shares interval maps with
+    other pricings on the same spot grid; by default the maps live for this
+    call only.
     """
     started = time.perf_counter()
     if jump_direction == "forward":
@@ -617,8 +786,27 @@ def fd_price(
     else:
         raise ValueError("jump_direction must be 'forward' or 'backward'")
     grid = build_grid(contract, model, config, spot)
+    _check_explicit_stability(grid, model, config)
     k_total = contract.num_fixings
     times = (0.0,) + contract.fixing_times
+
+    def interval(k):
+        return _interval_steps(model, grid, times[k], times[k - 1],
+                               grid.steps_per_interval[k - 1], config)
+
+    # Scalar coefficients: every interval's steps and map key up front, so
+    # the rows each map would serve are known.  Local volatility has
+    # per-node coefficients and is stepped; its steps are made lazily.
+    planned = {}
+    rows = Counter()
+    if not isinstance(model.vol, LocalVolSurface):
+        if propagators is None:
+            propagators = IntervalPropagators()
+        for k in range(1, k_total + 1):
+            steps = interval(k)
+            key = _interval_key(steps)
+            planned[k] = steps, key
+            rows[key] += config.accumulation_nodes if k > 1 else 1
     state = FdState(
         values=np.zeros((config.accumulation_nodes, config.spot_nodes)),
         time=contract.maturity,
@@ -631,20 +819,10 @@ def fd_price(
             np.savetxt(os.path.join(dump_dir, f"lattice_fixing_{k:03d}.txt"),
                        state.values)
         values = state.values if k > 1 else state.values[:1]
-        t_hi, t_lo = times[k], times[k - 1]
-        n_steps = grid.steps_per_interval[k - 1]
-        dt = (t_hi - t_lo) / n_steps
-        for s in range(n_steps):
-            t_from = t_hi - s * dt
-            t_to = t_lo if s == n_steps - 1 else t_hi - (s + 1) * dt
-            th = 1.0 if s < config.implicit_startup_steps else config.theta
-            values = theta_step(
-                values, t_from - t_to, grid.dx, th,
-                coefficients_at(model, grid.spots, t_from),
-                coefficients_at(model, grid.spots, t_to),
-                config.boundary, spots=grid.spots, beta=contract.beta,
-            )
-        state = FdState(values=values, time=t_lo)
+        steps, key = planned[k] if planned else (interval(k), None)
+        values = _march(values, steps, key, rows[key], grid, config.boundary,
+                        contract.beta, propagators)
+        state = FdState(values=values, time=times[k - 1])
     row = state.values[0]
     if grid.spot_index is not None:
         price = float(row[grid.spot_index])

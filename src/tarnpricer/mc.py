@@ -82,19 +82,16 @@ class McResult:
 def standard_error(samples) -> float:
     """Standard error of the mean: population standard deviation over sqrt(n).
 
-    Single-pass streaming accumulation, stable for large and offset samples.
+    Two passes over the samples shifted by the first one: the shift keeps
+    large offsets out of the sums, and constant samples give exactly zero.
     """
-    n = 0
-    mean = 0.0
-    m2 = 0.0
-    for x in np.asarray(samples, dtype=float).ravel():
-        n += 1
-        delta = x - mean
-        mean += delta / n
-        m2 += delta * (x - mean)
+    x = np.asarray(samples, dtype=float).ravel()
+    n = x.size
     if n < 2:
         raise ValueError("standard error needs at least two samples")
-    return math.sqrt(m2 / n) / math.sqrt(n)
+    shifted = x - x[0]
+    shifted -= shifted.mean()
+    return math.sqrt(float(shifted @ shifted) / n) / math.sqrt(n)
 
 
 def simulate_fixing_paths(

@@ -101,6 +101,14 @@ class TestBuildGrid:
         assert grid.accum_nodes[0] == 0.0
         assert grid.accum_nodes[-1] == 0.3
 
+    @pytest.mark.parametrize("spot", [math.nan, math.inf, -1.0, 0.0])
+    def test_bad_spot_rejected_by_name(self, spot):
+        contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
+        with pytest.raises(ValueError, match="spot"):
+            build_grid(contract, flat_model(), FdConfig(), spot)
+        with pytest.raises(ValueError, match="spot"):
+            fd_price(contract, flat_model(), FdConfig(), spot)
+
     def test_width_insensitivity_of_price(self):
         # widening the domain from 5 to 7 deviations moves the price by less
         # than the two runs' combined refinement error estimates; both values
@@ -427,6 +435,23 @@ class TestFdPrice:
             # spline/time-stepping undershoot near the knockout cutoff is a
             # discretization artifact; measured ~1e-7 * target at this grid
             assert lattice.min() >= -1e-6 * contract.target
+
+    def test_unstable_explicit_scheme_rejected(self):
+        # (1 - 2 theta) dt sigma^2 / dx^2 is 138 here; marching anyway
+        # returned -1.6e41 as the price
+        contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
+        cfg = FdConfig(spot_nodes=400, accumulation_nodes=10, time_steps=20,
+                       theta=0.0)
+        with pytest.raises(ValueError, match="theta.*time_steps"):
+            fd_price(contract, flat_model(), cfg, 1.05)
+
+    def test_stable_explicit_scheme_prices(self):
+        contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
+        cfg = FdConfig(spot_nodes=60, accumulation_nodes=20, time_steps=400)
+        cn = fd_price(contract, flat_model(), cfg, 1.05).price
+        explicit = fd_price(contract, flat_model(), replace(cfg, theta=0.0),
+                            1.05).price
+        assert explicit == pytest.approx(cn, rel=1e-2)
 
     def test_interpolated_readout_close_to_pinned(self):
         contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
