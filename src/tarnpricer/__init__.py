@@ -6,13 +6,10 @@ Carlo engine with a vanilla-strip control variate serves as the reference.
 """
 
 from .contract import (
-    CashFlowOutcome,
     KnockoutType,
     TarnContract,
     batch_present_value,
-    fixing_outcome,
-    path_present_value,
-    raw_cash_flow,
+    fixing_flows,
 )
 from .fd import (
     BoundaryKind,
@@ -20,11 +17,9 @@ from .fd import (
     ErrorEstimate,
     FdConfig,
     FdGrid,
-    FdState,
     PinPolicy,
     PriceResult,
     apply_jump,
-    apply_jump_backward,
     build_grid,
     convergence_order,
     estimate_error,
@@ -42,14 +37,12 @@ from .market import (
     TermStructureVol,
     discount_factor,
     integrated_variance,
-    local_vol_at,
     vanilla_price,
 )
 from .mc import (
     McConfig,
     McResult,
     mc_price,
-    simulate_fixing_path,
     simulate_fixing_paths,
     standard_error,
 )

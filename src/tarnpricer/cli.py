@@ -12,12 +12,15 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import enum
 import hashlib
 import io
 import json
 import os
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .contract import KnockoutType, TarnContract
 from .fd import (
@@ -35,6 +38,7 @@ from .market import (
     MarketModel,
     RateCurve,
     TermStructureVol,
+    check_spot,
 )
 from .mc import McConfig, mc_price
 
@@ -253,38 +257,20 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         if key not in con:
             raise ConfigError(f"contract.{key}: required key is missing")
     strike = _float(con["strike"], "contract.strike")
-    if strike <= 0.0:
-        raise ConfigError("contract.strike: strike must be positive")
     beta = _int(con.get("beta", "1"), "contract.beta")
-    if beta not in (1, -1):
-        raise ConfigError("contract.beta: beta must be +1 or -1")
+    fixing_times = _floats(con["fixing_times"], "contract.fixing_times")
     targets = _floats(con["target"], "contract.target")
     if not targets:
         raise ConfigError("contract.target: at least one target is required")
-    for u in targets:
-        if u <= 0.0:
-            raise ConfigError("contract.target: target must be positive")
     try:
         knockouts = tuple(
             KnockoutType.parse(name) for name in con["knockout"].split(",")
         )
     except ValueError as exc:
         raise ConfigError(f"contract.knockout: {exc}") from exc
-    fixing_times = _floats(con["fixing_times"], "contract.fixing_times")
-    if not fixing_times or fixing_times[0] <= 0.0 or any(
-        b <= a for a, b in zip(fixing_times, fixing_times[1:])
-    ):
-        raise ConfigError(
-            "contract.fixing_times: must be strictly increasing and positive"
-        )
     extra_payments = None
     if "extra_payments" in con and con["extra_payments"].strip():
         extra_payments = _floats(con["extra_payments"], "contract.extra_payments")
-        if len(extra_payments) != len(fixing_times):
-            raise ConfigError(
-                f"contract.extra_payments: expected {len(fixing_times)} entries "
-                f"to match the fixing schedule, got {len(extra_payments)}"
-            )
 
     mod = parser["model"]
     model = MarketModel(
@@ -297,16 +283,11 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     if "spot" not in runsec:
         raise ConfigError("run.spot: required key is missing")
     spot = _float(runsec["spot"], "run.spot")
-    if spot <= 0.0:
-        raise ConfigError("run.spot: spot must be positive")
-    engines = tuple(
-        e.strip().lower() for e in runsec.get("engines", "fd,mc").split(",") if e.strip()
-    )
-    if not engines:
-        raise ConfigError("run.engines: at least one engine must be enabled")
-    for e in engines:
-        if e not in ("fd", "mc"):
-            raise ConfigError(f"run.engines: unknown engine {e!r} (use fd, mc)")
+    try:
+        check_spot(spot)
+    except ValueError as exc:
+        raise ConfigError(f"run.{exc}") from exc
+    engines = _engines(runsec.get("engines", "fd,mc"), "run.engines")
 
     fd_sec = parser["fd"] if "fd" in parser else {}
     try:
@@ -358,7 +339,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         raise ConfigError("output.format: must be 'human' or 'records'")
     output_path = out_sec.get("path") or None
 
-    return RunConfig(
+    config = RunConfig(
         strike=strike,
         beta=beta,
         targets=targets,
@@ -373,6 +354,23 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         output_format=output_format,
         output_path=output_path,
     )
+    try:
+        for knockout in knockouts:
+            for target in targets:
+                _case_contract(config, knockout, target)
+    except ValueError as exc:  # the message starts with the field's name
+        raise ConfigError(f"contract.{exc}") from exc
+    return config
+
+
+def _engines(raw: str, where: str) -> tuple[str, ...]:
+    engines = tuple(e.strip().lower() for e in raw.split(",") if e.strip())
+    if not engines:
+        raise ConfigError(f"{where}: at least one engine must be enabled")
+    for e in engines:
+        if e not in ("fd", "mc"):
+            raise ConfigError(f"{where}: unknown engine {e!r} (use fd, mc)")
+    return engines
 
 
 def _parse_enum(raw: str, aliases: dict, where: str):
@@ -382,53 +380,28 @@ def _parse_enum(raw: str, aliases: dict, where: str):
     return aliases[key]
 
 
-def _vol_payload(vol) -> dict:
-    if isinstance(vol, ConstantVol):
-        return {"kind": "constant", "sigma": vol.sigma}
-    if isinstance(vol, TermStructureVol):
-        return {"kind": "term", "times": list(vol.times), "sigmas": list(vol.sigmas)}
-    return {
-        "kind": "local",
-        "time_knots": vol.time_knots.tolist(),
-        "spot_knots": vol.spot_knots.tolist(),
-        "values": vol.values.tolist(),
-    }
+def _payload(value):
+    """JSON-ready form of a configuration value: dataclasses become dicts of
+    their fields plus their class name, recursively."""
+    if dataclasses.is_dataclass(value):
+        out = {f.name: _payload(getattr(value, f.name))
+               for f in dataclasses.fields(value)}
+        out["class"] = type(value).__name__
+        return out
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_payload(v) for v in value]
+    return value
 
 
 def fingerprint(config: RunConfig) -> str:
-    """Short hash over every pricing-relevant field of the configuration."""
-    payload = {
-        "strike": config.strike,
-        "beta": config.beta,
-        "targets": list(config.targets),
-        "knockouts": [k.value for k in config.knockouts],
-        "fixing_times": list(config.fixing_times),
-        "extra_payments": list(config.extra_payments) if config.extra_payments else None,
-        "domestic": {"times": list(config.model.domestic.times),
-                     "rates": list(config.model.domestic.rates)},
-        "foreign": {"times": list(config.model.foreign.times),
-                    "rates": list(config.model.foreign.rates)},
-        "vol": _vol_payload(config.model.vol),
-        "spot": config.spot,
-        "engines": list(config.engines),
-        "fd": {
-            "spot_nodes": config.fd.spot_nodes,
-            "accumulation_nodes": config.fd.accumulation_nodes,
-            "time_steps": config.fd.time_steps,
-            "theta": config.fd.theta,
-            "domain_width_sigmas": config.fd.domain_width_sigmas,
-            "pin_policy": config.fd.pin_policy.value,
-            "boundary": config.fd.boundary.value,
-            "implicit_startup_steps": config.fd.implicit_startup_steps,
-        },
-        "mc": {
-            "n_paths": config.mc.n_paths,
-            "seed": config.mc.seed,
-            "substeps_per_interval": config.mc.substeps_per_interval,
-            "control_variate": config.mc.control_variate,
-            "cv_coefficient": config.mc.cv_coefficient,
-        },
-    }
+    """Short hash over every field of the configuration except the output
+    settings, which do not change any price."""
+    payload = _payload(config)
+    del payload["output_format"], payload["output_path"]
     digest = hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode("utf-8")
     ).hexdigest()
@@ -437,6 +410,19 @@ def fingerprint(config: RunConfig) -> str:
 
 def _grid_string(fd_cfg: FdConfig) -> str:
     return f"{fd_cfg.spot_nodes}x{fd_cfg.accumulation_nodes}x{fd_cfg.time_steps}"
+
+
+def _case_contract(config: RunConfig, knockout: KnockoutType,
+                  target: float) -> TarnContract:
+    """The contract of one (knockout, target) case of the run."""
+    return TarnContract(
+        strike=config.strike,
+        target=target,
+        beta=config.beta,
+        fixing_times=config.fixing_times,
+        knockout=knockout,
+        extra_payments=config.extra_payments,
+    )
 
 
 def run(config: RunConfig) -> list[ResultRecord]:
@@ -452,14 +438,7 @@ def run(config: RunConfig) -> list[ResultRecord]:
     propagators = IntervalPropagators(len(config.knockouts) * len(config.targets))
     for knockout in config.knockouts:
         for target in config.targets:
-            contract = TarnContract(
-                strike=config.strike,
-                target=target,
-                beta=config.beta,
-                fixing_times=config.fixing_times,
-                knockout=knockout,
-                extra_payments=config.extra_payments,
-            )
+            contract = _case_contract(config, knockout, target)
             fd_value = None
             mc_value = None
             if "fd" in config.engines:
@@ -735,13 +714,8 @@ def main(argv=None) -> int:
             raise ConfigError("a config file or --preset is required")
 
         if args.engines:
-            engines = tuple(e.strip().lower() for e in args.engines.split(",") if e.strip())
-            for e in engines:
-                if e not in ("fd", "mc"):
-                    raise ConfigError(f"--engines: unknown engine {e!r}")
-            if not engines:
-                raise ConfigError("--engines: at least one engine is required")
-            config = dataclasses.replace(config, engines=engines)
+            config = dataclasses.replace(
+                config, engines=_engines(args.engines, "--engines"))
         if args.seed is not None:
             config = dataclasses.replace(
                 config, mc=dataclasses.replace(config.mc, seed=args.seed))

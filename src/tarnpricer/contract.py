@@ -8,25 +8,24 @@ payment would lift the accrued total to or past the target knocks the note
 out; the knockout type decides how much of that final payment is made.
 All amounts are per unit of notional foreign currency.
 
-Both pricing engines route every cash flow through this module, so their
-results can differ only by numerical method, never by payoff convention.
+Both pricing engines take every fixing's cash flows from one kernel,
+:func:`fixing_flows`: Monte Carlo on its simulated paths, the lattice on
+its (accumulation x spot) nodes.  Their results can therefore differ only
+by numerical method, never by payoff convention.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "KnockoutType",
     "TarnContract",
-    "CashFlowOutcome",
-    "raw_cash_flow",
-    "fixing_outcome",
-    "path_present_value",
+    "fixing_flows",
     "batch_present_value",
 ]
 
@@ -65,6 +64,7 @@ class TarnContract:
     increasing and positive.  ``extra_payments``, when given, holds one
     amount per fixing paid alongside the regular flow; it is subject to
     the same knockout weighting but never counts toward the accrued total.
+    Every rejection message starts with the name of the offending field.
     """
 
     strike: float
@@ -78,29 +78,32 @@ class TarnContract:
         object.__setattr__(self, "strike", float(self.strike))
         object.__setattr__(self, "target", float(self.target))
         object.__setattr__(self, "beta", int(self.beta))
-        object.__setattr__(
-            self, "fixing_times", tuple(float(t) for t in self.fixing_times)
-        )
-        if not self.strike > 0.0 or not np.isfinite(self.strike):
+        times = tuple(float(t) for t in self.fixing_times)
+        object.__setattr__(self, "fixing_times", times)
+        if not (self.strike > 0.0 and math.isfinite(self.strike)):
             raise ValueError("strike must be positive and finite")
-        if not self.target > 0.0:
-            raise ValueError("target must be positive")
+        if not (self.target > 0.0 and math.isfinite(self.target)):
+            raise ValueError("target must be positive and finite")
         if self.beta not in (1, -1):
             raise ValueError("beta must be +1 or -1")
-        if len(self.fixing_times) < 1:
-            raise ValueError("at least one fixing date is required")
-        if self.fixing_times[0] <= 0.0:
-            raise ValueError("fixing times must be positive")
-        if any(b <= a for a, b in zip(self.fixing_times, self.fixing_times[1:])):
-            raise ValueError("fixing times must be strictly increasing")
+        if not times:
+            raise ValueError("fixing_times must hold at least one date")
+        if not all(math.isfinite(t) for t in times):
+            raise ValueError("fixing_times must be finite")
+        if times[0] <= 0.0:
+            raise ValueError("fixing_times must be positive")
+        if any(b <= a for a, b in zip(times, times[1:])):
+            raise ValueError("fixing_times must be strictly increasing")
         if self.extra_payments is not None:
             extras = tuple(float(c) for c in self.extra_payments)
             object.__setattr__(self, "extra_payments", extras)
-            if len(extras) != len(self.fixing_times):
+            if len(extras) != len(times):
                 raise ValueError(
-                    f"extra_payments must have exactly {len(self.fixing_times)} "
+                    f"extra_payments must have exactly {len(times)} "
                     f"entries to match the fixing schedule, got {len(extras)}"
                 )
+            if not all(math.isfinite(c) for c in extras):
+                raise ValueError("extra_payments must be finite")
 
     @property
     def num_fixings(self) -> int:
@@ -116,100 +119,40 @@ class TarnContract:
             return 0.0
         return self.extra_payments[fixing_index - 1]
 
+    def gross(self, spots):
+        """Gross fixing amount ``beta * (spot - strike)``, floored at zero."""
+        return np.maximum(self.beta * (spots - self.strike), 0.0)
 
-class CashFlowOutcome(NamedTuple):
-    """Result of evaluating one fixing from a live state.
 
-    ``accumulation_increment`` equals ``payment`` for this product form;
-    it is kept as its own field so product variants where the two differ
-    need no structural change.
+def fixing_flows(gross, accrued, extra, kind: KnockoutType, target: float):
+    """Cash flows of one fixing: ``(payment, extra, dead)``.
+
+    ``gross`` is the fixing's gross amount (see :meth:`TarnContract.gross`),
+    ``accrued`` the amount paid so far, which broadcasts against ``gross``,
+    and ``extra`` the fixing's extra payment, which broadcasts to their
+    shape.  A fixing breaches
+    when ``accrued + gross >= target`` with ``gross > 0``; ``dead`` marks
+    the breaches, and ``kind`` decides what a breach pays (the part-gain
+    extra is scaled by the same ratio as its payment).  The accrued amount
+    grows by ``payment``.  Monte Carlo calls this on live path states, in
+    ``[0, target)``; the lattice also calls it at the top accumulation
+    node, ``accrued == target``, the limit of a live state from below,
+    where only a strictly positive gross amount breaches.  The outputs have
+    the broadcast shape and may be read-only views of the inputs.
     """
-
-    payment: float
-    extra_payment: float
-    accumulation_increment: float
-    terminated: bool
-
-
-def raw_cash_flow(spot: float, contract: TarnContract) -> float:
-    """Gross fixing amount ``beta * (spot - strike)``, floored at zero.
-
-    This is the amount before any target/knockout logic is applied.
-    """
-    return max(contract.beta * (spot - contract.strike), 0.0)
-
-
-def fixing_outcome(
-    spot: float,
-    accumulated: float,
-    fixing_index: int,
-    contract: TarnContract,
-    allow_at_target: bool = False,
-) -> CashFlowOutcome:
-    """Cash flows of fixing ``fixing_index`` given the accrued amount so far.
-
-    ``accumulated`` must describe a live state, i.e. lie in ``[0, target)``.
-    States at or past the target are dead and have no cash flows; they are
-    rejected rather than guessed at.  The lattice engine needs the limit of
-    the live value as the accrued amount approaches the target from below,
-    so ``allow_at_target=True`` additionally admits ``accumulated == target``,
-    where a breach fires only for a strictly positive gross amount (a zero
-    gross amount leaves the limiting state untouched, alive).
-    """
-    target = contract.target
-    if accumulated < 0.0:
-        raise ValueError("accumulated amount must be nonnegative")
-    limit_ok = allow_at_target and accumulated == target
-    if accumulated >= target and not limit_ok:
-        raise ValueError(
-            "accumulated amount is at or past the target; the note is dead "
-            "and has no further cash flows"
-        )
-    if not 1 <= fixing_index <= contract.num_fixings:
-        raise ValueError(f"fixing index {fixing_index} outside 1..{contract.num_fixings}")
-
-    gross = raw_cash_flow(spot, contract)
-    extra = contract.extra_payment_at(fixing_index)
-    breached = accumulated + gross >= target and gross > 0.0
-    if not breached:
-        return CashFlowOutcome(gross, extra, gross, False)
-
-    kind = contract.knockout
+    gross = np.asarray(gross, dtype=float)
+    dead = (accrued + gross >= target) & (gross > 0.0)
     if kind is KnockoutType.FULL_GAIN:
-        return CashFlowOutcome(gross, extra, gross, True)
+        return (np.broadcast_to(gross, dead.shape),
+                np.broadcast_to(extra, dead.shape), dead)
     if kind is KnockoutType.NO_GAIN:
-        return CashFlowOutcome(0.0, 0.0, 0.0, True)
-    # Part gain: pay the shortfall to the target.  Algebraically this is
-    # weight * gross with weight = (target - accumulated) / gross; the
-    # subtraction form avoids the division (gross > 0 on a breach anyway).
-    payment = target - accumulated
-    weight = payment / gross
-    return CashFlowOutcome(payment, weight * extra, payment, True)
-
-
-def path_present_value(
-    spot_path: Sequence[float],
-    contract: TarnContract,
-    discounts: Sequence[float],
-) -> float:
-    """Discounted value of one realized fixing-date path.
-
-    ``spot_path`` and ``discounts`` hold one entry per fixing date.  The
-    accrued amount starts at zero; once a fixing terminates the note, later
-    fixings contribute nothing.
-    """
-    k_total = contract.num_fixings
-    if len(spot_path) != k_total or len(discounts) != k_total:
-        raise ValueError("spot_path and discounts must have one entry per fixing")
-    accumulated = 0.0
-    value = 0.0
-    for k in range(1, k_total + 1):
-        outcome = fixing_outcome(spot_path[k - 1], accumulated, k, contract)
-        value += discounts[k - 1] * (outcome.payment + outcome.extra_payment)
-        accumulated += outcome.accumulation_increment
-        if outcome.terminated:
-            break
-    return value
+        return np.where(dead, 0.0, gross), np.where(dead, 0.0, extra), dead
+    # Part gain pays the shortfall to the target, and the extra scaled by
+    # shortfall / gross (gross > 0 on a breach).
+    shortfall = target - accrued
+    safe_gross = np.where(gross > 0.0, gross, 1.0)
+    return (np.where(dead, shortfall, gross),
+            np.where(dead, (shortfall / safe_gross) * extra, extra), dead)
 
 
 def batch_present_value(
@@ -217,47 +160,27 @@ def batch_present_value(
     contract: TarnContract,
     discounts: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized :func:`path_present_value` over rows of ``spot_paths``.
+    """Discounted value of each row of ``spot_paths`` (one column per fixing).
 
-    Performs the same arithmetic in the same order as the scalar routine,
-    so the two agree bit for bit (asserted in the test suite).
+    The accrued amount starts at zero; once a fixing kills a path, later
+    fixings pay it nothing.
     """
     paths = np.asarray(spot_paths, dtype=float)
     if paths.ndim != 2 or paths.shape[1] != contract.num_fixings:
         raise ValueError("spot_paths must have shape (n_paths, num_fixings)")
     discounts = np.asarray(discounts, dtype=float)
-    target = contract.target
-    beta = contract.beta
-    strike = contract.strike
-    kind = contract.knockout
 
     n = paths.shape[0]
     value = np.zeros(n)
-    accumulated = np.zeros(n)
+    accrued = np.zeros(n)
     alive = np.ones(n, dtype=bool)
     for k in range(1, contract.num_fixings + 1):
-        gross = np.maximum(beta * (paths[:, k - 1] - strike), 0.0)
-        extra_flat = contract.extra_payment_at(k)
-        breach = alive & (accumulated + gross >= target) & (gross > 0.0)
-        if kind is KnockoutType.FULL_GAIN:
-            payment = np.where(alive, gross, 0.0)
-            extra = np.where(alive, extra_flat, 0.0)
-            died = breach
-        elif kind is KnockoutType.NO_GAIN:
-            payment = np.where(alive & ~breach, gross, 0.0)
-            extra = np.where(alive & ~breach, extra_flat, 0.0)
-            died = breach
-        else:  # PART_GAIN
-            shortfall = target - accumulated
-            payment = np.where(alive, np.where(breach, shortfall, gross), 0.0)
-            safe_gross = np.where(gross > 0.0, gross, 1.0)
-            extra = np.where(
-                alive,
-                np.where(breach, (shortfall / safe_gross) * extra_flat, extra_flat),
-                0.0,
-            )
-            died = breach
-        value += discounts[k - 1] * (payment + extra)
-        accumulated = np.where(alive, accumulated + payment, accumulated)
-        alive = alive & ~died
+        payment, extra, dead = fixing_flows(
+            contract.gross(paths[:, k - 1]), accrued,
+            contract.extra_payment_at(k), contract.knockout, contract.target,
+        )
+        payment = np.where(alive, payment, 0.0)
+        value += discounts[k - 1] * (payment + np.where(alive, extra, 0.0))
+        accrued += payment
+        alive &= ~dead
     return value

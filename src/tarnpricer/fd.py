@@ -9,17 +9,11 @@ values across the accumulation grid are interpolated with a natural cubic
 spline at the amount the fixing shifts the state to, giving the
 continuation value, and the fixing's cash flow is added on top.  After the
 first fixing only the zero-accrual solution remains relevant and is marched
-down to the valuation date.
-
-The direction of the jump matters.  The shift must be applied forward, from
-the pre-fixing amount at a grid node to the (generally off-grid) post-fixing
-amount: the shifted amount can then exceed the target, which is precisely
-how the knockout enters the lattice.  Applying the shift the other way
-round, intuitive as it looks for backward marching, keeps every amount at
-or below the target and can also push amounts negative; it cannot price any
-knockout variant correctly.  That direction is retained here only as a
-diagnostic (``jump_direction="backward"``) so the failure can be asserted
-in tests.
+down to the valuation date.  The shift is applied forward, from the
+pre-fixing amount at a grid node to the (generally off-grid) post-fixing
+amount, which can pass the target: that is how the knockout enters the
+lattice.  The fixing's cash flows come from
+:func:`tarnpricer.contract.fixing_flows`, the kernel Monte Carlo uses too.
 
 Between fixings every tracked row is marched by the same operator.  When
 the coefficients are scalars (flat or term-structure volatility), an
@@ -41,24 +35,21 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
-from scipy.interpolate import CubicSpline
 
-from .contract import KnockoutType, TarnContract
-from .market import LocalVolSurface, MarketModel
+from .contract import TarnContract, fixing_flows
+from .market import LocalVolSurface, MarketModel, check_spot
 
 __all__ = [
     "PinPolicy",
     "BoundaryKind",
     "FdConfig",
     "FdGrid",
-    "FdState",
     "IntervalPropagators",
     "PriceResult",
     "ErrorEstimate",
@@ -71,7 +62,6 @@ __all__ = [
     "coefficients_at",
     "theta_step",
     "apply_jump",
-    "apply_jump_backward",
     "fd_price",
     "estimate_error",
     "convergence_order",
@@ -151,14 +141,6 @@ class FdGrid:
         self.log_spots.setflags(write=False)
         self.spots.setflags(write=False)
         self.accum_nodes.setflags(write=False)
-
-
-@dataclass
-class FdState:
-    """Tracked solution values, one row per accumulation node, at one time."""
-
-    values: np.ndarray
-    time: float
 
 
 @dataclass(frozen=True)
@@ -396,8 +378,7 @@ def build_grid(
     the largest level the specification can reach over the note's life).
     The accumulation grid runs uniformly from zero to the target.
     """
-    if not (spot > 0.0 and math.isfinite(spot)):
-        raise ValueError(f"spot must be positive and finite, got {spot!r}")
+    check_spot(spot)
     config.validate()
     horizon = contract.maturity
     sigma_bar = model.vol.max_sigma(horizon)
@@ -667,41 +648,9 @@ def _check_explicit_stability(grid, model, config) -> None:
         )
 
 
-def _jump_cash_flows(spots, accum, fixing_index, contract):
-    """Vectorized fixing cash flows on the (accumulation x spot) lattice.
-
-    Returns (payment, extra, dead) broadcastable to (J, M).  Element (j, m)
-    is the outcome of the fixing seen from accrued amount ``accum[j]`` at
-    spot ``spots[m]``; the top accumulation node sits exactly at the target
-    and is treated as the limit of a live state from below, where a breach
-    fires only for a strictly positive gross amount.
-    """
-    target = contract.target
-    gross = np.maximum(contract.beta * (spots - contract.strike), 0.0)[None, :]
-    level = accum[:, None]
-    breach = (level + gross >= target) & (gross > 0.0)
-    extra_flat = contract.extra_payment_at(fixing_index)
-    kind = contract.knockout
-    if kind is KnockoutType.FULL_GAIN:
-        payment = np.broadcast_to(gross, breach.shape)
-        extra = np.broadcast_to(np.float64(extra_flat), breach.shape)
-        dead = breach
-    elif kind is KnockoutType.NO_GAIN:
-        payment = np.where(breach, 0.0, gross)
-        extra = np.where(breach, 0.0, extra_flat)
-        dead = breach
-    else:  # PART_GAIN
-        shortfall = target - level
-        payment = np.where(breach, shortfall, gross)
-        safe_gross = np.where(gross > 0.0, gross, 1.0)
-        extra = np.where(breach, (shortfall / safe_gross) * extra_flat, extra_flat)
-        dead = breach
-    return payment, extra, dead
-
-
-def apply_jump(state: FdState, fixing_index: int, contract: TarnContract,
-               grid: FdGrid) -> FdState:
-    """Fixing-date update of all tracked solutions (the forward shift).
+def apply_jump(values: np.ndarray, fixing_index: int, contract: TarnContract,
+               grid: FdGrid) -> np.ndarray:
+    """Fixing-date update of the tracked values ``(J, M)`` (the forward shift).
 
     For each spot node, one natural cubic spline is built over the tracked
     values across the accumulation grid and read at the shifted amounts
@@ -712,48 +661,19 @@ def apply_jump(state: FdState, fixing_index: int, contract: TarnContract,
     fixing runs through the same code on an all-zero lattice, which is
     exactly the worthless-after-expiry final condition.
     """
-    values = state.values
-    payment, extra, dead = _jump_cash_flows(
-        grid.spots, grid.accum_nodes, fixing_index, contract
+    accum = grid.accum_nodes[:, None]
+    payment, extra, dead = fixing_flows(
+        contract.gross(grid.spots), accum, contract.extra_payment_at(fixing_index),
+        contract.knockout, contract.target,
     )
-    queries = grid.accum_nodes[:, None] + payment
+    queries = accum + payment
     np.minimum(queries, contract.target, out=queries)
     second = _spline_second_derivs(values, grid.h)
     continuation = _spline_eval(values, second, 0.0, grid.h, queries)
     continuation[dead] = 0.0
     continuation += payment
     continuation += extra
-    return FdState(values=continuation, time=state.time)
-
-
-def apply_jump_backward(state: FdState, fixing_index: int, contract: TarnContract,
-                        grid: FdGrid) -> FdState:
-    """Fixing-date update with the shift applied backward.  Known wrong.
-
-    The backward relation moves a grid amount down by the payment, and the
-    payment itself depends on the (unknown) shifted amount.  Solving that
-    relation self-consistently, the shifted amount plus the gross flow
-    lands back on the grid amount, which is at most the target, so the
-    breach indicator can never fire: the knockout is unreachable from this
-    direction and every fixing pays its gross amount in full.  The shifted
-    amounts can also go negative, and reading the node values back requires
-    extrapolating above them.  All of this is this direction's documented
-    failure; the routine is kept solely so tests can demonstrate it and is
-    never used for pricing.
-    """
-    values = state.values
-    gross = np.maximum(
-        contract.beta * (grid.spots - contract.strike), 0.0
-    )[None, :]
-    extra = contract.extra_payment_at(fixing_index)
-    shifted = grid.accum_nodes[:, None] - gross
-    jumped = values + gross + extra
-    out = np.empty_like(values)
-    for m in range(values.shape[1]):
-        interp = CubicSpline(shifted[:, m], jumped[:, m], bc_type="natural",
-                             extrapolate=True)
-        out[:, m] = interp(grid.accum_nodes)
-    return FdState(values=out, time=state.time)
+    return continuation
 
 
 def fd_price(
@@ -761,8 +681,6 @@ def fd_price(
     model: MarketModel,
     config: FdConfig,
     spot: float,
-    jump_direction: str = "forward",
-    dump_dir: str | None = None,
     *,
     propagators: IntervalPropagators | None = None,
 ) -> PriceResult:
@@ -772,19 +690,11 @@ def fd_price(
     jumps with theta-scheme marching over each interval, and after the first
     fixing marches only the zero-accrual solution down to the valuation
     date.  The price is the value at the spot node, or a one-off spline
-    interpolation in the log-spot when the spot is off-grid.  Optional
-    ``dump_dir`` writes the post-jump lattice at each fixing date as a plain
-    text matrix for debugging.  ``propagators`` shares interval maps with
-    other pricings on the same spot grid; by default the maps live for this
-    call only.
+    interpolation in the log-spot when the spot is off-grid.
+    ``propagators`` shares interval maps with other pricings on the same
+    spot grid; by default the maps live for this call only.
     """
     started = time.perf_counter()
-    if jump_direction == "forward":
-        jump = apply_jump
-    elif jump_direction == "backward":
-        jump = apply_jump_backward
-    else:
-        raise ValueError("jump_direction must be 'forward' or 'backward'")
     grid = build_grid(contract, model, config, spot)
     _check_explicit_stability(grid, model, config)
     k_total = contract.num_fixings
@@ -807,23 +717,15 @@ def fd_price(
             key = _interval_key(steps)
             planned[k] = steps, key
             rows[key] += config.accumulation_nodes if k > 1 else 1
-    state = FdState(
-        values=np.zeros((config.accumulation_nodes, config.spot_nodes)),
-        time=contract.maturity,
-    )
-    if dump_dir is not None:
-        os.makedirs(dump_dir, exist_ok=True)
+    values = np.zeros((config.accumulation_nodes, config.spot_nodes))
     for k in range(k_total, 0, -1):
-        state = jump(state, k, contract, grid)
-        if dump_dir is not None:
-            np.savetxt(os.path.join(dump_dir, f"lattice_fixing_{k:03d}.txt"),
-                       state.values)
-        values = state.values if k > 1 else state.values[:1]
+        values = apply_jump(values, k, contract, grid)
+        if k == 1:
+            values = values[:1]
         steps, key = planned[k] if planned else (interval(k), None)
         values = _march(values, steps, key, rows[key], grid, config.boundary,
                         contract.beta, propagators)
-        state = FdState(values=values, time=times[k - 1])
-    row = state.values[0]
+    row = values[0]
     if grid.spot_index is not None:
         price = float(row[grid.spot_index])
     else:

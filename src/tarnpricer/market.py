@@ -26,7 +26,6 @@ __all__ = [
     "discount_factor",
     "integrated_variance",
     "vanilla_price",
-    "local_vol_at",
 ]
 
 
@@ -227,18 +226,10 @@ def integrated_variance(vol: VolatilitySpec, t0: float, t1: float) -> float:
     )
 
 
-def local_vol_at(vol: VolatilitySpec, spot, t: float):
-    """Instantaneous sigma at (spot, t); spot may be a scalar or an array.
-
-    Flat and term-structure specs ignore the spot argument.  Local vol
-    surfaces clamp queries to the mesh rather than extrapolate.
-    """
-    if isinstance(vol, LocalVolSurface):
-        return vol.interpolate(spot, t)
-    sig = vol.sigma_at(t)
-    if np.isscalar(spot):
-        return sig
-    return np.full(np.shape(spot), sig)
+def check_spot(spot: float) -> None:
+    """Reject a spot that is not positive and finite, naming it."""
+    if not (spot > 0.0 and math.isfinite(spot)):
+        raise ValueError(f"spot must be positive and finite, got {spot!r}")
 
 
 def vanilla_price(

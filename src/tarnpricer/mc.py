@@ -24,6 +24,7 @@ import numpy as np
 from .contract import TarnContract, batch_present_value
 from .market import (
     MarketModel,
+    check_spot,
     discount_factor,
     integrated_variance,
     vanilla_price,
@@ -35,7 +36,6 @@ __all__ = [
     "McResult",
     "standard_error",
     "simulate_fixing_paths",
-    "simulate_fixing_path",
     "mc_price",
 ]
 
@@ -140,23 +140,9 @@ def simulate_fixing_paths(
     return np.exp(out)
 
 
-def simulate_fixing_path(
-    model: MarketModel,
-    spot: float,
-    fixing_times,
-    rng: np.random.Generator,
-    substeps_per_interval: int = 1,
-) -> np.ndarray:
-    """Single-path convenience wrapper; returns shape (len(fixing_times),)."""
-    return simulate_fixing_paths(
-        model, spot, fixing_times, 1, rng, substeps_per_interval
-    )[0]
-
-
 def _control_values(paths, contract, discounts):
     """Discounted uncapped vanilla strip along each path (the control)."""
-    gross = np.maximum(contract.beta * (paths - contract.strike), 0.0)
-    return gross @ discounts
+    return contract.gross(paths) @ discounts
 
 
 def mc_price(
@@ -173,6 +159,7 @@ def mc_price(
     local volatility models.
     """
     started = time.perf_counter()
+    check_spot(spot)
     config.validate()
     times = contract.fixing_times
     discounts = np.array(

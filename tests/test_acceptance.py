@@ -7,10 +7,10 @@ metrics live in the tables below.
 
 import json
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from tarnpricer import (
     ConstantVol,
@@ -27,6 +27,7 @@ from tarnpricer import (
     natural_cubic_spline,
     vanilla_price,
 )
+from tarnpricer import fd
 from tarnpricer.cli import emit, parse_config, run
 
 from conftest import benchmark_contract, flat_model
@@ -205,12 +206,36 @@ def test_criterion_7_dominance_and_monotonicity():
            "both engines")
 
 
-def test_criterion_8_backward_jump_is_wrong():
+def apply_jump_backward(values, fixing_index, contract, grid):
+    """Fixing-date update with the shift applied backward.  Known wrong.
+
+    The backward relation moves a grid amount down by the payment, and the
+    payment itself depends on the (unknown) shifted amount.  Solving that
+    relation self-consistently, the shifted amount plus the gross flow
+    lands back on the grid amount, which is at most the target, so the
+    breach indicator can never fire: the knockout is unreachable from this
+    direction and every fixing pays its gross amount in full.  The shifted
+    amounts can also go negative, and reading the node values back requires
+    extrapolating above them.
+    """
+    gross = contract.gross(grid.spots)[None, :]
+    extra = contract.extra_payment_at(fixing_index)
+    shifted = grid.accum_nodes[:, None] - gross
+    jumped = values + gross + extra
+    out = np.empty_like(values)
+    for m in range(values.shape[1]):
+        interp = CubicSpline(shifted[:, m], jumped[:, m], bc_type="natural",
+                             extrapolate=True)
+        out[:, m] = interp(grid.accum_nodes)
+    return out
+
+
+def test_criterion_8_backward_jump_is_wrong(monkeypatch):
     contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
     cfg = FdConfig(spot_nodes=160, accumulation_nodes=40, time_steps=160)
     forward = fd_price(contract, MODEL, cfg, 1.05).price
-    backward_pricer = partial(fd_price, jump_direction="backward")
-    est_b = estimate_error(contract, MODEL, cfg, 1.05, pricer=backward_pricer)
+    monkeypatch.setattr(fd, "apply_jump", apply_jump_backward)
+    est_b = estimate_error(contract, MODEL, cfg, 1.05)
     deviation = abs(est_b.coarse.price - forward) / abs(forward)
     ok = deviation > est_b.relative_error
     report(8, "backward jump negative test", ok,

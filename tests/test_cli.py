@@ -1,12 +1,15 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from tarnpricer import KnockoutType, MarketModel, RateCurve, TermStructureVol
 from tarnpricer.cli import (
     ConfigError,
     PRESETS,
     ResultRecord,
+    RunConfig,
     emit,
     fingerprint,
     main,
@@ -14,7 +17,8 @@ from tarnpricer.cli import (
     read_records,
     run,
 )
-from tarnpricer.fd import BoundaryKind, PinPolicy
+from tarnpricer.fd import BoundaryKind, FdConfig, PinPolicy
+from tarnpricer.mc import McConfig
 
 MINIMAL = """
 [contract]
@@ -96,6 +100,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="3 entries"):
             parse_config(bad)
 
+    @pytest.mark.parametrize("old, new, field", [
+        ("strike = 1.0", "strike = nan", "contract.strike"),
+        ("target = 0.3", "target = inf", "contract.target"),
+        ("fixing_times = 0.25, 0.5, 0.75", "fixing_times = 0.25, 0.5, inf",
+         "contract.fixing_times"),
+        ("fixing_times = 0.25, 0.5, 0.75",
+         "fixing_times = 0.25, 0.5, 0.75\nextra_payments = 0.1, nan, 0.1",
+         "contract.extra_payments"),
+        ("beta = 1", "beta = 2", "contract.beta"),
+        ("spot = 1.05", "spot = nan", "run.spot"),
+        ("spot = 1.05", "spot = inf", "run.spot"),
+        ("spot = 1.05", "spot = -1.05", "run.spot"),
+    ])
+    def test_rejects_bad_field_by_name(self, old, new, field):
+        text = MINIMAL.replace("strike = 1.0", "strike = 1.0\nbeta = 1")
+        assert old in text
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            parse_config(text.replace(old, new))
+
     def test_missing_volatility(self):
         bad = MINIMAL.replace("volatility = 0.2", "")
         with pytest.raises(ConfigError, match="volatility"):
@@ -146,6 +169,59 @@ class TestFingerprint:
         assert fingerprint(base) != fingerprint(changed)
         seeded = parse_config(SMALL_RUN.replace("seed = 7", "seed = 8"))
         assert fingerprint(base) != fingerprint(seeded)
+
+    # A changed value per field; a field added to one of these dataclasses
+    # fails here until it has an entry, so it cannot drop out of the hash.
+    CHANGED = {
+        "strike": 1.01,
+        "beta": -1,
+        "targets": (0.3, 0.6),
+        "knockouts": (KnockoutType.PART_GAIN, KnockoutType.FULL_GAIN),
+        "fixing_times": (0.1, 0.2, 0.3, 0.45),
+        "extra_payments": (0.0, 0.0, 0.0, 0.01),
+        # SMALL_RUN's model with the same sigma in another vol class
+        "model": MarketModel(RateCurve.flat(0.01), RateCurve.flat(0.0),
+                             TermStructureVol((0.0,), (0.2,))),
+        "spot": 1.06,
+        "engines": ("fd",),
+        "output_format": "human",
+        "output_path": "out.jsonl",
+        "refine": True,
+        "convergence": True,
+        "fd.spot_nodes": 61,
+        "fd.accumulation_nodes": 11,
+        "fd.time_steps": 17,
+        "fd.theta": 1.0,
+        "fd.domain_width_sigmas": 4.0,
+        "fd.pin_policy": PinPolicy.STRIKE_ONLY_THEN_INTERPOLATE,
+        "fd.boundary": BoundaryKind.DIRICHLET_NEUMANN_BY_DIRECTION,
+        "fd.implicit_startup_steps": 2,
+        "mc.n_paths": 4001,
+        "mc.seed": 8,
+        "mc.substeps_per_interval": 2,
+        "mc.control_variate": False,
+        "mc.cv_coefficient": 1.0,
+    }
+
+    @pytest.mark.parametrize("name", [
+        f"{prefix}{f.name}"
+        for prefix, cls in (("", RunConfig), ("fd.", FdConfig), ("mc.", McConfig))
+        for f in dataclasses.fields(cls)
+        if f.name not in ("fd", "mc")  # covered field by field
+    ])
+    def test_every_field_is_hashed(self, name):
+        base = parse_config(SMALL_RUN)
+        if "." in name:
+            section, field = name.split(".")
+            nested = dataclasses.replace(getattr(base, section),
+                                         **{field: self.CHANGED[name]})
+            cfg = dataclasses.replace(base, **{section: nested})
+        else:
+            cfg = dataclasses.replace(base, **{name: self.CHANGED[name]})
+        if name in ("output_format", "output_path"):
+            assert fingerprint(cfg) == fingerprint(base)
+        else:
+            assert fingerprint(cfg) != fingerprint(base)
 
     def test_unchanged_by_output_settings(self):
         base = parse_config(SMALL_RUN)
@@ -281,6 +357,22 @@ class TestMain:
         path.write_text(MINIMAL.replace("target = 0.3", "target = -1"))
         assert main([str(path)]) == 1
         assert "target must be positive" in capsys.readouterr().err
+
+    def test_non_finite_strike_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(MINIMAL.replace("strike = 1.0", "strike = nan"))
+        assert main([str(path)]) == 1
+        assert "contract.strike must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("engines, message", [
+        ("fd,pde", "--engines: unknown engine 'pde'"),
+        (" , ", "--engines: at least one engine"),
+    ])
+    def test_engine_override_validated(self, tmp_path, capsys, engines, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(SMALL_RUN)
+        assert main([str(path), "--engines", engines]) == 1
+        assert message in capsys.readouterr().err
 
     def test_missing_config_exit_code(self, capsys):
         assert main([]) == 1

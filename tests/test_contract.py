@@ -1,14 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tarnpricer import (
-    KnockoutType,
-    TarnContract,
-    batch_present_value,
-    fixing_outcome,
-    path_present_value,
-    raw_cash_flow,
-)
+from tarnpricer import KnockoutType, TarnContract, batch_present_value
+from tarnpricer.contract import fixing_flows
+
+from cashflow_oracle import fixing_outcome, path_present_value, raw_cash_flow
 
 
 def make_contract(knockout=KnockoutType.FULL_GAIN, target=0.3, strike=1.0,
@@ -59,7 +59,6 @@ class TestFixingOutcome:
         out = fixing_outcome(1.02, 0.1, 2, make_contract(KnockoutType.NO_GAIN))
         assert out.payment == pytest.approx(0.02)
         assert not out.terminated
-        assert out.accumulation_increment == out.payment
 
     def test_exact_target_hit_is_a_breach(self):
         # 0.5 + 0.25 == 0.75 exactly in binary; equality counts as a breach
@@ -102,12 +101,77 @@ class TestFixingOutcome:
         # no breach: extra paid in full, does not accrue
         out = fixing_outcome(1.01, 0.0, 1, full)
         assert out.extra_payment == pytest.approx(0.01)
-        assert out.accumulation_increment == pytest.approx(0.01)
         # breach with c = 0.08 against A = 0.25, U = 0.3
         assert fixing_outcome(1.08, 0.25, 1, full).extra_payment == pytest.approx(0.01)
         assert fixing_outcome(1.08, 0.25, 1, part).extra_payment == pytest.approx(
             0.01 * 0.05 / 0.08)
         assert fixing_outcome(1.08, 0.25, 1, none_).extra_payment == 0.0
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@st.composite
+def fixing_states(draw):
+    """A contract plus a batch of (spot, accrued) states at its first fixing.
+
+    Spots at the strike, on its paying side and on the other side give zero
+    and positive gross amounts; the accrued amounts lie in [0, target), or
+    sit exactly on the target, the lattice's limit state.  Some accrued
+    amounts are ``target - gross``, so that the fixing often lands exactly
+    on the target.
+    """
+    kind = draw(st.sampled_from(list(KnockoutType)))
+    beta = draw(st.sampled_from([1, -1]))
+    strike = draw(st.floats(0.5, 2.0))
+    target = draw(st.floats(0.01, 2.0))
+    extra = draw(st.one_of(st.just(0.0), st.floats(-0.5, 0.5)))
+    contract = make_contract(kind, target=target, strike=strike, beta=beta,
+                             times=(0.5, 1.0), extras=(extra, 0.0))
+    state = st.tuples(
+        st.one_of(st.just(strike), st.floats(0.01, 5.0)),
+        st.one_of(st.just(target), st.floats(0.0, target, exclude_max=True),
+                  st.just(None)),
+    )
+    states = []
+    for spot, accrued in draw(st.lists(state, min_size=1, max_size=20)):
+        if accrued is None:
+            hit = target - raw_cash_flow(spot, contract)
+            accrued = hit if 0.0 <= hit < target else 0.0
+        states.append((spot, accrued))
+    return contract, states
+
+
+class TestFixingFlows:
+    @given(fixing_states())
+    def test_matches_scalar_oracle_bitwise(self, case):
+        contract, states = case
+        gross = np.array([raw_cash_flow(s, contract) for s, _ in states])
+        accrued = np.array([a for _, a in states])
+        # equal in value; a zero gross may differ in sign from the oracle's
+        assert np.array_equal(contract.gross(np.array([s for s, _ in states])),
+                              gross)
+        payment, extra, dead = fixing_flows(
+            gross, accrued, contract.extra_payment_at(1),
+            contract.knockout, contract.target)
+        want = [fixing_outcome(s, a, 1, contract, allow_at_target=True)
+                for s, a in states]
+        assert bits(payment) == bits([o.payment for o in want])
+        assert bits(extra) == bits([o.extra_payment for o in want])
+        assert dead.tolist() == [o.terminated for o in want]
+
+    def test_broadcasts_accrued_against_gross(self):
+        contract = make_contract(KnockoutType.PART_GAIN, extras=(0.01,) * 3)
+        gross = contract.gross(np.array([0.9, 1.05, 1.2]))
+        accrued = np.array([0.0, 0.2, 0.3])[:, None]
+        payment, extra, dead = fixing_flows(gross, accrued, 0.01,
+                                            contract.knockout, contract.target)
+        assert payment.shape == extra.shape == dead.shape == (3, 3)
+        assert dead.tolist() == [[False, False, False],
+                                 [False, False, True],
+                                 [False, True, True]]
+        assert payment[1, 2] == pytest.approx(0.1)
 
 
 class TestPathPresentValue:
@@ -171,7 +235,7 @@ class TestPathProperties:
             last = 0.0
             for i in range(self.k):
                 out = fixing_outcome(path[i], acc, i + 1, contract)
-                acc += out.accumulation_increment
+                acc += out.payment
                 last = out.payment
                 if out.terminated:
                     break
@@ -235,6 +299,19 @@ class TestContractValidation:
     def test_extra_payments_length(self):
         with pytest.raises(ValueError, match="entries"):
             make_contract(extras=(0.01, 0.01))
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("strike", dict(strike=math.nan)),
+        ("target", dict(target=math.inf)),
+        ("target", dict(target=math.nan)),
+        ("fixing_times", dict(times=(0.25, 0.5, math.inf))),
+        ("fixing_times", dict(times=(0.25, math.nan, 0.75))),
+        ("extra_payments", dict(extras=(0.1, math.nan, 0.1))),
+        ("extra_payments", dict(extras=(0.1, 0.1, -math.inf))),
+    ])
+    def test_rejects_non_finite_by_name(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            make_contract(**kwargs)
 
     def test_contract_is_immutable(self):
         contract = make_contract()

@@ -9,7 +9,6 @@ from tarnpricer import (
     BoundaryKind,
     ConstantVol,
     FdConfig,
-    FdState,
     KnockoutType,
     LocalVolSurface,
     MarketModel,
@@ -28,6 +27,10 @@ from tarnpricer import (
 )
 from tarnpricer.fd import StepCoefficients, _allocate_steps, theta_step
 
+from tarnpricer import fd
+from tarnpricer.contract import fixing_flows
+
+from cashflow_oracle import fixing_outcome
 from conftest import benchmark_contract, benchmark_times, flat_model
 
 
@@ -218,9 +221,8 @@ class TestApplyJump:
         # the strike is pinned as the top node; gross amount is zero there too
         assert grid.spots.max() <= 10.0
         values = smooth_state(grid, 11, 41)
-        state = FdState(values=values.copy(), time=0.5)
-        out = apply_jump(state, 1, contract, grid)
-        assert np.allclose(out.values, values, atol=1e-13)
+        out = apply_jump(values.copy(), 1, contract, grid)
+        assert np.allclose(out, values, atol=1e-13)
 
     def test_single_fixing_gives_vanilla_payoff(self):
         contract = TarnContract(strike=1.0, target=1e6, beta=1,
@@ -228,37 +230,33 @@ class TestApplyJump:
                                 knockout=KnockoutType.FULL_GAIN)
         cfg = FdConfig(spot_nodes=51, accumulation_nodes=11, time_steps=4)
         grid = build_grid(contract, flat_model(), cfg, 1.05)
-        state = FdState(values=np.zeros((11, 51)), time=0.5)
-        out = apply_jump(state, 1, contract, grid)
+        out = apply_jump(np.zeros((11, 51)), 1, contract, grid)
         payoff = np.maximum(grid.spots - 1.0, 0.0)
-        assert np.allclose(out.values[0], payoff, atol=1e-14)
+        assert np.allclose(out[0], payoff, atol=1e-14)
 
     def test_no_gain_breach_zeroes_the_cell(self):
         contract, grid = self.make(KnockoutType.NO_GAIN)
         values = smooth_state(grid, 21, 61)
-        out = apply_jump(FdState(values=values.copy(), time=0.5), 1, contract, grid)
+        out = apply_jump(values.copy(), 1, contract, grid)
         gross = np.maximum(grid.spots - 1.0, 0.0)[None, :]
         breach = (grid.accum_nodes[:, None] + gross >= 0.3) & (gross > 0)
-        assert np.all(out.values[breach] == 0.0)
+        assert np.all(out[breach] == 0.0)
 
     def test_continuation_matches_independent_spline(self):
         # jump-value identity: V_new - payment - extra must equal the natural
         # spline of the pre-jump column at the shifted amount, or zero when
         # the fixing kills the note
-        from tarnpricer.contract import fixing_outcome
-
         for knockout in KnockoutType:
             contract, grid = self.make(knockout)
             values = smooth_state(grid, 21, 61)
-            out = apply_jump(FdState(values=values.copy(), time=0.5), 1,
-                             contract, grid)
+            out = apply_jump(values.copy(), 1, contract, grid)
             for m in range(0, 61, 7):
                 ref = CubicSpline(grid.accum_nodes, values[:, m],
                                   bc_type="natural")
                 for j in range(21):
                     o = fixing_outcome(grid.spots[m], grid.accum_nodes[j], 1,
                                        contract, allow_at_target=True)
-                    residual = out.values[j, m] - o.payment - o.extra_payment
+                    residual = out[j, m] - o.payment - o.extra_payment
                     if o.terminated:
                         assert residual == 0.0
                     else:
@@ -266,17 +264,14 @@ class TestApplyJump:
                         assert residual == pytest.approx(float(want), abs=1e-10)
 
     def test_lattice_matches_scalar_outcomes(self):
-        from tarnpricer.contract import fixing_outcome
-        from tarnpricer.fd import _jump_cash_flows
-
+        # the kernel called as apply_jump calls it, on the whole lattice
         for knockout in KnockoutType:
             contract, grid = self.make(knockout)
             contract = replace_extra(contract, (0.01, 0.02))
-            pay, extra, dead = _jump_cash_flows(grid.spots, grid.accum_nodes,
-                                                2, contract)
-            pay = np.broadcast_to(pay, (21, 61))
-            extra = np.broadcast_to(extra, (21, 61))
-            dead = np.broadcast_to(dead, (21, 61))
+            pay, extra, dead = fixing_flows(
+                contract.gross(grid.spots), grid.accum_nodes[:, None],
+                contract.extra_payment_at(2), contract.knockout, contract.target)
+            assert pay.shape == extra.shape == dead.shape == (21, 61)
             for j in range(21):
                 for m in range(0, 61, 5):
                     o = fixing_outcome(grid.spots[m], grid.accum_nodes[j], 2,
@@ -284,6 +279,21 @@ class TestApplyJump:
                     assert pay[j, m] == o.payment
                     assert extra[j, m] == o.extra_payment
                     assert dead[j, m] == o.terminated
+
+
+def record_lattices(monkeypatch):
+    """Make ``fd_price`` append a copy of every post-jump lattice to the
+    returned list, last fixing first."""
+    lattices = []
+    jump = fd.apply_jump
+
+    def recording(*args):
+        out = jump(*args)
+        lattices.append(out.copy())
+        return out
+
+    monkeypatch.setattr(fd, "apply_jump", recording)
+    return lattices
 
 
 def replace_extra(contract, extras):
@@ -305,18 +315,17 @@ class TestFdPrice:
         assert prices[KnockoutType.NO_GAIN] <= prices[KnockoutType.PART_GAIN] + 1e-10
         assert prices[KnockoutType.PART_GAIN] <= prices[KnockoutType.FULL_GAIN] + 1e-10
 
-    def test_lattice_level_dominance(self, tmp_path):
+    def test_lattice_level_dominance(self, monkeypatch):
         # pointwise over the tracked lattices at every fixing; the natural
         # spline is not monotone in its data, so overshoot near the knockout
         # cutoff allows violations up to the local interpolation error
         # (measured ~2e-6 at this grid), never at the 1e-5 * U scale
         lattices = {}
+        recorded = record_lattices(monkeypatch)
         for ko in KnockoutType:
-            d = tmp_path / ko.value
-            fd_price(benchmark_contract(ko, 0.3), flat_model(), SMALL, 1.05,
-                     dump_dir=str(d))
-            lattices[ko] = [np.loadtxt(f)
-                            for f in sorted(d.glob("lattice_fixing_*.txt"))]
+            fd_price(benchmark_contract(ko, 0.3), flat_model(), SMALL, 1.05)
+            lattices[ko] = recorded[:]
+            recorded.clear()
         tol = 1e-5 * 0.3
         for ng, pg, fg in zip(lattices[KnockoutType.NO_GAIN],
                               lattices[KnockoutType.PART_GAIN],
@@ -422,14 +431,13 @@ class TestFdPrice:
             1.05).price
         assert zg == pytest.approx(dn, rel=2e-3)
 
-    def test_lattice_dumps_are_finite_and_nonnegative(self, tmp_path):
+    def test_lattice_dumps_are_finite_and_nonnegative(self, monkeypatch):
         contract = benchmark_contract(KnockoutType.PART_GAIN, 0.3)
         cfg = FdConfig(spot_nodes=101, accumulation_nodes=21, time_steps=40)
-        fd_price(contract, flat_model(), cfg, 1.05, dump_dir=str(tmp_path))
-        files = sorted(tmp_path.glob("lattice_fixing_*.txt"))
-        assert len(files) == 20
-        for f in files:
-            lattice = np.loadtxt(f)
+        lattices = record_lattices(monkeypatch)
+        fd_price(contract, flat_model(), cfg, 1.05)
+        assert len(lattices) == 20
+        for lattice in lattices:
             assert lattice.shape == (21, 101)
             assert np.all(np.isfinite(lattice))
             # spline/time-stepping undershoot near the knockout cutoff is a

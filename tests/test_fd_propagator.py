@@ -10,7 +10,6 @@ import pytest
 from tarnpricer import (
     BoundaryKind,
     FdConfig,
-    FdState,
     KnockoutType,
     LocalVolSurface,
     MarketModel,
@@ -36,11 +35,11 @@ def reference_price(contract, model, config, spot):
     """Backward induction with one theta_step call per time step."""
     grid = build_grid(contract, model, config, spot)
     times = (0.0,) + contract.fixing_times
-    state = FdState(values=np.zeros((config.accumulation_nodes, config.spot_nodes)),
-                    time=contract.maturity)
+    values = np.zeros((config.accumulation_nodes, config.spot_nodes))
     for k in range(contract.num_fixings, 0, -1):
-        state = apply_jump(state, k, contract, grid)
-        values = state.values if k > 1 else state.values[:1]
+        values = apply_jump(values, k, contract, grid)
+        if k == 1:
+            values = values[:1]
         t_hi, t_lo = times[k], times[k - 1]
         n_steps = grid.steps_per_interval[k - 1]
         dt = (t_hi - t_lo) / n_steps
@@ -54,8 +53,7 @@ def reference_price(contract, model, config, spot):
                 coefficients_at(model, grid.spots, t_to),
                 config.boundary, spots=grid.spots, beta=contract.beta,
             )
-        state = FdState(values=values, time=t_lo)
-    row = state.values[0]
+    row = values[0]
     if grid.spot_index is not None:
         return float(row[grid.spot_index])
     return float(natural_cubic_spline(grid.log_spots, row, math.log(spot)))

@@ -13,7 +13,6 @@ from tarnpricer import (
     TermStructureVol,
     discount_factor,
     integrated_variance,
-    local_vol_at,
     vanilla_price,
 )
 
@@ -156,30 +155,30 @@ class TestLocalVol:
     )
 
     def test_constant_spec_everywhere(self):
-        assert local_vol_at(ConstantVol(0.2), 1.31, 0.77) == 0.2
+        assert ConstantVol(0.2).sigma_at(0.77) == 0.2
 
     def test_term_structure_steps(self):
         vol = TermStructureVol(times=(0.0, 0.5), sigmas=(0.1, 0.3))
-        assert local_vol_at(vol, 1.0, 0.25) == 0.1
-        assert local_vol_at(vol, 1.0, 0.5) == 0.3
-        assert local_vol_at(vol, 1.0, 10.0) == 0.3
+        assert vol.sigma_at(0.25) == 0.1
+        assert vol.sigma_at(0.5) == 0.3
+        assert vol.sigma_at(10.0) == 0.3
 
     def test_mesh_nodes_reproduced(self):
         for i, t in enumerate(self.mesh.time_knots):
             for j, s in enumerate(self.mesh.spot_knots):
-                assert local_vol_at(self.mesh, s, t) == pytest.approx(
+                assert self.mesh.interpolate(s, t) == pytest.approx(
                     self.mesh.values[i, j], rel=1e-15)
 
     def test_cell_center_average(self):
-        got = local_vol_at(self.mesh, 1.0, 0.5)
+        got = self.mesh.interpolate(1.0, 0.5)
         assert got == pytest.approx((0.10 + 0.30 + 0.20 + 0.40) / 4, rel=1e-15)
 
     def test_clamping_outside_mesh(self):
-        assert local_vol_at(self.mesh, 99.0, 99.0) == pytest.approx(0.40)
-        assert local_vol_at(self.mesh, 0.01, -5.0) == pytest.approx(0.10)
+        assert self.mesh.interpolate(99.0, 99.0) == pytest.approx(0.40)
+        assert self.mesh.interpolate(0.01, -5.0) == pytest.approx(0.10)
 
     def test_vector_queries(self):
-        out = local_vol_at(self.mesh, np.array([0.5, 1.5]), 0.0)
+        out = self.mesh.interpolate(np.array([0.5, 1.5]), 0.0)
         assert np.allclose(out, [0.10, 0.30])
 
     def test_from_file_round_trip(self, tmp_path):

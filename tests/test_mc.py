@@ -11,7 +11,6 @@ from tarnpricer import (
     RateCurve,
     TarnContract,
     mc_price,
-    simulate_fixing_path,
     simulate_fixing_paths,
     standard_error,
     vanilla_price,
@@ -48,11 +47,18 @@ class TestStandardError:
         assert standard_error(x) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("spot", [math.nan, math.inf, 0.0, -1.05])
+def test_bad_spot_rejected_by_name(spot):
+    contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
+    with pytest.raises(ValueError, match="spot must be positive and finite"):
+        mc_price(contract, flat_model(), McConfig(n_paths=100), spot)
+
+
 class TestPathSimulation:
     def test_vanishing_volatility_path_is_constant(self):
         model = flat_model(sigma=1e-9)
         gen = np.random.Generator(np.random.Philox(1))
-        path = simulate_fixing_path(model, 1.05, benchmark_times(5), gen)
+        path = simulate_fixing_paths(model, 1.05, benchmark_times(5), 1, gen)[0]
         assert np.allclose(path, 1.05, atol=1e-7)
 
     def test_exact_transition_moments(self):
