@@ -24,10 +24,8 @@ import numpy as np
 
 from .contract import KnockoutType, TarnContract
 from .fd import (
-    BoundaryKind,
     FdConfig,
     IntervalPropagators,
-    PinPolicy,
     convergence_order,
     estimate_error,
     fd_price,
@@ -67,6 +65,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
+    """One run: the cases to price, the model, the engines and the output.
+
+    Every case's contract is built, and so checked, on construction; each
+    rejection message starts with the configuration key at fault
+    (``contract.<field>``, ``run.spot``, ``run.engines`` or ``output.format``).
+    """
+
     strike: float
     beta: int
     targets: tuple[float, ...]
@@ -82,6 +87,25 @@ class RunConfig:
     output_path: str | None = None
     refine: bool = False
     convergence: bool = False
+
+    def __post_init__(self) -> None:
+        if not self.targets:
+            raise ValueError("contract.target: at least one target is required")
+        if not self.knockouts:
+            raise ValueError("contract.knockout: at least one knockout type is required")
+        try:
+            check_spot(self.spot)
+        except ValueError as exc:
+            raise ValueError(f"run.{exc}") from exc
+        _check_engines(self.engines, "run.engines")
+        if self.output_format not in ("human", "records"):
+            raise ValueError("output.format: must be 'human' or 'records'")
+        for knockout in self.knockouts:
+            for target in self.targets:
+                try:
+                    _case_contract(self, knockout, target)
+                except ValueError as exc:  # the message starts with the field
+                    raise ValueError(f"contract.{exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -115,28 +139,18 @@ _KNOWN_KEYS = {
         "volatility", "volatility_times", "volatility_values", "volatility_file",
     },
     "run": {"spot", "engines"},
-    "fd": {
-        "spot_nodes", "accumulation_nodes", "time_steps", "theta",
-        "domain_width_sigmas", "pin_policy", "boundary", "implicit_startup_steps",
-    },
-    "mc": {
-        "paths", "seed", "substeps_per_interval", "control_variate",
-        "cv_coefficient",
-    },
     "output": {"format", "path"},
 }
 
-_PIN_ALIASES = {
-    "strike_and_spot": PinPolicy.STRIKE_AND_SPOT,
-    "strike_only_then_interpolate": PinPolicy.STRIKE_ONLY_THEN_INTERPOLATE,
-    "strike_only": PinPolicy.STRIKE_ONLY_THEN_INTERPOLATE,
-}
+# Sections read off a config dataclass: one key per field, named as the
+# field except where _KEY_NAMES says otherwise.
+_ENGINE_SECTIONS = {"fd": FdConfig, "mc": McConfig}
+_KEY_NAMES = {"n_paths": "paths"}
 
-_BOUNDARY_ALIASES = {
-    "zero_gamma": BoundaryKind.ZERO_GAMMA,
-    "dirichlet_neumann_by_direction": BoundaryKind.DIRICHLET_NEUMANN_BY_DIRECTION,
-    "dirichlet_neumann": BoundaryKind.DIRICHLET_NEUMANN_BY_DIRECTION,
-}
+
+def _section_fields(cls) -> dict[str, dataclasses.Field]:
+    """Config key -> dataclass field, for a section read off ``cls``."""
+    return {_KEY_NAMES.get(f.name, f.name): f for f in dataclasses.fields(cls)}
 
 
 def _floats(raw: str, where: str) -> tuple[float, ...]:
@@ -147,27 +161,47 @@ def _floats(raw: str, where: str) -> tuple[float, ...]:
         raise ConfigError(f"{where}: expected numbers, got {raw!r}") from exc
 
 
-def _float(raw: str, where: str) -> float:
+def _number(raw: str, kind: type, where: str):
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"{where}: expected a number, got {raw!r}") from exc
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where}: expected {expected}, got {raw!r}") from exc
 
 
-def _int(raw: str, where: str) -> int:
+def _field_value(raw: str, default, where: str):
+    """Parse ``raw`` by the type of a field's ``default``: an enum by its
+    value, a bool as on/off, then int, then float; an empty value stands
+    for a default of None."""
+    if isinstance(default, enum.Enum):
+        kind = type(default)
+        try:
+            return kind(raw.lower())
+        except ValueError as exc:
+            valid = ", ".join(m.value for m in kind)
+            raise ConfigError(f"{where}: unknown value {raw!r} (use {valid})") from exc
+    if isinstance(default, bool):
+        states = configparser.ConfigParser.BOOLEAN_STATES
+        if raw.lower() not in states:
+            raise ConfigError(f"{where}: expected on/off, got {raw!r}")
+        return states[raw.lower()]
+    if default is None and not raw:
+        return None
+    return _number(raw, int if isinstance(default, int) else float, where)
+
+
+def _engine_section(parser, name: str):
+    """The section's config dataclass; keys it omits keep their defaults."""
+    cls = _ENGINE_SECTIONS[name]
+    sec = parser[name] if name in parser else {}
+    given = {
+        f.name: _field_value(sec[key], f.default, f"{name}.{key}")
+        for key, f in _section_fields(cls).items() if key in sec
+    }
     try:
-        return int(raw)
+        return cls(**given)
     except ValueError as exc:
-        raise ConfigError(f"{where}: expected an integer, got {raw!r}") from exc
-
-
-def _bool(raw: str, where: str) -> bool:
-    val = raw.strip().lower()
-    if val in ("on", "true", "yes", "1"):
-        return True
-    if val in ("off", "false", "no", "0"):
-        return False
-    raise ConfigError(f"{where}: expected on/off, got {raw!r}")
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _parse_rate_curve(sec, prefix: str) -> RateCurve:
@@ -190,7 +224,8 @@ def _parse_rate_curve(sec, prefix: str) -> RateCurve:
             )
         except ValueError as exc:
             raise ConfigError(f"model.{prefix}_rate: {exc}") from exc
-    return RateCurve.flat(_float(flat, f"model.{prefix}_rate") if flat is not None else 0.0)
+    rate = _number(flat, float, f"model.{prefix}_rate") if flat is not None else 0.0
+    return RateCurve.flat(rate)
 
 
 def _parse_volatility(sec, base_dir: str):
@@ -209,7 +244,7 @@ def _parse_volatility(sec, base_dir: str):
         raise ConfigError(f"model.volatility: conflicting specifications: {given}")
     try:
         if flat is not None:
-            return ConstantVol(_float(flat, "model.volatility"))
+            return ConstantVol(_number(flat, float, "model.volatility"))
         if times is not None:
             if values is None:
                 raise ConfigError(
@@ -237,12 +272,14 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse configuration: {exc}") from exc
 
+    known = _KNOWN_KEYS | {name: set(_section_fields(cls))
+                           for name, cls in _ENGINE_SECTIONS.items()}
     unknown = []
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in known:
             unknown.append(f"[{section}]")
             continue
-        bad = sorted(set(parser[section]) - _KNOWN_KEYS[section])
+        bad = sorted(set(parser[section]) - known[section])
         if bad:
             unknown.append(f"[{section}]: " + ", ".join(bad))
     if unknown:
@@ -256,12 +293,10 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     for key in ("strike", "target", "knockout", "fixing_times"):
         if key not in con:
             raise ConfigError(f"contract.{key}: required key is missing")
-    strike = _float(con["strike"], "contract.strike")
-    beta = _int(con.get("beta", "1"), "contract.beta")
+    strike = _number(con["strike"], float, "contract.strike")
+    beta = _number(con.get("beta", "1"), int, "contract.beta")
     fixing_times = _floats(con["fixing_times"], "contract.fixing_times")
     targets = _floats(con["target"], "contract.target")
-    if not targets:
-        raise ConfigError("contract.target: at least one target is required")
     try:
         knockouts = tuple(
             KnockoutType.parse(name) for name in con["knockout"].split(",")
@@ -282,102 +317,40 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     runsec = parser["run"]
     if "spot" not in runsec:
         raise ConfigError("run.spot: required key is missing")
-    spot = _float(runsec["spot"], "run.spot")
-    try:
-        check_spot(spot)
-    except ValueError as exc:
-        raise ConfigError(f"run.{exc}") from exc
-    engines = _engines(runsec.get("engines", "fd,mc"), "run.engines")
-
-    fd_sec = parser["fd"] if "fd" in parser else {}
-    try:
-        fd_cfg = FdConfig(
-            spot_nodes=_int(fd_sec.get("spot_nodes", "500"), "fd.spot_nodes"),
-            accumulation_nodes=_int(
-                fd_sec.get("accumulation_nodes", "100"), "fd.accumulation_nodes"
-            ),
-            time_steps=_int(fd_sec.get("time_steps", "500"), "fd.time_steps"),
-            theta=_float(fd_sec.get("theta", "0.5"), "fd.theta"),
-            domain_width_sigmas=_float(
-                fd_sec.get("domain_width_sigmas", "3.5"), "fd.domain_width_sigmas"
-            ),
-            pin_policy=_parse_enum(
-                fd_sec.get("pin_policy", "strike_and_spot"), _PIN_ALIASES, "fd.pin_policy"
-            ),
-            boundary=_parse_enum(
-                fd_sec.get("boundary", "zero_gamma"), _BOUNDARY_ALIASES, "fd.boundary"
-            ),
-            implicit_startup_steps=_int(
-                fd_sec.get("implicit_startup_steps", "0"), "fd.implicit_startup_steps"
-            ),
-        )
-        fd_cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(f"fd: {exc}") from exc
-
-    mc_sec = parser["mc"] if "mc" in parser else {}
-    cv_raw = mc_sec.get("cv_coefficient", "").strip() if mc_sec else ""
-    try:
-        mc_cfg = McConfig(
-            n_paths=_int(mc_sec.get("paths", "200000"), "mc.paths"),
-            seed=_int(mc_sec.get("seed", "12345"), "mc.seed"),
-            substeps_per_interval=_int(
-                mc_sec.get("substeps_per_interval", "1"), "mc.substeps_per_interval"
-            ),
-            control_variate=_bool(
-                mc_sec.get("control_variate", "on"), "mc.control_variate"
-            ),
-            cv_coefficient=_float(cv_raw, "mc.cv_coefficient") if cv_raw else None,
-        )
-        mc_cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(f"mc: {exc}") from exc
-
+    spot = _number(runsec["spot"], float, "run.spot")
     out_sec = parser["output"] if "output" in parser else {}
-    output_format = out_sec.get("format", "human").strip().lower()
-    if output_format not in ("human", "records"):
-        raise ConfigError("output.format: must be 'human' or 'records'")
-    output_path = out_sec.get("path") or None
-
-    config = RunConfig(
-        strike=strike,
-        beta=beta,
-        targets=targets,
-        knockouts=knockouts,
-        fixing_times=fixing_times,
-        extra_payments=extra_payments,
-        model=model,
-        spot=spot,
-        engines=engines,
-        fd=fd_cfg,
-        mc=mc_cfg,
-        output_format=output_format,
-        output_path=output_path,
-    )
     try:
-        for knockout in knockouts:
-            for target in targets:
-                _case_contract(config, knockout, target)
-    except ValueError as exc:  # the message starts with the field's name
-        raise ConfigError(f"contract.{exc}") from exc
-    return config
+        return RunConfig(
+            strike=strike,
+            beta=beta,
+            targets=targets,
+            knockouts=knockouts,
+            fixing_times=fixing_times,
+            extra_payments=extra_payments,
+            model=model,
+            spot=spot,
+            engines=_engines(runsec.get("engines", "fd,mc"), "run.engines"),
+            fd=_engine_section(parser, "fd"),
+            mc=_engine_section(parser, "mc"),
+            output_format=out_sec.get("format", "human").lower(),
+            output_path=out_sec.get("path") or None,
+        )
+    except ValueError as exc:  # the message starts with the key at fault
+        raise ConfigError(str(exc)) from exc
 
 
 def _engines(raw: str, where: str) -> tuple[str, ...]:
     engines = tuple(e.strip().lower() for e in raw.split(",") if e.strip())
-    if not engines:
-        raise ConfigError(f"{where}: at least one engine must be enabled")
-    for e in engines:
-        if e not in ("fd", "mc"):
-            raise ConfigError(f"{where}: unknown engine {e!r} (use fd, mc)")
+    _check_engines(engines, where)
     return engines
 
 
-def _parse_enum(raw: str, aliases: dict, where: str):
-    key = raw.strip().lower()
-    if key not in aliases:
-        raise ConfigError(f"{where}: unknown value {raw!r} (use {', '.join(sorted(set(aliases)))})")
-    return aliases[key]
+def _check_engines(engines: tuple[str, ...], where: str) -> None:
+    if not engines:
+        raise ValueError(f"{where}: at least one engine must be enabled")
+    for e in engines:
+        if e not in ("fd", "mc"):
+            raise ValueError(f"{where}: unknown engine {e!r} (use fd, mc)")
 
 
 def _payload(value):
@@ -713,21 +686,17 @@ def main(argv=None) -> int:
         else:
             raise ConfigError("a config file or --preset is required")
 
-        if args.engines:
-            config = dataclasses.replace(
-                config, engines=_engines(args.engines, "--engines"))
-        if args.seed is not None:
-            config = dataclasses.replace(
-                config, mc=dataclasses.replace(config.mc, seed=args.seed))
-        if args.fmt:
-            config = dataclasses.replace(config, output_format=args.fmt)
-        if args.output:
-            config = dataclasses.replace(config, output_path=args.output)
-        if args.refine:
-            config = dataclasses.replace(config, refine=True)
-        if args.convergence:
-            config = dataclasses.replace(config, convergence=True)
-    except ConfigError as exc:
+        overrides = {
+            "engines": args.engines and _engines(args.engines, "--engines"),
+            "mc": args.seed is not None and dataclasses.replace(config.mc, seed=args.seed),
+            "output_format": args.fmt,
+            "output_path": args.output,
+            "refine": args.refine,
+            "convergence": args.convergence,
+        }
+        config = dataclasses.replace(
+            config, **{key: value for key, value in overrides.items() if value})
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -115,6 +115,10 @@ class TarnContract:
 
     def extra_payment_at(self, fixing_index: int) -> float:
         """Unweighted extra payment for fixing ``fixing_index`` (1-based)."""
+        if not 1 <= fixing_index <= self.num_fixings:
+            raise ValueError(
+                f"fixing_index must lie in 1..{self.num_fixings}, got {fixing_index}"
+            )
         if self.extra_payments is None:
             return 0.0
         return self.extra_payments[fixing_index - 1]

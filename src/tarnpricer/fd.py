@@ -103,7 +103,7 @@ class FdConfig:
     boundary: BoundaryKind = BoundaryKind.ZERO_GAMMA
     implicit_startup_steps: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.spot_nodes < 3:
             raise ValueError("spot_nodes must be at least 3")
         if self.accumulation_nodes < 4:
@@ -112,8 +112,9 @@ class FdConfig:
             raise ValueError("time_steps must be at least 1")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
-        if not self.domain_width_sigmas > 0.0:
-            raise ValueError("domain_width_sigmas must be positive")
+        if not (self.domain_width_sigmas > 0.0
+                and math.isfinite(self.domain_width_sigmas)):
+            raise ValueError("domain_width_sigmas must be positive and finite")
         if self.implicit_startup_steps < 0:
             raise ValueError("implicit_startup_steps must be nonnegative")
 
@@ -379,7 +380,6 @@ def build_grid(
     The accumulation grid runs uniformly from zero to the target.
     """
     check_spot(spot)
-    config.validate()
     horizon = contract.maturity
     sigma_bar = model.vol.max_sigma(horizon)
     half_width = config.domain_width_sigmas * sigma_bar * math.sqrt(horizon)
@@ -742,7 +742,6 @@ def estimate_error(
     model: MarketModel,
     config: FdConfig,
     spot: float,
-    pricer=fd_price,
 ) -> ErrorEstimate:
     """Relative error proxy: rerun with every dimension doubled.
 
@@ -750,14 +749,14 @@ def estimate_error(
     fraction of the coarse grid's, so the relative gap between the two
     prices closely tracks the coarse grid's true relative error.
     """
-    coarse = pricer(contract, model, config, spot)
+    coarse = fd_price(contract, model, config, spot)
     refined_config = replace(
         config,
         spot_nodes=2 * config.spot_nodes,
         accumulation_nodes=2 * config.accumulation_nodes,
         time_steps=2 * config.time_steps,
     )
-    refined = pricer(contract, model, refined_config, spot)
+    refined = fd_price(contract, model, refined_config, spot)
     if refined.price == 0.0:
         raise ValueError("relative error undefined: refined price is zero")
     rel = abs(coarse.price - refined.price) / abs(refined.price)
@@ -769,7 +768,6 @@ def convergence_order(
     model: MarketModel,
     config: FdConfig,
     spot: float,
-    pricer=fd_price,
 ) -> ConvergenceStudy:
     """Observed order from three grids nested by simultaneous doubling."""
     results = []
@@ -780,7 +778,7 @@ def convergence_order(
             accumulation_nodes=factor * config.accumulation_nodes,
             time_steps=factor * config.time_steps,
         )
-        results.append(pricer(contract, model, cfg, spot))
+        results.append(fd_price(contract, model, cfg, spot))
     v1, v2, v3 = (r.price for r in results)
     denom = abs(v2 - v3)
     if denom == 0.0:

@@ -63,6 +63,8 @@ class RateCurve:
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
         if len(self.times) != len(self.rates) or not self.times:
             raise ValueError("times and rates must be nonempty and equal length")
+        if not all(math.isfinite(t) for t in self.times):
+            raise ValueError("times must be finite")
         if self.times[0] != 0.0:
             raise ValueError("first rate knot must be at t = 0")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
@@ -122,6 +124,8 @@ class TermStructureVol:
         object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
         if len(self.times) != len(self.sigmas) or not self.times:
             raise ValueError("times and sigmas must be nonempty and equal length")
+        if not all(math.isfinite(t) for t in self.times):
+            raise ValueError("times must be finite")
         if self.times[0] != 0.0:
             raise ValueError("first volatility knot must be at t = 0")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
@@ -159,6 +163,9 @@ class LocalVolSurface:
             raise ValueError("values must have shape (len(time_knots), len(spot_knots))")
         if tk.size < 2 or sk.size < 2:
             raise ValueError("mesh needs at least two knots per axis")
+        for arr, name in ((tk, "time_knots"), (sk, "spot_knots")):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
         if np.any(np.diff(tk) <= 0) or np.any(np.diff(sk) <= 0):
             raise ValueError("mesh knots must be strictly increasing")
         if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):

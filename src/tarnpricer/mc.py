@@ -60,11 +60,13 @@ class McConfig:
     control_variate: bool = True
     cv_coefficient: float | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_paths < 2:
             raise ValueError("n_paths must be at least 2")
         if self.substeps_per_interval < 1:
             raise ValueError("substeps_per_interval must be at least 1")
+        if self.cv_coefficient is not None and not math.isfinite(self.cv_coefficient):
+            raise ValueError("cv_coefficient must be finite")
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,6 @@ def mc_price(
     """
     started = time.perf_counter()
     check_spot(spot)
-    config.validate()
     times = contract.fixing_times
     discounts = np.array(
         [discount_factor(model.domestic, 0.0, t) for t in times]

@@ -1,5 +1,8 @@
 import dataclasses
+import enum
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +79,49 @@ class TestParseConfig:
         assert cfg.output_format == "human"
         assert cfg.fd.pin_policy is PinPolicy.STRIKE_AND_SPOT
         assert cfg.fd.boundary is BoundaryKind.ZERO_GAMMA
+        assert cfg.fd == FdConfig()
+        assert cfg.mc == McConfig()
+
+    @pytest.mark.parametrize("name", [
+        f"{section}.{f.name}"
+        for section, cls in (("fd", FdConfig), ("mc", McConfig))
+        for f in dataclasses.fields(cls)
+    ])
+    def test_engine_keys_are_the_field_names(self, name):
+        section, field = name.split(".")
+        value = TestFingerprint.CHANGED[name]
+        if isinstance(value, enum.Enum):
+            raw = value.value
+        elif isinstance(value, bool):
+            raw = "on" if value else "off"
+        else:
+            raw = str(value)
+        key = "paths" if field == "n_paths" else field
+        cfg = parse_config(MINIMAL + f"\n[{section}]\n{key} = {raw}\n")
+        parsed = getattr(cfg, section)
+        assert parsed == dataclasses.replace(type(parsed)(), **{field: value})
+        assert type(getattr(parsed, field)) is type(value)
+
+    @pytest.mark.parametrize("section, line, message", [
+        ("fd", "domain_width_sigmas = inf",
+         "fd: domain_width_sigmas must be positive and finite"),
+        ("mc", "cv_coefficient = nan", "mc: cv_coefficient must be finite"),
+        ("fd", "pin_policy = strike_only", "fd.pin_policy: unknown value 'strike_only'"),
+        ("fd", "boundary = dirichlet_neumann", "fd.boundary: unknown value"),
+        ("fd", "spot_nodes = 60.5", "fd.spot_nodes: expected an integer"),
+        ("fd", "theta =", "fd.theta: expected a number"),
+        ("mc", "control_variate = maybe", "mc.control_variate: expected on/off"),
+    ])
+    def test_rejects_bad_engine_key(self, section, line, message):
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            parse_config(MINIMAL + f"\n[{section}]\n{line}\n")
+
+    def test_readme_example_parses_to_the_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config(example)
+        assert cfg.fd == FdConfig()
+        assert cfg.mc == McConfig()
 
     def test_unknown_keys_listed(self):
         bad = MINIMAL + "\n[fd]\nbanana = 1\nsplit = 2\n"
@@ -228,6 +274,23 @@ class TestFingerprint:
         human = parse_config(SMALL_RUN.replace("format = records",
                                                "format = human"))
         assert fingerprint(base) == fingerprint(human)
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("field, value, key", [
+        ("strike", math.nan, "contract.strike must be"),
+        ("fixing_times", (0.1, math.inf), "contract.fixing_times must be"),
+        ("targets", (), "contract.target: at least one"),
+        ("knockouts", (), "contract.knockout: at least one"),
+        ("spot", math.nan, "run.spot must be"),
+        ("engines", ("pde",), "run.engines: unknown engine 'pde'"),
+        ("engines", (), "run.engines: at least one engine"),
+        ("output_format", "xml", "output.format: must be"),
+    ])
+    def test_hand_built_config_rejected_by_key(self, field, value, key):
+        base = PRESETS["table1"]()
+        with pytest.raises(ValueError, match=f"^{key}"):
+            dataclasses.replace(base, **{field: value})
 
 
 class TestRunAndEmit:

@@ -313,6 +313,15 @@ class TestContractValidation:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             make_contract(**kwargs)
 
+    @pytest.mark.parametrize("extras", [None, (0.1, 0.2, 0.3)])
+    def test_extra_payment_index_checked(self, extras):
+        contract = make_contract(extras=extras)
+        assert [contract.extra_payment_at(k) for k in (1, 2, 3)] == \
+            list(extras or (0.0, 0.0, 0.0))
+        for index in (0, -1, 4):
+            with pytest.raises(ValueError, match="^fixing_index must lie in 1..3"):
+                contract.extra_payment_at(index)
+
     def test_contract_is_immutable(self):
         contract = make_contract()
         with pytest.raises(AttributeError):

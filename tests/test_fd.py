@@ -112,6 +112,12 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match="spot"):
             fd_price(contract, flat_model(), FdConfig(), spot)
 
+    @pytest.mark.parametrize("width", [math.inf, math.nan, 0.0])
+    def test_bad_domain_width_rejected_by_name(self, width):
+        with pytest.raises(ValueError,
+                           match="^domain_width_sigmas must be positive and finite"):
+            FdConfig(domain_width_sigmas=width)
+
     def test_width_insensitivity_of_price(self):
         # widening the domain from 5 to 7 deviations moves the price by less
         # than the two runs' combined refinement error estimates; both values
@@ -475,54 +481,64 @@ class TestFdPrice:
 
 
 class TestErrorEstimate:
-    def test_manufactured_arithmetic(self):
+    def test_manufactured_arithmetic(self, monkeypatch):
         prices = {(10, 4, 10): 0.1956, (20, 8, 20): 0.1955}
 
         def stub(contract, model, config, spot):
             key = (config.spot_nodes, config.accumulation_nodes, config.time_steps)
             return PriceResult(price=prices[key], wall_time=0.0, grid_shape=key)
 
+        monkeypatch.setattr(fd, "fd_price", stub)
+
         contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
         cfg = FdConfig(spot_nodes=10, accumulation_nodes=4, time_steps=10)
-        est = estimate_error(contract, flat_model(), cfg, 1.05, pricer=stub)
+        est = estimate_error(contract, flat_model(), cfg, 1.05)
         assert est.relative_error == pytest.approx(abs(0.1956 - 0.1955) / 0.1955)
         assert est.relative_error == pytest.approx(5.115e-4, rel=1e-3)
         assert est.coarse.price == 0.1956
         assert est.refined.price == 0.1955
 
-    def test_identical_prices_give_zero(self):
+    def test_identical_prices_give_zero(self, monkeypatch):
         def stub(contract, model, config, spot):
             return PriceResult(price=0.42, wall_time=0.0, grid_shape=(1, 1, 1))
 
+        monkeypatch.setattr(fd, "fd_price", stub)
+
         contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
-        est = estimate_error(contract, flat_model(), FdConfig(), 1.05, pricer=stub)
+        est = estimate_error(contract, flat_model(), FdConfig(), 1.05)
         assert est.relative_error == 0.0
 
-    def test_zero_refined_price_rejected(self):
+    def test_zero_refined_price_rejected(self, monkeypatch):
         def stub(contract, model, config, spot):
             return PriceResult(price=0.0, wall_time=0.0, grid_shape=(1, 1, 1))
 
+        monkeypatch.setattr(fd, "fd_price", stub)
+
         contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
         with pytest.raises(ValueError, match="relative error undefined"):
-            estimate_error(contract, flat_model(), FdConfig(), 1.05, pricer=stub)
+            estimate_error(contract, flat_model(), FdConfig(), 1.05)
 
 
 class TestConvergenceOrder:
-    def test_synthetic_second_order_model(self):
+    def test_synthetic_second_order_model(self, monkeypatch):
         def stub(contract, model, config, spot):
             err = 3.0 / config.spot_nodes ** 2
             return PriceResult(price=0.5 + err, wall_time=0.0,
                                grid_shape=(config.spot_nodes, 1, 1))
 
+        monkeypatch.setattr(fd, "fd_price", stub)
+
         contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
         cfg = FdConfig(spot_nodes=64, accumulation_nodes=8, time_steps=8)
-        study = convergence_order(contract, flat_model(), cfg, 1.05, pricer=stub)
+        study = convergence_order(contract, flat_model(), cfg, 1.05)
         assert study.order == pytest.approx(2.0, abs=1e-12)
 
-    def test_converged_difference_rejected(self):
+    def test_converged_difference_rejected(self, monkeypatch):
         def stub(contract, model, config, spot):
             return PriceResult(price=1.0, wall_time=0.0, grid_shape=(1, 1, 1))
 
+        monkeypatch.setattr(fd, "fd_price", stub)
+
         contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
         with pytest.raises(ValueError, match="converged below measurable"):
-            convergence_order(contract, flat_model(), FdConfig(), 1.05, pricer=stub)
+            convergence_order(contract, flat_model(), FdConfig(), 1.05)

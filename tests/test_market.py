@@ -48,6 +48,11 @@ class TestDiscounting:
         with pytest.raises(ValueError):
             discount_factor(FLAT0, 1.0, 0.5)
 
+    @pytest.mark.parametrize("times", [(0.0, math.nan), (0.0, math.inf)])
+    def test_non_finite_knot_rejected_by_name(self, times):
+        with pytest.raises(ValueError, match="^times must be finite"):
+            RateCurve(times, (0.01, 0.02))
+
 
 class TestIntegratedVariance:
     def test_flat(self):
@@ -57,6 +62,11 @@ class TestIntegratedVariance:
     def test_piecewise(self):
         vol = TermStructureVol(times=(0.0, 0.5), sigmas=(0.1, 0.3))
         assert integrated_variance(vol, 0.0, 1.0) == pytest.approx(0.05, rel=1e-15)
+
+    @pytest.mark.parametrize("times", [(0.0, math.nan), (0.0, math.inf)])
+    def test_non_finite_knot_rejected_by_name(self, times):
+        with pytest.raises(ValueError, match="^times must be finite"):
+            TermStructureVol(times, (0.1, 0.2))
 
     def test_local_vol_rejected(self):
         surface = LocalVolSurface(
@@ -200,3 +210,14 @@ class TestLocalVol:
         with pytest.raises(ValueError):
             LocalVolSurface(time_knots=[0.0, 1.0], spot_knots=[0.5, 2.0],
                             values=[[0.2, -0.2], [0.2, 0.2]])
+
+    @pytest.mark.parametrize("field, time_knots, spot_knots", [
+        ("time_knots", [0.0, math.nan], [0.5, 2.0]),
+        ("time_knots", [0.0, math.inf], [0.5, 2.0]),
+        ("spot_knots", [0.0, 1.0], [math.nan, 2.0]),
+        ("spot_knots", [0.0, 1.0], [0.5, math.inf]),
+    ])
+    def test_non_finite_knot_rejected_by_name(self, field, time_knots, spot_knots):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            LocalVolSurface(time_knots=time_knots, spot_knots=spot_knots,
+                            values=[[0.2, 0.2], [0.2, 0.2]])

@@ -54,6 +54,12 @@ def test_bad_spot_rejected_by_name(spot):
         mc_price(contract, flat_model(), McConfig(n_paths=100), spot)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_cv_coefficient_rejected_by_name(value):
+    with pytest.raises(ValueError, match="^cv_coefficient must be finite"):
+        McConfig(cv_coefficient=value)
+
+
 class TestPathSimulation:
     def test_vanishing_volatility_path_is_constant(self):
         model = flat_model(sigma=1e-9)
