@@ -18,6 +18,7 @@ from .fd import (
     FdConfig,
     FdGrid,
     PinPolicy,
+    JumpPlan,
     PriceResult,
     apply_jump,
     build_grid,

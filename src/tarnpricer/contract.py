@@ -86,6 +86,9 @@ class TarnContract:
             raise ValueError("target must be positive and finite")
         if self.beta not in (1, -1):
             raise ValueError("beta must be +1 or -1")
+        if not isinstance(self.knockout, KnockoutType):
+            raise ValueError(
+                f"knockout must be a KnockoutType, got {self.knockout!r}")
         if not times:
             raise ValueError("fixing_times must hold at least one date")
         if not all(math.isfinite(t) for t in times):

@@ -14,6 +14,12 @@ pre-fixing amount at a grid node to the (generally off-grid) post-fixing
 amount, which can pass the target: that is how the knockout enters the
 lattice.  The fixing's cash flows come from
 :func:`tarnpricer.contract.fixing_flows`, the kernel Monte Carlo uses too.
+A fixing enters its jump only through its extra payment, which is the
+amount times a per-cell factor, so a pricing builds everything in the jump
+that does not depend on the lattice values (the cash flows, and where and
+with which weights each shifted amount is read on its spline) once as a
+:class:`JumpPlan` and reuses it at every fixing; per fixing only the spline
+system is solved and read.
 
 Between fixings every tracked row is marched by the same operator.  When
 the coefficients are scalars (flat or term-structure volatility), an
@@ -61,6 +67,7 @@ __all__ = [
     "build_grid",
     "coefficients_at",
     "theta_step",
+    "JumpPlan",
     "apply_jump",
     "fd_price",
     "estimate_error",
@@ -240,34 +247,58 @@ def _spline_second_derivs(values: np.ndarray, h: float) -> np.ndarray:
     return tridiagonal_solve(lower, diag, upper, rhs)
 
 
-def _spline_eval(values, second_derivs, x0, h, queries):
-    """Evaluate per-column splines at per-column query points.
+def _spline_reads(x0, h, queries, j_nodes):
+    """Where per-column splines are read, and with which weights.
 
-    ``queries`` has shape (Q, M) matching the columns of ``values`` (J, M);
-    entry (q, m) is evaluated on column m's spline.  Callers guarantee the
-    queries lie inside the node range.  The result is
-    ``s y_lo + t y_hi + h^2/6 ((s^3 - s) m_lo + (t^3 - t) m_hi)``, evaluated
-    in place to hold few (Q, M) temporaries at once.
+    ``queries`` has shape (Q, M), entry (q, m) to be read on column m of a
+    (J, M) node array, and lies inside the node range.  Returns
+    ``(index, t, cubic_lo, cubic_hi)``: the flat index of the lower node of
+    each query's segment in the raveled node array, the query's fractional
+    position ``t`` in the segment, ``s^3 - s`` and ``t^3 - t`` with
+    ``s = 1 - t``.  None of it depends on the node values.
     """
-    j_nodes = values.shape[0]
     t = queries - x0
     t /= h
-    seg = np.floor(t).astype(np.int64)
-    np.clip(seg, 0, j_nodes - 2, out=seg)
-    t -= seg
+    index = np.floor(t).astype(np.int64)
+    np.clip(index, 0, j_nodes - 2, out=index)
+    t -= index
+    index *= queries.shape[1]
+    index += np.arange(queries.shape[1])
     s = 1.0 - t
-    cubic = s ** 3
-    cubic -= s
-    cubic *= np.take_along_axis(second_derivs, seg, axis=0)
-    s *= np.take_along_axis(values, seg, axis=0)
-    seg += 1
-    upper = t ** 3
-    upper -= t
-    upper *= np.take_along_axis(second_derivs, seg, axis=0)
+    cubic_lo = s ** 3
+    cubic_lo -= s
+    del s
+    cubic_hi = t ** 3
+    cubic_hi -= t
+    return index, t, cubic_lo, cubic_hi
+
+
+def _spline_eval(values, second_derivs, h, reads):
+    """Per-column splines read at :func:`_spline_reads` ``reads``.
+
+    The result is ``s y_lo + t y_hi + h^2/6 ((s^3 - s) m_lo + (t^3 - t)
+    m_hi)``; the upper node of a segment is read from the raveled arrays
+    offset by one row.  Evaluated in place, second derivatives first and
+    dropped once read, to hold few (Q, M) temporaries at once.
+    """
+    index, t, cubic_lo, cubic_hi = reads
+    row = values.shape[1]
+    m2 = np.ravel(second_derivs)
+    del second_derivs
+    cubic = m2.take(index)
+    cubic *= cubic_lo
+    upper = m2[row:].take(index)
+    del m2
+    upper *= cubic_hi
     cubic += upper
     del upper
-    t *= np.take_along_axis(values, seg, axis=0)
-    s += t
+    y = np.ravel(values)
+    s = 1.0 - t
+    s *= y.take(index)
+    high = y[row:].take(index)
+    high *= t
+    s += high
+    del high
     cubic *= h * h / 6.0
     s += cubic
     return s
@@ -298,9 +329,9 @@ def natural_cubic_spline(nodes, values, queries):
         raise ValueError("spline query outside the node range")
     q_col = np.clip(q, nodes[0], nodes[-1]).reshape(-1, 1)
     col = values.reshape(-1, 1)
+    reads = _spline_reads(nodes[0], h, q_col, nodes.size)
     m2 = _spline_second_derivs(col, h)
-    out = _spline_eval(col, m2, nodes[0], h, q_col)
-    return out.reshape(q.shape)
+    return _spline_eval(col, m2, h, reads).reshape(q.shape)
 
 
 def _allocate_steps(total: int, durations) -> tuple[int, ...]:
@@ -648,8 +679,41 @@ def _check_explicit_stability(grid, model, config) -> None:
         )
 
 
-def apply_jump(values: np.ndarray, fixing_index: int, contract: TarnContract,
-               grid: FdGrid) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class JumpPlan:
+    """Everything in a fixing jump that does not depend on the lattice.
+
+    A fixing enters the jump only through its extra payment, which is the
+    amount times a per-cell factor, so one plan serves every fixing of a
+    pricing.  It holds the fixing's cash flows on the (J, M) lattice
+    (``payment``, the ``dead`` breach mask and ``extra_weight``, the
+    factor of the extra payment: :func:`tarnpricer.contract.fixing_flows`
+    of a unit extra) and where each cell's shifted amount is read on its
+    spot node's spline (``reads``, see :func:`_spline_reads`).
+    """
+
+    contract: TarnContract
+    grid: FdGrid
+    payment: np.ndarray
+    dead: np.ndarray
+    extra_weight: np.ndarray
+    reads: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+    @classmethod
+    def build(cls, contract: TarnContract, grid: FdGrid) -> "JumpPlan":
+        """The plan of every fixing of ``contract`` on ``grid``."""
+        accum = grid.accum_nodes[:, None]
+        payment, extra_weight, dead = fixing_flows(
+            contract.gross(grid.spots), accum, 1.0, contract.knockout,
+            contract.target,
+        )
+        queries = accum + payment
+        np.minimum(queries, contract.target, out=queries)
+        reads = _spline_reads(0.0, grid.h, queries, grid.accum_nodes.size)
+        return cls(contract, grid, payment, dead, extra_weight, reads)
+
+
+def apply_jump(values: np.ndarray, plan: JumpPlan, extra: float) -> np.ndarray:
     """Fixing-date update of the tracked values ``(J, M)`` (the forward shift).
 
     For each spot node, one natural cubic spline is built over the tracked
@@ -657,22 +721,21 @@ def apply_jump(values: np.ndarray, fixing_index: int, contract: TarnContract,
     ``A + payment``.  A fixing that kills the note has zero continuation;
     otherwise the shifted amount of a live state never exceeds the target,
     so the spline is only ever read inside its node range.  The new value is
-    continuation plus the fixing's payment and extra payment.  The last
-    fixing runs through the same code on an all-zero lattice, which is
-    exactly the worthless-after-expiry final condition.
+    continuation plus the fixing's payment and its extra payment ``extra``
+    times the plan's weight.  The last fixing runs through the same code on
+    an all-zero lattice, which is exactly the worthless-after-expiry final
+    condition.  Everything but the spline itself comes from ``plan``.
     """
-    accum = grid.accum_nodes[:, None]
-    payment, extra, dead = fixing_flows(
-        contract.gross(grid.spots), accum, contract.extra_payment_at(fixing_index),
-        contract.knockout, contract.target,
-    )
-    queries = accum + payment
-    np.minimum(queries, contract.target, out=queries)
-    second = _spline_second_derivs(values, grid.h)
-    continuation = _spline_eval(values, second, 0.0, grid.h, queries)
-    continuation[dead] = 0.0
-    continuation += payment
-    continuation += extra
+    h = plan.grid.h
+    # Second derivatives passed inline, so _spline_eval can free them before
+    # it reads the values: the plan's arrays are alive too, and this bounds
+    # the jump's peak memory.
+    continuation = _spline_eval(values, _spline_second_derivs(values, h), h,
+                                plan.reads)
+    continuation[plan.dead] = 0.0
+    continuation += plan.payment
+    if extra:
+        continuation += extra * plan.extra_weight
     return continuation
 
 
@@ -717,9 +780,10 @@ def fd_price(
             key = _interval_key(steps)
             planned[k] = steps, key
             rows[key] += config.accumulation_nodes if k > 1 else 1
+    plan = JumpPlan.build(contract, grid)
     values = np.zeros((config.accumulation_nodes, config.spot_nodes))
     for k in range(k_total, 0, -1):
-        values = apply_jump(values, k, contract, grid)
+        values = apply_jump(values, plan, contract.extra_payment_at(k))
         if k == 1:
             values = values[:1]
         steps, key = planned[k] if planned else (interval(k), None)

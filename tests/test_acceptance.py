@@ -206,7 +206,7 @@ def test_criterion_7_dominance_and_monotonicity():
            "both engines")
 
 
-def apply_jump_backward(values, fixing_index, contract, grid):
+def apply_jump_backward(values, plan, extra):
     """Fixing-date update with the shift applied backward.  Known wrong.
 
     The backward relation moves a grid amount down by the payment, and the
@@ -218,8 +218,8 @@ def apply_jump_backward(values, fixing_index, contract, grid):
     amounts can also go negative, and reading the node values back requires
     extrapolating above them.
     """
-    gross = contract.gross(grid.spots)[None, :]
-    extra = contract.extra_payment_at(fixing_index)
+    grid = plan.grid
+    gross = plan.contract.gross(grid.spots)[None, :]
     shifted = grid.accum_nodes[:, None] - gross
     jumped = values + gross + extra
     out = np.empty_like(values)

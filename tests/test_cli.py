@@ -286,6 +286,7 @@ class TestRunConfig:
         ("engines", ("pde",), "run.engines: unknown engine 'pde'"),
         ("engines", (), "run.engines: at least one engine"),
         ("output_format", "xml", "output.format: must be"),
+        ("knockouts", ("no_gain",), "contract.knockout must be a KnockoutType"),
     ])
     def test_hand_built_config_rejected_by_key(self, field, value, key):
         base = PRESETS["table1"]()

@@ -313,6 +313,12 @@ class TestContractValidation:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             make_contract(**kwargs)
 
+    @pytest.mark.parametrize("knockout", ["no_gain", None, 1])
+    def test_rejects_knockout_that_is_not_a_type(self, knockout):
+        # a string used to price silently by the part-gain rule
+        with pytest.raises(ValueError, match="^knockout must be a KnockoutType"):
+            make_contract(knockout=knockout)
+
     @pytest.mark.parametrize("extras", [None, (0.1, 0.2, 0.3)])
     def test_extra_payment_index_checked(self, extras):
         contract = make_contract(extras=extras)

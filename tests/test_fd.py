@@ -9,6 +9,7 @@ from tarnpricer import (
     BoundaryKind,
     ConstantVol,
     FdConfig,
+    JumpPlan,
     KnockoutType,
     LocalVolSurface,
     MarketModel,
@@ -30,6 +31,7 @@ from tarnpricer.fd import StepCoefficients, _allocate_steps, theta_step
 from tarnpricer import fd
 from tarnpricer.contract import fixing_flows
 
+import jump_oracle
 from cashflow_oracle import fixing_outcome
 from conftest import benchmark_contract, benchmark_times, flat_model
 
@@ -206,6 +208,11 @@ def smooth_state(grid, j_nodes, m_nodes):
     return np.exp(-a) * (1.3 + np.sin(2.0 * x)) + 0.5 * a
 
 
+def planned_jump(values, contract, grid, fixing_index=1):
+    plan = JumpPlan.build(contract, grid)
+    return apply_jump(values, plan, contract.extra_payment_at(fixing_index))
+
+
 class TestApplyJump:
     def make(self, knockout=KnockoutType.NO_GAIN, target=0.3, spot=1.05,
              m=61, j=21):
@@ -227,7 +234,7 @@ class TestApplyJump:
         # the strike is pinned as the top node; gross amount is zero there too
         assert grid.spots.max() <= 10.0
         values = smooth_state(grid, 11, 41)
-        out = apply_jump(values.copy(), 1, contract, grid)
+        out = planned_jump(values.copy(), contract, grid)
         assert np.allclose(out, values, atol=1e-13)
 
     def test_single_fixing_gives_vanilla_payoff(self):
@@ -236,14 +243,14 @@ class TestApplyJump:
                                 knockout=KnockoutType.FULL_GAIN)
         cfg = FdConfig(spot_nodes=51, accumulation_nodes=11, time_steps=4)
         grid = build_grid(contract, flat_model(), cfg, 1.05)
-        out = apply_jump(np.zeros((11, 51)), 1, contract, grid)
+        out = planned_jump(np.zeros((11, 51)), contract, grid)
         payoff = np.maximum(grid.spots - 1.0, 0.0)
         assert np.allclose(out[0], payoff, atol=1e-14)
 
     def test_no_gain_breach_zeroes_the_cell(self):
         contract, grid = self.make(KnockoutType.NO_GAIN)
         values = smooth_state(grid, 21, 61)
-        out = apply_jump(values.copy(), 1, contract, grid)
+        out = planned_jump(values.copy(), contract, grid)
         gross = np.maximum(grid.spots - 1.0, 0.0)[None, :]
         breach = (grid.accum_nodes[:, None] + gross >= 0.3) & (gross > 0)
         assert np.all(out[breach] == 0.0)
@@ -255,7 +262,7 @@ class TestApplyJump:
         for knockout in KnockoutType:
             contract, grid = self.make(knockout)
             values = smooth_state(grid, 21, 61)
-            out = apply_jump(values.copy(), 1, contract, grid)
+            out = planned_jump(values.copy(), contract, grid)
             for m in range(0, 61, 7):
                 ref = CubicSpline(grid.accum_nodes, values[:, m],
                                   bc_type="natural")
@@ -293,8 +300,8 @@ def record_lattices(monkeypatch):
     lattices = []
     jump = fd.apply_jump
 
-    def recording(*args):
-        out = jump(*args)
+    def recording(values, plan, extra):
+        out = jump(values, plan, extra)
         lattices.append(out.copy())
         return out
 
@@ -306,6 +313,62 @@ def replace_extra(contract, extras):
     return TarnContract(strike=contract.strike, target=contract.target,
                         beta=contract.beta, fixing_times=contract.fixing_times,
                         knockout=contract.knockout, extra_payments=extras)
+
+
+class TestJumpPlan:
+    TIMES = benchmark_times(12)
+    CONFIG = FdConfig(spot_nodes=90, accumulation_nodes=23, time_steps=60)
+    EXTRAS = {
+        "none": None,
+        "repeat": tuple(0.004 for _ in TIMES),
+        "cycle": tuple((0.0, 0.01, 0.002)[k % 3] for k in range(12)),
+        "distinct": tuple(0.001 * (k - 4) for k in range(12)),
+    }
+
+    def contract(self, knockout, beta, extras):
+        return TarnContract(strike=1.0, target=0.3, beta=beta,
+                            fixing_times=self.TIMES, knockout=knockout,
+                            extra_payments=extras)
+
+    @pytest.mark.parametrize("extras", EXTRAS)
+    def test_planned_jumps_match_the_oracle_bytes(self, monkeypatch, extras):
+        # every post-jump lattice of a pricing, against the jump derived from
+        # scratch for its fixing index; rates on, both directions
+        model = flat_model(r_d=0.03, r_f=0.01)
+        calls = []
+        jump = fd.apply_jump
+
+        def recording(values, plan, extra):
+            before = values.copy()
+            out = jump(values, plan, extra)
+            calls.append((before, out.copy()))
+            return out
+
+        monkeypatch.setattr(fd, "apply_jump", recording)
+        for knockout in KnockoutType:
+            for beta, spot in ((1, 1.05), (-1, 0.97)):
+                contract = self.contract(knockout, beta, self.EXTRAS[extras])
+                grid = build_grid(contract, model, self.CONFIG, spot)
+                fd_price(contract, model, self.CONFIG, spot)
+                assert len(calls) == 12
+                for k, (before, after) in zip(range(12, 0, -1), calls):
+                    want = jump_oracle.apply_jump(before, k, contract, grid)
+                    assert after.tobytes() == want.tobytes(), (knockout, beta, k)
+                calls.clear()
+
+    def test_off_grid_readout_matches_the_oracle_bytes(self):
+        contract = benchmark_contract(KnockoutType.PART_GAIN, 0.5)
+        cfg = replace(self.CONFIG, pin_policy=PinPolicy.STRIKE_ONLY_THEN_INTERPOLATE)
+        spot = 1.0137
+        grid = build_grid(contract, flat_model(), cfg, spot)
+        assert grid.spot_index is None
+        row = smooth_state(grid, 23, 90)[7]
+        for query in (math.log(spot), grid.log_spots[[0, 5, -1]],
+                      np.linspace(grid.log_spots[0], grid.log_spots[-1], 37)):
+            got = fd.natural_cubic_spline(grid.log_spots, row, query)
+            want = jump_oracle.natural_cubic_spline(grid.log_spots, row, query)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == want.tobytes()
 
 
 SMALL = FdConfig(spot_nodes=200, accumulation_nodes=50, time_steps=200)

@@ -10,6 +10,7 @@ import pytest
 from tarnpricer import (
     BoundaryKind,
     FdConfig,
+    JumpPlan,
     KnockoutType,
     LocalVolSurface,
     MarketModel,
@@ -36,8 +37,9 @@ def reference_price(contract, model, config, spot):
     grid = build_grid(contract, model, config, spot)
     times = (0.0,) + contract.fixing_times
     values = np.zeros((config.accumulation_nodes, config.spot_nodes))
+    plan = JumpPlan.build(contract, grid)
     for k in range(contract.num_fixings, 0, -1):
-        values = apply_jump(values, k, contract, grid)
+        values = apply_jump(values, plan, contract.extra_payment_at(k))
         if k == 1:
             values = values[:1]
         t_hi, t_lo = times[k], times[k - 1]

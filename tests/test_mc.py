@@ -206,4 +206,4 @@ class TestMcPrice:
             mc_price(benchmark_contract(KnockoutType.NO_GAIN, 0.3),
                      flat_model(), McConfig(n_paths=1), 1.05)
         with pytest.raises(ValueError):
-            McConfig(n_paths=100, substeps_per_interval=0).validate()
+            McConfig(n_paths=100, substeps_per_interval=0)
