@@ -18,6 +18,7 @@ import io
 import json
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +70,8 @@ class RunConfig:
 
     Every case's contract is built, and so checked, on construction; each
     rejection message starts with the configuration key at fault
-    (``contract.<field>``, ``run.spot``, ``run.engines`` or ``output.format``).
+    (``contract.<field>``, ``run.spot``, ``run.engines`` or ``output.format``)
+    or with the fields at fault (``refine, convergence``).
     """
 
     strike: float
@@ -100,6 +102,8 @@ class RunConfig:
         _check_engines(self.engines, "run.engines")
         if self.output_format not in ("human", "records"):
             raise ValueError("output.format: must be 'human' or 'records'")
+        if self.refine and self.convergence:
+            raise ValueError("refine, convergence: choose at most one FD error study")
         for knockout in self.knockouts:
             for target in self.targets:
                 try:
@@ -123,10 +127,6 @@ class ResultRecord:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ResultRecord":
-        return cls(**d)
 
 
 _KNOWN_KEYS = {
@@ -381,8 +381,18 @@ def fingerprint(config: RunConfig) -> str:
     return digest[:12]
 
 
-def _grid_string(fd_cfg: FdConfig) -> str:
-    return f"{fd_cfg.spot_nodes}x{fd_cfg.accumulation_nodes}x{fd_cfg.time_steps}"
+def _grid_string(shape) -> str:
+    """An FD grid as spot x accumulation x time steps, e.g. ``500x100x500``."""
+    return "x".join(str(n) for n in shape)
+
+
+def _configured_grid(config: RunConfig, engine: str) -> str:
+    """The grid an engine's records of this run name, unless a record
+    says otherwise (the finer grids of a convergence study)."""
+    if engine == "mc":
+        return f"{config.mc.n_paths}paths"
+    fd = config.fd
+    return _grid_string((fd.spot_nodes, fd.accumulation_nodes, fd.time_steps))
 
 
 def _case_contract(config: RunConfig, knockout: KnockoutType,
@@ -401,116 +411,76 @@ def _case_contract(config: RunConfig, knockout: KnockoutType,
 def run(config: RunConfig) -> list[ResultRecord]:
     """Price every (knockout, target) case with the enabled engines.
 
-    Engine failures are captured per record (status carries the message)
-    and do not stop the remaining cases.  The FD cases share one cache of
-    interval maps: their spot grid and fixing schedule do not depend on the
-    target or the knockout type.
+    Each engine call gives the engine fields of its rows; the case fields
+    are added here, where every record is built.  Engine failures are
+    captured per record (status carries the message) and do not stop the
+    remaining cases.  FD rows come before MC rows, and a case with an ok
+    price from both engines gets a diff row.  The FD cases share one cache
+    of interval maps: their spot grid and fixing schedule do not depend on
+    the target or the knockout type.
     """
     tag = fingerprint(config)
-    records: list[ResultRecord] = []
+    engines = [e for e in ("fd", "mc") if e in config.engines]
     propagators = IntervalPropagators(len(config.knockouts) * len(config.targets))
+    records: list[ResultRecord] = []
     for knockout in config.knockouts:
         for target in config.targets:
             contract = _case_contract(config, knockout, target)
-            fd_value = None
-            mc_value = None
-            if "fd" in config.engines:
-                fd_records = _run_fd_case(config, contract, knockout, target, tag,
-                                          propagators)
-                records.extend(fd_records)
-                ok = [r for r in fd_records if r.engine == "fd" and r.status == "ok"]
-                if ok:
-                    fd_value = ok[0].price
-            if "mc" in config.engines:
-                rec = _run_mc_case(config, contract, knockout, target, tag)
-                records.append(rec)
-                if rec.status.startswith("ok"):
-                    mc_value = rec.price
+            rows = []
+            for engine in engines:
+                grid = _configured_grid(config, engine)
+                try:
+                    rows += _engine_rows(engine, config, contract, grid, propagators)
+                except Exception as exc:  # capture per record, keep the batch going
+                    rows.append(_row(engine, float("nan"), grid, 0.0,
+                                     status=f"error: {exc}"))
+            first_ok = {}
+            for row in rows:
+                if row["status"].startswith("ok"):
+                    first_ok.setdefault(row["engine"], row["price"])
+            fd_value, mc_value = first_ok.get("fd"), first_ok.get("mc")
             if fd_value is not None and mc_value is not None and mc_value != 0.0:
-                records.append(
-                    ResultRecord(
-                        engine="diff",
-                        knockout=knockout.value,
-                        target=target,
-                        price=fd_value - mc_value,
-                        error_metric=abs(fd_value - mc_value) / abs(mc_value),
-                        error_kind="relative_difference",
-                        grid="",
-                        wall_time_s=0.0,
-                        fingerprint=tag,
-                    )
-                )
+                rows.append(_row("diff", fd_value - mc_value, "", 0.0,
+                                 abs(fd_value - mc_value) / abs(mc_value),
+                                 "relative_difference"))
+            records += [
+                ResultRecord(knockout=knockout.value, target=target,
+                             fingerprint=tag, **row)
+                for row in rows
+            ]
     return records
 
 
-def _run_fd_case(config, contract, knockout, target, tag,
-                 propagators) -> list[ResultRecord]:
-    common = dict(knockout=knockout.value, target=target, fingerprint=tag)
-    try:
-        if config.convergence:
-            study = convergence_order(contract, config.model, config.fd, config.spot)
-            recs = [
-                ResultRecord(
-                    engine="fd", price=r.price, error_metric=None, error_kind="none",
-                    grid="x".join(str(g) for g in r.grid_shape),
-                    wall_time_s=r.wall_time, **common,
-                )
-                for r in study.results
-            ]
-            recs.append(
-                ResultRecord(
-                    engine="fd_order", price=study.order, error_metric=None,
-                    error_kind="none", grid="", wall_time_s=0.0, **common,
-                )
-            )
-            return recs
-        if config.refine:
-            est = estimate_error(contract, config.model, config.fd, config.spot)
-            return [
-                ResultRecord(
-                    engine="fd", price=est.coarse.price,
-                    error_metric=est.relative_error,
-                    error_kind="refined_relative_error",
-                    grid=_grid_string(config.fd),
-                    wall_time_s=est.coarse.wall_time + est.refined.wall_time,
-                    **common,
-                )
-            ]
-        res = fd_price(contract, config.model, config.fd, config.spot,
-                       propagators=propagators)
-        return [
-            ResultRecord(
-                engine="fd", price=res.price, error_metric=None, error_kind="none",
-                grid=_grid_string(config.fd), wall_time_s=res.wall_time, **common,
-            )
-        ]
-    except Exception as exc:  # capture per-record, keep the batch going
-        return [
-            ResultRecord(
-                engine="fd", price=float("nan"), error_metric=None,
-                error_kind="none", grid=_grid_string(config.fd), wall_time_s=0.0,
-                status=f"error: {exc}", **common,
-            )
-        ]
+def _row(engine: str, price: float, grid: str, wall_time_s: float,
+         error_metric: float | None = None, error_kind: str = "none",
+         status: str = "ok") -> dict:
+    """The engine fields of one record; :func:`run` adds the case fields."""
+    return dict(engine=engine, price=price, error_metric=error_metric,
+                error_kind=error_kind, grid=grid, wall_time_s=wall_time_s,
+                status=status)
 
 
-def _run_mc_case(config, contract, knockout, target, tag) -> ResultRecord:
-    try:
+def _engine_rows(engine: str, config: RunConfig, contract: TarnContract,
+                 grid: str, propagators: IntervalPropagators) -> list[dict]:
+    """Price one case with one engine; ``grid`` is the engine's configured
+    grid.  The engine functions are module globals, looked up per call."""
+    if engine == "mc":
         res = mc_price(contract, config.model, config.mc, config.spot)
-        return ResultRecord(
-            engine="mc", knockout=knockout.value, target=target, price=res.price,
-            error_metric=res.stderr, error_kind="stderr",
-            grid=f"{config.mc.n_paths}paths", wall_time_s=res.wall_time,
-            fingerprint=tag,
-            status="ok" if not res.cv_downgraded else "ok (control variate disabled for local volatility)",
-        )
-    except Exception as exc:
-        return ResultRecord(
-            engine="mc", knockout=knockout.value, target=target,
-            price=float("nan"), error_metric=None, error_kind="none",
-            grid=f"{config.mc.n_paths}paths", wall_time_s=0.0, fingerprint=tag,
-            status=f"error: {exc}",
-        )
+        status = ("ok (control variate disabled for local volatility)"
+                  if res.cv_downgraded else "ok")
+        return [_row("mc", res.price, grid, res.wall_time, res.stderr, "stderr", status)]
+    args = (contract, config.model, config.fd, config.spot)
+    if config.convergence:
+        study = convergence_order(*args)
+        return [_row("fd", r.price, _grid_string(r.grid_shape), r.wall_time)
+                for r in study.results] + [_row("fd_order", study.order, "", 0.0)]
+    if config.refine:
+        est = estimate_error(*args)
+        return [_row("fd", est.coarse.price, grid,
+                     est.coarse.wall_time + est.refined.wall_time,
+                     est.relative_error, "refined_relative_error")]
+    res = fd_price(*args, propagators=propagators)
+    return [_row("fd", res.price, grid, res.wall_time)]
 
 
 def emit(records: list[ResultRecord], output_format: str,
@@ -538,84 +508,93 @@ def emit(records: list[ResultRecord], output_format: str,
 
 def read_records(text: str) -> list[ResultRecord]:
     """Inverse of records-mode :func:`emit`."""
-    return [
-        ResultRecord.from_dict(json.loads(line))
-        for line in text.splitlines()
-        if line.strip()
-    ]
+    return [ResultRecord(**json.loads(line)) for line in text.splitlines()
+            if line.strip()]
+
+
+def _ok(rec: ResultRecord | None) -> bool:
+    return rec is not None and rec.status.startswith("ok")
+
+
+def _price_cell(rec: ResultRecord | None) -> str:
+    if _ok(rec):
+        return f"{rec.price:.4f}"
+    return "-" if rec is None else "failed"
+
+
+def _error_cell(rec: ResultRecord | None) -> str:
+    """A relative error metric, in percent."""
+    if _ok(rec) and rec.error_metric is not None:
+        return f"{100.0 * rec.error_metric:.4f}"
+    return "-"
+
+
+def _stderr_cell(rec: ResultRecord | None) -> str:
+    """A standard error, in percent of the price."""
+    if _ok(rec) and rec.error_metric and rec.price:
+        return f"{100.0 * rec.error_metric / abs(rec.price):.4f}"
+    return "-"
+
+
+def _seconds_cell(rec: ResultRecord | None) -> str:
+    return f"{rec.wall_time_s:.2f}" if _ok(rec) else "-"
+
+
+@dataclass(frozen=True)
+class _Column:
+    """A column of the human table.  It is shown when some case has a
+    record of ``engine`` (one with an error metric, if ``needs_metric``);
+    its cell is made from that engine's record of the case, or None."""
+
+    header: str
+    engine: str
+    cell: Callable[[ResultRecord | None], str]
+    needs_metric: bool = False
+
+
+_COLUMNS = (
+    _Column("MC", "mc", _price_cell),
+    _Column("FD", "fd", _price_cell),
+    _Column("diff %", "diff", _error_cell),
+    _Column("stderr MC %", "mc", _stderr_cell),
+    _Column("MC sec", "mc", _seconds_cell),
+    _Column("err FD %", "fd", _error_cell, needs_metric=True),
+    _Column("FD sec", "fd", _seconds_cell),
+)
+
+
+def _table_line(cells: list[str]) -> str:
+    return "  ".join(cell.rjust(10) for cell in cells) + "\n"
 
 
 def _human_table(records: list[ResultRecord]) -> str:
+    """One table per knockout type, a row per target.  Records outside the
+    table (fd_order, the finer grids of a convergence study) follow it,
+    one line each."""
     by_case: dict[tuple[str, float], dict[str, ResultRecord]] = {}
-    group_order: list[str] = []
     extras: list[ResultRecord] = []
     for rec in records:
-        if rec.engine not in ("fd", "mc", "diff"):
+        key = (rec.knockout, rec.target)
+        if rec.engine not in ("fd", "mc", "diff") or rec.engine in by_case.get(key, {}):
             extras.append(rec)
-            continue
-        if rec.engine == "fd" and (rec.knockout, rec.target) in by_case and \
-                "fd" in by_case[(rec.knockout, rec.target)]:
-            extras.append(rec)  # additional grids from a convergence study
-            continue
-        if rec.knockout not in group_order:
-            group_order.append(rec.knockout)
-        by_case.setdefault((rec.knockout, rec.target), {})[rec.engine] = rec
-    has_mc = any("mc" in v for v in by_case.values())
-    has_fd = any("fd" in v for v in by_case.values())
-    has_diff = any("diff" in v for v in by_case.values())
-    has_fd_err = any(
-        v["fd"].error_metric is not None for v in by_case.values() if "fd" in v
-    )
-
-    header = ["target"]
-    if has_mc:
-        header += ["MC"]
-    if has_fd:
-        header += ["FD"]
-    if has_diff:
-        header += ["diff %"]
-    if has_mc:
-        header += ["stderr MC %", "MC sec"]
-    if has_fd:
-        if has_fd_err:
-            header += ["err FD %"]
-        header += ["FD sec"]
-    widths = [10] * len(header)
-
-    def fmt_row(cells):
-        return "  ".join(str(c).rjust(w) for c, w in zip(cells, widths))
+        else:
+            by_case.setdefault(key, {})[rec.engine] = rec
+    tabled = [rec for case in by_case.values() for rec in case.values()]
+    columns = [
+        col for col in _COLUMNS
+        if any(rec.engine == col.engine
+               and (rec.error_metric is not None or not col.needs_metric)
+               for rec in tabled)
+    ]
 
     out = io.StringIO()
-    for group in group_order:
+    for group in dict.fromkeys(knockout for knockout, _ in by_case):
         out.write(f"== {group} ==\n")
-        out.write(fmt_row(header) + "\n")
+        out.write(_table_line(["target"] + [col.header for col in columns]))
         for (knockout, target), case in by_case.items():
-            if knockout != group:
-                continue
-            mc = case.get("mc")
-            fd = case.get("fd")
-            mc_ok = mc is not None and mc.status.startswith("ok")
-            fd_ok = fd is not None and fd.status == "ok"
-            cells = [f"{target:g}"]
-            if has_mc:
-                cells += [f"{mc.price:.4f}" if mc_ok else
-                          ("failed" if mc else "-")]
-            if has_fd:
-                cells += [f"{fd.price:.4f}" if fd_ok else
-                          ("failed" if fd else "-")]
-            if has_diff:
-                diff = case.get("diff")
-                cells += [f"{100.0 * diff.error_metric:.4f}" if diff else "-"]
-            if has_mc:
-                cells += [f"{100.0 * mc.error_metric / abs(mc.price):.4f}"
-                          if mc_ok and mc.error_metric and mc.price else "-",
-                          f"{mc.wall_time_s:.2f}" if mc_ok else "-"]
-            if has_fd:
-                if has_fd_err:
-                    cells += [f"{100.0 * fd.error_metric:.4f}"
-                              if fd_ok and fd.error_metric is not None else "-"]
-                cells += [f"{fd.wall_time_s:.2f}" if fd_ok else "-"]
-            out.write(fmt_row(cells) + "\n")
+            if knockout == group:
+                out.write(_table_line(
+                    [f"{target:g}"] + [col.cell(case.get(col.engine)) for col in columns]))
         out.write("\n")
     for rec in extras:
         out.write(

@@ -77,15 +77,15 @@ class TarnContract:
     def __post_init__(self) -> None:
         object.__setattr__(self, "strike", float(self.strike))
         object.__setattr__(self, "target", float(self.target))
-        object.__setattr__(self, "beta", int(self.beta))
         times = tuple(float(t) for t in self.fixing_times)
         object.__setattr__(self, "fixing_times", times)
         if not (self.strike > 0.0 and math.isfinite(self.strike)):
             raise ValueError("strike must be positive and finite")
         if not (self.target > 0.0 and math.isfinite(self.target)):
             raise ValueError("target must be positive and finite")
-        if self.beta not in (1, -1):
-            raise ValueError("beta must be +1 or -1")
+        if self.beta not in (1, -1):  # checked before int() could truncate it
+            raise ValueError(f"beta must be +1 or -1, got {self.beta!r}")
+        object.__setattr__(self, "beta", int(self.beta))
         if not isinstance(self.knockout, KnockoutType):
             raise ValueError(
                 f"knockout must be a KnockoutType, got {self.knockout!r}")

@@ -49,7 +49,7 @@ import numpy as np
 import scipy.linalg
 
 from .contract import TarnContract, fixing_flows
-from .market import LocalVolSurface, MarketModel, check_spot
+from .market import LocalVolSurface, MarketModel, check_integer_fields, check_spot
 
 __all__ = [
     "PinPolicy",
@@ -111,6 +111,7 @@ class FdConfig:
     implicit_startup_steps: int = 0
 
     def __post_init__(self) -> None:
+        check_integer_fields(self)
         if self.spot_nodes < 3:
             raise ValueError("spot_nodes must be at least 3")
         if self.accumulation_nodes < 4:
@@ -801,6 +802,16 @@ def fd_price(
     )
 
 
+def _scaled_grid(config: FdConfig, factor: int) -> FdConfig:
+    """``config`` with every grid dimension multiplied by ``factor``."""
+    return replace(
+        config,
+        spot_nodes=factor * config.spot_nodes,
+        accumulation_nodes=factor * config.accumulation_nodes,
+        time_steps=factor * config.time_steps,
+    )
+
+
 def estimate_error(
     contract: TarnContract,
     model: MarketModel,
@@ -814,13 +825,7 @@ def estimate_error(
     prices closely tracks the coarse grid's true relative error.
     """
     coarse = fd_price(contract, model, config, spot)
-    refined_config = replace(
-        config,
-        spot_nodes=2 * config.spot_nodes,
-        accumulation_nodes=2 * config.accumulation_nodes,
-        time_steps=2 * config.time_steps,
-    )
-    refined = fd_price(contract, model, refined_config, spot)
+    refined = fd_price(contract, model, _scaled_grid(config, 2), spot)
     if refined.price == 0.0:
         raise ValueError("relative error undefined: refined price is zero")
     rel = abs(coarse.price - refined.price) / abs(refined.price)
@@ -834,15 +839,8 @@ def convergence_order(
     spot: float,
 ) -> ConvergenceStudy:
     """Observed order from three grids nested by simultaneous doubling."""
-    results = []
-    for factor in (1, 2, 4):
-        cfg = replace(
-            config,
-            spot_nodes=factor * config.spot_nodes,
-            accumulation_nodes=factor * config.accumulation_nodes,
-            time_steps=factor * config.time_steps,
-        )
-        results.append(fd_price(contract, model, cfg, spot))
+    results = [fd_price(contract, model, _scaled_grid(config, factor), spot)
+               for factor in (1, 2, 4)]
     v1, v2, v3 = (r.price for r in results)
     denom = abs(v2 - v3)
     if denom == 0.0:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.stats import norm
@@ -237,6 +238,18 @@ def check_spot(spot: float) -> None:
     """Reject a spot that is not positive and finite, naming it."""
     if not (spot > 0.0 and math.isfinite(spot)):
         raise ValueError(f"spot must be positive and finite, got {spot!r}")
+
+
+def check_integer_fields(config) -> None:
+    """Reject a bool or a non-integral value in any field of the dataclass
+    ``config`` annotated ``int``, naming the field; a silent ``int()`` would
+    truncate it.  The annotation is the string 'int' under postponed
+    evaluation of annotations, else the type itself."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type in ("int", int) and (isinstance(value, bool)
+                                or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
 
 
 def vanilla_price(

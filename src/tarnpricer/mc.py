@@ -24,6 +24,7 @@ import numpy as np
 from .contract import TarnContract, batch_present_value
 from .market import (
     MarketModel,
+    check_integer_fields,
     check_spot,
     discount_factor,
     integrated_variance,
@@ -61,8 +62,11 @@ class McConfig:
     cv_coefficient: float | None = None
 
     def __post_init__(self) -> None:
+        check_integer_fields(self)
         if self.n_paths < 2:
             raise ValueError("n_paths must be at least 2")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.substeps_per_interval < 1:
             raise ValueError("substeps_per_interval must be at least 1")
         if self.cv_coefficient is not None and not math.isfinite(self.cv_coefficient):
@@ -171,6 +175,10 @@ def mc_price(
     downgraded = config.control_variate and not exact
 
     n = config.n_paths
+    n_pilot = max(2, n // 10) if use_cv and config.cv_coefficient is None else 0
+    if n - n_pilot < 2:
+        raise ValueError(f"n_paths must leave at least 2 paths after the {n_pilot}-path "
+                         f"control-variate pilot, got {n}")
     payoffs = np.empty(n)
     controls = np.empty(n) if use_cv else None
     base = np.random.Philox(config.seed)
@@ -196,7 +204,6 @@ def mc_price(
             lam = float(config.cv_coefficient)
             samples = payoffs - lam * (controls - control_mean)
         else:
-            n_pilot = max(2, n // 10)
             pilot_p = payoffs[:n_pilot]
             pilot_c = controls[:n_pilot]
             var_c = float(np.var(pilot_c))

@@ -293,6 +293,26 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=f"^{key}"):
             dataclasses.replace(base, **{field: value})
 
+    def test_refine_and_convergence_rejected_together(self):
+        base = PRESETS["table1"]()
+        with pytest.raises(ValueError, match="^refine, convergence: "):
+            dataclasses.replace(base, refine=True, convergence=True)
+
+    @pytest.mark.parametrize("name, value", [
+        (f"{cls.__name__}.{f.name}", value)
+        for cls in (FdConfig, McConfig)
+        for f in dataclasses.fields(cls)
+        if type(f.default) is int
+        for value in (f.default + 0.5, True)
+    ] + [("McConfig.seed", -3)])
+    def test_integer_fields_reject_other_values_by_name(self, name, value):
+        # int() would truncate 1.5, numpy would fail on it naming no field,
+        # and a bool would pass as 0 or 1
+        cls_name, field = name.split(".")
+        cls = {"FdConfig": FdConfig, "McConfig": McConfig}[cls_name]
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            cls(**{field: value})
+
 
 class TestRunAndEmit:
     def test_small_run_produces_expected_records(self):
@@ -336,6 +356,52 @@ class TestRunAndEmit:
         assert "== no_gain ==" in table
         assert "== full_gain ==" in table
         assert "MC" in table and "FD" in table and "diff %" in table
+
+    def test_human_table_full_text(self):
+        def rec(engine, knockout, target, price, error_metric=None,
+                error_kind="none", grid="", wall=0.0, status="ok"):
+            return ResultRecord(
+                engine=engine, knockout=knockout, target=target, price=price,
+                error_metric=error_metric, error_kind=error_kind, grid=grid,
+                wall_time_s=wall, fingerprint="0123456789ab", status=status)
+
+        records = [
+            rec("fd", "no_gain", 0.3, 0.14472, 0.00123, "refined_relative_error",
+                "60x10x16", 0.125),
+            rec("fd", "no_gain", 0.3, 0.145531, grid="120x20x32", wall=0.5),
+            rec("fd_order", "no_gain", 0.3, 3.449202),
+            rec("mc", "no_gain", 0.3, 0.14597, 0.0012869, "stderr", "4000paths", 0.311),
+            rec("diff", "no_gain", 0.3, -0.00125, 0.008563, "relative_difference"),
+            rec("fd", "no_gain", 0.5, math.nan, grid="60x10x2",
+                status="error: too few time steps"),
+            rec("mc", "no_gain", 0.5, 0.2141, 0.00158, "stderr", "4000paths", 1.234,
+                "ok (control variate disabled for local volatility)"),
+            rec("fd", "full_gain", 0.3, 0.21281, grid="60x10x16", wall=0.07),
+            rec("mc", "full_gain", 0.3, math.nan, grid="2paths",
+                status="error: n_paths too small"),
+            rec("mc", "full_gain", 0.5, 0.26094, 0.0011661, "stderr", "4000paths", 0.29),
+        ]
+        header = ("    target          MC          FD      diff %  stderr MC %"
+                  "      MC sec    err FD %      FD sec")
+        assert emit(records, "human") == "\n".join([
+            "== no_gain ==",
+            header,
+            "       0.3      0.1460      0.1447      0.8563      0.8816"
+            "        0.31      0.1230        0.12",
+            "       0.5      0.2141      failed           -      0.7380"
+            "        1.23           -           -",
+            "",
+            "== full_gain ==",
+            header,
+            "       0.3      failed      0.2128           -           -"
+            "           -           -        0.07",
+            "       0.5      0.2609           -           -      0.4469"
+            "        0.29           -           -",
+            "",
+            "fd no_gain target=0.3 grid=120x20x32 value=0.145531 [ok]",
+            "fd_order no_gain target=0.3 grid=- value=3.449202 [ok]",
+            "",
+        ])
 
     def test_determinism_excluding_wall_time(self):
         cfg = parse_config(SMALL_RUN)
@@ -437,6 +503,12 @@ class TestMain:
         path.write_text(SMALL_RUN)
         assert main([str(path), "--engines", engines]) == 1
         assert message in capsys.readouterr().err
+
+    def test_refine_with_convergence_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(SMALL_RUN)
+        assert main([str(path), "--refine", "--convergence"]) == 1
+        assert "refine, convergence" in capsys.readouterr().err
 
     def test_missing_config_exit_code(self, capsys):
         assert main([]) == 1

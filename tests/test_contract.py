@@ -290,6 +290,17 @@ class TestContractValidation:
         with pytest.raises(ValueError, match="beta"):
             make_contract(beta=2)
 
+    @pytest.mark.parametrize("beta", [1.7, -1.2, 0.5, math.nan])
+    def test_rejects_non_integral_beta_by_name(self, beta):
+        # int() would truncate 1.7 to +1 and -1.2 to -1
+        with pytest.raises(ValueError, match="^beta must be"):
+            make_contract(beta=beta)
+
+    @pytest.mark.parametrize("beta", [1.0, -1.0])
+    def test_integral_float_beta_becomes_an_int(self, beta):
+        contract = make_contract(beta=beta)
+        assert contract.beta == beta and type(contract.beta) is int
+
     def test_requires_increasing_times(self):
         with pytest.raises(ValueError, match="increasing"):
             make_contract(times=(0.5, 0.5, 0.75))

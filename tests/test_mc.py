@@ -60,6 +60,20 @@ def test_non_finite_cv_coefficient_rejected_by_name(value):
         McConfig(cv_coefficient=value)
 
 
+@pytest.mark.parametrize("n_paths", [2, 3])
+def test_too_few_paths_for_the_pilot_rejected_by_name(n_paths):
+    # the pilot tranche takes max(2, n // 10) paths, leaving fewer than two
+    contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
+    with pytest.raises(ValueError, match="^n_paths must leave at least 2 paths"):
+        mc_price(contract, flat_model(), McConfig(n_paths=n_paths), 1.05)
+
+
+def test_four_paths_leave_two_after_the_pilot():
+    contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
+    res = mc_price(contract, flat_model(), McConfig(n_paths=4), 1.05)
+    assert math.isfinite(res.price) and math.isfinite(res.stderr)
+
+
 class TestPathSimulation:
     def test_vanishing_volatility_path_is_constant(self):
         model = flat_model(sigma=1e-9)
