@@ -355,7 +355,8 @@ def _check_engines(engines: tuple[str, ...], where: str) -> None:
 
 def _payload(value):
     """JSON-ready form of a configuration value: dataclasses become dicts of
-    their fields plus their class name, recursively."""
+    their fields plus their class name, recursively, and numpy scalars the
+    Python numbers they hold."""
     if dataclasses.is_dataclass(value):
         out = {f.name: _payload(getattr(value, f.name))
                for f in dataclasses.fields(value)}
@@ -363,7 +364,7 @@ def _payload(value):
         return out
     if isinstance(value, enum.Enum):
         return value.value
-    if isinstance(value, np.ndarray):
+    if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
     if isinstance(value, (tuple, list)):
         return [_payload(v) for v in value]
@@ -665,9 +666,15 @@ def main(argv=None) -> int:
         else:
             raise ConfigError("a config file or --preset is required")
 
+        mc = None
+        if args.seed is not None:
+            try:
+                mc = dataclasses.replace(config.mc, seed=args.seed)
+            except ValueError as exc:
+                raise ConfigError(f"--seed: {exc}") from exc
         overrides = {
             "engines": args.engines and _engines(args.engines, "--engines"),
-            "mc": args.seed is not None and dataclasses.replace(config.mc, seed=args.seed),
+            "mc": mc,
             "output_format": args.fmt,
             "output_path": args.output,
             "refine": args.refine,

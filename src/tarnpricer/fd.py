@@ -24,15 +24,20 @@ system is solved and read.
 Between fixings every tracked row is marched by the same operator.  When
 the coefficients are scalars (flat or term-structure volatility), an
 interval's whole march is one affine map ``row -> row @ P + p0`` on the
-spot axis, so the engine builds that map once, by marching identity rows
-and one zero row through the interval's steps with :func:`theta_step`, and
-then applies it to all rows with a single matrix product.  Maps are cached
-by the interval's step sequence (step length, theta and coefficients), so
-intervals of equal length share one map, and a caller pricing several
-contracts on one spot grid can share the cache across them through
-:class:`IntervalPropagators`.  A map is built only when more rows than
-spot nodes will pass through its interval, in this pricing and the ones
-expected to share the cache; otherwise stepping is cheaper.
+spot axis, so the engine builds that map once and then applies it to all
+rows with a single matrix product.  The interval's steps fall into runs of
+identical steps (start-up steps and coefficient knots start new runs),
+taken in order.  A long run's map is its one-step map, got by one
+:func:`theta_step` on identity rows and one zero row, raised to the run's
+length by repeated squaring and composed onto the map so far; a short
+run, such as a start-up step or the step across a knot, costs no more to
+march than to power and is marched onto the map so far instead.  Maps are
+cached by the interval's step sequence (step length, theta and
+coefficients), so intervals of equal length share one map, and a caller
+pricing several contracts on one spot grid can share the cache across
+them through :class:`IntervalPropagators`.  A map is built only when more
+rows than spot nodes will pass through its interval, in this pricing and
+the ones expected to share the cache; otherwise the rows are stepped.
 Local volatility has per-node coefficients that change every step; it is
 marched step by step.
 """
@@ -40,7 +45,9 @@ marched step by step.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -557,9 +564,12 @@ class IntervalPropagators:
 
     An entry maps the row values at an interval's upper end to those at its
     lower end, ``row @ P + p0``; entries are keyed by the interval's step
-    sequence.  Building a map marches M + 1 rows through the interval, so
-    a map is built only when the interval's rows in all expected pricings
-    exceed the M spot nodes; below that, stepping the rows costs less.
+    sequence.  A map is built (see :func:`_build_map`) only when the
+    interval's rows in all expected pricings exceed the M spot nodes.  That
+    rule was set when a build marched M + 1 rows through every step; up to
+    M = 2000 a build now takes at most about that long (measured), often
+    far less, and the rule has not been re-measured since (ROADMAP.md, FD
+    interval maps).
     ``pricings`` is how many pricings are expected to share the cache, each
     marching the same rows.  A lookup on another grid clears every entry,
     so memory stays at the maps of one grid.  Share one instance across
@@ -602,56 +612,130 @@ def _interval_steps(model, grid, t_hi, t_lo, n_steps, config):
     ]
 
 
-def _interval_key(steps):
-    """Hashable identity of a step sequence with scalar coefficients.
+def _step_key(step):
+    """Hashable identity of one step with scalar coefficients.
 
     Step lengths are compared to 12 significant digits: fixing dates such
-    as ``k * 30 / 365`` make equal intervals differ in the last bits, and
-    those intervals must share one map.
+    as ``k * 30 / 365`` make equal steps differ in the last bits; such
+    steps must still form one run, and intervals of them share one map.
     """
-    return tuple(
-        (float(f"{dt:.11e}"), theta,
-         cf.variance, cf.drift, cf.rate, ct.variance, ct.drift, ct.rate)
-        for dt, theta, cf, ct in steps
-    )
+    dt, theta, cf, ct = step
+    return (float(f"{dt:.11e}"), theta,
+            cf.variance, cf.drift, cf.rate, ct.variance, ct.drift, ct.rate)
 
 
-# Rows marched together while a map is built: bounds the build's temporaries
-# at a few (rows, M) arrays instead of a few (M, M) ones.
+def _interval_key(steps):
+    """Hashable identity of a step sequence with scalar coefficients."""
+    return tuple(_step_key(step) for step in steps)
+
+
+def _runs(steps):
+    """The runs of identical steps (equal :func:`_step_key`) in ``steps``,
+    in order, as (first step of the run, run length) pairs: a run is
+    taken as its first step repeated."""
+    runs = []
+    for _, run in itertools.groupby(steps, _step_key):
+        run = list(run)
+        runs.append((run[0], len(run)))
+    return runs
+
+
+# Rows marched together while a map is marched through steps: bounds the
+# temporaries at a few (rows, M) arrays instead of a few (M, M) ones.
 _MAP_BLOCK_ROWS = 128
+
+# Map entries below the square root of the smallest normal float are
+# dropped, so no product of two kept entries underflows: BLAS runs several
+# times slower on the subnormal floats an underflow leaves (one squaring of
+# a one-step map at M = 2000: 1.05 s kept, 0.13 s dropped).  A dropped entry
+# moves a price by less than M * 1.5e-154 of its inputs.
+_NEGLIGIBLE = math.sqrt(sys.float_info.min)
+
+
+def _drop_negligible(stacked):
+    """Zero the entries of ``stacked`` below ``_NEGLIGIBLE``, in place."""
+    for start in range(0, len(stacked), _MAP_BLOCK_ROWS):
+        block = stacked[start:start + _MAP_BLOCK_ROWS]
+        # boolean temporaries only: an eighth of a float block each
+        np.copyto(block, 0.0,
+                  where=(block < _NEGLIGIBLE) & (block > -_NEGLIGIBLE))
+
+
+def _march_map(stacked, step, n, grid, boundary, beta):
+    """The stacked map ``stacked`` followed by ``n`` copies of ``step``.
+
+    A map ``x -> x @ P + p`` is held as one (M + 1, M) array, P over p.
+    Marched in place, block by block, are the images of the unit rows and
+    of the zero row, P + p and p; subtracting the marched p again leaves
+    the new linear part.
+    """
+    dt, th, cf, ct = step
+    m = grid.spots.size
+    stacked[:m] += stacked[m]
+    for start in range(0, m + 1, _MAP_BLOCK_ROWS):
+        block = stacked[start:start + _MAP_BLOCK_ROWS]
+        rows = block
+        for _ in range(n):
+            rows = theta_step(rows, dt, grid.dx, th, cf, ct, boundary,
+                              spots=grid.spots, beta=beta)
+        block[:] = rows
+    stacked[:m] -= stacked[m]
+    _drop_negligible(stacked)
+    return stacked
+
+
+def _compose(first, then):
+    """The stacked map ``first`` followed by ``then``: ``x @ P + p`` and then
+    ``@ Q + q`` is ``x @ (P @ Q) + (p @ Q + q)``, one product."""
+    m = then.shape[1]
+    out = first @ then[:m]
+    out[m] += then[m]
+    _drop_negligible(out)
+    return out
 
 
 def _build_map(steps, grid, boundary, beta):
-    """(P, p0) of the interval, from identity rows and one zero row marched
-    block by block through its steps."""
+    """(P, p0) of the interval, built run by run.
+
+    Marching a run of n identical steps onto the map so far costs n steps
+    of M + 1 rows.  Powering it costs one such step, the one-step map,
+    plus (M, M) products: binary powering (repeated squaring, multiplying
+    in the powers of n's set bits) and one more to compose it onto the map
+    so far.  With negligible entries dropped, a product took 0.07-1.01 of
+    a step's time at M = 200-2000 (2-core Xeon), so a run is powered only
+    when n exceeds one plus its product count: up to M = 2000 the build
+    takes at most about as long as marching every step.  That marches start-up
+    steps, the step across a knot and runs of up to 3 steps (5 after
+    another run), and powers longer runs.  Every consumed power is dropped
+    at once, so at most three (M + 1, M) arrays are live: the map so far,
+    the current power and the product being formed.
+    """
     m = grid.spots.size
-    stacked = np.empty((m + 1, m))
-    for start in range(0, m + 1, _MAP_BLOCK_ROWS):
-        stop = min(start + _MAP_BLOCK_ROWS, m + 1)
-        block = np.zeros((stop - start, m))
-        unit = np.arange(start, min(stop, m))
-        block[unit - start, unit] = 1.0
-        for dt, th, cf, ct in steps:
-            block = theta_step(block, dt, grid.dx, th, cf, ct, boundary,
-                               spots=grid.spots, beta=beta)
-        stacked[start:stop] = block
-    matrix, offset = stacked[:m], stacked[m]
-    matrix -= offset
-    return matrix, offset
+    total = None
+    for step, n in _runs(steps):
+        products = n.bit_length() + n.bit_count() - 2 + (total is not None)
+        if n <= 1 + products:
+            if total is None:
+                total = np.eye(m + 1, m)
+            total = _march_map(total, step, n, grid, boundary, beta)
+            continue
+        power = _march_map(np.eye(m + 1, m), step, 1, grid, boundary, beta)
+        while n:
+            if n & 1:
+                total = power if total is None else _compose(total, power)
+            n >>= 1
+            power = _compose(power, power) if n else None
+    return total[:m], total[m]
 
 
-def _march(values, steps, key, rows, grid, boundary, beta, propagators):
-    """March ``values`` (J, M) through one interval's steps: by its map when
-    ``propagators`` holds or builds one for ``key``, else step by step.
-    ``rows`` counts the rows the pricing marches through intervals of this
-    key."""
-    if key is not None:
-        found = propagators.lookup(key, rows, steps, grid, boundary, beta)
-        if found is not None:
-            matrix, offset = found
-            out = values @ matrix
-            out += offset
-            return out
+def _march(values, steps, found, grid, boundary, beta):
+    """March ``values`` (J, M) through one interval's steps: by its map
+    ``found`` when there is one, else step by step."""
+    if found is not None:
+        matrix, offset = found
+        out = values @ matrix
+        out += offset
+        return out
     for dt, th, cf, ct in steps:
         values = theta_step(values, dt, grid.dx, th, cf, ct, boundary,
                             spots=grid.spots, beta=beta)
@@ -769,27 +853,33 @@ def fd_price(
                                grid.steps_per_interval[k - 1], config)
 
     # Scalar coefficients: every interval's steps and map key up front, so
-    # the rows each map would serve are known.  Local volatility has
+    # the rows each map would serve are known, and the maps built before
+    # the jump plan and the lattice take their memory.  Local volatility has
     # per-node coefficients and is stepped; its steps are made lazily.
     planned = {}
-    rows = Counter()
     if not isinstance(model.vol, LocalVolSurface):
         if propagators is None:
             propagators = IntervalPropagators()
+        rows = Counter()
         for k in range(1, k_total + 1):
             steps = interval(k)
             key = _interval_key(steps)
             planned[k] = steps, key
             rows[key] += config.accumulation_nodes if k > 1 else 1
+        planned = {
+            k: (steps, propagators.lookup(key, rows[key], steps, grid,
+                                          config.boundary, contract.beta))
+            for k, (steps, key) in planned.items()
+        }
     plan = JumpPlan.build(contract, grid)
     values = np.zeros((config.accumulation_nodes, config.spot_nodes))
     for k in range(k_total, 0, -1):
         values = apply_jump(values, plan, contract.extra_payment_at(k))
         if k == 1:
             values = values[:1]
-        steps, key = planned[k] if planned else (interval(k), None)
-        values = _march(values, steps, key, rows[key], grid, config.boundary,
-                        contract.beta, propagators)
+        steps, found = planned[k] if planned else (interval(k), None)
+        values = _march(values, steps, found, grid, config.boundary,
+                        contract.beta)
     row = values[0]
     if grid.spot_index is not None:
         price = float(row[grid.spot_index])

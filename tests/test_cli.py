@@ -330,6 +330,16 @@ class TestRunAndEmit:
             if r.engine == "diff":
                 assert r.error_kind == "relative_difference"
 
+    def test_numpy_integer_config_runs_with_the_plain_fingerprint(self):
+        cfg = dataclasses.replace(parse_config(SMALL_RUN), engines=("fd",))
+        numpy_cfg = dataclasses.replace(
+            cfg, fd=dataclasses.replace(cfg.fd, spot_nodes=np.int64(60)))
+        records = run(numpy_cfg)
+        assert len(records) == 4
+        assert all(r.status == "ok" for r in records)
+        assert fingerprint(numpy_cfg) == fingerprint(cfg)
+        assert {r.fingerprint for r in records} == {fingerprint(cfg)}
+
     def test_records_round_trip(self):
         cfg = parse_config(SMALL_RUN)
         records = run(cfg)
@@ -503,6 +513,12 @@ class TestMain:
         path.write_text(SMALL_RUN)
         assert main([str(path), "--engines", engines]) == 1
         assert message in capsys.readouterr().err
+
+    def test_seed_override_error_names_the_flag(self, capsys):
+        assert main(["--preset", "table1", "--seed", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed: seed must be nonnegative\n"
+        assert captured.out == ""
 
     def test_refine_with_convergence_exit_code(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -216,6 +217,118 @@ def test_runs_with_different_models_share_no_maps(monkeypatch):
     assert second.price == pytest.approx(
         reference_price(contract, other.model, GRID, 1.05), rel=1e-12, abs=0.0)
     assert second.price != pytest.approx(first.price, rel=1e-3)
+
+
+def count_products(monkeypatch):
+    products = []
+    original = fd._compose
+
+    def counting(first, then):
+        products.append(None)
+        return original(first, then)
+
+    monkeypatch.setattr(fd, "_compose", counting)
+    return products
+
+
+@pytest.mark.parametrize("n, n_products", [
+    (1, 0), (2, 0), (3, 0), (7, 4), (8, 3), (50, 7),
+])
+def test_one_run_map_matches_reference_march(monkeypatch, n, n_products):
+    # four equal intervals of n identical steps: one map, marched when n is
+    # at most 3, else the one-step map raised to the n-th power (n = 50:
+    # five squarings and two products for the set bits below the top one)
+    built = count_builds(monkeypatch)
+    products = count_products(monkeypatch)
+    contract = TarnContract(strike=1.0, target=0.2, beta=1,
+                            fixing_times=benchmark_times(4),
+                            knockout=KnockoutType.PART_GAIN)
+    model = flat_model(r_d=0.02)
+    config = replace(GRID, time_steps=4 * n)
+    grid = build_grid(contract, model, config, 1.05)
+    assert grid.steps_per_interval == (n,) * 4
+    steps = fd._interval_steps(model, grid, grid.fixing_times[1],
+                               grid.fixing_times[0], n, config)
+    assert [length for _, length in fd._runs(steps)] == [n]
+    got = fd_price(contract, model, config, 1.05,
+                   propagators=IntervalPropagators(pricings=12)).price
+    assert len(built) == 1
+    assert len(products) == n_products
+    assert got == pytest.approx(reference_price(contract, model, config, 1.05),
+                                rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("contract, config, spot", [
+    (call_contract(), replace(GRID, implicit_startup_steps=2), 1.05),
+    (put_contract(), replace(DIRECTIONAL, implicit_startup_steps=2), 0.97),
+], ids=["zero_gamma", "dirichlet_neumann_put"])
+def test_runs_of_one_interval_compose(monkeypatch, contract, config, spot):
+    # a vol knot inside the first step of the third interval: that step,
+    # the second start-up step and the 13 theta steps are three runs; the
+    # two one-step runs are marched, the 13 steps powered onto them
+    built = count_builds(monkeypatch)
+    products = count_products(monkeypatch)
+    times = contract.fixing_times
+    dt = (times[2] - times[1]) / 15
+    model = MarketModel(
+        domestic=RateCurve.flat(0.02), foreign=RateCurve.flat(0.01),
+        vol=TermStructureVol((0.0, times[2] - 0.5 * dt), (0.2, 0.28)),
+    )
+    grid = build_grid(contract, model, config, spot)
+    assert grid.steps_per_interval[2] == 15
+    steps = fd._interval_steps(model, grid, times[2], times[1], 15, config)
+    assert [length for _, length in fd._runs(steps)] == [1, 1, 13]
+    products.clear()
+    fd._build_map(steps, grid, config.boundary, contract.beta)
+    # 13 = 0b1101: three squarings, three products onto the map so far
+    assert len(products) == 6
+    built.clear()
+    got = fd_price(contract, model, config, spot,
+                   propagators=IntervalPropagators(pricings=12)).price
+    # the intervals below the knot, the knot's and those above it
+    assert len(built) == 3
+    assert got == pytest.approx(reference_price(contract, model, config, spot),
+                                rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("startup", [0, 2])
+def test_map_build_memory_is_bounded(startup):
+    # at most three (M + 1, M) arrays are live: the map so far, the current
+    # power and the product being formed; start-up steps are marched onto
+    # the map so far in place
+    m = 400
+    contract = TarnContract(strike=1.0, target=0.2, beta=1,
+                            fixing_times=benchmark_times(1),
+                            knockout=KnockoutType.PART_GAIN)
+    model = flat_model(r_d=0.02)
+    config = FdConfig(spot_nodes=m, accumulation_nodes=20, time_steps=50,
+                      implicit_startup_steps=startup)
+    grid = build_grid(contract, model, config, 1.05)
+    steps = fd._interval_steps(model, grid, grid.fixing_times[0], 0.0, 50, config)
+    tracemalloc.start()
+    try:
+        fd._build_map(steps, grid, config.boundary, contract.beta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * m * m * 8
+
+
+@pytest.mark.parametrize("n, t_hi", [(3, 0.003), (50, 0.01)],
+                         ids=["marched", "powered"])
+def test_maps_keep_no_entry_a_product_could_underflow_on(n, t_hi):
+    # short steps on a one-year grid: away from the diagonal a step map's
+    # entries fall to 1e-206, and products of the kept ones to 1e-322
+    m = 400
+    contract = TarnContract(strike=1.0, target=0.2, beta=1,
+                            fixing_times=benchmark_times(12),
+                            knockout=KnockoutType.PART_GAIN)
+    model = flat_model(r_d=0.02)
+    config = FdConfig(spot_nodes=m, accumulation_nodes=20, time_steps=120)
+    grid = build_grid(contract, model, config, 1.05)
+    steps = fd._interval_steps(model, grid, t_hi, 0.0, n, config)
+    for array in fd._build_map(steps, grid, config.boundary, contract.beta):
+        assert np.all((array == 0.0) | (np.abs(array) >= fd._NEGLIGIBLE))
 
 
 def test_new_grid_clears_the_cache():
