@@ -3,13 +3,15 @@
 The solver tracks one one-dimensional PDE solution per node of an auxiliary
 grid in the accrued payment amount.  Between fixing dates each tracked
 solution obeys the usual log-spot pricing PDE and is marched backward with
-a theta scheme.  At a fixing date the tracked solutions exchange
-information through a jump condition: for every spot node, the post-fixing
-values across the accumulation grid are interpolated with a natural cubic
-spline at the amount the fixing shifts the state to, giving the
-continuation value, and the fixing's cash flow is added on top.  After the
-first fixing only the zero-accrual solution remains relevant and is marched
-down to the valuation date.  The shift is applied forward, from the
+a theta scheme.  A step is one tridiagonal solve for all rows: the default
+zero-gamma end rows are substituted into rows 1 and M-2, and the end
+values are set from them after the solve.  At a fixing date the tracked
+solutions exchange information through a jump condition: for every spot
+node, the post-fixing values across the accumulation grid are interpolated
+with a natural cubic spline at the amount the fixing shifts the state to,
+giving the continuation value, and the fixing's cash flow is added on top.
+After the first fixing only the zero-accrual solution remains relevant and
+is marched down to the valuation date.  The shift is applied forward, from the
 pre-fixing amount at a grid node to the (generally off-grid) post-fixing
 amount, which can pass the target: that is how the knockout enters the
 lattice.  The fixing's cash flows come from
@@ -121,6 +123,10 @@ class FdConfig:
         check_integer_fields(self)
         if self.spot_nodes < 3:
             raise ValueError("spot_nodes must be at least 3")
+        if self.boundary is BoundaryKind.ZERO_GAMMA and self.spot_nodes < 4:
+            # both zero-gamma end rows would be one equation: singular steps
+            raise ValueError("spot_nodes must be at least 4 with the "
+                             "zero_gamma boundary")
         if self.accumulation_nodes < 4:
             raise ValueError("accumulation_nodes must be at least 4")
         if self.time_steps < 1:
@@ -473,16 +479,16 @@ def coefficients_at(model: MarketModel, spots: np.ndarray, t: float) -> StepCoef
     return StepCoefficients(variance=variance, drift=r_d - r_f - 0.5 * variance, rate=r_d)
 
 
-def _operator_bands(coef: StepCoefficients, dx: float, m: int):
-    """Tridiagonal representation of the spatial operator on the interior."""
-    v = np.broadcast_to(np.asarray(coef.variance, dtype=float), (m,))
-    d = np.broadcast_to(np.asarray(coef.drift, dtype=float), (m,))
+def _operator_bands(coef: StepCoefficients, dx: float):
+    """The spatial operator on the interior nodes 1..M-2: the weights of
+    ``u[i-1]``, ``u[i]`` and ``u[i+1]`` in row i, scalars or (M - 2,)."""
+    v = np.asarray(coef.variance, dtype=float)
+    d = np.asarray(coef.drift, dtype=float)
+    v = v[1:-1] if v.ndim else v
+    d = d[1:-1] if d.ndim else d
     half = 0.5 * v / (dx * dx)
     adv = d / (2.0 * dx)
-    lower = half - adv
-    diag = -2.0 * half - coef.rate
-    upper = half + adv
-    return lower, diag, upper
+    return half - adv, -2.0 * half - coef.rate, half + adv
 
 
 def theta_step(
@@ -501,9 +507,14 @@ def theta_step(
     ``rows`` is (M,) or (J, M); every row is stepped independently with the
     same matrix.  ``coef_from`` holds the coefficients at the level being
     left (explicit side, weight 1 - theta) and ``coef_to`` those at the
-    level being solved for (implicit side, weight theta).  Boundary rows of
-    the solve impose the selected closure exactly at the new level; the
-    Dirichlet/Neumann variant needs ``spots`` for the slope condition.
+    level being solved for (implicit side, weight theta).  The step is one
+    tridiagonal solve for all rows.  The boundary closure holds exactly at
+    the new level.  The zero-gamma end rows ``u0 = 2 u1 - u2`` and
+    ``u[M-1] = 2 u[M-2] - u[M-3]`` are substituted into rows 1 and M-2, so
+    they need M >= 4; the solve leaves rows 0 and M-1 as identity rows, and
+    the end values are set from the closure after it.  The
+    Dirichlet/Neumann variant is tridiagonal as it stands and needs
+    ``spots`` for the slope condition.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -511,51 +522,60 @@ def theta_step(
     single = rows.ndim == 1
     work = rows[None, :] if single else rows
     m = work.shape[1]
+    zero_gamma = boundary is BoundaryKind.ZERO_GAMMA
+    if zero_gamma and m < 4:
+        raise ValueError("the zero-gamma closure needs at least 4 spot nodes")
+    if not zero_gamma and spots is None:
+        raise ValueError("directional boundary conditions need the spot nodes")
 
-    lo_f, di_f, up_f = _operator_bands(coef_from, dx, m)
+    # Explicit side on the interior, u[i] + w (L u)[i] with per-node weights.
+    lo, di, up = _operator_bands(coef_from, dx)
     w = (1.0 - theta) * dt
-    rhs = work.copy()
-    rhs[:, 1:-1] += w * (
-        lo_f[1:-1] * work[:, :-2]
-        + di_f[1:-1] * work[:, 1:-1]
-        + up_f[1:-1] * work[:, 2:]
-    )
+    rhs = np.empty(work.shape)
+    inner = rhs[:, 1:-1]
+    np.multiply(work[:, 1:-1], 1.0 + w * di, out=inner)
+    term = work[:, :-2] * (w * lo)
+    inner += term
+    np.multiply(work[:, 2:], w * up, out=term)
+    inner += term
+    del term
 
-    lo_t, di_t, up_t = _operator_bands(coef_to, dx, m)
-    ab = np.zeros((5, m))
-    ab[1, 2:] = -theta * dt * up_t[1:-1]
-    ab[2, 1:-1] = 1.0 - theta * dt * di_t[1:-1]
-    ab[3, : m - 2] = -theta * dt * lo_t[1:-1]
-
-    if boundary is BoundaryKind.ZERO_GAMMA:
-        ab[2, 0] = 1.0
-        ab[1, 1] = -2.0
-        ab[0, 2] = 1.0
-        ab[2, m - 1] = 1.0
-        ab[3, m - 2] = -2.0
-        ab[4, m - 3] = 1.0
-        rhs[:, 0] = 0.0
-        rhs[:, -1] = 0.0
+    # Implicit side I - theta dt L, stored as ab[1 + i - j, j] = a[i, j].
+    lo, di, up = _operator_bands(coef_to, dx)
+    c = -theta * dt
+    ab = np.zeros((3, m))
+    ab[0, 2:] = c * up
+    ab[1, 1:-1] = 1.0 + c * di
+    ab[2, :-2] = c * lo
+    ab[1, 0] = ab[1, -1] = 1.0
+    rhs[:, 0] = rhs[:, -1] = 0.0
+    if zero_gamma:
+        # row 1 with u0 = 2 u1 - u2 substituted, and its mirror row M-2
+        ab[1, 1] += 2.0 * ab[2, 0]
+        ab[0, 2] -= ab[2, 0]
+        ab[2, 0] = 0.0
+        ab[1, -2] += 2.0 * ab[0, -1]
+        ab[2, -3] -= ab[0, -1]
+        ab[0, -1] = 0.0
+    elif beta == 1:
+        ab[2, -2] = -1.0
+        rhs[:, -1] = dx * spots[-1]
     else:
-        if spots is None:
-            raise ValueError("directional boundary conditions need the spot nodes")
-        if beta == 1:
-            ab[2, 0] = 1.0
-            rhs[:, 0] = 0.0
-            ab[2, m - 1] = 1.0
-            ab[3, m - 2] = -1.0
-            rhs[:, -1] = dx * spots[-1]
-        else:
-            ab[2, 0] = -1.0
-            ab[1, 1] = 1.0
-            rhs[:, 0] = -dx * spots[0]
-            ab[2, m - 1] = 1.0
-            rhs[:, -1] = 0.0
+        ab[1, 0] = -1.0
+        ab[0, 1] = 1.0
+        rhs[:, 0] = -dx * spots[0]
 
     try:
-        out = scipy.linalg.solve_banded((2, 2), ab, rhs.T).T
-    except np.linalg.LinAlgError as exc:  # cannot occur for theta in [0,1], sigma > 0
+        out = scipy.linalg.solve_banded((1, 1), ab, rhs.T, overwrite_ab=True,
+                                        overwrite_b=True).T
+    except np.linalg.LinAlgError as exc:
+        # Not seen for theta in [0, 1] and sigma > 0.  The one singular
+        # case, zero gamma on 3 nodes (both end rows are then one
+        # equation), is rejected above and by FdConfig.
         raise ZeroPivotError(f"singular step system: {exc}") from None
+    if zero_gamma:
+        out[:, 0] = 2.0 * out[:, 1] - out[:, 2]
+        out[:, -1] = 2.0 * out[:, -2] - out[:, -3]
     return out[0] if single else out
 
 

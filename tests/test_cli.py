@@ -109,6 +109,8 @@ class TestParseConfig:
         ("fd", "pin_policy = strike_only", "fd.pin_policy: unknown value 'strike_only'"),
         ("fd", "boundary = dirichlet_neumann", "fd.boundary: unknown value"),
         ("fd", "spot_nodes = 60.5", "fd.spot_nodes: expected an integer"),
+        ("fd", "spot_nodes = 3",
+         "fd: spot_nodes must be at least 4 with the zero_gamma boundary"),
         ("fd", "theta =", "fd.theta: expected a number"),
         ("mc", "control_variate = maybe", "mc.control_variate: expected on/off"),
     ])

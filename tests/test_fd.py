@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -32,6 +33,7 @@ from tarnpricer import fd
 from tarnpricer.contract import fixing_flows
 
 import jump_oracle
+import step_oracle
 from cashflow_oracle import fixing_outcome
 from conftest import benchmark_contract, benchmark_times, flat_model
 
@@ -180,6 +182,53 @@ class TestThetaStep:
                          spots=spots, beta=-1)
         assert out[-1] == pytest.approx(0.0, abs=1e-14)
         assert out[1] - out[0] == pytest.approx(-dx * spots[0], rel=1e-12)
+
+    @pytest.mark.parametrize("m", [4, 5, 200])
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    @pytest.mark.parametrize("local_vol", [False, True])
+    def test_matches_pentadiagonal_oracle(self, m, boundary, local_vol):
+        # the end rows folded into rows 1 and M-2 and one tridiagonal solve
+        # give the solution of the system that keeps them as rows 0 and M-1
+        rng = np.random.default_rng(m)
+        spots = np.exp(np.linspace(-0.6, 0.6, m))
+        dx = math.log(spots[1] / spots[0])
+
+        def coef(level, rate):
+            if local_vol:  # per-node variance and drift, as a smile gives
+                variance = level * (1.0 + rng.random(m))
+            else:
+                variance = level
+            return StepCoefficients(variance=variance,
+                                    drift=rate - 0.5 * variance,
+                                    rate=rate)
+
+        coef_from, coef_to = coef(0.04, 0.03), coef(0.06, 0.02)
+        stacks = [rng.standard_normal(m).cumsum(),
+                  rng.standard_normal((1, m)).cumsum(axis=1),
+                  rng.standard_normal((6, m)).cumsum(axis=1)]
+        for rows, theta, beta in itertools.product(stacks, (0.0, 0.5, 1.0),
+                                                   (1, -1)):
+            args = (rows, 0.02, dx, theta, coef_from, coef_to, boundary)
+            got = theta_step(*args, spots=spots, beta=beta)
+            want = step_oracle.theta_step(*args, spots=spots, beta=beta)
+            assert got.shape == want.shape
+            scale = np.max(np.abs(want), axis=-1, keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    def test_zero_gamma_needs_four_nodes(self):
+        # on 3 nodes both zero-gamma end rows are one equation, so every
+        # step system would be singular: rejected where the grid is chosen
+        with pytest.raises(ValueError, match="^spot_nodes must be at least 4"):
+            FdConfig(spot_nodes=3)
+        coef = StepCoefficients(variance=0.04, drift=-0.02, rate=0.01)
+        with pytest.raises(ValueError, match="at least 4 spot nodes"):
+            theta_step(np.ones(3), 0.01, 0.1, 0.5, coef, coef)
+        contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
+        for nodes, boundary in ((4, BoundaryKind.ZERO_GAMMA),
+                                (3, BoundaryKind.DIRICHLET_NEUMANN_BY_DIRECTION)):
+            cfg = FdConfig(spot_nodes=nodes, accumulation_nodes=4,
+                           time_steps=40, boundary=boundary)
+            assert math.isfinite(fd_price(contract, flat_model(), cfg, 1.05).price)
 
     def test_european_call_converges_to_closed_form(self):
         # one flow, huge target: the engine must reproduce the lognormal
