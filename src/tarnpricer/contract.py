@@ -127,8 +127,14 @@ class TarnContract:
         return self.extra_payments[fixing_index - 1]
 
     def gross(self, spots):
-        """Gross fixing amount ``beta * (spot - strike)``, floored at zero."""
-        return np.maximum(self.beta * (spots - self.strike), 0.0)
+        """Gross fixing amount ``beta * (spot - strike)``, floored at zero.
+
+        Returns a new C-ordered array of the shape of ``spots``, built in
+        place in that one allocation.
+        """
+        amount = np.subtract(spots, self.strike, out=np.empty(np.shape(spots)))
+        amount *= self.beta
+        return np.maximum(amount, 0.0, out=amount)
 
 
 def fixing_flows(gross, accrued, extra, kind: KnockoutType, target: float):
@@ -169,25 +175,50 @@ def batch_present_value(
 ) -> np.ndarray:
     """Discounted value of each row of ``spot_paths`` (one column per fixing).
 
-    The accrued amount starts at zero; once a fixing kills a path, later
-    fixings pay it nothing.
+    ``discounts`` holds one discount factor per fixing.  The value is a
+    function of each path's knockout time: the accrued amount starts at
+    zero and grows by every gross amount until the breach fixing, ``tau``,
+    the count of fixings whose cumulative gross amount stays below the
+    target (monotone, so those are the first ``tau``).  The fixings before
+    ``tau`` pay their gross amount and extra; the breach fixing pays what
+    :func:`fixing_flows` gives it, and later fixings pay nothing.  Terms
+    are added in fixing order, so the result matches a fixing-by-fixing
+    walk bit for bit.  The work runs on ``spot_paths.T``, so a fixing-major
+    buffer passed as its transpose is read row by row.
     """
     paths = np.asarray(spot_paths, dtype=float)
-    if paths.ndim != 2 or paths.shape[1] != contract.num_fixings:
+    k_total = contract.num_fixings
+    if paths.ndim != 2 or paths.shape[1] != k_total:
         raise ValueError("spot_paths must have shape (n_paths, num_fixings)")
     discounts = np.asarray(discounts, dtype=float)
+    if discounts.shape != (k_total,):
+        raise ValueError(f"discounts must have shape ({k_total},), "
+                         f"got {discounts.shape}")
+    extras = np.array(contract.extra_payments or np.zeros(k_total))
 
-    n = paths.shape[0]
-    value = np.zeros(n)
-    accrued = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
-    for k in range(1, contract.num_fixings + 1):
-        payment, extra, dead = fixing_flows(
-            contract.gross(paths[:, k - 1]), accrued,
-            contract.extra_payment_at(k), contract.knockout, contract.target,
-        )
-        payment = np.where(alive, payment, 0.0)
-        value += discounts[k - 1] * (payment + np.where(alive, extra, 0.0))
-        accrued += payment
-        alive &= ~dead
+    accrued = contract.gross(paths.T)  # row k: accrued through fixing k + 1
+    for k in range(1, k_total):
+        accrued[k] += accrued[k - 1]
+    tau = np.count_nonzero(accrued < contract.target, axis=0)
+    paths_hit = np.flatnonzero(tau < k_total)
+    at = tau[paths_hit]
+    accrued_at = np.where(at > 0, accrued[at - 1, paths_hit], 0.0)
+    # Free the accrued rows before the gross amounts are taken again: with
+    # two (K, n) temporaries live, the allocator hands about 5 MB a batch
+    # back to the system and faults it in again, which costs more.
+    del accrued
+
+    gross = contract.gross(paths.T)
+    payment, extra, _ = fixing_flows(gross[at, paths_hit], accrued_at, extras[at],
+                                     contract.knockout, contract.target)
+    # Discounted flows summed in fixing order, in place: row k then holds
+    # what the fixings through k + 1 pay a path still alive after them.
+    paid = gross
+    paid += extras[:, None]
+    paid *= discounts[:, None]
+    for k in range(1, k_total):
+        paid[k] += paid[k - 1]
+    value = np.zeros(paths.shape[0])  # a walk's sum starts at +0.0
+    value += np.where(tau > 0, paid[tau - 1, np.arange(tau.size)], 0.0)
+    value[paths_hit] += discounts[at] * (payment + extra)
     return value

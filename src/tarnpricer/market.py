@@ -15,7 +15,7 @@ import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 __all__ = [
     "RateCurve",
@@ -281,4 +281,4 @@ def vanilla_price(
     sd = math.sqrt(variance)
     d1 = (math.log(forward / strike) + 0.5 * variance) / sd
     d2 = d1 - sd
-    return df_d * beta * (forward * norm.cdf(beta * d1) - strike * norm.cdf(beta * d2))
+    return df_d * beta * (forward * ndtr(beta * d1) - strike * ndtr(beta * d2))

@@ -6,6 +6,11 @@ A local volatility surface has no closed-form transition, so those models
 are stepped with a log-Euler scheme using a configurable number of substeps
 per fixing interval.
 
+A batch's paths are held fixing-major, one contiguous row of spots per
+fixing, and priced from each path's knockout time (see
+:func:`~tarnpricer.contract.batch_present_value`): the fixing at which the
+cumulative gross amount first reaches the target.
+
 Randomness comes from the counter-based Philox generator: batch ``b`` of a
 run draws from an independent stream obtained by jumping the seeded base
 generator ``b`` times, so every path is a pure function of (seed, batch,
@@ -113,24 +118,34 @@ def simulate_fixing_paths(
     Exact lognormal transitions when the model admits them; otherwise
     log-Euler with ``substeps_per_interval`` steps per fixing interval,
     the volatility frozen at each substep's start state.
-    Returns an array of shape (n_paths, len(fixing_times)).
+    Returns an array of shape (n_paths, len(fixing_times)): the transpose
+    of a C-ordered fixing-major buffer, so each fixing's values are
+    contiguous.  Exact transitions draw all the normals in one call, which
+    reads the generator's stream in the same order as one draw of
+    ``n_paths`` per fixing.
     """
     fixing_times = tuple(float(t) for t in fixing_times)
-    k_total = len(fixing_times)
-    out = np.empty((n_paths, k_total))
-    log_s = np.full(n_paths, math.log(spot))
+    buf = np.empty((len(fixing_times), n_paths))
+    log_s = math.log(spot)
     t_prev = 0.0
-    exact = model.has_exact_transition
-    for k, t in enumerate(fixing_times):
-        if exact:
+    if model.has_exact_transition:
+        rng.standard_normal(out=buf)
+        step = np.empty(n_paths)
+        # log_s is log(spot), then the previous fixing's row of buf
+        for k, t in enumerate(fixing_times):
             var = integrated_variance(model.vol, t_prev, t)
             drift = (
                 model.domestic.integral(t_prev, t)
                 - model.foreign.integral(t_prev, t)
                 - 0.5 * var
             )
-            log_s = log_s + drift + math.sqrt(var) * rng.standard_normal(n_paths)
-        else:
+            buf[k] *= math.sqrt(var)
+            buf[k] += np.add(log_s, drift, out=step)
+            log_s = buf[k]
+            t_prev = t
+    else:
+        log_s = np.full(n_paths, log_s)
+        for k, t in enumerate(fixing_times):
             dt = (t - t_prev) / substeps_per_interval
             for s in range(substeps_per_interval):
                 t_s = t_prev + s * dt
@@ -141,13 +156,17 @@ def simulate_fixing_paths(
                     - 0.5 * sig * sig
                 )
                 log_s = log_s + nu * dt + sig * math.sqrt(dt) * rng.standard_normal(n_paths)
-        out[:, k] = log_s
-        t_prev = t
-    return np.exp(out)
+            buf[k] = log_s
+            t_prev = t
+    return np.exp(buf, out=buf).T
 
 
 def _control_values(paths, contract, discounts):
-    """Discounted uncapped vanilla strip along each path (the control)."""
+    """Discounted uncapped vanilla strip along each path (the control).
+
+    ``contract.gross`` returns a C-ordered array whatever the layout of
+    ``paths``, which fixes the product's summation order and so its bits.
+    """
     return contract.gross(paths) @ discounts
 
 

@@ -1,0 +1,88 @@
+"""Path-major, fixing-by-fixing Monte Carlo kernels: the oracle the engine's
+fixing-major simulation ``tarnpricer.mc.simulate_fixing_paths`` and its
+knockout-time payoff ``tarnpricer.contract.batch_present_value`` are tested
+against.
+
+The simulation draws one vector of normals per fixing (per substep under
+local volatility) and fills a C-ordered (n_paths, K) array column by
+column; the payoff walks the fixings in order, carrying the accrued amount
+and the alive flags, with every fixing's flows from
+``tarnpricer.contract.fixing_flows``; the control is the gross amounts of
+those C-ordered paths times the discounts.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from tarnpricer import MarketModel, TarnContract, integrated_variance
+from tarnpricer.contract import fixing_flows
+
+
+def simulate_fixing_paths(
+    model: MarketModel,
+    spot: float,
+    fixing_times,
+    n_paths: int,
+    rng: np.random.Generator,
+    substeps_per_interval: int = 1,
+) -> np.ndarray:
+    """Same contract as the engine's: (n_paths, len(fixing_times)) spots."""
+    fixing_times = tuple(float(t) for t in fixing_times)
+    out = np.empty((n_paths, len(fixing_times)))
+    log_s = np.full(n_paths, math.log(spot))
+    t_prev = 0.0
+    for k, t in enumerate(fixing_times):
+        if model.has_exact_transition:
+            var = integrated_variance(model.vol, t_prev, t)
+            drift = (
+                model.domestic.integral(t_prev, t)
+                - model.foreign.integral(t_prev, t)
+                - 0.5 * var
+            )
+            log_s = log_s + drift + math.sqrt(var) * rng.standard_normal(n_paths)
+        else:
+            dt = (t - t_prev) / substeps_per_interval
+            for s in range(substeps_per_interval):
+                t_s = t_prev + s * dt
+                sig = model.vol.interpolate(np.exp(log_s), t_s)
+                nu = (
+                    model.domestic.rate_at(t_s)
+                    - model.foreign.rate_at(t_s)
+                    - 0.5 * sig * sig
+                )
+                log_s = log_s + nu * dt + sig * math.sqrt(dt) * rng.standard_normal(n_paths)
+        out[:, k] = log_s
+        t_prev = t
+    return np.exp(out)
+
+
+def walk_present_value(
+    spot_paths: np.ndarray,
+    contract: TarnContract,
+    discounts: np.ndarray,
+) -> np.ndarray:
+    """Discounted value of each row of ``spot_paths``, fixing by fixing."""
+    paths = np.asarray(spot_paths, dtype=float)
+    n = paths.shape[0]
+    value = np.zeros(n)
+    accrued = np.zeros(n)
+    alive = np.ones(n, dtype=bool)
+    for k in range(1, contract.num_fixings + 1):
+        payment, extra, dead = fixing_flows(
+            contract.gross(paths[:, k - 1]), accrued,
+            contract.extra_payment_at(k), contract.knockout, contract.target,
+        )
+        payment = np.where(alive, payment, 0.0)
+        value += discounts[k - 1] * (payment + np.where(alive, extra, 0.0))
+        accrued += payment
+        alive &= ~dead
+    return value
+
+
+def control_values(spot_paths, contract, discounts):
+    """Discounted uncapped vanilla strip along each path, the control."""
+    gross = np.maximum(contract.beta * (spot_paths - contract.strike), 0.0)
+    return gross @ discounts

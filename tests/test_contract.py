@@ -277,6 +277,61 @@ class TestPathProperties:
                 assert np.array_equal(batch, scalar)
 
 
+# Spots whose gross amounts against strike 1 are multiples of 1/8, so that
+# accrued sums are exact and land on a target of m/8 exactly; 1.0 pays zero.
+DYADIC_SPOTS = tuple(1.0 + j / 8 for j in range(-4, 9))
+
+
+@st.composite
+def path_batches(draw):
+    """A contract of 1 to 24 fixings with discounts and 1 to 8 paths.
+
+    Both betas and every knockout; no extras, all-zero extras or mixed
+    ones.  Half the cases use only the dyadic spots and a target of m/8,
+    so zero-gross fixings and accrued amounts exactly at the target are
+    common; the others mix in arbitrary spots and targets, up to a huge
+    one that no path breaches.
+    """
+    k_total = draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(list(KnockoutType)))
+    beta = draw(st.sampled_from([1, -1]))
+    dyadic = draw(st.booleans())
+    eighths = st.sampled_from([m / 8 for m in range(1, 25)])
+    target = draw(eighths if dyadic else st.one_of(st.floats(0.01, 3.0), st.just(1e9)))
+    extras = draw(st.one_of(
+        st.just(None), st.just((0.0,) * k_total),
+        st.lists(st.one_of(st.just(0.0), st.floats(-0.2, 0.2)),
+                 min_size=k_total, max_size=k_total)))
+    contract = make_contract(kind, target=target, beta=beta, extras=extras,
+                             times=tuple(0.1 * (k + 1) for k in range(k_total)))
+    discounts = draw(st.lists(st.one_of(st.just(1.0), st.floats(0.5, 1.0)),
+                              min_size=k_total, max_size=k_total))
+    spot = st.sampled_from(DYADIC_SPOTS)
+    if not dyadic:
+        spot = st.one_of(spot, st.floats(0.3, 2.0))
+    paths = draw(st.lists(st.lists(spot, min_size=k_total, max_size=k_total),
+                          min_size=1, max_size=8))
+    return contract, np.array(paths), np.array(discounts)
+
+
+class TestBatchPresentValue:
+    @given(path_batches())
+    def test_matches_scalar_oracle_bitwise(self, case):
+        contract, paths, discounts = case
+        want = bits([path_present_value(p, contract, discounts) for p in paths])
+        assert bits(batch_present_value(paths, contract, discounts)) == want
+        # the engine passes the transpose of a fixing-major buffer
+        fixing_major = np.ascontiguousarray(paths.T)
+        assert bits(batch_present_value(fixing_major.T, contract, discounts)) == want
+
+    @pytest.mark.parametrize("discounts", [np.ones(5), np.ones((3, 1)),
+                                           np.ones(2), 1.0])
+    def test_rejects_misshapen_discounts_by_name(self, discounts):
+        # length 5 used to be truncated, (3, 1) accepted, length 2 an IndexError
+        with pytest.raises(ValueError, match=r"^discounts must have shape \(3,\), got"):
+            batch_present_value(np.ones((4, 3)), make_contract(), discounts)
+
+
 class TestContractValidation:
     def test_requires_positive_target(self):
         with pytest.raises(ValueError, match="target must be positive"):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from tarnpricer import (
     TermStructureVol,
     discount_factor,
     integrated_variance,
+    market,
     vanilla_price,
 )
 
@@ -149,6 +153,19 @@ class TestVanillaPrice:
                              ConstantVol(math.sqrt(0.05)))
         assert got == pytest.approx(want, rel=1e-13)
 
+    def test_same_bits_as_scipy_stats_norm_cdf(self, rng, monkeypatch):
+        cases = []
+        for _ in range(300):
+            s0, strike = rng.uniform(0.3, 3.0, size=2)
+            t, sigma = rng.uniform(0.01, 5.0), rng.uniform(0.01, 0.8)
+            r_d, r_f = rng.uniform(-0.02, 0.08, size=2)
+            cases.append((s0, strike, int(rng.choice([1, -1])), t, RateCurve.flat(r_d),
+                          RateCurve.flat(r_f), ConstantVol(sigma)))
+        got = [vanilla_price(*case) for case in cases]
+        monkeypatch.setattr(market, "ndtr", norm.cdf)
+        want = [vanilla_price(*case) for case in cases]
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+
     def test_local_vol_unsupported(self):
         surface = LocalVolSurface(
             time_knots=[0.0, 1.0], spot_knots=[0.5, 2.0],
@@ -221,3 +238,16 @@ class TestLocalVol:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             LocalVolSurface(time_knots=time_knots, spot_knots=spot_knots,
                             values=[[0.2, 0.2], [0.2, 0.2]])
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats takes most of a second to import and is only needed for
+    # the normal CDF, which scipy.special.ndtr provides
+    import tarnpricer
+
+    src = os.path.dirname(os.path.dirname(tarnpricer.__file__))
+    code = "import sys, tarnpricer; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

@@ -10,12 +10,16 @@ from tarnpricer import (
     McConfig,
     RateCurve,
     TarnContract,
+    TermStructureVol,
+    mc,
     mc_price,
     simulate_fixing_paths,
     standard_error,
     vanilla_price,
 )
+from tarnpricer.mc import BATCH_SIZE
 
+import path_oracle
 from conftest import benchmark_contract, benchmark_times, flat_model
 
 
@@ -221,3 +225,79 @@ class TestMcPrice:
                      flat_model(), McConfig(n_paths=1), 1.05)
         with pytest.raises(ValueError):
             McConfig(n_paths=100, substeps_per_interval=0)
+
+
+def term_structure_model():
+    return MarketModel(domestic=RateCurve((0.0, 0.3), (0.02, 0.035)),
+                       foreign=RateCurve((0.0, 0.5), (0.01, 0.0)),
+                       vol=TermStructureVol((0.0, 0.2, 0.7), (0.15, 0.3, 0.22)))
+
+
+def smile_model():
+    surface = LocalVolSurface(time_knots=[0.0, 0.5, 2.0], spot_knots=[0.7, 1.0, 1.4],
+                              values=[[0.3, 0.18, 0.25], [0.26, 0.16, 0.22],
+                                      [0.24, 0.15, 0.2]])
+    return MarketModel(domestic=RateCurve.flat(0.02), foreign=RateCurve.flat(0.01),
+                       vol=surface)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64).tolist()
+
+
+class TestMatchesPathMajorOracle:
+    """The fixing-major engine against the per-fixing oracle kernels, bit for bit."""
+
+    @pytest.mark.parametrize("model, substeps", [
+        (flat_model(sigma=0.25, r_d=0.03, r_f=0.01), 1),
+        (term_structure_model(), 1),
+        (smile_model(), 2),
+    ], ids=["flat", "term_structure", "local_vol"])
+    @pytest.mark.parametrize("n_paths", [1, 777])
+    def test_simulated_paths(self, model, substeps, n_paths):
+        times = benchmark_times(12)
+        got = simulate_fixing_paths(model, 1.03, times, n_paths,
+                                    np.random.Generator(np.random.Philox(5)), substeps)
+        want = path_oracle.simulate_fixing_paths(
+            model, 1.03, times, n_paths, np.random.Generator(np.random.Philox(5)), substeps)
+        assert got.shape == want.shape == (n_paths, 12)
+        assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize("config", [
+        McConfig(n_paths=BATCH_SIZE + 3001, seed=3),
+        McConfig(n_paths=BATCH_SIZE + 3001, seed=3, cv_coefficient=0.7),
+        McConfig(n_paths=BATCH_SIZE + 3001, seed=3, control_variate=False),
+    ], ids=["estimated_lambda", "fixed_lambda", "no_cv"])
+    @pytest.mark.parametrize("knockout", list(KnockoutType))
+    def test_price(self, monkeypatch, config, knockout):
+        # a partial last batch; extras and rates exercise every flow term
+        times = benchmark_times(16)
+        contract = TarnContract(strike=1.0, target=0.25, beta=1, fixing_times=times,
+                                knockout=knockout,
+                                extra_payments=[0.004 * (k % 3 - 1) for k in range(16)])
+        model = term_structure_model()
+        got = mc_price(contract, model, config, 1.02)
+        monkeypatch.setattr(mc, "simulate_fixing_paths", path_oracle.simulate_fixing_paths)
+        monkeypatch.setattr(mc, "batch_present_value", path_oracle.walk_present_value)
+        monkeypatch.setattr(mc, "_control_values", path_oracle.control_values)
+        want = mc_price(contract, model, config, 1.02)
+        assert bits([got.price, got.stderr]) == bits([want.price, want.stderr])
+        assert got.cv_coefficient == want.cv_coefficient
+
+
+def test_one_simulation_and_payoff_call_per_batch(monkeypatch):
+    calls = []
+
+    def counted(name):
+        original = getattr(mc, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return call
+
+    for name in ("simulate_fixing_paths", "batch_present_value"):
+        monkeypatch.setattr(mc, name, counted(name))
+    contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
+    mc_price(contract, flat_model(), McConfig(n_paths=2 * BATCH_SIZE + 1), 1.05)
+    assert calls == ["simulate_fixing_paths", "batch_present_value"] * 3
