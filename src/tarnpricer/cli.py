@@ -129,15 +129,15 @@ class ResultRecord:
         return dataclasses.asdict(self)
 
 
+# The [model] curves, each one flat key or a <curve>_times/<curve>_values pair.
+_CURVES = ("domestic_rate", "foreign_rate", "volatility")
+
 _KNOWN_KEYS = {
     "contract": {
         "strike", "beta", "knockout", "target", "fixing_times", "extra_payments",
     },
-    "model": {
-        "domestic_rate", "domestic_rate_times", "domestic_rate_values",
-        "foreign_rate", "foreign_rate_times", "foreign_rate_values",
-        "volatility", "volatility_times", "volatility_values", "volatility_file",
-    },
+    "model": {f"{curve}{form}" for curve in _CURVES
+              for form in ("", "_times", "_values")} | {"volatility_file"},
     "run": {"spot", "engines"},
     "output": {"format", "path"},
 }
@@ -169,17 +169,22 @@ def _number(raw: str, kind: type, where: str):
         raise ConfigError(f"{where}: expected {expected}, got {raw!r}") from exc
 
 
+def _choice(kind: type[enum.Enum], raw: str, where: str):
+    """The member of ``kind`` whose value is ``raw``, in any letter case."""
+    raw = raw.strip()
+    try:
+        return kind(raw.lower())
+    except ValueError as exc:
+        valid = ", ".join(m.value for m in kind)
+        raise ConfigError(f"{where}: unknown value {raw!r} (use {valid})") from exc
+
+
 def _field_value(raw: str, default, where: str):
     """Parse ``raw`` by the type of a field's ``default``: an enum by its
     value, a bool as on/off, then int, then float; an empty value stands
     for a default of None."""
     if isinstance(default, enum.Enum):
-        kind = type(default)
-        try:
-            return kind(raw.lower())
-        except ValueError as exc:
-            valid = ", ".join(m.value for m in kind)
-            raise ConfigError(f"{where}: unknown value {raw!r} (use {valid})") from exc
+        return _choice(type(default), raw, where)
     if isinstance(default, bool):
         states = configparser.ConfigParser.BOOLEAN_STATES
         if raw.lower() not in states:
@@ -204,69 +209,58 @@ def _engine_section(parser, name: str):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _parse_rate_curve(sec, prefix: str) -> RateCurve:
-    flat = sec.get(f"{prefix}_rate")
-    times = sec.get(f"{prefix}_rate_times")
-    values = sec.get(f"{prefix}_rate_values")
-    if flat is not None and (times is not None or values is not None):
+def _curve(sec, name: str, flat: Callable, piecewise: Callable):
+    """The [model] curve ``name``: ``flat`` of the one key ``name``, or
+    ``piecewise`` of the pair ``name_times``/``name_values``; None when no
+    key of the curve is given."""
+    pair = [f"{name}_times", f"{name}_values"]
+    given = [key for key in (name, *pair) if key in sec]
+    if not given:
+        return None
+    if given == [name]:
+        curve, args = flat, [_number(sec[name], float, f"model.{name}")]
+    elif given == pair:
+        curve, args = piecewise, [_floats(sec[key], f"model.{key}") for key in pair]
+    else:
         raise ConfigError(
-            f"model.{prefix}_rate: give either a flat rate or a times/values pair, not both"
+            f"model.{name}: conflicting or incomplete specification {', '.join(given)} "
+            f"(give {name}, or {name}_times with {name}_values)"
         )
-    if times is not None or values is not None:
-        if times is None or values is None:
-            raise ConfigError(
-                f"model.{prefix}_rate_times/values: both keys are required together"
-            )
-        try:
-            return RateCurve(
-                _floats(times, f"model.{prefix}_rate_times"),
-                _floats(values, f"model.{prefix}_rate_values"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"model.{prefix}_rate: {exc}") from exc
-    rate = _number(flat, float, f"model.{prefix}_rate") if flat is not None else 0.0
-    return RateCurve.flat(rate)
-
-
-def _parse_volatility(sec, base_dir: str):
-    given = [k for k in ("volatility", "volatility_times", "volatility_file") if k in sec]
-    flat = sec.get("volatility")
-    times = sec.get("volatility_times")
-    values = sec.get("volatility_values")
-    path = sec.get("volatility_file")
-    chosen = sum(x is not None for x in (flat, times, path))
-    if chosen == 0:
-        raise ConfigError(
-            "model.volatility: a volatility is required (flat value, "
-            "times/values pair, or surface file)"
-        )
-    if chosen > 1:
-        raise ConfigError(f"model.volatility: conflicting specifications: {given}")
     try:
-        if flat is not None:
-            return ConstantVol(_number(flat, float, "model.volatility"))
-        if times is not None:
-            if values is None:
-                raise ConfigError(
-                    "model.volatility_values: required alongside volatility_times"
-                )
-            return TermStructureVol(
-                _floats(times, "model.volatility_times"),
-                _floats(values, "model.volatility_values"),
+        return curve(*args)
+    except ValueError as exc:
+        raise ConfigError(f"model.{name}: {exc}") from exc
+
+
+def _volatility(sec, base_dir: str):
+    """The volatility curve, or else the surface in ``volatility_file``."""
+    vol = _curve(sec, "volatility", ConstantVol, TermStructureVol)
+    path = sec.get("volatility_file")
+    if path is None:
+        if vol is None:
+            raise ConfigError(
+                "model.volatility: a volatility is required (flat value, "
+                "times/values pair, or surface file)"
             )
-        full = path if os.path.isabs(path) else os.path.join(base_dir, path)
-        if not os.path.exists(full):
-            raise ConfigError(f"model.volatility_file: file not found: {full}")
+        return vol
+    if vol is not None:
+        raise ConfigError(
+            "model.volatility: conflicting specification: volatility_file "
+            "with a flat or times/values volatility"
+        )
+    full = path if os.path.isabs(path) else os.path.join(base_dir, path)
+    if not os.path.exists(full):
+        raise ConfigError(f"model.volatility_file: file not found: {full}")
+    try:
         return LocalVolSurface.from_file(full)
-    except ConfigError:
-        raise
     except (ValueError, OSError) as exc:
-        raise ConfigError(f"model.volatility: {exc}") from exc
+        raise ConfigError(f"model.volatility_file: {exc}") from exc
 
 
 def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     """Parse and fully validate a sectioned key-value configuration."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                       interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -297,22 +291,19 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     beta = _number(con.get("beta", "1"), int, "contract.beta")
     fixing_times = _floats(con["fixing_times"], "contract.fixing_times")
     targets = _floats(con["target"], "contract.target")
-    try:
-        knockouts = tuple(
-            KnockoutType.parse(name) for name in con["knockout"].split(",")
-        )
-    except ValueError as exc:
-        raise ConfigError(f"contract.knockout: {exc}") from exc
+    knockouts = tuple(_choice(KnockoutType, name, "contract.knockout")
+                      for name in con["knockout"].split(","))
     extra_payments = None
     if "extra_payments" in con and con["extra_payments"].strip():
         extra_payments = _floats(con["extra_payments"], "contract.extra_payments")
 
     mod = parser["model"]
-    model = MarketModel(
-        domestic=_parse_rate_curve(mod, "domestic"),
-        foreign=_parse_rate_curve(mod, "foreign"),
-        vol=_parse_volatility(mod, base_dir),
+    domestic, foreign = (
+        _curve(mod, name, RateCurve.flat, RateCurve) or RateCurve.flat(0.0)
+        for name in _CURVES[:2]
     )
+    model = MarketModel(domestic=domestic, foreign=foreign,
+                        vol=_volatility(mod, base_dir))
 
     runsec = parser["run"]
     if "spot" not in runsec:
@@ -673,7 +664,7 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 raise ConfigError(f"--seed: {exc}") from exc
         overrides = {
-            "engines": args.engines and _engines(args.engines, "--engines"),
+            "engines": args.engines is not None and _engines(args.engines, "--engines"),
             "mc": mc,
             "output_format": args.fmt,
             "output_path": args.output,

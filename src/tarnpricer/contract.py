@@ -46,15 +46,6 @@ class KnockoutType(enum.Enum):
     NO_GAIN = "no_gain"
     PART_GAIN = "part_gain"
 
-    @classmethod
-    def parse(cls, name: str) -> "KnockoutType":
-        key = name.strip().lower()
-        for member in cls:
-            if member.value == key:
-                return member
-        valid = ", ".join(m.value for m in cls)
-        raise ValueError(f"unknown knockout type {name!r}; expected one of: {valid}")
-
 
 @dataclass(frozen=True)
 class TarnContract:

@@ -80,13 +80,15 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McResult:
-    """Estimate, its standard error and control-variate diagnostics."""
+    """Estimate, its standard error and control-variate diagnostics.
+
+    ``cv_coefficient`` is None when no control variate was used.
+    """
 
     price: float
     stderr: float
     cv_coefficient: float | None
     wall_time: float
-    control_variate_used: bool
     cv_downgraded: bool = False
 
 
@@ -221,7 +223,6 @@ def mc_price(
         )
         if config.cv_coefficient is not None:
             lam = float(config.cv_coefficient)
-            samples = payoffs - lam * (controls - control_mean)
         else:
             pilot_p = payoffs[:n_pilot]
             pilot_c = controls[:n_pilot]
@@ -230,7 +231,7 @@ def mc_price(
                 lam = float(np.cov(pilot_p, pilot_c)[0, 1]) / var_c
             else:
                 lam = 0.0
-            samples = payoffs[n_pilot:] - lam * (controls[n_pilot:] - control_mean)
+        samples = payoffs[n_pilot:] - lam * (controls[n_pilot:] - control_mean)
     else:
         lam = None
         samples = payoffs
@@ -238,8 +239,7 @@ def mc_price(
     return McResult(
         price=float(samples.mean()),
         stderr=standard_error(samples),
-        cv_coefficient=lam if use_cv else None,
+        cv_coefficient=lam,
         wall_time=time.perf_counter() - started,
-        control_variate_used=use_cv,
         cv_downgraded=downgraded,
     )

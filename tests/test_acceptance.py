@@ -64,7 +64,7 @@ def report(number, name, ok, detail=""):
 def table1_fd():
     out = {}
     for (ko, target) in BENCHMARK:
-        contract = benchmark_contract(KnockoutType.parse(ko), target)
+        contract = benchmark_contract(KnockoutType(ko), target)
         out[(ko, target)] = fd_price(contract, MODEL, FD_BENCH, 1.05)
     return out
 
@@ -73,7 +73,7 @@ def table1_fd():
 def table1_mc():
     out = {}
     for (ko, target) in BENCHMARK:
-        contract = benchmark_contract(KnockoutType.parse(ko), target)
+        contract = benchmark_contract(KnockoutType(ko), target)
         out[(ko, target)] = mc_price(contract, MODEL, MC_BENCH, 1.05)
     return out
 

@@ -2,10 +2,14 @@ import dataclasses
 import enum
 import json
 import math
+import string
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tarnpricer import KnockoutType, MarketModel, RateCurve, TermStructureVol
 from tarnpricer.cli import (
@@ -113,6 +117,7 @@ class TestParseConfig:
          "fd: spot_nodes must be at least 4 with the zero_gamma boundary"),
         ("fd", "theta =", "fd.theta: expected a number"),
         ("mc", "control_variate = maybe", "mc.control_variate: expected on/off"),
+        ("fd", "theta = 50%", "fd.theta: expected a number, got '50%'"),
     ])
     def test_rejects_bad_engine_key(self, section, line, message):
         with pytest.raises(ConfigError, match=f"^{message}"):
@@ -207,6 +212,108 @@ class TestParseConfig:
             "domestic_rate_values = 0.02, 0.04")
         cfg = parse_config(text)
         assert cfg.model.domestic.rates == (0.02, 0.04)
+
+    def test_knockout_names_in_any_case(self):
+        cfg = parse_config(MINIMAL.replace("knockout = no_gain",
+                                           "knockout = No_Gain , FULL_GAIN"))
+        assert cfg.knockouts == (KnockoutType.NO_GAIN, KnockoutType.FULL_GAIN)
+
+    def test_unknown_knockout_lists_the_values(self):
+        bad = MINIMAL.replace("knockout = no_gain", "knockout = no_gain, x")
+        with pytest.raises(ConfigError) as err:
+            parse_config(bad)
+        assert str(err.value) == (
+            "contract.knockout: unknown value 'x' (use full_gain, no_gain, part_gain)")
+
+
+CURVES = ("domestic_rate", "foreign_rate", "volatility")
+
+# Every [model] key; each curve is one flat key or a times/values pair.
+MODEL_KEYS = [f"{curve}{form}" for curve in CURVES
+              for form in ("", "_times", "_values")] + ["volatility_file"]
+
+BAD_CURVE_SPECS = {
+    "flat and times": "{c} = 0.2\n{c}_times = 0.0",
+    "flat and values": "{c} = 0.2\n{c}_values = 0.3, 0.4",
+    "times alone": "{c}_times = 0.0",
+    "values alone": "{c}_values = 0.2",
+    "non-finite flat": "{c} = nan",
+}
+
+
+def with_model(lines: str) -> str:
+    """MINIMAL with ``lines`` as its [model] section."""
+    return MINIMAL.replace("volatility = 0.2", lines)
+
+
+def write_surface(path, corner_value="0.2"):
+    """A 2x2 local-volatility surface file; its first sigma is ``corner_value``."""
+    path.write_text(f"0 0.5 2.0\n0.0 {corner_value} 0.2\n1.0 0.2 0.2\n")
+
+
+class TestModelCurves:
+    @pytest.mark.parametrize("case", sorted(BAD_CURVE_SPECS))
+    @pytest.mark.parametrize("curve", CURVES)
+    def test_bad_curve_rejected_by_name(self, curve, case):
+        lines = BAD_CURVE_SPECS[case].format(c=curve)
+        if curve != "volatility":
+            lines += "\nvolatility = 0.2"
+        with pytest.raises(ConfigError, match=f"^model\\.{curve}: "):
+            parse_config(with_model(lines))
+
+    def test_volatility_and_file_rejected(self, tmp_path):
+        write_surface(tmp_path / "vol.txt")
+        text = with_model("volatility = 0.2\nvolatility_file = vol.txt")
+        with pytest.raises(ConfigError, match="^model\\.volatility: conflicting"):
+            parse_config(text, base_dir=str(tmp_path))
+
+    def test_curve_forms(self, tmp_path):
+        write_surface(tmp_path / "vol.txt")
+        cfg = parse_config(with_model(
+            "domestic_rate_times = 0.0, 0.5\ndomestic_rate_values = 0.02, -0.01\n"
+            "foreign_rate = 0.03\nvolatility_file = vol.txt"), base_dir=str(tmp_path))
+        assert cfg.model.domestic == RateCurve((0.0, 0.5), (0.02, -0.01))
+        assert cfg.model.foreign == RateCurve.flat(0.03)
+        assert cfg.model.vol.values.shape == (2, 2)
+        cfg = parse_config(with_model("volatility_times = 0.0, 0.5\n"
+                                      "volatility_values = 0.2, 0.3"))
+        assert cfg.model.domestic == cfg.model.foreign == RateCurve.flat(0.0)
+        assert cfg.model.vol == TermStructureVol((0.0, 0.5), (0.2, 0.3))
+
+    @given(
+        key=st.sampled_from(MODEL_KEYS),
+        value=st.one_of(
+            st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity", "1e999"]),
+            st.floats(max_value=-1e-300, allow_infinity=False).map(repr),
+            st.text(string.ascii_letters + "%$!?_-+.", min_size=1, max_size=8),
+        ),
+    )
+    def test_bad_model_value_rejected_by_name(self, key, value):
+        """A non-finite, negative or non-numeric [model] value is a
+        ConfigError that starts with its curve's key; only a negative
+        rate level is a valid value."""
+        curve = key.removesuffix("_times").removesuffix("_values")
+        if key == "volatility_file":
+            lines = "volatility_file = vol.txt"
+        elif key.endswith("_times"):
+            lines = f"{key} = 0.0, {value}\n{curve}_values = 0.2, 0.2"
+        elif key.endswith("_values"):
+            lines = f"{curve}_times = 0.0, 0.5\n{key} = 0.2, {value}"
+        else:
+            lines = f"{key} = {value}"
+        if not curve.startswith("volatility"):
+            lines += "\nvolatility = 0.2"
+        with tempfile.TemporaryDirectory() as tmp:
+            write_surface(Path(tmp) / "vol.txt", value)
+            try:
+                cfg = parse_config(with_model(lines), base_dir=tmp)
+            except ConfigError as exc:
+                assert str(exc).startswith(f"model.{curve}")
+                return
+        rate_level = curve != "volatility" and not key.endswith("_times")
+        assert rate_level and -math.inf < float(value) < 0.0
+        rates = getattr(cfg.model, curve.removesuffix("_rate")).rates
+        assert rates[-1] == float(value)
 
 
 class TestFingerprint:
@@ -506,9 +613,16 @@ class TestMain:
         assert main([str(path)]) == 1
         assert "contract.strike must be positive and finite" in capsys.readouterr().err
 
+    def test_non_finite_rate_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(with_model("volatility = 0.2\ndomestic_rate = nan"))
+        assert main([str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: model.domestic_rate: ")
+
     @pytest.mark.parametrize("engines, message", [
         ("fd,pde", "--engines: unknown engine 'pde'"),
         (" , ", "--engines: at least one engine"),
+        ("", "--engines: at least one engine"),
     ])
     def test_engine_override_validated(self, tmp_path, capsys, engines, message):
         path = tmp_path / "run.cfg"

@@ -183,7 +183,7 @@ def test_run_builds_maps_its_cases_pay_for(monkeypatch):
     for rec in records:
         contract = TarnContract(strike=1.0, target=rec.target, beta=1,
                                 fixing_times=benchmark_times(8),
-                                knockout=KnockoutType.parse(rec.knockout))
+                                knockout=KnockoutType(rec.knockout))
         assert rec.price == pytest.approx(
             reference_price(contract, model, GRID, 1.05), rel=1e-12, abs=0.0)
 

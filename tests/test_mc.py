@@ -168,7 +168,6 @@ class TestMcPrice:
         combined = math.hypot(plain.stderr, cv.stderr)
         assert abs(cv.price - plain.price) < 3.0 * combined
         assert cv.stderr < plain.stderr
-        assert cv.control_variate_used
         assert cv.cv_coefficient is not None
 
     def test_fixed_unit_coefficient_mode(self):
@@ -186,7 +185,6 @@ class TestMcPrice:
                        McConfig(n_paths=20_000, seed=8,
                                 substeps_per_interval=4), 1.05)
         assert res.cv_downgraded
-        assert not res.control_variate_used
         assert res.cv_coefficient is None
 
     def test_local_vol_flat_surface_agrees_with_exact(self):
