@@ -154,7 +154,12 @@ def _section_fields(cls) -> dict[str, dataclasses.Field]:
 
 
 def _floats(raw: str, where: str) -> tuple[float, ...]:
-    parts = [p for chunk in raw.split(",") for p in chunk.split()]
+    """Numbers separated by commas or whitespace; an empty entry between
+    commas is rejected, not skipped."""
+    chunks = raw.split(",")
+    if len(chunks) > 1 and not all(c.strip() for c in chunks):
+        raise ConfigError(f"{where}: empty entry in {raw!r}")
+    parts = [p for chunk in chunks for p in chunk.split()]
     try:
         return tuple(float(p) for p in parts)
     except ValueError as exc:

@@ -37,21 +37,23 @@ march than to power and is marched onto the map so far instead.  Maps are
 cached by the interval's step sequence (step length, theta and
 coefficients), so intervals of equal length share one map, and a caller
 pricing several contracts on one spot grid can share the cache across
-them through :class:`IntervalPropagators`.  A map is built only when more
-rows than spot nodes will pass through its interval, in this pricing and
-the ones expected to share the cache; otherwise the rows are stepped.
-Local volatility has per-node coefficients that change every step; it is
-marched step by step.
+them through :class:`IntervalPropagators`.  A map is built only when that
+costs less than stepping the rows that pass through its intervals, in this
+pricing and the ones expected to share the cache: both costs are estimated
+in seconds from per-step and per-product constants measured on a 2-core
+Xeon.  Otherwise the rows are stepped.  Local volatility has per-node
+coefficients that change every step; it is marched step by step.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import sys
 import time
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -584,12 +586,13 @@ class IntervalPropagators:
 
     An entry maps the row values at an interval's upper end to those at its
     lower end, ``row @ P + p0``; entries are keyed by the interval's step
-    sequence.  A map is built (see :func:`_build_map`) only when the
-    interval's rows in all expected pricings exceed the M spot nodes.  That
-    rule was set when a build marched M + 1 rows through every step; up to
-    M = 2000 a build now takes at most about that long (measured), often
-    far less, and the rule has not been re-measured since (ROADMAP.md, FD
-    interval maps).
+    sequence.  A map is built (see :func:`_build_map`) only when its
+    estimated cost is below that of stepping the intervals' rows in all
+    expected pricings (:func:`_map_pays`, with step and product costs
+    measured on a 2-core Xeon); otherwise the entry records that the rows
+    are stepped.  So one row through 100 steps at M = 2000 is stepped, and
+    a 50-row interval on a 200-node grid is mapped even in one pricing,
+    unless knots cut its steps into short runs.
     ``pricings`` is how many pricings are expected to share the cache, each
     marching the same rows.  A lookup on another grid clears every entry,
     so memory stays at the maps of one grid.  Share one instance across
@@ -602,28 +605,46 @@ class IntervalPropagators:
         self._grid_key = None
         self._maps: dict = {}
 
-    def lookup(self, key, rows: int, steps, grid: FdGrid, boundary, beta):
-        """The (P, p0) of the interval with map key ``key`` and ``steps``,
-        cached or built now; None while stepping its rows costs less.
+    def lookup(self, key, rows, steps, grid: FdGrid, boundary, beta):
+        """The (P, p0) of the intervals with map key ``key`` and ``steps``,
+        cached or built now; None when stepping their rows costs less.
 
-        ``rows`` is how many rows one pricing marches through the interval.
+        ``rows`` holds how many rows one pricing marches through each of
+        the intervals.  The choice is made once per key and cached.
         """
         grid_key = (grid.dx, grid.spots.size, grid.spots[0], grid.spots[-1],
                     boundary, beta)
         if grid_key != self._grid_key:
             self._grid_key = grid_key
             self._maps.clear()
-        found = self._maps.get(key)
-        if found is None and rows * self._pricings > grid.spots.size:
-            found = self._maps[key] = _build_map(steps, grid, boundary, beta)
-        return found
+        if key not in self._maps:
+            lengths = [n for _, n in _runs(steps)]
+            self._maps[key] = (
+                _build_map(steps, grid, boundary, beta)
+                if _map_pays(lengths, rows, self._pricings, grid.spots.size)
+                else None)
+        return self._maps[key]
 
 
 def _interval_steps(model, grid, t_hi, t_lo, n_steps, config):
-    """The (dt, theta, coef_from, coef_to) of each step from t_hi down to t_lo."""
+    """The (dt, theta, coef_from, coef_to) of each step from t_hi down to t_lo.
+
+    Scalar coefficients are sampled once per constant piece: the levels
+    with equal (sigma, r_d, r_f) share one :class:`StepCoefficients`.
+    """
     dt = (t_hi - t_lo) / n_steps
     levels = [t_hi - s * dt for s in range(n_steps)] + [t_lo]
-    coefs = [coefficients_at(model, grid.spots, t) for t in levels]
+    if isinstance(model.vol, LocalVolSurface):
+        coefs = [coefficients_at(model, grid.spots, t) for t in levels]
+    else:
+        pieces = {}
+        coefs = []
+        for t in levels:
+            piece = (model.vol.sigma_at(t), model.domestic.rate_at(t),
+                     model.foreign.rate_at(t))
+            if piece not in pieces:
+                pieces[piece] = coefficients_at(model, grid.spots, t)
+            coefs.append(pieces[piece])
     return [
         (levels[s] - levels[s + 1],
          1.0 if s < config.implicit_startup_steps else config.theta,
@@ -640,8 +661,14 @@ def _step_key(step):
     steps must still form one run, and intervals of them share one map.
     """
     dt, theta, cf, ct = step
-    return (float(f"{dt:.11e}"), theta,
+    return (_dt_key(dt), theta,
             cf.variance, cf.drift, cf.rate, ct.variance, ct.drift, ct.rate)
+
+
+@functools.lru_cache(maxsize=4096)
+def _dt_key(dt):
+    """``dt`` to 12 significant digits, formatted once per distinct value."""
+    return float(f"{dt:.11e}")
 
 
 def _interval_key(steps):
@@ -714,6 +741,49 @@ def _compose(first, then):
     return out
 
 
+# Seconds per theta step on r rows of M nodes, _STEP_S + _NODE_S * r * M,
+# and per (M + 1, M) by (M, M) product, _PRODUCT_S * M**3, for the map or
+# march choice of IntervalPropagators.  Best of 7-15 rounds in fresh
+# processes on a 2-core Xeon (Python 3.11, numpy 2.4, scipy 1.17).  Steps
+# of 1-200 rows and the blocked (M + 1)-row steps of a build, at M =
+# 200-2000, took 0.8-1.5 times the fit.  Products at M = 200-2000 took
+# 2.0-3.2e-11 M**3 s with the default BLAS threads and 3.2-4.6e-11 with
+# one; numpy's BLAS pool can stall for tens of times longer right after
+# scipy's solves, and best rounds leave that out.
+_STEP_S = 6e-5
+_NODE_S = 2e-8
+_PRODUCT_S = 4e-11
+
+
+def _power_products(n, first):
+    """The (M, M) products :func:`_build_map` spends to power a run of
+    ``n`` steps (the ``first`` run of its interval has no map so far to be
+    composed onto), or None when marching the run costs no more."""
+    products = n.bit_length() + n.bit_count() - 2 + (not first)
+    return products if n > 1 + products else None
+
+
+def _map_pays(lengths, rows, pricings, m) -> bool:
+    """Whether building an interval map costs less than marching its rows.
+
+    ``lengths`` are the run lengths of the map's steps, ``rows`` the rows
+    one pricing marches through each interval the map serves and
+    ``pricings`` how many pricings share the map.  Marching pays a step per
+    interval and time step; building pays :func:`_build_map`'s (M + 1)-row
+    steps and products, plus one (rows, M) by (M, M) product per pricing.
+    """
+    def step(r):
+        return _STEP_S + _NODE_S * r * m
+
+    march = pricings * sum(lengths) * sum(step(r) for r in rows)
+    build = pricings * _PRODUCT_S * sum(rows) * m * m
+    for i, n in enumerate(lengths):
+        products = _power_products(n, first=i == 0)
+        build += (n * step(m + 1) if products is None
+                  else step(m + 1) + products * _PRODUCT_S * m ** 3)
+    return build < march
+
+
 def _build_map(steps, grid, boundary, beta):
     """(P, p0) of the interval, built run by run.
 
@@ -721,20 +791,22 @@ def _build_map(steps, grid, boundary, beta):
     of M + 1 rows.  Powering it costs one such step, the one-step map,
     plus (M, M) products: binary powering (repeated squaring, multiplying
     in the powers of n's set bits) and one more to compose it onto the map
-    so far.  With negligible entries dropped, a product took 0.07-1.01 of
-    a step's time at M = 200-2000 (2-core Xeon), so a run is powered only
-    when n exceeds one plus its product count: up to M = 2000 the build
-    takes at most about as long as marching every step.  That marches start-up
-    steps, the step across a knot and runs of up to 3 steps (5 after
-    another run), and powers longer runs.  Every consumed power is dropped
-    at once, so at most three (M + 1, M) arrays are live: the map so far,
-    the current power and the product being formed.
+    so far (:func:`_power_products`).  A product took 0.2-0.9 of an
+    (M + 1)-row step's time at M = 200-500 and 0.9-2.6 at M = 1000-2000
+    (2-core Xeon, best rounds; the larger figures with one BLAS thread).  A
+    run is powered only when n exceeds one plus its product count, so up
+    to M = 1000 the build takes at most about as long as marching every
+    step, and far less for long runs.  That marches start-up steps, the
+    step across a knot and runs of up to 3 steps (5 after another run), and
+    powers longer runs.  :func:`_map_pays` prices a build from the same
+    product count.  Every consumed power is dropped at once, so at most
+    three (M + 1, M) arrays are live: the map so far, the current power and
+    the product being formed.
     """
     m = grid.spots.size
     total = None
     for step, n in _runs(steps):
-        products = n.bit_length() + n.bit_count() - 2 + (total is not None)
-        if n <= 1 + products:
+        if _power_products(n, first=total is None) is None:
             if total is None:
                 total = np.eye(m + 1, m)
             total = _march_map(total, step, n, grid, boundary, beta)
@@ -880,12 +952,12 @@ def fd_price(
     if not isinstance(model.vol, LocalVolSurface):
         if propagators is None:
             propagators = IntervalPropagators()
-        rows = Counter()
+        rows = defaultdict(list)
         for k in range(1, k_total + 1):
             steps = interval(k)
             key = _interval_key(steps)
             planned[k] = steps, key
-            rows[key] += config.accumulation_nodes if k > 1 else 1
+            rows[key].append(config.accumulation_nodes if k > 1 else 1)
         planned = {
             k: (steps, propagators.lookup(key, rows[key], steps, grid,
                                           config.boundary, contract.beta))

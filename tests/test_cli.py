@@ -213,6 +213,31 @@ class TestParseConfig:
         cfg = parse_config(text)
         assert cfg.model.domestic.rates == (0.02, 0.04)
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("target = 0.3", "target = 0.3,,0.5,", "contract.target"),
+        ("target = 0.3", "target = 0.3,", "contract.target"),
+        ("fixing_times = 0.25, 0.5, 0.75", "fixing_times = 0.25,, 0.5",
+         "contract.fixing_times"),
+        ("fixing_times = 0.25, 0.5, 0.75", "fixing_times = , 0.25, 0.5",
+         "contract.fixing_times"),
+        ("volatility = 0.2", "volatility_times = 0.0, 0.5\nvolatility_values = 0.2,,",
+         "model.volatility_values"),
+        ("volatility = 0.2", "volatility_times = 0.0, 0.5\nvolatility_values = 0.2, ,0.3",
+         "model.volatility_values"),
+    ], ids=["target-inner", "target-trailing", "fixing_times-inner",
+            "fixing_times-leading", "volatility_values-trailing",
+            "volatility_values-blank"])
+    def test_empty_list_entry_rejected_by_key(self, old, new, key):
+        with pytest.raises(ConfigError, match=f"^{key}: empty entry"):
+            parse_config(MINIMAL.replace(old, new))
+
+    def test_whitespace_separated_lists(self):
+        cfg = parse_config(MINIMAL.replace(
+            "fixing_times = 0.25, 0.5, 0.75", "fixing_times = 0.25 0.5\t0.75"
+        ).replace("target = 0.3", "target = 0.3 0.5"))
+        assert cfg.fixing_times == (0.25, 0.5, 0.75)
+        assert cfg.targets == (0.3, 0.5)
+
     def test_knockout_names_in_any_case(self):
         cfg = parse_config(MINIMAL.replace("knockout = no_gain",
                                            "knockout = No_Gain , FULL_GAIN"))

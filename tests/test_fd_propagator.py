@@ -160,32 +160,120 @@ def knot_in_every_interval_model():
 
 
 def test_intervals_too_few_rows_for_a_map_are_stepped(monkeypatch):
-    # 20 rows per interval never pay for marching M + 1 = 121 rows to build
-    # a map, so the price is the reference march exactly
+    # at M = 1000 one pricing's 20 rows (one in the first interval) through
+    # 15 steps never pay for marching M + 1 = 1001 rows to build a map, so
+    # the price is the reference march exactly
     built = count_builds(monkeypatch)
     model = knot_in_every_interval_model()
     contract = call_contract()
-    assert fd_price(contract, model, GRID, 1.05).price == \
-        reference_price(contract, model, GRID, 1.05)
+    config = replace(GRID, spot_nodes=1000)
+    assert fd_price(contract, model, config, 1.05).price == \
+        reference_price(contract, model, config, 1.05)
     assert built == []
 
 
 def test_run_builds_maps_its_cases_pay_for(monkeypatch):
-    # 12 cases of 20 rows pay for each map of the seven 20-row intervals;
-    # the one-row first interval stays stepped
+    # 12 cases pay for the map of each of the eight intervals, the one-row
+    # first interval's too
     built = count_builds(monkeypatch)
     model = knot_in_every_interval_model()
     config = dataclasses.replace(
         cli.preset_table1(), engines=("fd",), fd=GRID, model=model,
         fixing_times=benchmark_times(8), targets=(0.1, 0.2, 0.3, 0.4))
     records = cli.run(config)
-    assert len(built) == 7
+    assert len(built) == 8
     for rec in records:
         contract = TarnContract(strike=1.0, target=rec.target, beta=1,
                                 fixing_times=benchmark_times(8),
                                 knockout=KnockoutType(rec.knockout))
         assert rec.price == pytest.approx(
             reference_price(contract, model, GRID, 1.05), rel=1e-12, abs=0.0)
+
+
+def knot_steps(m, n):
+    """The ``n`` steps, at M = ``m``, of the third of four equal intervals,
+    with a volatility knot inside it."""
+    contract = TarnContract(strike=1.0, target=0.2, beta=1,
+                            fixing_times=(0.1, 0.2, 0.3, 0.4),
+                            knockout=KnockoutType.PART_GAIN)
+    model = MarketModel(
+        domestic=RateCurve.flat(0.02), foreign=RateCurve.flat(0.01),
+        vol=TermStructureVol((0.0, 0.2 + 0.1 * 7.5 / n), (0.2, 0.28)))
+    config = FdConfig(spot_nodes=m, accumulation_nodes=50, time_steps=4 * n)
+    grid = build_grid(contract, model, config, 1.05)
+    return fd._interval_steps(model, grid, 0.3, 0.2, n, config)
+
+
+def run_lengths(steps):
+    return [n for _, n in fd._runs(steps)]
+
+
+def test_one_row_through_a_long_interval_at_large_m_is_marched():
+    # 100 one-row steps cost about 10 ms; one (M + 1)-row step and the
+    # products of a build, seconds
+    assert not fd._map_pays([100], [1], 1, 2000)
+    assert not fd._map_pays([50], [50, 50], 3, 2000)
+
+
+def test_knot_interval_of_a_small_run_is_mapped():
+    # a knot splits the interval into three runs; three pricings of 50
+    # rows pay for powering both long runs and marching the knot's step
+    lengths = run_lengths(knot_steps(200, 50))
+    assert lengths == [42, 1, 7]
+    assert fd._map_pays(lengths, [50], 3, 200)
+    assert not fd._map_pays(lengths, [1], 1, 200)
+
+
+@pytest.mark.parametrize("k", [4, 6, 7, 9])
+def test_criterion_7_shapes_map_every_interval(monkeypatch, k):
+    # one pricing per map: 200 steps over k equal intervals, split unevenly
+    # for 6, 7 and 9 fixings, so equal intervals fall under two keys
+    decisions = []
+    original = fd._map_pays
+
+    def recording(*args):
+        decisions.append(original(*args))
+        return decisions[-1]
+
+    monkeypatch.setattr(fd, "_map_pays", recording)
+    contract = TarnContract(strike=1.0, target=0.3, beta=1,
+                            fixing_times=tuple(0.08 * (j + 1) for j in range(k)),
+                            knockout=KnockoutType.PART_GAIN)
+    config = FdConfig(spot_nodes=200, accumulation_nodes=50, time_steps=200)
+    grid = build_grid(contract, flat_model(r_d=0.02), config, 1.0)
+    assert len(set(grid.steps_per_interval)) == (1 if k == 4 else 2)
+    fd_price(contract, flat_model(r_d=0.02), config, 1.0)
+    assert decisions == [True] * len(set(grid.steps_per_interval))
+
+
+def test_later_cases_of_a_run_make_no_step(monkeypatch):
+    # three cases on a term-structure model with knots inside intervals:
+    # the first FD call builds every map, the others only apply them
+    steps = []
+    original_step = fd.theta_step
+
+    def counting_step(*args, **kwargs):
+        steps.append(None)
+        return original_step(*args, **kwargs)
+
+    per_call = []
+    original_price = cli.fd_price
+
+    def counting_price(*args, **kwargs):
+        before = len(steps)
+        result = original_price(*args, **kwargs)
+        per_call.append(len(steps) - before)
+        return result
+
+    monkeypatch.setattr(fd, "theta_step", counting_step)
+    monkeypatch.setattr(cli, "fd_price", counting_price)
+    config = dataclasses.replace(
+        cli.preset_table1(), engines=("fd",), fd=GRID, model=term_structure_model(),
+        fixing_times=benchmark_times(8), targets=(0.2,))
+    records = cli.run(config)
+    assert len(records) == 3 and all(r.status == "ok" for r in records)
+    assert per_call[0] > 0
+    assert per_call[1:] == [0, 0]
 
 
 def test_run_shares_maps_across_cases(monkeypatch):
