@@ -190,24 +190,6 @@ def test_run_builds_maps_its_cases_pay_for(monkeypatch):
             reference_price(contract, model, GRID, 1.05), rel=1e-12, abs=0.0)
 
 
-def knot_steps(m, n):
-    """The ``n`` steps, at M = ``m``, of the third of four equal intervals,
-    with a volatility knot inside it."""
-    contract = TarnContract(strike=1.0, target=0.2, beta=1,
-                            fixing_times=(0.1, 0.2, 0.3, 0.4),
-                            knockout=KnockoutType.PART_GAIN)
-    model = MarketModel(
-        domestic=RateCurve.flat(0.02), foreign=RateCurve.flat(0.01),
-        vol=TermStructureVol((0.0, 0.2 + 0.1 * 7.5 / n), (0.2, 0.28)))
-    config = FdConfig(spot_nodes=m, accumulation_nodes=50, time_steps=4 * n)
-    grid = build_grid(contract, model, config, 1.05)
-    return fd._interval_steps(model, grid, 0.3, 0.2, n, config)
-
-
-def run_lengths(steps):
-    return [n for _, n in fd._runs(steps)]
-
-
 def test_one_row_through_a_long_interval_at_large_m_is_marched():
     # 100 one-row steps cost about 10 ms; one (M + 1)-row step and the
     # products of a build, seconds
@@ -216,9 +198,19 @@ def test_one_row_through_a_long_interval_at_large_m_is_marched():
 
 
 def test_knot_interval_of_a_small_run_is_mapped():
-    # a knot splits the interval into three runs; three pricings of 50
-    # rows pay for powering both long runs and marching the knot's step
-    lengths = run_lengths(knot_steps(200, 50))
+    # a volatility knot splits the third of four 50-step intervals into
+    # three runs; three pricings of 50 rows pay for powering both long runs
+    # and marching the knot's step
+    contract = TarnContract(strike=1.0, target=0.2, beta=1,
+                            fixing_times=(0.1, 0.2, 0.3, 0.4),
+                            knockout=KnockoutType.PART_GAIN)
+    model = MarketModel(
+        domestic=RateCurve.flat(0.02), foreign=RateCurve.flat(0.01),
+        vol=TermStructureVol((0.0, 0.215), (0.2, 0.28)))
+    config = FdConfig(spot_nodes=200, accumulation_nodes=50, time_steps=200)
+    grid = build_grid(contract, model, config, 1.05)
+    steps = fd._interval_steps(model, grid, 0.3, 0.2, 50, config)
+    lengths = [n for _, n in fd._runs(steps)]
     assert lengths == [42, 1, 7]
     assert fd._map_pays(lengths, [50], 3, 200)
     assert not fd._map_pays(lengths, [1], 1, 200)
