@@ -153,13 +153,18 @@ def _section_fields(cls) -> dict[str, dataclasses.Field]:
     return {_KEY_NAMES.get(f.name, f.name): f for f in dataclasses.fields(cls)}
 
 
-def _floats(raw: str, where: str) -> tuple[float, ...]:
-    """Numbers separated by commas or whitespace; an empty entry between
-    commas is rejected, not skipped."""
-    chunks = raw.split(",")
-    if len(chunks) > 1 and not all(c.strip() for c in chunks):
+def _items(raw: str, where: str) -> list[str]:
+    """The stripped entries of a comma list.  A blank entry beside a
+    non-blank one is rejected, not skipped; an all-blank list has none."""
+    items = [item.strip() for item in raw.split(",")]
+    if any(items) and not all(items):
         raise ConfigError(f"{where}: empty entry in {raw!r}")
-    parts = [p for chunk in chunks for p in chunk.split()]
+    return items if any(items) else []
+
+
+def _floats(raw: str, where: str) -> tuple[float, ...]:
+    """Numbers separated by commas or whitespace."""
+    parts = [p for item in _items(raw, where) for p in item.split()]
     try:
         return tuple(float(p) for p in parts)
     except ValueError as exc:
@@ -297,7 +302,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     fixing_times = _floats(con["fixing_times"], "contract.fixing_times")
     targets = _floats(con["target"], "contract.target")
     knockouts = tuple(_choice(KnockoutType, name, "contract.knockout")
-                      for name in con["knockout"].split(","))
+                      for name in _items(con["knockout"], "contract.knockout"))
     extra_payments = None
     if "extra_payments" in con and con["extra_payments"].strip():
         extra_payments = _floats(con["extra_payments"], "contract.extra_payments")
@@ -336,7 +341,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
 
 
 def _engines(raw: str, where: str) -> tuple[str, ...]:
-    engines = tuple(e.strip().lower() for e in raw.split(",") if e.strip())
+    engines = tuple(e.lower() for e in _items(raw, where))
     _check_engines(engines, where)
     return engines
 

@@ -25,8 +25,6 @@ import numpy as np
 __all__ = [
     "KnockoutType",
     "TarnContract",
-    "fixing_flows",
-    "batch_present_value",
 ]
 
 

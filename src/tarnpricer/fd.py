@@ -66,20 +66,14 @@ __all__ = [
     "PinPolicy",
     "BoundaryKind",
     "FdConfig",
-    "FdGrid",
     "IntervalPropagators",
     "PriceResult",
     "ErrorEstimate",
     "ConvergenceStudy",
     "StepCoefficients",
     "ZeroPivotError",
-    "tridiagonal_solve",
     "natural_cubic_spline",
-    "build_grid",
     "coefficients_at",
-    "theta_step",
-    "JumpPlan",
-    "apply_jump",
     "fd_price",
     "estimate_error",
     "convergence_order",

@@ -24,8 +24,6 @@ __all__ = [
     "LocalVolSurface",
     "MarketModel",
     "ExactTransitionUnavailable",
-    "discount_factor",
-    "integrated_variance",
     "vanilla_price",
 ]
 

@@ -40,8 +40,6 @@ __all__ = [
     "BATCH_SIZE",
     "McConfig",
     "McResult",
-    "standard_error",
-    "simulate_fixing_paths",
     "mc_price",
 ]
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from tarnpricer import FdGrid, TarnContract
+from tarnpricer import TarnContract
 from tarnpricer.contract import fixing_flows
-from tarnpricer.fd import _spline_second_derivs
+from tarnpricer.fd import FdGrid, _spline_second_derivs
 
 
 def spline_eval(values, second_derivs, x0, h, queries):

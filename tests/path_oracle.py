@@ -17,8 +17,9 @@ import math
 
 import numpy as np
 
-from tarnpricer import MarketModel, TarnContract, integrated_variance
+from tarnpricer import MarketModel, TarnContract
 from tarnpricer.contract import fixing_flows
+from tarnpricer.market import integrated_variance
 
 
 def simulate_fixing_paths(

@@ -224,9 +224,13 @@ class TestParseConfig:
          "model.volatility_values"),
         ("volatility = 0.2", "volatility_times = 0.0, 0.5\nvolatility_values = 0.2, ,0.3",
          "model.volatility_values"),
+        ("spot = 1.05", "spot = 1.05\nengines = fd,,mc", "run.engines"),
+        ("spot = 1.05", "spot = 1.05\nengines = fd,", "run.engines"),
+        ("knockout = no_gain", "knockout = no_gain,,part_gain", "contract.knockout"),
     ], ids=["target-inner", "target-trailing", "fixing_times-inner",
             "fixing_times-leading", "volatility_values-trailing",
-            "volatility_values-blank"])
+            "volatility_values-blank", "engines-inner", "engines-trailing",
+            "knockout-inner"])
     def test_empty_list_entry_rejected_by_key(self, old, new, key):
         with pytest.raises(ConfigError, match=f"^{key}: empty entry"):
             parse_config(MINIMAL.replace(old, new))
@@ -648,6 +652,7 @@ class TestMain:
         ("fd,pde", "--engines: unknown engine 'pde'"),
         (" , ", "--engines: at least one engine"),
         ("", "--engines: at least one engine"),
+        ("fd,,mc", "--engines: empty entry in 'fd,,mc'"),
     ])
     def test_engine_override_validated(self, tmp_path, capsys, engines, message):
         path = tmp_path / "run.cfg"

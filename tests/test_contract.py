@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tarnpricer import KnockoutType, TarnContract, batch_present_value
-from tarnpricer.contract import fixing_flows
+from tarnpricer import KnockoutType, TarnContract
+from tarnpricer.contract import batch_present_value, fixing_flows
 
 from cashflow_oracle import fixing_outcome, path_present_value, raw_cash_flow
 

@@ -10,7 +10,6 @@ from tarnpricer import (
     BoundaryKind,
     ConstantVol,
     FdConfig,
-    JumpPlan,
     KnockoutType,
     LocalVolSurface,
     MarketModel,
@@ -18,8 +17,6 @@ from tarnpricer import (
     PriceResult,
     RateCurve,
     TarnContract,
-    apply_jump,
-    build_grid,
     convergence_order,
     estimate_error,
     fd_price,
@@ -27,7 +24,14 @@ from tarnpricer import (
     McConfig,
     vanilla_price,
 )
-from tarnpricer.fd import StepCoefficients, _allocate_steps, theta_step
+from tarnpricer.fd import (
+    JumpPlan,
+    StepCoefficients,
+    _allocate_steps,
+    apply_jump,
+    build_grid,
+    theta_step,
+)
 
 from tarnpricer import fd
 from tarnpricer.contract import fixing_flows

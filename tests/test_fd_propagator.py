@@ -11,7 +11,6 @@ import pytest
 from tarnpricer import (
     BoundaryKind,
     FdConfig,
-    JumpPlan,
     KnockoutType,
     LocalVolSurface,
     MarketModel,
@@ -19,14 +18,18 @@ from tarnpricer import (
     RateCurve,
     TarnContract,
     TermStructureVol,
-    apply_jump,
-    build_grid,
     fd_price,
     natural_cubic_spline,
-    theta_step,
 )
 from tarnpricer import cli, fd
-from tarnpricer.fd import IntervalPropagators, coefficients_at
+from tarnpricer.fd import (
+    IntervalPropagators,
+    JumpPlan,
+    apply_jump,
+    build_grid,
+    coefficients_at,
+    theta_step,
+)
 
 from conftest import benchmark_contract, benchmark_times, flat_model
 

@@ -14,11 +14,10 @@ from tarnpricer import (
     LocalVolSurface,
     RateCurve,
     TermStructureVol,
-    discount_factor,
-    integrated_variance,
     market,
     vanilla_price,
 )
+from tarnpricer.market import discount_factor, integrated_variance
 
 FLAT0 = RateCurve.flat(0.0)
 

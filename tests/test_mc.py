@@ -13,11 +13,9 @@ from tarnpricer import (
     TermStructureVol,
     mc,
     mc_price,
-    simulate_fixing_paths,
-    standard_error,
     vanilla_price,
 )
-from tarnpricer.mc import BATCH_SIZE
+from tarnpricer.mc import BATCH_SIZE, simulate_fixing_paths, standard_error
 
 import path_oracle
 from conftest import benchmark_contract, benchmark_times, flat_model

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from tarnpricer import natural_cubic_spline, tridiagonal_solve
-from tarnpricer.fd import ZeroPivotError
+from tarnpricer import natural_cubic_spline
+from tarnpricer.fd import ZeroPivotError, tridiagonal_solve
 
 
 def dense_solve(lower, diag, upper, rhs):
