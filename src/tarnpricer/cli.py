@@ -688,7 +688,11 @@ def main(argv=None) -> int:
         return 1
 
     records = run(config)
-    text = emit(records, config.output_format, config.output_path)
+    try:
+        text = emit(records, config.output_format, config.output_path)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     if not config.output_path:
         sys.stdout.write(text)
     failed = any(r.status.startswith("error") for r in records)

@@ -37,12 +37,15 @@ march than to power and is marched onto the map so far instead.  Maps are
 cached by the interval's step sequence (step length, theta and
 coefficients), so intervals of equal length share one map, and a caller
 pricing several contracts on one spot grid can share the cache across
-them through :class:`IntervalPropagators`.  A map is built only when that
-costs less than stepping the rows that pass through its intervals, in this
-pricing and the ones expected to share the cache: both costs are estimated
-in seconds from per-step and per-product constants measured on a 2-core
-Xeon.  Otherwise the rows are stepped.  Local volatility has per-node
-coefficients that change every step; it is marched step by step.
+them through :class:`IntervalPropagators`, whose ``maps`` decides every
+interval of a pricing at once.  A map is built only when that costs less
+than stepping the rows that pass through its intervals, in this pricing and
+the ones expected to share the cache: both costs are estimated in seconds
+from per-step and per-product constants measured on a 2-core Xeon.
+Otherwise the rows are stepped.  Local volatility has per-node coefficients
+that change every step; it is marched step by step.  So a pricing is one
+backward loop: at each fixing a jump, then the interval's map applied or
+its steps marched.
 """
 
 from __future__ import annotations
@@ -321,7 +324,8 @@ def natural_cubic_spline(nodes, values, queries):
     from a single tridiagonal solve.  Interior accuracy is fourth order in
     the spacing for smooth data.  Queries outside the node range are a hard
     error, because every caller must decide on knockout/continuation
-    semantics before asking for a value.
+    semantics before asking for a value; so are NaN queries and non-finite
+    values.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -329,11 +333,15 @@ def natural_cubic_spline(nodes, values, queries):
         raise ValueError("need at least three spline nodes")
     if values.shape != nodes.shape:
         raise ValueError("values must match nodes in shape")
+    if not np.isfinite(values).all():
+        raise ValueError("spline values must be finite")
     gaps = np.diff(nodes)
     h = gaps[0]
     if h <= 0.0 or not np.allclose(gaps, h, rtol=1e-9, atol=0.0):
         raise ValueError("spline nodes must be uniformly spaced and increasing")
     q = np.asarray(queries, dtype=float)
+    if np.isnan(q).any():
+        raise ValueError("spline queries must not be NaN")
     pad = 1e-12 * (nodes[-1] - nodes[0])
     if np.any(q < nodes[0] - pad) or np.any(q > nodes[-1] + pad):
         raise ValueError("spline query outside the node range")
@@ -588,10 +596,10 @@ class IntervalPropagators:
     a 50-row interval on a 200-node grid is mapped even in one pricing,
     unless knots cut its steps into short runs.
     ``pricings`` is how many pricings are expected to share the cache, each
-    marching the same rows.  A lookup on another grid clears every entry,
-    so memory stays at the maps of one grid.  Share one instance across
-    pricings on the same grid, one call after another (it is not locked);
-    :func:`fd_price` makes its own when given none.
+    marching the same rows.  A :meth:`maps` call on another grid clears
+    every entry, so memory stays at the maps of one grid.  Share one
+    instance across pricings on the same grid, one call after another (it
+    is not locked); :func:`fd_price` makes its own when given none.
     """
 
     def __init__(self, pricings: int = 1) -> None:
@@ -599,25 +607,33 @@ class IntervalPropagators:
         self._grid_key = None
         self._maps: dict = {}
 
-    def lookup(self, key, rows, steps, grid: FdGrid, boundary, beta):
-        """The (P, p0) of the intervals with map key ``key`` and ``steps``,
-        cached or built now; None when stepping their rows costs less.
+    def maps(self, intervals, rows, grid: FdGrid, boundary, beta):
+        """One (P, p0) per interval of ``intervals``, cached or built now,
+        or None where stepping its rows costs less.
 
-        ``rows`` holds how many rows one pricing marches through each of
-        the intervals.  The choice is made once per key and cached.
+        ``intervals`` holds each interval's steps and ``rows[i]`` how many
+        rows one pricing marches through interval i.  Intervals with equal
+        step sequences share one key; the choice is made once per key, in
+        interval order, from the rows of every interval under it.
         """
         grid_key = (grid.dx, grid.spots.size, grid.spots[0], grid.spots[-1],
                     boundary, beta)
         if grid_key != self._grid_key:
             self._grid_key = grid_key
             self._maps.clear()
-        if key not in self._maps:
-            lengths = [n for _, n in _runs(steps)]
-            self._maps[key] = (
-                _build_map(steps, grid, boundary, beta)
-                if _map_pays(lengths, rows, self._pricings, grid.spots.size)
-                else None)
-        return self._maps[key]
+        keys = [tuple(map(_step_key, steps)) for steps in intervals]
+        served = defaultdict(list)
+        for key, r in zip(keys, rows):
+            served[key].append(r)
+        for key, steps in zip(keys, intervals):
+            if key not in self._maps:
+                lengths = [n for _, n in _runs(steps)]
+                self._maps[key] = (
+                    _build_map(steps, grid, boundary, beta)
+                    if _map_pays(lengths, served[key], self._pricings,
+                                 grid.spots.size)
+                    else None)
+        return [self._maps[key] for key in keys]
 
 
 def _interval_steps(model, grid, t_hi, t_lo, n_steps, config):
@@ -665,11 +681,6 @@ def _dt_key(dt):
     return float(f"{dt:.11e}")
 
 
-def _interval_key(steps):
-    """Hashable identity of a step sequence with scalar coefficients."""
-    return tuple(_step_key(step) for step in steps)
-
-
 def _runs(steps):
     """The runs of identical steps (equal :func:`_step_key`) in ``steps``,
     in order, as (first step of the run, run length) pairs: a run is
@@ -710,16 +721,11 @@ def _march_map(stacked, step, n, grid, boundary, beta):
     of the zero row, P + p and p; subtracting the marched p again leaves
     the new linear part.
     """
-    dt, th, cf, ct = step
     m = grid.spots.size
     stacked[:m] += stacked[m]
     for start in range(0, m + 1, _MAP_BLOCK_ROWS):
         block = stacked[start:start + _MAP_BLOCK_ROWS]
-        rows = block
-        for _ in range(n):
-            rows = theta_step(rows, dt, grid.dx, th, cf, ct, boundary,
-                              spots=grid.spots, beta=beta)
-        block[:] = rows
+        block[:] = _march(block, [step] * n, grid, boundary, beta)
     stacked[:m] -= stacked[m]
     _drop_negligible(stacked)
     return stacked
@@ -814,14 +820,8 @@ def _build_map(steps, grid, boundary, beta):
     return total[:m], total[m]
 
 
-def _march(values, steps, found, grid, boundary, beta):
-    """March ``values`` (J, M) through one interval's steps: by its map
-    ``found`` when there is one, else step by step."""
-    if found is not None:
-        matrix, offset = found
-        out = values @ matrix
-        out += offset
-        return out
+def _march(values, steps, grid, boundary, beta):
+    """March ``values`` (rows, M) through ``steps``, one theta step each."""
     for dt, th, cf, ct in steps:
         values = theta_step(values, dt, grid.dx, th, cf, ct, boundary,
                             spots=grid.spots, beta=beta)
@@ -938,34 +938,31 @@ def fd_price(
         return _interval_steps(model, grid, times[k], times[k - 1],
                                grid.steps_per_interval[k - 1], config)
 
-    # Scalar coefficients: every interval's steps and map key up front, so
-    # the rows each map would serve are known, and the maps built before
-    # the jump plan and the lattice take their memory.  Local volatility has
-    # per-node coefficients and is stepped; its steps are made lazily.
-    planned = {}
-    if not isinstance(model.vol, LocalVolSurface):
+    # Scalar coefficients: the cache decides every interval before the jump
+    # plan and the lattice take their memory.  Local volatility has per-node
+    # coefficients and is stepped; its steps are made one interval at a time.
+    if isinstance(model.vol, LocalVolSurface):
+        maps = [None] * k_total
+    else:
         if propagators is None:
             propagators = IntervalPropagators()
-        rows = defaultdict(list)
-        for k in range(1, k_total + 1):
-            steps = interval(k)
-            key = _interval_key(steps)
-            planned[k] = steps, key
-            rows[key].append(config.accumulation_nodes if k > 1 else 1)
-        planned = {
-            k: (steps, propagators.lookup(key, rows[key], steps, grid,
-                                          config.boundary, contract.beta))
-            for k, (steps, key) in planned.items()
-        }
+        maps = propagators.maps(
+            [interval(k) for k in range(1, k_total + 1)],
+            [1] + [config.accumulation_nodes] * (k_total - 1),
+            grid, config.boundary, contract.beta)
     plan = JumpPlan.build(contract, grid)
     values = np.zeros((config.accumulation_nodes, config.spot_nodes))
     for k in range(k_total, 0, -1):
         values = apply_jump(values, plan, contract.extra_payment_at(k))
         if k == 1:
             values = values[:1]
-        steps, found = planned[k] if planned else (interval(k), None)
-        values = _march(values, steps, found, grid, config.boundary,
-                        contract.beta)
+        if maps[k - 1] is None:
+            values = _march(values, interval(k), grid, config.boundary,
+                            contract.beta)
+        else:
+            matrix, offset = maps[k - 1]
+            values = values @ matrix
+            values += offset
     row = values[0]
     if grid.spot_index is not None:
         price = float(row[grid.spot_index])

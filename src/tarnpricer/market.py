@@ -266,8 +266,11 @@ def vanilla_price(
     by the Monte Carlo engine as the control-variate mean and throughout
     the tests as a closed-form limit.
     """
-    if expiry <= 0.0:
-        raise ValueError("expiry must be positive")
+    check_spot(spot)
+    if not (strike > 0.0 and math.isfinite(strike)):
+        raise ValueError(f"strike must be positive and finite, got {strike!r}")
+    if not (expiry > 0.0 and math.isfinite(expiry)):
+        raise ValueError(f"expiry must be positive and finite, got {expiry!r}")
     if beta not in (1, -1):
         raise ValueError("beta must be +1 or -1")
     variance = integrated_variance(vol, 0.0, expiry)

@@ -619,6 +619,16 @@ class TestMain:
         records = read_records(dest.read_text())
         assert {r.engine for r in records} == {"fd"}
 
+    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(SMALL_RUN)
+        dest = tmp_path / "no" / "such" / "out.jsonl"
+        assert main([str(path), "--engines", "fd", "--output", str(dest)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write output: ")
+        assert str(dest) in captured.err
+        assert captured.out == ""
+
     def test_seed_override_changes_mc(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text(SMALL_RUN)

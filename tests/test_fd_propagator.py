@@ -117,9 +117,10 @@ def test_off_grid_case_reads_out_by_interpolation():
     assert build_grid(contract, model, config, spot).spot_index is None
 
 
-def test_local_vol_is_stepped_bit_for_bit():
+def test_local_vol_is_stepped_bit_for_bit(monkeypatch):
     # per-node coefficients change every step, so no map may be built or
     # shared: the price must be the reference march exactly
+    built = count_builds(monkeypatch)
     spot_knots = np.exp(np.linspace(-0.6, 0.6, 7))
     values = 0.2 + 0.3 * np.log(spot_knots)[None, :] ** 2 + np.array([[0.0], [0.02]])
     model = MarketModel(
@@ -130,6 +131,7 @@ def test_local_vol_is_stepped_bit_for_bit():
     contract = call_contract()
     assert fd_price(contract, model, GRID, 1.05).price == \
         reference_price(contract, model, GRID, 1.05)
+    assert built == []
 
 
 def count_builds(monkeypatch):

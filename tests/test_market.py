@@ -165,6 +165,24 @@ class TestVanillaPrice:
         want = [vanilla_price(*case) for case in cases]
         assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
 
+    @pytest.mark.parametrize("spot, strike, expiry, message", [
+        (math.nan, 1.0, 1.0, "spot must be positive and finite"),
+        (-1.05, 1.0, 1.0, "spot must be positive and finite"),
+        (0.0, 1.0, 1.0, "spot must be positive and finite"),
+        (1.05, math.nan, 1.0, "strike must be positive and finite"),
+        (1.05, -1.0, 1.0, "strike must be positive and finite"),
+        (1.05, 0.0, 1.0, "strike must be positive and finite"),
+        (1.05, math.inf, 1.0, "strike must be positive and finite"),
+        (1.05, 1.0, math.nan, "expiry must be positive and finite"),
+        (1.05, 1.0, math.inf, "expiry must be positive and finite"),
+        (1.05, 1.0, 0.0, "expiry must be positive"),
+    ], ids=["nan-spot", "negative-spot", "zero-spot", "nan-strike",
+            "negative-strike", "zero-strike", "inf-strike", "nan-expiry",
+            "inf-expiry", "zero-expiry"])
+    def test_bad_input_rejected_by_name(self, spot, strike, expiry, message):
+        with pytest.raises(ValueError, match=message):
+            vanilla_price(spot, strike, 1, expiry, FLAT0, FLAT0, ConstantVol(0.2))
+
     def test_local_vol_unsupported(self):
         surface = LocalVolSurface(
             time_knots=[0.0, 1.0], spot_knots=[0.5, 2.0],

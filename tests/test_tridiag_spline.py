@@ -93,6 +93,21 @@ class TestNaturalCubicSpline:
         with pytest.raises(ValueError, match="outside"):
             natural_cubic_spline(nodes, vals, np.array([-0.1]))
 
+    @pytest.mark.parametrize("queries", [np.nan, [0.5, np.nan]],
+                             ids=["scalar", "array"])
+    def test_nan_query_rejected_by_name(self, queries):
+        nodes = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="queries must not be NaN"):
+            natural_cubic_spline(nodes, np.ones(5), queries)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_by_name(self, bad):
+        nodes = np.linspace(0.0, 1.0, 5)
+        vals = np.ones(5)
+        vals[2] = bad
+        with pytest.raises(ValueError, match="values must be finite"):
+            natural_cubic_spline(nodes, vals, np.array([0.5]))
+
     def test_non_uniform_nodes_rejected(self):
         nodes = np.array([0.0, 0.1, 0.3, 0.4])
         with pytest.raises(ValueError, match="uniform"):
