@@ -37,9 +37,10 @@ from .market import (
     MarketModel,
     RateCurve,
     TermStructureVol,
+    check_fields,
     check_spot,
 )
-from .mc import McConfig, mc_price
+from .mc import McConfig, SharedSimulation, mc_price
 
 __all__ = [
     "ConfigError",
@@ -68,10 +69,11 @@ class ConfigError(ValueError):
 class RunConfig:
     """One run: the cases to price, the model, the engines and the output.
 
-    Every case's contract is built, and so checked, on construction; each
-    rejection message starts with the configuration key at fault
-    (``contract.<field>``, ``run.spot``, ``run.engines`` or ``output.format``)
-    or with the fields at fault (``refine, convergence``).
+    Every case's contract is built, and so checked, on construction, and
+    no case may be listed twice; each rejection message starts with the
+    configuration key at fault (``contract.<field>``, ``run.spot``,
+    ``run.engines`` or ``output.format``) or with the fields at fault
+    (``refine``, ``convergence`` or ``refine, convergence``).
     """
 
     strike: float
@@ -91,6 +93,7 @@ class RunConfig:
     convergence: bool = False
 
     def __post_init__(self) -> None:
+        check_fields(self, names={"beta": "contract.beta"})
         if not self.targets:
             raise ValueError("contract.target: at least one target is required")
         if not self.knockouts:
@@ -110,6 +113,12 @@ class RunConfig:
                     _case_contract(self, knockout, target)
                 except ValueError as exc:  # the message starts with the field
                     raise ValueError(f"contract.{exc}") from exc
+        # a case is keyed by (knockout, target), as its records are
+        for key, values in (("target", [float(t) for t in self.targets]),
+                            ("knockout", [k.value for k in self.knockouts])):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"contract.{key}: {repeated[0]} is listed twice")
 
 
 @dataclass(frozen=True)
@@ -419,11 +428,14 @@ def run(config: RunConfig) -> list[ResultRecord]:
     remaining cases.  FD rows come before MC rows, and a case with an ok
     price from both engines gets a diff row.  The FD cases share one cache
     of interval maps: their spot grid and fixing schedule do not depend on
-    the target or the knockout type.
+    the target or the knockout type.  For the same reason the MC cases
+    share one :class:`~tarnpricer.mc.SharedSimulation`: one simulated batch
+    when the paths fit in one, and one control column.
     """
     tag = fingerprint(config)
     engines = [e for e in ("fd", "mc") if e in config.engines]
     propagators = IntervalPropagators(len(config.knockouts) * len(config.targets))
+    shared = SharedSimulation()
     records: list[ResultRecord] = []
     for knockout in config.knockouts:
         for target in config.targets:
@@ -432,7 +444,8 @@ def run(config: RunConfig) -> list[ResultRecord]:
             for engine in engines:
                 grid = _configured_grid(config, engine)
                 try:
-                    rows += _engine_rows(engine, config, contract, grid, propagators)
+                    rows += _engine_rows(engine, config, contract, grid,
+                                         propagators, shared)
                 except Exception as exc:  # capture per record, keep the batch going
                     rows.append(_row(engine, float("nan"), grid, 0.0,
                                      status=f"error: {exc}"))
@@ -463,11 +476,12 @@ def _row(engine: str, price: float, grid: str, wall_time_s: float,
 
 
 def _engine_rows(engine: str, config: RunConfig, contract: TarnContract,
-                 grid: str, propagators: IntervalPropagators) -> list[dict]:
+                 grid: str, propagators: IntervalPropagators,
+                 shared: SharedSimulation) -> list[dict]:
     """Price one case with one engine; ``grid`` is the engine's configured
     grid.  The engine functions are module globals, looked up per call."""
     if engine == "mc":
-        res = mc_price(contract, config.model, config.mc, config.spot)
+        res = mc_price(contract, config.model, config.mc, config.spot, shared=shared)
         status = ("ok (control variate disabled for local volatility)"
                   if res.cv_downgraded else "ok")
         return [_row("mc", res.price, grid, res.wall_time, res.stderr, "stderr", status)]
@@ -632,6 +646,17 @@ def preset_table1() -> RunConfig:
 PRESETS = {"table1": preset_table1}
 
 
+def _check_writable(path: str) -> None:
+    """Reject an output path whose directory is missing or that is itself a
+    directory, so that no run is priced only to fail at the write; the file
+    itself is neither opened nor truncated."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ConfigError(f"cannot write output: {path}: no such directory {directory!r}")
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write output: {path}: is a directory")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="price",
@@ -683,6 +708,8 @@ def main(argv=None) -> int:
         }
         config = dataclasses.replace(
             config, **{key: value for key, value in overrides.items() if value})
+        if config.output_path:
+            _check_writable(config.output_path)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -63,7 +63,7 @@ import numpy as np
 import scipy.linalg
 
 from .contract import TarnContract, fixing_flows
-from .market import LocalVolSurface, MarketModel, check_integer_fields, check_spot
+from .market import LocalVolSurface, MarketModel, check_fields, check_spot
 
 __all__ = [
     "PinPolicy",
@@ -119,7 +119,7 @@ class FdConfig:
     implicit_startup_steps: int = 0
 
     def __post_init__(self) -> None:
-        check_integer_fields(self)
+        check_fields(self)
         if self.spot_nodes < 3:
             raise ValueError("spot_nodes must be at least 3")
         if self.boundary is BoundaryKind.ZERO_GAMMA and self.spot_nodes < 4:

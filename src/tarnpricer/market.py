@@ -10,6 +10,7 @@ bilinear interpolation, clamped at the mesh edges.
 from __future__ import annotations
 
 import bisect
+import enum
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -238,16 +239,31 @@ def check_spot(spot: float) -> None:
         raise ValueError(f"spot must be positive and finite, got {spot!r}")
 
 
-def check_integer_fields(config) -> None:
-    """Reject a bool or a non-integral value in any field of the dataclass
-    ``config`` annotated ``int``, naming the field; a silent ``int()`` would
-    truncate it.  The annotation is the string 'int' under postponed
-    evaluation of annotations, else the type itself."""
+def check_fields(config, names=None) -> None:
+    """Reject a field of the dataclass ``config`` that holds the wrong kind
+    of value, naming the field (as ``names`` maps it, if given).
+
+    A field annotated ``int`` holds an integral value that is not a bool
+    (a silent ``int()`` would truncate it), one annotated ``bool`` a bool,
+    and one whose default is an enum member a member of that enum.  The
+    annotation is a string under postponed evaluation of annotations, else
+    the type itself.
+    """
     for f in fields(config):
         value = getattr(config, f.name)
-        if f.type in ("int", int) and (isinstance(value, bool)
-                                or not isinstance(value, numbers.Integral)):
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if f.type in ("int", int):
+            kind = "an integer"
+            ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        elif f.type in ("bool", bool):
+            kind, ok = "a bool", isinstance(value, bool)
+        elif isinstance(f.default, enum.Enum):
+            kind = f"a {type(f.default).__name__}"
+            ok = isinstance(value, type(f.default))
+        else:
+            continue
+        if not ok:
+            name = (names or {}).get(f.name, f.name)
+            raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 def vanilla_price(

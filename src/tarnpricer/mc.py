@@ -16,6 +16,14 @@ run draws from an independent stream obtained by jumping the seeded base
 generator ``b`` times, so every path is a pure function of (seed, batch,
 row) and results are reproducible bit for bit regardless of how batches
 might be dispatched.
+
+The cases of one run share their simulation through a
+:class:`SharedSimulation`: cases with the same model, spot, schedule, seed
+and path count see the same paths, so a whole path set that is one batch
+is simulated once, and with the control variate on the control column and
+its closed-form mean are computed once per strike and direction.  A larger
+path set is simulated again for every case, because holding it would
+outgrow the one batch a pricing holds anyway.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import numpy as np
 from .contract import TarnContract, batch_present_value
 from .market import (
     MarketModel,
-    check_integer_fields,
+    check_fields,
     check_spot,
     discount_factor,
     integrated_variance,
@@ -40,6 +48,7 @@ __all__ = [
     "BATCH_SIZE",
     "McConfig",
     "McResult",
+    "SharedSimulation",
     "mc_price",
 ]
 
@@ -65,7 +74,7 @@ class McConfig:
     cv_coefficient: float | None = None
 
     def __post_init__(self) -> None:
-        check_integer_fields(self)
+        check_fields(self)
         if self.n_paths < 2:
             raise ValueError("n_paths must be at least 2")
         if self.seed < 0:
@@ -170,21 +179,66 @@ def _control_values(paths, contract, discounts):
     return contract.gross(paths) @ discounts
 
 
+class SharedSimulation:
+    """What the Monte Carlo pricings of one run share, one entry of each kind.
+
+    Pricings with the same model object, spot, fixing times, seed, path
+    count and substeps draw the same paths.  A path set of one batch
+    (``n_paths <= BATCH_SIZE``) is held, so the paths held stay within the
+    one batch a pricing holds anyway; a larger one is never held.  The
+    control column and its mean are held under that key plus strike and
+    beta.  Held arrays are read-only.  A new key replaces the entry, which
+    is dropped first.  Share one instance only between pricings made one
+    after another (it is not locked); :func:`mc_price` makes its own when
+    given none.
+    """
+
+    def __init__(self) -> None:
+        self._paths = (None, None)     # (key, read-only (n, K) batch)
+        self._controls = (None, None)  # (key, (read-only column, mean))
+
+    def paths(self, key, simulate):
+        """The batch held under ``key``, else ``simulate()``, held now."""
+        if self._paths[0] != key:
+            self._paths = (None, None)
+            paths = simulate()
+            paths.setflags(write=False)
+            self._paths = (key, paths)
+        return self._paths[1]
+
+    def controls(self, key):
+        """The (column, mean) held under ``key``, or None (and nothing held)."""
+        if self._controls[0] != key:
+            self._controls = (None, None)
+        return self._controls[1]
+
+    def keep_controls(self, key, column, mean):
+        """Hold the control ``column`` and its ``mean`` under ``key``."""
+        column.setflags(write=False)
+        self._controls = (key, (column, mean))
+        return column, mean
+
+
 def mc_price(
     contract: TarnContract,
     model: MarketModel,
     config: McConfig,
     spot: float,
+    *,
+    shared: SharedSimulation | None = None,
 ) -> McResult:
     """Estimate the note value by simulation.
 
     The control variate is the sum of the single-fixing vanilla flows, whose
     mean is known in closed form; it is only available under exact
     transitions and is silently downgraded (with a flag on the result) for
-    local volatility models.
+    local volatility models.  ``shared`` holds what pricings of one run
+    reuse (see :class:`SharedSimulation`); the estimate is the same bit for
+    bit with or without it.
     """
     started = time.perf_counter()
     check_spot(spot)
+    shared = SharedSimulation() if shared is None else shared
     times = contract.fixing_times
     discounts = np.array(
         [discount_factor(model.domestic, 0.0, t) for t in times]
@@ -198,27 +252,35 @@ def mc_price(
     if n - n_pilot < 2:
         raise ValueError(f"n_paths must leave at least 2 paths after the {n_pilot}-path "
                          f"control-variate pilot, got {n}")
+    key = (model, spot, times, config.seed, n, config.substeps_per_interval)
+    control_key = key + (contract.strike, contract.beta)
+    held = shared.controls(control_key) if use_cv else None
     payoffs = np.empty(n)
-    controls = np.empty(n) if use_cv else None
+    controls = np.empty(n) if use_cv and held is None else None
     base = np.random.Philox(config.seed)
     n_batches = (n + BATCH_SIZE - 1) // BATCH_SIZE
+
+    def simulate(b):
+        rng = np.random.Generator(base.jumped(b))
+        return simulate_fixing_paths(model, spot, times, min(BATCH_SIZE, n - b * BATCH_SIZE),
+                                     rng, config.substeps_per_interval)
+
     for b in range(n_batches):
         start = b * BATCH_SIZE
         stop = min(start + BATCH_SIZE, n)
-        rng = np.random.Generator(base.jumped(b))
-        paths = simulate_fixing_paths(
-            model, spot, times, stop - start, rng, config.substeps_per_interval
-        )
+        paths = simulate(b) if n_batches > 1 else shared.paths(key, lambda: simulate(0))
         payoffs[start:stop] = batch_present_value(paths, contract, discounts)
-        if use_cv:
+        if controls is not None:
             controls[start:stop] = _control_values(paths, contract, discounts)
 
     if use_cv:
-        control_mean = sum(
-            vanilla_price(spot, contract.strike, contract.beta, t,
-                          model.domestic, model.foreign, model.vol)
-            for t in times
-        )
+        if held is None:
+            held = shared.keep_controls(control_key, controls, sum(
+                vanilla_price(spot, contract.strike, contract.beta, t,
+                              model.domestic, model.foreign, model.vol)
+                for t in times
+            ))
+        controls, control_mean = held
         if config.cv_coefficient is not None:
             lam = float(config.cv_coefficient)
         else:

@@ -425,6 +425,14 @@ class TestRunConfig:
         ("engines", (), "run.engines: at least one engine"),
         ("output_format", "xml", "output.format: must be"),
         ("knockouts", ("no_gain",), "contract.knockout must be a KnockoutType"),
+        ("refine", "yes", "refine must be a bool, got 'yes'"),
+        ("convergence", 1, "convergence must be a bool, got 1"),
+        ("beta", 1.0, "contract.beta must be an integer, got 1.0"),
+        ("beta", True, "contract.beta must be an integer, got True"),
+        ("targets", (0.3, 0.5, 0.3), "contract.target: 0.3 is listed twice"),
+        ("targets", (0.5, np.float64(0.5)), "contract.target: 0.5 is listed twice"),
+        ("knockouts", (KnockoutType.NO_GAIN, KnockoutType.FULL_GAIN, KnockoutType.NO_GAIN),
+         "contract.knockout: no_gain is listed twice"),
     ])
     def test_hand_built_config_rejected_by_key(self, field, value, key):
         base = PRESETS["table1"]()
@@ -450,6 +458,29 @@ class TestRunConfig:
         cls = {"FdConfig": FdConfig, "McConfig": McConfig}[cls_name]
         with pytest.raises(ValueError, match=f"^{field} must be"):
             cls(**{field: value})
+
+    @pytest.mark.parametrize("cls, field, value, message", [
+        (FdConfig, "boundary", "zero_gamma", "boundary must be a BoundaryKind"),
+        (FdConfig, "pin_policy", "strike_and_spot", "pin_policy must be a PinPolicy"),
+        (FdConfig, "pin_policy", BoundaryKind.ZERO_GAMMA, "pin_policy must be a PinPolicy"),
+        (McConfig, "control_variate", "no", "control_variate must be a bool"),
+        (McConfig, "control_variate", 1, "control_variate must be a bool"),
+    ])
+    def test_fields_reject_the_wrong_kind_by_name(self, cls, field, value, message):
+        # the engines test enum fields with `is`: a string would price with
+        # the other choice, and any truthy string would turn an option on
+        with pytest.raises(ValueError, match=f"^{message}, got {value!r}$"):
+            cls(**{field: value})
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("target = 0.3, 0.5", "target = 0.3, 0.5, 0.30",
+         "contract.target: 0.3 is listed twice"),
+        ("knockout = no_gain, full_gain", "knockout = no_gain, full_gain, No_Gain",
+         "contract.knockout: no_gain is listed twice"),
+    ])
+    def test_repeated_case_in_config_file_rejected_by_key(self, old, new, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(SMALL_RUN.replace(old, new))
 
 
 class TestRunAndEmit:
@@ -628,6 +659,37 @@ class TestMain:
         assert captured.err.startswith("error: cannot write output: ")
         assert str(dest) in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("where", ["missing_directory", "directory"])
+    def test_unwritable_output_rejected_before_pricing(self, tmp_path, capsys,
+                                                       monkeypatch, where):
+        def no_pricing(config):
+            pytest.fail("run() was called for an unwritable output")
+        monkeypatch.setattr("tarnpricer.cli.run", no_pricing)
+        path = tmp_path / "run.cfg"
+        path.write_text(SMALL_RUN)
+        dest = tmp_path / "no" / "out.jsonl" if where == "missing_directory" else tmp_path
+        assert main([str(path), "--output", str(dest)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write output: {dest}: ")
+        assert captured.out == ""
+
+    def test_output_file_is_untouched_until_the_write(self, tmp_path, monkeypatch):
+        path = tmp_path / "run.cfg"
+        path.write_text(SMALL_RUN)
+        dest = tmp_path / "out.jsonl"
+        dest.write_text("kept")
+        seen = []
+
+        def priced(config):
+            seen.append(dest.read_text())
+            return [ResultRecord(engine="fd", knockout="no_gain", target=0.3, price=0.1,
+                                 error_metric=None, error_kind="none", grid="",
+                                 wall_time_s=0.0, fingerprint="f")]
+        monkeypatch.setattr("tarnpricer.cli.run", priced)
+        assert main([str(path), "--output", str(dest)]) == 0
+        assert seen == ["kept"]
+        assert len(read_records(dest.read_text())) == 1
 
     def test_seed_override_changes_mc(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,8 @@ from tarnpricer import (
     mc_price,
     vanilla_price,
 )
-from tarnpricer.mc import BATCH_SIZE, simulate_fixing_paths, standard_error
+from tarnpricer.cli import PRESETS, run
+from tarnpricer.mc import BATCH_SIZE, SharedSimulation, simulate_fixing_paths, standard_error
 
 import path_oracle
 from conftest import benchmark_contract, benchmark_times, flat_model
@@ -281,19 +283,118 @@ class TestMatchesPathMajorOracle:
         assert got.cv_coefficient == want.cv_coefficient
 
 
-def test_one_simulation_and_payoff_call_per_batch(monkeypatch):
+def counting(monkeypatch, *names):
+    """Record the engine's calls to each ``mc.<name>``, by name, in call order."""
     calls = []
 
-    def counted(name):
-        original = getattr(mc, name)
-
+    def counted(name, original):
         def call(*args, **kwargs):
             calls.append(name)
             return original(*args, **kwargs)
         return call
 
-    for name in ("simulate_fixing_paths", "batch_present_value"):
-        monkeypatch.setattr(mc, name, counted(name))
+    for name in names:
+        monkeypatch.setattr(mc, name, counted(name, getattr(mc, name)))
+    return calls
+
+
+def test_one_simulation_and_payoff_call_per_batch(monkeypatch):
+    calls = counting(monkeypatch, "simulate_fixing_paths", "batch_present_value")
     contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
     mc_price(contract, flat_model(), McConfig(n_paths=2 * BATCH_SIZE + 1), 1.05)
     assert calls == ["simulate_fixing_paths", "batch_present_value"] * 3
+
+
+CASES = [benchmark_contract(ko, u) for ko in KnockoutType for u in (0.3, 0.5)]
+
+
+def run_cases(config, shared, contracts=CASES, model=None):
+    """The (price, stderr bits, cv_coefficient) of each case, priced in order."""
+    model = model or flat_model(r_d=0.01)
+    out = []
+    for contract in contracts:
+        res = mc_price(contract, model, config, 1.05, shared=shared)
+        out.append(bits([res.price, res.stderr]) + [res.cv_coefficient])
+    return out
+
+
+class TestSharedSimulation:
+    """A run's cases share one batch and one control column, bit for bit."""
+
+    @pytest.mark.parametrize("config, model", [
+        (McConfig(n_paths=BATCH_SIZE, seed=3), None),
+        (McConfig(n_paths=5000, seed=3, control_variate=False), None),
+        (McConfig(n_paths=4000, seed=3, cv_coefficient=0.8), term_structure_model()),
+        (McConfig(n_paths=3000, seed=3, substeps_per_interval=2), smile_model()),
+        (McConfig(n_paths=2 * BATCH_SIZE + 1000, seed=3), None),
+    ], ids=["one_batch_cv", "one_batch_no_cv", "term_structure_fixed_lambda",
+            "local_vol", "three_batches_cv"])
+    def test_cases_match_unshared_pricings(self, config, model):
+        model = model or flat_model(r_d=0.01)
+        alone = [run_cases(config, None, [c], model)[0] for c in CASES]
+        assert run_cases(config, SharedSimulation(), model=model) == alone
+
+    def test_one_batch_run_simulates_once(self, monkeypatch):
+        calls = counting(monkeypatch, "simulate_fixing_paths", "_control_values")
+        run_cases(McConfig(n_paths=BATCH_SIZE, seed=5), SharedSimulation())
+        assert calls == ["simulate_fixing_paths", "_control_values"]
+
+    def test_three_batch_run_simulates_every_batch_per_case(self, monkeypatch):
+        calls = counting(monkeypatch, "simulate_fixing_paths", "_control_values",
+                         "vanilla_price")
+        run_cases(McConfig(n_paths=2 * BATCH_SIZE + 1, seed=5), SharedSimulation())
+        assert calls.count("simulate_fixing_paths") == 3 * 6
+        # the control column and its mean are made for the first case only
+        assert calls.count("_control_values") == 3
+        assert calls.count("vanilla_price") == 20
+
+    def test_cli_run_shares_one_batch_across_its_cases(self, monkeypatch):
+        calls = counting(monkeypatch, "simulate_fixing_paths")
+        config = dataclasses.replace(PRESETS["table1"](), engines=("mc",),
+                                     targets=(0.3, 0.5), mc=McConfig(n_paths=2000))
+        records = run(config)
+        assert len(records) == 6 and len(calls) == 1
+
+    def test_held_arrays_are_read_only(self):
+        shared = SharedSimulation()
+        config = McConfig(n_paths=1000, seed=2)
+        model = flat_model()
+        contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
+        mc_price(contract, model, config, 1.05, shared=shared)
+        key = (model, 1.05, contract.fixing_times, 2, 1000, 1)
+        paths = shared.paths(key, lambda: pytest.fail("the batch is held"))
+        column, _ = shared.controls(key + (1.0, 1))
+        for held in (paths, column):
+            assert not held.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 0.0
+
+    @pytest.mark.parametrize("change", [
+        dict(config=McConfig(n_paths=3000, seed=10)),
+        dict(model=flat_model(r_d=0.01)),  # equal terms, another model object
+        dict(model=flat_model(sigma=0.25, r_d=0.01)),
+        dict(spot=1.02),
+        dict(contract=TarnContract(strike=1.04, target=0.3, beta=1,
+                                   fixing_times=benchmark_times(),
+                                   knockout=KnockoutType.NO_GAIN)),
+        dict(contract=TarnContract(strike=1.0, target=0.3, beta=-1,
+                                   fixing_times=benchmark_times(),
+                                   knockout=KnockoutType.NO_GAIN)),
+        dict(contract=benchmark_contract(KnockoutType.NO_GAIN, 0.3),
+             config=McConfig(n_paths=3001, seed=9)),
+    ], ids=["seed", "model_object", "model", "spot", "strike", "beta", "n_paths"])
+    def test_a_changed_input_is_never_served_the_old_entry(self, monkeypatch, change):
+        base = dict(contract=benchmark_contract(KnockoutType.NO_GAIN, 0.3),
+                    model=flat_model(r_d=0.01), config=McConfig(n_paths=3000, seed=9),
+                    spot=1.05)
+        shared = SharedSimulation()
+        mc_price(**base, shared=shared)
+        args = {**base, **change}
+        want = mc_price(**args)
+        calls = counting(monkeypatch, "simulate_fixing_paths", "vanilla_price")
+        got = mc_price(**args, shared=shared)
+        assert bits([got.price, got.stderr]) == bits([want.price, want.stderr])
+        assert got.cv_coefficient == want.cv_coefficient
+        same_paths = "contract" in change and "config" not in change
+        assert calls.count("simulate_fixing_paths") == (0 if same_paths else 1)
+        assert calls.count("vanilla_price") == 20
