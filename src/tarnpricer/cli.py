@@ -26,7 +26,6 @@ import numpy as np
 from .contract import KnockoutType, TarnContract
 from .fd import (
     FdConfig,
-    IntervalPropagators,
     convergence_order,
     estimate_error,
     fd_price,
@@ -40,7 +39,7 @@ from .market import (
     check_fields,
     check_spot,
 )
-from .mc import McConfig, SharedSimulation, mc_price
+from .mc import McConfig, mc_price
 
 __all__ = [
     "ConfigError",
@@ -93,7 +92,8 @@ class RunConfig:
     convergence: bool = False
 
     def __post_init__(self) -> None:
-        check_fields(self, names={"beta": "contract.beta"})
+        check_fields(self, names={"beta": "contract.beta",
+                                  "strike": "contract.strike", "spot": "run.spot"})
         if not self.targets:
             raise ValueError("contract.target: at least one target is required")
         if not self.knockouts:
@@ -426,16 +426,15 @@ def run(config: RunConfig) -> list[ResultRecord]:
     are added here, where every record is built.  Engine failures are
     captured per record (status carries the message) and do not stop the
     remaining cases.  FD rows come before MC rows, and a case with an ok
-    price from both engines gets a diff row.  The FD cases share one cache
-    of interval maps: their spot grid and fixing schedule do not depend on
-    the target or the knockout type.  For the same reason the MC cases
-    share one :class:`~tarnpricer.mc.SharedSimulation`: one simulated batch
-    when the paths fit in one, and one control column.
+    price from both engines gets a diff row.  Every case is given one
+    cache dict, made for this run: the FD cases share its interval maps,
+    since their spot grid and fixing schedule do not depend on the target
+    or the knockout type, and for the same reason the MC cases share one
+    simulated batch when the paths fit in one, and one control column.
     """
     tag = fingerprint(config)
     engines = [e for e in ("fd", "mc") if e in config.engines]
-    propagators = IntervalPropagators(len(config.knockouts) * len(config.targets))
-    shared = SharedSimulation()
+    cache: dict = {}
     records: list[ResultRecord] = []
     for knockout in config.knockouts:
         for target in config.targets:
@@ -444,8 +443,7 @@ def run(config: RunConfig) -> list[ResultRecord]:
             for engine in engines:
                 grid = _configured_grid(config, engine)
                 try:
-                    rows += _engine_rows(engine, config, contract, grid,
-                                         propagators, shared)
+                    rows += _engine_rows(engine, config, contract, grid, cache)
                 except Exception as exc:  # capture per record, keep the batch going
                     rows.append(_row(engine, float("nan"), grid, 0.0,
                                      status=f"error: {exc}"))
@@ -476,12 +474,11 @@ def _row(engine: str, price: float, grid: str, wall_time_s: float,
 
 
 def _engine_rows(engine: str, config: RunConfig, contract: TarnContract,
-                 grid: str, propagators: IntervalPropagators,
-                 shared: SharedSimulation) -> list[dict]:
+                 grid: str, cache: dict) -> list[dict]:
     """Price one case with one engine; ``grid`` is the engine's configured
     grid.  The engine functions are module globals, looked up per call."""
     if engine == "mc":
-        res = mc_price(contract, config.model, config.mc, config.spot, shared=shared)
+        res = mc_price(contract, config.model, config.mc, config.spot, cache=cache)
         status = ("ok (control variate disabled for local volatility)"
                   if res.cv_downgraded else "ok")
         return [_row("mc", res.price, grid, res.wall_time, res.stderr, "stderr", status)]
@@ -495,7 +492,8 @@ def _engine_rows(engine: str, config: RunConfig, contract: TarnContract,
         return [_row("fd", est.coarse.price, grid,
                      est.coarse.wall_time + est.refined.wall_time,
                      est.relative_error, "refined_relative_error")]
-    res = fd_price(*args, propagators=propagators)
+    res = fd_price(*args, cache=cache,
+                   pricings=len(config.knockouts) * len(config.targets))
     return [_row("fd", res.price, grid, res.wall_time)]
 
 

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .market import check_fields
+
 __all__ = [
     "KnockoutType",
     "TarnContract",
@@ -64,6 +66,11 @@ class TarnContract:
     extra_payments: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        # before int() could truncate it; an integral float becomes an int
+        if isinstance(self.beta, bool) or self.beta not in (1, -1):
+            raise ValueError(f"beta must be +1 or -1, got {self.beta!r}")
+        object.__setattr__(self, "beta", int(self.beta))
+        check_fields(self)
         object.__setattr__(self, "strike", float(self.strike))
         object.__setattr__(self, "target", float(self.target))
         times = tuple(float(t) for t in self.fixing_times)
@@ -72,9 +79,6 @@ class TarnContract:
             raise ValueError("strike must be positive and finite")
         if not (self.target > 0.0 and math.isfinite(self.target)):
             raise ValueError("target must be positive and finite")
-        if self.beta not in (1, -1):  # checked before int() could truncate it
-            raise ValueError(f"beta must be +1 or -1, got {self.beta!r}")
-        object.__setattr__(self, "beta", int(self.beta))
         if not isinstance(self.knockout, KnockoutType):
             raise ValueError(
                 f"knockout must be a KnockoutType, got {self.knockout!r}")

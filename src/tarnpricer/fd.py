@@ -35,11 +35,11 @@ length by repeated squaring and composed onto the map so far; a short
 run, such as a start-up step or the step across a knot, costs no more to
 march than to power and is marched onto the map so far instead.  Maps are
 cached by the interval's step sequence (step length, theta and
-coefficients), so intervals of equal length share one map, and a caller
-pricing several contracts on one spot grid can share the cache across
-them through :class:`IntervalPropagators`, whose ``maps`` decides every
-interval of a pricing at once.  A map is built only when that costs less
-than stepping the rows that pass through its intervals, in this pricing and
+coefficients) and the spot grid, so intervals of equal length share one
+map, and a caller pricing several contracts on one spot grid can share
+the maps across them by passing one ``cache`` dict to every
+:func:`fd_price` call.  A map is built only when that costs less than
+stepping the rows that pass through its intervals, in this pricing and
 the ones expected to share the cache: both costs are estimated in seconds
 from per-step and per-product constants measured on a 2-core Xeon.
 Otherwise the rows are stepped.  Local volatility has per-node coefficients
@@ -69,7 +69,6 @@ __all__ = [
     "PinPolicy",
     "BoundaryKind",
     "FdConfig",
-    "IntervalPropagators",
     "PriceResult",
     "ErrorEstimate",
     "ConvergenceStudy",
@@ -583,57 +582,32 @@ def theta_step(
     return out[0] if single else out
 
 
-class IntervalPropagators:
-    """Affine maps of whole fixing intervals, for one spot grid at a time.
-
-    An entry maps the row values at an interval's upper end to those at its
-    lower end, ``row @ P + p0``; entries are keyed by the interval's step
-    sequence.  A map is built (see :func:`_build_map`) only when its
-    estimated cost is below that of stepping the intervals' rows in all
-    expected pricings (:func:`_map_pays`, with step and product costs
-    measured on a 2-core Xeon); otherwise the entry records that the rows
-    are stepped.  So one row through 100 steps at M = 2000 is stepped, and
-    a 50-row interval on a 200-node grid is mapped even in one pricing,
-    unless knots cut its steps into short runs.
-    ``pricings`` is how many pricings are expected to share the cache, each
-    marching the same rows.  A :meth:`maps` call on another grid clears
-    every entry, so memory stays at the maps of one grid.  Share one
-    instance across pricings on the same grid, one call after another (it
-    is not locked); :func:`fd_price` makes its own when given none.
+def _interval_maps(cache, pricings, intervals, rows, grid, boundary, beta):
+    """One (P, p0) per interval (``row -> row @ P + p0`` down the interval),
+    held in ``cache`` or built now, or None where stepping its rows costs
+    less.  ``rows[i]`` is how many rows one pricing marches through
+    interval i.  Intervals with equal steps share a key, decided once by
+    :func:`_map_pays` from their rows and ``pricings``; the key holds every
+    input of its entry: those, the grid's spacing, size and ends, the
+    boundary, beta and the steps.
     """
-
-    def __init__(self, pricings: int = 1) -> None:
-        self._pricings = pricings
-        self._grid_key = None
-        self._maps: dict = {}
-
-    def maps(self, intervals, rows, grid: FdGrid, boundary, beta):
-        """One (P, p0) per interval of ``intervals``, cached or built now,
-        or None where stepping its rows costs less.
-
-        ``intervals`` holds each interval's steps and ``rows[i]`` how many
-        rows one pricing marches through interval i.  Intervals with equal
-        step sequences share one key; the choice is made once per key, in
-        interval order, from the rows of every interval under it.
-        """
-        grid_key = (grid.dx, grid.spots.size, grid.spots[0], grid.spots[-1],
-                    boundary, beta)
-        if grid_key != self._grid_key:
-            self._grid_key = grid_key
-            self._maps.clear()
-        keys = [tuple(map(_step_key, steps)) for steps in intervals]
-        served = defaultdict(list)
-        for key, r in zip(keys, rows):
-            served[key].append(r)
-        for key, steps in zip(keys, intervals):
-            if key not in self._maps:
-                lengths = [n for _, n in _runs(steps)]
-                self._maps[key] = (
-                    _build_map(steps, grid, boundary, beta)
-                    if _map_pays(lengths, served[key], self._pricings,
-                                 grid.spots.size)
-                    else None)
-        return [self._maps[key] for key in keys]
+    m = grid.spots.size
+    step_keys = [tuple(map(_step_key, steps)) for steps in intervals]
+    served = defaultdict(list)
+    for key, r in zip(step_keys, rows):
+        served[key].append(r)
+    head = ("fd.map", pricings, grid.dx, m, grid.spots[0], grid.spots[-1],
+            boundary, beta)
+    maps = []
+    for key, steps in zip(step_keys, intervals):
+        full = head + (tuple(served[key]),) + key
+        if full not in cache:
+            lengths = [n for _, n in _runs(steps)]
+            cache[full] = (_build_map(steps, grid, boundary, beta)
+                           if _map_pays(lengths, served[key], pricings, m)
+                           else None)
+        maps.append(cache[full])
+    return maps
 
 
 def _interval_steps(model, grid, t_hi, t_lo, n_steps, config):
@@ -743,7 +717,7 @@ def _compose(first, then):
 
 # Seconds per theta step on r rows of M nodes, _STEP_S + _NODE_S * r * M,
 # and per (M + 1, M) by (M, M) product, _PRODUCT_S * M**3, for the map or
-# march choice of IntervalPropagators.  Best of 7-15 rounds in fresh
+# march choice of _interval_maps.  Best of 7-15 rounds in fresh
 # processes on a 2-core Xeon (Python 3.11, numpy 2.4, scipy 1.17).  Steps
 # of 1-200 rows and the blocked (M + 1)-row steps of a build, at M =
 # 200-2000, took 0.8-1.5 times the fit.  Products at M = 200-2000 took
@@ -916,7 +890,8 @@ def fd_price(
     config: FdConfig,
     spot: float,
     *,
-    propagators: IntervalPropagators | None = None,
+    cache: dict | None = None,
+    pricings: int = 1,
 ) -> PriceResult:
     """Price the note by backward induction on the tracked lattice.
 
@@ -925,8 +900,11 @@ def fd_price(
     fixing marches only the zero-accrual solution down to the valuation
     date.  The price is the value at the spot node, or a one-off spline
     interpolation in the log-spot when the spot is off-grid.
-    ``propagators`` shares interval maps with other pricings on the same
-    spot grid; by default the maps live for this call only.
+    ``cache`` is a dict the caller owns (not locked): calls given one dict
+    share interval maps, each keyed by all it depends on, until the caller
+    drops it; by default the maps live for this call.  ``pricings`` is how
+    many pricings are expected to share the maps; it decides only whether
+    an interval is mapped or its rows are marched.
     """
     started = time.perf_counter()
     grid = build_grid(contract, model, config, spot)
@@ -944,9 +922,8 @@ def fd_price(
     if isinstance(model.vol, LocalVolSurface):
         maps = [None] * k_total
     else:
-        if propagators is None:
-            propagators = IntervalPropagators()
-        maps = propagators.maps(
+        maps = _interval_maps(
+            {} if cache is None else cache, pricings,
             [interval(k) for k in range(1, k_total + 1)],
             [1] + [config.accumulation_nodes] * (k_total - 1),
             grid, config.boundary, contract.beta)

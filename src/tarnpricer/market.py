@@ -245,13 +245,18 @@ def check_fields(config, names=None) -> None:
 
     A field annotated ``int`` holds an integral value that is not a bool
     (a silent ``int()`` would truncate it), one annotated ``bool`` a bool,
-    and one whose default is an enum member a member of that enum.  The
-    annotation is a string under postponed evaluation of annotations, else
-    the type itself.
+    one whose default is an enum member a member of that enum, and one
+    annotated ``float`` (or ``float | None``, which may also be None) a
+    real number that is not a bool.  The annotation is a string under
+    postponed evaluation of annotations, else the type itself.
     """
     for f in fields(config):
         value = getattr(config, f.name)
-        if f.type in ("int", int):
+        if f.type in ("float", float, "float | None", float | None):
+            kind = "a real number"
+            ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                  or value is None and f.type in ("float | None", float | None))
+        elif f.type in ("int", int):
             kind = "an integer"
             ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
         elif f.type in ("bool", bool):

@@ -17,13 +17,13 @@ generator ``b`` times, so every path is a pure function of (seed, batch,
 row) and results are reproducible bit for bit regardless of how batches
 might be dispatched.
 
-The cases of one run share their simulation through a
-:class:`SharedSimulation`: cases with the same model, spot, schedule, seed
-and path count see the same paths, so a whole path set that is one batch
-is simulated once, and with the control variate on the control column and
-its closed-form mean are computed once per strike and direction.  A larger
-path set is simulated again for every case, because holding it would
-outgrow the one batch a pricing holds anyway.
+The cases of one run share their simulation through one ``cache`` dict:
+cases with the same model, spot, schedule, seed and path count see the
+same paths, so a whole path set that is one batch is simulated once, and
+with the control variate on the control column and its closed-form mean
+are computed once per strike and direction.  A larger path set is
+simulated again for every case, because holding it would outgrow the one
+batch a pricing holds anyway.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
     "BATCH_SIZE",
     "McConfig",
     "McResult",
-    "SharedSimulation",
     "mc_price",
 ]
 
@@ -179,44 +178,17 @@ def _control_values(paths, contract, discounts):
     return contract.gross(paths) @ discounts
 
 
-class SharedSimulation:
-    """What the Monte Carlo pricings of one run share, one entry of each kind.
+def _held(cache, key, make):
+    """``cache[key]``, else ``make()`` held there now.
 
-    Pricings with the same model object, spot, fixing times, seed, path
-    count and substeps draw the same paths.  A path set of one batch
-    (``n_paths <= BATCH_SIZE``) is held, so the paths held stay within the
-    one batch a pricing holds anyway; a larger one is never held.  The
-    control column and its mean are held under that key plus strike and
-    beta.  Held arrays are read-only.  A new key replaces the entry, which
-    is dropped first.  Share one instance only between pricings made one
-    after another (it is not locked); :func:`mc_price` makes its own when
-    given none.
+    An entry is an array, or an array and its mean; the array is set
+    read-only, since every pricing given ``cache`` reads the same one.
     """
-
-    def __init__(self) -> None:
-        self._paths = (None, None)     # (key, read-only (n, K) batch)
-        self._controls = (None, None)  # (key, (read-only column, mean))
-
-    def paths(self, key, simulate):
-        """The batch held under ``key``, else ``simulate()``, held now."""
-        if self._paths[0] != key:
-            self._paths = (None, None)
-            paths = simulate()
-            paths.setflags(write=False)
-            self._paths = (key, paths)
-        return self._paths[1]
-
-    def controls(self, key):
-        """The (column, mean) held under ``key``, or None (and nothing held)."""
-        if self._controls[0] != key:
-            self._controls = (None, None)
-        return self._controls[1]
-
-    def keep_controls(self, key, column, mean):
-        """Hold the control ``column`` and its ``mean`` under ``key``."""
-        column.setflags(write=False)
-        self._controls = (key, (column, mean))
-        return column, mean
+    if key not in cache:
+        entry = make()
+        (entry[0] if isinstance(entry, tuple) else entry).setflags(write=False)
+        cache[key] = entry
+    return cache[key]
 
 
 def mc_price(
@@ -225,20 +197,22 @@ def mc_price(
     config: McConfig,
     spot: float,
     *,
-    shared: SharedSimulation | None = None,
+    cache: dict | None = None,
 ) -> McResult:
     """Estimate the note value by simulation.
 
     The control variate is the sum of the single-fixing vanilla flows, whose
     mean is known in closed form; it is only available under exact
     transitions and is silently downgraded (with a flag on the result) for
-    local volatility models.  ``shared`` holds what pricings of one run
-    reuse (see :class:`SharedSimulation`); the estimate is the same bit for
-    bit with or without it.
+    local volatility models.  ``cache`` is a dict the caller owns:
+    pricings passed the same dict reuse a one-batch path set and the
+    control column with its mean, each keyed by everything it depends on.
+    It is not locked.  The estimate is the same bit for bit with or
+    without it.
     """
     started = time.perf_counter()
     check_spot(spot)
-    shared = SharedSimulation() if shared is None else shared
+    cache = {} if cache is None else cache
     times = contract.fixing_times
     discounts = np.array(
         [discount_factor(model.domestic, 0.0, t) for t in times]
@@ -253,10 +227,9 @@ def mc_price(
         raise ValueError(f"n_paths must leave at least 2 paths after the {n_pilot}-path "
                          f"control-variate pilot, got {n}")
     key = (model, spot, times, config.seed, n, config.substeps_per_interval)
-    control_key = key + (contract.strike, contract.beta)
-    held = shared.controls(control_key) if use_cv else None
+    control_key = ("mc.controls",) + key + (contract.strike, contract.beta)
     payoffs = np.empty(n)
-    controls = np.empty(n) if use_cv and held is None else None
+    controls = np.empty(n) if use_cv and control_key not in cache else None
     base = np.random.Philox(config.seed)
     n_batches = (n + BATCH_SIZE - 1) // BATCH_SIZE
 
@@ -268,19 +241,18 @@ def mc_price(
     for b in range(n_batches):
         start = b * BATCH_SIZE
         stop = min(start + BATCH_SIZE, n)
-        paths = simulate(b) if n_batches > 1 else shared.paths(key, lambda: simulate(0))
+        paths = (simulate(b) if n_batches > 1
+                 else _held(cache, ("mc.paths",) + key, lambda: simulate(0)))
         payoffs[start:stop] = batch_present_value(paths, contract, discounts)
         if controls is not None:
             controls[start:stop] = _control_values(paths, contract, discounts)
 
     if use_cv:
-        if held is None:
-            held = shared.keep_controls(control_key, controls, sum(
-                vanilla_price(spot, contract.strike, contract.beta, t,
-                              model.domestic, model.foreign, model.vol)
-                for t in times
-            ))
-        controls, control_mean = held
+        controls, control_mean = _held(cache, control_key, lambda: (controls, sum(
+            vanilla_price(spot, contract.strike, contract.beta, t,
+                          model.domestic, model.foreign, model.vol)
+            for t in times
+        )))
         if config.cv_coefficient is not None:
             lam = float(config.cv_coefficient)
         else:

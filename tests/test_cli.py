@@ -433,6 +433,10 @@ class TestRunConfig:
         ("targets", (0.5, np.float64(0.5)), "contract.target: 0.5 is listed twice"),
         ("knockouts", (KnockoutType.NO_GAIN, KnockoutType.FULL_GAIN, KnockoutType.NO_GAIN),
          "contract.knockout: no_gain is listed twice"),
+        ("strike", "1.0", "contract.strike must be a real number, got '1.0'"),
+        ("strike", True, "contract.strike must be a real number, got True"),
+        ("spot", "1.05", "run.spot must be a real number, got '1.05'"),
+        ("spot", True, "run.spot must be a real number, got True"),
     ])
     def test_hand_built_config_rejected_by_key(self, field, value, key):
         base = PRESETS["table1"]()
@@ -465,12 +469,29 @@ class TestRunConfig:
         (FdConfig, "pin_policy", BoundaryKind.ZERO_GAMMA, "pin_policy must be a PinPolicy"),
         (McConfig, "control_variate", "no", "control_variate must be a bool"),
         (McConfig, "control_variate", 1, "control_variate must be a bool"),
+        (FdConfig, "theta", True, "theta must be a real number"),
+        (FdConfig, "theta", "0.5", "theta must be a real number"),
+        (FdConfig, "domain_width_sigmas", True, "domain_width_sigmas must be a real number"),
+        (FdConfig, "domain_width_sigmas", "3.5", "domain_width_sigmas must be a real number"),
+        (McConfig, "cv_coefficient", True, "cv_coefficient must be a real number"),
+        (McConfig, "cv_coefficient", "1.0", "cv_coefficient must be a real number"),
     ])
     def test_fields_reject_the_wrong_kind_by_name(self, cls, field, value, message):
         # the engines test enum fields with `is`: a string would price with
-        # the other choice, and any truthy string would turn an option on
+        # the other choice, and any truthy string would turn an option on;
+        # theta=True priced fully implicit, and theta="0.5" raised a
+        # TypeError naming no field
         with pytest.raises(ValueError, match=f"^{message}, got {value!r}$"):
             cls(**{field: value})
+
+    @pytest.mark.parametrize("cls, field, value", [
+        (FdConfig, "theta", 1),
+        (FdConfig, "domain_width_sigmas", np.float64(3.0)),
+        (McConfig, "cv_coefficient", 1),
+    ], ids=["FdConfig.theta-int", "FdConfig.domain_width_sigmas-float64",
+            "McConfig.cv_coefficient-int"])
+    def test_float_fields_accept_any_real_number(self, cls, field, value):
+        assert getattr(cls(**{field: value}), field) == value
 
     @pytest.mark.parametrize("old, new, message", [
         ("target = 0.3, 0.5", "target = 0.3, 0.5, 0.30",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -384,6 +385,25 @@ class TestContractValidation:
         # a string used to price silently by the part-gain rule
         with pytest.raises(ValueError, match="^knockout must be a KnockoutType"):
             make_contract(knockout=knockout)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("strike", "1.0", "strike must be a real number, got '1.0'"),
+        ("strike", True, "strike must be a real number, got True"),
+        ("target", "0.3", "target must be a real number, got '0.3'"),
+        ("target", False, "target must be a real number, got False"),
+        ("beta", True, "beta must be +1 or -1, got True"),
+    ], ids=["strike_str", "strike_bool", "target_str", "target_bool", "beta_bool"])
+    def test_rejects_the_wrong_kind_by_name(self, field, value, message):
+        # float() would convert a numeric string silently, and a bool would
+        # pass as 0 or 1
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_contract(**{field: value})
+
+    @pytest.mark.parametrize("value", [1, np.float64(1.0), np.int64(1)],
+                             ids=["int", "float64", "int64"])
+    def test_any_real_strike_becomes_a_float(self, value):
+        contract = make_contract(strike=value)
+        assert contract.strike == 1.0 and type(contract.strike) is float
 
     @pytest.mark.parametrize("extras", [None, (0.1, 0.2, 0.3)])
     def test_extra_payment_index_checked(self, extras):

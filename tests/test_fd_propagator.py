@@ -23,7 +23,6 @@ from tarnpricer import (
 )
 from tarnpricer import cli, fd
 from tarnpricer.fd import (
-    IntervalPropagators,
     JumpPlan,
     apply_jump,
     build_grid,
@@ -336,7 +335,7 @@ def test_one_run_map_matches_reference_march(monkeypatch, n, n_products):
                                grid.fixing_times[0], n, config)
     assert [length for _, length in fd._runs(steps)] == [n]
     got = fd_price(contract, model, config, 1.05,
-                   propagators=IntervalPropagators(pricings=12)).price
+                   pricings=12).price
     assert len(built) == 1
     assert len(products) == n_products
     assert got == pytest.approx(reference_price(contract, model, config, 1.05),
@@ -369,7 +368,7 @@ def test_runs_of_one_interval_compose(monkeypatch, contract, config, spot):
     assert len(products) == 6
     built.clear()
     got = fd_price(contract, model, config, spot,
-                   propagators=IntervalPropagators(pricings=12)).price
+                   pricings=12).price
     # the intervals below the knot, the knot's and those above it
     assert len(built) == 3
     assert got == pytest.approx(reference_price(contract, model, config, spot),
@@ -416,12 +415,26 @@ def test_maps_keep_no_entry_a_product_could_underflow_on(n, t_hi):
         assert np.all((array == 0.0) | (np.abs(array) >= fd._NEGLIGIBLE))
 
 
-def test_new_grid_clears_the_cache():
-    shared = IntervalPropagators()
-    contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
-    a = fd_price(contract, flat_model(), GRID, 1.05, propagators=shared).price
-    fd_price(contract, flat_model(), replace(GRID, spot_nodes=90), 1.05,
-             propagators=shared)
-    again = fd_price(contract, flat_model(), GRID, 1.05, propagators=shared).price
-    assert again == a
-    assert len(shared._maps) == 1
+def test_a_price_never_depends_on_what_was_priced_before_it():
+    # one dict across two spot grids, two accumulation grids (the rows an
+    # interval's map-or-march choice is made from), two pricings hints, two
+    # models, both boundaries and both betas, walked forward and back; the
+    # boundaries and betas share one spot grid
+    cache = {}
+    cases = [
+        (contract, model, replace(config, spot_nodes=m, accumulation_nodes=j),
+         pricings)
+        for m in (120, 90)
+        for j in (20, 6)
+        for pricings in (1, 12)
+        for model in (flat_model(r_d=0.02), term_structure_model())
+        for config in (replace(DIRECTIONAL, boundary=BoundaryKind.ZERO_GAMMA),
+                       DIRECTIONAL)
+        for contract in (call_contract(), put_contract())
+    ]
+    for contract, model, config, pricings in cases + cases[::-1]:
+        got = fd_price(contract, model, config, 1.05, cache=cache,
+                       pricings=pricings).price
+        want = fd_price(contract, model, config, 1.05, pricings=pricings).price
+        assert got == want
+    assert {key[3] for key in cache} == {120, 90}

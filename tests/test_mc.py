@@ -17,7 +17,7 @@ from tarnpricer import (
     vanilla_price,
 )
 from tarnpricer.cli import PRESETS, run
-from tarnpricer.mc import BATCH_SIZE, SharedSimulation, simulate_fixing_paths, standard_error
+from tarnpricer.mc import BATCH_SIZE, simulate_fixing_paths, standard_error
 
 import path_oracle
 from conftest import benchmark_contract, benchmark_times, flat_model
@@ -308,12 +308,12 @@ def test_one_simulation_and_payoff_call_per_batch(monkeypatch):
 CASES = [benchmark_contract(ko, u) for ko in KnockoutType for u in (0.3, 0.5)]
 
 
-def run_cases(config, shared, contracts=CASES, model=None):
+def run_cases(config, cache, contracts=CASES, model=None):
     """The (price, stderr bits, cv_coefficient) of each case, priced in order."""
     model = model or flat_model(r_d=0.01)
     out = []
     for contract in contracts:
-        res = mc_price(contract, model, config, 1.05, shared=shared)
+        res = mc_price(contract, model, config, 1.05, cache=cache)
         out.append(bits([res.price, res.stderr]) + [res.cv_coefficient])
     return out
 
@@ -332,17 +332,17 @@ class TestSharedSimulation:
     def test_cases_match_unshared_pricings(self, config, model):
         model = model or flat_model(r_d=0.01)
         alone = [run_cases(config, None, [c], model)[0] for c in CASES]
-        assert run_cases(config, SharedSimulation(), model=model) == alone
+        assert run_cases(config, {}, model=model) == alone
 
     def test_one_batch_run_simulates_once(self, monkeypatch):
         calls = counting(monkeypatch, "simulate_fixing_paths", "_control_values")
-        run_cases(McConfig(n_paths=BATCH_SIZE, seed=5), SharedSimulation())
+        run_cases(McConfig(n_paths=BATCH_SIZE, seed=5), {})
         assert calls == ["simulate_fixing_paths", "_control_values"]
 
     def test_three_batch_run_simulates_every_batch_per_case(self, monkeypatch):
         calls = counting(monkeypatch, "simulate_fixing_paths", "_control_values",
                          "vanilla_price")
-        run_cases(McConfig(n_paths=2 * BATCH_SIZE + 1, seed=5), SharedSimulation())
+        run_cases(McConfig(n_paths=2 * BATCH_SIZE + 1, seed=5), {})
         assert calls.count("simulate_fixing_paths") == 3 * 6
         # the control column and its mean are made for the first case only
         assert calls.count("_control_values") == 3
@@ -356,14 +356,17 @@ class TestSharedSimulation:
         assert len(records) == 6 and len(calls) == 1
 
     def test_held_arrays_are_read_only(self):
-        shared = SharedSimulation()
+        cache = {}
         config = McConfig(n_paths=1000, seed=2)
         model = flat_model()
         contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
-        mc_price(contract, model, config, 1.05, shared=shared)
+        mc_price(contract, model, config, 1.05, cache=cache)
         key = (model, 1.05, contract.fixing_times, 2, 1000, 1)
-        paths = shared.paths(key, lambda: pytest.fail("the batch is held"))
-        column, _ = shared.controls(key + (1.0, 1))
+        paths_key = ("mc.paths",) + key
+        controls_key = ("mc.controls",) + key + (1.0, 1)
+        assert set(cache) == {paths_key, controls_key}
+        paths = cache[paths_key]
+        column, _ = cache[controls_key]
         for held in (paths, column):
             assert not held.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -387,12 +390,12 @@ class TestSharedSimulation:
         base = dict(contract=benchmark_contract(KnockoutType.NO_GAIN, 0.3),
                     model=flat_model(r_d=0.01), config=McConfig(n_paths=3000, seed=9),
                     spot=1.05)
-        shared = SharedSimulation()
-        mc_price(**base, shared=shared)
+        cache = {}
+        mc_price(**base, cache=cache)
         args = {**base, **change}
         want = mc_price(**args)
         calls = counting(monkeypatch, "simulate_fixing_paths", "vanilla_price")
-        got = mc_price(**args, shared=shared)
+        got = mc_price(**args, cache=cache)
         assert bits([got.price, got.stderr]) == bits([want.price, want.stderr])
         assert got.cv_coefficient == want.cv_coefficient
         same_paths = "contract" in change and "config" not in change
