@@ -37,7 +37,7 @@ from .market import (
     RateCurve,
     TermStructureVol,
     check_fields,
-    check_spot,
+    check_positive,
 )
 from .mc import McConfig, mc_price
 
@@ -92,16 +92,13 @@ class RunConfig:
     convergence: bool = False
 
     def __post_init__(self) -> None:
-        check_fields(self, names={"beta": "contract.beta",
-                                  "strike": "contract.strike", "spot": "run.spot"})
+        check_fields(self, names={"targets": "contract.target", "spot": "run.spot"} | {
+            f: f"contract.{f}" for f in ("beta", "strike", "fixing_times", "extra_payments")})
         if not self.targets:
             raise ValueError("contract.target: at least one target is required")
         if not self.knockouts:
             raise ValueError("contract.knockout: at least one knockout type is required")
-        try:
-            check_spot(self.spot)
-        except ValueError as exc:
-            raise ValueError(f"run.{exc}") from exc
+        check_positive(self.spot, "run.spot")
         _check_engines(self.engines, "run.engines")
         if self.output_format not in ("human", "records"):
             raise ValueError("output.format: must be 'human' or 'records'")
@@ -114,7 +111,7 @@ class RunConfig:
                 except ValueError as exc:  # the message starts with the field
                     raise ValueError(f"contract.{exc}") from exc
         # a case is keyed by (knockout, target), as its records are
-        for key, values in (("target", [float(t) for t in self.targets]),
+        for key, values in (("target", self.targets),
                             ("knockout", [k.value for k in self.knockouts])):
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:

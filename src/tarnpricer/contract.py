@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import check_fields
+from .market import check_beta, check_fields, check_positive
 
 __all__ = [
     "KnockoutType",
@@ -66,39 +66,27 @@ class TarnContract:
     extra_payments: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        # before int() could truncate it; an integral float becomes an int
-        if isinstance(self.beta, bool) or self.beta not in (1, -1):
-            raise ValueError(f"beta must be +1 or -1, got {self.beta!r}")
-        object.__setattr__(self, "beta", int(self.beta))
+        object.__setattr__(self, "beta", check_beta(self.beta))
         check_fields(self)
-        object.__setattr__(self, "strike", float(self.strike))
-        object.__setattr__(self, "target", float(self.target))
-        times = tuple(float(t) for t in self.fixing_times)
-        object.__setattr__(self, "fixing_times", times)
-        if not (self.strike > 0.0 and math.isfinite(self.strike)):
-            raise ValueError("strike must be positive and finite")
-        if not (self.target > 0.0 and math.isfinite(self.target)):
-            raise ValueError("target must be positive and finite")
+        object.__setattr__(self, "strike", check_positive(self.strike, "strike"))
+        object.__setattr__(self, "target", check_positive(self.target, "target"))
         if not isinstance(self.knockout, KnockoutType):
-            raise ValueError(
-                f"knockout must be a KnockoutType, got {self.knockout!r}")
-        if not times:
+            raise ValueError(f"knockout must be a KnockoutType, got {self.knockout!r}")
+        if not self.fixing_times:
             raise ValueError("fixing_times must hold at least one date")
-        if not all(math.isfinite(t) for t in times):
+        if not all(math.isfinite(t) for t in self.fixing_times):
             raise ValueError("fixing_times must be finite")
-        if times[0] <= 0.0:
+        if self.fixing_times[0] <= 0.0:
             raise ValueError("fixing_times must be positive")
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if any(b <= a for a, b in zip(self.fixing_times, self.fixing_times[1:])):
             raise ValueError("fixing_times must be strictly increasing")
         if self.extra_payments is not None:
-            extras = tuple(float(c) for c in self.extra_payments)
-            object.__setattr__(self, "extra_payments", extras)
-            if len(extras) != len(times):
+            if len(self.extra_payments) != self.num_fixings:
                 raise ValueError(
-                    f"extra_payments must have exactly {len(times)} "
-                    f"entries to match the fixing schedule, got {len(extras)}"
+                    f"extra_payments must have exactly {self.num_fixings} entries "
+                    f"to match the fixing schedule, got {len(self.extra_payments)}"
                 )
-            if not all(math.isfinite(c) for c in extras):
+            if not all(math.isfinite(c) for c in self.extra_payments):
                 raise ValueError("extra_payments must be finite")
 
     @property

@@ -63,7 +63,7 @@ import numpy as np
 import scipy.linalg
 
 from .contract import TarnContract, fixing_flows
-from .market import LocalVolSurface, MarketModel, check_fields, check_spot
+from .market import LocalVolSurface, MarketModel, check_fields, check_positive
 
 __all__ = [
     "PinPolicy",
@@ -131,9 +131,7 @@ class FdConfig:
             raise ValueError("time_steps must be at least 1")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
-        if not (self.domain_width_sigmas > 0.0
-                and math.isfinite(self.domain_width_sigmas)):
-            raise ValueError("domain_width_sigmas must be positive and finite")
+        check_positive(self.domain_width_sigmas, "domain_width_sigmas")
         if self.implicit_startup_steps < 0:
             raise ValueError("implicit_startup_steps must be nonnegative")
 
@@ -427,7 +425,7 @@ def build_grid(
     the largest level the specification can reach over the note's life).
     The accumulation grid runs uniformly from zero to the target.
     """
-    check_spot(spot)
+    check_positive(spot, "spot")
     horizon = contract.maturity
     sigma_bar = model.vol.max_sigma(horizon)
     half_width = config.domain_width_sigmas * sigma_bar * math.sqrt(horizon)
@@ -917,14 +915,15 @@ def fd_price(
                                grid.steps_per_interval[k - 1], config)
 
     # Scalar coefficients: the cache decides every interval before the jump
-    # plan and the lattice take their memory.  Local volatility has per-node
+    # plan and the lattice take their memory, and a marched interval steps
+    # through the list made here.  Local volatility has per-node
     # coefficients and is stepped; its steps are made one interval at a time.
     if isinstance(model.vol, LocalVolSurface):
-        maps = [None] * k_total
+        steps = maps = [None] * k_total
     else:
+        steps = [interval(k) for k in range(1, k_total + 1)]
         maps = _interval_maps(
-            {} if cache is None else cache, pricings,
-            [interval(k) for k in range(1, k_total + 1)],
+            {} if cache is None else cache, pricings, steps,
             [1] + [config.accumulation_nodes] * (k_total - 1),
             grid, config.boundary, contract.beta)
     plan = JumpPlan.build(contract, grid)
@@ -934,8 +933,8 @@ def fd_price(
         if k == 1:
             values = values[:1]
         if maps[k - 1] is None:
-            values = _march(values, interval(k), grid, config.boundary,
-                            contract.beta)
+            values = _march(values, steps[k - 1] or interval(k), grid,
+                            config.boundary, contract.beta)
         else:
             matrix, offset = maps[k - 1]
             values = values @ matrix

@@ -5,11 +5,15 @@ discount factors and integrated variances are exact; curve handling then
 contributes nothing to the numerical error budget when the two engines are
 compared.  Local volatility is a surface sampled on a rectangular mesh with
 bilinear interpolation, clamped at the mesh edges.
+
+Every constructor and entry point checks its input by the one rule here:
+:func:`check_positive`, :func:`check_beta`, :func:`check_fields`, ``_check_pieces``.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import enum
 import math
 import numbers
@@ -47,6 +51,30 @@ def _piecewise_integral(times, values, t0, t1):
     return total
 
 
+def _piece_at(times, values, t):
+    """The value at ``t`` of a right-continuous step function (flat before it)."""
+    return values[max(bisect.bisect_right(times, t) - 1, 0)]
+
+
+def _check_pieces(curve, values_name: str, knot_word: str, positive: bool) -> None:
+    """Check a step function's ``times`` and ``values_name``, its knots named ``knot_word``."""
+    check_fields(curve)
+    times, values = curve.times, getattr(curve, values_name)
+    if len(times) != len(values) or not times:
+        raise ValueError(f"times and {values_name} must be nonempty and equal length")
+    if not all(math.isfinite(t) for t in times):
+        raise ValueError("times must be finite")
+    if times[0] != 0.0:
+        raise ValueError(f"first {knot_word} knot must be at t = 0")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError(f"{knot_word} knots must be strictly increasing")
+    if positive:
+        for v in values:
+            check_positive(v, values_name)
+    elif not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{values_name} must be finite")
+
+
 @dataclass(frozen=True)
 class RateCurve:
     """Piecewise-constant instantaneous rate r(t).
@@ -59,26 +87,14 @@ class RateCurve:
     rates: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-        object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
-        if len(self.times) != len(self.rates) or not self.times:
-            raise ValueError("times and rates must be nonempty and equal length")
-        if not all(math.isfinite(t) for t in self.times):
-            raise ValueError("times must be finite")
-        if self.times[0] != 0.0:
-            raise ValueError("first rate knot must be at t = 0")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("rate knots must be strictly increasing")
-        if not all(np.isfinite(r) for r in self.rates):
-            raise ValueError("rates must be finite")
+        _check_pieces(self, "rates", "rate", positive=False)
 
     @classmethod
     def flat(cls, rate: float) -> "RateCurve":
-        return cls((0.0,), (float(rate),))
+        return cls((0.0,), (rate,))
 
     def rate_at(self, t: float) -> float:
-        idx = bisect.bisect_right(self.times, t) - 1
-        return self.rates[max(idx, 0)]
+        return _piece_at(self.times, self.rates, t)
 
     def integral(self, t0: float, t1: float) -> float:
         """Exact ``int_{t0}^{t1} r(u) du``."""
@@ -101,9 +117,7 @@ class ConstantVol:
     sigma: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma", float(self.sigma))
-        if not (self.sigma > 0.0 and np.isfinite(self.sigma)):
-            raise ValueError("sigma must be positive and finite")
+        object.__setattr__(self, "sigma", check_positive(self.sigma, "sigma"))
 
     def sigma_at(self, t: float) -> float:
         return self.sigma
@@ -120,22 +134,10 @@ class TermStructureVol:
     sigmas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-        object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
-        if len(self.times) != len(self.sigmas) or not self.times:
-            raise ValueError("times and sigmas must be nonempty and equal length")
-        if not all(math.isfinite(t) for t in self.times):
-            raise ValueError("times must be finite")
-        if self.times[0] != 0.0:
-            raise ValueError("first volatility knot must be at t = 0")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("volatility knots must be strictly increasing")
-        if not all(s > 0.0 and np.isfinite(s) for s in self.sigmas):
-            raise ValueError("sigmas must be positive and finite")
+        _check_pieces(self, "sigmas", "volatility", positive=True)
 
     def sigma_at(self, t: float) -> float:
-        idx = bisect.bisect_right(self.times, t) - 1
-        return self.sigmas[max(idx, 0)]
+        return _piece_at(self.times, self.sigmas, t)
 
     def max_sigma(self, horizon: float) -> float:
         active = [s for knot, s in zip(self.times, self.sigmas) if knot < horizon]
@@ -156,9 +158,13 @@ class LocalVolSurface:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        tk = np.asarray(self.time_knots, dtype=float)
-        sk = np.asarray(self.spot_knots, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
+        arrays = []
+        for name in ("time_knots", "spot_knots", "values"):
+            raw = np.asarray(getattr(self, name))
+            if raw.dtype.kind not in "iuf":  # a bool or a string converts silently
+                raise ValueError(f"{name} must hold real numbers, got dtype {raw.dtype}")
+            arrays.append(np.array(raw, dtype=float))  # a copy, frozen below
+        tk, sk, vals = arrays
         if tk.ndim != 1 or sk.ndim != 1 or vals.shape != (tk.size, sk.size):
             raise ValueError("values must have shape (len(time_knots), len(spot_knots))")
         if tk.size < 2 or sk.size < 2:
@@ -213,6 +219,14 @@ class MarketModel:
     foreign: RateCurve
     vol: VolatilitySpec
 
+    def __post_init__(self) -> None:
+        for name, kinds in (("domestic", (RateCurve,)), ("foreign", (RateCurve,)),
+                            ("vol", (ConstantVol, TermStructureVol, LocalVolSurface))):
+            value = getattr(self, name)
+            if not isinstance(value, kinds):
+                expected = " or ".join(kind.__name__ for kind in kinds)
+                raise ValueError(f"{name} must be a {expected}, got {value!r}")
+
     @property
     def has_exact_transition(self) -> bool:
         """True when fixing-to-fixing transitions are lognormal in closed form."""
@@ -233,33 +247,51 @@ def integrated_variance(vol: VolatilitySpec, t0: float, t1: float) -> float:
     )
 
 
-def check_spot(spot: float) -> None:
-    """Reject a spot that is not positive and finite, naming it."""
-    if not (spot > 0.0 and math.isfinite(spot)):
-        raise ValueError(f"spot must be positive and finite, got {spot!r}")
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_positive(value, name: str) -> float:
+    """``value`` as a float if it is a positive, finite real and no bool."""
+    if not (_is_real(value) and value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
+def check_beta(beta) -> int:
+    """``beta`` as an int if it is +1 or -1 and no bool (before int() truncates)."""
+    if isinstance(beta, bool) or beta not in (1, -1):
+        raise ValueError(f"beta must be +1 or -1, got {beta!r}")
+    return int(beta)
 
 
 def check_fields(config, names=None) -> None:
     """Reject a field of the dataclass ``config`` that holds the wrong kind
     of value, naming the field (as ``names`` maps it, if given).
 
-    A field annotated ``int`` holds an integral value that is not a bool
-    (a silent ``int()`` would truncate it), one annotated ``bool`` a bool,
-    one whose default is an enum member a member of that enum, and one
-    annotated ``float`` (or ``float | None``, which may also be None) a
-    real number that is not a bool.  The annotation is a string under
-    postponed evaluation of annotations, else the type itself.
+    A field annotated ``int`` holds an integral value that is not a bool (a
+    silent ``int()`` would truncate it), ``bool`` a bool, ``float`` a real
+    number that is not a bool, ``tuple[float, ...]`` such numbers (then
+    stored as a tuple of floats), and one whose default is an enum member a
+    member of that enum.  An annotation ending ``| None`` also allows None.
     """
     for f in fields(config):
         value = getattr(config, f.name)
-        if f.type in ("float", float, "float | None", float | None):
-            kind = "a real number"
-            ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                  or value is None and f.type in ("float | None", float | None))
-        elif f.type in ("int", int):
-            kind = "an integer"
-            ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-        elif f.type in ("bool", bool):
+        full = f.type.__name__ if isinstance(f.type, type) else str(f.type)
+        spec = full.removesuffix(" | None")
+        if value is None and spec != full:
+            continue
+        if spec == "float":
+            kind, ok = "a real number", _is_real(value)
+        elif spec == "tuple[float, ...]":
+            kind = "a sequence of real numbers"
+            with contextlib.suppress(TypeError):  # a generator is read once
+                value = value if isinstance(value, str) else tuple(value)
+            if ok := isinstance(value, tuple) and all(map(_is_real, value)):
+                object.__setattr__(config, f.name, tuple(map(float, value)))
+        elif spec == "int":
+            kind, ok = "an integer", isinstance(value, numbers.Integral) and _is_real(value)
+        elif spec == "bool":
             kind, ok = "a bool", isinstance(value, bool)
         elif isinstance(f.default, enum.Enum):
             kind = f"a {type(f.default).__name__}"
@@ -287,13 +319,9 @@ def vanilla_price(
     by the Monte Carlo engine as the control-variate mean and throughout
     the tests as a closed-form limit.
     """
-    check_spot(spot)
-    if not (strike > 0.0 and math.isfinite(strike)):
-        raise ValueError(f"strike must be positive and finite, got {strike!r}")
-    if not (expiry > 0.0 and math.isfinite(expiry)):
-        raise ValueError(f"expiry must be positive and finite, got {expiry!r}")
-    if beta not in (1, -1):
-        raise ValueError("beta must be +1 or -1")
+    for value, name in ((spot, "spot"), (strike, "strike"), (expiry, "expiry")):
+        check_positive(value, name)
+    beta = check_beta(beta)
     variance = integrated_variance(vol, 0.0, expiry)
     df_d = discount_factor(domestic, 0.0, expiry)
     df_f = discount_factor(foreign, 0.0, expiry)

@@ -38,7 +38,7 @@ from .contract import TarnContract, batch_present_value
 from .market import (
     MarketModel,
     check_fields,
-    check_spot,
+    check_positive,
     discount_factor,
     integrated_variance,
     vanilla_price,
@@ -211,7 +211,7 @@ def mc_price(
     without it.
     """
     started = time.perf_counter()
-    check_spot(spot)
+    check_positive(spot, "spot")
     cache = {} if cache is None else cache
     times = contract.fixing_times
     discounts = np.array(

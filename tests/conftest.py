@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tarnpricer import ConstantVol, MarketModel, RateCurve, TarnContract
+
+# These tests check behaviour, not speed (perfbench times the engines), so a
+# slow example on a busy host is no failure.
+settings.register_profile("no_deadline", deadline=None)
+settings.load_profile("no_deadline")
 
 
 def flat_model(sigma=0.2, r_d=0.0, r_f=0.0):

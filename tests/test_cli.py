@@ -1,22 +1,28 @@
+import configparser
 import dataclasses
 import enum
+import io
 import json
 import math
+import re
 import string
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tarnpricer import KnockoutType, MarketModel, RateCurve, TermStructureVol
 from tarnpricer.cli import (
+    _ENGINE_SECTIONS,
+    _KNOWN_KEYS,
     ConfigError,
     PRESETS,
     ResultRecord,
     RunConfig,
+    _section_fields,
     emit,
     fingerprint,
     main,
@@ -412,6 +418,94 @@ class TestFingerprint:
         human = parse_config(SMALL_RUN.replace("format = records",
                                                "format = human"))
         assert fingerprint(base) == fingerprint(human)
+
+
+# Values of the wrong kind for any number: non-finite, or words with no
+# digit, which parse as a number only when they spell a non-finite one.
+NON_NUMBERS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity", "1e999"]),
+    st.text(string.ascii_letters + "%$!?_-+.", min_size=1, max_size=8),
+)
+NON_INTEGERS = NON_NUMBERS | st.floats(allow_nan=False, allow_infinity=False).filter(
+    lambda x: not x.is_integer()).map(repr)
+NON_POSITIVE = st.floats(max_value=0.0, allow_infinity=False).map(repr)
+
+
+def below(bound):
+    return st.integers(max_value=bound - 1).map(str)
+
+
+def words_but(valid):
+    return st.text(string.ascii_letters + "_", min_size=1, max_size=8).filter(
+        lambda w: w.lower() not in valid)
+
+
+# For every key of [contract], [run], [fd] and [mc]: values that must be
+# rejected, as non-finite, of the wrong kind or out of range.
+BAD_VALUES = {
+    ("contract", "strike"): NON_NUMBERS | NON_POSITIVE,
+    ("contract", "target"): NON_NUMBERS | NON_POSITIVE,
+    ("contract", "beta"): NON_INTEGERS | st.integers().filter(
+        lambda b: b not in (1, -1)).map(str),
+    ("contract", "knockout"): words_but({k.value for k in KnockoutType}),
+    ("contract", "fixing_times"): (NON_NUMBERS | NON_POSITIVE).map(
+        lambda v: f"{v}, 0.5, 0.75"),
+    ("contract", "extra_payments"): NON_NUMBERS.map(lambda v: f"0, {v}, 0") | st.lists(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr), min_size=1).filter(
+        lambda xs: len(xs) != 3).map(", ".join),
+    ("run", "spot"): NON_NUMBERS | NON_POSITIVE,
+    ("run", "engines"): words_but({"fd", "mc"}),
+    ("fd", "spot_nodes"): NON_INTEGERS | below(4),
+    ("fd", "accumulation_nodes"): NON_INTEGERS | below(4),
+    ("fd", "time_steps"): NON_INTEGERS | below(1),
+    ("fd", "theta"): NON_NUMBERS | st.floats(allow_nan=False, allow_infinity=False).filter(
+        lambda x: not 0.0 <= x <= 1.0).map(repr),
+    ("fd", "domain_width_sigmas"): NON_NUMBERS | NON_POSITIVE,
+    ("fd", "pin_policy"): words_but({p.value for p in PinPolicy}),
+    ("fd", "boundary"): words_but({b.value for b in BoundaryKind}),
+    ("fd", "implicit_startup_steps"): NON_INTEGERS | below(0),
+    ("mc", "paths"): NON_INTEGERS | below(2),
+    ("mc", "seed"): NON_INTEGERS | below(0),
+    ("mc", "substeps_per_interval"): NON_INTEGERS | below(1),
+    ("mc", "control_variate"): words_but(configparser.ConfigParser.BOOLEAN_STATES),
+    ("mc", "cv_coefficient"): NON_NUMBERS,
+}
+
+
+def with_value(section: str, key: str, value: str) -> str:
+    """MINIMAL with ``key = value`` in ``section``, added or replaced."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(MINIMAL)
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser.set(section, key, value)
+    out = io.StringIO()
+    parser.write(out)
+    return out.getvalue()
+
+
+class TestSectionFuzz:
+    def test_every_key_is_fuzzed(self):
+        keys = {("contract", k) for k in _KNOWN_KEYS["contract"]}
+        keys |= {("run", k) for k in _KNOWN_KEYS["run"]}
+        keys |= {(name, k) for name, cls in _ENGINE_SECTIONS.items()
+                 for k in _section_fields(cls)}
+        assert set(BAD_VALUES) == keys
+
+    @pytest.mark.parametrize("section, key", sorted(BAD_VALUES),
+                             ids=[f"{s}.{k}" for s, k in sorted(BAD_VALUES)])
+    @settings(max_examples=30)  # 21 keys: a few seconds in all
+    @given(data=st.data())
+    def test_bad_value_rejected_by_key(self, section, key, data):
+        """A value that is non-finite, of the wrong kind or out of range is
+        a ConfigError that starts with its key: ``section.key`` when it is
+        read, ``section: field`` when an engine config checks it."""
+        value = data.draw(BAD_VALUES[section, key], label="value")
+        with pytest.raises(ConfigError) as err:
+            parse_config(with_value(section, key, value))
+        field = _section_fields(_ENGINE_SECTIONS[section])[key].name \
+            if section in _ENGINE_SECTIONS else key
+        assert re.match(rf"{section}(\.{key}|: {field})\b", str(err.value)), str(err.value)
 
 
 class TestRunConfig:

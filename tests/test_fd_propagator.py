@@ -116,17 +116,21 @@ def test_off_grid_case_reads_out_by_interpolation():
     assert build_grid(contract, model, config, spot).spot_index is None
 
 
-def test_local_vol_is_stepped_bit_for_bit(monkeypatch):
-    # per-node coefficients change every step, so no map may be built or
-    # shared: the price must be the reference march exactly
-    built = count_builds(monkeypatch)
+def local_vol_model():
     spot_knots = np.exp(np.linspace(-0.6, 0.6, 7))
     values = 0.2 + 0.3 * np.log(spot_knots)[None, :] ** 2 + np.array([[0.0], [0.02]])
-    model = MarketModel(
+    return MarketModel(
         domestic=RateCurve.flat(0.02), foreign=RateCurve.flat(0.01),
         vol=LocalVolSurface(time_knots=[0.0, 1.0], spot_knots=spot_knots,
                             values=values),
     )
+
+
+def test_local_vol_is_stepped_bit_for_bit(monkeypatch):
+    # per-node coefficients change every step, so no map may be built or
+    # shared: the price must be the reference march exactly
+    built = count_builds(monkeypatch)
+    model = local_vol_model()
     contract = call_contract()
     assert fd_price(contract, model, GRID, 1.05).price == \
         reference_price(contract, model, GRID, 1.05)
@@ -174,6 +178,21 @@ def test_intervals_too_few_rows_for_a_map_are_stepped(monkeypatch):
     assert fd_price(contract, model, config, 1.05).price == \
         reference_price(contract, model, config, 1.05)
     assert built == []
+
+
+@pytest.mark.parametrize("local", [False, True], ids=["marched_knots", "local_vol"])
+def test_each_interval_makes_its_steps_once(monkeypatch, local):
+    # every interval of the knotted model at M = 1000 is marched (see above),
+    # through the steps its map-or-march choice was made from; local
+    # volatility makes each interval's steps as it marches through it
+    made = []
+    original = fd._interval_steps
+    monkeypatch.setattr(fd, "_interval_steps",
+                        lambda *args: made.append(args[2]) or original(*args))
+    model = local_vol_model() if local else knot_in_every_interval_model()
+    contract = call_contract()
+    fd_price(contract, model, replace(GRID, spot_nodes=1000), 1.05)
+    assert sorted(made) == list(contract.fixing_times)
 
 
 def test_run_builds_maps_its_cases_pay_for(monkeypatch):
