@@ -5,7 +5,11 @@ grid in the accrued payment amount.  Between fixing dates each tracked
 solution obeys the usual log-spot pricing PDE and is marched backward with
 a theta scheme.  A step is one tridiagonal solve for all rows: the default
 zero-gamma end rows are substituted into rows 1 and M-2, and the end
-values are set from them after the solve.  At a fixing date the tracked
+values are set from them after the solve.  Every tridiagonal solve, a
+step's and a spline's, is one direct call of LAPACK ``gtsv``
+(:func:`_solve_bands`), without ``scipy.linalg.solve_banded``'s per-call
+checks; so no solve rejects a NaN or an infinity, and :func:`fd_price`
+instead refuses to return a non-finite price.  At a fixing date the tracked
 solutions exchange information through a jump condition: for every spot
 node, the post-fixing values across the accumulation grid are interpolated
 with a natural cubic spline at the amount the fixing shifts the state to,
@@ -38,14 +42,16 @@ cached by the interval's step sequence (step length, theta and
 coefficients) and the spot grid, so intervals of equal length share one
 map, and a caller pricing several contracts on one spot grid can share
 the maps across them by passing one ``cache`` dict to every
-:func:`fd_price` call.  A map is built only when that costs less than
-stepping the rows that pass through its intervals, in this pricing and
-the ones expected to share the cache: both costs are estimated in seconds
-from per-step and per-product constants measured on a 2-core Xeon.
-Otherwise the rows are stepped.  Local volatility has per-node coefficients
-that change every step; it is marched step by step.  So a pricing is one
-backward loop: at each fixing a jump, then the interval's map applied or
-its steps marched.
+:func:`fd_price` call.  The same dict holds each interval's steps and
+their keys (an ``"fd.steps"`` entry per model, fixing schedule, step
+allocation and scheme), so the pricings of a run make them once.  A map
+is built only when that costs less than stepping the rows that pass
+through its intervals, in this pricing and the ones expected to share the
+cache: both costs are estimated in seconds from per-step and per-product
+constants measured on a 2-core Xeon.  Otherwise the rows are stepped.
+Local volatility has per-node coefficients that change every step; it is
+marched step by step.  So a pricing is one backward loop: at each fixing a
+jump, then the interval's map applied or its steps marched.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgtsv as _gtsv
 
 from .contract import TarnContract, fixing_flows
 from .market import LocalVolSurface, MarketModel, check_fields, check_positive
@@ -197,13 +203,12 @@ def tridiagonal_solve(lower, diag, upper, rhs):
     All band arguments have length n; ``lower[i]`` multiplies ``x[i-1]`` in
     row i (``lower[0]`` unused) and ``upper[i]`` multiplies ``x[i+1]``
     (``upper[-1]`` unused).  ``rhs`` may be (n,) or (n, k) for several
-    right-hand sides sharing the matrix.  Backed by the LAPACK banded
-    solver; a singular system raises :class:`ZeroPivotError` naming the row.
+    right-hand sides sharing the matrix.  Solved by :func:`_solve_bands`; a
+    singular system raises :class:`ZeroPivotError` naming the row.
     """
     lower = np.asarray(lower, dtype=float)
     diag = np.asarray(diag, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
     n = diag.size
     if lower.size != n or upper.size != n:
         raise ValueError("lower, diag and upper must have equal length")
@@ -211,25 +216,28 @@ def tridiagonal_solve(lower, diag, upper, rhs):
     ab[0, 1:] = upper[:-1]
     ab[1, :] = diag
     ab[2, :-1] = lower[1:]
-    try:
-        return scipy.linalg.solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError:
-        raise ZeroPivotError(
-            f"zero pivot at row {_locate_zero_pivot(lower, diag, upper)} "
-            "of the tridiagonal system"
-        ) from None
+    return _solve_bands(ab, np.asarray(rhs, dtype=float))
 
 
-def _locate_zero_pivot(lower, diag, upper) -> int:
-    """First row where unpivoted elimination breaks down (error path only)."""
-    pivot = diag[0]
-    if pivot == 0.0:
-        return 0
-    for i in range(1, diag.size):
-        pivot = diag[i] - lower[i] * upper[i - 1] / pivot
-        if pivot == 0.0:
-            return i
-    return diag.size - 1
+def _solve_bands(ab, rhs, overwrite_rhs=False):
+    """Solve the tridiagonal system ``ab`` (``ab[1 + i - j, j] = a[i, j]``,
+    overwritten) for ``rhs``, (n,) or (n, k), by LAPACK ``gtsv``.
+
+    Every FD tridiagonal solve comes here.  LAPACK is called directly:
+    ``scipy.linalg.solve_banded((1, 1), ...)`` ends in the same ``gtsv``
+    call, bit for bit, but its batching, validation and finiteness check
+    cost three times the solve itself at 200 nodes.  ``rhs`` is solved in
+    place when ``overwrite_rhs`` is set and it is Fortran-contiguous.  A
+    non-finite entry is not checked for here; :func:`fd_price` refuses a
+    non-finite price instead.
+    """
+    # overwrite_dl, overwrite_d, overwrite_du and overwrite_b, positional:
+    # keywords cost f2py about 1 us of a 6 us call
+    *_, x, info = _gtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, True, True, True,
+                        overwrite_rhs)
+    if info > 0:
+        raise ZeroPivotError(f"zero pivot at row {info - 1} of the tridiagonal system")
+    return x
 
 
 def _spline_second_derivs(values: np.ndarray, h: float) -> np.ndarray:
@@ -566,31 +574,28 @@ def theta_step(
         ab[0, 1] = 1.0
         rhs[:, 0] = -dx * spots[0]
 
-    try:
-        out = scipy.linalg.solve_banded((1, 1), ab, rhs.T, overwrite_ab=True,
-                                        overwrite_b=True).T
-    except np.linalg.LinAlgError as exc:
-        # Not seen for theta in [0, 1] and sigma > 0.  The one singular
-        # case, zero gamma on 3 nodes (both end rows are then one
-        # equation), is rejected above and by FdConfig.
-        raise ZeroPivotError(f"singular step system: {exc}") from None
+    # A zero pivot is not seen for theta in [0, 1] and sigma > 0.  The one
+    # singular case, zero gamma on 3 nodes (both end rows are then one
+    # equation), is rejected above and by FdConfig.
+    out = _solve_bands(ab, rhs.T, overwrite_rhs=True).T
     if zero_gamma:
         out[:, 0] = 2.0 * out[:, 1] - out[:, 2]
         out[:, -1] = 2.0 * out[:, -2] - out[:, -3]
     return out[0] if single else out
 
 
-def _interval_maps(cache, pricings, intervals, rows, grid, boundary, beta):
+def _interval_maps(cache, pricings, intervals, step_keys, rows, grid, boundary,
+                   beta):
     """One (P, p0) per interval (``row -> row @ P + p0`` down the interval),
     held in ``cache`` or built now, or None where stepping its rows costs
-    less.  ``rows[i]`` is how many rows one pricing marches through
-    interval i.  Intervals with equal steps share a key, decided once by
+    less.  ``step_keys[i]`` is the :func:`_step_key` of each of interval
+    i's steps and ``rows[i]`` how many rows one pricing marches through it.
+    Intervals with equal steps share a key, decided once by
     :func:`_map_pays` from their rows and ``pricings``; the key holds every
     input of its entry: those, the grid's spacing, size and ends, the
     boundary, beta and the steps.
     """
     m = grid.spots.size
-    step_keys = [tuple(map(_step_key, steps)) for steps in intervals]
     served = defaultdict(list)
     for key, r in zip(step_keys, rows):
         served[key].append(r)
@@ -899,10 +904,11 @@ def fd_price(
     date.  The price is the value at the spot node, or a one-off spline
     interpolation in the log-spot when the spot is off-grid.
     ``cache`` is a dict the caller owns (not locked): calls given one dict
-    share interval maps, each keyed by all it depends on, until the caller
-    drops it; by default the maps live for this call.  ``pricings`` is how
-    many pricings are expected to share the maps; it decides only whether
-    an interval is mapped or its rows are marched.
+    share interval maps and the steps they are made of, each keyed by all it
+    depends on, until the caller drops it; by default they live for this
+    call.  ``pricings`` is how many pricings are expected to share the
+    maps; it decides only whether an interval is mapped or its rows are
+    marched.  A non-finite price is never returned: it raises ValueError.
     """
     started = time.perf_counter()
     grid = build_grid(contract, model, config, spot)
@@ -916,14 +922,21 @@ def fd_price(
 
     # Scalar coefficients: the cache decides every interval before the jump
     # plan and the lattice take their memory, and a marched interval steps
-    # through the list made here.  Local volatility has per-node
-    # coefficients and is stepped; its steps are made one interval at a time.
+    # through the list held there, made once per model, schedule and scheme.
+    # Local volatility has per-node coefficients and is stepped; its steps
+    # are made one interval at a time.
     if isinstance(model.vol, LocalVolSurface):
         steps = maps = [None] * k_total
     else:
-        steps = [interval(k) for k in range(1, k_total + 1)]
+        cache = {} if cache is None else cache
+        key = ("fd.steps", model, contract.fixing_times, grid.steps_per_interval,
+               config.theta, config.implicit_startup_steps)
+        if key not in cache:
+            made = [interval(k) for k in range(1, k_total + 1)]
+            cache[key] = made, [tuple(map(_step_key, s)) for s in made]
+        steps, step_keys = cache[key]
         maps = _interval_maps(
-            {} if cache is None else cache, pricings, steps,
+            cache, pricings, steps, step_keys,
             [1] + [config.accumulation_nodes] * (k_total - 1),
             grid, config.boundary, contract.beta)
     plan = JumpPlan.build(contract, grid)
@@ -944,6 +957,11 @@ def fd_price(
         price = float(row[grid.spot_index])
     else:
         price = float(natural_cubic_spline(grid.log_spots, row, math.log(spot)))
+    if not math.isfinite(price):
+        # the solves do not check for NaN or inf, but either reaches the
+        # spot row through the solves, the splines and the map products
+        raise ValueError(f"FD price is not finite ({price}): the lattice "
+                         "holds a NaN or an infinity")
     return PriceResult(
         price=price,
         wall_time=time.perf_counter() - started,

@@ -251,17 +251,36 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_float(value) -> bool:
+    """A real number, no bool, that a float can hold (not ``10**400``)."""
+    if not _is_real(value):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+def _shown(value) -> str:
+    """``repr(value)``, which raises for an int of more than 4300 digits."""
+    try:
+        return repr(value)
+    except ValueError:
+        return "a value with an int too long to print"
+
+
 def check_positive(value, name: str) -> float:
     """``value`` as a float if it is a positive, finite real and no bool."""
-    if not (_is_real(value) and value > 0.0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if not (_is_float(value) and value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {_shown(value)}")
     return float(value)
 
 
 def check_beta(beta) -> int:
     """``beta`` as an int if it is +1 or -1 and no bool (before int() truncates)."""
     if isinstance(beta, bool) or beta not in (1, -1):
-        raise ValueError(f"beta must be +1 or -1, got {beta!r}")
+        raise ValueError(f"beta must be +1 or -1, got {_shown(beta)}")
     return int(beta)
 
 
@@ -271,9 +290,10 @@ def check_fields(config, names=None) -> None:
 
     A field annotated ``int`` holds an integral value that is not a bool (a
     silent ``int()`` would truncate it), ``bool`` a bool, ``float`` a real
-    number that is not a bool, ``tuple[float, ...]`` such numbers (then
-    stored as a tuple of floats), and one whose default is an enum member a
-    member of that enum.  An annotation ending ``| None`` also allows None.
+    number that is not a bool and that a float can hold,
+    ``tuple[float, ...]`` such numbers (then stored as a tuple of floats),
+    and one whose default is an enum member a member of that enum.  An
+    annotation ending ``| None`` also allows None.
     """
     for f in fields(config):
         value = getattr(config, f.name)
@@ -282,12 +302,12 @@ def check_fields(config, names=None) -> None:
         if value is None and spec != full:
             continue
         if spec == "float":
-            kind, ok = "a real number", _is_real(value)
+            kind, ok = "a real number", _is_float(value)
         elif spec == "tuple[float, ...]":
             kind = "a sequence of real numbers"
             with contextlib.suppress(TypeError):  # a generator is read once
                 value = value if isinstance(value, str) else tuple(value)
-            if ok := isinstance(value, tuple) and all(map(_is_real, value)):
+            if ok := isinstance(value, tuple) and all(map(_is_float, value)):
                 object.__setattr__(config, f.name, tuple(map(float, value)))
         elif spec == "int":
             kind, ok = "an integer", isinstance(value, numbers.Integral) and _is_real(value)
@@ -300,7 +320,7 @@ def check_fields(config, names=None) -> None:
             continue
         if not ok:
             name = (names or {}).get(f.name, f.name)
-            raise ValueError(f"{name} must be {kind}, got {value!r}")
+            raise ValueError(f"{name} must be {kind}, got {_shown(value)}")
 
 
 def vanilla_price(

@@ -33,7 +33,7 @@ from tarnpricer.fd import (
     theta_step,
 )
 
-from tarnpricer import fd
+from tarnpricer import cli, fd
 from tarnpricer.contract import fixing_flows
 
 import jump_oracle
@@ -594,6 +594,29 @@ class TestFdPrice:
         # the two policies produce different grids, so they agree only up to
         # each grid's own discretization error at this coarse resolution
         assert inter == pytest.approx(pinned, rel=4e-3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_lattice_is_never_priced(self, monkeypatch, bad):
+        # the solves do not check their input, so the price is checked: one
+        # bad cell in each jump reaches the spot row, in a direct call and
+        # through the front end, which records the error instead of a price
+        original = fd.apply_jump
+
+        def spoiled(values, plan, extra):
+            out = original(values, plan, extra)
+            out[-1, -1] = bad
+            return out
+
+        monkeypatch.setattr(fd, "apply_jump", spoiled)
+        config = replace(cli.preset_table1(), engines=("fd",), fd=SMALL,
+                         targets=(0.3,), knockouts=(KnockoutType.NO_GAIN,))
+        with np.errstate(all="ignore"):  # inf - inf warns on its way
+            with pytest.raises(ValueError, match="^FD price is not finite"):
+                fd_price(benchmark_contract(KnockoutType.NO_GAIN, 0.3),
+                         flat_model(), SMALL, 1.05)
+            [record] = cli.run(config)
+        assert record.status.startswith("error: FD price is not finite")
+        assert math.isnan(record.price)
 
 
 class TestErrorEstimate:

@@ -195,6 +195,21 @@ def test_each_interval_makes_its_steps_once(monkeypatch, local):
     assert sorted(made) == list(contract.fixing_times)
 
 
+def test_a_run_makes_each_interval_steps_once(monkeypatch):
+    # a run's three cases share one model, schedule and scheme, so one
+    # "fd.steps" entry of its cache: K intervals' steps are made, not 3K
+    made = []
+    original = fd._interval_steps
+    monkeypatch.setattr(fd, "_interval_steps",
+                        lambda *args: made.append(args[2]) or original(*args))
+    config = dataclasses.replace(
+        cli.preset_table1(), engines=("fd",), fd=GRID,
+        model=knot_in_every_interval_model(), targets=(0.3,))
+    records = cli.run(config)
+    assert [rec.status for rec in records] == ["ok"] * 3
+    assert sorted(made) == list(config.fixing_times)
+
+
 def test_run_builds_maps_its_cases_pay_for(monkeypatch):
     # 12 cases pay for the map of each of the eight intervals, the one-row
     # first interval's too
@@ -456,4 +471,4 @@ def test_a_price_never_depends_on_what_was_priced_before_it():
                        pricings=pricings).price
         want = fd_price(contract, model, config, 1.05, pricings=pricings).price
         assert got == want
-    assert {key[3] for key in cache} == {120, 90}
+    assert {key[3] for key in cache if key[0] == "fd.map"} == {120, 90}

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from tarnpricer import natural_cubic_spline
+from tarnpricer import fd, natural_cubic_spline
 from tarnpricer.fd import ZeroPivotError, tridiagonal_solve
 
 
@@ -56,6 +57,52 @@ class TestTridiagonalSolve:
         upper = np.array([0.0, 0.0, 0.0])
         with pytest.raises(ZeroPivotError, match="row 1"):
             tridiagonal_solve(lower, diag, upper, np.ones(3))
+
+    def test_pivoted_zero_pivot_names_its_row(self):
+        # rows 0 and 2 are equal; row 0 is swapped below row 1, and
+        # eliminating with it leaves row 2 without a pivot
+        lower = np.array([0.0, 1.0, 1.0])
+        diag = np.zeros(3)
+        upper = np.array([1.0, 1.0, 0.0])
+        with pytest.raises(ZeroPivotError, match="row 2"):
+            tridiagonal_solve(lower, diag, upper, np.ones(3))
+
+
+def diagonally_dominant_bands(rng, n):
+    """``ab`` of a random diagonally dominant system, ``ab[1 + i - j, j] = a[i, j]``."""
+    ab = rng.uniform(-1.0, 1.0, (3, n))
+    ab[1] += 3.0
+    ab[0, 0] = ab[2, -1] = 0.0
+    return ab
+
+
+class TestSolveBands:
+    # every FD solve goes through fd._solve_bands, one direct LAPACK gtsv
+    # call; scipy's solve_banded((1, 1), ...) ends in the same call
+
+    @pytest.mark.parametrize("shape, order", [((60,), "C"), ((60, 7), "C"),
+                                              ((60, 7), "F")],
+                             ids=["vector", "matrix_C", "matrix_F"])
+    def test_matches_solve_banded_bit_for_bit(self, shape, order):
+        rng = np.random.default_rng(7)
+        ab = diagonally_dominant_bands(rng, shape[0])
+        rhs = np.asarray(rng.uniform(-5.0, 5.0, shape), order=order)
+        given = rhs.copy()
+        want = scipy.linalg.solve_banded((1, 1), ab, rhs)
+        got = fd._solve_bands(ab.copy(), rhs)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(rhs, given)  # solved in a copy
+        lower = np.r_[0.0, ab[2, :-1]]
+        upper = np.r_[ab[0, 1:], 0.0]
+        assert np.array_equal(tridiagonal_solve(lower, ab[1], upper, rhs), want)
+
+    def test_overwrite_solves_a_fortran_rhs_in_place(self):
+        rng = np.random.default_rng(8)
+        ab = diagonally_dominant_bands(rng, 40)
+        rhs = np.asfortranarray(rng.uniform(-5.0, 5.0, (40, 3)))
+        want = scipy.linalg.solve_banded((1, 1), ab, rhs)
+        got = fd._solve_bands(ab.copy(), rhs, overwrite_rhs=True)
+        assert np.shares_memory(got, rhs) and np.array_equal(got, want)
 
 
 class TestNaturalCubicSpline:

@@ -111,6 +111,20 @@ HOLES = {
     "TarnContract_fixing_times_scalar": (
         lambda: contract(fixing_times=0.25),
         "fixing_times must be a sequence of real numbers, got 0.25"),
+    "ConstantVol_huge_int": (lambda: ConstantVol(10**400),
+                             f"sigma must be positive and finite, got {10**400}"),
+    "ConstantVol_unprintable_int": (
+        lambda: ConstantVol(10**5000),
+        "sigma must be positive and finite, got a value with an int too long to print"),
+    "RateCurve.flat_huge_int": (
+        lambda: RateCurve.flat(10**400),
+        f"rates must be a sequence of real numbers, got ({10**400},)"),
+    "TarnContract_fixing_times_huge_int": (
+        lambda: contract(fixing_times=(0.5, 10**400), extra_payments=None),
+        f"fixing_times must be a sequence of real numbers, got (0.5, {10**400})"),
+    "McConfig_cv_coefficient_huge_int": (
+        lambda: McConfig(cv_coefficient=10**400),
+        f"cv_coefficient must be a real number, got {10**400}"),
     "vanilla_price_beta": (
         lambda: vanilla_price(1.05, 1.0, True, 1.0, FLAT, FLAT, ConstantVol(0.2)),
         "beta must be +1 or -1, got True"),
@@ -144,7 +158,8 @@ HOLES = {
 
 @pytest.mark.parametrize("name", sorted(HOLES))
 def test_wrong_kind_is_rejected_by_name(name):
-    # each of these used to price, or fail naming no field
+    # each of these used to price, or fail naming no field (an int too
+    # large for a float raised OverflowError)
     make, message = HOLES[name]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
