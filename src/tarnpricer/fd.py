@@ -37,21 +37,20 @@ taken in order.  A long run's map is its one-step map, got by one
 :func:`theta_step` on identity rows and one zero row, raised to the run's
 length by repeated squaring and composed onto the map so far; a short
 run, such as a start-up step or the step across a knot, costs no more to
-march than to power and is marched onto the map so far instead.  Maps are
-cached by the interval's step sequence (step length, theta and
-coefficients) and the spot grid, so intervals of equal length share one
-map, and a caller pricing several contracts on one spot grid can share
-the maps across them by passing one ``cache`` dict to every
-:func:`fd_price` call.  The same dict holds each interval's steps and
-their keys (an ``"fd.steps"`` entry per model, fixing schedule, step
-allocation and scheme), so the pricings of a run make them once.  A map
-is built only when that costs less than stepping the rows that pass
-through its intervals, in this pricing and the ones expected to share the
-cache: both costs are estimated in seconds from per-step and per-product
+march than to power and is marched onto the map so far instead.
+Intervals with equal steps (step length, theta and coefficients) share one
+map.  A map is built only when that costs less than stepping the rows that
+pass through its intervals, in this pricing and the ones expected to share
+it: both costs are estimated in seconds from per-step and per-product
 constants measured on a 2-core Xeon.  Otherwise the rows are stepped.
+Every interval's steps and map or None are one ``"fd.intervals"`` entry
+of a ``cache`` dict, keyed by the pricing shape (model, schedule, spot
+grid, J, scheme, boundary and beta), so pricings of one shape that pass
+one dict to :func:`fd_price`, such as the cases of a run, make them once.
 Local volatility has per-node coefficients that change every step; it is
-marched step by step.  So a pricing is one backward loop: at each fixing a
-jump, then the interval's map applied or its steps marched.
+marched step by step and holds no entry.  So a pricing is one backward
+loop: at each fixing a jump, then the interval's map applied or its steps
+marched.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv as _gtsv
 
 from .contract import TarnContract, fixing_flows
-from .market import LocalVolSurface, MarketModel, check_fields, check_positive
+from .market import LocalVolSurface, MarketModel, check_count, check_fields, check_positive
 
 __all__ = [
     "PinPolicy",
@@ -584,33 +583,48 @@ def theta_step(
     return out[0] if single else out
 
 
-def _interval_maps(cache, pricings, intervals, step_keys, rows, grid, boundary,
-                   beta):
-    """One (P, p0) per interval (``row -> row @ P + p0`` down the interval),
-    held in ``cache`` or built now, or None where stepping its rows costs
-    less.  ``step_keys[i]`` is the :func:`_step_key` of each of interval
-    i's steps and ``rows[i]`` how many rows one pricing marches through it.
-    Intervals with equal steps share a key, decided once by
-    :func:`_map_pays` from their rows and ``pricings``; the key holds every
-    input of its entry: those, the grid's spacing, size and ends, the
-    boundary, beta and the steps.
+def _intervals(cache, pricings, model, contract, grid, config):
+    """The (steps, map or None) pair of every interval, last first, as the
+    backward loop takes them.
+
+    None means that stepping the interval's rows costs less than its map
+    (P, p0), ``row -> row @ P + p0``.  Intervals with equal
+    :func:`_step_key` lists share one map, decided once by :func:`_map_pays`
+    from the rows one pricing marches through each (one in the first
+    interval, J in the others) and ``pricings``.  The list is one ``cache``
+    entry, keyed by every input of it.  Local volatility holds none: its
+    steps carry per-node levels and are made one interval at a time as the
+    loop reaches them.
     """
+    times = (0.0,) + grid.fixing_times
+
+    def steps(k):
+        return _interval_steps(model, grid, times[k + 1], times[k],
+                               grid.steps_per_interval[k], config)
+
+    k_total = len(grid.fixing_times)
+    if isinstance(model.vol, LocalVolSurface):
+        return ((steps(k), None) for k in reversed(range(k_total)))
     m = grid.spots.size
-    served = defaultdict(list)
-    for key, r in zip(step_keys, rows):
-        served[key].append(r)
-    head = ("fd.map", pricings, grid.dx, m, grid.spots[0], grid.spots[-1],
-            boundary, beta)
-    maps = []
-    for key, steps in zip(step_keys, intervals):
-        full = head + (tuple(served[key]),) + key
-        if full not in cache:
-            lengths = [n for _, n in _runs(steps)]
-            cache[full] = (_build_map(steps, grid, boundary, beta)
-                           if _map_pays(lengths, served[key], pricings, m)
-                           else None)
-        maps.append(cache[full])
-    return maps
+    key = ("fd.intervals", pricings, model, grid.fixing_times,
+           grid.steps_per_interval, grid.dx, m, grid.spots[0], grid.spots[-1],
+           config.accumulation_nodes, config.theta,
+           config.implicit_startup_steps, config.boundary, contract.beta)
+    if key not in cache:
+        made = [steps(k) for k in range(k_total)]
+        shared = defaultdict(list)  # step keys -> the intervals with them
+        for k, s in enumerate(made):
+            shared[tuple(map(_step_key, s))].append(k)
+        maps = [None] * k_total
+        for ks in shared.values():
+            first = made[ks[0]]
+            rows = [config.accumulation_nodes if k else 1 for k in ks]
+            if _map_pays([n for _, n in _runs(first)], rows, pricings, m):
+                mapped = _build_map(first, grid, config.boundary, contract.beta)
+                for k in ks:
+                    maps[k] = mapped
+        cache[key] = list(zip(made, maps))
+    return reversed(cache[key])
 
 
 def _interval_steps(model, grid, t_hi, t_lo, n_steps, config):
@@ -720,7 +734,7 @@ def _compose(first, then):
 
 # Seconds per theta step on r rows of M nodes, _STEP_S + _NODE_S * r * M,
 # and per (M + 1, M) by (M, M) product, _PRODUCT_S * M**3, for the map or
-# march choice of _interval_maps.  Best of 7-15 rounds in fresh
+# march choice of _intervals.  Best of 7-15 rounds in fresh
 # processes on a 2-core Xeon (Python 3.11, numpy 2.4, scipy 1.17).  Steps
 # of 1-200 rows and the blocked (M + 1)-row steps of a build, at M =
 # 200-2000, took 0.8-1.5 times the fit.  Products at M = 200-2000 took
@@ -903,53 +917,32 @@ def fd_price(
     fixing marches only the zero-accrual solution down to the valuation
     date.  The price is the value at the spot node, or a one-off spline
     interpolation in the log-spot when the spot is off-grid.
-    ``cache`` is a dict the caller owns (not locked): calls given one dict
-    share interval maps and the steps they are made of, each keyed by all it
-    depends on, until the caller drops it; by default they live for this
-    call.  ``pricings`` is how many pricings are expected to share the
-    maps; it decides only whether an interval is mapped or its rows are
-    marched.  A non-finite price is never returned: it raises ValueError.
+    ``cache`` is a dict the caller owns (not locked): calls of one pricing
+    shape given one dict share one ``"fd.intervals"`` entry, every
+    interval's steps and map or None, keyed by all it depends on (see
+    :func:`_intervals`), until the caller drops it; by default it lives for
+    this call.  ``pricings``, an integer of at least 1, is how many
+    pricings are expected to share the maps; it decides only whether an
+    interval is mapped or its rows are marched.  A non-finite price is
+    never returned: it raises ValueError.
     """
+    pricings = check_count(pricings, "pricings")
     started = time.perf_counter()
     grid = build_grid(contract, model, config, spot)
     _check_explicit_stability(grid, model, config)
-    k_total = contract.num_fixings
-    times = (0.0,) + contract.fixing_times
-
-    def interval(k):
-        return _interval_steps(model, grid, times[k], times[k - 1],
-                               grid.steps_per_interval[k - 1], config)
-
-    # Scalar coefficients: the cache decides every interval before the jump
-    # plan and the lattice take their memory, and a marched interval steps
-    # through the list held there, made once per model, schedule and scheme.
-    # Local volatility has per-node coefficients and is stepped; its steps
-    # are made one interval at a time.
-    if isinstance(model.vol, LocalVolSurface):
-        steps = maps = [None] * k_total
-    else:
-        cache = {} if cache is None else cache
-        key = ("fd.steps", model, contract.fixing_times, grid.steps_per_interval,
-               config.theta, config.implicit_startup_steps)
-        if key not in cache:
-            made = [interval(k) for k in range(1, k_total + 1)]
-            cache[key] = made, [tuple(map(_step_key, s)) for s in made]
-        steps, step_keys = cache[key]
-        maps = _interval_maps(
-            cache, pricings, steps, step_keys,
-            [1] + [config.accumulation_nodes] * (k_total - 1),
-            grid, config.boundary, contract.beta)
+    # maps are built before the jump plan and the lattice take their memory
+    intervals = _intervals({} if cache is None else cache, pricings, model,
+                           contract, grid, config)
     plan = JumpPlan.build(contract, grid)
     values = np.zeros((config.accumulation_nodes, config.spot_nodes))
-    for k in range(k_total, 0, -1):
+    for k, (steps, mapped) in zip(range(contract.num_fixings, 0, -1), intervals):
         values = apply_jump(values, plan, contract.extra_payment_at(k))
         if k == 1:
             values = values[:1]
-        if maps[k - 1] is None:
-            values = _march(values, steps[k - 1] or interval(k), grid,
-                            config.boundary, contract.beta)
+        if mapped is None:
+            values = _march(values, steps, grid, config.boundary, contract.beta)
         else:
-            matrix, offset = maps[k - 1]
+            matrix, offset = mapped
             values = values @ matrix
             values += offset
     row = values[0]

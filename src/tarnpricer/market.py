@@ -7,7 +7,8 @@ compared.  Local volatility is a surface sampled on a rectangular mesh with
 bilinear interpolation, clamped at the mesh edges.
 
 Every constructor and entry point checks its input by the one rule here:
-:func:`check_positive`, :func:`check_beta`, :func:`check_fields`, ``_check_pieces``.
+:func:`check_positive`, :func:`check_count`, :func:`check_beta`,
+:func:`check_fields`, ``_check_pieces``.
 """
 
 from __future__ import annotations
@@ -275,6 +276,15 @@ def check_positive(value, name: str) -> float:
     if not (_is_float(value) and value > 0.0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite, got {_shown(value)}")
     return float(value)
+
+
+def check_count(value, name: str) -> int:
+    """``value`` as an int if it is an integer of at least 1, no bool, that
+    a float can hold."""
+    if not (isinstance(value, numbers.Integral) and _is_float(value) and value >= 1):
+        raise ValueError(f"{name} must be an integer of at least 1 that a float "
+                         f"can hold, got {_shown(value)}")
+    return int(value)
 
 
 def check_beta(beta) -> int:

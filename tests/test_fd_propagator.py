@@ -196,8 +196,8 @@ def test_each_interval_makes_its_steps_once(monkeypatch, local):
 
 
 def test_a_run_makes_each_interval_steps_once(monkeypatch):
-    # a run's three cases share one model, schedule and scheme, so one
-    # "fd.steps" entry of its cache: K intervals' steps are made, not 3K
+    # a run's three cases share one pricing shape, so one "fd.intervals"
+    # entry of its cache: K intervals' steps are made, not 3K
     made = []
     original = fd._interval_steps
     monkeypatch.setattr(fd, "_interval_steps",
@@ -471,4 +471,56 @@ def test_a_price_never_depends_on_what_was_priced_before_it():
                        pricings=pricings).price
         want = fd_price(contract, model, config, 1.05, pricings=pricings).price
         assert got == want
-    assert {key[3] for key in cache if key[0] == "fd.map"} == {120, 90}
+    assert {key[6] for key in cache if key[0] == "fd.intervals"} == {120, 90}
+
+
+def interval_entries(cache):
+    return [key for key in cache if key[0] == "fd.intervals"]
+
+
+def test_pricings_of_one_shape_share_one_entry(monkeypatch):
+    # the target and the knockout type change neither the spot grid nor J,
+    # so the second pricing makes no step and builds no map
+    built = count_builds(monkeypatch)
+    made = []
+    original = fd._interval_steps
+    monkeypatch.setattr(fd, "_interval_steps",
+                        lambda *args: made.append(args[2]) or original(*args))
+    cache = {}
+    model = term_structure_model()
+    fd_price(call_contract(), model, GRID, 1.05, cache=cache, pricings=2)
+    assert built and made
+    built.clear()
+    made.clear()
+    other = replace(call_contract(KnockoutType.NO_GAIN), target=0.3)
+    fd_price(other, model, GRID, 1.05, cache=cache, pricings=2)
+    assert (built, made) == ([], [])
+    assert len(interval_entries(cache)) == 1
+
+
+def test_each_shape_input_adds_one_entry():
+    cache = {}
+    model = flat_model(r_d=0.02)
+    shapes = [
+        (call_contract(), GRID, 1),
+        (call_contract(), replace(GRID, accumulation_nodes=6), 1),
+        (call_contract(), GRID, 12),
+        (call_contract(),
+         replace(GRID, boundary=BoundaryKind.DIRICHLET_NEUMANN_BY_DIRECTION), 1),
+        (put_contract(), GRID, 1),
+    ]
+    for count, (contract, config, pricings) in enumerate(shapes, start=1):
+        fd_price(contract, model, config, 1.05, cache=cache, pricings=pricings)
+        assert len(interval_entries(cache)) == count
+
+
+def test_local_vol_pricings_hold_no_entry():
+    # the steps of a local-vol interval carry (M,) levels at every step;
+    # holding them would keep about 3 MB per 1000-node pricing alive
+    cache = {}
+    model = local_vol_model()
+    for knockout in KnockoutType:
+        for target in (0.2, 0.3):
+            contract = replace(call_contract(knockout), target=target)
+            fd_price(contract, model, GRID, 1.05, cache=cache, pricings=6)
+    assert cache == {}

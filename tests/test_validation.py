@@ -165,6 +165,15 @@ def test_wrong_kind_is_rejected_by_name(name):
         make()
 
 
+@pytest.mark.parametrize("pricings", ["3", None, 10**400, 0, -2, True, 2.5, float("nan")],
+                         ids=["str", "none", "huge_int", "zero", "negative", "bool",
+                              "fraction", "nan"])
+def test_fd_price_rejects_a_pricings_hint_that_is_no_count(pricings):
+    # each of these used to price silently, or fail naming no argument
+    with pytest.raises(ValueError, match="^pricings must be "):
+        fd_price(contract(), flat_model(), FdConfig(), 1.05, pricings=pricings)
+
+
 @pytest.mark.parametrize("times", [
     (t for t in TIMES), list(TIMES), np.array(TIMES), tuple(np.float64(t) for t in TIMES),
 ], ids=["generator", "list", "array", "float64s"])
@@ -184,8 +193,11 @@ def test_fixing_times_of_any_real_sequence_are_accepted(times):
     lambda: LocalVolSurface(time_knots=[0, 1], spot_knots=np.array([1, 2], dtype=np.int32),
                             values=[[1, 1], [0.2, 0.3]]),
     lambda: contract(beta=-1.0, strike=np.float64(1.0), target=1),
+    lambda: fd_price(contract(), flat_model(), FdConfig(40, 8, 40), 1.05,
+                     pricings=np.int64(3)),
 ], ids=["float64_sigma", "int_sigma", "int64_rate", "list_and_array_curve",
-        "generator_and_float32_vol", "int_surface", "integral_float_beta"])
+        "generator_and_float32_vol", "int_surface", "integral_float_beta",
+        "int64_pricings"])
 def test_real_numbers_of_every_type_are_accepted(make):
     make()
 
