@@ -44,19 +44,19 @@ pass through its intervals, in this pricing and the ones expected to share
 it: both costs are estimated in seconds from per-step and per-product
 constants measured on a 2-core Xeon.  Otherwise the rows are stepped.
 Every interval's steps and map or None are one ``"fd.intervals"`` entry
-of a ``cache`` dict, keyed by the pricing shape (model, schedule, spot
-grid, J, scheme, boundary and beta), so pricings of one shape that pass
-one dict to :func:`fd_price`, such as the cases of a run, make them once.
-Local volatility has per-node coefficients that change every step; it is
-marched step by step and holds no entry.  So a pricing is one backward
-loop: at each fixing a jump, then the interval's map applied or its steps
-marched.
+of a ``cache`` dict, keyed by the call's inputs less the target and the
+knockout type, which neither reads; so pricings that pass one dict to
+:func:`fd_price` and differ only in those, such as the cases of a run,
+make them once.  That dict is the engine's only cache: no memo outlives
+it.  Local volatility has per-node coefficients that change every step;
+it is marched step by step and holds no entry.  So a pricing is one
+backward loop: at each fixing a jump, then the interval's map applied or
+its steps marched.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
 import sys
@@ -68,7 +68,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv as _gtsv
 
 from .contract import TarnContract, fixing_flows
-from .market import LocalVolSurface, MarketModel, check_count, check_fields, check_positive
+from .market import MarketModel, check_count, check_fields, check_positive
 
 __all__ = [
     "PinPolicy",
@@ -477,10 +477,10 @@ class StepCoefficients:
 
 def coefficients_at(model: MarketModel, spots: np.ndarray, t: float) -> StepCoefficients:
     """Coefficients of the log-spot PDE at time ``t`` on the given nodes."""
-    if isinstance(model.vol, LocalVolSurface):
-        sig = model.vol.interpolate(spots, t)
-    else:
+    if model.has_exact_transition:
         sig = model.vol.sigma_at(t)
+    else:
+        sig = model.vol.interpolate(spots, t)
     variance = sig * sig
     r_d = model.domestic.rate_at(t)
     r_f = model.foreign.rate_at(t)
@@ -583,7 +583,7 @@ def theta_step(
     return out[0] if single else out
 
 
-def _intervals(cache, pricings, model, contract, grid, config):
+def _intervals(cache, pricings, model, contract, grid, config, spot):
     """The (steps, map or None) pair of every interval, last first, as the
     backward loop takes them.
 
@@ -591,10 +591,11 @@ def _intervals(cache, pricings, model, contract, grid, config):
     (P, p0), ``row -> row @ P + p0``.  Intervals with equal
     :func:`_step_key` lists share one map, decided once by :func:`_map_pays`
     from the rows one pricing marches through each (one in the first
-    interval, J in the others) and ``pricings``.  The list is one ``cache``
-    entry, keyed by every input of it.  Local volatility holds none: its
-    steps carry per-node levels and are made one interval at a time as the
-    loop reaches them.
+    interval, J in the others) and ``pricings``.  The pairs, a tuple with
+    read-only maps, are one ``cache`` entry keyed by the call's inputs less
+    the target and the knockout type, which neither they nor ``grid`` read.
+    Local volatility holds none: its steps carry per-node levels and are
+    made one interval at a time as the loop reaches them.
     """
     times = (0.0,) + grid.fixing_times
 
@@ -603,13 +604,11 @@ def _intervals(cache, pricings, model, contract, grid, config):
                                grid.steps_per_interval[k], config)
 
     k_total = len(grid.fixing_times)
-    if isinstance(model.vol, LocalVolSurface):
+    if not model.has_exact_transition:
         return ((steps(k), None) for k in reversed(range(k_total)))
     m = grid.spots.size
-    key = ("fd.intervals", pricings, model, grid.fixing_times,
-           grid.steps_per_interval, grid.dx, m, grid.spots[0], grid.spots[-1],
-           config.accumulation_nodes, config.theta,
-           config.implicit_startup_steps, config.boundary, contract.beta)
+    key = ("fd.intervals", pricings, model, config, spot, contract.strike,
+           contract.fixing_times, contract.beta)
     if key not in cache:
         made = [steps(k) for k in range(k_total)]
         shared = defaultdict(list)  # step keys -> the intervals with them
@@ -623,35 +622,23 @@ def _intervals(cache, pricings, model, contract, grid, config):
                 mapped = _build_map(first, grid, config.boundary, contract.beta)
                 for k in ks:
                     maps[k] = mapped
-        cache[key] = list(zip(made, maps))
+        cache[key] = tuple(zip(made, maps))
     return reversed(cache[key])
 
 
 def _interval_steps(model, grid, t_hi, t_lo, n_steps, config):
-    """The (dt, theta, coef_from, coef_to) of each step from t_hi down to t_lo.
-
-    Scalar coefficients are sampled once per constant piece: the levels
-    with equal (sigma, r_d, r_f) share one :class:`StepCoefficients`.
-    """
+    """The (dt, theta, coef_from, coef_to) of each step from t_hi down to
+    t_lo, with :func:`coefficients_at` sampled at every level: once per
+    :func:`_intervals` entry, which is keyed by the call's inputs."""
     dt = (t_hi - t_lo) / n_steps
     levels = [t_hi - s * dt for s in range(n_steps)] + [t_lo]
-    if isinstance(model.vol, LocalVolSurface):
-        coefs = [coefficients_at(model, grid.spots, t) for t in levels]
-    else:
-        pieces = {}
-        coefs = []
-        for t in levels:
-            piece = (model.vol.sigma_at(t), model.domestic.rate_at(t),
-                     model.foreign.rate_at(t))
-            if piece not in pieces:
-                pieces[piece] = coefficients_at(model, grid.spots, t)
-            coefs.append(pieces[piece])
-    return [
+    coefs = [coefficients_at(model, grid.spots, t) for t in levels]
+    return tuple(
         (levels[s] - levels[s + 1],
          1.0 if s < config.implicit_startup_steps else config.theta,
          coefs[s], coefs[s + 1])
         for s in range(n_steps)
-    ]
+    )
 
 
 def _step_key(step):
@@ -660,16 +647,11 @@ def _step_key(step):
     Step lengths are compared to 12 significant digits: fixing dates such
     as ``k * 30 / 365`` make equal steps differ in the last bits; such
     steps must still form one run, and intervals of them share one map.
+    Made afresh for the entry keyed by the call's inputs; nothing memoised.
     """
     dt, theta, cf, ct = step
-    return (_dt_key(dt), theta,
+    return (float(f"{dt:.11e}"), theta,
             cf.variance, cf.drift, cf.rate, ct.variance, ct.drift, ct.rate)
-
-
-@functools.lru_cache(maxsize=4096)
-def _dt_key(dt):
-    """``dt`` to 12 significant digits, formatted once per distinct value."""
-    return float(f"{dt:.11e}")
 
 
 def _runs(steps):
@@ -808,6 +790,7 @@ def _build_map(steps, grid, boundary, beta):
                 total = power if total is None else _compose(total, power)
             n >>= 1
             power = _compose(power, power) if n else None
+    total.setflags(write=False)  # every pricing given the cache reads it
     return total[:m], total[m]
 
 
@@ -854,7 +837,6 @@ class JumpPlan:
     spot node's spline (``reads``, see :func:`_spline_reads`).
     """
 
-    contract: TarnContract
     grid: FdGrid
     payment: np.ndarray
     dead: np.ndarray
@@ -872,7 +854,7 @@ class JumpPlan:
         queries = accum + payment
         np.minimum(queries, contract.target, out=queries)
         reads = _spline_reads(0.0, grid.h, queries, grid.accum_nodes.size)
-        return cls(contract, grid, payment, dead, extra_weight, reads)
+        return cls(grid, payment, dead, extra_weight, reads)
 
 
 def apply_jump(values: np.ndarray, plan: JumpPlan, extra: float) -> np.ndarray:
@@ -917,14 +899,15 @@ def fd_price(
     fixing marches only the zero-accrual solution down to the valuation
     date.  The price is the value at the spot node, or a one-off spline
     interpolation in the log-spot when the spot is off-grid.
-    ``cache`` is a dict the caller owns (not locked): calls of one pricing
-    shape given one dict share one ``"fd.intervals"`` entry, every
-    interval's steps and map or None, keyed by all it depends on (see
-    :func:`_intervals`), until the caller drops it; by default it lives for
-    this call.  ``pricings``, an integer of at least 1, is how many
-    pricings are expected to share the maps; it decides only whether an
-    interval is mapped or its rows are marched.  A non-finite price is
-    never returned: it raises ValueError.
+    ``cache`` is a dict the caller owns (not locked) and the engine's only
+    cache: calls given one dict share one ``"fd.intervals"`` entry, every
+    interval's steps and read-only map or None, keyed by the call's inputs
+    less the target and the knockout type (see :func:`_intervals`), until
+    the caller drops it; by default it lives for this call.  ``pricings``,
+    an integer of at least 1, is how many pricings are expected to share
+    the maps; it decides only whether an interval is mapped or its rows
+    are marched.  A non-finite price is never returned: it raises
+    ValueError.
     """
     pricings = check_count(pricings, "pricings")
     started = time.perf_counter()
@@ -932,7 +915,7 @@ def fd_price(
     _check_explicit_stability(grid, model, config)
     # maps are built before the jump plan and the lattice take their memory
     intervals = _intervals({} if cache is None else cache, pricings, model,
-                           contract, grid, config)
+                           contract, grid, config, spot)
     plan = JumpPlan.build(contract, grid)
     values = np.zeros((config.accumulation_nodes, config.spot_nodes))
     for k, (steps, mapped) in zip(range(contract.num_fixings, 0, -1), intervals):

@@ -206,8 +206,9 @@ def test_criterion_7_dominance_and_monotonicity():
            "both engines")
 
 
-def apply_jump_backward(values, plan, extra):
-    """Fixing-date update with the shift applied backward.  Known wrong.
+def apply_jump_backward(values, plan, extra, contract):
+    """Fixing-date update of ``contract`` with the shift applied backward.
+    Known wrong.
 
     The backward relation moves a grid amount down by the payment, and the
     payment itself depends on the (unknown) shifted amount.  Solving that
@@ -219,7 +220,7 @@ def apply_jump_backward(values, plan, extra):
     extrapolating above them.
     """
     grid = plan.grid
-    gross = plan.contract.gross(grid.spots)[None, :]
+    gross = contract.gross(grid.spots)[None, :]
     shifted = grid.accum_nodes[:, None] - gross
     jumped = values + gross + extra
     out = np.empty_like(values)
@@ -234,7 +235,8 @@ def test_criterion_8_backward_jump_is_wrong(monkeypatch):
     contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
     cfg = FdConfig(spot_nodes=160, accumulation_nodes=40, time_steps=160)
     forward = fd_price(contract, MODEL, cfg, 1.05).price
-    monkeypatch.setattr(fd, "apply_jump", apply_jump_backward)
+    monkeypatch.setattr(fd, "apply_jump", lambda values, plan, extra:
+                        apply_jump_backward(values, plan, extra, contract))
     est_b = estimate_error(contract, MODEL, cfg, 1.05)
     deviation = abs(est_b.coarse.price - forward) / abs(forward)
     ok = deviation > est_b.relative_error

@@ -453,25 +453,41 @@ def test_a_price_never_depends_on_what_was_priced_before_it():
     # one dict across two spot grids, two accumulation grids (the rows an
     # interval's map-or-march choice is made from), two pricings hints, two
     # models, both boundaries and both betas, walked forward and back; the
-    # boundaries and betas share one spot grid
+    # boundaries and betas share one spot grid, and every case of a model
+    # shares its object, so cases that differ only in J differ in the key
+    # only by the J in its FdConfig
     cache = {}
+    models = (flat_model(r_d=0.02), term_structure_model())
     cases = [
         (contract, model, replace(config, spot_nodes=m, accumulation_nodes=j),
          pricings)
         for m in (120, 90)
         for j in (20, 6)
         for pricings in (1, 12)
-        for model in (flat_model(r_d=0.02), term_structure_model())
+        for model in models
         for config in (replace(DIRECTIONAL, boundary=BoundaryKind.ZERO_GAMMA),
                        DIRECTIONAL)
         for contract in (call_contract(), put_contract())
     ]
+    # a shape whose map-or-march choice depends on J: one pricing on GRID
+    # marches 2 of its 8 intervals at J = 20 and 4 at J = 6
+    by_j = [(call_contract(), models[1], replace(GRID, accumulation_nodes=j), 1)
+            for j in (20, 6)]
+    marched = []
+    for contract, model, config, pricings in by_j:
+        own = {}
+        fd_price(contract, model, config, 1.05, cache=own, pricings=pricings)
+        (entry,) = own.values()
+        marched.append(sum(mapped is None for _, mapped in entry))
+    assert marched == [2, 4]
+    cases += by_j
     for contract, model, config, pricings in cases + cases[::-1]:
         got = fd_price(contract, model, config, 1.05, cache=cache,
                        pricings=pricings).price
         want = fd_price(contract, model, config, 1.05, pricings=pricings).price
         assert got == want
-    assert {key[6] for key in cache if key[0] == "fd.intervals"} == {120, 90}
+    assert {key[3].spot_nodes for key in cache
+            if key[0] == "fd.intervals"} == {120, 90}
 
 
 def interval_entries(cache):
@@ -480,7 +496,9 @@ def interval_entries(cache):
 
 def test_pricings_of_one_shape_share_one_entry(monkeypatch):
     # the target and the knockout type change neither the spot grid nor J,
-    # so the second pricing makes no step and builds no map
+    # so the second pricing makes no step and builds no map; it reads the
+    # held maps, which no pricing may write to, and equals a pricing that
+    # made its own
     built = count_builds(monkeypatch)
     made = []
     original = fd._interval_steps
@@ -490,12 +508,19 @@ def test_pricings_of_one_shape_share_one_entry(monkeypatch):
     model = term_structure_model()
     fd_price(call_contract(), model, GRID, 1.05, cache=cache, pricings=2)
     assert built and made
+    for matrix, offset in built:
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            offset += 1.0
     built.clear()
     made.clear()
     other = replace(call_contract(KnockoutType.NO_GAIN), target=0.3)
-    fd_price(other, model, GRID, 1.05, cache=cache, pricings=2)
+    again = fd_price(other, model, GRID, 1.05, cache=cache, pricings=2).price
     assert (built, made) == ([], [])
     assert len(interval_entries(cache)) == 1
+    assert isinstance(cache[interval_entries(cache)[0]], tuple)
+    assert again == fd_price(other, model, GRID, 1.05, pricings=2).price
 
 
 def test_each_shape_input_adds_one_entry():
