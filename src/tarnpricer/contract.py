@@ -17,12 +17,11 @@ by numerical method, never by payoff convention.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .market import check_beta, check_fields, check_positive
+from .market import check_beta, check_fields, check_increasing, check_positive
 
 __all__ = [
     "KnockoutType",
@@ -74,20 +73,13 @@ class TarnContract:
             raise ValueError(f"knockout must be a KnockoutType, got {self.knockout!r}")
         if not self.fixing_times:
             raise ValueError("fixing_times must hold at least one date")
-        if not all(math.isfinite(t) for t in self.fixing_times):
-            raise ValueError("fixing_times must be finite")
-        if self.fixing_times[0] <= 0.0:
-            raise ValueError("fixing_times must be positive")
-        if any(b <= a for a, b in zip(self.fixing_times, self.fixing_times[1:])):
-            raise ValueError("fixing_times must be strictly increasing")
-        if self.extra_payments is not None:
-            if len(self.extra_payments) != self.num_fixings:
-                raise ValueError(
-                    f"extra_payments must have exactly {self.num_fixings} entries "
-                    f"to match the fixing schedule, got {len(self.extra_payments)}"
-                )
-            if not all(math.isfinite(c) for c in self.extra_payments):
-                raise ValueError("extra_payments must be finite")
+        check_positive(self.fixing_times[0], "fixing_times")
+        check_increasing(self.fixing_times, "fixing_times")
+        if self.extra_payments is not None and len(self.extra_payments) != self.num_fixings:
+            raise ValueError(
+                f"extra_payments must have exactly {self.num_fixings} entries "
+                f"to match the fixing schedule, got {len(self.extra_payments)}"
+            )
 
     @property
     def num_fixings(self) -> int:

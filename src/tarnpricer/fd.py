@@ -77,10 +77,8 @@ __all__ = [
     "PriceResult",
     "ErrorEstimate",
     "ConvergenceStudy",
-    "StepCoefficients",
     "ZeroPivotError",
     "natural_cubic_spline",
-    "coefficients_at",
     "fd_price",
     "estimate_error",
     "convergence_order",
@@ -124,21 +122,16 @@ class FdConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.spot_nodes < 3:
-            raise ValueError("spot_nodes must be at least 3")
+        for name, minimum in (("spot_nodes", 3), ("accumulation_nodes", 4),
+                              ("time_steps", 1), ("implicit_startup_steps", 0)):
+            check_count(getattr(self, name), name, minimum)
         if self.boundary is BoundaryKind.ZERO_GAMMA and self.spot_nodes < 4:
             # both zero-gamma end rows would be one equation: singular steps
             raise ValueError("spot_nodes must be at least 4 with the "
                              "zero_gamma boundary")
-        if self.accumulation_nodes < 4:
-            raise ValueError("accumulation_nodes must be at least 4")
-        if self.time_steps < 1:
-            raise ValueError("time_steps must be at least 1")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
         check_positive(self.domain_width_sigmas, "domain_width_sigmas")
-        if self.implicit_startup_steps < 0:
-            raise ValueError("implicit_startup_steps must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -909,7 +902,7 @@ def fd_price(
     are marched.  A non-finite price is never returned: it raises
     ValueError.
     """
-    pricings = check_count(pricings, "pricings")
+    pricings = check_count(pricings, "pricings", 1)
     started = time.perf_counter()
     grid = build_grid(contract, model, config, spot)
     _check_explicit_stability(grid, model, config)
@@ -963,9 +956,15 @@ def estimate_error(
 ) -> ErrorEstimate:
     """Relative error proxy: rerun with every dimension doubled.
 
-    With a second-order scheme the doubled grid's own error is a small
-    fraction of the coarse grid's, so the relative gap between the two
-    prices closely tracks the coarse grid's true relative error.
+    The relative gap between the two prices tracks the coarse grid's true
+    relative error when the scheme converges at second order, so that the
+    doubled grid's own error is a quarter of the coarse grid's.  Where the
+    knockout makes the value jump it can converge much more slowly, and
+    the proxy then understates the error: for a no-gain note with beta -1,
+    strike 1.1294, spot 1.0761, target 0.0304, fixings at 0.158 and 0.317,
+    flat sigma 0.0876, r_d 0.0552 and r_f -0.00125, a 200x50x200 grid
+    reports 0.85% against an actual 4.4%, the refined error being 0.82 of
+    the coarse one.
     """
     coarse = fd_price(contract, model, config, spot)
     refined = fd_price(contract, model, _scaled_grid(config, 2), spot)

@@ -5,10 +5,6 @@ discount factors and integrated variances are exact; curve handling then
 contributes nothing to the numerical error budget when the two engines are
 compared.  Local volatility is a surface sampled on a rectangular mesh with
 bilinear interpolation, clamped at the mesh edges.
-
-Every constructor and entry point checks its input by the one rule here:
-:func:`check_positive`, :func:`check_count`, :func:`check_beta`,
-:func:`check_fields`, ``_check_pieces``.
 """
 
 from __future__ import annotations
@@ -57,23 +53,18 @@ def _piece_at(times, values, t):
     return values[max(bisect.bisect_right(times, t) - 1, 0)]
 
 
-def _check_pieces(curve, values_name: str, knot_word: str, positive: bool) -> None:
-    """Check a step function's ``times`` and ``values_name``, its knots named ``knot_word``."""
+def _check_pieces(curve, values_name: str, positive: bool) -> None:
+    """Check a step function's ``times`` and ``values_name``."""
     check_fields(curve)
     times, values = curve.times, getattr(curve, values_name)
     if len(times) != len(values) or not times:
         raise ValueError(f"times and {values_name} must be nonempty and equal length")
-    if not all(math.isfinite(t) for t in times):
-        raise ValueError("times must be finite")
     if times[0] != 0.0:
-        raise ValueError(f"first {knot_word} knot must be at t = 0")
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError(f"{knot_word} knots must be strictly increasing")
+        raise ValueError(f"times must start at t = 0, got {times[0]}")
+    check_increasing(times, "times")
     if positive:
         for v in values:
             check_positive(v, values_name)
-    elif not all(math.isfinite(v) for v in values):
-        raise ValueError(f"{values_name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -88,7 +79,7 @@ class RateCurve:
     rates: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        _check_pieces(self, "rates", "rate", positive=False)
+        _check_pieces(self, "rates", positive=False)
 
     @classmethod
     def flat(cls, rate: float) -> "RateCurve":
@@ -135,7 +126,7 @@ class TermStructureVol:
     sigmas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        _check_pieces(self, "sigmas", "volatility", positive=True)
+        _check_pieces(self, "sigmas", positive=True)
 
     def sigma_at(self, t: float) -> float:
         return _piece_at(self.times, self.sigmas, t)
@@ -162,21 +153,19 @@ class LocalVolSurface:
         arrays = []
         for name in ("time_knots", "spot_knots", "values"):
             raw = np.asarray(getattr(self, name))
-            if raw.dtype.kind not in "iuf":  # a bool or a string converts silently
-                raise ValueError(f"{name} must hold real numbers, got dtype {raw.dtype}")
+            # a bool or a string would convert silently
+            if raw.dtype.kind not in "iuf" or not np.isfinite(raw).all():
+                raise ValueError(f"{name} must hold finite real numbers, "
+                                 f"got {_shown(raw.tolist())}")
             arrays.append(np.array(raw, dtype=float))  # a copy, frozen below
         tk, sk, vals = arrays
         if tk.ndim != 1 or sk.ndim != 1 or vals.shape != (tk.size, sk.size):
             raise ValueError("values must have shape (len(time_knots), len(spot_knots))")
         if tk.size < 2 or sk.size < 2:
-            raise ValueError("mesh needs at least two knots per axis")
-        for arr, name in ((tk, "time_knots"), (sk, "spot_knots")):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-        if np.any(np.diff(tk) <= 0) or np.any(np.diff(sk) <= 0):
-            raise ValueError("mesh knots must be strictly increasing")
-        if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
-            raise ValueError("mesh volatilities must be positive and finite")
+            raise ValueError("time_knots and spot_knots must hold two knots or more")
+        check_increasing(tk, "time_knots")
+        check_increasing(sk, "spot_knots")
+        check_positive(float(vals.min()), "values")
         for arr, name in ((tk, "time_knots"), (sk, "spot_knots"), (vals, "values")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -248,19 +237,25 @@ def integrated_variance(vol: VolatilitySpec, t0: float, t1: float) -> float:
     )
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _is_float(value) -> bool:
     """A real number, no bool, that a float can hold (not ``10**400``)."""
-    if not _is_real(value):
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
         return False
     try:
         float(value)
     except OverflowError:
         return False
     return True
+
+
+def _is_finite(value) -> bool:
+    """A real number, no bool, that is finite as a float."""
+    return _is_float(value) and math.isfinite(value)
+
+
+def _is_int(value) -> bool:
+    """An integer, no bool, that a float can hold."""
+    return isinstance(value, numbers.Integral) and _is_float(value)
 
 
 def _shown(value) -> str:
@@ -273,18 +268,24 @@ def _shown(value) -> str:
 
 def check_positive(value, name: str) -> float:
     """``value`` as a float if it is a positive, finite real and no bool."""
-    if not (_is_float(value) and value > 0.0 and math.isfinite(value)):
+    if not (_is_finite(value) and value > 0.0):
         raise ValueError(f"{name} must be positive and finite, got {_shown(value)}")
     return float(value)
 
 
-def check_count(value, name: str) -> int:
-    """``value`` as an int if it is an integer of at least 1, no bool, that
-    a float can hold."""
-    if not (isinstance(value, numbers.Integral) and _is_float(value) and value >= 1):
-        raise ValueError(f"{name} must be an integer of at least 1 that a float "
-                         f"can hold, got {_shown(value)}")
+def check_count(value, name: str, minimum: int) -> int:
+    """``value`` as an int if it is an integer of at least ``minimum``, no
+    bool, that a float can hold."""
+    if not (_is_int(value) and value >= minimum):
+        raise ValueError(f"{name} must be an integer of at least {minimum} that a "
+                         f"float can hold, got {_shown(value)}")
     return int(value)
+
+
+def check_increasing(values, name: str) -> None:
+    """Reject a sequence of knots ``values`` that is not strictly increasing."""
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"{name} must be strictly increasing, got {_shown(values)}")
 
 
 def check_beta(beta) -> int:
@@ -299,11 +300,11 @@ def check_fields(config, names=None) -> None:
     of value, naming the field (as ``names`` maps it, if given).
 
     A field annotated ``int`` holds an integral value that is not a bool (a
-    silent ``int()`` would truncate it), ``bool`` a bool, ``float`` a real
-    number that is not a bool and that a float can hold,
-    ``tuple[float, ...]`` such numbers (then stored as a tuple of floats),
-    and one whose default is an enum member a member of that enum.  An
-    annotation ending ``| None`` also allows None.
+    silent ``int()`` would truncate it) and that a float can hold, ``bool``
+    a bool, ``float`` a real number that is not a bool and is finite as a
+    float, ``tuple[float, ...]`` such numbers (then stored as a tuple of
+    floats), and one whose default is an enum member a member of that enum.
+    An annotation ending ``| None`` also allows None.
     """
     for f in fields(config):
         value = getattr(config, f.name)
@@ -312,15 +313,15 @@ def check_fields(config, names=None) -> None:
         if value is None and spec != full:
             continue
         if spec == "float":
-            kind, ok = "a real number", _is_float(value)
+            kind, ok = "a finite real number", _is_finite(value)
         elif spec == "tuple[float, ...]":
-            kind = "a sequence of real numbers"
+            kind = "a sequence of finite real numbers"
             with contextlib.suppress(TypeError):  # a generator is read once
                 value = value if isinstance(value, str) else tuple(value)
-            if ok := isinstance(value, tuple) and all(map(_is_float, value)):
+            if ok := isinstance(value, tuple) and all(map(_is_finite, value)):
                 object.__setattr__(config, f.name, tuple(map(float, value)))
         elif spec == "int":
-            kind, ok = "an integer", isinstance(value, numbers.Integral) and _is_real(value)
+            kind, ok = "an integer that a float can hold", _is_int(value)
         elif spec == "bool":
             kind, ok = "a bool", isinstance(value, bool)
         elif isinstance(f.default, enum.Enum):

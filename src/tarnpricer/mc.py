@@ -37,6 +37,7 @@ import numpy as np
 from .contract import TarnContract, batch_present_value
 from .market import (
     MarketModel,
+    check_count,
     check_fields,
     check_positive,
     discount_factor,
@@ -74,14 +75,8 @@ class McConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.n_paths < 2:
-            raise ValueError("n_paths must be at least 2")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.substeps_per_interval < 1:
-            raise ValueError("substeps_per_interval must be at least 1")
-        if self.cv_coefficient is not None and not math.isfinite(self.cv_coefficient):
-            raise ValueError("cv_coefficient must be finite")
+        for name, minimum in (("n_paths", 2), ("seed", 0), ("substeps_per_interval", 1)):
+            check_count(getattr(self, name), name, minimum)
 
 
 @dataclass(frozen=True)
@@ -256,13 +251,9 @@ def mc_price(
         if config.cv_coefficient is not None:
             lam = float(config.cv_coefficient)
         else:
-            pilot_p = payoffs[:n_pilot]
-            pilot_c = controls[:n_pilot]
-            var_c = float(np.var(pilot_c))
-            if var_c > 0.0:
-                lam = float(np.cov(pilot_p, pilot_c)[0, 1]) / var_c
-            else:
-                lam = 0.0
+            # the pilot's least-squares slope: covariance and variance of one ddof
+            cov = np.cov(payoffs[:n_pilot], controls[:n_pilot])
+            lam = float(cov[0, 1]) / float(cov[1, 1]) if cov[1, 1] > 0.0 else 0.0
         samples = payoffs[n_pilot:] - lam * (controls[n_pilot:] - control_mean)
     else:
         lam = None

@@ -114,8 +114,8 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("section, line, message", [
         ("fd", "domain_width_sigmas = inf",
-         "fd: domain_width_sigmas must be positive and finite"),
-        ("mc", "cv_coefficient = nan", "mc: cv_coefficient must be finite"),
+         "fd: domain_width_sigmas must be a finite real number, got inf"),
+        ("mc", "cv_coefficient = nan", "mc: cv_coefficient must be a finite real number"),
         ("fd", "pin_policy = strike_only", "fd.pin_policy: unknown value 'strike_only'"),
         ("fd", "boundary = dirichlet_neumann", "fd.boundary: unknown value"),
         ("fd", "spot_nodes = 60.5", "fd.spot_nodes: expected an integer"),
@@ -429,6 +429,8 @@ NON_NUMBERS = st.one_of(
 NON_INTEGERS = NON_NUMBERS | st.floats(allow_nan=False, allow_infinity=False).filter(
     lambda x: not x.is_integer()).map(repr)
 NON_POSITIVE = st.floats(max_value=0.0, allow_infinity=False).map(repr)
+# Integers of 310 digits or more: too large for a float.
+TOO_LARGE = st.integers(min_value=10**309, max_value=10**400).map(str)
 
 
 def below(bound):
@@ -455,18 +457,18 @@ BAD_VALUES = {
         lambda xs: len(xs) != 3).map(", ".join),
     ("run", "spot"): NON_NUMBERS | NON_POSITIVE,
     ("run", "engines"): words_but({"fd", "mc"}),
-    ("fd", "spot_nodes"): NON_INTEGERS | below(4),
-    ("fd", "accumulation_nodes"): NON_INTEGERS | below(4),
-    ("fd", "time_steps"): NON_INTEGERS | below(1),
+    ("fd", "spot_nodes"): NON_INTEGERS | below(4) | TOO_LARGE,
+    ("fd", "accumulation_nodes"): NON_INTEGERS | below(4) | TOO_LARGE,
+    ("fd", "time_steps"): NON_INTEGERS | below(1) | TOO_LARGE,
     ("fd", "theta"): NON_NUMBERS | st.floats(allow_nan=False, allow_infinity=False).filter(
         lambda x: not 0.0 <= x <= 1.0).map(repr),
     ("fd", "domain_width_sigmas"): NON_NUMBERS | NON_POSITIVE,
     ("fd", "pin_policy"): words_but({p.value for p in PinPolicy}),
     ("fd", "boundary"): words_but({b.value for b in BoundaryKind}),
-    ("fd", "implicit_startup_steps"): NON_INTEGERS | below(0),
-    ("mc", "paths"): NON_INTEGERS | below(2),
-    ("mc", "seed"): NON_INTEGERS | below(0),
-    ("mc", "substeps_per_interval"): NON_INTEGERS | below(1),
+    ("fd", "implicit_startup_steps"): NON_INTEGERS | below(0) | TOO_LARGE,
+    ("mc", "paths"): NON_INTEGERS | below(2) | TOO_LARGE,
+    ("mc", "seed"): NON_INTEGERS | below(0) | TOO_LARGE,
+    ("mc", "substeps_per_interval"): NON_INTEGERS | below(1) | TOO_LARGE,
     ("mc", "control_variate"): words_but(configparser.ConfigParser.BOOLEAN_STATES),
     ("mc", "cv_coefficient"): NON_NUMBERS,
 }
@@ -508,6 +510,19 @@ class TestSectionFuzz:
         assert re.match(rf"{section}(\.{key}|: {field})\b", str(err.value)), str(err.value)
 
 
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section, key in sorted(BAD_VALUES)
+        if section in _ENGINE_SECTIONS
+        and type(_section_fields(_ENGINE_SECTIONS[section])[key].default) is int
+    ])
+    def test_int_too_large_for_a_float_rejected_by_key(self, section, key):
+        # it used to parse, then fail in the engine naming no field
+        field = _section_fields(_ENGINE_SECTIONS[section])[key].name
+        with pytest.raises(ConfigError, match=rf"^{section}: {field} must be an integer "
+                                              "that a float can hold, got 1000"):
+            parse_config(with_value(section, key, str(10**400)))
+
+
 class TestRunConfig:
     @pytest.mark.parametrize("field, value, key", [
         ("strike", math.nan, "contract.strike must be"),
@@ -521,16 +536,16 @@ class TestRunConfig:
         ("knockouts", ("no_gain",), "contract.knockout must be a KnockoutType"),
         ("refine", "yes", "refine must be a bool, got 'yes'"),
         ("convergence", 1, "convergence must be a bool, got 1"),
-        ("beta", 1.0, "contract.beta must be an integer, got 1.0"),
-        ("beta", True, "contract.beta must be an integer, got True"),
+        ("beta", 1.0, "contract.beta must be an integer that a float can hold, got 1.0"),
+        ("beta", True, "contract.beta must be an integer that a float can hold, got True"),
         ("targets", (0.3, 0.5, 0.3), "contract.target: 0.3 is listed twice"),
         ("targets", (0.5, np.float64(0.5)), "contract.target: 0.5 is listed twice"),
         ("knockouts", (KnockoutType.NO_GAIN, KnockoutType.FULL_GAIN, KnockoutType.NO_GAIN),
          "contract.knockout: no_gain is listed twice"),
-        ("strike", "1.0", "contract.strike must be a real number, got '1.0'"),
-        ("strike", True, "contract.strike must be a real number, got True"),
-        ("spot", "1.05", "run.spot must be a real number, got '1.05'"),
-        ("spot", True, "run.spot must be a real number, got True"),
+        ("strike", "1.0", "contract.strike must be a finite real number, got '1.0'"),
+        ("strike", True, "contract.strike must be a finite real number, got True"),
+        ("spot", "1.05", "run.spot must be a finite real number, got '1.05'"),
+        ("spot", True, "run.spot must be a finite real number, got True"),
     ])
     def test_hand_built_config_rejected_by_key(self, field, value, key):
         base = PRESETS["table1"]()
@@ -563,12 +578,14 @@ class TestRunConfig:
         (FdConfig, "pin_policy", BoundaryKind.ZERO_GAMMA, "pin_policy must be a PinPolicy"),
         (McConfig, "control_variate", "no", "control_variate must be a bool"),
         (McConfig, "control_variate", 1, "control_variate must be a bool"),
-        (FdConfig, "theta", True, "theta must be a real number"),
-        (FdConfig, "theta", "0.5", "theta must be a real number"),
-        (FdConfig, "domain_width_sigmas", True, "domain_width_sigmas must be a real number"),
-        (FdConfig, "domain_width_sigmas", "3.5", "domain_width_sigmas must be a real number"),
-        (McConfig, "cv_coefficient", True, "cv_coefficient must be a real number"),
-        (McConfig, "cv_coefficient", "1.0", "cv_coefficient must be a real number"),
+        (FdConfig, "theta", True, "theta must be a finite real number"),
+        (FdConfig, "theta", "0.5", "theta must be a finite real number"),
+        (FdConfig, "domain_width_sigmas", True,
+         "domain_width_sigmas must be a finite real number"),
+        (FdConfig, "domain_width_sigmas", "3.5",
+         "domain_width_sigmas must be a finite real number"),
+        (McConfig, "cv_coefficient", True, "cv_coefficient must be a finite real number"),
+        (McConfig, "cv_coefficient", "1.0", "cv_coefficient must be a finite real number"),
     ])
     def test_fields_reject_the_wrong_kind_by_name(self, cls, field, value, message):
         # the engines test enum fields with `is`: a string would price with
@@ -827,7 +844,7 @@ class TestMain:
         path = tmp_path / "bad.cfg"
         path.write_text(MINIMAL.replace("strike = 1.0", "strike = nan"))
         assert main([str(path)]) == 1
-        assert "contract.strike must be positive and finite" in capsys.readouterr().err
+        assert "contract.strike must be a finite real number, got nan" in capsys.readouterr().err
 
     def test_non_finite_rate_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -850,7 +867,8 @@ class TestMain:
     def test_seed_override_error_names_the_flag(self, capsys):
         assert main(["--preset", "table1", "--seed", "-3"]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: --seed: seed must be nonnegative\n"
+        assert captured.err == ("error: --seed: seed must be an integer of at least 0 "
+                                "that a float can hold, got -3\n")
         assert captured.out == ""
 
     def test_refine_with_convergence_exit_code(self, tmp_path, capsys):

@@ -387,10 +387,10 @@ class TestContractValidation:
             make_contract(knockout=knockout)
 
     @pytest.mark.parametrize("field, value, message", [
-        ("strike", "1.0", "strike must be a real number, got '1.0'"),
-        ("strike", True, "strike must be a real number, got True"),
-        ("target", "0.3", "target must be a real number, got '0.3'"),
-        ("target", False, "target must be a real number, got False"),
+        ("strike", "1.0", "strike must be a finite real number, got '1.0'"),
+        ("strike", True, "strike must be a finite real number, got True"),
+        ("target", "0.3", "target must be a finite real number, got '0.3'"),
+        ("target", False, "target must be a finite real number, got False"),
         ("beta", True, "beta must be +1 or -1, got True"),
     ], ids=["strike_str", "strike_bool", "target_str", "target_bool", "beta_bool"])
     def test_rejects_the_wrong_kind_by_name(self, field, value, message):

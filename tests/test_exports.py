@@ -20,7 +20,8 @@ PUBLIC = {
 
 INTERNAL = [
     (fd, "JumpPlan"), (fd, "apply_jump"), (fd, "theta_step"), (fd, "build_grid"),
-    (fd, "FdGrid"), (fd, "tridiagonal_solve"),
+    (fd, "FdGrid"), (fd, "tridiagonal_solve"), (fd, "StepCoefficients"),
+    (fd, "coefficients_at"),
     (contract, "batch_present_value"), (contract, "fixing_flows"),
     (mc, "simulate_fixing_paths"), (mc, "standard_error"),
     (mc, "batch_present_value"),

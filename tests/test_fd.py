@@ -120,10 +120,12 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match="spot"):
             fd_price(contract, flat_model(), FdConfig(), spot)
 
-    @pytest.mark.parametrize("width", [math.inf, math.nan, 0.0])
-    def test_bad_domain_width_rejected_by_name(self, width):
-        with pytest.raises(ValueError,
-                           match="^domain_width_sigmas must be positive and finite"):
+    @pytest.mark.parametrize("width, rule", [(math.inf, "a finite real number"),
+                                             (math.nan, "a finite real number"),
+                                             (0.0, "positive and finite")],
+                             ids=["inf", "nan", "0.0"])
+    def test_bad_domain_width_rejected_by_name(self, width, rule):
+        with pytest.raises(ValueError, match=f"^domain_width_sigmas must be {rule}"):
             FdConfig(domain_width_sigmas=width)
 
     def test_width_insensitivity_of_price(self):

@@ -53,7 +53,7 @@ class TestDiscounting:
 
     @pytest.mark.parametrize("times", [(0.0, math.nan), (0.0, math.inf)])
     def test_non_finite_knot_rejected_by_name(self, times):
-        with pytest.raises(ValueError, match="^times must be finite"):
+        with pytest.raises(ValueError, match="^times must be a sequence of finite real numbers"):
             RateCurve(times, (0.01, 0.02))
 
 
@@ -68,7 +68,7 @@ class TestIntegratedVariance:
 
     @pytest.mark.parametrize("times", [(0.0, math.nan), (0.0, math.inf)])
     def test_non_finite_knot_rejected_by_name(self, times):
-        with pytest.raises(ValueError, match="^times must be finite"):
+        with pytest.raises(ValueError, match="^times must be a sequence of finite real numbers"):
             TermStructureVol(times, (0.1, 0.2))
 
     def test_local_vol_rejected(self):
@@ -252,7 +252,7 @@ class TestLocalVol:
         ("spot_knots", [0.0, 1.0], [0.5, math.inf]),
     ])
     def test_non_finite_knot_rejected_by_name(self, field, time_knots, spot_knots):
-        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        with pytest.raises(ValueError, match=f"^{field} must hold finite real numbers"):
             LocalVolSurface(time_knots=time_knots, spot_knots=spot_knots,
                             values=[[0.2, 0.2], [0.2, 0.2]])
 

@@ -17,6 +17,7 @@ from tarnpricer import (
     vanilla_price,
 )
 from tarnpricer.cli import PRESETS, run
+from tarnpricer.market import discount_factor
 from tarnpricer.mc import BATCH_SIZE, simulate_fixing_paths, standard_error
 
 import path_oracle
@@ -60,7 +61,7 @@ def test_bad_spot_rejected_by_name(spot):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_cv_coefficient_rejected_by_name(value):
-    with pytest.raises(ValueError, match="^cv_coefficient must be finite"):
+    with pytest.raises(ValueError, match="^cv_coefficient must be a finite real number"):
         McConfig(cv_coefficient=value)
 
 
@@ -70,6 +71,25 @@ def test_too_few_paths_for_the_pilot_rejected_by_name(n_paths):
     contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
     with pytest.raises(ValueError, match="^n_paths must leave at least 2 paths"):
         mc_price(contract, flat_model(), McConfig(n_paths=n_paths), 1.05)
+
+
+@pytest.mark.parametrize("n_paths", [20, 29])
+def test_pilot_coefficient_is_the_pilots_least_squares_slope(n_paths):
+    # n // 10 is 2, so the pilot is the first two paths: the slope through
+    # their two (control, payoff) points.  A covariance with ddof=1 over a
+    # variance with ddof=0 gave twice it.
+    contract = benchmark_contract(KnockoutType.PART_GAIN, 0.3)
+    model = flat_model(r_d=0.02)
+    config = McConfig(n_paths=n_paths, seed=11)
+    res = mc_price(contract, model, config, 1.0)
+    rng = np.random.Generator(np.random.Philox(config.seed).jumped(0))
+    pilot = simulate_fixing_paths(model, 1.0, contract.fixing_times, n_paths, rng)[:2]
+    discounts = np.array([discount_factor(model.domestic, 0.0, t)
+                          for t in contract.fixing_times])
+    p0, p1 = path_oracle.walk_present_value(pilot, contract, discounts)
+    c0, c1 = path_oracle.control_values(pilot, contract, discounts)
+    assert c1 != c0 and p1 != p0
+    assert res.cv_coefficient == pytest.approx((p1 - p0) / (c1 - c0), rel=1e-12)
 
 
 def test_four_paths_leave_two_after_the_pilot():

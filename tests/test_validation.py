@@ -3,6 +3,7 @@ is rejected, naming its field, by every constructor and engine entry
 point."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -56,24 +57,34 @@ NUMERIC = ("float", "int", "float | None", "tuple[float, ...]",
            "tuple[float, ...] | None")
 
 
-def wrong_kinds(value):
+def wrong_kinds(kind, value):
     """A bool and a numeric string in place of ``value``, or of the last
-    entry of a tuple."""
+    entry of a tuple; then NaN and inf for a float kind, and an int too
+    large for a float for the int kind."""
+    if kind == "int":
+        return [True, str(value), 10**400]
     if isinstance(value, tuple):
-        return [value[:-1] + (True,), value[:-1] + (str(value[-1]),)]
-    return [True, str(1.0 if value is None else value)]
+        return [value[:-1] + (bad,) for bad in (True, str(value[-1]), math.nan, math.inf)]
+    return [True, str(1.0 if value is None else value), math.nan, math.inf]
+
+
+def kind_id(bad):
+    last = bad[-1] if isinstance(bad, tuple) else bad
+    if isinstance(last, float):
+        return repr(last)
+    return "huge_int" if type(last) is int else type(bad).__name__
 
 
 FIELD_CASES = [
-    pytest.param(cls, f.name, bad, id=f"{cls.__name__}.{f.name}-{type(bad).__name__}")
+    pytest.param(cls, f.name, bad, id=f"{cls.__name__}.{f.name}-{kind_id(bad)}")
     for cls, make in VALID.items()
     for f in dataclasses.fields(cls) if f.type in NUMERIC
-    for bad in wrong_kinds(getattr(make(), f.name))
+    for bad in wrong_kinds(f.type, getattr(make(), f.name))
 ]
 
 
 @pytest.mark.parametrize("cls, field, bad", FIELD_CASES)
-def test_every_numeric_field_rejects_a_bool_and_a_string_by_name(cls, field, bad):
+def test_every_numeric_field_rejects_a_value_of_the_wrong_kind_by_name(cls, field, bad):
     # read off dataclasses.fields, so that a field added later is swept too
     key = KEYS.get((cls, field), field)
     with pytest.raises(ValueError, match=f"^{re.escape(key)} must be"):
@@ -95,22 +106,22 @@ HOLES = {
     "ConstantVol_str": (lambda: ConstantVol("0.2"),
                         "sigma must be positive and finite, got '0.2'"),
     "RateCurve.flat_bool": (lambda: RateCurve.flat(True),
-                            "rates must be a sequence of real numbers, got (True,)"),
+                            "rates must be a sequence of finite real numbers, got (True,)"),
     "TermStructureVol_str_time": (
         lambda: TermStructureVol((0.0, "0.5"), (0.2, 0.3)),
-        "times must be a sequence of real numbers, got (0.0, '0.5')"),
+        "times must be a sequence of finite real numbers, got (0.0, '0.5')"),
     "TermStructureVol_bool_sigma": (
         lambda: TermStructureVol((0.0, 0.5), (0.2, True)),
-        "sigmas must be a sequence of real numbers, got (0.2, True)"),
+        "sigmas must be a sequence of finite real numbers, got (0.2, True)"),
     "TarnContract_fixing_times": (
         lambda: contract(fixing_times=("0.25", True), extra_payments=None),
-        "fixing_times must be a sequence of real numbers, got ('0.25', True)"),
+        "fixing_times must be a sequence of finite real numbers, got ('0.25', True)"),
     "TarnContract_extra_payments": (
         lambda: contract(fixing_times=(0.25, 0.5), extra_payments=(True, "1")),
-        "extra_payments must be a sequence of real numbers, got (True, '1')"),
+        "extra_payments must be a sequence of finite real numbers, got (True, '1')"),
     "TarnContract_fixing_times_scalar": (
         lambda: contract(fixing_times=0.25),
-        "fixing_times must be a sequence of real numbers, got 0.25"),
+        "fixing_times must be a sequence of finite real numbers, got 0.25"),
     "ConstantVol_huge_int": (lambda: ConstantVol(10**400),
                              f"sigma must be positive and finite, got {10**400}"),
     "ConstantVol_unprintable_int": (
@@ -118,13 +129,13 @@ HOLES = {
         "sigma must be positive and finite, got a value with an int too long to print"),
     "RateCurve.flat_huge_int": (
         lambda: RateCurve.flat(10**400),
-        f"rates must be a sequence of real numbers, got ({10**400},)"),
+        f"rates must be a sequence of finite real numbers, got ({10**400},)"),
     "TarnContract_fixing_times_huge_int": (
         lambda: contract(fixing_times=(0.5, 10**400), extra_payments=None),
-        f"fixing_times must be a sequence of real numbers, got (0.5, {10**400})"),
+        f"fixing_times must be a sequence of finite real numbers, got (0.5, {10**400})"),
     "McConfig_cv_coefficient_huge_int": (
         lambda: McConfig(cv_coefficient=10**400),
-        f"cv_coefficient must be a real number, got {10**400}"),
+        f"cv_coefficient must be a finite real number, got {10**400}"),
     "vanilla_price_beta": (
         lambda: vanilla_price(1.05, 1.0, True, 1.0, FLAT, FLAT, ConstantVol(0.2)),
         "beta must be +1 or -1, got True"),
@@ -146,13 +157,13 @@ HOLES = {
         "vol must be a ConstantVol or TermStructureVol or LocalVolSurface, got 0.2"),
     "LocalVolSurface_str_spots": (
         lambda: LocalVolSurface(**SURFACE | dict(spot_knots=["0.5", "2.0"])),
-        "spot_knots must hold real numbers, got dtype <U3"),
+        "spot_knots must hold finite real numbers, got ['0.5', '2.0']"),
     "LocalVolSurface_bool_values": (
         lambda: LocalVolSurface(**SURFACE | dict(values=[[True, True], [True, True]])),
-        "values must hold real numbers, got dtype bool"),
+        "values must hold finite real numbers, got [[True, True], [True, True]]"),
     "LocalVolSurface_bool_times": (
         lambda: LocalVolSurface(**SURFACE | dict(time_knots=np.array([False, True]))),
-        "time_knots must hold real numbers, got dtype bool"),
+        "time_knots must hold finite real numbers, got [False, True]"),
 }
 
 
@@ -162,6 +173,19 @@ def test_wrong_kind_is_rejected_by_name(name):
     # large for a float raised OverflowError)
     make, message = HOLES[name]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: contract(fixing_times=(0.25, 0.25, 0.75)), "fixing_times"),
+    (lambda: RateCurve((0.0, 0.5, 0.4), (0.01, 0.02, 0.03)), "times"),
+    (lambda: TermStructureVol((0.0, 0.0), (0.2, 0.3)), "times"),
+    (lambda: LocalVolSurface(**SURFACE | dict(time_knots=[1.0, 0.0])), "time_knots"),
+    (lambda: LocalVolSurface(**SURFACE | dict(spot_knots=[2.0, 2.0])), "spot_knots"),
+], ids=["TarnContract", "RateCurve", "TermStructureVol", "LocalVolSurface_times",
+        "LocalVolSurface_spots"])
+def test_knots_out_of_order_are_rejected_by_name(make, field):
+    with pytest.raises(ValueError, match=f"^{field} must be strictly increasing, got "):
         make()
 
 
