@@ -11,9 +11,12 @@ step's and a spline's, is one direct call of LAPACK ``gtsv``
 checks; so no solve rejects a NaN or an infinity, and :func:`fd_price`
 instead refuses to return a non-finite price.  At a fixing date the tracked
 solutions exchange information through a jump condition: for every spot
-node, the post-fixing values across the accumulation grid are interpolated
-with a natural cubic spline at the amount the fixing shifts the state to,
-giving the continuation value, and the fixing's cash flow is added on top.
+node where the fixing pays less than the target, ``0 < gross < U``, the
+post-fixing values across the accumulation grid are interpolated with a
+natural cubic spline at the amount the fixing shifts the state to, giving
+the continuation value, and the fixing's cash flow is added on top.  The
+other spot nodes need no spline: where the gross amount is zero the state
+does not move, and where it reaches the target every state knocks out.
 After the first fixing only the zero-accrual solution remains relevant and
 is marched down to the valuation date.  The shift is applied forward, from the
 pre-fixing amount at a grid node to the (generally off-grid) post-fixing
@@ -22,10 +25,10 @@ lattice.  The fixing's cash flows come from
 :func:`tarnpricer.contract.fixing_flows`, the kernel Monte Carlo uses too.
 A fixing enters its jump only through its extra payment, which is the
 amount times a per-cell factor, so a pricing builds everything in the jump
-that does not depend on the lattice values (the cash flows, and where and
-with which weights each shifted amount is read on its spline) once as a
-:class:`JumpPlan` and reuses it at every fixing; per fixing only the spline
-system is solved and read.
+that does not depend on the lattice values (the cash flows, the spot nodes
+that are splined, and where and with which weights each of their shifted
+amounts is read on its spline) once as a :class:`JumpPlan` and reuses it
+at every fixing; per fixing only the spline system is solved and read.
 
 Between fixings every tracked row is marched by the same operator.  When
 the coefficients are scalars (flat or term-structure volatility), an
@@ -826,49 +829,65 @@ class JumpPlan:
     pricing.  It holds the fixing's cash flows on the (J, M) lattice
     (``payment``, the ``dead`` breach mask and ``extra_weight``, the
     factor of the extra payment: :func:`tarnpricer.contract.fixing_flows`
-    of a unit extra) and where each cell's shifted amount is read on its
-    spot node's spline (``reads``, see :func:`_spline_reads`).
+    of a unit extra), the ``band`` of spot nodes whose gross amount lies in
+    ``(0, U)``, and where each of the band's cells has its shifted amount
+    read on its spot node's spline (``reads``, see :func:`_spline_reads`).
+    The gross amount ``max(beta (S - K), 0)`` is monotone along the sorted
+    spot nodes, so the band is one slice, from the first such node to the
+    last; an empty band is ``slice(0, 0)``.
     """
 
     grid: FdGrid
     payment: np.ndarray
     dead: np.ndarray
     extra_weight: np.ndarray
+    band: slice
     reads: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
     @classmethod
     def build(cls, contract: TarnContract, grid: FdGrid) -> "JumpPlan":
         """The plan of every fixing of ``contract`` on ``grid``."""
         accum = grid.accum_nodes[:, None]
+        gross = contract.gross(grid.spots)
         payment, extra_weight, dead = fixing_flows(
-            contract.gross(grid.spots), accum, 1.0, contract.knockout,
-            contract.target,
+            gross, accum, 1.0, contract.knockout, contract.target,
         )
-        queries = accum + payment
+        paying = np.flatnonzero((gross > 0.0) & (gross < contract.target))
+        band = (slice(int(paying[0]), int(paying[-1]) + 1) if paying.size
+                else slice(0, 0))
+        queries = accum + payment[:, band]
         np.minimum(queries, contract.target, out=queries)
         reads = _spline_reads(0.0, grid.h, queries, grid.accum_nodes.size)
-        return cls(grid, payment, dead, extra_weight, reads)
+        return cls(grid, payment, dead, extra_weight, band, reads)
 
 
 def apply_jump(values: np.ndarray, plan: JumpPlan, extra: float) -> np.ndarray:
     """Fixing-date update of the tracked values ``(J, M)`` (the forward shift).
 
-    For each spot node, one natural cubic spline is built over the tracked
-    values across the accumulation grid and read at the shifted amounts
-    ``A + payment``.  A fixing that kills the note has zero continuation;
+    For each spot node of the plan's band, one natural cubic spline is
+    built over the tracked values across the accumulation grid and read at
+    the shifted amounts ``A + payment``; the band's columns are solved and
+    read as one view.  A fixing that kills the note has zero continuation;
     otherwise the shifted amount of a live state never exceeds the target,
-    so the spline is only ever read inside its node range.  The new value is
-    continuation plus the fixing's payment and its extra payment ``extra``
-    times the plan's weight.  The last fixing runs through the same code on
-    an all-zero lattice, which is exactly the worthless-after-expiry final
-    condition.  Everything but the spline itself comes from ``plan``.
+    so the spline is only ever read inside its node range.  Outside the
+    band the jump is exact without a spline: where the gross amount is zero
+    nothing is paid and no state moves or knocks out, so the continuation
+    is the value itself; where it is at least the target every state
+    (``A >= 0``) knocks out.  The new value is continuation plus the
+    fixing's payment and its extra payment ``extra`` times the plan's
+    weight, on the whole lattice.  The last fixing runs through the same
+    code on an all-zero lattice, which is exactly the
+    worthless-after-expiry final condition.  Everything but the spline
+    itself comes from ``plan``.
     """
     h = plan.grid.h
-    # Second derivatives passed inline, so _spline_eval can free them before
-    # it reads the values: the plan's arrays are alive too, and this bounds
-    # the jump's peak memory.
-    continuation = _spline_eval(values, _spline_second_derivs(values, h), h,
-                                plan.reads)
+    continuation = values.copy()
+    inside = values[:, plan.band]
+    if inside.size:
+        # Second derivatives passed inline, so _spline_eval can free them
+        # before it reads the values: this bounds the jump's peak memory.
+        continuation[:, plan.band] = _spline_eval(
+            inside, _spline_second_derivs(inside, h), h, plan.reads)
     continuation[plan.dead] = 0.0
     continuation += plan.payment
     if extra:

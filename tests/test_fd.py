@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from tarnpricer import (
@@ -370,6 +372,48 @@ def replace_extra(contract, extras):
                         knockout=contract.knockout, extra_payments=extras)
 
 
+# The oracle reads its spline at a node with the node's rounding, up to
+# about one ulp of the lattice's largest value.
+ORACLE_ULPS = 4
+
+
+def assert_jump_matches_oracle(before, after, fixing_index, contract, grid):
+    """The band rule of the planned jump, checked against the oracle jump.
+
+    Where the fixing pays (gross > 0), in the band 0 < gross < U and where
+    gross >= U knocks every state out, the planned jump is byte-identical
+    to the oracle.  Where it pays nothing it is the pre-jump value plus the
+    extra payment exactly, which the oracle's spline read at the node
+    matches to a few ulps of the lattice scale.
+    """
+    want = jump_oracle.apply_jump(before, fixing_index, contract, grid)
+    gross = contract.gross(grid.spots)
+    pays = gross > 0.0
+    assert after[:, pays].tobytes() == want[:, pays].tobytes(), fixing_index
+    _, extra, _ = fixing_flows(
+        gross[~pays], grid.accum_nodes[:, None],
+        contract.extra_payment_at(fixing_index), contract.knockout,
+        contract.target)
+    assert np.array_equal(after[:, ~pays], before[:, ~pays] + extra)
+    scale = max(np.abs(before).max(), np.abs(after).max())
+    gap = np.abs(want[:, ~pays] - after[:, ~pays])
+    assert np.all(gap <= ORACLE_ULPS * np.spacing(scale)), fixing_index
+
+
+def record_spline_columns(monkeypatch):
+    """Make every spline solve append its column count to the returned
+    list."""
+    columns = []
+    second_derivs = fd._spline_second_derivs
+
+    def recording(values, h):
+        columns.append(values.shape[1])
+        return second_derivs(values, h)
+
+    monkeypatch.setattr(fd, "_spline_second_derivs", recording)
+    return columns
+
+
 class TestJumpPlan:
     TIMES = benchmark_times(12)
     CONFIG = FdConfig(spot_nodes=90, accumulation_nodes=23, time_steps=60)
@@ -407,9 +451,74 @@ class TestJumpPlan:
                 fd_price(contract, model, self.CONFIG, spot)
                 assert len(calls) == 12
                 for k, (before, after) in zip(range(12, 0, -1), calls):
-                    want = jump_oracle.apply_jump(before, k, contract, grid)
-                    assert after.tobytes() == want.tobytes(), (knockout, beta, k)
+                    assert_jump_matches_oracle(before, after, k, contract, grid)
                 calls.clear()
+
+    @pytest.mark.parametrize("beta, spot", [(1, 1.05), (-1, 0.97)])
+    def test_only_the_band_is_splined(self, monkeypatch, beta, spot):
+        # a fixing splines the spot nodes where it pays without knocking
+        # every state out, 0 < gross < U, and no other
+        contract = self.contract(KnockoutType.PART_GAIN, beta, None)
+        grid = build_grid(contract, flat_model(), self.CONFIG, spot)
+        assert grid.spot_index is not None  # no readout spline
+        gross = contract.gross(grid.spots)
+        band = np.count_nonzero((gross > 0.0) & (gross < contract.target))
+        assert 0 < band < np.count_nonzero(gross > 0.0)
+        columns = record_spline_columns(monkeypatch)
+        fd_price(contract, flat_model(), self.CONFIG, spot)
+        assert columns == [band] * contract.num_fixings
+
+    def test_an_empty_band_makes_no_spline_solve(self, monkeypatch):
+        # a target below the smallest positive gross amount: every paying
+        # node knocks out, so no fixing splines anything
+        cfg = FdConfig(spot_nodes=20, accumulation_nodes=8, time_steps=24)
+        model = flat_model(r_d=0.02)
+        probe = self.contract(KnockoutType.FULL_GAIN, 1, None)
+        grid = build_grid(probe, model, cfg, 1.1)
+        assert grid.spot_index is not None  # no readout spline
+        gross = probe.gross(grid.spots)
+        target = 0.5 * gross[gross > 0.0].min()
+        contract = TarnContract(
+            strike=1.0, target=target, beta=1, fixing_times=self.TIMES,
+            knockout=KnockoutType.FULL_GAIN, extra_payments=self.EXTRAS["cycle"])
+        grid = build_grid(contract, model, cfg, 1.1)
+        assert JumpPlan.build(contract, grid).band == slice(0, 0)
+        columns = record_spline_columns(monkeypatch)
+        price = fd_price(contract, model, cfg, 1.1).price
+        assert columns == []
+        assert math.isfinite(price) and price > 0.0
+        fixings = iter(range(contract.num_fixings, 0, -1))
+        monkeypatch.setattr(fd, "apply_jump", lambda values, plan, extra:
+                            jump_oracle.apply_jump(values, next(fixings),
+                                                   contract, grid))
+        assert price == pytest.approx(fd_price(contract, model, cfg, 1.1).price,
+                                      rel=1e-14)
+
+    @given(
+        strike=st.floats(0.5, 2.0),
+        moneyness=st.floats(0.8, 1.25),
+        target=st.floats(0.005, 1.0),
+        beta=st.sampled_from([1, -1]),
+        knockout=st.sampled_from(KnockoutType),
+        extras=st.tuples(*[st.sampled_from([0.0, 0.004, -0.01, 0.3])] * 2),
+        fixing_index=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_band_jump_matches_the_oracle(self, strike, moneyness, target, beta,
+                                          knockout, extras, fixing_index, seed):
+        contract = TarnContract(strike=strike, target=target, beta=beta,
+                                fixing_times=(0.25, 0.5), knockout=knockout,
+                                extra_payments=extras)
+        cfg = FdConfig(spot_nodes=30, accumulation_nodes=9, time_steps=4)
+        grid = build_grid(contract, flat_model(), cfg, strike * moneyness)
+        # a random quadratic in the accrued amount per spot node: smooth
+        # across the accumulation grid, as a pricing lattice is
+        level, slope, curve = np.random.default_rng(seed).uniform(-1.0, 1.0, (3, 30))
+        a = grid.accum_nodes[:, None] / target
+        before = 1.5 + level + a * (slope + a * curve)
+        plan = JumpPlan.build(contract, grid)
+        after = apply_jump(before, plan, contract.extra_payment_at(fixing_index))
+        assert_jump_matches_oracle(before, after, fixing_index, contract, grid)
 
     def test_off_grid_readout_matches_the_oracle_bytes(self):
         contract = benchmark_contract(KnockoutType.PART_GAIN, 0.5)
