@@ -623,16 +623,17 @@ def _intervals(cache, pricings, model, contract, grid, config, spot):
 
 
 def _interval_steps(model, grid, t_hi, t_lo, n_steps, config):
-    """The (dt, theta, coef_from, coef_to) of each step from t_hi down to
-    t_lo, with :func:`coefficients_at` sampled at every level: once per
-    :func:`_intervals` entry, which is keyed by the call's inputs."""
+    """The (dt, theta, coef_from, coef_to, nominal dt) of each step from
+    t_hi down to t_lo, with :func:`coefficients_at` sampled at every level:
+    once per :func:`_intervals` entry, which is keyed by the call's inputs.
+    A step is marched with its own dt and keyed by the nominal one."""
     dt = (t_hi - t_lo) / n_steps
     levels = [t_hi - s * dt for s in range(n_steps)] + [t_lo]
     coefs = [coefficients_at(model, grid.spots, t) for t in levels]
     return tuple(
         (levels[s] - levels[s + 1],
          1.0 if s < config.implicit_startup_steps else config.theta,
-         coefs[s], coefs[s + 1])
+         coefs[s], coefs[s + 1], dt)
         for s in range(n_steps)
     )
 
@@ -640,13 +641,14 @@ def _interval_steps(model, grid, t_hi, t_lo, n_steps, config):
 def _step_key(step):
     """Hashable identity of one step with scalar coefficients.
 
-    Step lengths are compared to 12 significant digits: fixing dates such
-    as ``k * 30 / 365`` make equal steps differ in the last bits; such
-    steps must still form one run, and intervals of them share one map.
-    Made afresh for the entry keyed by the call's inputs; nothing memoised.
+    Steps are keyed by their interval's nominal dt to 12 significant
+    digits: their own dts differ in the last bits and could round apart,
+    and so do the nominal dts of equal intervals at fixing dates such as
+    ``k * 30 / 365``, which must still share one map.  Made afresh for the
+    entry keyed by the call's inputs; nothing memoised.
     """
-    dt, theta, cf, ct = step
-    return (float(f"{dt:.11e}"), theta,
+    _, theta, cf, ct, nominal = step
+    return (float(f"{nominal:.11e}"), theta,
             cf.variance, cf.drift, cf.rate, ct.variance, ct.drift, ct.rate)
 
 
@@ -792,7 +794,7 @@ def _build_map(steps, grid, boundary, beta):
 
 def _march(values, steps, grid, boundary, beta):
     """March ``values`` (rows, M) through ``steps``, one theta step each."""
-    for dt, th, cf, ct in steps:
+    for dt, th, cf, ct, _ in steps:
         values = theta_step(values, dt, grid.dx, th, cf, ct, boundary,
                             spots=grid.spots, beta=beta)
     return values

@@ -180,18 +180,19 @@ class LocalVolSurface:
         return cls(time_knots=raw[1:, 0], spot_knots=raw[0, 1:], values=raw[1:, 1:])
 
     def interpolate(self, spot, t: float):
-        """Bilinear sigma at (spot, t); spot may be a scalar or an array."""
-        s = np.clip(np.asarray(spot, dtype=float), self.spot_knots[0], self.spot_knots[-1])
+        """Bilinear sigma at (spot, t); spot may be a scalar or an array.
+
+        The two time rows around ``t`` are blended once into one row of
+        sigmas at the spot knots, then ``np.interp`` reads that row at every
+        spot.  Linear in time and then linear in spot is the bilinear value;
+        queries beyond any edge clamp to it.
+        """
         tq = min(max(float(t), self.time_knots[0]), self.time_knots[-1])
         i = np.searchsorted(self.time_knots, tq, side="right") - 1
         i = min(max(i, 0), self.time_knots.size - 2)
-        j = np.searchsorted(self.spot_knots, s, side="right") - 1
-        j = np.clip(j, 0, self.spot_knots.size - 2)
         wt = (tq - self.time_knots[i]) / (self.time_knots[i + 1] - self.time_knots[i])
-        ws = (s - self.spot_knots[j]) / (self.spot_knots[j + 1] - self.spot_knots[j])
-        lo = self.values[i, j] * (1.0 - ws) + self.values[i, j + 1] * ws
-        hi = self.values[i + 1, j] * (1.0 - ws) + self.values[i + 1, j + 1] * ws
-        out = lo * (1.0 - wt) + hi * wt
+        row = self.values[i] * (1.0 - wt) + self.values[i + 1] * wt
+        out = np.interp(spot, self.spot_knots, row)
         return float(out) if np.isscalar(spot) else out
 
     def max_sigma(self, horizon: float) -> float:

@@ -158,6 +158,29 @@ def test_equal_intervals_share_one_map(monkeypatch):
     assert len(built) == 1
 
 
+def test_equal_steps_on_a_rounding_boundary_form_one_run(monkeypatch):
+    # the level differences of these intervals alternate between
+    # 2.95654465661e-03 and 2.95654465662e-03 to 12 digits; keyed by the
+    # interval's nominal dt, each interval is still one run, and one map
+    # serves all five
+    built = count_builds(monkeypatch)
+    times = tuple(0.11826178626460132 * k for k in range(1, 6))
+    model = flat_model(r_d=0.02, r_f=0.01)
+    config = FdConfig(spot_nodes=200, accumulation_nodes=50, time_steps=200)
+    cache = {}
+    for knockout in KnockoutType:
+        contract = TarnContract(strike=1.0, target=0.2, beta=1,
+                                fixing_times=times, knockout=knockout)
+        got = fd_price(contract, model, config, 1.0, cache=cache, pricings=3).price
+        assert got == pytest.approx(reference_price(contract, model, config, 1.0),
+                                    rel=1e-12, abs=0.0)
+    (entry,) = cache.values()
+    assert len({f"{step[0]:.11e}" for step in entry[2][0]}) == 2
+    assert [len(fd._runs(steps)) for steps, _ in entry] == [1] * 5
+    assert len(built) == 1
+    assert all(mapped is built[0] for _, mapped in entry)
+
+
 def knot_in_every_interval_model():
     # every interval gets its own operator, so no two intervals share a map
     knots = (0.0,) + tuple(t - 15 / 365 for t in benchmark_times(8)[1:])

@@ -5,19 +5,32 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import norm
 
 from tarnpricer import (
     ConstantVol,
     ExactTransitionUnavailable,
+    FdConfig,
+    KnockoutType,
     LocalVolSurface,
+    McConfig,
     RateCurve,
+    TarnContract,
     TermStructureVol,
+    fd_price,
     market,
+    mc_price,
     vanilla_price,
 )
+from tarnpricer.fd import build_grid
 from tarnpricer.market import discount_factor, integrated_variance
+from tarnpricer.mc import BATCH_SIZE
+
+from conftest import smile_model
+from surface_oracle import bilinear
 
 FLAT0 = RateCurve.flat(0.0)
 
@@ -255,6 +268,78 @@ class TestLocalVol:
         with pytest.raises(ValueError, match=f"^{field} must hold finite real numbers"):
             LocalVolSurface(time_knots=time_knots, spot_knots=spot_knots,
                             values=[[0.2, 0.2], [0.2, 0.2]])
+
+
+@st.composite
+def surfaces(draw):
+    """A valid mesh of 2-6 time knots and 2-15 spot knots."""
+    def knots(start, n):
+        gaps = draw(st.lists(st.floats(1e-3, 1.0), min_size=n - 1, max_size=n - 1))
+        return np.cumsum([draw(start)] + gaps)
+
+    tk = knots(st.floats(0.0, 1.0), draw(st.integers(2, 6)))
+    sk = knots(st.floats(0.1, 2.0), draw(st.integers(2, 15)))
+    values = draw(st.lists(st.floats(0.01, 2.0), min_size=tk.size * sk.size,
+                           max_size=tk.size * sk.size))
+    return LocalVolSurface(time_knots=tk, spot_knots=sk,
+                           values=np.reshape(values, (tk.size, sk.size)))
+
+
+@given(surfaces(), st.data())
+def test_interpolate_matches_bilinear_oracle(surface, data):
+    # one time-row blend read by np.interp against the per-spot bilinear
+    # gather: within 4 ulps of the surface's largest sigma, exact at and
+    # beyond both spot ends, and a float for a scalar spot
+    tk, sk = surface.time_knots, surface.spot_knots
+    t = data.draw(st.floats(tk[0] - 1.0, tk[-1] + 1.0) | st.sampled_from(list(tk)))
+    spot = st.floats(sk[0] - 1.0, sk[-1] + 1.0) | st.sampled_from(list(sk))
+    spots = np.array(data.draw(st.lists(spot, min_size=1, max_size=20)))
+    got = surface.interpolate(spots, t)
+    want = bilinear(surface, spots, t)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(surface.values.max()))
+    ends = (spots <= sk[0]) | (spots >= sk[-1])
+    assert np.array_equal(got[ends], want[ends])
+    one = surface.interpolate(float(spots[0]), t)
+    assert type(one) is float and one == got[0]
+
+
+@pytest.mark.parametrize("substeps", [1, 3])
+def test_mc_looks_up_the_surface_once_per_batch_fixing_and_substep(
+        monkeypatch, substeps):
+    calls = count_lookups(monkeypatch)
+    contract = TarnContract(strike=1.0, target=0.2, beta=1,
+                            fixing_times=(0.1, 0.2, 0.3, 0.4),
+                            knockout=KnockoutType.PART_GAIN)
+    config = McConfig(n_paths=BATCH_SIZE + 1, seed=5, substeps_per_interval=substeps)
+    mc_price(contract, smile_model(), config, 1.0)
+    assert len(calls) == 2 * contract.num_fixings * substeps
+    assert sorted(calls) == [1] * (len(calls) // 2) + [BATCH_SIZE] * (len(calls) // 2)
+
+
+def test_fd_looks_up_the_surface_once_per_time_level(monkeypatch):
+    calls = count_lookups(monkeypatch)
+    contract = TarnContract(strike=1.0, target=0.2, beta=1,
+                            fixing_times=(0.1, 0.2, 0.35),
+                            knockout=KnockoutType.PART_GAIN)
+    config = FdConfig(spot_nodes=60, accumulation_nodes=10, time_steps=40)
+    model = smile_model()
+    grid = build_grid(contract, model, config, 1.0)
+    fd_price(contract, model, config, 1.0)
+    assert len(calls) == sum(n + 1 for n in grid.steps_per_interval)
+    assert set(calls) == {config.spot_nodes}
+
+
+def count_lookups(monkeypatch):
+    """The spot count of every LocalVolSurface.interpolate call, as made."""
+    calls = []
+    original = LocalVolSurface.interpolate
+
+    def counting(self, spot, t):
+        calls.append(np.size(spot))
+        return original(self, spot, t)
+
+    monkeypatch.setattr(LocalVolSurface, "interpolate", counting)
+    return calls
 
 
 def test_import_does_not_load_scipy_stats():

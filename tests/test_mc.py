@@ -21,7 +21,7 @@ from tarnpricer.market import discount_factor
 from tarnpricer.mc import BATCH_SIZE, simulate_fixing_paths, standard_error
 
 import path_oracle
-from conftest import benchmark_contract, benchmark_times, flat_model
+from conftest import benchmark_contract, benchmark_times, flat_model, smile_model
 
 
 def flat_surface(sigma=0.2):
@@ -249,14 +249,6 @@ def term_structure_model():
     return MarketModel(domestic=RateCurve((0.0, 0.3), (0.02, 0.035)),
                        foreign=RateCurve((0.0, 0.5), (0.01, 0.0)),
                        vol=TermStructureVol((0.0, 0.2, 0.7), (0.15, 0.3, 0.22)))
-
-
-def smile_model():
-    surface = LocalVolSurface(time_knots=[0.0, 0.5, 2.0], spot_knots=[0.7, 1.0, 1.4],
-                              values=[[0.3, 0.18, 0.25], [0.26, 0.16, 0.22],
-                                      [0.24, 0.15, 0.2]])
-    return MarketModel(domestic=RateCurve.flat(0.02), foreign=RateCurve.flat(0.01),
-                       vol=surface)
 
 
 def bits(a):
