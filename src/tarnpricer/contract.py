@@ -51,10 +51,12 @@ class TarnContract:
     """Terms of one note.  Immutable, shareable across concurrent pricings.
 
     ``fixing_times`` are year fractions from the valuation date, strictly
-    increasing and positive.  ``extra_payments``, when given, holds one
-    amount per fixing paid alongside the regular flow; it is subject to
-    the same knockout weighting but never counts toward the accrued total.
-    Every rejection message starts with the name of the offending field.
+    increasing and positive.  ``extra_payments`` holds one amount per
+    fixing paid alongside the regular flow; it is subject to the same
+    knockout weighting but never counts toward the accrued total.  It is
+    stored as one float per fixing, all zeros when none are given, so a
+    contract given none equals one given zeros.  Every rejection message
+    starts with the name of the offending field.
     """
 
     strike: float
@@ -80,6 +82,8 @@ class TarnContract:
                 f"extra_payments must have exactly {self.num_fixings} entries "
                 f"to match the fixing schedule, got {len(self.extra_payments)}"
             )
+        object.__setattr__(self, "extra_payments",
+                           self.extra_payments or (0.0,) * self.num_fixings)
 
     @property
     def num_fixings(self) -> int:
@@ -88,16 +92,6 @@ class TarnContract:
     @property
     def maturity(self) -> float:
         return self.fixing_times[-1]
-
-    def extra_payment_at(self, fixing_index: int) -> float:
-        """Unweighted extra payment for fixing ``fixing_index`` (1-based)."""
-        if not 1 <= fixing_index <= self.num_fixings:
-            raise ValueError(
-                f"fixing_index must lie in 1..{self.num_fixings}, got {fixing_index}"
-            )
-        if self.extra_payments is None:
-            return 0.0
-        return self.extra_payments[fixing_index - 1]
 
     def gross(self, spots):
         """Gross fixing amount ``beta * (spot - strike)``, floored at zero.
@@ -167,7 +161,7 @@ def batch_present_value(
     if discounts.shape != (k_total,):
         raise ValueError(f"discounts must have shape ({k_total},), "
                          f"got {discounts.shape}")
-    extras = np.array(contract.extra_payments or np.zeros(k_total))
+    extras = np.array(contract.extra_payments)
 
     accrued = contract.gross(paths.T)  # row k: accrued through fixing k + 1
     for k in range(1, k_total):

@@ -360,7 +360,8 @@ def _allocate_steps(total: int, durations) -> tuple[int, ...]:
     """
     k = len(durations)
     if total < k:
-        raise ValueError(f"need at least {k} time steps, one per fixing interval")
+        raise ValueError(f"time_steps must be at least the {k} fixing intervals, "
+                         f"got {total}")
     horizon = sum(durations)
     raw = [total * d / horizon for d in durations]
     counts = [max(1, int(math.floor(r))) for r in raw]
@@ -515,10 +516,10 @@ def theta_step(
     tridiagonal solve for all rows.  The boundary closure holds exactly at
     the new level.  The zero-gamma end rows ``u0 = 2 u1 - u2`` and
     ``u[M-1] = 2 u[M-2] - u[M-3]`` are substituted into rows 1 and M-2, so
-    they need M >= 4; the solve leaves rows 0 and M-1 as identity rows, and
-    the end values are set from the closure after it.  The
-    Dirichlet/Neumann variant is tridiagonal as it stands and needs
-    ``spots`` for the slope condition.
+    they need M >= 4, which :class:`FdConfig` enforces; the solve leaves
+    rows 0 and M-1 as identity rows, and the end values are set from the
+    closure after it.  The Dirichlet/Neumann variant is tridiagonal as it
+    stands and needs ``spots`` for the slope condition.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -527,8 +528,6 @@ def theta_step(
     work = rows[None, :] if single else rows
     m = work.shape[1]
     zero_gamma = boundary is BoundaryKind.ZERO_GAMMA
-    if zero_gamma and m < 4:
-        raise ValueError("the zero-gamma closure needs at least 4 spot nodes")
     if not zero_gamma and spots is None:
         raise ValueError("directional boundary conditions need the spot nodes")
 
@@ -571,7 +570,7 @@ def theta_step(
 
     # A zero pivot is not seen for theta in [0, 1] and sigma > 0.  The one
     # singular case, zero gamma on 3 nodes (both end rows are then one
-    # equation), is rejected above and by FdConfig.
+    # equation), is rejected by FdConfig, whose grids every caller marches.
     out = _solve_bands(ab, rhs.T, overwrite_rhs=True).T
     if zero_gamma:
         out[:, 0] = 2.0 * out[:, 1] - out[:, 2]
@@ -933,7 +932,7 @@ def fd_price(
     plan = JumpPlan.build(contract, grid)
     values = np.zeros((config.accumulation_nodes, config.spot_nodes))
     for k, (steps, mapped) in zip(range(contract.num_fixings, 0, -1), intervals):
-        values = apply_jump(values, plan, contract.extra_payment_at(k))
+        values = apply_jump(values, plan, contract.extra_payments[k - 1])
         if k == 1:
             values = values[:1]
         if mapped is None:

@@ -64,7 +64,7 @@ class McConfig:
     plain subtract-the-control estimator); when None the coefficient is
     estimated from a pilot tranche of the first tenth of the paths and the
     price is estimated from the remaining paths only, which keeps the
-    estimator unbiased.
+    estimator unbiased.  A pinned coefficient needs ``control_variate``.
     """
 
     n_paths: int = 200_000
@@ -77,6 +77,8 @@ class McConfig:
         check_fields(self)
         for name, minimum in (("n_paths", 2), ("seed", 0), ("substeps_per_interval", 1)):
             check_count(getattr(self, name), name, minimum)
+        if self.cv_coefficient is not None and not self.control_variate:
+            raise ValueError("cv_coefficient is pinned but control_variate is off")
 
 
 @dataclass(frozen=True)

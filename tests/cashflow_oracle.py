@@ -54,7 +54,7 @@ def fixing_outcome(
         raise ValueError(f"fixing index {fixing_index} outside 1..{contract.num_fixings}")
 
     gross = raw_cash_flow(spot, contract)
-    extra = contract.extra_payment_at(fixing_index)
+    extra = contract.extra_payments[fixing_index - 1]
     breached = accumulated + gross >= target and gross > 0.0
     if not breached:
         return CashFlowOutcome(gross, extra, False)

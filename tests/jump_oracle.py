@@ -57,7 +57,7 @@ def apply_jump(values: np.ndarray, fixing_index: int, contract: TarnContract,
     """The forward jump of fixing ``fixing_index`` on the (J, M) lattice."""
     accum = grid.accum_nodes[:, None]
     payment, extra, dead = fixing_flows(
-        contract.gross(grid.spots), accum, contract.extra_payment_at(fixing_index),
+        contract.gross(grid.spots), accum, contract.extra_payments[fixing_index - 1],
         contract.knockout, contract.target,
     )
     queries = accum + payment

@@ -74,7 +74,7 @@ def walk_present_value(
     for k in range(1, contract.num_fixings + 1):
         payment, extra, dead = fixing_flows(
             contract.gross(paths[:, k - 1]), accrued,
-            contract.extra_payment_at(k), contract.knockout, contract.target,
+            contract.extra_payments[k - 1], contract.knockout, contract.target,
         )
         payment = np.where(alive, payment, 0.0)
         value += discounts[k - 1] * (payment + np.where(alive, extra, 0.0))

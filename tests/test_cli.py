@@ -123,6 +123,8 @@ class TestParseConfig:
          "fd: spot_nodes must be at least 4 with the zero_gamma boundary"),
         ("fd", "theta =", "fd.theta: expected a number"),
         ("mc", "control_variate = maybe", "mc.control_variate: expected on/off"),
+        ("mc", "control_variate = off\ncv_coefficient = 0.7",
+         "mc: cv_coefficient is pinned but control_variate is off"),
         ("fd", "theta = 50%", "fd.theta: expected a number, got '50%'"),
     ])
     def test_rejects_bad_engine_key(self, section, line, message):

@@ -154,7 +154,7 @@ class TestFixingFlows:
         assert np.array_equal(contract.gross(np.array([s for s, _ in states])),
                               gross)
         payment, extra, dead = fixing_flows(
-            gross, accrued, contract.extra_payment_at(1),
+            gross, accrued, contract.extra_payments[0],
             contract.knockout, contract.target)
         want = [fixing_outcome(s, a, 1, contract, allow_at_target=True)
                 for s, a in states]
@@ -405,14 +405,11 @@ class TestContractValidation:
         contract = make_contract(strike=value)
         assert contract.strike == 1.0 and type(contract.strike) is float
 
-    @pytest.mark.parametrize("extras", [None, (0.1, 0.2, 0.3)])
-    def test_extra_payment_index_checked(self, extras):
-        contract = make_contract(extras=extras)
-        assert [contract.extra_payment_at(k) for k in (1, 2, 3)] == \
-            list(extras or (0.0, 0.0, 0.0))
-        for index in (0, -1, 4):
-            with pytest.raises(ValueError, match="^fixing_index must lie in 1..3"):
-                contract.extra_payment_at(index)
+    def test_no_extra_payments_are_stored_as_zeros(self):
+        # one form for both engines to read: one float per fixing
+        contract = make_contract(extras=None)
+        assert contract.extra_payments == (0.0,) * 3
+        assert contract == make_contract(extras=(0, 0.0, 0))
 
     def test_contract_is_immutable(self):
         contract = make_contract()

@@ -60,8 +60,15 @@ class TestStepAllocation:
         assert counts == (10, 20)
 
     def test_too_few_steps_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^time_steps"):
             _allocate_steps(2, [1.0, 1.0, 1.0])
+
+    def test_too_few_steps_named_in_every_fd_record(self):
+        config = replace(cli.PRESETS["table1"](), targets=(0.3,),
+                         fixing_times=(0.1, 0.2, 0.3), engines=("fd",),
+                         fd=FdConfig(spot_nodes=20, accumulation_nodes=4, time_steps=2))
+        assert {r.status for r in cli.run(config)} == {
+            "error: time_steps must be at least the 3 fixing intervals, got 2"}
 
 
 class TestBuildGrid:
@@ -228,9 +235,6 @@ class TestThetaStep:
         # step system would be singular: rejected where the grid is chosen
         with pytest.raises(ValueError, match="^spot_nodes must be at least 4"):
             FdConfig(spot_nodes=3)
-        coef = StepCoefficients(variance=0.04, drift=-0.02, rate=0.01)
-        with pytest.raises(ValueError, match="at least 4 spot nodes"):
-            theta_step(np.ones(3), 0.01, 0.1, 0.5, coef, coef)
         contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
         for nodes, boundary in ((4, BoundaryKind.ZERO_GAMMA),
                                 (3, BoundaryKind.DIRICHLET_NEUMANN_BY_DIRECTION)):
@@ -267,7 +271,7 @@ def smooth_state(grid, j_nodes, m_nodes):
 
 def planned_jump(values, contract, grid, fixing_index=1):
     plan = JumpPlan.build(contract, grid)
-    return apply_jump(values, plan, contract.extra_payment_at(fixing_index))
+    return apply_jump(values, plan, contract.extra_payments[fixing_index - 1])
 
 
 class TestApplyJump:
@@ -340,7 +344,7 @@ class TestApplyJump:
             contract = replace_extra(contract, (0.01, 0.02))
             pay, extra, dead = fixing_flows(
                 contract.gross(grid.spots), grid.accum_nodes[:, None],
-                contract.extra_payment_at(2), contract.knockout, contract.target)
+                contract.extra_payments[1], contract.knockout, contract.target)
             assert pay.shape == extra.shape == dead.shape == (21, 61)
             for j in range(21):
                 for m in range(0, 61, 5):
@@ -392,7 +396,7 @@ def assert_jump_matches_oracle(before, after, fixing_index, contract, grid):
     assert after[:, pays].tobytes() == want[:, pays].tobytes(), fixing_index
     _, extra, _ = fixing_flows(
         gross[~pays], grid.accum_nodes[:, None],
-        contract.extra_payment_at(fixing_index), contract.knockout,
+        contract.extra_payments[fixing_index - 1], contract.knockout,
         contract.target)
     assert np.array_equal(after[:, ~pays], before[:, ~pays] + extra)
     scale = max(np.abs(before).max(), np.abs(after).max())
@@ -517,7 +521,7 @@ class TestJumpPlan:
         a = grid.accum_nodes[:, None] / target
         before = 1.5 + level + a * (slope + a * curve)
         plan = JumpPlan.build(contract, grid)
-        after = apply_jump(before, plan, contract.extra_payment_at(fixing_index))
+        after = apply_jump(before, plan, contract.extra_payments[fixing_index - 1])
         assert_jump_matches_oracle(before, after, fixing_index, contract, grid)
 
     def test_off_grid_readout_matches_the_oracle_bytes(self):
@@ -644,6 +648,23 @@ class TestFdPrice:
         fd = fd_price(contract, model, SMALL, 1.05).price
         mc = mc_price(contract, model, McConfig(n_paths=120_000, seed=5), 1.05)
         assert abs(fd - mc.price) < 4.0 * mc.stderr
+
+    def test_no_extras_price_as_zero_extras(self):
+        # both engines read the one stored form, and no cache key reads it
+        given_none = benchmark_contract(KnockoutType.PART_GAIN, 0.3)
+        given_zeros = replace_extra(given_none, (0.0,) * given_none.num_fixings)
+        model, cache = flat_model(), {}
+
+        def priced(contract):
+            fd_res = fd_price(contract, model, SMALL, 1.05, cache=cache)
+            mc_res = mc_price(contract, model, McConfig(n_paths=4000, seed=5), 1.05,
+                              cache=cache)
+            return [x.hex() for x in (fd_res.price, mc_res.price, mc_res.stderr)]
+
+        first = priced(given_none)
+        held = len(cache)
+        assert priced(given_zeros) == first
+        assert len(cache) == held
 
     def test_put_direction_prices_against_mc(self):
         model = flat_model()

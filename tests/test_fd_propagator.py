@@ -42,7 +42,7 @@ def reference_price(contract, model, config, spot):
     values = np.zeros((config.accumulation_nodes, config.spot_nodes))
     plan = JumpPlan.build(contract, grid)
     for k in range(contract.num_fixings, 0, -1):
-        values = apply_jump(values, plan, contract.extra_payment_at(k))
+        values = apply_jump(values, plan, contract.extra_payments[k - 1])
         if k == 1:
             values = values[:1]
         t_hi, t_lo = times[k], times[k - 1]

@@ -65,6 +65,13 @@ def test_non_finite_cv_coefficient_rejected_by_name(value):
         McConfig(cv_coefficient=value)
 
 
+def test_pinned_cv_coefficient_without_control_variate_rejected():
+    # with the control variate off the estimator never reads the coefficient
+    with pytest.raises(ValueError, match="^cv_coefficient is pinned but "
+                                         "control_variate is off$"):
+        McConfig(control_variate=False, cv_coefficient=0.7)
+
+
 @pytest.mark.parametrize("n_paths", [2, 3])
 def test_too_few_paths_for_the_pilot_rejected_by_name(n_paths):
     # the pilot tranche takes max(2, n // 10) paths, leaving fewer than two
