@@ -14,8 +14,16 @@ cumulative gross amount first reaches the target.
 Randomness comes from the counter-based Philox generator: batch ``b`` of a
 run draws from an independent stream obtained by jumping the seeded base
 generator ``b`` times, so every path is a pure function of (seed, batch,
-row) and results are reproducible bit for bit regardless of how batches
-might be dispatched.
+row), whichever thread simulates its batch.  A local-volatility path set
+of more than one batch is simulated two batches at a time: the calling
+thread simulates batch ``b`` while one helper thread, started for the
+pricing and joined before it returns, simulates batch ``b + 1``.  The
+Euler substeps' random draws and surface lookups run in numpy outside the
+interpreter lock, so the two overlap.  Exact-transition batches, a few
+short numpy calls each, are simulated one after another on the calling
+thread: on two threads they measured slower, with more memory.  Payoffs
+are priced on the calling thread in batch order, so prices and standard
+errors do not depend on the dispatch.
 
 The cases of one run share their simulation through one ``cache`` dict:
 cases with the same model, spot, schedule, seed and path count see the
@@ -28,8 +36,10 @@ batch a pricing holds anyway.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,6 +216,12 @@ def mc_price(
     control column with its mean, each keyed by everything it depends on.
     It is not locked.  The estimate is the same bit for bit with or
     without it.
+
+    A local-volatility path set of more than one batch is simulated two
+    batches at a time, on the calling thread and one helper thread that
+    the call starts and joins; an exception raised in either reaches the
+    caller.  Every batch is priced on the calling thread, in batch order.
+    A price or standard error that is not finite raises ``ValueError``.
     """
     started = time.perf_counter()
     check_positive(spot, "spot")
@@ -235,14 +251,31 @@ def mc_price(
         return simulate_fixing_paths(model, spot, times, min(BATCH_SIZE, n - b * BATCH_SIZE),
                                      rng, config.substeps_per_interval)
 
-    for b in range(n_batches):
-        start = b * BATCH_SIZE
-        stop = min(start + BATCH_SIZE, n)
-        paths = (simulate(b) if n_batches > 1
-                 else _held(cache, ("mc.paths",) + key, lambda: simulate(0)))
-        payoffs[start:stop] = batch_present_value(paths, contract, discounts)
+    def price_batch(b, paths):
+        rows = slice(b * BATCH_SIZE, min((b + 1) * BATCH_SIZE, n))
+        payoffs[rows] = batch_present_value(paths, contract, discounts)
         if controls is not None:
-            controls[start:stop] = _control_values(paths, contract, discounts)
+            controls[rows] = _control_values(paths, contract, discounts)
+
+    if n_batches == 1:
+        price_batch(0, _held(cache, ("mc.paths",) + key, lambda: simulate(0)))
+    elif exact:
+        for b in range(n_batches):
+            # batch b - 1 stays alive while batch b is simulated: freed first,
+            # its pages go back to the system and batch b faults them in again
+            paths = simulate(b)
+            price_batch(b, paths)
+    else:
+        # leaving the block joins the helper, also when a batch raises; the
+        # helper runs in a copy of the caller's context, so under the
+        # caller's np.errstate
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            for b in range(0, n_batches, 2):
+                ahead = (helper.submit(contextvars.copy_context().run, simulate, b + 1)
+                         if b + 1 < n_batches else None)
+                price_batch(b, simulate(b))
+                if ahead is not None:
+                    price_batch(b + 1, ahead.result())
 
     if use_cv:
         controls, control_mean = _held(cache, control_key, lambda: (controls, sum(
@@ -261,9 +294,14 @@ def mc_price(
         lam = None
         samples = payoffs
 
+    price, stderr = float(samples.mean()), standard_error(samples)
+    for name, value in (("price", price), ("standard error", stderr)):
+        if not math.isfinite(value):
+            raise ValueError(f"MC {name} is not finite ({value}): a path's present "
+                             "value or control is a NaN or an infinity")
     return McResult(
-        price=float(samples.mean()),
-        stderr=standard_error(samples),
+        price=price,
+        stderr=stderr,
         cv_coefficient=lam,
         wall_time=time.perf_counter() - started,
         cv_downgraded=downgraded,

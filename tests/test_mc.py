@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from tarnpricer import (
     mc_price,
     vanilla_price,
 )
-from tarnpricer.cli import PRESETS, run
+from tarnpricer.cli import PRESETS, preset_table1, run
 from tarnpricer.market import discount_factor
 from tarnpricer.mc import BATCH_SIZE, simulate_fixing_paths, standard_error
 
@@ -103,6 +105,27 @@ def test_four_paths_leave_two_after_the_pilot():
     contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
     res = mc_price(contract, flat_model(), McConfig(n_paths=4), 1.05)
     assert math.isfinite(res.price) and math.isfinite(res.stderr)
+
+
+@pytest.mark.parametrize("control_variate", [True, False])
+def test_a_non_finite_price_is_never_returned(control_variate):
+    # 1e308 paid at each of three fixings overflows every path's present
+    # value: the price and its standard error come out NaN (inf without the
+    # control variate), and the front end records an error, as for FD
+    times = (0.25, 0.5, 0.75)
+    contract = TarnContract(strike=1.0, target=0.3, beta=1, fixing_times=times,
+                            knockout=KnockoutType.NO_GAIN, extra_payments=(1e308,) * 3)
+    config = McConfig(n_paths=4000, control_variate=control_variate)
+    run_config = dataclasses.replace(
+        preset_table1(), engines=("mc",), targets=(0.3,), knockouts=(KnockoutType.NO_GAIN,),
+        fixing_times=times, extra_payments=(1e308,) * 3, model=flat_model(), spot=1.0,
+        mc=config)
+    with np.errstate(all="ignore"):  # the overflow warns on its way
+        with pytest.raises(ValueError, match=r"^MC price is not finite \((nan|inf)\)"):
+            mc_price(contract, flat_model(), config, 1.0)
+        [record] = run(run_config)
+    assert record.status.startswith("error: MC price is not finite")
+    assert math.isnan(record.price)
 
 
 class TestPathSimulation:
@@ -345,9 +368,10 @@ class TestSharedSimulation:
         (McConfig(n_paths=5000, seed=3, control_variate=False), None),
         (McConfig(n_paths=4000, seed=3, cv_coefficient=0.8), term_structure_model()),
         (McConfig(n_paths=3000, seed=3, substeps_per_interval=2), smile_model()),
+        (McConfig(n_paths=BATCH_SIZE + 1000, seed=3), smile_model()),
         (McConfig(n_paths=2 * BATCH_SIZE + 1000, seed=3), None),
     ], ids=["one_batch_cv", "one_batch_no_cv", "term_structure_fixed_lambda",
-            "local_vol", "three_batches_cv"])
+            "local_vol", "local_vol_two_batches", "three_batches_cv"])
     def test_cases_match_unshared_pricings(self, config, model):
         model = model or flat_model(r_d=0.01)
         alone = [run_cases(config, None, [c], model)[0] for c in CASES]
@@ -420,3 +444,88 @@ class TestSharedSimulation:
         same_paths = "contract" in change and "config" not in change
         assert calls.count("simulate_fixing_paths") == (0 if same_paths else 1)
         assert calls.count("vanilla_price") == 20
+
+
+class InlineExecutor:
+    """A stand-in for the helper thread: runs each submitted call at once."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestEulerBatchDispatch:
+    """Local-vol batches run two at a time, on the caller and one helper."""
+
+    N_PATHS = 3 * BATCH_SIZE + 777  # four batches, the last one partial
+
+    def price(self, knockout=KnockoutType.PART_GAIN):
+        contract = TarnContract(strike=1.0, target=0.3, beta=1,
+                                fixing_times=benchmark_times(6), knockout=knockout)
+        config = McConfig(n_paths=self.N_PATHS, seed=4, substeps_per_interval=2)
+        return mc_price(contract, smile_model(), config, 1.0)
+
+    def patch_simulation(self, monkeypatch, before_each):
+        """Call ``before_each(n_paths, on_caller)`` before each batch simulation."""
+        original = mc.simulate_fixing_paths
+        caller = threading.get_ident()
+
+        def simulate(model, spot, times, n_paths, *args):
+            before_each(n_paths, threading.get_ident() == caller)
+            return original(model, spot, times, n_paths, *args)
+
+        monkeypatch.setattr(mc, "simulate_fixing_paths", simulate)
+
+    @pytest.mark.parametrize("knockout", list(KnockoutType))
+    def test_dispatch_does_not_change_a_bit(self, monkeypatch, knockout):
+        threaded = self.price(knockout)
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", InlineExecutor)
+        inline = self.price(knockout)
+        assert bits([threaded.price, threaded.stderr]) == bits([inline.price, inline.stderr])
+
+    def test_the_helper_simulates_every_other_batch(self, monkeypatch):
+        calls = []
+        self.patch_simulation(monkeypatch, lambda n, on_caller: calls.append((on_caller, n)))
+        self.price()
+        assert sorted(calls) == [(False, 777), (False, BATCH_SIZE),
+                                 (True, BATCH_SIZE), (True, BATCH_SIZE)]
+
+    def test_the_helper_runs_under_the_callers_errstate(self, monkeypatch):
+        seen = []
+        self.patch_simulation(monkeypatch, lambda n, on_caller: seen.append(np.geterr()["divide"]))
+        with np.errstate(divide="ignore"):  # a fresh thread would "warn"
+            self.price()
+        assert seen == ["ignore"] * 4
+
+    def test_no_thread_outlives_a_pricing(self):
+        before = threading.active_count()
+        self.price()
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("fails", [
+        lambda n, on_caller: n == 777,  # the helper's last batch
+        lambda n, on_caller: on_caller,  # the caller's first, while the helper runs
+    ], ids=["helper", "caller"])
+    def test_a_batchs_exception_reaches_the_caller(self, monkeypatch, fails):
+        boom = RuntimeError("batch failed")
+
+        def fail(n_paths, on_caller):
+            if fails(n_paths, on_caller):
+                raise boom
+
+        self.patch_simulation(monkeypatch, fail)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            self.price()
+        assert raised.value is boom
+        assert threading.active_count() == before

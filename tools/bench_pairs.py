@@ -1,0 +1,104 @@
+"""Run the benchmark on two checkouts in alternating pairs and compare them.
+
+For each seed of the range, in order, this runs::
+
+    python3 perfbench/run.py --workload W --seed S --seconds 22 --trace 0
+
+once in each checkout, each run in its own checkout directory; the parent
+runs first in even-indexed pairs (0, 2, ...) and second in odd ones.  It
+prints one line per run (its side, seed, ``correct``, ``failed`` over
+``attempted`` and its end-to-end metrics) as the runs finish, then one line
+per end-to-end metric::
+
+    metric  parent median [Q1, Q3] -> change median  (+x.x%)  wins/pairs
+
+Quartiles are ``statistics.quantiles(..., method="inclusive")`` over the
+parent's runs.  A pair is a win when the change's value is better in the
+direction ``BENCHMARK.json`` gives for the metric; a tie wins for neither.
+Usage::
+
+    python tools/bench_pairs.py PARENT CHANGE --workload local_vol --seeds 2571-2580
+
+PARENT and CHANGE are checkout directories, each with its own
+``perfbench/run.py``.  A run that exits non-zero or prints no result stops
+the comparison, with its standard error shown.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+
+def run(checkout: Path, workload: str, seed: int) -> dict:
+    """One untraced run of ``perfbench/run.py`` in ``checkout``: its JSON result."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", "22", "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.exit(f"{' '.join(cmd)} in {checkout} failed (exit {proc.returncode}):\n"
+                 f"{proc.stderr}")
+    result = json.loads(lines[-1])
+    result["machine"] = next((line for line in proc.stderr.splitlines()
+                              if line.startswith("machine: ")), "machine: unknown")
+    return result
+
+
+def seed_range(text: str) -> range:
+    first, _, last = text.partition("-")
+    return range(int(first), int(last or first) + 1)
+
+
+def summary(metric: str, better: str, parent: list[float], change: list[float]) -> str:
+    median = statistics.median(parent)
+    q1, _, q3 = (statistics.quantiles(parent, n=4, method="inclusive")
+                 if len(parent) > 1 else (median,) * 3)
+    new = statistics.median(change)
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    return (f"{metric:<16} {median:.4g} [{q1:.4g}, {q3:.4g}] -> {new:.4g}  "
+            f"({100 * (new / median - 1):+.1f}%)  {wins}/{len(parent)}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=seed_range, required=True,
+                        help="inclusive range FIRST-LAST, one pair per seed")
+    args = parser.parse_args(argv)
+
+    better = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+    sides = {"parent": args.parent, "change": args.change}
+    values: dict = {"parent": {}, "change": {}}
+    machine = None
+    for index, seed in enumerate(args.seeds):
+        order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = run(sides[side], args.workload, seed)
+            machine = machine or result["machine"]
+            metrics = {k: v["value"] for k, v in result["metrics"].items()}
+            for k, v in metrics.items():
+                values[side].setdefault(k, []).append(v)
+            shown = " ".join(f"{k}={v:.4g}" for k, v in metrics.items())
+            print(f"pair {index} seed {seed} {side:<6} correct={result['correct']} "
+                  f"failed={result['failed']}/{result['attempted']} {shown}", flush=True)
+    print(machine)
+    print(f"{args.workload}: parent median [Q1, Q3] -> change median, change wins / pairs")
+    for metric, direction in better.items():
+        if metric in values["parent"]:
+            print(summary(metric, direction, values["parent"][metric],
+                          values["change"][metric]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
