@@ -355,9 +355,11 @@ def _engines(raw: str, where: str) -> tuple[str, ...]:
 def _check_engines(engines: tuple[str, ...], where: str) -> None:
     if not engines:
         raise ValueError(f"{where}: at least one engine must be enabled")
-    for e in engines:
+    for i, e in enumerate(engines):
         if e not in ("fd", "mc"):
             raise ValueError(f"{where}: unknown engine {e!r} (use fd, mc)")
+        if e in engines[:i]:
+            raise ValueError(f"{where}: {e} is listed twice")
 
 
 def _payload(value):

@@ -107,10 +107,10 @@ class TarnContract:
 def fixing_flows(gross, accrued, extra, kind: KnockoutType, target: float):
     """Cash flows of one fixing: ``(payment, extra, dead)``.
 
-    ``gross`` is the fixing's gross amount (see :meth:`TarnContract.gross`),
-    ``accrued`` the amount paid so far, which broadcasts against ``gross``,
-    and ``extra`` the fixing's extra payment, which broadcasts to their
-    shape.  A fixing breaches
+    ``gross`` is the float array of the fixing's gross amounts (see
+    :meth:`TarnContract.gross`), ``accrued`` the amount paid so far, which
+    broadcasts against ``gross``, and ``extra`` the fixing's extra payment,
+    which broadcasts to their shape.  A fixing breaches
     when ``accrued + gross >= target`` with ``gross > 0``; ``dead`` marks
     the breaches, and ``kind`` decides what a breach pays (the part-gain
     extra is scaled by the same ratio as its payment).  The accrued amount
@@ -120,7 +120,6 @@ def fixing_flows(gross, accrued, extra, kind: KnockoutType, target: float):
     where only a strictly positive gross amount breaches.  The outputs have
     the broadcast shape and may be read-only views of the inputs.
     """
-    gross = np.asarray(gross, dtype=float)
     dead = (accrued + gross >= target) & (gross > 0.0)
     if kind is KnockoutType.FULL_GAIN:
         return (np.broadcast_to(gross, dead.shape),

@@ -195,23 +195,19 @@ class ZeroPivotError(ValueError):
 def tridiagonal_solve(lower, diag, upper, rhs):
     """Solve a tridiagonal system in O(n).
 
-    All band arguments have length n; ``lower[i]`` multiplies ``x[i-1]`` in
-    row i (``lower[0]`` unused) and ``upper[i]`` multiplies ``x[i+1]``
-    (``upper[-1]`` unused).  ``rhs`` may be (n,) or (n, k) for several
-    right-hand sides sharing the matrix.  Solved by :func:`_solve_bands`; a
-    singular system raises :class:`ZeroPivotError` naming the row.
+    The bands are float arrays of equal length n, as
+    :func:`_spline_second_derivs` builds them; ``lower[i]`` multiplies
+    ``x[i-1]`` in row i (``lower[0]`` unused) and ``upper[i]`` multiplies
+    ``x[i+1]`` (``upper[-1]`` unused).  The float ``rhs`` may be (n,) or
+    (n, k) for several right-hand sides sharing the matrix.  Solved by
+    :func:`_solve_bands`; a singular system raises :class:`ZeroPivotError`
+    naming the row.
     """
-    lower = np.asarray(lower, dtype=float)
-    diag = np.asarray(diag, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    n = diag.size
-    if lower.size != n or upper.size != n:
-        raise ValueError("lower, diag and upper must have equal length")
-    ab = np.zeros((3, n))
+    ab = np.zeros((3, diag.size))
     ab[0, 1:] = upper[:-1]
     ab[1, :] = diag
     ab[2, :-1] = lower[1:]
-    return _solve_bands(ab, np.asarray(rhs, dtype=float))
+    return _solve_bands(ab, rhs)
 
 
 def _solve_bands(ab, rhs, overwrite_rhs=False):
@@ -330,7 +326,7 @@ def natural_cubic_spline(nodes, values, queries):
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
     if nodes.ndim != 1 or nodes.size < 3:
-        raise ValueError("need at least three spline nodes")
+        raise ValueError("spline nodes must be three or more")
     if values.shape != nodes.shape:
         raise ValueError("values must match nodes in shape")
     if not np.isfinite(values).all():
@@ -509,8 +505,10 @@ def theta_step(
 ):
     """One backward time step of the theta scheme on the log-spot PDE.
 
-    ``rows`` is (M,) or (J, M); every row is stepped independently with the
-    same matrix.  ``coef_from`` holds the coefficients at the level being
+    ``rows`` is a (J, M) float array; every row is stepped independently
+    with the same matrix.  :func:`_march`, the one caller, passes a positive
+    ``dt`` and the grid's ``spots`` and the contract's ``beta``, so none is
+    checked here.  ``coef_from`` holds the coefficients at the level being
     left (explicit side, weight 1 - theta) and ``coef_to`` those at the
     level being solved for (implicit side, weight theta).  The step is one
     tridiagonal solve for all rows.  The boundary closure holds exactly at
@@ -519,27 +517,20 @@ def theta_step(
     they need M >= 4, which :class:`FdConfig` enforces; the solve leaves
     rows 0 and M-1 as identity rows, and the end values are set from the
     closure after it.  The Dirichlet/Neumann variant is tridiagonal as it
-    stands and needs ``spots`` for the slope condition.
+    stands and reads ``spots`` for the slope condition.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    rows = np.asarray(rows, dtype=float)
-    single = rows.ndim == 1
-    work = rows[None, :] if single else rows
-    m = work.shape[1]
+    m = rows.shape[1]
     zero_gamma = boundary is BoundaryKind.ZERO_GAMMA
-    if not zero_gamma and spots is None:
-        raise ValueError("directional boundary conditions need the spot nodes")
 
     # Explicit side on the interior, u[i] + w (L u)[i] with per-node weights.
     lo, di, up = _operator_bands(coef_from, dx)
     w = (1.0 - theta) * dt
-    rhs = np.empty(work.shape)
+    rhs = np.empty(rows.shape)
     inner = rhs[:, 1:-1]
-    np.multiply(work[:, 1:-1], 1.0 + w * di, out=inner)
-    term = work[:, :-2] * (w * lo)
+    np.multiply(rows[:, 1:-1], 1.0 + w * di, out=inner)
+    term = rows[:, :-2] * (w * lo)
     inner += term
-    np.multiply(work[:, 2:], w * up, out=term)
+    np.multiply(rows[:, 2:], w * up, out=term)
     inner += term
     del term
 
@@ -575,7 +566,7 @@ def theta_step(
     if zero_gamma:
         out[:, 0] = 2.0 * out[:, 1] - out[:, 2]
         out[:, -1] = 2.0 * out[:, -2] - out[:, -3]
-    return out[0] if single else out
+    return out
 
 
 def _intervals(cache, pricings, model, contract, grid, config, spot):

@@ -97,8 +97,6 @@ class RateCurve:
 
 def discount_factor(curve: RateCurve, t0: float, t1: float) -> float:
     """``exp(-int_{t0}^{t1} r(u) du)``, exact for the piecewise-constant curve."""
-    if t0 < 0.0:
-        raise ValueError("discounting requires t0 >= 0")
     return math.exp(-curve.integral(t0, t1))
 
 
@@ -226,8 +224,6 @@ class MarketModel:
 
 def integrated_variance(vol: VolatilitySpec, t0: float, t1: float) -> float:
     """Exact ``int_{t0}^{t1} sigma(u)^2 du`` for flat or term-structure vol."""
-    if t0 > t1:
-        raise ValueError("integrated_variance requires t0 <= t1")
     if isinstance(vol, ConstantVol):
         return vol.sigma ** 2 * (t1 - t0)
     if isinstance(vol, TermStructureVol):

@@ -108,14 +108,14 @@ class McResult:
 def standard_error(samples) -> float:
     """Standard error of the mean: population standard deviation over sqrt(n).
 
-    Two passes over the samples shifted by the first one: the shift keeps
-    large offsets out of the sums, and constant samples give exactly zero.
+    ``samples`` is the 1-D float array of at least two samples that
+    :func:`mc_price` passes (``McConfig`` and its pilot check see to the
+    count).  Two passes over the samples shifted by the first one: the
+    shift keeps large offsets out of the sums, and constant samples give
+    exactly zero.
     """
-    x = np.asarray(samples, dtype=float).ravel()
-    n = x.size
-    if n < 2:
-        raise ValueError("standard error needs at least two samples")
-    shifted = x - x[0]
+    n = samples.size
+    shifted = samples - samples[0]
     shifted -= shifted.mean()
     return math.sqrt(float(shifted @ shifted) / n) / math.sqrt(n)
 
@@ -123,7 +123,7 @@ def standard_error(samples) -> float:
 def simulate_fixing_paths(
     model: MarketModel,
     spot: float,
-    fixing_times,
+    fixing_times: tuple[float, ...],
     n_paths: int,
     rng: np.random.Generator,
     substeps_per_interval: int = 1,
@@ -139,7 +139,6 @@ def simulate_fixing_paths(
     reads the generator's stream in the same order as one draw of
     ``n_paths`` per fixing.
     """
-    fixing_times = tuple(float(t) for t in fixing_times)
     buf = np.empty((len(fixing_times), n_paths))
     log_s = math.log(spot)
     t_prev = 0.0

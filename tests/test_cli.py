@@ -213,6 +213,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="not found"):
             parse_config(text)
 
+    def test_short_local_vol_file_rejected_by_key(self, tmp_path):
+        np.savetxt(tmp_path / "vol.txt", np.full((2, 2), 0.2))
+        text = MINIMAL.replace("volatility = 0.2", "volatility_file = vol.txt")
+        with pytest.raises(ConfigError, match=r"^model\.volatility_file: .*vol\.txt: "
+                                              r"surface file needs at least a 3x3 matrix$"):
+            parse_config(text, base_dir=str(tmp_path))
+
     def test_term_structure_rates(self):
         text = MINIMAL.replace(
             "volatility = 0.2",
@@ -241,6 +248,18 @@ class TestParseConfig:
             "knockout-inner"])
     def test_empty_list_entry_rejected_by_key(self, old, new, key):
         with pytest.raises(ConfigError, match=f"^{key}: empty entry"):
+            parse_config(MINIMAL.replace(old, new))
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("[contract]", "strike = 1.0\n[contract]",
+         "cannot parse configuration: File contains no section headers"),
+        ("[model]\nvolatility = 0.2", "", "missing required section [model]"),
+        ("target = 0.3", "", "contract.target: required key is missing"),
+        ("spot = 1.05", "", "run.spot: required key is missing"),
+    ], ids=["no-section-header", "no-model-section", "no-target", "no-spot"])
+    def test_missing_structure_rejected_by_name(self, old, new, message):
+        assert old in MINIMAL
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
             parse_config(MINIMAL.replace(old, new))
 
     def test_whitespace_separated_lists(self):
@@ -544,6 +563,7 @@ class TestRunConfig:
         ("targets", (0.5, np.float64(0.5)), "contract.target: 0.5 is listed twice"),
         ("knockouts", (KnockoutType.NO_GAIN, KnockoutType.FULL_GAIN, KnockoutType.NO_GAIN),
          "contract.knockout: no_gain is listed twice"),
+        ("engines", ("fd", "fd"), "run.engines: fd is listed twice"),
         ("strike", "1.0", "contract.strike must be a finite real number, got '1.0'"),
         ("strike", True, "contract.strike must be a finite real number, got True"),
         ("spot", "1.05", "run.spot must be a finite real number, got '1.05'"),
@@ -611,6 +631,7 @@ class TestRunConfig:
          "contract.target: 0.3 is listed twice"),
         ("knockout = no_gain, full_gain", "knockout = no_gain, full_gain, No_Gain",
          "contract.knockout: no_gain is listed twice"),
+        ("engines = fd, mc", "engines = fd, mc, FD", "run.engines: fd is listed twice"),
     ])
     def test_repeated_case_in_config_file_rejected_by_key(self, old, new, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
@@ -661,6 +682,13 @@ class TestRunAndEmit:
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError, match="no records"):
             emit([], "records")
+
+    def test_unknown_format_rejected_by_name(self):
+        rec = ResultRecord(engine="fd", knockout="no_gain", target=0.3, price=0.1,
+                           error_metric=None, error_kind="none", grid="10x4x10",
+                           wall_time_s=0.0, fingerprint="ab")
+        with pytest.raises(ValueError, match="^unknown output format 'xml'$"):
+            emit([rec], "xml")
 
     def test_human_table_layout(self):
         cfg = parse_config(SMALL_RUN)
@@ -859,6 +887,7 @@ class TestMain:
         (" , ", "--engines: at least one engine"),
         ("", "--engines: at least one engine"),
         ("fd,,mc", "--engines: empty entry in 'fd,,mc'"),
+        ("fd,fd", "--engines: fd is listed twice"),
     ])
     def test_engine_override_validated(self, tmp_path, capsys, engines, message):
         path = tmp_path / "run.cfg"
@@ -881,6 +910,32 @@ class TestMain:
 
     def test_missing_config_exit_code(self, capsys):
         assert main([]) == 1
+
+    def test_config_file_and_preset_rejected_together(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(SMALL_RUN)
+        assert main([str(path), "--preset", "table1"]) == 1
+        assert capsys.readouterr().err == ("error: give either a config file or "
+                                           "--preset, not both\n")
+
+    def test_unreadable_config_file_exit_code(self, tmp_path, capsys):
+        assert main([str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file: ")
+        assert str(tmp_path) in err
+
+    def test_failed_write_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the directory exists, so _check_writable passes; the write then fails
+        def failing_emit(records, output_format, destination=None):
+            raise OSError("disk full")
+        monkeypatch.setattr("tarnpricer.cli.emit", failing_emit)
+        path = tmp_path / "run.cfg"
+        path.write_text(SMALL_RUN)
+        dest = tmp_path / "out.jsonl"
+        assert main([str(path), "--engines", "fd", "--output", str(dest)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: cannot write output: disk full\n"
+        assert captured.out == ""
 
     def test_engine_failure_exit_code(self, tmp_path, capsys):
         # 4 fixing intervals but only 2 time steps: the FD engine refuses

@@ -332,6 +332,12 @@ class TestBatchPresentValue:
         with pytest.raises(ValueError, match=r"^discounts must have shape \(3,\), got"):
             batch_present_value(np.ones((4, 3)), make_contract(), discounts)
 
+    @pytest.mark.parametrize("spot_paths", [np.ones((4, 2)), np.ones(3), np.ones((2, 4, 3))])
+    def test_rejects_misshapen_spot_paths_by_name(self, spot_paths):
+        with pytest.raises(ValueError, match=r"^spot_paths must have shape "
+                                             r"\(n_paths, num_fixings\)$"):
+            batch_present_value(spot_paths, make_contract(), np.ones(3))
+
 
 class TestContractValidation:
     def test_requires_positive_target(self):

@@ -164,19 +164,19 @@ class TestThetaStep:
     def test_pure_discounting_matches_scheme_algebra(self):
         r, dt = 0.07, 0.02
         coef = StepCoefficients(variance=0.0, drift=r, rate=r)
-        row = np.full(31, 3.0)
+        rows = np.full((1, 31), 3.0)
         for theta in (0.0, 0.5, 1.0):
-            out = theta_step(row, dt, 0.01, theta, coef, coef)
+            out = theta_step(rows, dt, 0.01, theta, coef, coef)
             factor = (1.0 - (1.0 - theta) * r * dt) / (1.0 + theta * r * dt)
             # interior nodes follow the rational decay exactly; note the
             # drift term vanishes on a constant row
-            assert np.allclose(out[1:-1], 3.0 * factor, rtol=1e-13)
+            assert np.allclose(out[:, 1:-1], 3.0 * factor, rtol=1e-13)
 
     def test_zero_gamma_relation_holds_after_solve(self):
         rng = np.random.default_rng(3)
-        row = np.abs(rng.standard_normal(41)).cumsum()
+        rows = np.abs(rng.standard_normal((1, 41))).cumsum(axis=1)
         coef = StepCoefficients(variance=0.04, drift=-0.02, rate=0.01)
-        out = theta_step(row, 0.01, 0.02, 0.5, coef, coef)
+        out = theta_step(rows, 0.01, 0.02, 0.5, coef, coef)[0]
         scale = np.max(np.abs(out))
         assert abs(out[0] - 2 * out[1] + out[2]) < 1e-11 * scale
         assert abs(out[-1] - 2 * out[-2] + out[-3]) < 1e-11 * scale
@@ -185,16 +185,16 @@ class TestThetaStep:
         spots = np.exp(np.linspace(-0.5, 0.5, 41))
         dx = np.log(spots[1] / spots[0])
         rng = np.random.default_rng(4)
-        row = np.abs(rng.standard_normal(41)).cumsum()
+        rows = np.abs(rng.standard_normal((1, 41))).cumsum(axis=1)
         coef = StepCoefficients(variance=0.04, drift=-0.02, rate=0.0)
-        out = theta_step(row, 0.01, dx, 0.5, coef, coef,
+        out = theta_step(rows, 0.01, dx, 0.5, coef, coef,
                          boundary=BoundaryKind.DIRICHLET_NEUMANN_BY_DIRECTION,
-                         spots=spots, beta=1)
+                         spots=spots, beta=1)[0]
         assert out[0] == pytest.approx(0.0, abs=1e-14)
         assert out[-1] - out[-2] == pytest.approx(dx * spots[-1], rel=1e-12)
-        out = theta_step(row, 0.01, dx, 0.5, coef, coef,
+        out = theta_step(rows, 0.01, dx, 0.5, coef, coef,
                          boundary=BoundaryKind.DIRICHLET_NEUMANN_BY_DIRECTION,
-                         spots=spots, beta=-1)
+                         spots=spots, beta=-1)[0]
         assert out[-1] == pytest.approx(0.0, abs=1e-14)
         assert out[1] - out[0] == pytest.approx(-dx * spots[0], rel=1e-12)
 
@@ -218,8 +218,7 @@ class TestThetaStep:
                                     rate=rate)
 
         coef_from, coef_to = coef(0.04, 0.03), coef(0.06, 0.02)
-        stacks = [rng.standard_normal(m).cumsum(),
-                  rng.standard_normal((1, m)).cumsum(axis=1),
+        stacks = [rng.standard_normal((1, m)).cumsum(axis=1),
                   rng.standard_normal((6, m)).cumsum(axis=1)]
         for rows, theta, beta in itertools.product(stacks, (0.0, 0.5, 1.0),
                                                    (1, -1)):

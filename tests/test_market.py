@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -128,6 +129,13 @@ class TestVanillaPrice:
         got = vanilla_price(1.05, 1.0, 1, 1.0, FLAT0, FLAT0, ConstantVol(1e-9))
         assert got == pytest.approx(0.05, abs=1e-12)
 
+    def test_zero_variance_pays_the_discounted_forward_intrinsic(self):
+        # sigma^2 = 1e-340 underflows to 0, so the price is the discounted
+        # forward intrinsic value e^-0.01 (1.05 e^0.01 - 1)
+        got = vanilla_price(1.05, 1.0, 1, 1.0, RateCurve.flat(0.01), FLAT0,
+                            ConstantVol(1e-170))
+        assert got == 0.05995016625083199
+
     def test_pinned_quadrature_value(self):
         # frozen from the quadrature oracle above
         got = vanilla_price(1.05, 1.0, 1, 30 / 365, FLAT0, FLAT0, ConstantVol(0.2))
@@ -249,6 +257,13 @@ class TestLocalVol:
         assert np.allclose(loaded.values, self.mesh.values)
         assert np.allclose(loaded.spot_knots, self.mesh.spot_knots)
         assert np.allclose(loaded.time_knots, self.mesh.time_knots)
+
+    def test_from_file_needs_a_three_by_three_matrix(self, tmp_path):
+        path = tmp_path / "surface.txt"
+        np.savetxt(path, np.full((2, 2), 0.2))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: surface file "
+                                             "needs at least a 3x3 matrix$"):
+            LocalVolSurface.from_file(path)
 
     def test_validation(self):
         with pytest.raises(ValueError):

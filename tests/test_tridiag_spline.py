@@ -155,6 +155,15 @@ class TestNaturalCubicSpline:
         with pytest.raises(ValueError, match="values must be finite"):
             natural_cubic_spline(nodes, vals, np.array([0.5]))
 
+    @pytest.mark.parametrize("nodes, values, message", [
+        ([0.0, 1.0], [1.0, 2.0], "spline nodes must be three or more"),
+        ([0.0, 1.0, 2.0], [1.0, 2.0], "values must match nodes in shape"),
+    ], ids=["two_nodes", "values_shape"])
+    def test_too_few_nodes_or_mismatched_values_rejected_by_name(self, nodes, values,
+                                                                 message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            natural_cubic_spline(nodes, values, 0.5)
+
     def test_non_uniform_nodes_rejected(self):
         nodes = np.array([0.0, 0.1, 0.3, 0.4])
         with pytest.raises(ValueError, match="uniform"):

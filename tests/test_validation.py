@@ -240,3 +240,24 @@ def test_surface_leaves_the_callers_arrays_writable():
         array[0] = 1.0
         assert not getattr(surface, name).flags.writeable
     assert surface.values[0, 0] == 0.2
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: contract(fixing_times=(), extra_payments=None),
+     "fixing_times must hold at least one date"),
+    (lambda: RateCurve((), ()), "times and rates must be nonempty and equal length"),
+    (lambda: RateCurve((0.0, 0.5), (0.01,)),
+     "times and rates must be nonempty and equal length"),
+    (lambda: TermStructureVol((), ()), "times and sigmas must be nonempty and equal length"),
+    (lambda: TermStructureVol((0.0,), (0.2, 0.3)),
+     "times and sigmas must be nonempty and equal length"),
+    (lambda: LocalVolSurface(**SURFACE | dict(values=[[0.2, 0.2, 0.2]] * 2)),
+     "values must have shape (len(time_knots), len(spot_knots))"),
+    (lambda: LocalVolSurface(**SURFACE | dict(time_knots=[0.0], values=[[0.2, 0.2]])),
+     "time_knots and spot_knots must hold two knots or more"),
+], ids=["TarnContract_no_fixings", "RateCurve_empty", "RateCurve_unequal", "TermStructureVol_empty",
+        "TermStructureVol_unequal", "LocalVolSurface_values_shape",
+        "LocalVolSurface_one_knot"])
+def test_a_size_or_shape_out_of_rule_is_rejected_by_name(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
