@@ -273,12 +273,15 @@ def _volatility(sec, base_dir: str):
         raise ConfigError(f"model.volatility_file: {exc}") from exc
 
 
-def parse_config(text: str, base_dir: str = ".") -> RunConfig:
-    """Parse and fully validate a sectioned key-value configuration."""
+def parse_config(text: str, base_dir: str = ".", source: str = "<string>") -> RunConfig:
+    """Parse and fully validate a sectioned key-value configuration.
+
+    ``source`` names the text's file in a parse error.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                        interpolation=None)
     try:
-        parser.read_string(text)
+        parser.read_string(text, source=source)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse configuration: {exc}") from exc
 
@@ -685,7 +688,7 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise ConfigError(f"cannot read config file: {exc}") from exc
             config = parse_config(text, base_dir=os.path.dirname(
-                os.path.abspath(args.config)))
+                os.path.abspath(args.config)), source=args.config)
         else:
             raise ConfigError("a config file or --preset is required")
 

@@ -499,9 +499,9 @@ def theta_step(
     theta: float,
     coef_from: StepCoefficients,
     coef_to: StepCoefficients,
-    boundary: BoundaryKind = BoundaryKind.ZERO_GAMMA,
-    spots: np.ndarray | None = None,
-    beta: int = 1,
+    boundary: BoundaryKind,
+    spots: np.ndarray,
+    beta: int,
 ):
     """One backward time step of the theta scheme on the log-spot PDE.
 

@@ -26,12 +26,13 @@ are priced on the calling thread in batch order, so prices and standard
 errors do not depend on the dispatch.
 
 The cases of one run share their simulation through one ``cache`` dict:
-cases with the same model, spot, schedule, seed and path count see the
-same paths, so a whole path set that is one batch is simulated once, and
-with the control variate on the control column and its closed-form mean
-are computed once per strike and direction.  A larger path set is
-simulated again for every case, because holding it would outgrow the one
-batch a pricing holds anyway.
+cases with the same model, spot, schedule, seed, path count and substeps
+see the same paths.  A path set of at most ``_HELD_PATH_BYTES`` (8 MiB)
+is simulated by the first pricing and held there batch by batch, so the
+later pricings simulate nothing and start no thread.  A larger path set
+is simulated again for every case, holding no more than a batch or two
+at a time.  With the control variate on, the control column and its
+closed-form mean are computed once per strike and direction.
 """
 
 from __future__ import annotations
@@ -64,6 +65,11 @@ __all__ = [
 
 # Fixed batch size; part of the reproducibility contract, never tune per run.
 BATCH_SIZE = 16384
+# A path set of at most this many bytes (n_paths * fixings * 8) is held in a
+# run's cache and simulated once per run: local_vol's 50k x 12-fixing Euler
+# set is 4.8 MB.  table1's and refine's 200k x 20-fixing set, 32 MB, is kept
+# out by this budget: holding it raised their peak RSS from 72 to 100 MB.
+_HELD_PATH_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -184,19 +190,6 @@ def _control_values(paths, contract, discounts):
     return contract.gross(paths) @ discounts
 
 
-def _held(cache, key, make):
-    """``cache[key]``, else ``make()`` held there now.
-
-    An entry is an array, or an array and its mean; the array is set
-    read-only, since every pricing given ``cache`` reads the same one.
-    """
-    if key not in cache:
-        entry = make()
-        (entry[0] if isinstance(entry, tuple) else entry).setflags(write=False)
-        cache[key] = entry
-    return cache[key]
-
-
 def mc_price(
     contract: TarnContract,
     model: MarketModel,
@@ -211,20 +204,23 @@ def mc_price(
     mean is known in closed form; it is only available under exact
     transitions and is silently downgraded (with a flag on the result) for
     local volatility models.  ``cache`` is a dict the caller owns:
-    pricings passed the same dict reuse a one-batch path set and the
-    control column with its mean, each keyed by everything it depends on.
-    It is not locked.  The estimate is the same bit for bit with or
-    without it.
+    pricings passed the same dict reuse the control column with its mean
+    and, when the path set is at most ``_HELD_PATH_BYTES``, every batch of
+    it, each keyed by everything it depends on and held read-only; with
+    no dict, a pricing holds one or two batches at a time.  Only
+    the calling thread writes to it, and it is not locked.  The estimate
+    is the same bit for bit with or without it.
 
-    A local-volatility path set of more than one batch is simulated two
-    batches at a time, on the calling thread and one helper thread that
-    the call starts and joins; an exception raised in either reaches the
-    caller.  Every batch is priced on the calling thread, in batch order.
-    A price or standard error that is not finite raises ``ValueError``.
+    A local-volatility path set of more than one batch that is not held
+    yet is simulated two batches at a time, on the calling thread and one
+    helper thread that the call starts and joins; an exception raised in
+    either reaches the caller.  A pricing whose batches are all held
+    simulates nothing and starts no thread.  Every batch is priced on the
+    calling thread, in batch order.  A price or standard error that is not
+    finite raises ``ValueError``.
     """
     started = time.perf_counter()
     check_positive(spot, "spot")
-    cache = {} if cache is None else cache
     times = contract.fixing_times
     discounts = np.array(
         [discount_factor(model.domestic, 0.0, t) for t in times]
@@ -238,6 +234,10 @@ def mc_price(
     if n - n_pilot < 2:
         raise ValueError(f"n_paths must leave at least 2 paths after the {n_pilot}-path "
                          f"control-variate pilot, got {n}")
+    # without the caller's dict no later pricing could read the paths, so
+    # a pricing holds no more than a batch or two of them
+    held = cache is not None and n * len(times) * 8 <= _HELD_PATH_BYTES
+    cache = {} if cache is None else cache
     key = (model, spot, times, config.seed, n, config.substeps_per_interval)
     control_key = ("mc.controls",) + key + (contract.strike, contract.beta)
     payoffs = np.empty(n)
@@ -250,15 +250,21 @@ def mc_price(
         return simulate_fixing_paths(model, spot, times, min(BATCH_SIZE, n - b * BATCH_SIZE),
                                      rng, config.substeps_per_interval)
 
+    batch_keys = [("mc.paths", b) + key for b in range(n_batches)]
+
     def price_batch(b, paths):
+        if held:  # on the calling thread only: the cache is not locked
+            paths.setflags(write=False)
+            cache[batch_keys[b]] = paths
         rows = slice(b * BATCH_SIZE, min((b + 1) * BATCH_SIZE, n))
         payoffs[rows] = batch_present_value(paths, contract, discounts)
         if controls is not None:
             controls[rows] = _control_values(paths, contract, discounts)
 
-    if n_batches == 1:
-        price_batch(0, _held(cache, ("mc.paths",) + key, lambda: simulate(0)))
-    elif exact:
+    if held and all(k in cache for k in batch_keys):
+        for b, k in enumerate(batch_keys):
+            price_batch(b, cache[k])
+    elif exact or n_batches == 1:
         for b in range(n_batches):
             # batch b - 1 stays alive while batch b is simulated: freed first,
             # its pages go back to the system and batch b faults them in again
@@ -277,11 +283,14 @@ def mc_price(
                     price_batch(b + 1, ahead.result())
 
     if use_cv:
-        controls, control_mean = _held(cache, control_key, lambda: (controls, sum(
-            vanilla_price(spot, contract.strike, contract.beta, t,
-                          model.domestic, model.foreign, model.vol)
-            for t in times
-        )))
+        if control_key not in cache:
+            controls.setflags(write=False)
+            cache[control_key] = controls, sum(
+                vanilla_price(spot, contract.strike, contract.beta, t,
+                              model.domestic, model.foreign, model.vol)
+                for t in times
+            )
+        controls, control_mean = cache[control_key]
         if config.cv_coefficient is not None:
             lam = float(config.cv_coefficient)
         else:

@@ -924,6 +924,14 @@ class TestMain:
         assert err.startswith("error: cannot read config file: ")
         assert str(tmp_path) in err
 
+    def test_parse_error_names_the_config_file(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("spot = 1.0\n" + SMALL_RUN)
+        assert main([str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot parse configuration: ")
+        assert f"file: {str(path)!r}" in err
+
     def test_failed_write_exit_code(self, tmp_path, capsys, monkeypatch):
         # the directory exists, so _check_writable passes; the write then fails
         def failing_emit(records, output_format, destination=None):

@@ -151,12 +151,18 @@ class TestBuildGrid:
         assert abs(est7.coarse.price - est5.coarse.price) <= band
 
 
+def zero_gamma_step(rows, dt, dx, theta, coef):
+    """One ``theta_step`` with the zero-gamma closure, on nodes ``dx`` apart from spot 1."""
+    spots = np.exp(dx * np.arange(rows.shape[1]))
+    return theta_step(rows, dt, dx, theta, coef, coef, BoundaryKind.ZERO_GAMMA, spots, 1)
+
+
 class TestThetaStep:
     def test_zero_operator_is_identity(self):
         rows = np.tile(np.linspace(1.0, 2.0, 21), (3, 1))
         rows[1] = 1.5
         coef = StepCoefficients(variance=0.0, drift=0.0, rate=0.0)
-        out = theta_step(rows, 0.1, 0.05, 0.5, coef, coef)
+        out = zero_gamma_step(rows, 0.1, 0.05, 0.5, coef)
         # constant rows stay exactly; the linear row satisfies the zero-gamma
         # closure too, so the whole stack is unchanged
         assert np.allclose(out, rows, atol=1e-13)
@@ -166,7 +172,7 @@ class TestThetaStep:
         coef = StepCoefficients(variance=0.0, drift=r, rate=r)
         rows = np.full((1, 31), 3.0)
         for theta in (0.0, 0.5, 1.0):
-            out = theta_step(rows, dt, 0.01, theta, coef, coef)
+            out = zero_gamma_step(rows, dt, 0.01, theta, coef)
             factor = (1.0 - (1.0 - theta) * r * dt) / (1.0 + theta * r * dt)
             # interior nodes follow the rational decay exactly; note the
             # drift term vanishes on a constant row
@@ -176,7 +182,7 @@ class TestThetaStep:
         rng = np.random.default_rng(3)
         rows = np.abs(rng.standard_normal((1, 41))).cumsum(axis=1)
         coef = StepCoefficients(variance=0.04, drift=-0.02, rate=0.01)
-        out = theta_step(rows, 0.01, 0.02, 0.5, coef, coef)[0]
+        out = zero_gamma_step(rows, 0.01, 0.02, 0.5, coef)[0]
         scale = np.max(np.abs(out))
         assert abs(out[0] - 2 * out[1] + out[2]) < 1e-11 * scale
         assert abs(out[-1] - 2 * out[-2] + out[-3]) < 1e-11 * scale

@@ -1,7 +1,8 @@
 import dataclasses
 import math
 import threading
-from concurrent.futures import Future
+import weakref
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -378,14 +379,42 @@ class TestSharedSimulation:
         run_cases(McConfig(n_paths=BATCH_SIZE, seed=5), {})
         assert calls == ["simulate_fixing_paths", "_control_values"]
 
-    def test_three_batch_run_simulates_every_batch_per_case(self, monkeypatch):
+    def test_three_batch_run_simulates_each_batch_once(self, monkeypatch):
         calls = counting(monkeypatch, "simulate_fixing_paths", "_control_values",
                          "vanilla_price")
-        run_cases(McConfig(n_paths=2 * BATCH_SIZE + 1, seed=5), {})
-        assert calls.count("simulate_fixing_paths") == 3 * 6
+        run_cases(McConfig(n_paths=2 * BATCH_SIZE + 1, seed=5), {})  # 5.2 MB of paths
+        assert calls.count("simulate_fixing_paths") == 3
         # the control column and its mean are made for the first case only
         assert calls.count("_control_values") == 3
         assert calls.count("vanilla_price") == 20
+
+    @pytest.mark.parametrize("extra_paths, simulations", [(0, 4), (1, 4 * 2)],
+                             ids=["at_the_budget", "one_path_over"])
+    def test_a_set_over_the_byte_budget_is_simulated_for_every_case(
+            self, monkeypatch, extra_paths, simulations):
+        fit = mc._HELD_PATH_BYTES // (8 * len(benchmark_times()))  # 52428 paths
+        config = McConfig(n_paths=fit + extra_paths, seed=5, control_variate=False)
+        calls = counting(monkeypatch, "simulate_fixing_paths")
+        run_cases(config, {}, CASES[:2])
+        assert len(calls) == simulations  # four batches per simulated set
+
+    @pytest.mark.parametrize("cache, alive", [(None, [0, 1, 1]), ({}, [0, 1, 2])],
+                             ids=["no_dict", "dict"])
+    def test_only_a_pricing_given_a_dict_holds_its_batches(self, monkeypatch, cache, alive):
+        # batches still alive as each batch is simulated: the previous one,
+        # or every earlier one when they are held for later pricings
+        original, made, seen = mc.simulate_fixing_paths, [], []
+
+        def simulate(*args):
+            seen.append(sum(ref() is not None for ref in made))
+            paths = original(*args)
+            made.append(weakref.ref(paths))
+            return paths
+
+        monkeypatch.setattr(mc, "simulate_fixing_paths", simulate)
+        mc_price(CASES[0], flat_model(), McConfig(n_paths=3 * BATCH_SIZE, seed=1), 1.05,
+                 cache=cache)
+        assert seen == alive
 
     def test_cli_run_shares_one_batch_across_its_cases(self, monkeypatch):
         calls = counting(monkeypatch, "simulate_fixing_paths")
@@ -394,22 +423,33 @@ class TestSharedSimulation:
         records = run(config)
         assert len(records) == 6 and len(calls) == 1
 
-    def test_held_arrays_are_read_only(self):
+    def test_cli_run_simulates_a_two_batch_local_vol_set_once(self, monkeypatch):
+        calls = counting(monkeypatch, "simulate_fixing_paths")
+        config = dataclasses.replace(
+            PRESETS["table1"](), engines=("mc",), targets=(0.3, 0.5), model=smile_model(),
+            mc=McConfig(n_paths=BATCH_SIZE + 1000, substeps_per_interval=2))
+        records = run(config)
+        assert len(records) == 6 and len(calls) == 2
+
+    @pytest.mark.parametrize("model, n_batches", [(flat_model(), 1), (smile_model(), 2)],
+                             ids=["one_batch", "two_local_vol_batches"])
+    def test_held_arrays_are_read_only(self, model, n_batches):
         cache = {}
-        config = McConfig(n_paths=1000, seed=2)
-        model = flat_model()
+        n_paths = (n_batches - 1) * BATCH_SIZE + 1000
+        config = McConfig(n_paths=n_paths, seed=2)
         contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
         mc_price(contract, model, config, 1.05, cache=cache)
-        key = (model, 1.05, contract.fixing_times, 2, 1000, 1)
-        paths_key = ("mc.paths",) + key
+        key = (model, 1.05, contract.fixing_times, 2, n_paths, 1)
+        paths_keys = {("mc.paths", b) + key for b in range(n_batches)}
         controls_key = ("mc.controls",) + key + (1.0, 1)
-        assert set(cache) == {paths_key, controls_key}
-        paths = cache[paths_key]
-        column, _ = cache[controls_key]
-        for held in (paths, column):
-            assert not held.flags.writeable
+        with_controls = model.has_exact_transition
+        assert set(cache) == paths_keys | ({controls_key} if with_controls else set())
+        held = [cache[k] for k in paths_keys]
+        held += [cache[controls_key][0]] if with_controls else []
+        for array in held:
+            assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
-                held[0] = 0.0
+                array[0] = 0.0
 
     @pytest.mark.parametrize("change", [
         dict(config=McConfig(n_paths=3000, seed=10)),
@@ -441,6 +481,23 @@ class TestSharedSimulation:
         assert calls.count("simulate_fixing_paths") == (0 if same_paths else 1)
         assert calls.count("vanilla_price") == 20
 
+    @pytest.mark.parametrize("change", [
+        dict(seed=10),
+        dict(substeps_per_interval=3),
+    ], ids=["seed", "substeps"])
+    def test_a_changed_euler_set_is_never_served_the_old_batches(self, monkeypatch, change):
+        contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
+        model = smile_model()
+        base = McConfig(n_paths=BATCH_SIZE + 1000, seed=9, substeps_per_interval=2)
+        cache = {}
+        mc_price(contract, model, base, 1.05, cache=cache)
+        config = dataclasses.replace(base, **change)
+        want = mc_price(contract, model, config, 1.05)
+        calls = counting(monkeypatch, "simulate_fixing_paths")
+        got = mc_price(contract, model, config, 1.05, cache=cache)
+        assert bits([got.price, got.stderr]) == bits([want.price, want.stderr])
+        assert len(calls) == 2
+
 
 class InlineExecutor:
     """A stand-in for the helper thread: runs each submitted call at once."""
@@ -465,11 +522,11 @@ class TestEulerBatchDispatch:
 
     N_PATHS = 3 * BATCH_SIZE + 777  # four batches, the last one partial
 
-    def price(self, knockout=KnockoutType.PART_GAIN):
-        contract = TarnContract(strike=1.0, target=0.3, beta=1,
+    def price(self, knockout=KnockoutType.PART_GAIN, target=0.3, model=None, cache=None):
+        contract = TarnContract(strike=1.0, target=target, beta=1,
                                 fixing_times=benchmark_times(6), knockout=knockout)
         config = McConfig(n_paths=self.N_PATHS, seed=4, substeps_per_interval=2)
-        return mc_price(contract, smile_model(), config, 1.0)
+        return mc_price(contract, model or smile_model(), config, 1.0, cache=cache)
 
     def patch_simulation(self, monkeypatch, before_each):
         """Call ``before_each(n_paths, on_caller)`` before each batch simulation."""
@@ -502,6 +559,28 @@ class TestEulerBatchDispatch:
         with np.errstate(divide="ignore"):  # a fresh thread would "warn"
             self.price()
         assert seen == ["ignore"] * 4
+
+    def test_a_run_simulates_its_held_set_once(self, monkeypatch):
+        simulated, helpers = [], []
+        self.patch_simulation(monkeypatch, lambda n, on_caller: simulated.append(on_caller))
+
+        class CountedExecutor(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                helpers.append(self)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", CountedExecutor)
+        model, cache = smile_model(), {}
+        cases = [(ko, u) for ko in KnockoutType for u in (0.3, 0.5)]
+        shared = []
+        for case in cases:
+            shared.append(self.price(*case, model=model, cache=cache))
+            # the first case simulates the four batches, two on the helper
+            assert sorted(simulated) == [False, False, True, True]
+            assert len(helpers) == 1
+        alone = [self.price(*case, model=model) for case in cases]
+        assert ([bits([r.price, r.stderr]) for r in shared]
+                == [bits([r.price, r.stderr]) for r in alone])
 
     def test_no_thread_outlives_a_pricing(self):
         before = threading.active_count()

@@ -5,10 +5,13 @@ For each seed of the range, in order, this runs::
     python3 perfbench/run.py --workload W --seed S --seconds 22 --trace 0
 
 once in each checkout, each run in its own checkout directory; the parent
-runs first in even-indexed pairs (0, 2, ...) and second in odd ones.  It
-prints one line per run (its side, seed, ``correct``, ``failed`` over
+runs first in even-indexed pairs (0, 2, ...) and second in odd ones.  Before
+pair 0 it makes one warm-up run in each checkout, parent first, on the first
+seed: the first run of a set reads fast on every scaled time, so it is
+printed as ``warm-up`` and left out of the comparison.  It prints one line
+per run (its pair or ``warm-up``, side, seed, ``correct``, ``failed`` over
 ``attempted`` and its end-to-end metrics) as the runs finish, then one line
-per end-to-end metric::
+per end-to-end metric over the pairs::
 
     metric  parent median [Q1, Q3] -> change median  (+x.x%)  wins/pairs
 
@@ -79,18 +82,24 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     values: dict = {"parent": {}, "change": {}}
-    machine = None
+
+    def measured(label, side, seed):
+        """One run, printed as it finishes: its end-to-end metric values."""
+        result = run(sides[side], args.workload, seed)
+        metrics = {k: v["value"] for k, v in result["metrics"].items()}
+        shown = " ".join(f"{k}={v:.4g}" for k, v in metrics.items())
+        print(f"{label} seed {seed} {side:<6} correct={result['correct']} "
+              f"failed={result['failed']}/{result['attempted']} {shown}", flush=True)
+        return metrics, result["machine"]
+
+    for side in ("parent", "change"):
+        _, machine = measured("warm-up", side, args.seeds[0])
     for index, seed in enumerate(args.seeds):
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run(sides[side], args.workload, seed)
-            machine = machine or result["machine"]
-            metrics = {k: v["value"] for k, v in result["metrics"].items()}
+            metrics, _ = measured(f"pair {index}", side, seed)
             for k, v in metrics.items():
                 values[side].setdefault(k, []).append(v)
-            shown = " ".join(f"{k}={v:.4g}" for k, v in metrics.items())
-            print(f"pair {index} seed {seed} {side:<6} correct={result['correct']} "
-                  f"failed={result['failed']}/{result['attempted']} {shown}", flush=True)
     print(machine)
     print(f"{args.workload}: parent median [Q1, Q3] -> change median, change wins / pairs")
     for metric, direction in better.items():
