@@ -104,6 +104,9 @@ class RunConfig:
             raise ValueError("output.format: must be 'human' or 'records'")
         if self.refine and self.convergence:
             raise ValueError("refine, convergence: choose at most one FD error study")
+        for study in ("refine", "convergence"):
+            if getattr(self, study) and "fd" not in self.engines:
+                raise ValueError(f"{study}: needs the fd engine in run.engines")
         for knockout in self.knockouts:
             for target in self.targets:
                 try:
@@ -432,7 +435,8 @@ def run(config: RunConfig) -> list[ResultRecord]:
     cache dict, made for this run: the FD cases share its interval maps,
     since their spot grid and fixing schedule do not depend on the target
     or the knockout type, and for the same reason the MC cases share one
-    simulated batch when the paths fit in one, and one control column.
+    control column and, when it is at most ``mc._HELD_PATH_BYTES``, one
+    simulated path set.
     """
     tag = fingerprint(config)
     engines = [e for e in ("fd", "mc") if e in config.engines]

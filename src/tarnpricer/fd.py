@@ -5,11 +5,12 @@ grid in the accrued payment amount.  Between fixing dates each tracked
 solution obeys the usual log-spot pricing PDE and is marched backward with
 a theta scheme.  A step is one tridiagonal solve for all rows: the default
 zero-gamma end rows are substituted into rows 1 and M-2, and the end
-values are set from them after the solve.  Every tridiagonal solve, a
-step's and a spline's, is one direct call of LAPACK ``gtsv``
-(:func:`_solve_bands`), without ``scipy.linalg.solve_banded``'s per-call
-checks; so no solve rejects a NaN or an infinity, and :func:`fd_price`
-instead refuses to return a non-finite price.  At a fixing date the tracked
+values are set from them after the solve.  Every tridiagonal system, a
+step's and a spline's, is one LAPACK band array solved by one direct call
+of ``gtsv`` (:func:`_solve_bands`), without
+``scipy.linalg.solve_banded``'s per-call checks; so no solve rejects a NaN
+or an infinity, and :func:`fd_price` instead refuses to return a
+non-finite price.  At a fixing date the tracked
 solutions exchange information through a jump condition: for every spot
 node where the fixing pays less than the target, ``0 < gross < U``, the
 post-fixing values across the accumulation grid are interpolated with a
@@ -149,7 +150,6 @@ class FdGrid:
     log_spots: np.ndarray
     spots: np.ndarray
     dx: float
-    strike_index: int
     spot_index: int | None
     accum_nodes: np.ndarray
     h: float
@@ -192,24 +192,6 @@ class ZeroPivotError(ValueError):
     """A linear solve hit a zero pivot; the message names the row."""
 
 
-def tridiagonal_solve(lower, diag, upper, rhs):
-    """Solve a tridiagonal system in O(n).
-
-    The bands are float arrays of equal length n, as
-    :func:`_spline_second_derivs` builds them; ``lower[i]`` multiplies
-    ``x[i-1]`` in row i (``lower[0]`` unused) and ``upper[i]`` multiplies
-    ``x[i+1]`` (``upper[-1]`` unused).  The float ``rhs`` may be (n,) or
-    (n, k) for several right-hand sides sharing the matrix.  Solved by
-    :func:`_solve_bands`; a singular system raises :class:`ZeroPivotError`
-    naming the row.
-    """
-    ab = np.zeros((3, diag.size))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    return _solve_bands(ab, rhs)
-
-
 def _solve_bands(ab, rhs, overwrite_rhs=False):
     """Solve the tridiagonal system ``ab`` (``ab[1 + i - j, j] = a[i, j]``,
     overwritten) for ``rhs``, (n,) or (n, k), by LAPACK ``gtsv``.
@@ -231,6 +213,10 @@ def _solve_bands(ab, rhs, overwrite_rhs=False):
     return x
 
 
+# perfbench times the spline solves by this name, apart from theta_step's (ROADMAP item 1)
+tridiagonal_solve = _solve_bands
+
+
 def _spline_second_derivs(values: np.ndarray, h: float) -> np.ndarray:
     """Second derivatives of natural cubic splines, one per column.
 
@@ -247,13 +233,10 @@ def _spline_second_derivs(values: np.ndarray, h: float) -> np.ndarray:
     inner += values[:-2]
     inner *= 6.0
     inner /= h * h
-    lower = np.ones(j_nodes)
-    upper = np.ones(j_nodes)
-    diag = np.full(j_nodes, 4.0)
-    diag[0] = diag[-1] = 1.0
-    upper[0] = 0.0
-    lower[-1] = 0.0
-    return tridiagonal_solve(lower, diag, upper, rhs)
+    ab = np.ones((3, j_nodes))  # diagonal 4, off-diagonals 1, identity end rows
+    ab[1, 1:-1] = 4.0
+    ab[0, 1] = ab[2, -2] = 0.0
+    return tridiagonal_solve(ab, rhs)
 
 
 def _spline_reads(x0, h, queries, j_nodes):
@@ -446,7 +429,6 @@ def build_grid(
         log_spots=x,
         spots=spots,
         dx=dx,
-        strike_index=strike_index,
         spot_index=spot_index,
         accum_nodes=accum,
         h=h,
@@ -949,14 +931,13 @@ def fd_price(
     )
 
 
-def _scaled_grid(config: FdConfig, factor: int) -> FdConfig:
-    """``config`` with every grid dimension multiplied by ``factor``."""
-    return replace(
-        config,
-        spot_nodes=factor * config.spot_nodes,
-        accumulation_nodes=factor * config.accumulation_nodes,
-        time_steps=factor * config.time_steps,
-    )
+def _ladder(contract, model, config, spot, factors) -> list[PriceResult]:
+    """One pricing per factor, on ``config`` with every grid dimension
+    multiplied by it."""
+    return [fd_price(contract, model, replace(
+        config, spot_nodes=f * config.spot_nodes,
+        accumulation_nodes=f * config.accumulation_nodes,
+        time_steps=f * config.time_steps), spot) for f in factors]
 
 
 def estimate_error(
@@ -977,8 +958,7 @@ def estimate_error(
     reports 0.85% against an actual 4.4%, the refined error being 0.82 of
     the coarse one.
     """
-    coarse = fd_price(contract, model, config, spot)
-    refined = fd_price(contract, model, _scaled_grid(config, 2), spot)
+    coarse, refined = _ladder(contract, model, config, spot, (1, 2))
     if refined.price == 0.0:
         raise ValueError("relative error undefined: refined price is zero")
     rel = abs(coarse.price - refined.price) / abs(refined.price)
@@ -992,8 +972,7 @@ def convergence_order(
     spot: float,
 ) -> ConvergenceStudy:
     """Observed order from three grids nested by simultaneous doubling."""
-    results = [fd_price(contract, model, _scaled_grid(config, factor), spot)
-               for factor in (1, 2, 4)]
+    results = _ladder(contract, model, config, spot, (1, 2, 4))
     v1, v2, v3 = (r.price for r in results)
     denom = abs(v2 - v3)
     if denom == 0.0:

@@ -261,14 +261,12 @@ def mc_price(
         if controls is not None:
             controls[rows] = _control_values(paths, contract, discounts)
 
-    if held and all(k in cache for k in batch_keys):
-        for b, k in enumerate(batch_keys):
-            price_batch(b, cache[k])
-    elif exact or n_batches == 1:
+    stored = held and all(k in cache for k in batch_keys)
+    if stored or exact or n_batches == 1:
         for b in range(n_batches):
             # batch b - 1 stays alive while batch b is simulated: freed first,
             # its pages go back to the system and batch b faults them in again
-            paths = simulate(b)
+            paths = cache[batch_keys[b]] if stored else simulate(b)
             price_batch(b, paths)
     else:
         # leaving the block joins the helper, also when a batch raises; the

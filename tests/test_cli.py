@@ -579,6 +579,12 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="^refine, convergence: "):
             dataclasses.replace(base, refine=True, convergence=True)
 
+    @pytest.mark.parametrize("study", ["refine", "convergence"])
+    def test_error_study_without_fd_rejected(self, study):
+        base = PRESETS["table1"]()
+        with pytest.raises(ValueError, match=f"^{study}: needs the fd engine in run.engines$"):
+            dataclasses.replace(base, engines=("mc",), **{study: True})
+
     @pytest.mark.parametrize("name, value", [
         (f"{cls.__name__}.{f.name}", value)
         for cls in (FdConfig, McConfig)
@@ -907,6 +913,12 @@ class TestMain:
         path.write_text(SMALL_RUN)
         assert main([str(path), "--refine", "--convergence"]) == 1
         assert "refine, convergence" in capsys.readouterr().err
+
+    def test_refine_without_fd_exit_code(self, capsys):
+        assert main(["--preset", "table1", "--engines", "mc", "--refine"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: refine: needs the fd engine in run.engines\n"
+        assert captured.out == ""
 
     def test_missing_config_exit_code(self, capsys):
         assert main([]) == 1

@@ -71,12 +71,17 @@ class TestStepAllocation:
             "error: time_steps must be at least the 3 fixing intervals, got 2"}
 
 
+def strike_node(grid, strike):
+    """The one spot node placed exactly on ``strike``."""
+    (node,) = np.flatnonzero(grid.spots == strike)
+    return node
+
+
 class TestBuildGrid:
     def test_strike_is_a_node(self):
         contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
         grid = build_grid(contract, flat_model(), FdConfig(domain_width_sigmas=5.0), 1.05)
-        assert abs(grid.log_spots[grid.strike_index]) < 1e-12
-        assert grid.spots[grid.strike_index] == 1.0
+        assert abs(grid.log_spots[strike_node(grid, 1.0)]) < 1e-12
         dx = np.diff(grid.log_spots)
         assert np.allclose(dx, dx[0], rtol=1e-12)
 
@@ -99,7 +104,7 @@ class TestBuildGrid:
                                 fixing_times=benchmark_times(),
                                 knockout=KnockoutType.NO_GAIN)
         grid = build_grid(contract, flat_model(), FdConfig(), 1.0)
-        assert grid.spot_index == grid.strike_index
+        assert grid.spot_index == strike_node(grid, 1.0)
 
     def test_near_coincident_falls_back_to_interpolation(self):
         contract = TarnContract(strike=1.0, target=0.3, beta=1,
@@ -107,7 +112,7 @@ class TestBuildGrid:
                                 knockout=KnockoutType.NO_GAIN)
         grid = build_grid(contract, flat_model(), FdConfig(spot_nodes=101), 1.0 + 1e-9)
         assert grid.spot_index is None
-        assert abs(grid.log_spots[grid.strike_index]) < 1e-12
+        assert abs(grid.log_spots[strike_node(grid, 1.0)]) < 1e-12
 
     def test_strike_only_policy(self):
         contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)

@@ -2,13 +2,25 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from tarnpricer import fd, natural_cubic_spline
+from tarnpricer import FdConfig, KnockoutType, fd, fd_price, natural_cubic_spline
 from tarnpricer.fd import ZeroPivotError, tridiagonal_solve
+
+from conftest import benchmark_contract, flat_model
+
+
+def bands(lower, diag, upper):
+    """``ab`` of the system, ``ab[1 + i - j, j] = a[i, j]``: ``lower[i]``
+    multiplies ``x[i-1]`` in row i (``lower[0]`` unused) and ``upper[i]``
+    multiplies ``x[i+1]`` (``upper[-1]`` unused)."""
+    ab = np.zeros((3, len(diag)))
+    ab[0, 1:] = upper[:-1]
+    ab[1] = diag
+    ab[2, :-1] = lower[1:]
+    return ab
 
 
 def dense_solve(lower, diag, upper, rhs):
     """Dense Gaussian-elimination oracle for the banded solver."""
-    n = len(diag)
     full = np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(lower[1:], -1)
     return np.linalg.solve(full, rhs)
 
@@ -16,7 +28,7 @@ def dense_solve(lower, diag, upper, rhs):
 class TestTridiagonalSolve:
     def test_identity(self):
         rhs = np.array([3.0, -1.0, 2.5, 7.0])
-        got = tridiagonal_solve(np.zeros(4), np.ones(4), np.zeros(4), rhs)
+        got = tridiagonal_solve(bands(np.zeros(4), np.ones(4), np.zeros(4)), rhs)
         assert np.array_equal(got, rhs)
 
     def test_three_by_three_against_dense(self):
@@ -24,7 +36,7 @@ class TestTridiagonalSolve:
         diag = np.array([4.0, 5.0, 6.0])
         upper = np.array([1.5, -2.0, 0.0])
         rhs = np.array([1.0, 2.0, 3.0])
-        got = tridiagonal_solve(lower, diag, upper, rhs)
+        got = tridiagonal_solve(bands(lower, diag, upper), rhs)
         want = dense_solve(lower, diag, upper, rhs)
         assert np.max(np.abs(got - want)) < 1e-14
 
@@ -35,7 +47,7 @@ class TestTridiagonalSolve:
         upper = rng.uniform(-1, 1, n)
         diag = 3.0 + rng.uniform(0, 1, n)
         rhs = rng.uniform(-5, 5, n)
-        got = tridiagonal_solve(lower, diag, upper, rhs)
+        got = tridiagonal_solve(bands(lower, diag, upper), rhs)
         want = dense_solve(lower, diag, upper, rhs)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -46,7 +58,7 @@ class TestTridiagonalSolve:
         upper = rng.uniform(-1, 1, n)
         diag = 3.0 + rng.uniform(0, 1, n)
         rhs = rng.uniform(-5, 5, (n, k))
-        got = tridiagonal_solve(lower, diag, upper, rhs)
+        got = tridiagonal_solve(bands(lower, diag, upper), rhs)
         for j in range(k):
             want = dense_solve(lower, diag, upper, rhs[:, j])
             assert np.max(np.abs(got[:, j] - want)) < 1e-12
@@ -56,7 +68,7 @@ class TestTridiagonalSolve:
         diag = np.array([1.0, 0.0, 1.0])
         upper = np.array([0.0, 0.0, 0.0])
         with pytest.raises(ZeroPivotError, match="row 1"):
-            tridiagonal_solve(lower, diag, upper, np.ones(3))
+            tridiagonal_solve(bands(lower, diag, upper), np.ones(3))
 
     def test_pivoted_zero_pivot_names_its_row(self):
         # rows 0 and 2 are equal; row 0 is swapped below row 1, and
@@ -65,7 +77,43 @@ class TestTridiagonalSolve:
         diag = np.zeros(3)
         upper = np.array([1.0, 1.0, 0.0])
         with pytest.raises(ZeroPivotError, match="row 2"):
-            tridiagonal_solve(lower, diag, upper, np.ones(3))
+            tridiagonal_solve(bands(lower, diag, upper), np.ones(3))
+
+
+class TestSplineSolveName:
+    # perfbench times the jump's spline solves by the name
+    # fd.tridiagonal_solve, apart from theta_step's solves
+    CONFIG = FdConfig(spot_nodes=60, accumulation_nodes=10, time_steps=40)
+
+    def test_is_the_band_solver(self):
+        assert fd.tridiagonal_solve is fd._solve_bands
+
+    def test_a_pricing_solves_one_spline_system_per_fixing(self, monkeypatch):
+        solves_in_step, open_steps, steps = [], [], []
+        solve, step = fd.tridiagonal_solve, fd.theta_step
+
+        def counting_solve(ab, rhs):
+            solves_in_step.append(bool(open_steps))
+            return solve(ab, rhs)
+
+        def flagged_step(*args, **kwargs):
+            open_steps.append(True)
+            steps.append(True)
+            try:
+                return step(*args, **kwargs)
+            finally:
+                open_steps.pop()
+
+        contract = benchmark_contract(KnockoutType.PART_GAIN, 0.3)
+        grid = fd.build_grid(contract, flat_model(), self.CONFIG, 1.05)
+        band = fd.JumpPlan.build(contract, grid).band
+        assert grid.spot_index is not None  # no readout spline
+        assert band.stop > band.start  # every jump splines
+        monkeypatch.setattr(fd, "tridiagonal_solve", counting_solve)
+        monkeypatch.setattr(fd, "theta_step", flagged_step)
+        fd_price(contract, flat_model(), self.CONFIG, 1.05)
+        assert solves_in_step == [False] * contract.num_fixings
+        assert steps  # the lattice was stepped, none of it by this name
 
 
 def diagonally_dominant_bands(rng, n):
@@ -92,9 +140,6 @@ class TestSolveBands:
         got = fd._solve_bands(ab.copy(), rhs)
         assert got.shape == want.shape and np.array_equal(got, want)
         assert np.array_equal(rhs, given)  # solved in a copy
-        lower = np.r_[0.0, ab[2, :-1]]
-        upper = np.r_[ab[0, 1:], 0.0]
-        assert np.array_equal(tridiagonal_solve(lower, ab[1], upper, rhs), want)
 
     def test_overwrite_solves_a_fortran_rhs_in_place(self):
         rng = np.random.default_rng(8)
