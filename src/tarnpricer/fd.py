@@ -35,19 +35,21 @@ Between fixings every tracked row is marched by the same operator.  When
 the coefficients are scalars (flat or term-structure volatility), an
 interval's whole march is one affine map ``row -> row @ P + p0`` on the
 spot axis, so the engine builds that map once and then applies it to all
-rows with a single matrix product.  The interval's steps fall into runs of
-identical steps (start-up steps and coefficient knots start new runs),
-taken in order.  A long run's map is its one-step map, got by one
-:func:`theta_step` on identity rows and one zero row, raised to the run's
-length by repeated squaring and composed onto the map so far; a short
-run, such as a start-up step or the step across a knot, costs no more to
-march than to power and is marched onto the map so far instead.
-Intervals with equal steps (step length, theta and coefficients) share one
-map.  A map is built only when that costs less than stepping the rows that
-pass through its intervals, in this pricing and the ones expected to share
-it: both costs are estimated in seconds from per-step and per-product
-constants measured on a 2-core Xeon.  Otherwise the rows are stepped.
-Every interval's steps and map or None are one ``"fd.intervals"`` entry
+rows with a single matrix product.  An interval is made once, as its runs
+of identical steps in order (start-up steps and coefficient knots start
+new runs), each run keyed by what makes its steps equal: the interval's
+step length, theta and the coefficients.  A long run's map is its one-step
+map, got by one :func:`theta_step` on identity rows and one zero row,
+raised to the run's length by repeated squaring and composed onto the map
+so far; a short run, such as a start-up step or the step across a knot,
+costs no more to march than to power and is marched onto the map so far
+instead.  Intervals with equal run keys and lengths share one map.  A map
+is built only when that costs less than stepping the rows that pass
+through its intervals, in this pricing and the ones expected to share it:
+both costs are estimated in seconds from per-step and per-product
+constants measured on a 2-core Xeon.  Otherwise the rows are stepped, each
+step with its own length.
+Every interval's runs and map or None are one ``"fd.intervals"`` entry
 of a ``cache`` dict, keyed by the call's inputs less the target and the
 knockout type, which neither reads; so pricings that pass one dict to
 :func:`fd_price` and differ only in those, such as the cases of a run,
@@ -61,7 +63,6 @@ its steps marched.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import sys
 import time
@@ -552,41 +553,41 @@ def theta_step(
 
 
 def _intervals(cache, pricings, model, contract, grid, config, spot):
-    """The (steps, map or None) pair of every interval, last first, as the
-    backward loop takes them.
+    """The (runs, map or None) pair of every interval, last first, as the
+    backward loop takes them, ``runs`` as :func:`_interval_runs` makes them.
 
     None means that stepping the interval's rows costs less than its map
-    (P, p0), ``row -> row @ P + p0``.  Intervals with equal
-    :func:`_step_key` lists share one map, decided once by :func:`_map_pays`
-    from the rows one pricing marches through each (one in the first
-    interval, J in the others) and ``pricings``.  The pairs, a tuple with
-    read-only maps, are one ``cache`` entry keyed by the call's inputs less
-    the target and the knockout type, which neither they nor ``grid`` read.
-    Local volatility holds none: its steps carry per-node levels and are
-    made one interval at a time as the loop reaches them.
+    (P, p0), ``row -> row @ P + p0``.  Intervals with equal run keys and
+    lengths share one map, decided once by :func:`_map_pays` from the rows
+    one pricing marches through each (one in the first interval, J in the
+    others) and ``pricings``.  The pairs, a tuple with read-only maps, are
+    one ``cache`` entry keyed by the call's inputs less the target and the
+    knockout type, which neither they nor ``grid`` read.  Local volatility
+    holds none: its steps carry per-node levels and are made one interval
+    at a time as the loop reaches them.
     """
     times = (0.0,) + grid.fixing_times
 
-    def steps(k):
-        return _interval_steps(model, grid, times[k + 1], times[k],
-                               grid.steps_per_interval[k], config)
+    def runs(k):
+        return _interval_runs(model, grid, times[k + 1], times[k],
+                              grid.steps_per_interval[k], config)
 
     k_total = len(grid.fixing_times)
     if not model.has_exact_transition:
-        return ((steps(k), None) for k in reversed(range(k_total)))
+        return ((runs(k), None) for k in reversed(range(k_total)))
     m = grid.spots.size
     key = ("fd.intervals", pricings, model, config, spot, contract.strike,
            contract.fixing_times, contract.beta)
     if key not in cache:
-        made = [steps(k) for k in range(k_total)]
-        shared = defaultdict(list)  # step keys -> the intervals with them
-        for k, s in enumerate(made):
-            shared[tuple(map(_step_key, s))].append(k)
+        made = [runs(k) for k in range(k_total)]
+        shared = defaultdict(list)  # run keys and lengths -> the intervals
+        for k, interval in enumerate(made):
+            shared[tuple((run_key, len(run)) for run_key, run in interval)].append(k)
         maps = [None] * k_total
         for ks in shared.values():
             first = made[ks[0]]
             rows = [config.accumulation_nodes if k else 1 for k in ks]
-            if _map_pays([n for _, n in _runs(first)], rows, pricings, m):
+            if _map_pays([len(run) for _, run in first], rows, pricings, m):
                 mapped = _build_map(first, grid, config.boundary, contract.beta)
                 for k in ks:
                     maps[k] = mapped
@@ -594,45 +595,31 @@ def _intervals(cache, pricings, model, contract, grid, config, spot):
     return reversed(cache[key])
 
 
-def _interval_steps(model, grid, t_hi, t_lo, n_steps, config):
-    """The (dt, theta, coef_from, coef_to, nominal dt) of each step from
-    t_hi down to t_lo, with :func:`coefficients_at` sampled at every level:
-    once per :func:`_intervals` entry, which is keyed by the call's inputs.
-    A step is marched with its own dt and keyed by the nominal one."""
+def _interval_runs(model, grid, t_hi, t_lo, n_steps, config):
+    """The steps from t_hi down to t_lo as runs of equal steps, in order:
+    (key, steps) pairs, each step (dt, theta, coef_from, coef_to) with its
+    own dt and :func:`coefficients_at` sampled once per level.
+
+    A scalar step is keyed by its interval's nominal dt to 12 significant
+    digits, theta and the coefficients: the steps' own dts differ in the
+    last bits and could round apart, and so do the nominal dts of equal
+    intervals at fixing dates such as ``k * 30 / 365``, which must still
+    share one map.  Local-volatility steps are runs of one, keyed None.
+    """
     dt = (t_hi - t_lo) / n_steps
+    nominal = float(f"{dt:.11e}")
     levels = [t_hi - s * dt for s in range(n_steps)] + [t_lo]
     coefs = [coefficients_at(model, grid.spots, t) for t in levels]
-    return tuple(
-        (levels[s] - levels[s + 1],
-         1.0 if s < config.implicit_startup_steps else config.theta,
-         coefs[s], coefs[s + 1], dt)
-        for s in range(n_steps)
-    )
-
-
-def _step_key(step):
-    """Hashable identity of one step with scalar coefficients.
-
-    Steps are keyed by their interval's nominal dt to 12 significant
-    digits: their own dts differ in the last bits and could round apart,
-    and so do the nominal dts of equal intervals at fixing dates such as
-    ``k * 30 / 365``, which must still share one map.  Made afresh for the
-    entry keyed by the call's inputs; nothing memoised.
-    """
-    _, theta, cf, ct, nominal = step
-    return (float(f"{nominal:.11e}"), theta,
-            cf.variance, cf.drift, cf.rate, ct.variance, ct.drift, ct.rate)
-
-
-def _runs(steps):
-    """The runs of identical steps (equal :func:`_step_key`) in ``steps``,
-    in order, as (first step of the run, run length) pairs: a run is
-    taken as its first step repeated."""
     runs = []
-    for _, run in itertools.groupby(steps, _step_key):
-        run = list(run)
-        runs.append((run[0], len(run)))
-    return runs
+    for s in range(n_steps):
+        theta = 1.0 if s < config.implicit_startup_steps else config.theta
+        cf, ct = coefs[s], coefs[s + 1]
+        key = ((nominal, theta, cf.variance, cf.drift, cf.rate, ct.variance,
+                ct.drift, ct.rate) if model.has_exact_transition else None)
+        if key is None or not runs or runs[-1][0] != key:
+            runs.append((key, []))
+        runs[-1][1].append((levels[s] - levels[s + 1], theta, cf, ct))
+    return tuple((key, tuple(run)) for key, run in runs)
 
 
 # Rows marched together while a map is marched through steps: bounds the
@@ -668,7 +655,7 @@ def _march_map(stacked, step, n, grid, boundary, beta):
     stacked[:m] += stacked[m]
     for start in range(0, m + 1, _MAP_BLOCK_ROWS):
         block = stacked[start:start + _MAP_BLOCK_ROWS]
-        block[:] = _march(block, [step] * n, grid, boundary, beta)
+        block[:] = _march(block, [(None, [step] * n)], grid, boundary, beta)
     stacked[:m] -= stacked[m]
     _drop_negligible(stacked)
     return stacked
@@ -727,8 +714,9 @@ def _map_pays(lengths, rows, pricings, m) -> bool:
     return build < march
 
 
-def _build_map(steps, grid, boundary, beta):
-    """(P, p0) of the interval, built run by run.
+def _build_map(runs, grid, boundary, beta):
+    """(P, p0) of the interval's :func:`_interval_runs` ``runs``, built run
+    by run, each taken as its first step repeated.
 
     Marching a run of n identical steps onto the map so far costs n steps
     of M + 1 rows.  Powering it costs one such step, the one-step map,
@@ -748,7 +736,8 @@ def _build_map(steps, grid, boundary, beta):
     """
     m = grid.spots.size
     total = None
-    for step, n in _runs(steps):
+    for _, run in runs:
+        step, n = run[0], len(run)
         if _power_products(n, first=total is None) is None:
             if total is None:
                 total = np.eye(m + 1, m)
@@ -764,11 +753,13 @@ def _build_map(steps, grid, boundary, beta):
     return total[:m], total[m]
 
 
-def _march(values, steps, grid, boundary, beta):
-    """March ``values`` (rows, M) through ``steps``, one theta step each."""
-    for dt, th, cf, ct, _ in steps:
-        values = theta_step(values, dt, grid.dx, th, cf, ct, boundary,
-                            spots=grid.spots, beta=beta)
+def _march(values, runs, grid, boundary, beta):
+    """March ``values`` (rows, M) through the steps of ``runs``, (key,
+    steps) pairs, one theta step each with the step's own dt."""
+    for _, steps in runs:
+        for dt, th, cf, ct in steps:
+            values = theta_step(values, dt, grid.dx, th, cf, ct, boundary,
+                                spots=grid.spots, beta=beta)
     return values
 
 
@@ -887,7 +878,7 @@ def fd_price(
     interpolation in the log-spot when the spot is off-grid.
     ``cache`` is a dict the caller owns (not locked) and the engine's only
     cache: calls given one dict share one ``"fd.intervals"`` entry, every
-    interval's steps and read-only map or None, keyed by the call's inputs
+    interval's runs and read-only map or None, keyed by the call's inputs
     less the target and the knockout type (see :func:`_intervals`), until
     the caller drops it; by default it lives for this call.  ``pricings``,
     an integer of at least 1, is how many pricings are expected to share
@@ -904,12 +895,12 @@ def fd_price(
                            contract, grid, config, spot)
     plan = JumpPlan.build(contract, grid)
     values = np.zeros((config.accumulation_nodes, config.spot_nodes))
-    for k, (steps, mapped) in zip(range(contract.num_fixings, 0, -1), intervals):
+    for k, (runs, mapped) in zip(range(contract.num_fixings, 0, -1), intervals):
         values = apply_jump(values, plan, contract.extra_payments[k - 1])
         if k == 1:
             values = values[:1]
         if mapped is None:
-            values = _march(values, steps, grid, config.boundary, contract.beta)
+            values = _march(values, runs, grid, config.boundary, contract.beta)
         else:
             matrix, offset = mapped
             values = values @ matrix

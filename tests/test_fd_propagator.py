@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tarnpricer import (
     BoundaryKind,
@@ -149,6 +151,19 @@ def count_builds(monkeypatch):
     return built
 
 
+def count_made(monkeypatch):
+    """The upper time of every interval whose runs are made, in order."""
+    made = []
+    original = fd._interval_runs
+    monkeypatch.setattr(fd, "_interval_runs",
+                        lambda *args: made.append(args[2]) or original(*args))
+    return made
+
+
+def run_lengths(runs):
+    return [len(run) for _, run in runs]
+
+
 def test_equal_intervals_share_one_map(monkeypatch):
     # k * 30 / 365 fixing dates make equal intervals differ in the last
     # bits of their step lengths; they must still share a single map
@@ -175,8 +190,8 @@ def test_equal_steps_on_a_rounding_boundary_form_one_run(monkeypatch):
         assert got == pytest.approx(reference_price(contract, model, config, 1.0),
                                     rel=1e-12, abs=0.0)
     (entry,) = cache.values()
-    assert len({f"{step[0]:.11e}" for step in entry[2][0]}) == 2
-    assert [len(fd._runs(steps)) for steps, _ in entry] == [1] * 5
+    assert len({f"{step[0]:.11e}" for _, run in entry[2][0] for step in run}) == 2
+    assert [len(runs) for runs, _ in entry] == [1] * 5
     assert len(built) == 1
     assert all(mapped is built[0] for _, mapped in entry)
 
@@ -206,12 +221,9 @@ def test_intervals_too_few_rows_for_a_map_are_stepped(monkeypatch):
 @pytest.mark.parametrize("local", [False, True], ids=["marched_knots", "local_vol"])
 def test_each_interval_makes_its_steps_once(monkeypatch, local):
     # every interval of the knotted model at M = 1000 is marched (see above),
-    # through the steps its map-or-march choice was made from; local
-    # volatility makes each interval's steps as it marches through it
-    made = []
-    original = fd._interval_steps
-    monkeypatch.setattr(fd, "_interval_steps",
-                        lambda *args: made.append(args[2]) or original(*args))
+    # through the runs its map-or-march choice was made from; local
+    # volatility makes each interval's runs as it marches through it
+    made = count_made(monkeypatch)
     model = local_vol_model() if local else knot_in_every_interval_model()
     contract = call_contract()
     fd_price(contract, model, replace(GRID, spot_nodes=1000), 1.05)
@@ -220,11 +232,8 @@ def test_each_interval_makes_its_steps_once(monkeypatch, local):
 
 def test_a_run_makes_each_interval_steps_once(monkeypatch):
     # a run's three cases share one pricing shape, so one "fd.intervals"
-    # entry of its cache: K intervals' steps are made, not 3K
-    made = []
-    original = fd._interval_steps
-    monkeypatch.setattr(fd, "_interval_steps",
-                        lambda *args: made.append(args[2]) or original(*args))
+    # entry of its cache: K intervals' runs are made, not 3K
+    made = count_made(monkeypatch)
     config = dataclasses.replace(
         cli.preset_table1(), engines=("fd",), fd=GRID,
         model=knot_in_every_interval_model(), targets=(0.3,))
@@ -270,11 +279,64 @@ def test_knot_interval_of_a_small_run_is_mapped():
         vol=TermStructureVol((0.0, 0.215), (0.2, 0.28)))
     config = FdConfig(spot_nodes=200, accumulation_nodes=50, time_steps=200)
     grid = build_grid(contract, model, config, 1.05)
-    steps = fd._interval_steps(model, grid, 0.3, 0.2, 50, config)
-    lengths = [n for _, n in fd._runs(steps)]
+    lengths = run_lengths(fd._interval_runs(model, grid, 0.3, 0.2, 50, config))
     assert lengths == [42, 1, 7]
     assert fd._map_pays(lengths, [50], 3, 200)
     assert not fd._map_pays(lengths, [1], 1, 200)
+
+
+def step_bits(dt, theta, coef_from, coef_to):
+    return tuple(float(x).hex() for x in (
+        dt, theta, coef_from.variance, coef_from.drift, coef_from.rate,
+        coef_to.variance, coef_to.drift, coef_to.rate))
+
+
+@st.composite
+def knotted_intervals(draw):
+    """An interval, its step count and start-up steps, and a model whose
+    volatility and domestic rate have knots inside it, some at a level."""
+    t_lo = draw(st.floats(0.0, 1.0))
+    t_hi = t_lo + draw(st.floats(1e-3, 1.0))
+    n_steps = draw(st.integers(1, 40))
+    fraction = st.one_of(st.floats(0.0, 1.0),
+                         st.integers(0, n_steps).map(lambda s: s / n_steps))
+
+    def pieces(values):
+        knots = sorted({0.0} | {t_lo + draw(fraction) * (t_hi - t_lo)
+                                for _ in range(draw(st.integers(0, 3)))})
+        return tuple(knots), tuple(draw(st.sampled_from(values)) for _ in knots)
+
+    model = MarketModel(domestic=RateCurve(*pieces((0.01, 0.02))),
+                        foreign=RateCurve.flat(0.01),
+                        vol=TermStructureVol(*pieces((0.15, 0.2, 0.3))))
+    config = replace(GRID, theta=draw(st.sampled_from((0.5, 0.75, 1.0))),
+                     implicit_startup_steps=draw(st.integers(0, 4)))
+    return model, config, t_hi, t_lo, n_steps
+
+
+@given(knotted_intervals())
+def test_interval_runs_are_the_level_walk_in_runs_of_one_key(case):
+    # the reference walk of reference_price, and the key rule: the
+    # interval's nominal dt to 12 digits, theta and the coefficients
+    model, config, t_hi, t_lo, n_steps = case
+    grid = build_grid(call_contract(), model, config, 1.05)
+    runs = fd._interval_runs(model, grid, t_hi, t_lo, n_steps, config)
+    dt = (t_hi - t_lo) / n_steps
+    want = []
+    for s in range(n_steps):
+        t_from = t_hi - s * dt
+        t_to = t_lo if s == n_steps - 1 else t_hi - (s + 1) * dt
+        want.append(step_bits(
+            t_from - t_to, 1.0 if s < config.implicit_startup_steps else config.theta,
+            coefficients_at(model, grid.spots, t_from),
+            coefficients_at(model, grid.spots, t_to)))
+    assert [step_bits(*step) for _, run in runs for step in run] == want
+    for key, run in runs:
+        for _, theta, cf, ct in run:
+            assert key == (float(f"{dt:.11e}"), theta, cf.variance, cf.drift,
+                           cf.rate, ct.variance, ct.drift, ct.rate)
+    assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
+    assert sum(run_lengths(runs)) == n_steps
 
 
 @pytest.mark.parametrize("k", [4, 6, 7, 9])
@@ -388,9 +450,9 @@ def test_one_run_map_matches_reference_march(monkeypatch, n, n_products):
     config = replace(GRID, time_steps=4 * n)
     grid = build_grid(contract, model, config, 1.05)
     assert grid.steps_per_interval == (n,) * 4
-    steps = fd._interval_steps(model, grid, grid.fixing_times[1],
-                               grid.fixing_times[0], n, config)
-    assert [length for _, length in fd._runs(steps)] == [n]
+    runs = fd._interval_runs(model, grid, grid.fixing_times[1],
+                             grid.fixing_times[0], n, config)
+    assert run_lengths(runs) == [n]
     got = fd_price(contract, model, config, 1.05,
                    pricings=12).price
     assert len(built) == 1
@@ -417,10 +479,10 @@ def test_runs_of_one_interval_compose(monkeypatch, contract, config, spot):
     )
     grid = build_grid(contract, model, config, spot)
     assert grid.steps_per_interval[2] == 15
-    steps = fd._interval_steps(model, grid, times[2], times[1], 15, config)
-    assert [length for _, length in fd._runs(steps)] == [1, 1, 13]
+    runs = fd._interval_runs(model, grid, times[2], times[1], 15, config)
+    assert run_lengths(runs) == [1, 1, 13]
     products.clear()
-    fd._build_map(steps, grid, config.boundary, contract.beta)
+    fd._build_map(runs, grid, config.boundary, contract.beta)
     # 13 = 0b1101: three squarings, three products onto the map so far
     assert len(products) == 6
     built.clear()
@@ -445,10 +507,10 @@ def test_map_build_memory_is_bounded(startup):
     config = FdConfig(spot_nodes=m, accumulation_nodes=20, time_steps=50,
                       implicit_startup_steps=startup)
     grid = build_grid(contract, model, config, 1.05)
-    steps = fd._interval_steps(model, grid, grid.fixing_times[0], 0.0, 50, config)
+    runs = fd._interval_runs(model, grid, grid.fixing_times[0], 0.0, 50, config)
     tracemalloc.start()
     try:
-        fd._build_map(steps, grid, config.boundary, contract.beta)
+        fd._build_map(runs, grid, config.boundary, contract.beta)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -467,8 +529,8 @@ def test_maps_keep_no_entry_a_product_could_underflow_on(n, t_hi):
     model = flat_model(r_d=0.02)
     config = FdConfig(spot_nodes=m, accumulation_nodes=20, time_steps=120)
     grid = build_grid(contract, model, config, 1.05)
-    steps = fd._interval_steps(model, grid, t_hi, 0.0, n, config)
-    for array in fd._build_map(steps, grid, config.boundary, contract.beta):
+    runs = fd._interval_runs(model, grid, t_hi, 0.0, n, config)
+    for array in fd._build_map(runs, grid, config.boundary, contract.beta):
         assert np.all((array == 0.0) | (np.abs(array) >= fd._NEGLIGIBLE))
 
 
@@ -523,10 +585,7 @@ def test_pricings_of_one_shape_share_one_entry(monkeypatch):
     # held maps, which no pricing may write to, and equals a pricing that
     # made its own
     built = count_builds(monkeypatch)
-    made = []
-    original = fd._interval_steps
-    monkeypatch.setattr(fd, "_interval_steps",
-                        lambda *args: made.append(args[2]) or original(*args))
+    made = count_made(monkeypatch)
     cache = {}
     model = term_structure_model()
     fd_price(call_contract(), model, GRID, 1.05, cache=cache, pricings=2)

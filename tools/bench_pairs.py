@@ -14,11 +14,16 @@ per run (its pair or ``warm-up``, side, seed, ``correct``, ``failed`` over
 per end-to-end metric over the pairs::
 
     metric  parent median [Q1, Q3] -> change median  (+x.x%)  wins/pairs
+            bound B: verdict
 
 Quartiles are ``statistics.quantiles(..., method="inclusive")`` over the
 parent's runs.  A pair is a win when the change's value is better in the
 direction ``BENCHMARK.json`` gives for the metric; a tie wins for neither.
-Usage::
+B is the metric's bound in ``BENCHMARK.json``, a fraction of the parent's
+median, and the verdict is ``worse`` when the change's median is worse than
+the parent's by more than that, else ``unresolved`` when the parent's
+quartile distance is wider than that unless every change run beats every
+parent run, else ``within bound``.  Usage::
 
     python tools/bench_pairs.py PARENT CHANGE --workload local_vol --seeds 2571-2580
 
@@ -59,15 +64,54 @@ def seed_range(text: str) -> range:
     return range(int(first), int(last or first) + 1)
 
 
+SIDES = ("parent", "change")
+
+
+def schedule(seeds: range):
+    """The runs of a comparison in order, as (label, side, seed): one
+    warm-up per side on the first seed, parent first, then one pair per
+    seed, the parent first in even-indexed pairs and second in odd ones."""
+    for side in SIDES:
+        yield "warm-up", side, seeds[0]
+    for index, seed in enumerate(seeds):
+        for side in SIDES if index % 2 == 0 else SIDES[::-1]:
+            yield f"pair {index}", side, seed
+
+
+def end_to_end() -> dict:
+    """Each end-to-end metric of ``BENCHMARK.json``: (better, bound)."""
+    return {m["name"]: (m["better"], m["bound"])
+            for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """Q1, median and Q3 of ``values``."""
+    if len(values) < 2:
+        return (statistics.median(values),) * 3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
 def summary(metric: str, better: str, parent: list[float], change: list[float]) -> str:
-    median = statistics.median(parent)
-    q1, _, q3 = (statistics.quantiles(parent, n=4, method="inclusive")
-                 if len(parent) > 1 else (median,) * 3)
+    q1, median, q3 = quartiles(parent)
     new = statistics.median(change)
     sign = 1 if better == "higher" else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     return (f"{metric:<16} {median:.4g} [{q1:.4g}, {q3:.4g}] -> {new:.4g}  "
             f"({100 * (new / median - 1):+.1f}%)  {wins}/{len(parent)}")
+
+
+def verdict(better: str, bound: float, parent: list[float], change: list[float]) -> str:
+    """``worse``, ``unresolved`` or ``within bound``: the change's median
+    against the parent's, then the parent's spread, each against ``bound``
+    times the parent's median."""
+    q1, median, q3 = quartiles(parent)
+    sign = 1 if better == "higher" else -1
+    if sign * (statistics.median(change) - median) < -bound * abs(median):
+        return "worse"
+    if q3 - q1 > bound * abs(median) and not all(
+            sign * (c - p) > 0 for c in change for p in parent):
+        return "unresolved"
+    return "within bound"
 
 
 def main(argv=None) -> int:
@@ -79,33 +123,25 @@ def main(argv=None) -> int:
                         help="inclusive range FIRST-LAST, one pair per seed")
     args = parser.parse_args(argv)
 
-    better = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     values: dict = {"parent": {}, "change": {}}
 
-    def measured(label, side, seed):
-        """One run, printed as it finishes: its end-to-end metric values."""
+    for label, side, seed in schedule(args.seeds):
         result = run(sides[side], args.workload, seed)
         metrics = {k: v["value"] for k, v in result["metrics"].items()}
         shown = " ".join(f"{k}={v:.4g}" for k, v in metrics.items())
         print(f"{label} seed {seed} {side:<6} correct={result['correct']} "
               f"failed={result['failed']}/{result['attempted']} {shown}", flush=True)
-        return metrics, result["machine"]
-
-    for side in ("parent", "change"):
-        _, machine = measured("warm-up", side, args.seeds[0])
-    for index, seed in enumerate(args.seeds):
-        order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
-        for side in order:
-            metrics, _ = measured(f"pair {index}", side, seed)
+        if label != "warm-up":
             for k, v in metrics.items():
                 values[side].setdefault(k, []).append(v)
-    print(machine)
+    print(result["machine"])
     print(f"{args.workload}: parent median [Q1, Q3] -> change median, change wins / pairs")
-    for metric, direction in better.items():
+    for metric, (better, bound) in end_to_end().items():
         if metric in values["parent"]:
-            print(summary(metric, direction, values["parent"][metric],
-                          values["change"][metric]))
+            parent, change = values["parent"][metric], values["change"][metric]
+            print(summary(metric, better, parent, change))
+            print(f"{'':<16} bound {bound:g}: {verdict(better, bound, parent, change)}")
     return 0
 
 

@@ -1,23 +1,27 @@
-"""Print a workload's raw engine-call medians beside its speed probe, per run.
+"""Print two checkouts' raw engine-call medians beside their speed probe, per run.
 
 ``perfbench/run.py`` reports engine-call times scaled by a speed probe that
 runs before every engine call, so a change that moves the probe's own time
 moves every scaled metric with it.  This shows the unscaled numbers beside
-the scaled ones.  For each seed of the range, in order, it runs::
+the scaled ones.  It runs::
 
     python3 perfbench/worker.py --workload W --seed S --seconds 22 --trace 0
 
-in CHECKOUT, the measured worker that ``run.py`` starts for an untraced run
-(without its set-up-only workers), and prints one line per run::
+the measured worker that ``run.py`` starts for an untraced run (without its
+set-up-only workers), in the order of ``tools/bench_pairs.py``: one warm-up
+run per checkout on the first seed, parent first, then one pair per seed,
+the parent first in even-indexed pairs, since whichever side runs second
+reads slower.  It prints one line per run as it finishes::
 
-    seed  fd_raw_p50  mc_raw_p50  probe_p50  factor  fd_p50  mc_p50
+    pair N  seed S  side  fd_raw_p50  mc_raw_p50  probe_p50  factor  fd_p50  mc_p50
 
 the medians of the raw FD and MC call seconds and of the probe seconds over
 every pass, the scale factor ``probe_ref_s / probe_p50`` and the scaled
 call medians that ``run.py`` reports as ``fd_price_s_p50`` and
-``mc_price_s_p50``.  Usage::
+``mc_price_s_p50``.  Compare the pairs: the warm-up runs, labelled
+``warm-up``, read fast and are only shown.  Usage::
 
-    python tools/raw_calls.py CHECKOUT --workload local_vol --seeds 2711-2712
+    python tools/raw_calls.py PARENT CHANGE --workload local_vol --seeds 2711-2712
 
 It only starts the worker; a worker that exits non-zero or prints no result
 stops it, with the worker's standard error shown.
@@ -33,7 +37,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from bench_pairs import seed_range
+from bench_pairs import schedule, seed_range
 
 
 def worker_run(checkout: Path, workload: str, seed: int) -> dict:
@@ -62,16 +66,18 @@ def medians(result: dict) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("checkout", type=Path, help="checkout with perfbench/worker.py")
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=seed_range, required=True,
-                        help="inclusive range FIRST-LAST, one run per seed")
+                        help="inclusive range FIRST-LAST, one pair per seed")
     args = parser.parse_args(argv)
 
-    for seed in args.seeds:
-        result = worker_run(args.checkout, args.workload, seed)
+    sides = {"parent": args.parent, "change": args.change}
+    for label, side, seed in schedule(args.seeds):
+        result = worker_run(sides[side], args.workload, seed)
         shown = " ".join(f"{k}={v:.4g}" for k, v in medians(result).items())
-        print(f"seed {seed} {shown}", flush=True)
+        print(f"{label} seed {seed} {side:<6} {shown}", flush=True)
     return 0
 
 
