@@ -14,33 +14,23 @@ cumulative gross amount first reaches the target.
 Randomness comes from the counter-based Philox generator: batch ``b`` of a
 run draws from an independent stream obtained by jumping the seeded base
 generator ``b`` times, so every path is a pure function of (seed, batch,
-row), whichever thread simulates its batch.  A local-volatility path set
-of more than one batch is simulated two batches at a time: the calling
-thread simulates batch ``b`` while one helper thread, started for the
-pricing and joined before it returns, simulates batch ``b + 1``.  The
-Euler substeps' random draws and surface lookups run in numpy outside the
-interpreter lock, so the two overlap.  Exact-transition batches, a few
-short numpy calls each, are simulated one after another on the calling
-thread: on two threads they measured slower, with more memory.  Payoffs
-are priced on the calling thread in batch order, so prices and standard
-errors do not depend on the dispatch.
+row).  One pricing runs on the calling thread: it simulates and prices its
+batches one after another, in batch order.
 
 The cases of one run share their simulation through one ``cache`` dict:
 cases with the same model, spot, schedule, seed, path count and substeps
 see the same paths.  A path set of at most ``_HELD_PATH_BYTES`` (8 MiB)
 is simulated by the first pricing and held there batch by batch, so the
-later pricings simulate nothing and start no thread.  A larger path set
-is simulated again for every case, holding no more than a batch or two
-at a time.  With the control variate on, the control column and its
-closed-form mean are computed once per strike and direction.
+later pricings simulate nothing.  A larger path set is simulated again
+for every case, holding no more than two batches at a time.  With the
+control variate on, the control column and its closed-form mean are
+computed once per strike and direction.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,17 +197,14 @@ def mc_price(
     pricings passed the same dict reuse the control column with its mean
     and, when the path set is at most ``_HELD_PATH_BYTES``, every batch of
     it, each keyed by everything it depends on and held read-only; with
-    no dict, a pricing holds one or two batches at a time.  Only
-    the calling thread writes to it, and it is not locked.  The estimate
-    is the same bit for bit with or without it.
+    no dict, a pricing holds no more than two batches at a time.  The dict
+    is not locked.  The estimate is the same bit for bit with or without
+    it.
 
-    A local-volatility path set of more than one batch that is not held
-    yet is simulated two batches at a time, on the calling thread and one
-    helper thread that the call starts and joins; an exception raised in
-    either reaches the caller.  A pricing whose batches are all held
-    simulates nothing and starts no thread.  Every batch is priced on the
-    calling thread, in batch order.  A price or standard error that is not
-    finite raises ``ValueError``.
+    Every batch is simulated, or read from the dict when the whole set is
+    held there, and priced on the calling thread, in batch order: a
+    pricing whose batches are all held simulates nothing.  A price or
+    standard error that is not finite raises ``ValueError``.
     """
     started = time.perf_counter()
     check_positive(spot, "spot")
@@ -251,34 +238,18 @@ def mc_price(
                                      rng, config.substeps_per_interval)
 
     batch_keys = [("mc.paths", b) + key for b in range(n_batches)]
-
-    def price_batch(b, paths):
-        if held:  # on the calling thread only: the cache is not locked
+    stored = held and all(k in cache for k in batch_keys)
+    for b in range(n_batches):
+        # batch b - 1 stays alive while batch b is simulated: freed first,
+        # its pages go back to the system and batch b faults them in again
+        paths = cache[batch_keys[b]] if stored else simulate(b)
+        if held:
             paths.setflags(write=False)
             cache[batch_keys[b]] = paths
         rows = slice(b * BATCH_SIZE, min((b + 1) * BATCH_SIZE, n))
         payoffs[rows] = batch_present_value(paths, contract, discounts)
         if controls is not None:
             controls[rows] = _control_values(paths, contract, discounts)
-
-    stored = held and all(k in cache for k in batch_keys)
-    if stored or exact or n_batches == 1:
-        for b in range(n_batches):
-            # batch b - 1 stays alive while batch b is simulated: freed first,
-            # its pages go back to the system and batch b faults them in again
-            paths = cache[batch_keys[b]] if stored else simulate(b)
-            price_batch(b, paths)
-    else:
-        # leaving the block joins the helper, also when a batch raises; the
-        # helper runs in a copy of the caller's context, so under the
-        # caller's np.errstate
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            for b in range(0, n_batches, 2):
-                ahead = (helper.submit(contextvars.copy_context().run, simulate, b + 1)
-                         if b + 1 < n_batches else None)
-                price_batch(b, simulate(b))
-                if ahead is not None:
-                    price_batch(b + 1, ahead.result())
 
     if use_cv:
         if control_key not in cache:

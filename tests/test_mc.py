@@ -2,7 +2,6 @@ import dataclasses
 import math
 import threading
 import weakref
-from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -398,9 +397,14 @@ class TestSharedSimulation:
         run_cases(config, {}, CASES[:2])
         assert len(calls) == simulations  # four batches per simulated set
 
-    @pytest.mark.parametrize("cache, alive", [(None, [0, 1, 1]), ({}, [0, 1, 2])],
-                             ids=["no_dict", "dict"])
-    def test_only_a_pricing_given_a_dict_holds_its_batches(self, monkeypatch, cache, alive):
+    @pytest.mark.parametrize("model, cache, alive", [
+        (flat_model(), None, [0, 1, 1]),
+        (flat_model(), {}, [0, 1, 2]),
+        (smile_model(), None, [0, 1, 1]),
+        (smile_model(), {}, [0, 1, 2]),
+    ], ids=["no_dict", "dict", "euler_no_dict", "euler_dict"])
+    def test_only_a_pricing_given_a_dict_holds_its_batches(self, monkeypatch, model, cache,
+                                                           alive):
         # batches still alive as each batch is simulated: the previous one,
         # or every earlier one when they are held for later pricings
         original, made, seen = mc.simulate_fixing_paths, [], []
@@ -412,8 +416,7 @@ class TestSharedSimulation:
             return paths
 
         monkeypatch.setattr(mc, "simulate_fixing_paths", simulate)
-        mc_price(CASES[0], flat_model(), McConfig(n_paths=3 * BATCH_SIZE, seed=1), 1.05,
-                 cache=cache)
+        mc_price(CASES[0], model, McConfig(n_paths=3 * BATCH_SIZE, seed=1), 1.05, cache=cache)
         assert seen == alive
 
     def test_cli_run_shares_one_batch_across_its_cases(self, monkeypatch):
@@ -499,26 +502,8 @@ class TestSharedSimulation:
         assert len(calls) == 2
 
 
-class InlineExecutor:
-    """A stand-in for the helper thread: runs each submitted call at once."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
 class TestEulerBatchDispatch:
-    """Local-vol batches run two at a time, on the caller and one helper."""
+    """Local-vol batches are simulated and priced on the calling thread."""
 
     N_PATHS = 3 * BATCH_SIZE + 777  # four batches, the last one partial
 
@@ -539,19 +524,11 @@ class TestEulerBatchDispatch:
 
         monkeypatch.setattr(mc, "simulate_fixing_paths", simulate)
 
-    @pytest.mark.parametrize("knockout", list(KnockoutType))
-    def test_dispatch_does_not_change_a_bit(self, monkeypatch, knockout):
-        threaded = self.price(knockout)
-        monkeypatch.setattr(mc, "ThreadPoolExecutor", InlineExecutor)
-        inline = self.price(knockout)
-        assert bits([threaded.price, threaded.stderr]) == bits([inline.price, inline.stderr])
-
-    def test_the_helper_simulates_every_other_batch(self, monkeypatch):
+    def test_every_batch_is_simulated_on_the_caller_in_batch_order(self, monkeypatch):
         calls = []
         self.patch_simulation(monkeypatch, lambda n, on_caller: calls.append((on_caller, n)))
         self.price()
-        assert sorted(calls) == [(False, 777), (False, BATCH_SIZE),
-                                 (True, BATCH_SIZE), (True, BATCH_SIZE)]
+        assert calls == [(True, BATCH_SIZE)] * 3 + [(True, 777)]
 
     def test_the_helper_runs_under_the_callers_errstate(self, monkeypatch):
         seen = []
@@ -561,23 +538,15 @@ class TestEulerBatchDispatch:
         assert seen == ["ignore"] * 4
 
     def test_a_run_simulates_its_held_set_once(self, monkeypatch):
-        simulated, helpers = [], []
+        simulated = []
         self.patch_simulation(monkeypatch, lambda n, on_caller: simulated.append(on_caller))
-
-        class CountedExecutor(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                helpers.append(self)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(mc, "ThreadPoolExecutor", CountedExecutor)
         model, cache = smile_model(), {}
         cases = [(ko, u) for ko in KnockoutType for u in (0.3, 0.5)]
         shared = []
         for case in cases:
             shared.append(self.price(*case, model=model, cache=cache))
-            # the first case simulates the four batches, two on the helper
-            assert sorted(simulated) == [False, False, True, True]
-            assert len(helpers) == 1
+            # the first case simulates the four batches, all on the caller
+            assert simulated == [True] * 4
         alone = [self.price(*case, model=model) for case in cases]
         assert ([bits([r.price, r.stderr]) for r in shared]
                 == [bits([r.price, r.stderr]) for r in alone])
@@ -588,9 +557,9 @@ class TestEulerBatchDispatch:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("fails", [
-        lambda n, on_caller: n == 777,  # the helper's last batch
-        lambda n, on_caller: on_caller,  # the caller's first, while the helper runs
-    ], ids=["helper", "caller"])
+        lambda n, on_caller: n == 777,  # the last batch
+        lambda n, on_caller: on_caller,  # the first batch
+    ], ids=["last_batch", "caller"])
     def test_a_batchs_exception_reaches_the_caller(self, monkeypatch, fails):
         boom = RuntimeError("batch failed")
 

@@ -1,7 +1,6 @@
 """List the statements of ``src/tarnpricer`` that tier-1 and the workloads run.
 
-Two runs are traced in one process, with ``sys.settrace`` and, for the
-Monte Carlo helper thread, ``threading.settrace``: tier-1
+Two runs are traced in one process with ``sys.settrace``: tier-1
 (``pytest -q -p no:cacheprovider tests``), then every benchmark workload
 input of ``tools/records_digest.py``.  Lines run while the package is
 imported count for both.  Per module this prints the statement count
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 import ast
 import sys
-import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -66,7 +64,6 @@ class Tracer:
 def main() -> int:
     tracer = Tracer()
     sys.settrace(tracer)
-    threading.settrace(tracer)
     import pytest
     import records_digest  # imports tarnpricer from src and the workloads
 
@@ -79,7 +76,6 @@ def main() -> int:
         records_digest.digests(name)
     workloads = tracer.hits
     sys.settrace(None)
-    threading.settrace(None)
 
     print(f"\ntier-1 exit code {int(code)}")
     print(f"{'module':<14}{'statements':>11}{'never':>7}{'tests only':>12}")
