@@ -551,6 +551,15 @@ class TestEulerBatchDispatch:
         assert ([bits([r.price, r.stderr]) for r in shared]
                 == [bits([r.price, r.stderr]) for r in alone])
 
+    @pytest.mark.parametrize("knockout", list(KnockoutType))
+    def test_a_pricing_starts_no_thread(self, monkeypatch, knockout):
+        def start(thread):
+            raise AssertionError(f"a pricing started thread {thread.name!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        result = self.price(knockout)
+        assert math.isfinite(result.price) and result.stderr > 0
+
     def test_no_thread_outlives_a_pricing(self):
         before = threading.active_count()
         self.price()
