@@ -31,19 +31,21 @@ that are splined, and where and with which weights each of their shifted
 amounts is read on its spline) once as a :class:`JumpPlan` and reuses it
 at every fixing; per fixing only the spline system is solved and read.
 
-Between fixings every tracked row is marched by the same operator.  When
-the coefficients are scalars (flat or term-structure volatility), an
-interval's whole march is one affine map ``row -> row @ P + p0`` on the
-spot axis, so the engine builds that map once and then applies it to all
-rows with a single matrix product.  An interval is made once, as its runs
-of identical steps in order (start-up steps and coefficient knots start
-new runs), each run keyed by what makes its steps equal: the interval's
-step length, theta and the coefficients.  A long run's map is its one-step
-map, got by one :func:`theta_step` on identity rows and one zero row,
-raised to the run's length by repeated squaring and composed onto the map
-so far; a short run, such as a start-up step or the step across a knot,
-costs no more to march than to power and is marched onto the map so far
-instead.  Intervals with equal run keys and lengths share one map.  A map
+Between fixings every tracked row is marched by the same operator, made
+once per time level as its bands (:func:`coefficients_at`).  When the
+bands are scalars (flat or term-structure volatility), an interval's
+whole march is one affine map ``row -> row @ P + p0`` on the spot axis,
+so the engine builds that map once and then applies it to all rows with
+a single matrix product.  An interval is made once, as its runs of
+identical steps in order (start-up steps and volatility or rate knots
+start new runs), each run keyed by what makes its steps equal: the
+interval's step length, theta and the operator bands of the step's two
+levels.  A long run's map is its one-step map, got by one
+:func:`theta_step` on identity rows and one zero row, raised to the
+run's length by repeated squaring and composed onto the map so far; a
+short run, such as a start-up step or the step across a knot, costs no
+more to march than to power and is marched onto the map so far instead.
+Intervals with equal run keys and lengths share one map.  A map
 is built only when that costs less than stepping the rows that pass
 through its intervals, in this pricing and the ones expected to share it:
 both costs are estimated in seconds from per-step and per-product
@@ -54,7 +56,7 @@ of a ``cache`` dict, keyed by the call's inputs less the target and the
 knockout type, which neither reads; so pricings that pass one dict to
 :func:`fd_price` and differ only in those, such as the cases of a run,
 make them once.  That dict is the engine's only cache: no memo outlives
-it.  Local volatility has per-node coefficients that change every step;
+it.  Local volatility has per-node bands that change every step;
 it is marched step by step and holds no entry.  So a pricing is one
 backward loop: at each fixing a jump, then the interval's map applied or
 its steps marched.
@@ -214,7 +216,9 @@ def _solve_bands(ab, rhs, overwrite_rhs=False):
     return x
 
 
-# perfbench times the spline solves by this name, apart from theta_step's (ROADMAP item 1)
+# perfbench times the spline solves by this name, apart from theta_step's;
+# ROADMAP's "Align perfbench with today's engine" and "Phase timings owned
+# by the engines" each free it
 tridiagonal_solve = _solve_bands
 
 
@@ -438,41 +442,21 @@ def build_grid(
     )
 
 
-@dataclass(frozen=True)
-class StepCoefficients:
-    """PDE coefficients sampled at one time level.
-
-    ``variance`` is sigma^2 and ``drift`` is r_d - r_f - sigma^2/2, either
-    scalars or per-node arrays (local volatility); ``rate`` is r_d.
-    """
-
-    variance: float | np.ndarray
-    drift: float | np.ndarray
-    rate: float
-
-
-def coefficients_at(model: MarketModel, spots: np.ndarray, t: float) -> StepCoefficients:
-    """Coefficients of the log-spot PDE at time ``t`` on the given nodes."""
+def coefficients_at(model: MarketModel, spots: np.ndarray, t: float, dx: float):
+    """The log-spot PDE's operator at time ``t`` as its bands ``(lo, di,
+    up)``: the weights of ``u[i-1]``, ``u[i]`` and ``u[i+1]`` in row i of
+    the interior nodes 1..M-2, on nodes ``dx`` apart.  Each is a scalar, or
+    an (M - 2,) array under local volatility, whose surface is read at all
+    M ``spots``."""
     if model.has_exact_transition:
         sig = model.vol.sigma_at(t)
     else:
-        sig = model.vol.interpolate(spots, t)
+        sig = model.vol.interpolate(spots, t)[1:-1]
     variance = sig * sig
     r_d = model.domestic.rate_at(t)
-    r_f = model.foreign.rate_at(t)
-    return StepCoefficients(variance=variance, drift=r_d - r_f - 0.5 * variance, rate=r_d)
-
-
-def _operator_bands(coef: StepCoefficients, dx: float):
-    """The spatial operator on the interior nodes 1..M-2: the weights of
-    ``u[i-1]``, ``u[i]`` and ``u[i+1]`` in row i, scalars or (M - 2,)."""
-    v = np.asarray(coef.variance, dtype=float)
-    d = np.asarray(coef.drift, dtype=float)
-    v = v[1:-1] if v.ndim else v
-    d = d[1:-1] if d.ndim else d
-    half = 0.5 * v / (dx * dx)
-    adv = d / (2.0 * dx)
-    return half - adv, -2.0 * half - coef.rate, half + adv
+    half = 0.5 * variance / (dx * dx)
+    adv = (r_d - model.foreign.rate_at(t) - 0.5 * variance) / (2.0 * dx)
+    return half - adv, -2.0 * half - r_d, half + adv
 
 
 def theta_step(
@@ -480,8 +464,8 @@ def theta_step(
     dt: float,
     dx: float,
     theta: float,
-    coef_from: StepCoefficients,
-    coef_to: StepCoefficients,
+    bands_from,
+    bands_to,
     boundary: BoundaryKind,
     spots: np.ndarray,
     beta: int,
@@ -491,9 +475,10 @@ def theta_step(
     ``rows`` is a (J, M) float array; every row is stepped independently
     with the same matrix.  :func:`_march`, the one caller, passes a positive
     ``dt`` and the grid's ``spots`` and the contract's ``beta``, so none is
-    checked here.  ``coef_from`` holds the coefficients at the level being
-    left (explicit side, weight 1 - theta) and ``coef_to`` those at the
-    level being solved for (implicit side, weight theta).  The step is one
+    checked here.  ``bands_from`` are the operator bands of
+    :func:`coefficients_at` at the level being left (explicit side, weight
+    1 - theta) and ``bands_to`` those at the level being solved for
+    (implicit side, weight theta).  The step is one
     tridiagonal solve for all rows.  The boundary closure holds exactly at
     the new level.  The zero-gamma end rows ``u0 = 2 u1 - u2`` and
     ``u[M-1] = 2 u[M-2] - u[M-3]`` are substituted into rows 1 and M-2, so
@@ -506,7 +491,7 @@ def theta_step(
     zero_gamma = boundary is BoundaryKind.ZERO_GAMMA
 
     # Explicit side on the interior, u[i] + w (L u)[i] with per-node weights.
-    lo, di, up = _operator_bands(coef_from, dx)
+    lo, di, up = bands_from
     w = (1.0 - theta) * dt
     rhs = np.empty(rows.shape)
     inner = rhs[:, 1:-1]
@@ -518,7 +503,7 @@ def theta_step(
     del term
 
     # Implicit side I - theta dt L, stored as ab[1 + i - j, j] = a[i, j].
-    lo, di, up = _operator_bands(coef_to, dx)
+    lo, di, up = bands_to
     c = -theta * dt
     ab = np.zeros((3, m))
     ab[0, 2:] = c * up
@@ -597,11 +582,12 @@ def _intervals(cache, pricings, model, contract, grid, config, spot):
 
 def _interval_runs(model, grid, t_hi, t_lo, n_steps, config):
     """The steps from t_hi down to t_lo as runs of equal steps, in order:
-    (key, steps) pairs, each step (dt, theta, coef_from, coef_to) with its
-    own dt and :func:`coefficients_at` sampled once per level.
+    (key, steps) pairs, each step (dt, theta, bands_from, bands_to) with
+    its own dt and the operator bands of :func:`coefficients_at`, made once
+    per level.
 
     A scalar step is keyed by its interval's nominal dt to 12 significant
-    digits, theta and the coefficients: the steps' own dts differ in the
+    digits, theta and the operator bands: the steps' own dts differ in the
     last bits and could round apart, and so do the nominal dts of equal
     intervals at fixing dates such as ``k * 30 / 365``, which must still
     share one map.  Local-volatility steps are runs of one, keyed None.
@@ -609,16 +595,15 @@ def _interval_runs(model, grid, t_hi, t_lo, n_steps, config):
     dt = (t_hi - t_lo) / n_steps
     nominal = float(f"{dt:.11e}")
     levels = [t_hi - s * dt for s in range(n_steps)] + [t_lo]
-    coefs = [coefficients_at(model, grid.spots, t) for t in levels]
+    bands = [coefficients_at(model, grid.spots, t, grid.dx) for t in levels]
     runs = []
     for s in range(n_steps):
         theta = 1.0 if s < config.implicit_startup_steps else config.theta
-        cf, ct = coefs[s], coefs[s + 1]
-        key = ((nominal, theta, cf.variance, cf.drift, cf.rate, ct.variance,
-                ct.drift, ct.rate) if model.has_exact_transition else None)
+        bf, bt = bands[s], bands[s + 1]
+        key = (nominal, theta) + bf + bt if model.has_exact_transition else None
         if key is None or not runs or runs[-1][0] != key:
             runs.append((key, []))
-        runs[-1][1].append((levels[s] - levels[s + 1], theta, cf, ct))
+        runs[-1][1].append((levels[s] - levels[s + 1], theta, bf, bt))
     return tuple((key, tuple(run)) for key, run in runs)
 
 
@@ -757,8 +742,8 @@ def _march(values, runs, grid, boundary, beta):
     """March ``values`` (rows, M) through the steps of ``runs``, (key,
     steps) pairs, one theta step each with the step's own dt."""
     for _, steps in runs:
-        for dt, th, cf, ct in steps:
-            values = theta_step(values, dt, grid.dx, th, cf, ct, boundary,
+        for dt, th, bf, bt in steps:
+            values = theta_step(values, dt, grid.dx, th, bf, bt, boundary,
                                 spots=grid.spots, beta=beta)
     return values
 
@@ -908,8 +893,10 @@ def fd_price(
     row = values[0]
     if grid.spot_index is not None:
         price = float(row[grid.spot_index])
-    else:
+    elif np.isfinite(row).all():
         price = float(natural_cubic_spline(grid.log_spots, row, math.log(spot)))
+    else:
+        price = math.nan  # the spline would reject the row with its own message
     if not math.isfinite(price):
         # the solves do not check for NaN or inf, but either reaches the
         # spot row through the solves, the splines and the map products

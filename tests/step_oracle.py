@@ -4,15 +4,28 @@ tridiagonal ``tarnpricer.fd.theta_step`` is tested against.
 The zero-gamma end rows ``u0 - 2 u1 + u2 = 0`` and ``u[M-1] - 2 u[M-2] +
 u[M-3] = 0`` are kept as rows 0 and M-1 of the system, which makes it
 pentadiagonal; the explicit side is built from whole bands.  Nothing of
-the engine's step is shared with it.
+the engine's step is shared with it: the oracle takes each level's PDE
+coefficients, where the engine takes its operator bands.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from tarnpricer import BoundaryKind
+
+
+class Coefficients(NamedTuple):
+    """The PDE coefficients at one level: ``variance`` sigma^2 and
+    ``drift`` r_d - r_f - sigma^2/2, scalars or per-node (M,) arrays, and
+    ``rate`` r_d."""
+
+    variance: float | np.ndarray
+    drift: float | np.ndarray
+    rate: float
 
 
 def operator_bands(coef, dx, m):

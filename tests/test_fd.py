@@ -19,6 +19,7 @@ from tarnpricer import (
     PriceResult,
     RateCurve,
     TarnContract,
+    TermStructureVol,
     convergence_order,
     estimate_error,
     fd_price,
@@ -28,10 +29,10 @@ from tarnpricer import (
 )
 from tarnpricer.fd import (
     JumpPlan,
-    StepCoefficients,
     _allocate_steps,
     apply_jump,
     build_grid,
+    coefficients_at,
     theta_step,
 )
 
@@ -41,7 +42,8 @@ from tarnpricer.contract import fixing_flows
 import jump_oracle
 import step_oracle
 from cashflow_oracle import fixing_outcome
-from conftest import benchmark_contract, benchmark_times, flat_model
+from conftest import benchmark_contract, benchmark_times, flat_model, smile_model
+from step_oracle import Coefficients
 
 
 class TestStepAllocation:
@@ -156,17 +158,56 @@ class TestBuildGrid:
         assert abs(est7.coarse.price - est5.coarse.price) <= band
 
 
+def interior_bands(coef, dx, m):
+    """The engine's operator bands of ``coef``: the oracle's on nodes 1..M-2."""
+    return tuple(band[1:-1] for band in step_oracle.operator_bands(coef, dx, m))
+
+
 def zero_gamma_step(rows, dt, dx, theta, coef):
     """One ``theta_step`` with the zero-gamma closure, on nodes ``dx`` apart from spot 1."""
     spots = np.exp(dx * np.arange(rows.shape[1]))
-    return theta_step(rows, dt, dx, theta, coef, coef, BoundaryKind.ZERO_GAMMA, spots, 1)
+    bands = interior_bands(coef, dx, rows.shape[1])
+    return theta_step(rows, dt, dx, theta, bands, bands, BoundaryKind.ZERO_GAMMA, spots, 1)
+
+
+def model_coefficients(model, spots, t):
+    """The PDE coefficients of ``model`` at ``t``, per node under local volatility."""
+    sig = (model.vol.sigma_at(t) if model.has_exact_transition
+           else model.vol.interpolate(spots, t))
+    variance = sig * sig
+    rate = model.domestic.rate_at(t)
+    return Coefficients(variance, rate - model.foreign.rate_at(t) - 0.5 * variance,
+                        rate)
+
+
+# vol and domestic rate both step at t = 0.2
+KNOTTED = MarketModel(domestic=RateCurve((0.0, 0.2), (0.01, 0.03)),
+                      foreign=RateCurve((0.0, 0.29), (0.005, 0.015)),
+                      vol=TermStructureVol((0.0, 0.2, 0.37), (0.25, 0.18, 0.3)))
+
+
+@pytest.mark.parametrize("model, t", [
+    (flat_model(), 0.3), (KNOTTED, 0.2), (KNOTTED, 0.3), (smile_model(), 0.3),
+], ids=["flat", "term_structure_on_knot", "term_structure_between_knots",
+        "local_vol"])
+def test_coefficients_at_gives_the_oracle_interior_bands(model, t):
+    # a level is its operator bands, bit for bit those of the oracle on
+    # nodes 1..M-2: scalars, or (M - 2,) arrays under local volatility
+    spots = np.exp(np.linspace(-0.6, 0.6, 50))
+    dx = math.log(spots[1] / spots[0])
+    got = coefficients_at(model, spots, t, dx)
+    want = interior_bands(model_coefficients(model, spots, t), dx, spots.size)
+    assert len(got) == 3
+    for band, oracle in zip(got, want):
+        assert np.shape(band) == (() if model.has_exact_transition else (48,))
+        assert np.array_equal(np.broadcast_to(band, oracle.shape), oracle)
 
 
 class TestThetaStep:
     def test_zero_operator_is_identity(self):
         rows = np.tile(np.linspace(1.0, 2.0, 21), (3, 1))
         rows[1] = 1.5
-        coef = StepCoefficients(variance=0.0, drift=0.0, rate=0.0)
+        coef = Coefficients(variance=0.0, drift=0.0, rate=0.0)
         out = zero_gamma_step(rows, 0.1, 0.05, 0.5, coef)
         # constant rows stay exactly; the linear row satisfies the zero-gamma
         # closure too, so the whole stack is unchanged
@@ -174,7 +215,7 @@ class TestThetaStep:
 
     def test_pure_discounting_matches_scheme_algebra(self):
         r, dt = 0.07, 0.02
-        coef = StepCoefficients(variance=0.0, drift=r, rate=r)
+        coef = Coefficients(variance=0.0, drift=r, rate=r)
         rows = np.full((1, 31), 3.0)
         for theta in (0.0, 0.5, 1.0):
             out = zero_gamma_step(rows, dt, 0.01, theta, coef)
@@ -186,7 +227,7 @@ class TestThetaStep:
     def test_zero_gamma_relation_holds_after_solve(self):
         rng = np.random.default_rng(3)
         rows = np.abs(rng.standard_normal((1, 41))).cumsum(axis=1)
-        coef = StepCoefficients(variance=0.04, drift=-0.02, rate=0.01)
+        coef = Coefficients(variance=0.04, drift=-0.02, rate=0.01)
         out = zero_gamma_step(rows, 0.01, 0.02, 0.5, coef)[0]
         scale = np.max(np.abs(out))
         assert abs(out[0] - 2 * out[1] + out[2]) < 1e-11 * scale
@@ -197,13 +238,14 @@ class TestThetaStep:
         dx = np.log(spots[1] / spots[0])
         rng = np.random.default_rng(4)
         rows = np.abs(rng.standard_normal((1, 41))).cumsum(axis=1)
-        coef = StepCoefficients(variance=0.04, drift=-0.02, rate=0.0)
-        out = theta_step(rows, 0.01, dx, 0.5, coef, coef,
+        bands = interior_bands(Coefficients(variance=0.04, drift=-0.02, rate=0.0),
+                               dx, 41)
+        out = theta_step(rows, 0.01, dx, 0.5, bands, bands,
                          boundary=BoundaryKind.DIRICHLET_NEUMANN_BY_DIRECTION,
                          spots=spots, beta=1)[0]
         assert out[0] == pytest.approx(0.0, abs=1e-14)
         assert out[-1] - out[-2] == pytest.approx(dx * spots[-1], rel=1e-12)
-        out = theta_step(rows, 0.01, dx, 0.5, coef, coef,
+        out = theta_step(rows, 0.01, dx, 0.5, bands, bands,
                          boundary=BoundaryKind.DIRICHLET_NEUMANN_BY_DIRECTION,
                          spots=spots, beta=-1)[0]
         assert out[-1] == pytest.approx(0.0, abs=1e-14)
@@ -224,18 +266,20 @@ class TestThetaStep:
                 variance = level * (1.0 + rng.random(m))
             else:
                 variance = level
-            return StepCoefficients(variance=variance,
-                                    drift=rate - 0.5 * variance,
-                                    rate=rate)
+            return Coefficients(variance=variance, drift=rate - 0.5 * variance,
+                                rate=rate)
 
         coef_from, coef_to = coef(0.04, 0.03), coef(0.06, 0.02)
+        bands_from = interior_bands(coef_from, dx, m)
+        bands_to = interior_bands(coef_to, dx, m)
         stacks = [rng.standard_normal((1, m)).cumsum(axis=1),
                   rng.standard_normal((6, m)).cumsum(axis=1)]
         for rows, theta, beta in itertools.product(stacks, (0.0, 0.5, 1.0),
                                                    (1, -1)):
-            args = (rows, 0.02, dx, theta, coef_from, coef_to, boundary)
-            got = theta_step(*args, spots=spots, beta=beta)
-            want = step_oracle.theta_step(*args, spots=spots, beta=beta)
+            got = theta_step(rows, 0.02, dx, theta, bands_from, bands_to,
+                             boundary, spots=spots, beta=beta)
+            want = step_oracle.theta_step(rows, 0.02, dx, theta, coef_from,
+                                          coef_to, boundary, spots=spots, beta=beta)
             assert got.shape == want.shape
             scale = np.max(np.abs(want), axis=-1, keepdims=True)
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
@@ -737,11 +781,13 @@ class TestFdPrice:
         # each grid's own discretization error at this coarse resolution
         assert inter == pytest.approx(pinned, rel=4e-3)
 
+    @pytest.mark.parametrize("policy", list(PinPolicy))
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_a_non_finite_lattice_is_never_priced(self, monkeypatch, bad):
+    def test_a_non_finite_lattice_is_never_priced(self, monkeypatch, bad, policy):
         # the solves do not check their input, so the price is checked: one
         # bad cell in each jump reaches the spot row, in a direct call and
-        # through the front end, which records the error instead of a price
+        # through the front end, which records the error instead of a price;
+        # read at a node or off a spline, it is the same error
         original = fd.apply_jump
 
         def spoiled(values, plan, extra):
@@ -750,12 +796,16 @@ class TestFdPrice:
             return out
 
         monkeypatch.setattr(fd, "apply_jump", spoiled)
-        config = replace(cli.preset_table1(), engines=("fd",), fd=SMALL,
+        small = replace(SMALL, pin_policy=policy)
+        assert (build_grid(benchmark_contract(KnockoutType.NO_GAIN, 0.3),
+                           flat_model(), small, 1.05).spot_index is None) == (
+            policy is PinPolicy.STRIKE_ONLY_THEN_INTERPOLATE)
+        config = replace(cli.preset_table1(), engines=("fd",), fd=small,
                          targets=(0.3,), knockouts=(KnockoutType.NO_GAIN,))
         with np.errstate(all="ignore"):  # inf - inf warns on its way
             with pytest.raises(ValueError, match="^FD price is not finite"):
                 fd_price(benchmark_contract(KnockoutType.NO_GAIN, 0.3),
-                         flat_model(), SMALL, 1.05)
+                         flat_model(), small, 1.05)
             [record] = cli.run(config)
         assert record.status.startswith("error: FD price is not finite")
         assert math.isnan(record.price)

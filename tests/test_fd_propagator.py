@@ -56,8 +56,8 @@ def reference_price(contract, model, config, spot):
             th = 1.0 if s < config.implicit_startup_steps else config.theta
             values = theta_step(
                 values, t_from - t_to, grid.dx, th,
-                coefficients_at(model, grid.spots, t_from),
-                coefficients_at(model, grid.spots, t_to),
+                coefficients_at(model, grid.spots, t_from, grid.dx),
+                coefficients_at(model, grid.spots, t_to, grid.dx),
                 config.boundary, spots=grid.spots, beta=contract.beta,
             )
     row = values[0]
@@ -285,10 +285,8 @@ def test_knot_interval_of_a_small_run_is_mapped():
     assert not fd._map_pays(lengths, [1], 1, 200)
 
 
-def step_bits(dt, theta, coef_from, coef_to):
-    return tuple(float(x).hex() for x in (
-        dt, theta, coef_from.variance, coef_from.drift, coef_from.rate,
-        coef_to.variance, coef_to.drift, coef_to.rate))
+def step_bits(dt, theta, bands_from, bands_to):
+    return tuple(float(x).hex() for x in (dt, theta) + bands_from + bands_to)
 
 
 @st.composite
@@ -317,7 +315,7 @@ def knotted_intervals(draw):
 @given(knotted_intervals())
 def test_interval_runs_are_the_level_walk_in_runs_of_one_key(case):
     # the reference walk of reference_price, and the key rule: the
-    # interval's nominal dt to 12 digits, theta and the coefficients
+    # interval's nominal dt to 12 digits, theta and the operator bands
     model, config, t_hi, t_lo, n_steps = case
     grid = build_grid(call_contract(), model, config, 1.05)
     runs = fd._interval_runs(model, grid, t_hi, t_lo, n_steps, config)
@@ -328,13 +326,12 @@ def test_interval_runs_are_the_level_walk_in_runs_of_one_key(case):
         t_to = t_lo if s == n_steps - 1 else t_hi - (s + 1) * dt
         want.append(step_bits(
             t_from - t_to, 1.0 if s < config.implicit_startup_steps else config.theta,
-            coefficients_at(model, grid.spots, t_from),
-            coefficients_at(model, grid.spots, t_to)))
+            coefficients_at(model, grid.spots, t_from, grid.dx),
+            coefficients_at(model, grid.spots, t_to, grid.dx)))
     assert [step_bits(*step) for _, run in runs for step in run] == want
     for key, run in runs:
-        for _, theta, cf, ct in run:
-            assert key == (float(f"{dt:.11e}"), theta, cf.variance, cf.drift,
-                           cf.rate, ct.variance, ct.drift, ct.rate)
+        for _, theta, bands_from, bands_to in run:
+            assert key == (float(f"{dt:.11e}"), theta) + bands_from + bands_to
     assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
     assert sum(run_lengths(runs)) == n_steps
 
