@@ -432,41 +432,44 @@ def run(config: RunConfig) -> list[ResultRecord]:
     captured per record (status carries the message) and do not stop the
     remaining cases.  FD rows come before MC rows, and a case with an ok
     price from both engines gets a diff row.  Every case is given one
-    cache dict, made for this run: the FD cases share its interval maps,
-    since their spot grid and fixing schedule do not depend on the target
-    or the knockout type, and for the same reason the MC cases share one
-    control column and, when it is at most ``mc._HELD_PATH_BYTES``, one
-    simulated path set.
+    cache dict, made for this run, and the tuple of the run's contracts:
+    the FD cases share its interval maps, since their spot grid and fixing
+    schedule do not depend on the target or the knockout type, and for the
+    same reason the MC cases share one control column and are priced in
+    groups that simulate each batch once (see :func:`mc.mc_price`).  The
+    first MC call of a group prices the group, and each later one reads
+    its result from the dict; each case's ``wall_time_s`` is an equal
+    share of its group's seconds.
     """
     tag = fingerprint(config)
     engines = [e for e in ("fd", "mc") if e in config.engines]
     cache: dict = {}
+    cases = tuple(_case_contract(config, knockout, target)
+                  for knockout in config.knockouts for target in config.targets)
     records: list[ResultRecord] = []
-    for knockout in config.knockouts:
-        for target in config.targets:
-            contract = _case_contract(config, knockout, target)
-            rows = []
-            for engine in engines:
-                grid = _configured_grid(config, engine)
-                try:
-                    rows += _engine_rows(engine, config, contract, grid, cache)
-                except Exception as exc:  # capture per record, keep the batch going
-                    rows.append(_row(engine, float("nan"), grid, 0.0,
-                                     status=f"error: {exc}"))
-            first_ok = {}
-            for row in rows:
-                if row["status"].startswith("ok"):
-                    first_ok.setdefault(row["engine"], row["price"])
-            fd_value, mc_value = first_ok.get("fd"), first_ok.get("mc")
-            if fd_value is not None and mc_value is not None and mc_value != 0.0:
-                rows.append(_row("diff", fd_value - mc_value, "", 0.0,
-                                 abs(fd_value - mc_value) / abs(mc_value),
-                                 "relative_difference"))
-            records += [
-                ResultRecord(knockout=knockout.value, target=target,
-                             fingerprint=tag, **row)
-                for row in rows
-            ]
+    for contract in cases:
+        rows = []
+        for engine in engines:
+            grid = _configured_grid(config, engine)
+            try:
+                rows += _engine_rows(engine, config, contract, grid, cache, cases)
+            except Exception as exc:  # capture per record, keep the batch going
+                rows.append(_row(engine, float("nan"), grid, 0.0,
+                                 status=f"error: {exc}"))
+        first_ok = {}
+        for row in rows:
+            if row["status"].startswith("ok"):
+                first_ok.setdefault(row["engine"], row["price"])
+        fd_value, mc_value = first_ok.get("fd"), first_ok.get("mc")
+        if fd_value is not None and mc_value is not None and mc_value != 0.0:
+            rows.append(_row("diff", fd_value - mc_value, "", 0.0,
+                             abs(fd_value - mc_value) / abs(mc_value),
+                             "relative_difference"))
+        records += [
+            ResultRecord(knockout=contract.knockout.value, target=contract.target,
+                         fingerprint=tag, **row)
+            for row in rows
+        ]
     return records
 
 
@@ -480,11 +483,13 @@ def _row(engine: str, price: float, grid: str, wall_time_s: float,
 
 
 def _engine_rows(engine: str, config: RunConfig, contract: TarnContract,
-                 grid: str, cache: dict) -> list[dict]:
-    """Price one case with one engine; ``grid`` is the engine's configured
-    grid.  The engine functions are module globals, looked up per call."""
+                 grid: str, cache: dict, cases: tuple[TarnContract, ...]) -> list[dict]:
+    """Price one case of the run's ``cases`` with one engine; ``grid`` is
+    the engine's configured grid.  The engine functions are module globals,
+    looked up per call."""
     if engine == "mc":
-        res = mc_price(contract, config.model, config.mc, config.spot, cache=cache)
+        res = mc_price(contract, config.model, config.mc, config.spot, cache=cache,
+                       cases=cases)
         status = ("ok (control variate disabled for local volatility)"
                   if res.cv_downgraded else "ok")
         return [_row("mc", res.price, grid, res.wall_time, res.stderr, "stderr", status)]
@@ -498,8 +503,7 @@ def _engine_rows(engine: str, config: RunConfig, contract: TarnContract,
         return [_row("fd", est.coarse.price, grid,
                      est.coarse.wall_time + est.refined.wall_time,
                      est.relative_error, "refined_relative_error")]
-    res = fd_price(*args, cache=cache,
-                   pricings=len(config.knockouts) * len(config.targets))
+    res = fd_price(*args, cache=cache, pricings=len(cases))
     return [_row("fd", res.price, grid, res.wall_time)]
 
 

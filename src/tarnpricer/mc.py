@@ -17,19 +17,22 @@ generator ``b`` times, so every path is a pure function of (seed, batch,
 row).  One pricing runs on the calling thread: it simulates and prices its
 batches one after another, in batch order.
 
-The cases of one run share their simulation through one ``cache`` dict:
-cases with the same model, spot, schedule, seed, path count and substeps
-see the same paths.  A path set of at most ``_HELD_PATH_BYTES`` (8 MiB)
-is simulated by the first pricing and held there batch by batch, so the
-later pricings simulate nothing.  A larger path set is simulated again
-for every case, holding no more than two batches at a time.  With the
-control variate on, the control column and its closed-form mean are
-computed once per strike and direction.
+The cases of one run share their simulation.  A pricing given the run's
+``cache`` dict and its ``cases`` prices a group of them in one pass: each
+batch is simulated once and every case of the group is priced on it, so
+the cases see common random numbers.  A group holds one payoff column per
+case, and its columns fit ``_GROUP_BYTES`` (8 MiB): table1's 12 cases of
+200k paths, 1.6 MB each, are 3 groups of 4, which simulate its 13 batches
+39 times instead of 156.  The other cases' results wait in the dict for
+their own calls.  With the control variate on, the control column and its
+closed-form mean are computed once per strike and direction.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -38,6 +41,7 @@ import numpy as np
 from .contract import TarnContract, batch_present_value
 from .market import (
     MarketModel,
+    _shown,
     check_count,
     check_fields,
     check_positive,
@@ -55,11 +59,10 @@ __all__ = [
 
 # Fixed batch size; part of the reproducibility contract, never tune per run.
 BATCH_SIZE = 16384
-# A path set of at most this many bytes (n_paths * fixings * 8) is held in a
-# run's cache and simulated once per run: local_vol's 50k x 12-fixing Euler
-# set is 4.8 MB.  table1's and refine's 200k x 20-fixing set, 32 MB, is kept
-# out by this budget: holding it raised their peak RSS from 72 to 100 MB.
-_HELD_PATH_BYTES = 8 * 2**20
+# The payoff columns of one group of cases fit this many bytes (cases *
+# n_paths * 8).  Groups of 4 of table1's 1.6 MB columns raised its peak RSS
+# by about 6%; one group of all 12 columns, 19 MB, by about 23%.
+_GROUP_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,9 @@ class McResult:
     """Estimate, its standard error and control-variate diagnostics.
 
     ``cv_coefficient`` is None when no control variate was used.
+    ``wall_time`` is the seconds of the pricing divided among the cases
+    priced with it (see :func:`mc_price`): each case of a group reports an
+    equal share, so a run's shares sum to its MC seconds.
     """
 
     price: float
@@ -180,86 +186,30 @@ def _control_values(paths, contract, discounts):
     return contract.gross(paths) @ discounts
 
 
-def mc_price(
-    contract: TarnContract,
-    model: MarketModel,
-    config: McConfig,
-    spot: float,
-    *,
-    cache: dict | None = None,
-) -> McResult:
-    """Estimate the note value by simulation.
+def _group(contract: TarnContract, cases: tuple, n_paths: int) -> tuple:
+    """The cases priced with ``contract`` in one pass over the batches.
 
-    The control variate is the sum of the single-fixing vanilla flows, whose
-    mean is known in closed form; it is only available under exact
-    transitions and is silently downgraded (with a flag on the result) for
-    local volatility models.  ``cache`` is a dict the caller owns:
-    pricings passed the same dict reuse the control column with its mean
-    and, when the path set is at most ``_HELD_PATH_BYTES``, every batch of
-    it, each keyed by everything it depends on and held read-only; with
-    no dict, a pricing holds no more than two batches at a time.  The dict
-    is not locked.  The estimate is the same bit for bit with or without
-    it.
-
-    Every batch is simulated, or read from the dict when the whole set is
-    held there, and priced on the calling thread, in batch order: a
-    pricing whose batches are all held simulates nothing.  A price or
-    standard error that is not finite raises ``ValueError``.
+    They are the cases on its paths and control column (same schedule,
+    strike and direction), split in order into the fewest consecutive
+    groups whose payoff columns fit ``_GROUP_BYTES``, with sizes that
+    differ by at most one; ``contract`` alone when it is not in ``cases``.
     """
-    started = time.perf_counter()
-    check_positive(spot, "spot")
-    times = contract.fixing_times
-    discounts = np.array(
-        [discount_factor(model.domestic, 0.0, t) for t in times]
-    )
-    exact = model.has_exact_transition
-    use_cv = config.control_variate and exact
-    downgraded = config.control_variate and not exact
+    if contract not in cases:
+        return (contract,)
+    terms = operator.attrgetter("fixing_times", "strike", "beta")
+    same = [c for c in cases if terms(c) == terms(contract)]
+    n_groups = -(-len(same) // max(1, _GROUP_BYTES // (8 * n_paths)))
+    bounds = [g * len(same) // n_groups for g in range(n_groups + 1)]
+    g = bisect.bisect_right(bounds, same.index(contract)) - 1
+    return tuple(same[bounds[g]:bounds[g + 1]])
 
-    n = config.n_paths
-    n_pilot = max(2, n // 10) if use_cv and config.cv_coefficient is None else 0
-    if n - n_pilot < 2:
-        raise ValueError(f"n_paths must leave at least 2 paths after the {n_pilot}-path "
-                         f"control-variate pilot, got {n}")
-    # without the caller's dict no later pricing could read the paths, so
-    # a pricing holds no more than a batch or two of them
-    held = cache is not None and n * len(times) * 8 <= _HELD_PATH_BYTES
-    cache = {} if cache is None else cache
-    key = (model, spot, times, config.seed, n, config.substeps_per_interval)
-    control_key = ("mc.controls",) + key + (contract.strike, contract.beta)
-    payoffs = np.empty(n)
-    controls = np.empty(n) if use_cv and control_key not in cache else None
-    base = np.random.Philox(config.seed)
-    n_batches = (n + BATCH_SIZE - 1) // BATCH_SIZE
 
-    def simulate(b):
-        rng = np.random.Generator(base.jumped(b))
-        return simulate_fixing_paths(model, spot, times, min(BATCH_SIZE, n - b * BATCH_SIZE),
-                                     rng, config.substeps_per_interval)
+def _estimate(payoffs, controls, control_mean, n_pilot, config):
+    """(price, stderr, coefficient) of one case's payoff column.
 
-    batch_keys = [("mc.paths", b) + key for b in range(n_batches)]
-    stored = held and all(k in cache for k in batch_keys)
-    for b in range(n_batches):
-        # batch b - 1 stays alive while batch b is simulated: freed first,
-        # its pages go back to the system and batch b faults them in again
-        paths = cache[batch_keys[b]] if stored else simulate(b)
-        if held:
-            paths.setflags(write=False)
-            cache[batch_keys[b]] = paths
-        rows = slice(b * BATCH_SIZE, min((b + 1) * BATCH_SIZE, n))
-        payoffs[rows] = batch_present_value(paths, contract, discounts)
-        if controls is not None:
-            controls[rows] = _control_values(paths, contract, discounts)
-
-    if use_cv:
-        if control_key not in cache:
-            controls.setflags(write=False)
-            cache[control_key] = controls, sum(
-                vanilla_price(spot, contract.strike, contract.beta, t,
-                              model.domestic, model.foreign, model.vol)
-                for t in times
-            )
-        controls, control_mean = cache[control_key]
+    A price or standard error that is not finite raises ``ValueError``.
+    """
+    if controls is not None:
         if config.cv_coefficient is not None:
             lam = float(config.cv_coefficient)
         else:
@@ -270,16 +220,118 @@ def mc_price(
     else:
         lam = None
         samples = payoffs
-
     price, stderr = float(samples.mean()), standard_error(samples)
     for name, value in (("price", price), ("standard error", stderr)):
         if not math.isfinite(value):
             raise ValueError(f"MC {name} is not finite ({value}): a path's present "
                              "value or control is a NaN or an infinity")
-    return McResult(
-        price=price,
-        stderr=stderr,
-        cv_coefficient=lam,
-        wall_time=time.perf_counter() - started,
-        cv_downgraded=downgraded,
-    )
+    return price, stderr, lam
+
+
+def _price_group(group, model, config, spot, cache, result_key, started):
+    """Price ``group`` in one pass over the batches and store each case's
+    result, or the exception its estimate raised, under ``result_key``
+    plus the case."""
+    times = group[0].fixing_times
+    discounts = np.array([discount_factor(model.domestic, 0.0, t) for t in times])
+    exact = model.has_exact_transition
+    use_cv = config.control_variate and exact
+
+    n = config.n_paths
+    n_pilot = max(2, n // 10) if use_cv and config.cv_coefficient is None else 0
+    if n - n_pilot < 2:
+        raise ValueError(f"n_paths must leave at least 2 paths after the {n_pilot}-path "
+                         f"control-variate pilot, got {n}")
+    control_key = ("mc.controls", model, spot, times, config.seed, n,
+                   config.substeps_per_interval, group[0].strike, group[0].beta)
+    payoffs = np.empty((len(group), n))
+    controls = np.empty(n) if use_cv and control_key not in cache else None
+    base = np.random.Philox(config.seed)
+    for b in range(-(-n // BATCH_SIZE)):
+        # batch b - 1 stays alive while batch b is simulated: freed first,
+        # its pages go back to the system and batch b faults them in again
+        rows = slice(b * BATCH_SIZE, min((b + 1) * BATCH_SIZE, n))
+        paths = simulate_fixing_paths(model, spot, times, rows.stop - rows.start,
+                                      np.random.Generator(base.jumped(b)),
+                                      config.substeps_per_interval)
+        for column, case in zip(payoffs, group):
+            column[rows] = batch_present_value(paths, case, discounts)
+        if controls is not None:
+            controls[rows] = _control_values(paths, group[0], discounts)
+
+    control_mean = None
+    if use_cv:
+        if control_key not in cache:
+            controls.setflags(write=False)
+            cache[control_key] = controls, sum(
+                vanilla_price(spot, group[0].strike, group[0].beta, t,
+                              model.domestic, model.foreign, model.vol)
+                for t in times
+            )
+        controls, control_mean = cache[control_key]
+    outcomes = []
+    for column in payoffs:
+        try:
+            outcomes.append(_estimate(column, controls, control_mean, n_pilot, config))
+        except ValueError as exc:  # that case's own call raises it
+            outcomes.append(exc)
+    share = (time.perf_counter() - started) / len(group)
+    for case, outcome in zip(group, outcomes):
+        if not isinstance(outcome, Exception):
+            price, stderr, lam = outcome
+            outcome = McResult(price=price, stderr=stderr, cv_coefficient=lam,
+                               wall_time=share,
+                               cv_downgraded=config.control_variate and not exact)
+        cache[result_key + (case,)] = outcome
+
+
+def mc_price(
+    contract: TarnContract,
+    model: MarketModel,
+    config: McConfig,
+    spot: float,
+    *,
+    cache: dict | None = None,
+    cases: tuple[TarnContract, ...] = (),
+) -> McResult:
+    """Estimate the note value by simulation.
+
+    The control variate is the sum of the single-fixing vanilla flows, whose
+    mean is known in closed form; it is only available under exact
+    transitions and is silently downgraded (with a flag on the result) for
+    local volatility models.
+
+    ``cache`` is a dict the caller owns and ``cases`` the contracts of the
+    run, ``contract`` among them.  Given both, a pricing prices the group of
+    cases that share ``contract``'s paths and control column: the cases
+    with its schedule, strike and direction, split in order into the fewest
+    groups whose payoff columns (8 bytes a path and case) fit 8 MiB, with
+    sizes that differ by at most one.  Each batch is simulated once and
+    every case of the group is priced on it; each reports an equal share of
+    the pass's seconds as its ``wall_time``.  The other cases' results, or
+    the exceptions their estimates raised, are stored in the dict, keyed by
+    the contract, model, spot and whole config, and their own calls return
+    them.  Pricings passed the same dict also share the control column and
+    its mean, held read-only.  The dict is not locked.  Without a dict, or
+    with ``contract`` not in ``cases``, the case is priced alone.  Either
+    way no more than two batches are alive at a time, and the estimate is
+    the same bit for bit.
+
+    Every batch is simulated and priced on the calling thread, in batch
+    order.  A price or standard error that is not finite raises
+    ``ValueError``.
+    """
+    started = time.perf_counter()
+    check_positive(spot, "spot")
+    if type(cases) is not tuple or not all(isinstance(c, TarnContract) for c in cases):
+        raise ValueError(f"cases must be a tuple of TarnContract, got {_shown(cases)}")
+    cache = {} if cache is None else cache
+    result_key = ("mc.result", model, spot, config)
+    if result_key + (contract,) not in cache:
+        _price_group(_group(contract, cases, config.n_paths), model, config, spot,
+                     cache, result_key, started)
+    outcome = cache[result_key + (contract,)]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+

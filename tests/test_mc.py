@@ -343,21 +343,29 @@ def test_one_simulation_and_payoff_call_per_batch(monkeypatch):
     assert calls == ["simulate_fixing_paths", "batch_present_value"] * 3
 
 
-CASES = [benchmark_contract(ko, u) for ko in KnockoutType for u in (0.3, 0.5)]
+CASES = tuple(benchmark_contract(ko, u) for ko in KnockoutType for u in (0.3, 0.5))
 
 
-def run_cases(config, cache, contracts=CASES, model=None):
+def run_cases(config, cache, contracts=CASES, model=None, cases=()):
     """The (price, stderr bits, cv_coefficient) of each case, priced in order."""
     model = model or flat_model(r_d=0.01)
     out = []
     for contract in contracts:
-        res = mc_price(contract, model, config, 1.05, cache=cache)
+        res = mc_price(contract, model, config, 1.05, cache=cache, cases=cases)
         out.append(bits([res.price, res.stderr]) + [res.cv_coefficient])
     return out
 
 
+def other_terms(**changes):
+    """A benchmark case with another strike or direction."""
+    terms = dict(strike=1.0, target=0.3, beta=1, fixing_times=benchmark_times(),
+                 knockout=KnockoutType.NO_GAIN)
+    return TarnContract(**(terms | changes))
+
+
 class TestSharedSimulation:
-    """A run's cases share one batch and one control column, bit for bit."""
+    """A group of a run's cases shares each batch and one control column, bit
+    for bit."""
 
     @pytest.mark.parametrize("config, model", [
         (McConfig(n_paths=BATCH_SIZE, seed=3), None),
@@ -371,42 +379,79 @@ class TestSharedSimulation:
     def test_cases_match_unshared_pricings(self, config, model):
         model = model or flat_model(r_d=0.01)
         alone = [run_cases(config, None, [c], model)[0] for c in CASES]
-        assert run_cases(config, {}, model=model) == alone
+        assert run_cases(config, {}, model=model, cases=CASES) == alone
 
     def test_one_batch_run_simulates_once(self, monkeypatch):
         calls = counting(monkeypatch, "simulate_fixing_paths", "_control_values")
-        run_cases(McConfig(n_paths=BATCH_SIZE, seed=5), {})
+        run_cases(McConfig(n_paths=BATCH_SIZE, seed=5), {}, cases=CASES)
         assert calls == ["simulate_fixing_paths", "_control_values"]
 
     def test_three_batch_run_simulates_each_batch_once(self, monkeypatch):
-        calls = counting(monkeypatch, "simulate_fixing_paths", "_control_values",
-                         "vanilla_price")
-        run_cases(McConfig(n_paths=2 * BATCH_SIZE + 1, seed=5), {})  # 5.2 MB of paths
-        assert calls.count("simulate_fixing_paths") == 3
-        # the control column and its mean are made for the first case only
-        assert calls.count("_control_values") == 3
-        assert calls.count("vanilla_price") == 20
+        calls = counting(monkeypatch, "simulate_fixing_paths", "batch_present_value",
+                         "_control_values", "vanilla_price")
+        run_cases(McConfig(n_paths=2 * BATCH_SIZE + 1, seed=5), {}, cases=CASES)
+        # the first call prices all six cases on each batch; the others are served
+        batch = ["simulate_fixing_paths"] + ["batch_present_value"] * 6 + ["_control_values"]
+        assert calls == batch * 3 + ["vanilla_price"] * 20
 
-    @pytest.mark.parametrize("extra_paths, simulations", [(0, 4), (1, 4 * 2)],
+    def test_without_cases_each_pricing_simulates_its_batches(self, monkeypatch):
+        calls = counting(monkeypatch, "simulate_fixing_paths", "_control_values")
+        run_cases(McConfig(n_paths=BATCH_SIZE, seed=5), {})
+        # the control column is still made once and shared through the dict
+        assert calls == ["simulate_fixing_paths", "_control_values"] + \
+            ["simulate_fixing_paths"] * 5
+
+    @pytest.mark.parametrize("extra_paths, groups", [(0, [3, 3]), (1, [2, 2, 2])],
                              ids=["at_the_budget", "one_path_over"])
-    def test_a_set_over_the_byte_budget_is_simulated_for_every_case(
-            self, monkeypatch, extra_paths, simulations):
-        fit = mc._HELD_PATH_BYTES // (8 * len(benchmark_times()))  # 52428 paths
-        config = McConfig(n_paths=fit + extra_paths, seed=5, control_variate=False)
-        calls = counting(monkeypatch, "simulate_fixing_paths")
-        run_cases(config, {}, CASES[:2])
-        assert len(calls) == simulations  # four batches per simulated set
+    def test_groups_fit_the_byte_budget(self, monkeypatch, extra_paths, groups):
+        # three payoff columns of 3000 paths fit: six cases are two groups;
+        # with one path more only two columns fit
+        monkeypatch.setattr(mc, "_GROUP_BYTES", 3 * 3000 * 8)
+        config = McConfig(n_paths=3000 + extra_paths, seed=5, control_variate=False)
+        calls = counting(monkeypatch, "simulate_fixing_paths", "batch_present_value")
+        run_cases(config, {}, cases=CASES)
+        per_group = "".join("s" if c == "simulate_fixing_paths" else "p" for c in calls)
+        assert per_group == "".join("s" + "p" * n for n in groups)
+
+    @pytest.mark.parametrize("n_cases, n_paths, sizes", [
+        (12, 200_000, [4, 4, 4]),  # table1: 1.6 MB a column
+        (6, 50_000, [6]),  # local_vol
+        (3, 200_000, [3]),  # refine's MC-only job
+        (11, 200_000, [3, 4, 4]),
+        (1, 2 * 2**20, [1]),  # one column over the budget is still a group
+        (3, 2 * 2**20, [1, 1, 1]),
+    ])
+    def test_group_sizes(self, n_cases, n_paths, sizes):
+        cases = tuple(benchmark_contract(KnockoutType.NO_GAIN, 0.1 * (i + 1))
+                      for i in range(n_cases))
+        groups = list(dict.fromkeys(mc._group(c, cases, n_paths) for c in cases))
+        assert [len(g) for g in groups] == sizes
+        assert sum(groups, ()) == cases
+
+    def test_a_case_outside_its_cases_is_priced_alone(self):
+        assert mc._group(CASES[0], CASES[1:], 1000) == (CASES[0],)
+
+    def test_a_case_with_other_terms_in_its_cases_is_priced_alone(self, monkeypatch):
+        other_strike, other_beta = other_terms(strike=1.04), other_terms(beta=-1)
+        cases = (CASES[0], other_strike, CASES[1], other_beta)
+        assert mc._group(CASES[0], cases, 1000) == (CASES[0], CASES[1])
+        config, model = McConfig(n_paths=3000, seed=9), flat_model(r_d=0.01)
+        calls = counting(monkeypatch, "simulate_fixing_paths", "batch_present_value")
+        cache = {}
+        got = run_cases(config, cache, cases, model, cases)
+        assert calls == (["simulate_fixing_paths"] + ["batch_present_value"] * 2
+                         + ["simulate_fixing_paths", "batch_present_value"] * 2)
+        assert got == [run_cases(config, None, [c], model)[0] for c in cases]
 
     @pytest.mark.parametrize("model, cache, alive", [
         (flat_model(), None, [0, 1, 1]),
-        (flat_model(), {}, [0, 1, 2]),
+        (flat_model(), {}, [0, 1, 1]),
         (smile_model(), None, [0, 1, 1]),
-        (smile_model(), {}, [0, 1, 2]),
+        (smile_model(), {}, [0, 1, 1]),
     ], ids=["no_dict", "dict", "euler_no_dict", "euler_dict"])
-    def test_only_a_pricing_given_a_dict_holds_its_batches(self, monkeypatch, model, cache,
-                                                           alive):
-        # batches still alive as each batch is simulated: the previous one,
-        # or every earlier one when they are held for later pricings
+    def test_no_more_than_two_batches_are_alive(self, monkeypatch, model, cache, alive):
+        # batches still alive as each batch is simulated: only the previous
+        # one, with or without a group to price
         original, made, seen = mc.simulate_fixing_paths, [], []
 
         def simulate(*args):
@@ -416,7 +461,8 @@ class TestSharedSimulation:
             return paths
 
         monkeypatch.setattr(mc, "simulate_fixing_paths", simulate)
-        mc_price(CASES[0], model, McConfig(n_paths=3 * BATCH_SIZE, seed=1), 1.05, cache=cache)
+        mc_price(CASES[0], model, McConfig(n_paths=3 * BATCH_SIZE, seed=1), 1.05, cache=cache,
+                 cases=CASES)
         assert seen == alive
 
     def test_cli_run_shares_one_batch_across_its_cases(self, monkeypatch):
@@ -434,55 +480,93 @@ class TestSharedSimulation:
         records = run(config)
         assert len(records) == 6 and len(calls) == 2
 
+    def test_a_failing_case_does_not_fail_its_group(self, monkeypatch):
+        # four cases of one group; part_gain at 0.5 gets a NaN payoff column
+        config = dataclasses.replace(
+            PRESETS["table1"](), engines=("mc",), targets=(0.3, 0.5),
+            knockouts=(KnockoutType.NO_GAIN, KnockoutType.PART_GAIN),
+            mc=McConfig(n_paths=3000, seed=4))
+        original = mc.batch_present_value
+
+        def present_value(paths, contract, discounts):
+            value = original(paths, contract, discounts)
+            if (contract.knockout, contract.target) == (KnockoutType.PART_GAIN, 0.5):
+                value[:] = np.nan
+            return value
+
+        monkeypatch.setattr(mc, "batch_present_value", present_value)
+        calls = counting(monkeypatch, "simulate_fixing_paths")
+        records = run(config)
+        assert len(calls) == 1
+        failed = [(r.knockout, r.target) for r in records if not r.status.startswith("ok")]
+        assert failed == [("part_gain", 0.5)]
+        for rec in records:
+            if (rec.knockout, rec.target) == ("part_gain", 0.5):
+                assert rec.status.startswith("error: MC price is not finite")
+                continue
+            contract = benchmark_contract(KnockoutType(rec.knockout), rec.target)
+            alone = mc_price(contract, config.model, config.mc, config.spot)
+            assert bits([rec.price, rec.error_metric]) == bits([alone.price, alone.stderr])
+
+    def test_each_case_reports_an_equal_share_of_its_groups_seconds(self):
+        cache = {}
+        config, model = McConfig(n_paths=3000, seed=2), flat_model()
+        times = [mc_price(c, model, config, 1.05, cache=cache, cases=CASES).wall_time
+                 for c in CASES]
+        assert len(set(times)) == 1 and times[0] > 0.0
+
     @pytest.mark.parametrize("model, n_batches", [(flat_model(), 1), (smile_model(), 2)],
                              ids=["one_batch", "two_local_vol_batches"])
-    def test_held_arrays_are_read_only(self, model, n_batches):
+    def test_the_dict_holds_results_and_a_read_only_control_column(self, model, n_batches):
         cache = {}
         n_paths = (n_batches - 1) * BATCH_SIZE + 1000
         config = McConfig(n_paths=n_paths, seed=2)
-        contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
-        mc_price(contract, model, config, 1.05, cache=cache)
-        key = (model, 1.05, contract.fixing_times, 2, n_paths, 1)
-        paths_keys = {("mc.paths", b) + key for b in range(n_batches)}
-        controls_key = ("mc.controls",) + key + (1.0, 1)
+        contract = CASES[0]
+        mc_price(contract, model, config, 1.05, cache=cache, cases=CASES)
+        results = {("mc.result", model, 1.05, config, c) for c in CASES}
+        controls_key = ("mc.controls", model, 1.05, contract.fixing_times, 2, n_paths, 1,
+                        1.0, 1)
         with_controls = model.has_exact_transition
-        assert set(cache) == paths_keys | ({controls_key} if with_controls else set())
-        held = [cache[k] for k in paths_keys]
-        held += [cache[controls_key][0]] if with_controls else []
-        for array in held:
-            assert not array.flags.writeable
+        assert set(cache) == results | ({controls_key} if with_controls else set())
+        assert all(isinstance(cache[k], mc.McResult) for k in results)
+        if with_controls:
+            column, _ = cache[controls_key]
+            assert not column.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0.0
+                column[0] = 0.0
 
-    @pytest.mark.parametrize("change", [
-        dict(config=McConfig(n_paths=3000, seed=10)),
-        dict(model=flat_model(r_d=0.01)),  # equal terms, another model object
-        dict(model=flat_model(sigma=0.25, r_d=0.01)),
-        dict(spot=1.02),
-        dict(contract=TarnContract(strike=1.04, target=0.3, beta=1,
-                                   fixing_times=benchmark_times(),
-                                   knockout=KnockoutType.NO_GAIN)),
-        dict(contract=TarnContract(strike=1.0, target=0.3, beta=-1,
-                                   fixing_times=benchmark_times(),
-                                   knockout=KnockoutType.NO_GAIN)),
-        dict(contract=benchmark_contract(KnockoutType.NO_GAIN, 0.3),
-             config=McConfig(n_paths=3001, seed=9)),
-    ], ids=["seed", "model_object", "model", "spot", "strike", "beta", "n_paths"])
-    def test_a_changed_input_is_never_served_the_old_entry(self, monkeypatch, change):
+    @pytest.mark.parametrize("change, vanillas", [
+        (dict(config=McConfig(n_paths=3000, seed=10)), 20),
+        (dict(model=flat_model(r_d=0.01)), 20),  # equal terms, another model object
+        (dict(model=flat_model(sigma=0.25, r_d=0.01)), 20),
+        (dict(spot=1.02), 20),
+        (dict(contract=other_terms(strike=1.04)), 20),
+        (dict(contract=other_terms(beta=-1)), 20),
+        (dict(contract=benchmark_contract(KnockoutType.NO_GAIN, 0.3),
+              config=McConfig(n_paths=3001, seed=9)), 20),
+        (dict(config=McConfig(n_paths=3000, seed=9, control_variate=False)), 0),
+        # the control column does not depend on the coefficient
+        (dict(config=McConfig(n_paths=3000, seed=9, cv_coefficient=0.8)), 0),
+        (dict(config=McConfig(n_paths=3000, seed=9, substeps_per_interval=2)), 20),
+    ], ids=["seed", "model_object", "model", "spot", "strike", "beta", "n_paths",
+            "control_variate", "cv_coefficient", "substeps"])
+    def test_a_changed_input_is_never_served_the_old_entry(self, monkeypatch, change,
+                                                           vanillas):
         base = dict(contract=benchmark_contract(KnockoutType.NO_GAIN, 0.3),
                     model=flat_model(r_d=0.01), config=McConfig(n_paths=3000, seed=9),
                     spot=1.05)
-        cache = {}
-        mc_price(**base, cache=cache)
         args = {**base, **change}
+        # the base pricing stores a result for every case of the run
+        cases = tuple(dict.fromkeys(CASES + (base["contract"], args["contract"])))
+        cache = {}
+        mc_price(**base, cache=cache, cases=cases)
         want = mc_price(**args)
         calls = counting(monkeypatch, "simulate_fixing_paths", "vanilla_price")
-        got = mc_price(**args, cache=cache)
+        got = mc_price(**args, cache=cache, cases=cases)
         assert bits([got.price, got.stderr]) == bits([want.price, want.stderr])
         assert got.cv_coefficient == want.cv_coefficient
-        same_paths = "contract" in change and "config" not in change
-        assert calls.count("simulate_fixing_paths") == (0 if same_paths else 1)
-        assert calls.count("vanilla_price") == 20
+        assert calls.count("simulate_fixing_paths") == 1
+        assert calls.count("vanilla_price") == vanillas
 
     @pytest.mark.parametrize("change", [
         dict(seed=10),
@@ -493,11 +577,11 @@ class TestSharedSimulation:
         model = smile_model()
         base = McConfig(n_paths=BATCH_SIZE + 1000, seed=9, substeps_per_interval=2)
         cache = {}
-        mc_price(contract, model, base, 1.05, cache=cache)
+        mc_price(contract, model, base, 1.05, cache=cache, cases=CASES)
         config = dataclasses.replace(base, **change)
         want = mc_price(contract, model, config, 1.05)
         calls = counting(monkeypatch, "simulate_fixing_paths")
-        got = mc_price(contract, model, config, 1.05, cache=cache)
+        got = mc_price(contract, model, config, 1.05, cache=cache, cases=CASES)
         assert bits([got.price, got.stderr]) == bits([want.price, want.stderr])
         assert len(calls) == 2
 
@@ -537,14 +621,19 @@ class TestEulerBatchDispatch:
             self.price()
         assert seen == ["ignore"] * 4
 
-    def test_a_run_simulates_its_held_set_once(self, monkeypatch):
+    def test_a_run_simulates_each_batch_once(self, monkeypatch):
         simulated = []
         self.patch_simulation(monkeypatch, lambda n, on_caller: simulated.append(on_caller))
         model, cache = smile_model(), {}
         cases = [(ko, u) for ko in KnockoutType for u in (0.3, 0.5)]
+        contracts = tuple(TarnContract(strike=1.0, target=u, beta=1,
+                                       fixing_times=benchmark_times(6), knockout=ko)
+                          for ko, u in cases)
+        config = McConfig(n_paths=self.N_PATHS, seed=4, substeps_per_interval=2)
         shared = []
-        for case in cases:
-            shared.append(self.price(*case, model=model, cache=cache))
+        for contract in contracts:
+            shared.append(mc_price(contract, model, config, 1.0, cache=cache,
+                                   cases=contracts))
             # the first case simulates the four batches, all on the caller
             assert simulated == [True] * 4
         alone = [self.price(*case, model=model) for case in cases]

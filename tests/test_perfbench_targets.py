@@ -1,7 +1,8 @@
 """Every library attribute that ``perfbench/tracing.py`` patches by name
-exists, so that renaming one in ``src/`` fails here and not only in a
-traced benchmark run."""
+exists, and the front end calls its engine targets once per case, so that
+a change to either fails here and not only in a benchmark run."""
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -18,3 +19,30 @@ TARGETS = layer_targets()
                          ids=[f"{t.owner.__name__}.{t.attr}" for t in TARGETS])
 def test_every_layer_target_exists(target):
     assert hasattr(target.owner, target.attr)
+
+
+def test_cli_run_makes_one_engine_call_per_case():
+    # perfbench times each engine call as an fd.price or mc.price span, and
+    # a pass with none is an error there: a run whose cases share their
+    # work must still call each engine once per case
+    from tarnpricer import cli
+    from tarnpricer.mc import McConfig
+    from tracing import engine_targets, patched
+    from workloads import TINY_FD, TINY_PATHS
+
+    config = dataclasses.replace(cli.preset_table1(), fd=TINY_FD,
+                                 mc=McConfig(n_paths=TINY_PATHS))
+    calls = []
+
+    def counted(fn, target):
+        def call(contract, *args, **kwargs):
+            calls.append((target.attr, contract.knockout, contract.target))
+            return fn(contract, *args, **kwargs)
+        return call
+
+    with patched(engine_targets(), counted):
+        records = cli.run(config)
+    cases = [(ko, u) for ko in config.knockouts for u in config.targets]
+    assert len(cases) == 12
+    assert calls == [(attr,) + case for case in cases for attr in ("fd_price", "mc_price")]
+    assert all(r.status == "ok" for r in records)

@@ -198,6 +198,17 @@ def test_fd_price_rejects_a_pricings_hint_that_is_no_count(pricings):
         fd_price(contract(), flat_model(), FdConfig(), 1.05, pricings=pricings)
 
 
+@pytest.mark.parametrize("cases", [
+    [contract()], (contract(), "x"), None, contract(), (1.0,), (10**5000,),
+], ids=["list", "str_entry", "none", "bare_contract", "float_entry", "unprintable_int"])
+@pytest.mark.parametrize("cache", [None, {}], ids=["no_dict", "dict"])
+def test_mc_price_rejects_cases_that_are_no_tuple_of_contracts(cases, cache):
+    # rejected where it enters, with or without a dict, before anything is priced
+    with pytest.raises(ValueError, match="^cases must be a tuple of TarnContract, got "):
+        mc_price(contract(), flat_model(), McConfig(n_paths=100), 1.05, cache=cache,
+                 cases=cases)
+
+
 @pytest.mark.parametrize("times", [
     (t for t in TIMES), list(TIMES), np.array(TIMES), tuple(np.float64(t) for t in TIMES),
 ], ids=["generator", "list", "array", "float64s"])
