@@ -503,7 +503,7 @@ def _engine_rows(engine: str, config: RunConfig, contract: TarnContract,
         return [_row("fd", est.coarse.price, grid,
                      est.coarse.wall_time + est.refined.wall_time,
                      est.relative_error, "refined_relative_error")]
-    res = fd_price(*args, cache=cache, pricings=len(cases))
+    res = fd_price(*args, cache=cache, cases=cases)
     return [_row("fd", res.price, grid, res.wall_time)]
 
 

@@ -17,11 +17,12 @@ by numerical method, never by payoff convention.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .market import check_beta, check_fields, check_increasing, check_positive
+from .market import _shown, check_beta, check_fields, check_increasing, check_positive
 
 __all__ = [
     "KnockoutType",
@@ -102,6 +103,27 @@ class TarnContract:
         amount = np.subtract(spots, self.strike, out=np.empty(np.shape(spots)))
         amount *= self.beta
         return np.maximum(amount, 0.0, out=amount)
+
+
+# The terms on which the cases of a run share work: cases with equal terms
+# have one spot grid and set of interval maps in the lattice, and one set of
+# paths and control column in Monte Carlo.
+shared_terms = operator.attrgetter("fixing_times", "strike", "beta")
+
+
+def check_cases(cases) -> None:
+    """Reject ``cases`` unless it is a tuple of :class:`TarnContract`."""
+    if type(cases) is not tuple or not all(isinstance(c, TarnContract) for c in cases):
+        raise ValueError(f"cases must be a tuple of TarnContract, got {_shown(cases)}")
+
+
+def sharing_cases(contract: TarnContract, cases: tuple) -> tuple:
+    """The cases with ``contract``'s :data:`shared_terms`, in order;
+    ``(contract,)`` when it is not in ``cases``."""
+    if contract not in cases:
+        return (contract,)
+    terms = shared_terms(contract)
+    return tuple(c for c in cases if shared_terms(c) == terms)
 
 
 def fixing_flows(gross, accrued, extra, kind: KnockoutType, target: float):

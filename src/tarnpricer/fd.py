@@ -47,14 +47,14 @@ short run, such as a start-up step or the step across a knot, costs no
 more to march than to power and is marched onto the map so far instead.
 Intervals with equal run keys and lengths share one map.  A map
 is built only when that costs less than stepping the rows that pass
-through its intervals, in this pricing and the ones expected to share it:
-both costs are estimated in seconds from per-step and per-product
-constants measured on a 2-core Xeon.  Otherwise the rows are stepped, each
-step with its own length.
+through its intervals, in this pricing and the other cases of its run on
+its schedule, strike and direction: both costs are estimated in seconds
+from per-step and per-product constants measured on a 2-core Xeon.
+Otherwise the rows are stepped, each step with its own length.
 Every interval's runs and map or None are one ``"fd.intervals"`` entry
 of a ``cache`` dict, keyed by the call's inputs less the target and the
-knockout type, which neither reads; so pricings that pass one dict to
-:func:`fd_price` and differ only in those, such as the cases of a run,
+knockout type, which neither reads; so the cases of a run, passed one
+dict and the run's ``cases`` as with :func:`~tarnpricer.mc.mc_price`,
 make them once.  That dict is the engine's only cache: no memo outlives
 it.  Local volatility has per-node bands that change every step;
 it is marched step by step and holds no entry.  So a pricing is one
@@ -74,7 +74,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import dgtsv as _gtsv
 
-from .contract import TarnContract, fixing_flows
+from .contract import TarnContract, check_cases, fixing_flows, shared_terms, sharing_cases
 from .market import MarketModel, check_count, check_fields, check_positive
 
 __all__ = [
@@ -537,7 +537,7 @@ def theta_step(
     return out
 
 
-def _intervals(cache, pricings, model, contract, grid, config, spot):
+def _intervals(cache, cases, model, contract, grid, config, spot):
     """The (runs, map or None) pair of every interval, last first, as the
     backward loop takes them, ``runs`` as :func:`_interval_runs` makes them.
 
@@ -545,11 +545,12 @@ def _intervals(cache, pricings, model, contract, grid, config, spot):
     (P, p0), ``row -> row @ P + p0``.  Intervals with equal run keys and
     lengths share one map, decided once by :func:`_map_pays` from the rows
     one pricing marches through each (one in the first interval, J in the
-    others) and ``pricings``.  The pairs, a tuple with read-only maps, are
-    one ``cache`` entry keyed by the call's inputs less the target and the
-    knockout type, which neither they nor ``grid`` read.  Local volatility
-    holds none: its steps carry per-node levels and are made one interval
-    at a time as the loop reaches them.
+    others) and the count of ``cases`` on ``contract``'s terms, 1 without
+    a dict.  The pairs, a tuple with read-only maps, are one ``cache``
+    entry keyed by the count and the call's inputs less the target and
+    the knockout type, which neither they nor ``grid`` read.  Local
+    volatility holds none: its steps carry per-node levels and are made
+    one interval at a time as the loop reaches them.
     """
     times = (0.0,) + grid.fixing_times
 
@@ -561,8 +562,10 @@ def _intervals(cache, pricings, model, contract, grid, config, spot):
     if not model.has_exact_transition:
         return ((runs(k), None) for k in reversed(range(k_total)))
     m = grid.spots.size
-    key = ("fd.intervals", pricings, model, config, spot, contract.strike,
-           contract.fixing_times, contract.beta)
+    if cache is None:
+        cache, cases = {}, ()
+    count = len(sharing_cases(contract, cases))
+    key = ("fd.intervals", count, model, config, spot) + shared_terms(contract)
     if key not in cache:
         made = [runs(k) for k in range(k_total)]
         shared = defaultdict(list)  # run keys and lengths -> the intervals
@@ -572,7 +575,7 @@ def _intervals(cache, pricings, model, contract, grid, config, spot):
         for ks in shared.values():
             first = made[ks[0]]
             rows = [config.accumulation_nodes if k else 1 for k in ks]
-            if _map_pays([len(run) for _, run in first], rows, pricings, m):
+            if _map_pays([len(run) for _, run in first], rows, count, m):
                 mapped = _build_map(first, grid, config.boundary, contract.beta)
                 for k in ks:
                     maps[k] = mapped
@@ -678,20 +681,20 @@ def _power_products(n, first):
     return products if n > 1 + products else None
 
 
-def _map_pays(lengths, rows, pricings, m) -> bool:
+def _map_pays(lengths, rows, count, m) -> bool:
     """Whether building an interval map costs less than marching its rows.
 
     ``lengths`` are the run lengths of the map's steps, ``rows`` the rows
-    one pricing marches through each interval the map serves and
-    ``pricings`` how many pricings share the map.  Marching pays a step per
-    interval and time step; building pays :func:`_build_map`'s (M + 1)-row
-    steps and products, plus one (rows, M) by (M, M) product per pricing.
+    one pricing marches through each interval the map serves and ``count``
+    how many pricings share the map.  Marching pays a step per interval
+    and time step; building pays :func:`_build_map`'s (M + 1)-row steps
+    and products, plus one (rows, M) by (M, M) product per pricing.
     """
     def step(r):
         return _STEP_S + _NODE_S * r * m
 
-    march = pricings * sum(lengths) * sum(step(r) for r in rows)
-    build = pricings * _PRODUCT_S * sum(rows) * m * m
+    march = count * sum(lengths) * sum(step(r) for r in rows)
+    build = count * _PRODUCT_S * sum(rows) * m * m
     for i, n in enumerate(lengths):
         products = _power_products(n, first=i == 0)
         build += (n * step(m + 1) if products is None
@@ -852,7 +855,7 @@ def fd_price(
     spot: float,
     *,
     cache: dict | None = None,
-    pricings: int = 1,
+    cases: tuple[TarnContract, ...] = (),
 ) -> PriceResult:
     """Price the note by backward induction on the tracked lattice.
 
@@ -865,19 +868,19 @@ def fd_price(
     cache: calls given one dict share one ``"fd.intervals"`` entry, every
     interval's runs and read-only map or None, keyed by the call's inputs
     less the target and the knockout type (see :func:`_intervals`), until
-    the caller drops it; by default it lives for this call.  ``pricings``,
-    an integer of at least 1, is how many pricings are expected to share
-    the maps; it decides only whether an interval is mapped or its rows
-    are marched.  A non-finite price is never returned: it raises
-    ValueError.
+    the caller drops it; by default it lives for this call.  ``cases``, a
+    tuple of the run's contracts as for :func:`~tarnpricer.mc.mc_price`,
+    decides only whether an interval is mapped or its rows are marched:
+    the maps serve the cases on ``contract``'s schedule, strike and
+    direction, or ``contract`` alone without a dict or outside ``cases``.
+    A non-finite price is never returned: it raises ValueError.
     """
-    pricings = check_count(pricings, "pricings", 1)
+    check_cases(cases)
     started = time.perf_counter()
     grid = build_grid(contract, model, config, spot)
     _check_explicit_stability(grid, model, config)
     # maps are built before the jump plan and the lattice take their memory
-    intervals = _intervals({} if cache is None else cache, pricings, model,
-                           contract, grid, config, spot)
+    intervals = _intervals(cache, cases, model, contract, grid, config, spot)
     plan = JumpPlan.build(contract, grid)
     values = np.zeros((config.accumulation_nodes, config.spot_nodes))
     for k, (runs, mapped) in zip(range(contract.num_fixings, 0, -1), intervals):

@@ -32,16 +32,15 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .contract import TarnContract, batch_present_value
+from .contract import (TarnContract, batch_present_value, check_cases, shared_terms,
+                       sharing_cases)
 from .market import (
     MarketModel,
-    _shown,
     check_count,
     check_fields,
     check_positive,
@@ -189,15 +188,12 @@ def _control_values(paths, contract, discounts):
 def _group(contract: TarnContract, cases: tuple, n_paths: int) -> tuple:
     """The cases priced with ``contract`` in one pass over the batches.
 
-    They are the cases on its paths and control column (same schedule,
-    strike and direction), split in order into the fewest consecutive
-    groups whose payoff columns fit ``_GROUP_BYTES``, with sizes that
-    differ by at most one; ``contract`` alone when it is not in ``cases``.
+    They are the cases on its paths and control column, its
+    :func:`~tarnpricer.contract.sharing_cases`, split in order into the
+    fewest consecutive groups whose payoff columns fit ``_GROUP_BYTES``,
+    with sizes that differ by at most one.
     """
-    if contract not in cases:
-        return (contract,)
-    terms = operator.attrgetter("fixing_times", "strike", "beta")
-    same = [c for c in cases if terms(c) == terms(contract)]
+    same = sharing_cases(contract, cases)
     n_groups = -(-len(same) // max(1, _GROUP_BYTES // (8 * n_paths)))
     bounds = [g * len(same) // n_groups for g in range(n_groups + 1)]
     g = bisect.bisect_right(bounds, same.index(contract)) - 1
@@ -242,8 +238,8 @@ def _price_group(group, model, config, spot, cache, result_key, started):
     if n - n_pilot < 2:
         raise ValueError(f"n_paths must leave at least 2 paths after the {n_pilot}-path "
                          f"control-variate pilot, got {n}")
-    control_key = ("mc.controls", model, spot, times, config.seed, n,
-                   config.substeps_per_interval, group[0].strike, group[0].beta)
+    control_key = ("mc.controls", model, spot, config.seed, n,
+                   config.substeps_per_interval) + shared_terms(group[0])
     payoffs = np.empty((len(group), n))
     controls = np.empty(n) if use_cv and control_key not in cache else None
     base = np.random.Philox(config.seed)
@@ -323,9 +319,9 @@ def mc_price(
     """
     started = time.perf_counter()
     check_positive(spot, "spot")
-    if type(cases) is not tuple or not all(isinstance(c, TarnContract) for c in cases):
-        raise ValueError(f"cases must be a tuple of TarnContract, got {_shown(cases)}")
-    cache = {} if cache is None else cache
+    check_cases(cases)
+    if cache is None:  # no other case's result would be kept
+        cache, cases = {}, ()
     result_key = ("mc.result", model, spot, config)
     if result_key + (contract,) not in cache:
         _price_group(_group(contract, cases, config.n_paths), model, config, spot,

@@ -182,14 +182,17 @@ def test_criterion_7_dominance_and_monotonicity():
         u2 = u1 * (1.0 + float(rng.uniform(0.2, 0.6)))
         mc_cfg = McConfig(n_paths=8192, seed=1000 + i, control_variate=False)
         prices = {"fd": {}, "mc": {}}
-        for ko in order:
-            for u in (u1, u2):
-                contract = TarnContract(strike=strike, target=u, beta=beta,
-                                        fixing_times=times, knockout=ko)
-                prices["fd"][(ko, u)] = fd_price(contract, model, cfg_fd,
-                                                 spot).price
-                prices["mc"][(ko, u)] = mc_price(contract, model, mc_cfg,
-                                                 spot).price
+        # the contract's six cases priced as a run, as cli.run prices them
+        cases = tuple(TarnContract(strike=strike, target=u, beta=beta,
+                                   fixing_times=times, knockout=ko)
+                      for ko in order for u in (u1, u2))
+        cache = {}
+        for contract in cases:
+            key = (contract.knockout, contract.target)
+            prices["fd"][key] = fd_price(contract, model, cfg_fd, spot, cache=cache,
+                                         cases=cases).price
+            prices["mc"][key] = mc_price(contract, model, mc_cfg, spot, cache=cache,
+                                         cases=cases).price
         for engine in ("fd", "mc"):
             p = prices[engine]
             for u in (u1, u2):

@@ -22,6 +22,7 @@ INTERNAL = [
     (fd, "JumpPlan"), (fd, "apply_jump"), (fd, "theta_step"), (fd, "build_grid"),
     (fd, "FdGrid"), (fd, "tridiagonal_solve"), (fd, "coefficients_at"),
     (contract, "batch_present_value"), (contract, "fixing_flows"),
+    (contract, "shared_terms"), (contract, "sharing_cases"), (contract, "check_cases"),
     (mc, "simulate_fixing_paths"), (mc, "standard_error"),
     (mc, "batch_present_value"),
     (market, "integrated_variance"), (market, "discount_factor"),

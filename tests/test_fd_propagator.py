@@ -164,6 +164,12 @@ def run_lengths(runs):
     return [len(run) for _, run in runs]
 
 
+def run_of(contract, n):
+    """``contract`` and n - 1 cases on its terms with higher targets: the
+    cases of a run, all of which share its maps."""
+    return tuple(replace(contract, target=contract.target * (1 + i)) for i in range(n))
+
+
 def test_equal_intervals_share_one_map(monkeypatch):
     # k * 30 / 365 fixing dates make equal intervals differ in the last
     # bits of their step lengths; they must still share a single map
@@ -183,10 +189,10 @@ def test_equal_steps_on_a_rounding_boundary_form_one_run(monkeypatch):
     model = flat_model(r_d=0.02, r_f=0.01)
     config = FdConfig(spot_nodes=200, accumulation_nodes=50, time_steps=200)
     cache = {}
-    for knockout in KnockoutType:
-        contract = TarnContract(strike=1.0, target=0.2, beta=1,
-                                fixing_times=times, knockout=knockout)
-        got = fd_price(contract, model, config, 1.0, cache=cache, pricings=3).price
+    cases = tuple(TarnContract(strike=1.0, target=0.2, beta=1, fixing_times=times,
+                               knockout=knockout) for knockout in KnockoutType)
+    for contract in cases:
+        got = fd_price(contract, model, config, 1.0, cache=cache, cases=cases).price
         assert got == pytest.approx(reference_price(contract, model, config, 1.0),
                                     rel=1e-12, abs=0.0)
     (entry,) = cache.values()
@@ -450,8 +456,8 @@ def test_one_run_map_matches_reference_march(monkeypatch, n, n_products):
     runs = fd._interval_runs(model, grid, grid.fixing_times[1],
                              grid.fixing_times[0], n, config)
     assert run_lengths(runs) == [n]
-    got = fd_price(contract, model, config, 1.05,
-                   pricings=12).price
+    got = fd_price(contract, model, config, 1.05, cache={},
+                   cases=run_of(contract, 12)).price
     assert len(built) == 1
     assert len(products) == n_products
     assert got == pytest.approx(reference_price(contract, model, config, 1.05),
@@ -483,8 +489,8 @@ def test_runs_of_one_interval_compose(monkeypatch, contract, config, spot):
     # 13 = 0b1101: three squarings, three products onto the map so far
     assert len(products) == 6
     built.clear()
-    got = fd_price(contract, model, config, spot,
-                   pricings=12).price
+    got = fd_price(contract, model, config, spot, cache={},
+                   cases=run_of(contract, 12)).price
     # the intervals below the knot, the knot's and those above it
     assert len(built) == 3
     assert got == pytest.approx(reference_price(contract, model, config, spot),
@@ -533,40 +539,39 @@ def test_maps_keep_no_entry_a_product_could_underflow_on(n, t_hi):
 
 def test_a_price_never_depends_on_what_was_priced_before_it():
     # one dict across two spot grids, two accumulation grids (the rows an
-    # interval's map-or-march choice is made from), two pricings hints, two
-    # models, both boundaries and both betas, walked forward and back; the
-    # boundaries and betas share one spot grid, and every case of a model
-    # shares its object, so cases that differ only in J differ in the key
-    # only by the J in its FdConfig
+    # interval's map-or-march choice is made from), runs of one and of 12
+    # cases, two models, both boundaries and both betas, walked forward and
+    # back; the boundaries and betas share one spot grid, and every case of
+    # a model shares its object, so cases that differ only in J differ in
+    # the key only by the J in its FdConfig
     cache = {}
     models = (flat_model(r_d=0.02), term_structure_model())
     cases = [
-        (contract, model, replace(config, spot_nodes=m, accumulation_nodes=j),
-         pricings)
+        (contract, model, replace(config, spot_nodes=m, accumulation_nodes=j), run)
         for m in (120, 90)
         for j in (20, 6)
-        for pricings in (1, 12)
+        for n in (1, 12)
         for model in models
         for config in (replace(DIRECTIONAL, boundary=BoundaryKind.ZERO_GAMMA),
                        DIRECTIONAL)
         for contract in (call_contract(), put_contract())
+        for run in [run_of(contract, n)]
     ]
     # a shape whose map-or-march choice depends on J: one pricing on GRID
     # marches 2 of its 8 intervals at J = 20 and 4 at J = 6
-    by_j = [(call_contract(), models[1], replace(GRID, accumulation_nodes=j), 1)
+    by_j = [(call_contract(), models[1], replace(GRID, accumulation_nodes=j), ())
             for j in (20, 6)]
     marched = []
-    for contract, model, config, pricings in by_j:
+    for contract, model, config, run in by_j:
         own = {}
-        fd_price(contract, model, config, 1.05, cache=own, pricings=pricings)
+        fd_price(contract, model, config, 1.05, cache=own, cases=run)
         (entry,) = own.values()
         marched.append(sum(mapped is None for _, mapped in entry))
     assert marched == [2, 4]
     cases += by_j
-    for contract, model, config, pricings in cases + cases[::-1]:
-        got = fd_price(contract, model, config, 1.05, cache=cache,
-                       pricings=pricings).price
-        want = fd_price(contract, model, config, 1.05, pricings=pricings).price
+    for contract, model, config, run in cases + cases[::-1]:
+        got = fd_price(contract, model, config, 1.05, cache=cache, cases=run).price
+        want = fd_price(contract, model, config, 1.05, cache={}, cases=run).price
         assert got == want
     assert {key[3].spot_nodes for key in cache
             if key[0] == "fd.intervals"} == {120, 90}
@@ -585,7 +590,9 @@ def test_pricings_of_one_shape_share_one_entry(monkeypatch):
     made = count_made(monkeypatch)
     cache = {}
     model = term_structure_model()
-    fd_price(call_contract(), model, GRID, 1.05, cache=cache, pricings=2)
+    other = replace(call_contract(KnockoutType.NO_GAIN), target=0.3)
+    cases = (call_contract(), other)
+    fd_price(call_contract(), model, GRID, 1.05, cache=cache, cases=cases)
     assert built and made
     for matrix, offset in built:
         with pytest.raises(ValueError, match="read-only"):
@@ -594,27 +601,26 @@ def test_pricings_of_one_shape_share_one_entry(monkeypatch):
             offset += 1.0
     built.clear()
     made.clear()
-    other = replace(call_contract(KnockoutType.NO_GAIN), target=0.3)
-    again = fd_price(other, model, GRID, 1.05, cache=cache, pricings=2).price
+    again = fd_price(other, model, GRID, 1.05, cache=cache, cases=cases).price
     assert (built, made) == ([], [])
     assert len(interval_entries(cache)) == 1
     assert isinstance(cache[interval_entries(cache)[0]], tuple)
-    assert again == fd_price(other, model, GRID, 1.05, pricings=2).price
+    assert again == fd_price(other, model, GRID, 1.05, cache={}, cases=cases).price
 
 
 def test_each_shape_input_adds_one_entry():
     cache = {}
     model = flat_model(r_d=0.02)
     shapes = [
-        (call_contract(), GRID, 1),
-        (call_contract(), replace(GRID, accumulation_nodes=6), 1),
-        (call_contract(), GRID, 12),
+        (call_contract(), GRID, ()),
+        (call_contract(), replace(GRID, accumulation_nodes=6), ()),
+        (call_contract(), GRID, run_of(call_contract(), 12)),
         (call_contract(),
-         replace(GRID, boundary=BoundaryKind.DIRICHLET_NEUMANN_BY_DIRECTION), 1),
-        (put_contract(), GRID, 1),
+         replace(GRID, boundary=BoundaryKind.DIRICHLET_NEUMANN_BY_DIRECTION), ()),
+        (put_contract(), GRID, ()),
     ]
-    for count, (contract, config, pricings) in enumerate(shapes, start=1):
-        fd_price(contract, model, config, 1.05, cache=cache, pricings=pricings)
+    for count, (contract, config, cases) in enumerate(shapes, start=1):
+        fd_price(contract, model, config, 1.05, cache=cache, cases=cases)
         assert len(interval_entries(cache)) == count
 
 
@@ -623,8 +629,44 @@ def test_local_vol_pricings_hold_no_entry():
     # holding them would keep about 3 MB per 1000-node pricing alive
     cache = {}
     model = local_vol_model()
-    for knockout in KnockoutType:
-        for target in (0.2, 0.3):
-            contract = replace(call_contract(knockout), target=target)
-            fd_price(contract, model, GRID, 1.05, cache=cache, pricings=6)
+    cases = tuple(replace(call_contract(knockout), target=target)
+                  for knockout in KnockoutType for target in (0.2, 0.3))
+    for contract in cases:
+        fd_price(contract, model, GRID, 1.05, cache=cache, cases=cases)
     assert cache == {}
+
+
+def spy_counts(monkeypatch):
+    """The count each ``fd._map_pays`` call is given, in order."""
+    counts = []
+    original = fd._map_pays
+
+    def spy(lengths, rows, count, m):
+        counts.append(count)
+        return original(lengths, rows, count, m)
+
+    monkeypatch.setattr(fd, "_map_pays", spy)
+    return counts
+
+
+SAME_TERMS = (replace(call_contract(), target=0.3), call_contract(KnockoutType.NO_GAIN))
+OTHER_TERMS = (replace(call_contract(), strike=1.02),
+               replace(call_contract(), fixing_times=benchmark_times(7),
+                       extra_payments=None),
+               put_contract())
+
+
+@pytest.mark.parametrize("cache, cases, count", [
+    ({}, (call_contract(),) + SAME_TERMS + OTHER_TERMS, 3),
+    ({}, OTHER_TERMS[:1] + SAME_TERMS + OTHER_TERMS[1:] + (call_contract(),), 3),
+    ({}, SAME_TERMS + OTHER_TERMS, 1),
+    (None, (call_contract(),) + SAME_TERMS + OTHER_TERMS, 1),
+    ({}, (), 1),
+], ids=["in_its_cases", "in_its_cases_last", "not_in_its_cases", "no_dict", "no_cases"])
+def test_map_count_is_the_cases_on_its_terms(monkeypatch, cache, cases, count):
+    # cases on another strike, schedule or direction march their own rows;
+    # without a dict, or outside its cases, a pricing shares its maps with
+    # no other
+    counts = spy_counts(monkeypatch)
+    fd_price(call_contract(), flat_model(r_d=0.02), GRID, 1.05, cache=cache, cases=cases)
+    assert counts and set(counts) == {count}

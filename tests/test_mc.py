@@ -394,6 +394,15 @@ class TestSharedSimulation:
         batch = ["simulate_fixing_paths"] + ["batch_present_value"] * 6 + ["_control_values"]
         assert calls == batch * 3 + ["vanilla_price"] * 20
 
+    def test_a_call_without_a_dict_prices_its_case_alone(self, monkeypatch):
+        # no dict would keep the other cases' results, so none is priced
+        calls = counting(monkeypatch, "simulate_fixing_paths", "batch_present_value")
+        config = McConfig(n_paths=2 * BATCH_SIZE + 1, seed=5)
+        got = mc_price(CASES[0], flat_model(r_d=0.01), config, 1.05, cases=CASES)
+        assert calls == ["simulate_fixing_paths", "batch_present_value"] * 3
+        alone = mc_price(CASES[0], flat_model(r_d=0.01), config, 1.05)
+        assert bits([got.price, got.stderr]) == bits([alone.price, alone.stderr])
+
     def test_without_cases_each_pricing_simulates_its_batches(self, monkeypatch):
         calls = counting(monkeypatch, "simulate_fixing_paths", "_control_values")
         run_cases(McConfig(n_paths=BATCH_SIZE, seed=5), {})
@@ -524,8 +533,8 @@ class TestSharedSimulation:
         contract = CASES[0]
         mc_price(contract, model, config, 1.05, cache=cache, cases=CASES)
         results = {("mc.result", model, 1.05, config, c) for c in CASES}
-        controls_key = ("mc.controls", model, 1.05, contract.fixing_times, 2, n_paths, 1,
-                        1.0, 1)
+        controls_key = ("mc.controls", model, 1.05, 2, n_paths, 1,
+                        contract.fixing_times, 1.0, 1)
         with_controls = model.has_exact_transition
         assert set(cache) == results | ({controls_key} if with_controls else set())
         assert all(isinstance(cache[k], mc.McResult) for k in results)

@@ -189,24 +189,24 @@ def test_knots_out_of_order_are_rejected_by_name(make, field):
         make()
 
 
-@pytest.mark.parametrize("pricings", ["3", None, 10**400, 0, -2, True, 2.5, float("nan")],
-                         ids=["str", "none", "huge_int", "zero", "negative", "bool",
-                              "fraction", "nan"])
-def test_fd_price_rejects_a_pricings_hint_that_is_no_count(pricings):
-    # each of these used to price silently, or fail naming no argument
-    with pytest.raises(ValueError, match="^pricings must be "):
-        fd_price(contract(), flat_model(), FdConfig(), 1.05, pricings=pricings)
+LOCAL_VOL = MarketModel(RateCurve.flat(0.0), RateCurve.flat(0.0),
+                        LocalVolSurface(**SURFACE))
 
 
+@pytest.mark.parametrize("price", [
+    lambda **kw: mc_price(contract(), flat_model(), McConfig(n_paths=100), 1.05, **kw),
+    lambda **kw: fd_price(contract(), flat_model(), FdConfig(40, 8, 40), 1.05, **kw),
+    # local volatility marches every step and never reads the case count
+    lambda **kw: fd_price(contract(), LOCAL_VOL, FdConfig(40, 8, 40), 1.05, **kw),
+], ids=["mc", "fd", "fd_local_vol"])
 @pytest.mark.parametrize("cases", [
     [contract()], (contract(), "x"), None, contract(), (1.0,), (10**5000,),
 ], ids=["list", "str_entry", "none", "bare_contract", "float_entry", "unprintable_int"])
 @pytest.mark.parametrize("cache", [None, {}], ids=["no_dict", "dict"])
-def test_mc_price_rejects_cases_that_are_no_tuple_of_contracts(cases, cache):
+def test_engines_reject_cases_that_are_no_tuple_of_contracts(price, cases, cache):
     # rejected where it enters, with or without a dict, before anything is priced
     with pytest.raises(ValueError, match="^cases must be a tuple of TarnContract, got "):
-        mc_price(contract(), flat_model(), McConfig(n_paths=100), 1.05, cache=cache,
-                 cases=cases)
+        price(cache=cache, cases=cases)
 
 
 @pytest.mark.parametrize("times", [
@@ -228,11 +228,8 @@ def test_fixing_times_of_any_real_sequence_are_accepted(times):
     lambda: LocalVolSurface(time_knots=[0, 1], spot_knots=np.array([1, 2], dtype=np.int32),
                             values=[[1, 1], [0.2, 0.3]]),
     lambda: contract(beta=-1.0, strike=np.float64(1.0), target=1),
-    lambda: fd_price(contract(), flat_model(), FdConfig(40, 8, 40), 1.05,
-                     pricings=np.int64(3)),
 ], ids=["float64_sigma", "int_sigma", "int64_rate", "list_and_array_curve",
-        "generator_and_float32_vol", "int_surface", "integral_float_beta",
-        "int64_pricings"])
+        "generator_and_float32_vol", "int_surface", "integral_float_beta"])
 def test_real_numbers_of_every_type_are_accepted(make):
     make()
 
