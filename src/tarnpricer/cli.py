@@ -437,9 +437,9 @@ def run(config: RunConfig) -> list[ResultRecord]:
     schedule do not depend on the target or the knockout type, and for the
     same reason the MC cases share one control column and are priced in
     groups that simulate each batch once (see :func:`mc.mc_price`).  The
-    first MC call of a group prices the group, and each later one reads
-    its result from the dict; each case's ``wall_time_s`` is an equal
-    share of its group's seconds.
+    first MC call prices every group of the run's cases, and each later
+    one reads its result from the dict; each case's ``wall_time_s`` is an
+    equal share of that call's seconds.
     """
     tag = fingerprint(config)
     engines = [e for e in ("fd", "mc") if e in config.engines]

@@ -18,27 +18,26 @@ row).  One pricing runs on the calling thread: it simulates and prices its
 batches one after another, in batch order.
 
 The cases of one run share their simulation.  A pricing given the run's
-``cache`` dict and its ``cases`` prices a group of them in one pass: each
-batch is simulated once and every case of the group is priced on it, so
-the cases see common random numbers.  A group holds one payoff column per
-case, and its columns fit ``_GROUP_BYTES`` (8 MiB): table1's 12 cases of
-200k paths, 1.6 MB each, are 3 groups of 4, which simulate its 13 batches
-39 times instead of 156.  The other cases' results wait in the dict for
-their own calls.  With the control variate on, the control column and its
-closed-form mean are computed once per strike and direction.
+``cache`` dict and its ``cases`` prices every case that shares its paths,
+group by group; in a group's pass each batch is simulated once and every
+case of the group is priced on it, so the cases see common random
+numbers.  A group holds one payoff column per case, and its columns fit
+``_GROUP_BYTES`` (8 MiB): table1's 12 cases of 200k paths, 1.6 MB each,
+are 3 groups of 4, which simulate its 13 batches 39 times instead of 156.
+With the control variate on, the first group's pass makes the control
+column and its closed-form mean, and the later groups reuse them.  The
+other cases' results wait in the dict for their own calls.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .contract import (TarnContract, batch_present_value, check_cases, shared_terms,
-                       sharing_cases)
+from .contract import TarnContract, batch_present_value, check_cases, sharing_cases
 from .market import (
     MarketModel,
     check_count,
@@ -95,8 +94,8 @@ class McResult:
 
     ``cv_coefficient`` is None when no control variate was used.
     ``wall_time`` is the seconds of the pricing divided among the cases
-    priced with it (see :func:`mc_price`): each case of a group reports an
-    equal share, so a run's shares sum to its MC seconds.
+    priced with it (see :func:`mc_price`): each reports an equal share, so
+    a run's shares sum to its MC seconds.
     """
 
     price: float
@@ -185,19 +184,12 @@ def _control_values(paths, contract, discounts):
     return contract.gross(paths) @ discounts
 
 
-def _group(contract: TarnContract, cases: tuple, n_paths: int) -> tuple:
-    """The cases priced with ``contract`` in one pass over the batches.
-
-    They are the cases on its paths and control column, its
-    :func:`~tarnpricer.contract.sharing_cases`, split in order into the
-    fewest consecutive groups whose payoff columns fit ``_GROUP_BYTES``,
-    with sizes that differ by at most one.
-    """
-    same = sharing_cases(contract, cases)
-    n_groups = -(-len(same) // max(1, _GROUP_BYTES // (8 * n_paths)))
-    bounds = [g * len(same) // n_groups for g in range(n_groups + 1)]
-    g = bisect.bisect_right(bounds, same.index(contract)) - 1
-    return tuple(same[bounds[g]:bounds[g + 1]])
+def _groups(cases: tuple, n_paths: int) -> list:
+    """``cases`` split in order into the fewest groups whose payoff columns
+    fit ``_GROUP_BYTES``, with sizes that differ by at most one."""
+    n_groups = -(-len(cases) // max(1, _GROUP_BYTES // (8 * n_paths)))
+    bounds = [g * len(cases) // n_groups for g in range(n_groups + 1)]
+    return [cases[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _estimate(payoffs, controls, control_mean, n_pilot, config):
@@ -224,24 +216,26 @@ def _estimate(payoffs, controls, control_mean, n_pilot, config):
     return price, stderr, lam
 
 
-def _price_group(group, model, config, spot, cache, result_key, started):
-    """Price ``group`` in one pass over the batches and store each case's
-    result, or the exception its estimate raised, under ``result_key``
-    plus the case."""
+def _price_group(group, model, config, spot, control):
+    """Price ``group`` in one pass over the batches.
+
+    Returns each case's (price, stderr, coefficient), or the exception its
+    estimate raised, and the control: the control column and its
+    closed-form mean, or None without the control variate.  A ``control``
+    passed in is returned as it is; with the control variate on and
+    ``control`` None, this pass makes it.
+    """
     times = group[0].fixing_times
     discounts = np.array([discount_factor(model.domestic, 0.0, t) for t in times])
-    exact = model.has_exact_transition
-    use_cv = config.control_variate and exact
+    use_cv = config.control_variate and model.has_exact_transition
 
     n = config.n_paths
     n_pilot = max(2, n // 10) if use_cv and config.cv_coefficient is None else 0
     if n - n_pilot < 2:
         raise ValueError(f"n_paths must leave at least 2 paths after the {n_pilot}-path "
                          f"control-variate pilot, got {n}")
-    control_key = ("mc.controls", model, spot, config.seed, n,
-                   config.substeps_per_interval) + shared_terms(group[0])
     payoffs = np.empty((len(group), n))
-    controls = np.empty(n) if use_cv and control_key not in cache else None
+    controls = np.empty(n) if use_cv and control is None else None
     base = np.random.Philox(config.seed)
     for b in range(-(-n // BATCH_SIZE)):
         # batch b - 1 stays alive while batch b is simulated: freed first,
@@ -255,30 +249,20 @@ def _price_group(group, model, config, spot, cache, result_key, started):
         if controls is not None:
             controls[rows] = _control_values(paths, group[0], discounts)
 
-    control_mean = None
-    if use_cv:
-        if control_key not in cache:
-            controls.setflags(write=False)
-            cache[control_key] = controls, sum(
-                vanilla_price(spot, group[0].strike, group[0].beta, t,
-                              model.domestic, model.foreign, model.vol)
-                for t in times
-            )
-        controls, control_mean = cache[control_key]
+    if controls is not None:
+        control = controls, sum(
+            vanilla_price(spot, group[0].strike, group[0].beta, t,
+                          model.domestic, model.foreign, model.vol)
+            for t in times
+        )
+    controls, control_mean = control or (None, None)
     outcomes = []
     for column in payoffs:
         try:
             outcomes.append(_estimate(column, controls, control_mean, n_pilot, config))
-        except ValueError as exc:  # that case's own call raises it
-            outcomes.append(exc)
-    share = (time.perf_counter() - started) / len(group)
-    for case, outcome in zip(group, outcomes):
-        if not isinstance(outcome, Exception):
-            price, stderr, lam = outcome
-            outcome = McResult(price=price, stderr=stderr, cv_coefficient=lam,
-                               wall_time=share,
-                               cv_downgraded=config.control_variate and not exact)
-        cache[result_key + (case,)] = outcome
+        except ValueError as exc:  # its traceback would keep this frame's arrays
+            outcomes.append(exc.with_traceback(None))
+    return outcomes, control
 
 
 def mc_price(
@@ -298,20 +282,22 @@ def mc_price(
     local volatility models.
 
     ``cache`` is a dict the caller owns and ``cases`` the contracts of the
-    run, ``contract`` among them.  Given both, a pricing prices the group of
-    cases that share ``contract``'s paths and control column: the cases
-    with its schedule, strike and direction, split in order into the fewest
-    groups whose payoff columns (8 bytes a path and case) fit 8 MiB, with
-    sizes that differ by at most one.  Each batch is simulated once and
-    every case of the group is priced on it; each reports an equal share of
-    the pass's seconds as its ``wall_time``.  The other cases' results, or
-    the exceptions their estimates raised, are stored in the dict, keyed by
-    the contract, model, spot and whole config, and their own calls return
-    them.  Pricings passed the same dict also share the control column and
-    its mean, held read-only.  The dict is not locked.  Without a dict, or
-    with ``contract`` not in ``cases``, the case is priced alone.  Either
-    way no more than two batches are alive at a time, and the estimate is
-    the same bit for bit.
+    run, ``contract`` among them.  Given both, a pricing prices every case
+    that shares ``contract``'s paths and control column: the cases with its
+    schedule, strike and direction.  They are split in order into the
+    fewest groups whose payoff columns (8 bytes a path and case) fit 8 MiB,
+    with sizes that differ by at most one, and priced one group after
+    another: in a group's pass each batch is simulated once and every case
+    of the group is priced on it.  The first pass makes the control column
+    and its mean, and the later passes reuse them.  Each case reports an
+    equal share of the call's seconds as its ``wall_time``.  The other
+    cases' results, or the exceptions their estimates raised, are stored in
+    the dict, keyed by the contract, model, spot and whole config, and
+    their own calls return them (a stored exception is raised as a fresh
+    one of its type and message).  The dict is not locked.  Without a
+    dict, or with ``contract`` not in ``cases``, the case is priced alone,
+    with its own control column.  Either way no more than two batches are
+    alive at a time, and the estimate is the same bit for bit.
 
     Every batch is simulated and priced on the calling thread, in batch
     order.  A price or standard error that is not finite raises
@@ -324,10 +310,19 @@ def mc_price(
         cache, cases = {}, ()
     result_key = ("mc.result", model, spot, config)
     if result_key + (contract,) not in cache:
-        _price_group(_group(contract, cases, config.n_paths), model, config, spot,
-                     cache, result_key, started)
+        same, outcomes, control = sharing_cases(contract, cases), [], None
+        for group in _groups(same, config.n_paths):
+            estimates, control = _price_group(group, model, config, spot, control)
+            outcomes += estimates
+        share = (time.perf_counter() - started) / len(same)
+        downgraded = config.control_variate and not model.has_exact_transition
+        for case, outcome in zip(same, outcomes):
+            if not isinstance(outcome, Exception):
+                price, stderr, lam = outcome
+                outcome = McResult(price=price, stderr=stderr, cv_coefficient=lam,
+                                   wall_time=share, cv_downgraded=downgraded)
+            cache[result_key + (case,)] = outcome
     outcome = cache[result_key + (contract,)]
-    if isinstance(outcome, Exception):
-        raise outcome
+    if isinstance(outcome, Exception):  # raised, it would hold the callers' frames
+        raise type(outcome)(*outcome.args)
     return outcome
-

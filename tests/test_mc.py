@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import threading
 import weakref
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from tarnpricer import (
+    FdConfig,
     KnockoutType,
     LocalVolSurface,
     MarketModel,
@@ -14,6 +16,7 @@ from tarnpricer import (
     RateCurve,
     TarnContract,
     TermStructureVol,
+    cli,
     mc,
     mc_price,
     vanilla_price,
@@ -406,9 +409,8 @@ class TestSharedSimulation:
     def test_without_cases_each_pricing_simulates_its_batches(self, monkeypatch):
         calls = counting(monkeypatch, "simulate_fixing_paths", "_control_values")
         run_cases(McConfig(n_paths=BATCH_SIZE, seed=5), {})
-        # the control column is still made once and shared through the dict
-        assert calls == ["simulate_fixing_paths", "_control_values"] + \
-            ["simulate_fixing_paths"] * 5
+        # each call makes its own control column too
+        assert calls == ["simulate_fixing_paths", "_control_values"] * 6
 
     @pytest.mark.parametrize("extra_paths, groups", [(0, [3, 3]), (1, [2, 2, 2])],
                              ids=["at_the_budget", "one_path_over"])
@@ -433,17 +435,22 @@ class TestSharedSimulation:
     def test_group_sizes(self, n_cases, n_paths, sizes):
         cases = tuple(benchmark_contract(KnockoutType.NO_GAIN, 0.1 * (i + 1))
                       for i in range(n_cases))
-        groups = list(dict.fromkeys(mc._group(c, cases, n_paths) for c in cases))
+        groups = mc._groups(cases, n_paths)
         assert [len(g) for g in groups] == sizes
         assert sum(groups, ()) == cases
 
-    def test_a_case_outside_its_cases_is_priced_alone(self):
-        assert mc._group(CASES[0], CASES[1:], 1000) == (CASES[0],)
+    def test_a_case_outside_its_cases_is_priced_alone(self, monkeypatch):
+        config, model, cache = McConfig(n_paths=1000, seed=9), flat_model(r_d=0.01), {}
+        calls = counting(monkeypatch, "simulate_fixing_paths", "batch_present_value")
+        got = mc_price(CASES[0], model, config, 1.05, cache=cache, cases=CASES[1:])
+        assert calls == ["simulate_fixing_paths", "batch_present_value"]
+        assert set(cache) == {("mc.result", model, 1.05, config, CASES[0])}
+        alone = mc_price(CASES[0], model, config, 1.05)
+        assert bits([got.price, got.stderr]) == bits([alone.price, alone.stderr])
 
     def test_a_case_with_other_terms_in_its_cases_is_priced_alone(self, monkeypatch):
         other_strike, other_beta = other_terms(strike=1.04), other_terms(beta=-1)
         cases = (CASES[0], other_strike, CASES[1], other_beta)
-        assert mc._group(CASES[0], cases, 1000) == (CASES[0], CASES[1])
         config, model = McConfig(n_paths=3000, seed=9), flat_model(r_d=0.01)
         calls = counting(monkeypatch, "simulate_fixing_paths", "batch_present_value")
         cache = {}
@@ -452,15 +459,21 @@ class TestSharedSimulation:
                          + ["simulate_fixing_paths", "batch_present_value"] * 2)
         assert got == [run_cases(config, None, [c], model)[0] for c in cases]
 
-    @pytest.mark.parametrize("model, cache, alive", [
-        (flat_model(), None, [0, 1, 1]),
-        (flat_model(), {}, [0, 1, 1]),
-        (smile_model(), None, [0, 1, 1]),
-        (smile_model(), {}, [0, 1, 1]),
-    ], ids=["no_dict", "dict", "euler_no_dict", "euler_dict"])
-    def test_no_more_than_two_batches_are_alive(self, monkeypatch, model, cache, alive):
+    @pytest.mark.parametrize("model, cache, groups, alive", [
+        (flat_model(), None, 1, [0, 1, 1]),
+        (flat_model(), {}, 1, [0, 1, 1]),
+        (smile_model(), None, 1, [0, 1, 1]),
+        (smile_model(), {}, 1, [0, 1, 1]),
+        (flat_model(), {}, 2, [0, 1, 1] * 2),
+        (smile_model(), {}, 3, [0, 1, 1] * 3),
+    ], ids=["no_dict", "dict", "euler_no_dict", "euler_dict", "two_groups",
+            "euler_three_groups"])
+    def test_no_more_than_two_batches_are_alive(self, monkeypatch, model, cache, groups,
+                                                alive):
         # batches still alive as each batch is simulated: only the previous
-        # one, with or without a group to price
+        # one, with or without a group to price, and none of an earlier group
+        # as the next group starts
+        monkeypatch.setattr(mc, "_GROUP_BYTES", len(CASES) // groups * 3 * BATCH_SIZE * 8)
         original, made, seen = mc.simulate_fixing_paths, [], []
 
         def simulate(*args):
@@ -517,7 +530,74 @@ class TestSharedSimulation:
             alone = mc_price(contract, config.model, config.mc, config.spot)
             assert bits([rec.price, rec.error_metric]) == bits([alone.price, alone.stderr])
 
-    def test_each_case_reports_an_equal_share_of_its_groups_seconds(self):
+    def test_cli_run_makes_one_control_column_for_all_its_groups(self, monkeypatch):
+        # with fd: the dict then holds the entries of both engines
+        n_paths = BATCH_SIZE + 1000
+        monkeypatch.setattr(mc, "_GROUP_BYTES", 2 * n_paths * 8)
+        caches = []
+
+        def price(*args, cache, cases):
+            caches.append(cache)
+            return mc_price(*args, cache=cache, cases=cases)
+
+        monkeypatch.setattr(cli, "mc_price", price)
+        calls = counting(monkeypatch, "simulate_fixing_paths", "batch_present_value",
+                         "_control_values", "vanilla_price")
+        config = dataclasses.replace(
+            PRESETS["table1"](), targets=(0.3, 0.5), mc=McConfig(n_paths=n_paths),
+            fd=FdConfig(spot_nodes=60, accumulation_nodes=12, time_steps=40))
+        records = run(config)
+        assert all(r.status == "ok" for r in records)
+        # six cases in three groups of two, priced by the first MC call; the
+        # first group's pass makes the control column and its mean for all
+        batch = ["simulate_fixing_paths"] + ["batch_present_value"] * 2
+        assert calls == ((batch + ["_control_values"]) * 2 + ["vanilla_price"] * 20
+                         + batch * 4)
+        assert len(caches) == 6 and all(c is caches[0] for c in caches)
+        assert {key[0] for key in caches[0]} == {"fd.intervals", "mc.result"}
+
+    def test_a_failing_case_keeps_nothing_alive_after_the_run(self, monkeypatch):
+        # the stored exception holds no frame and each call raises a fresh
+        # one, so no reference cycle keeps the group's batch, or the run's
+        # dict and the results in it, alive once the run returns
+        config = dataclasses.replace(
+            PRESETS["table1"](), engines=("mc",), targets=(0.3, 0.5),
+            mc=McConfig(n_paths=3000, seed=4))
+        simulate, present_value = mc.simulate_fixing_paths, mc.batch_present_value
+        batches, results = [], []
+
+        def simulated(*args):
+            paths = simulate(*args)
+            batches.append(weakref.ref(paths))
+            return paths
+
+        def nan_at_the_higher_target(paths, contract, discounts):
+            value = present_value(paths, contract, discounts)
+            return value * np.nan if contract.target == 0.5 else value
+
+        def price(*args, **kwargs):
+            result = mc_price(*args, **kwargs)
+            results.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(mc, "simulate_fixing_paths", simulated)
+        monkeypatch.setattr(mc, "batch_present_value", nan_at_the_higher_target)
+        monkeypatch.setattr(cli, "mc_price", price)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            records = run(config)
+            assert [r.status.startswith("error: MC price is not finite")
+                    for r in records] == [False, True] * 3
+            assert len(batches) == 1 and len(results) == 3
+            assert all(ref() is None for ref in batches + results)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_each_case_reports_an_equal_share_of_the_calls_seconds(self, monkeypatch):
+        # three groups of two, priced by the first call
+        monkeypatch.setattr(mc, "_GROUP_BYTES", 2 * 3000 * 8)
         cache = {}
         config, model = McConfig(n_paths=3000, seed=2), flat_model()
         times = [mc_price(c, model, config, 1.05, cache=cache, cases=CASES).wall_time
@@ -526,23 +606,13 @@ class TestSharedSimulation:
 
     @pytest.mark.parametrize("model, n_batches", [(flat_model(), 1), (smile_model(), 2)],
                              ids=["one_batch", "two_local_vol_batches"])
-    def test_the_dict_holds_results_and_a_read_only_control_column(self, model, n_batches):
+    def test_the_dict_holds_only_results(self, model, n_batches):
         cache = {}
-        n_paths = (n_batches - 1) * BATCH_SIZE + 1000
-        config = McConfig(n_paths=n_paths, seed=2)
-        contract = CASES[0]
-        mc_price(contract, model, config, 1.05, cache=cache, cases=CASES)
+        config = McConfig(n_paths=(n_batches - 1) * BATCH_SIZE + 1000, seed=2)
+        mc_price(CASES[0], model, config, 1.05, cache=cache, cases=CASES)
         results = {("mc.result", model, 1.05, config, c) for c in CASES}
-        controls_key = ("mc.controls", model, 1.05, 2, n_paths, 1,
-                        contract.fixing_times, 1.0, 1)
-        with_controls = model.has_exact_transition
-        assert set(cache) == results | ({controls_key} if with_controls else set())
+        assert set(cache) == results
         assert all(isinstance(cache[k], mc.McResult) for k in results)
-        if with_controls:
-            column, _ = cache[controls_key]
-            assert not column.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                column[0] = 0.0
 
     @pytest.mark.parametrize("change, vanillas", [
         (dict(config=McConfig(n_paths=3000, seed=10)), 20),
@@ -554,8 +624,7 @@ class TestSharedSimulation:
         (dict(contract=benchmark_contract(KnockoutType.NO_GAIN, 0.3),
               config=McConfig(n_paths=3001, seed=9)), 20),
         (dict(config=McConfig(n_paths=3000, seed=9, control_variate=False)), 0),
-        # the control column does not depend on the coefficient
-        (dict(config=McConfig(n_paths=3000, seed=9, cv_coefficient=0.8)), 0),
+        (dict(config=McConfig(n_paths=3000, seed=9, cv_coefficient=0.8)), 20),
         (dict(config=McConfig(n_paths=3000, seed=9, substeps_per_interval=2)), 20),
     ], ids=["seed", "model_object", "model", "spot", "strike", "beta", "n_paths",
             "control_variate", "cv_coefficient", "substeps"])
