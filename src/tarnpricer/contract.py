@@ -118,12 +118,12 @@ def check_cases(cases) -> None:
 
 
 def sharing_cases(contract: TarnContract, cases: tuple) -> tuple:
-    """The cases with ``contract``'s :data:`shared_terms`, in order;
-    ``(contract,)`` when it is not in ``cases``."""
+    """The cases with ``contract``'s :data:`shared_terms`, in order, each
+    once; ``(contract,)`` when it is not in ``cases``."""
     if contract not in cases:
         return (contract,)
     terms = shared_terms(contract)
-    return tuple(c for c in cases if shared_terms(c) == terms)
+    return tuple(dict.fromkeys(c for c in cases if shared_terms(c) == terms))
 
 
 def fixing_flows(gross, accrued, extra, kind: KnockoutType, target: float):
@@ -158,55 +158,89 @@ def fixing_flows(gross, accrued, extra, kind: KnockoutType, target: float):
 
 def batch_present_value(
     spot_paths: np.ndarray,
-    contract: TarnContract,
+    cases: tuple,
     discounts: np.ndarray,
 ) -> np.ndarray:
-    """Discounted value of each row of ``spot_paths`` (one column per fixing).
+    """Discounted value of each row of ``spot_paths`` (one column per
+    fixing) to each of ``cases``: row i of the result is case i's.
 
-    ``discounts`` holds one discount factor per fixing.  The value is a
-    function of each path's knockout time: the accrued amount starts at
-    zero and grows by every gross amount until the breach fixing, ``tau``,
-    the count of fixings whose cumulative gross amount stays below the
-    target (monotone, so those are the first ``tau``).  The fixings before
-    ``tau`` pay their gross amount and extra; the breach fixing pays what
-    :func:`fixing_flows` gives it, and later fixings pay nothing.  Terms
-    are added in fixing order, so the result matches a fixing-by-fixing
-    walk bit for bit.  The work runs on ``spot_paths.T``, so a fixing-major
-    buffer passed as its transpose is read row by row.
+    ``cases`` is a nonempty tuple of contracts with equal
+    :data:`shared_terms`, and ``discounts`` holds one discount factor per
+    fixing.  A path's value to a case is a function of its knockout time:
+    the accrued amount starts at zero and grows by every gross amount until
+    the breach fixing, ``tau``, the count of fixings whose cumulative gross
+    amount stays below the case's target (monotone, so those are the first
+    ``tau``).  The fixings before ``tau`` pay their gross amount and extra;
+    the breach fixing pays what :func:`fixing_flows` gives it, and later
+    fixings pay nothing.  Terms are added in fixing order, so each row
+    matches a fixing-by-fixing walk bit for bit.  The gross amounts and
+    their running sums are the same for every case, so they are made once
+    for all, and the discounted running sums of the paid flows once per
+    distinct ``extra_payments``.  The work runs on ``spot_paths.T``, so a
+    fixing-major buffer passed as its transpose is read row by row.
     """
+    if not cases or any(shared_terms(c) != shared_terms(cases[0]) for c in cases):
+        raise ValueError("cases must be a nonempty tuple of contracts with equal "
+                         "fixing_times, strike and beta")
+    first = cases[0]
     paths = np.asarray(spot_paths, dtype=float)
-    k_total = contract.num_fixings
+    k_total = first.num_fixings
     if paths.ndim != 2 or paths.shape[1] != k_total:
         raise ValueError("spot_paths must have shape (n_paths, num_fixings)")
     discounts = np.asarray(discounts, dtype=float)
     if discounts.shape != (k_total,):
         raise ValueError(f"discounts must have shape ({k_total},), "
                          f"got {discounts.shape}")
-    extras = np.array(contract.extra_payments)
 
-    accrued = contract.gross(paths.T)  # row k: accrued through fixing k + 1
+    accrued = first.gross(paths.T)  # row k: accrued through fixing k + 1
     for k in range(1, k_total):
         accrued[k] += accrued[k - 1]
-    tau = np.count_nonzero(accrued < contract.target, axis=0)
-    paths_hit = np.flatnonzero(tau < k_total)
-    at = tau[paths_hit]
-    accrued_at = np.where(at > 0, accrued[at - 1, paths_hit], 0.0)
+
+    # Each case keeps only its tau while the (K, n) arrays are made, in the
+    # narrowest type that holds it: summed in that type, the mask takes half
+    # the time of count_nonzero, which sums in intp.
+    count_type = np.min_scalar_type(k_total)
+
+    def breaches(tau):
+        """The paths that breach, and their breach fixings, 0-based."""
+        hit = np.flatnonzero(tau < k_total)
+        return hit, tau[hit].astype(np.intp)
+
+    taus, accrued_at = [], []
+    for case in cases:
+        taus.append((accrued < case.target).sum(axis=0, dtype=count_type))
+        hit, at = breaches(taus[-1])
+        accrued_at.append(np.where(at > 0, accrued[at - 1, hit], 0.0))
     # Free the accrued rows before the gross amounts are taken again: with
     # two (K, n) temporaries live, the allocator hands about 5 MB a batch
     # back to the system and faults it in again, which costs more.
     del accrued
 
-    gross = contract.gross(paths.T)
-    payment, extra, _ = fixing_flows(gross[at, paths_hit], accrued_at, extras[at],
-                                     contract.knockout, contract.target)
-    # Discounted flows summed in fixing order, in place: row k then holds
-    # what the fixings through k + 1 pay a path still alive after them.
-    paid = gross
-    paid += extras[:, None]
-    paid *= discounts[:, None]
-    for k in range(1, k_total):
-        paid[k] += paid[k - 1]
-    value = np.zeros(paths.shape[0])  # a walk's sum starts at +0.0
-    value += np.where(tau > 0, paid[tau - 1, np.arange(tau.size)], 0.0)
-    value[paths_hit] += discounts[at] * (payment + extra)
+    gross = first.gross(paths.T)
+    breach_values = []  # each case's discounted flows at its breach fixings
+    for case, tau in zip(cases, taus):
+        hit, at = breaches(tau)
+        extras = np.array(case.extra_payments)
+        payment, extra, _ = fixing_flows(gross[at, hit], accrued_at.pop(0), extras[at],
+                                         case.knockout, case.target)
+        breach_values.append(discounts[at] * (payment + extra))
+
+    value = np.zeros((len(cases), paths.shape[0]))  # a walk's sum starts at +0.0
+    columns = np.arange(paths.shape[0])
+    sharing = {}  # extra_payments -> the indices of the cases with them
+    for i, case in enumerate(cases):
+        sharing.setdefault(case.extra_payments, []).append(i)
+    for count, (extras, indices) in enumerate(sharing.items(), 1):
+        # Discounted flows summed in fixing order, in place: row k then holds
+        # what the fixings through k + 1 pay a path still alive after them.
+        # The last extras take the gross amounts' own buffer.
+        paid = gross if count == len(sharing) else gross.copy()
+        paid += np.array(extras)[:, None]
+        paid *= discounts[:, None]
+        for k in range(1, k_total):
+            paid[k] += paid[k - 1]
+        for i in indices:
+            tau = taus[i].astype(np.intp)
+            value[i] += np.where(tau > 0, paid[tau - 1, columns], 0.0)
+            value[i, np.flatnonzero(tau < k_total)] += breach_values[i]
     return value

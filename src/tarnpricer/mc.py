@@ -17,16 +17,19 @@ generator ``b`` times, so every path is a pure function of (seed, batch,
 row).  One pricing runs on the calling thread: it simulates and prices its
 batches one after another, in batch order.
 
-The cases of one run share their simulation.  A pricing given the run's
-``cache`` dict and its ``cases`` prices every case that shares its paths,
-group by group; in a group's pass each batch is simulated once and every
-case of the group is priced on it, so the cases see common random
-numbers.  A group holds one payoff column per case, and its columns fit
-``_GROUP_BYTES`` (8 MiB): table1's 12 cases of 200k paths, 1.6 MB each,
-are 3 groups of 4, which simulate its 13 batches 39 times instead of 156.
-With the control variate on, the first group's pass makes the control
-column and its closed-form mean, and the later groups reuse them.  The
-other cases' results wait in the dict for their own calls.
+The cases of one run share their simulation and their payoff pass.  A
+pricing given the run's ``cache`` dict and its ``cases`` prices every case
+that shares its paths, group by group; in a group's pass each batch is
+simulated once, so the cases see common random numbers, and priced for the
+whole group in one payoff pass: the gross amounts and their running sums
+are made once per batch, and each case adds only its knockout times and
+breach flows.  A group holds one payoff column per case, and its columns
+fit ``_GROUP_BYTES`` (8 MiB): table1's 12 cases of 200k paths, 1.6 MB
+each, are 3 groups of 4, which simulate its 13 batches 39 times instead
+of 156 and make 39 payoff passes instead of 156.  With the control
+variate on, the first group's pass makes the control column and its
+closed-form mean, and the later groups reuse them.  The other cases'
+results wait in the dict for their own calls.
 """
 
 from __future__ import annotations
@@ -244,8 +247,7 @@ def _price_group(group, model, config, spot, control):
         paths = simulate_fixing_paths(model, spot, times, rows.stop - rows.start,
                                       np.random.Generator(base.jumped(b)),
                                       config.substeps_per_interval)
-        for column, case in zip(payoffs, group):
-            column[rows] = batch_present_value(paths, case, discounts)
+        payoffs[:, rows] = batch_present_value(paths, group, discounts)
         if controls is not None:
             controls[rows] = _control_values(paths, group[0], discounts)
 
@@ -284,12 +286,13 @@ def mc_price(
     ``cache`` is a dict the caller owns and ``cases`` the contracts of the
     run, ``contract`` among them.  Given both, a pricing prices every case
     that shares ``contract``'s paths and control column: the cases with its
-    schedule, strike and direction.  They are split in order into the
-    fewest groups whose payoff columns (8 bytes a path and case) fit 8 MiB,
-    with sizes that differ by at most one, and priced one group after
-    another: in a group's pass each batch is simulated once and every case
-    of the group is priced on it.  The first pass makes the control column
-    and its mean, and the later passes reuse them.  Each case reports an
+    schedule, strike and direction, each once however often it is listed.
+    They are split in order into the fewest groups whose payoff columns (8
+    bytes a path and case) fit 8 MiB, with sizes that differ by at most
+    one, and priced one group after another: in a group's pass each batch
+    is simulated once and priced for every case of the group in one payoff
+    pass.  The first pass makes the control column and its mean, and the
+    later passes reuse them.  Each case reports an
     equal share of the call's seconds as its ``wall_time``.  The other
     cases' results, or the exceptions their estimates raised, are stored in
     the dict, keyed by the contract, model, spot and whole config, and

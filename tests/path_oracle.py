@@ -62,10 +62,15 @@ def simulate_fixing_paths(
 
 def walk_present_value(
     spot_paths: np.ndarray,
-    contract: TarnContract,
+    cases: tuple[TarnContract, ...],
     discounts: np.ndarray,
 ) -> np.ndarray:
-    """Discounted value of each row of ``spot_paths``, fixing by fixing."""
+    """Discounted value of each row of ``spot_paths`` to each of ``cases``,
+    one row per case, each walked fixing by fixing on its own."""
+    return np.array([_walk(spot_paths, contract, discounts) for contract in cases])
+
+
+def _walk(spot_paths, contract, discounts):
     paths = np.asarray(spot_paths, dtype=float)
     n = paths.shape[0]
     value = np.zeros(n)

@@ -58,3 +58,51 @@ def test_schedule_warms_up_each_side_then_alternates_pairs():
         ("pair 1", "change", 6), ("pair 1", "parent", 6),
         ("pair 2", "parent", 7), ("pair 2", "change", 7),
     ]
+
+
+def checkout(root, *pycache):
+    """A checkout directory under ``root`` with a ``__pycache__`` at each of
+    ``pycache``, relative paths."""
+    (root / "src" / "tarnpricer").mkdir(parents=True)
+    (root / "perfbench").mkdir()
+    for where in pycache:
+        (root / where / "__pycache__").mkdir(parents=True)
+    return root
+
+
+@pytest.mark.parametrize("where", ["src/tarnpricer", "perfbench", "src"])
+def test_holds_pycache_under_src_or_perfbench(tmp_path, where):
+    assert bench_pairs.holds_pycache(checkout(tmp_path / "a", where))
+    # a __pycache__ elsewhere, or none, does not count
+    assert not bench_pairs.holds_pycache(checkout(tmp_path / "b", "tests"))
+    assert not bench_pairs.holds_pycache(checkout(tmp_path / "c"))
+
+
+@pytest.mark.parametrize("held", ["parent", "change"])
+def test_one_checkout_with_pycache_stops_before_any_run(tmp_path, monkeypatch, held):
+    def run(*args):
+        raise AssertionError("a run was started")
+
+    monkeypatch.setattr(bench_pairs, "run", run)
+    sides = {side: checkout(tmp_path / side, *(["src/tarnpricer"] if side == held else []))
+             for side in ("parent", "change")}
+    with pytest.raises(SystemExit) as stopped:
+        bench_pairs.main([str(sides["parent"]), str(sides["change"]),
+                          "--workload", "table1", "--seeds", "1-2"])
+    assert str(stopped.value).startswith(f"only the {held} checkout, {sides[held]}, "
+                                         "holds __pycache__")
+
+
+@pytest.mark.parametrize("pycache", [[], ["src/tarnpricer"]], ids=["neither", "both"])
+def test_neither_or_both_checkouts_with_pycache_go_on(tmp_path, monkeypatch, pycache):
+    started = []
+
+    def run(checkout, workload, seed):
+        started.append(checkout)
+        raise SystemExit("stopped at the first run")
+
+    monkeypatch.setattr(bench_pairs, "run", run)
+    parent, change = (checkout(tmp_path / side, *pycache) for side in ("parent", "change"))
+    with pytest.raises(SystemExit, match="^stopped at the first run$"):
+        bench_pairs.main([str(parent), str(change), "--workload", "table1", "--seeds", "1"])
+    assert started == [parent]

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tarnpricer import KnockoutType, TarnContract
-from tarnpricer.contract import batch_present_value, fixing_flows
+from tarnpricer.contract import batch_present_value, fixing_flows, sharing_cases
 
 from cashflow_oracle import fixing_outcome, path_present_value, raw_cash_flow
 
@@ -270,12 +270,13 @@ class TestPathProperties:
             for extras in (None, tuple(0.002 * (i + 1) for i in range(self.k))):
                 contract = make_contract(kind, target=0.4, times=self.times,
                                          extras=extras)
-                batch = batch_present_value(self.paths, contract, self.discounts)
+                batch = batch_present_value(self.paths, (contract,), self.discounts)
                 scalar = np.array([
                     path_present_value(p, contract, self.discounts)
                     for p in self.paths
                 ])
-                assert np.array_equal(batch, scalar)
+                assert batch.shape == (1, self.n)
+                assert np.array_equal(batch[0], scalar)
 
 
 # Spots whose gross amounts against strike 1 are multiples of 1/8, so that
@@ -285,26 +286,30 @@ DYADIC_SPOTS = tuple(1.0 + j / 8 for j in range(-4, 9))
 
 @st.composite
 def path_batches(draw):
-    """A contract of 1 to 24 fixings with discounts and 1 to 8 paths.
+    """A group of 1 to 4 contracts on one schedule of 1 to 24 fixings, one
+    strike and one beta, with discounts and 1 to 8 paths.
 
-    Both betas and every knockout; no extras, all-zero extras or mixed
-    ones.  Half the cases use only the dyadic spots and a target of m/8,
-    so zero-gross fixings and accrued amounts exactly at the target are
-    common; the others mix in arbitrary spots and targets, up to a huge
-    one that no path breaches.
+    Both betas; each contract draws its own knockout, target and extras
+    (none, all zeros or mixed ones), so a group mixes them, repeated or
+    distinct extras included.  Half the groups use only the dyadic spots
+    and targets of m/8, so zero-gross fixings and accrued amounts exactly
+    at the target are common; the others mix in arbitrary spots and
+    targets, up to a huge one that no path breaches.
     """
     k_total = draw(st.integers(1, 24))
-    kind = draw(st.sampled_from(list(KnockoutType)))
+    times = tuple(0.1 * (k + 1) for k in range(k_total))
     beta = draw(st.sampled_from([1, -1]))
     dyadic = draw(st.booleans())
     eighths = st.sampled_from([m / 8 for m in range(1, 25)])
-    target = draw(eighths if dyadic else st.one_of(st.floats(0.01, 3.0), st.just(1e9)))
-    extras = draw(st.one_of(
+    targets = eighths if dyadic else st.one_of(st.floats(0.01, 3.0), st.just(1e9))
+    extras = st.one_of(
         st.just(None), st.just((0.0,) * k_total),
         st.lists(st.one_of(st.just(0.0), st.floats(-0.2, 0.2)),
-                 min_size=k_total, max_size=k_total)))
-    contract = make_contract(kind, target=target, beta=beta, extras=extras,
-                             times=tuple(0.1 * (k + 1) for k in range(k_total)))
+                 min_size=k_total, max_size=k_total))
+    cases = tuple(
+        make_contract(draw(st.sampled_from(list(KnockoutType))), target=draw(targets),
+                      beta=beta, extras=draw(extras), times=times)
+        for _ in range(draw(st.integers(1, 4))))
     discounts = draw(st.lists(st.one_of(st.just(1.0), st.floats(0.5, 1.0)),
                               min_size=k_total, max_size=k_total))
     spot = st.sampled_from(DYADIC_SPOTS)
@@ -312,31 +317,65 @@ def path_batches(draw):
         spot = st.one_of(spot, st.floats(0.3, 2.0))
     paths = draw(st.lists(st.lists(spot, min_size=k_total, max_size=k_total),
                           min_size=1, max_size=8))
-    return contract, np.array(paths), np.array(discounts)
+    return cases, np.array(paths), np.array(discounts)
 
 
 class TestBatchPresentValue:
     @given(path_batches())
-    def test_matches_scalar_oracle_bitwise(self, case):
-        contract, paths, discounts = case
-        want = bits([path_present_value(p, contract, discounts) for p in paths])
-        assert bits(batch_present_value(paths, contract, discounts)) == want
+    def test_matches_scalar_oracle_bitwise(self, group):
+        cases, paths, discounts = group
+        want = [bits([path_present_value(p, case, discounts) for p in paths])
+                for case in cases]
+        assert [bits(row) for row in batch_present_value(paths, cases, discounts)] == want
         # the engine passes the transpose of a fixing-major buffer
         fixing_major = np.ascontiguousarray(paths.T)
-        assert bits(batch_present_value(fixing_major.T, contract, discounts)) == want
+        got = batch_present_value(fixing_major.T, cases, discounts)
+        assert [bits(row) for row in got] == want
+
+    def test_a_case_is_valued_the_same_in_any_group(self):
+        # distinct extras in one group: one shares the gross buffer, one a copy
+        rng = np.random.default_rng(5)
+        paths, discounts = np.abs(random_paths(rng, 50, 3)) + 1e-6, np.full(3, 0.97)
+        cases = (make_contract(KnockoutType.PART_GAIN, extras=(0.01, 0.0, -0.02)),
+                 make_contract(KnockoutType.NO_GAIN, target=0.2),
+                 make_contract(KnockoutType.FULL_GAIN, target=0.5, extras=(0.01, 0.0, -0.02)))
+        together = batch_present_value(paths, cases, discounts)
+        for case, row in zip(cases, together):
+            assert bits(row) == bits(batch_present_value(paths, (case,), discounts)[0])
 
     @pytest.mark.parametrize("discounts", [np.ones(5), np.ones((3, 1)),
                                            np.ones(2), 1.0])
     def test_rejects_misshapen_discounts_by_name(self, discounts):
         # length 5 used to be truncated, (3, 1) accepted, length 2 an IndexError
         with pytest.raises(ValueError, match=r"^discounts must have shape \(3,\), got"):
-            batch_present_value(np.ones((4, 3)), make_contract(), discounts)
+            batch_present_value(np.ones((4, 3)), (make_contract(),), discounts)
 
     @pytest.mark.parametrize("spot_paths", [np.ones((4, 2)), np.ones(3), np.ones((2, 4, 3))])
     def test_rejects_misshapen_spot_paths_by_name(self, spot_paths):
         with pytest.raises(ValueError, match=r"^spot_paths must have shape "
                                              r"\(n_paths, num_fixings\)$"):
-            batch_present_value(spot_paths, make_contract(), np.ones(3))
+            batch_present_value(spot_paths, (make_contract(),), np.ones(3))
+
+    @pytest.mark.parametrize("cases", [
+        (), (make_contract(), make_contract(strike=1.1)), (make_contract(), make_contract(beta=-1)),
+        (make_contract(), make_contract(times=(0.25, 0.5, 0.8))),
+    ], ids=["empty", "strike", "beta", "fixing_times"])
+    def test_rejects_cases_that_do_not_share_their_terms(self, cases):
+        with pytest.raises(ValueError, match=r"^cases must be a nonempty tuple of contracts "
+                                             r"with equal fixing_times, strike and beta$"):
+            batch_present_value(np.ones((4, 3)), cases, np.ones(3))
+
+
+class TestSharingCases:
+    def test_keeps_the_cases_on_its_terms_in_order_each_once(self):
+        low, high = make_contract(target=0.2), make_contract(target=0.4)
+        other = make_contract(strike=1.1)
+        cases = (high, other, low, make_contract(target=0.4), low)
+        assert sharing_cases(low, cases) == (high, low)
+
+    def test_a_contract_outside_its_cases_stands_alone(self):
+        contract = make_contract(target=0.2)
+        assert sharing_cases(contract, (make_contract(), make_contract())) == (contract,)
 
 
 class TestContractValidation:

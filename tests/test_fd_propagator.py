@@ -662,7 +662,9 @@ OTHER_TERMS = (replace(call_contract(), strike=1.02),
     ({}, SAME_TERMS + OTHER_TERMS, 1),
     (None, (call_contract(),) + SAME_TERMS + OTHER_TERMS, 1),
     ({}, (), 1),
-], ids=["in_its_cases", "in_its_cases_last", "not_in_its_cases", "no_dict", "no_cases"])
+    ({}, (call_contract(), SAME_TERMS[0], call_contract(), replace(SAME_TERMS[0])), 2),
+], ids=["in_its_cases", "in_its_cases_last", "not_in_its_cases", "no_dict", "no_cases",
+        "listed_twice"])
 def test_map_count_is_the_cases_on_its_terms(monkeypatch, cache, cases, count):
     # cases on another strike, schedule or direction march their own rows;
     # without a dict, or outside its cases, a pricing shares its maps with

@@ -94,7 +94,7 @@ def test_pilot_coefficient_is_the_pilots_least_squares_slope(n_paths):
     pilot = simulate_fixing_paths(model, 1.0, contract.fixing_times, n_paths, rng)[:2]
     discounts = np.array([discount_factor(model.domestic, 0.0, t)
                           for t in contract.fixing_times])
-    p0, p1 = path_oracle.walk_present_value(pilot, contract, discounts)
+    (p0, p1), = path_oracle.walk_present_value(pilot, (contract,), discounts)
     c0, c1 = path_oracle.control_values(pilot, contract, discounts)
     assert c1 != c0 and p1 != p0
     assert res.cv_coefficient == pytest.approx((p1 - p0) / (c1 - c0), rel=1e-12)
@@ -393,9 +393,44 @@ class TestSharedSimulation:
         calls = counting(monkeypatch, "simulate_fixing_paths", "batch_present_value",
                          "_control_values", "vanilla_price")
         run_cases(McConfig(n_paths=2 * BATCH_SIZE + 1, seed=5), {}, cases=CASES)
-        # the first call prices all six cases on each batch; the others are served
-        batch = ["simulate_fixing_paths"] + ["batch_present_value"] * 6 + ["_control_values"]
+        # the first call prices all six cases on each batch in one payoff
+        # call; the others are served
+        batch = ["simulate_fixing_paths", "batch_present_value", "_control_values"]
         assert calls == batch * 3 + ["vanilla_price"] * 20
+
+    def test_a_group_takes_the_gross_amounts_as_often_as_one_case(self, monkeypatch):
+        # per batch: twice for the payoffs of the whole group, once for the
+        # control column, whether the group holds one case or six
+        original, calls = TarnContract.gross, []
+
+        def gross(contract, spots):
+            calls.append(contract)
+            return original(contract, spots)
+
+        monkeypatch.setattr(TarnContract, "gross", gross)
+        config, counts = McConfig(n_paths=2 * BATCH_SIZE + 1, seed=5), []
+        for cases in (CASES[:1], CASES):
+            calls.clear()
+            run_cases(config, {}, contracts=cases[:1], cases=cases)
+            counts.append(len(calls))
+        assert counts == [3 * 3, 3 * 3]
+
+    def test_a_case_listed_twice_is_priced_once(self, monkeypatch):
+        original, priced = mc.batch_present_value, []
+
+        def present_value(paths, cases, discounts):
+            priced.append(cases)
+            return original(paths, cases, discounts)
+
+        monkeypatch.setattr(mc, "batch_present_value", present_value)
+        config, model, cache = McConfig(n_paths=3000, seed=9), flat_model(r_d=0.01), {}
+        # an equal contract is the same case, whatever the object
+        twice = (CASES[0], CASES[1], dataclasses.replace(CASES[0]), CASES[1])
+        got = mc_price(CASES[0], model, config, 1.05, cache=cache, cases=twice)
+        assert priced == [CASES[:2]]
+        assert set(cache) == {("mc.result", model, 1.05, config, c) for c in CASES[:2]}
+        once = mc_price(CASES[0], model, config, 1.05, cache={}, cases=CASES[:2])
+        assert bits([got.price, got.stderr]) == bits([once.price, once.stderr])
 
     def test_a_call_without_a_dict_prices_its_case_alone(self, monkeypatch):
         # no dict would keep the other cases' results, so none is priced
@@ -419,10 +454,18 @@ class TestSharedSimulation:
         # with one path more only two columns fit
         monkeypatch.setattr(mc, "_GROUP_BYTES", 3 * 3000 * 8)
         config = McConfig(n_paths=3000 + extra_paths, seed=5, control_variate=False)
-        calls = counting(monkeypatch, "simulate_fixing_paths", "batch_present_value")
+        calls = counting(monkeypatch, "simulate_fixing_paths")
+        original, priced = mc.batch_present_value, []
+
+        def present_value(paths, cases, discounts):
+            calls.append("batch_present_value")
+            priced.append(cases)
+            return original(paths, cases, discounts)
+
+        monkeypatch.setattr(mc, "batch_present_value", present_value)
         run_cases(config, {}, cases=CASES)
-        per_group = "".join("s" if c == "simulate_fixing_paths" else "p" for c in calls)
-        assert per_group == "".join("s" + "p" * n for n in groups)
+        assert calls == ["simulate_fixing_paths", "batch_present_value"] * len(groups)
+        assert [len(g) for g in priced] == groups and sum(priced, ()) == CASES
 
     @pytest.mark.parametrize("n_cases, n_paths, sizes", [
         (12, 200_000, [4, 4, 4]),  # table1: 1.6 MB a column
@@ -455,8 +498,7 @@ class TestSharedSimulation:
         calls = counting(monkeypatch, "simulate_fixing_paths", "batch_present_value")
         cache = {}
         got = run_cases(config, cache, cases, model, cases)
-        assert calls == (["simulate_fixing_paths"] + ["batch_present_value"] * 2
-                         + ["simulate_fixing_paths", "batch_present_value"] * 2)
+        assert calls == ["simulate_fixing_paths", "batch_present_value"] * 3
         assert got == [run_cases(config, None, [c], model)[0] for c in cases]
 
     @pytest.mark.parametrize("model, cache, groups, alive", [
@@ -510,10 +552,11 @@ class TestSharedSimulation:
             mc=McConfig(n_paths=3000, seed=4))
         original = mc.batch_present_value
 
-        def present_value(paths, contract, discounts):
-            value = original(paths, contract, discounts)
-            if (contract.knockout, contract.target) == (KnockoutType.PART_GAIN, 0.5):
-                value[:] = np.nan
+        def present_value(paths, cases, discounts):
+            value = original(paths, cases, discounts)
+            for row, contract in zip(value, cases):
+                if (contract.knockout, contract.target) == (KnockoutType.PART_GAIN, 0.5):
+                    row[:] = np.nan
             return value
 
         monkeypatch.setattr(mc, "batch_present_value", present_value)
@@ -548,9 +591,10 @@ class TestSharedSimulation:
             fd=FdConfig(spot_nodes=60, accumulation_nodes=12, time_steps=40))
         records = run(config)
         assert all(r.status == "ok" for r in records)
-        # six cases in three groups of two, priced by the first MC call; the
-        # first group's pass makes the control column and its mean for all
-        batch = ["simulate_fixing_paths"] + ["batch_present_value"] * 2
+        # six cases in three groups of two, priced by the first MC call, one
+        # payoff call per batch and group; the first group's pass makes the
+        # control column and its mean for all
+        batch = ["simulate_fixing_paths", "batch_present_value"]
         assert calls == ((batch + ["_control_values"]) * 2 + ["vanilla_price"] * 20
                          + batch * 4)
         assert len(caches) == 6 and all(c is caches[0] for c in caches)
@@ -571,9 +615,10 @@ class TestSharedSimulation:
             batches.append(weakref.ref(paths))
             return paths
 
-        def nan_at_the_higher_target(paths, contract, discounts):
-            value = present_value(paths, contract, discounts)
-            return value * np.nan if contract.target == 0.5 else value
+        def nan_at_the_higher_target(paths, cases, discounts):
+            value = present_value(paths, cases, discounts)
+            value[[c.target == 0.5 for c in cases]] = np.nan
+            return value
 
         def price(*args, **kwargs):
             result = mc_price(*args, **kwargs)
