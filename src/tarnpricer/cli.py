@@ -435,11 +435,10 @@ def run(config: RunConfig) -> list[ResultRecord]:
     cache dict, made for this run, and the tuple of the run's contracts:
     the FD cases share its interval maps, since their spot grid and fixing
     schedule do not depend on the target or the knockout type, and for the
-    same reason the MC cases share one control column and are priced in
-    groups that simulate each batch once (see :func:`mc.mc_price`).  The
-    first MC call prices every group of the run's cases, and each later
-    one reads its result from the dict; each case's ``wall_time_s`` is an
-    equal share of that call's seconds.
+    same reason the first MC call prices all the run's cases in one pass
+    that simulates each batch once (see :func:`mc.mc_price`), and each
+    later one reads its result from the dict; each case's ``wall_time_s``
+    is an equal share of that call's seconds.
     """
     tag = fingerprint(config)
     engines = [e for e in ("fd", "mc") if e in config.engines]

@@ -107,7 +107,7 @@ class TarnContract:
 
 # The terms on which the cases of a run share work: cases with equal terms
 # have one spot grid and set of interval maps in the lattice, and one set of
-# paths and control column in Monte Carlo.
+# paths and control values in Monte Carlo.
 shared_terms = operator.attrgetter("fixing_times", "strike", "beta")
 
 

@@ -19,17 +19,15 @@ batches one after another, in batch order.
 
 The cases of one run share their simulation and their payoff pass.  A
 pricing given the run's ``cache`` dict and its ``cases`` prices every case
-that shares its paths, group by group; in a group's pass each batch is
-simulated once, so the cases see common random numbers, and priced for the
-whole group in one payoff pass: the gross amounts and their running sums
-are made once per batch, and each case adds only its knockout times and
-breach flows.  A group holds one payoff column per case, and its columns
-fit ``_GROUP_BYTES`` (8 MiB): table1's 12 cases of 200k paths, 1.6 MB
-each, are 3 groups of 4, which simulate its 13 batches 39 times instead
-of 156 and make 39 payoff passes instead of 156.  With the control
-variate on, the first group's pass makes the control column and its
-closed-form mean, and the later groups reuse them.  The other cases'
-results wait in the dict for their own calls.
+that shares its paths in one pass over the batches: each batch is
+simulated once, so the cases see common random numbers, and priced for
+all of them in one payoff pass, which makes the gross amounts and their
+running sums once.  No payoff column is held.  Each batch's samples are
+reduced per case to a count, a mean and a sum of squared deviations, and
+merged into the case's running totals (Chan, Golub & LeVeque, 1983); only
+the control-variate pilot's values are kept until it fixes the
+coefficient.  The other cases' results wait in the dict for their own
+calls.
 """
 
 from __future__ import annotations
@@ -60,9 +58,9 @@ __all__ = [
 
 # Fixed batch size; part of the reproducibility contract, never tune per run.
 BATCH_SIZE = 16384
-# The payoff columns of one group of cases fit this many bytes (cases *
-# n_paths * 8).  Groups of 4 of table1's 1.6 MB columns raised its peak RSS
-# by about 6%; one group of all 12 columns, 19 MB, by about 23%.
+# The values a pass holds across its batches, its cases' pilot values and
+# one batch's values (cases * (n_pilot + batch rows) * 8 bytes), fit this
+# many bytes: table1's 12 cases take 3.5 MB.
 _GROUP_BYTES = 8 * 2**20
 
 
@@ -111,11 +109,11 @@ class McResult:
 def standard_error(samples) -> float:
     """Standard error of the mean: population standard deviation over sqrt(n).
 
-    ``samples`` is the 1-D float array of at least two samples that
-    :func:`mc_price` passes (``McConfig`` and its pilot check see to the
-    count).  Two passes over the samples shifted by the first one: the
-    shift keeps large offsets out of the sums, and constant samples give
-    exactly zero.
+    ``samples`` is a 1-D float array of at least two samples.  Two passes
+    over the samples shifted by the first one: the shift keeps large
+    offsets out of the sums, and constant samples give exactly zero.  This
+    is the definition :func:`mc_price` reproduces, up to rounding, from its
+    merged batch moments.
     """
     n = samples.size
     shifted = samples - samples[0]
@@ -187,84 +185,73 @@ def _control_values(paths, contract, discounts):
     return contract.gross(paths) @ discounts
 
 
-def _groups(cases: tuple, n_paths: int) -> list:
-    """``cases`` split in order into the fewest groups whose payoff columns
-    fit ``_GROUP_BYTES``, with sizes that differ by at most one."""
-    n_groups = -(-len(cases) // max(1, _GROUP_BYTES // (8 * n_paths)))
+def _groups(cases: tuple, held: int) -> list:
+    """``cases`` split in order into the fewest groups whose ``held`` values
+    a case fit ``_GROUP_BYTES``, with sizes that differ by at most one."""
+    n_groups = -(-len(cases) // max(1, _GROUP_BYTES // (8 * held)))
     bounds = [g * len(cases) // n_groups for g in range(n_groups + 1)]
     return [cases[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _estimate(payoffs, controls, control_mean, n_pilot, config):
-    """(price, stderr, coefficient) of one case's payoff column.
-
-    A price or standard error that is not finite raises ``ValueError``.
-    """
-    if controls is not None:
-        if config.cv_coefficient is not None:
-            lam = float(config.cv_coefficient)
-        else:
-            # the pilot's least-squares slope: covariance and variance of one ddof
-            cov = np.cov(payoffs[:n_pilot], controls[:n_pilot])
-            lam = float(cov[0, 1]) / float(cov[1, 1]) if cov[1, 1] > 0.0 else 0.0
-        samples = payoffs[n_pilot:] - lam * (controls[n_pilot:] - control_mean)
-    else:
-        lam = None
-        samples = payoffs
-    price, stderr = float(samples.mean()), standard_error(samples)
-    for name, value in (("price", price), ("standard error", stderr)):
-        if not math.isfinite(value):
-            raise ValueError(f"MC {name} is not finite ({value}): a path's present "
-                             "value or control is a NaN or an infinity")
-    return price, stderr, lam
+def _merged(moments, samples):
+    """``moments`` (the count, and each row's mean and sum of squared
+    deviations) merged with the next (rows, n) block of ``samples`` by the
+    pairwise update of Chan, Golub & LeVeque.  Each row is reduced on its
+    own, as :func:`standard_error` reduces a column, so constant samples
+    give exactly their value and a zero sum."""
+    count, mean, m2 = moments
+    first = samples[:, :1]
+    shifted = samples - first
+    offset = shifted.mean(axis=1)
+    shifted -= offset[:, None]
+    n = samples.shape[1]
+    total = count + n
+    delta = first[:, 0] + offset - mean
+    return (total, mean + delta * (n / total),
+            m2 + np.square(shifted, out=shifted).sum(axis=1)
+            + delta * delta * (count * n / total))
 
 
-def _price_group(group, model, config, spot, control):
-    """Price ``group`` in one pass over the batches.
-
-    Returns each case's (price, stderr, coefficient), or the exception its
-    estimate raised, and the control: the control column and its
-    closed-form mean, or None without the control variate.  A ``control``
-    passed in is returned as it is; with the control variate on and
-    ``control`` None, this pass makes it.
+def _price_group(group, model, config, spot, control_mean, n_pilot):
+    """Each case of ``group``'s (price, stderr, coefficient) from one pass
+    over the batches: the first ``n_pilot`` paths are held until they fit
+    the coefficients, and every later path's sample is merged into its
+    case's moments.  ``control_mean`` is None without the control variate.
     """
     times = group[0].fixing_times
     discounts = np.array([discount_factor(model.domestic, 0.0, t) for t in times])
-    use_cv = config.control_variate and model.has_exact_transition
-
-    n = config.n_paths
-    n_pilot = max(2, n // 10) if use_cv and config.cv_coefficient is None else 0
-    if n - n_pilot < 2:
-        raise ValueError(f"n_paths must leave at least 2 paths after the {n_pilot}-path "
-                         f"control-variate pilot, got {n}")
-    payoffs = np.empty((len(group), n))
-    controls = np.empty(n) if use_cv and control is None else None
+    pilot_values, pilot_controls = np.empty((len(group), n_pilot)), np.empty(n_pilot)
+    pinned = control_mean is not None and not n_pilot
+    lam = np.full(len(group), float(config.cv_coefficient)) if pinned else None
+    moments = 0, np.zeros(len(group)), np.zeros(len(group))
     base = np.random.Philox(config.seed)
-    for b in range(-(-n // BATCH_SIZE)):
-        # batch b - 1 stays alive while batch b is simulated: freed first,
-        # its pages go back to the system and batch b faults them in again
-        rows = slice(b * BATCH_SIZE, min((b + 1) * BATCH_SIZE, n))
-        paths = simulate_fixing_paths(model, spot, times, rows.stop - rows.start,
-                                      np.random.Generator(base.jumped(b)),
+    for start in range(0, config.n_paths, BATCH_SIZE):
+        # the previous batch stays alive while this one is simulated: freed
+        # first, its pages go back to the system and this batch faults them in
+        rows = min(BATCH_SIZE, config.n_paths - start)
+        paths = simulate_fixing_paths(model, spot, times, rows,
+                                      np.random.Generator(base.jumped(start // BATCH_SIZE)),
                                       config.substeps_per_interval)
-        payoffs[:, rows] = batch_present_value(paths, group, discounts)
-        if controls is not None:
-            controls[rows] = _control_values(paths, group[0], discounts)
-
-    if controls is not None:
-        control = controls, sum(
-            vanilla_price(spot, group[0].strike, group[0].beta, t,
-                          model.domestic, model.foreign, model.vol)
-            for t in times
-        )
-    controls, control_mean = control or (None, None)
-    outcomes = []
-    for column in payoffs:
-        try:
-            outcomes.append(_estimate(column, controls, control_mean, n_pilot, config))
-        except ValueError as exc:  # its traceback would keep this frame's arrays
-            outcomes.append(exc.with_traceback(None))
-    return outcomes, control
+        values = batch_present_value(paths, group, discounts)
+        if control_mean is not None:
+            controls = _control_values(paths, group[0], discounts)
+        k = min(max(n_pilot - start, 0), rows)  # this batch's pilot paths
+        if k:
+            pilot_values[:, start:start + k] = values[:, :k]
+            pilot_controls[start:start + k] = controls[:k]
+            if start + k == n_pilot:
+                # each pilot's least-squares slope: covariance and variance of one ddof
+                covs = [np.cov(row, pilot_controls) for row in pilot_values]
+                lam = np.array([c[0, 1] / c[1, 1] if c[1, 1] > 0.0 else 0.0 for c in covs])
+        if k < rows:
+            samples = values[:, k:]
+            if lam is not None:
+                samples = samples - lam[:, None] * (controls[k:] - control_mean)
+            moments = _merged(moments, samples)
+    count, mean, m2 = moments
+    stderr = np.sqrt(m2 / count) / math.sqrt(count)
+    return list(zip(mean.tolist(), stderr.tolist(),
+                    [None] * len(group) if lam is None else lam.tolist()))
 
 
 def mc_price(
@@ -285,26 +272,22 @@ def mc_price(
 
     ``cache`` is a dict the caller owns and ``cases`` the contracts of the
     run, ``contract`` among them.  Given both, a pricing prices every case
-    that shares ``contract``'s paths and control column: the cases with its
-    schedule, strike and direction, each once however often it is listed.
-    They are split in order into the fewest groups whose payoff columns (8
-    bytes a path and case) fit 8 MiB, with sizes that differ by at most
-    one, and priced one group after another: in a group's pass each batch
-    is simulated once and priced for every case of the group in one payoff
-    pass.  The first pass makes the control column and its mean, and the
-    later passes reuse them.  Each case reports an
+    that shares ``contract``'s paths and control (the cases with its
+    schedule, strike and direction, each once however often it is listed)
+    in one pass over the batches.  Across the pass a case holds only its
+    pilot values and one batch's values, 8 bytes each; cases whose values
+    exceed 8 MiB are split in order into the fewest groups that fit, with
+    sizes that differ by at most one, a pass each.  Each case reports an
     equal share of the call's seconds as its ``wall_time``.  The other
-    cases' results, or the exceptions their estimates raised, are stored in
+    cases' results, or the exceptions their estimates gave, are stored in
     the dict, keyed by the contract, model, spot and whole config, and
     their own calls return them (a stored exception is raised as a fresh
     one of its type and message).  The dict is not locked.  Without a
-    dict, or with ``contract`` not in ``cases``, the case is priced alone,
-    with its own control column.  Either way no more than two batches are
-    alive at a time, and the estimate is the same bit for bit.
+    dict, or with ``contract`` not in ``cases``, the case is priced alone.
+    Either way no more than two batches are alive at a time, and the
+    estimate is the same bit for bit.
 
-    Every batch is simulated and priced on the calling thread, in batch
-    order.  A price or standard error that is not finite raises
-    ``ValueError``.
+    A price or standard error that is not finite raises ``ValueError``.
     """
     started = time.perf_counter()
     check_positive(spot, "spot")
@@ -313,17 +296,30 @@ def mc_price(
         cache, cases = {}, ()
     result_key = ("mc.result", model, spot, config)
     if result_key + (contract,) not in cache:
-        same, outcomes, control = sharing_cases(contract, cases), [], None
-        for group in _groups(same, config.n_paths):
-            estimates, control = _price_group(group, model, config, spot, control)
-            outcomes += estimates
+        n = config.n_paths
+        use_cv = config.control_variate and model.has_exact_transition
+        n_pilot = max(2, n // 10) if use_cv and config.cv_coefficient is None else 0
+        if n - n_pilot < 2:
+            raise ValueError(f"n_paths must leave at least 2 paths after the {n_pilot}-path "
+                             f"control-variate pilot, got {n}")
+        control_mean = sum(
+            vanilla_price(spot, contract.strike, contract.beta, t,
+                          model.domestic, model.foreign, model.vol)
+            for t in contract.fixing_times
+        ) if use_cv else None
+        same, estimates = sharing_cases(contract, cases), []
+        for group in _groups(same, n_pilot + min(n, BATCH_SIZE)):
+            estimates += _price_group(group, model, config, spot, control_mean, n_pilot)
         share = (time.perf_counter() - started) / len(same)
-        downgraded = config.control_variate and not model.has_exact_transition
-        for case, outcome in zip(same, outcomes):
-            if not isinstance(outcome, Exception):
-                price, stderr, lam = outcome
-                outcome = McResult(price=price, stderr=stderr, cv_coefficient=lam,
-                                   wall_time=share, cv_downgraded=downgraded)
+        downgraded = config.control_variate and not use_cv
+        for case, (price, stderr, lam) in zip(same, estimates):
+            outcome = McResult(price=price, stderr=stderr, cv_coefficient=lam,
+                               wall_time=share, cv_downgraded=downgraded)
+            # the price's error wins; made, not raised, it holds no traceback
+            for name, value in (("standard error", stderr), ("price", price)):
+                if not math.isfinite(value):
+                    outcome = ValueError(f"MC {name} is not finite ({value}): a path's "
+                                         "present value or control is a NaN or an infinity")
             cache[result_key + (case,)] = outcome
     outcome = cache[result_key + (contract,)]
     if isinstance(outcome, Exception):  # raised, it would hold the callers' frames

@@ -8,7 +8,9 @@ local volatility) and fills a C-ordered (n_paths, K) array column by
 column; the payoff walks the fixings in order, carrying the accrued amount
 and the alive flags, with every fixing's flows from
 ``tarnpricer.contract.fixing_flows``; the control is the gross amounts of
-those C-ordered paths times the discounts.
+those C-ordered paths times the discounts.  ``column_estimates`` is the
+estimator that holds every case's whole payoff column, which the engine's
+streaming pass reproduces up to rounding.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 
 from tarnpricer import MarketModel, TarnContract
 from tarnpricer.contract import fixing_flows
-from tarnpricer.market import integrated_variance
+from tarnpricer.market import discount_factor, integrated_variance, vanilla_price
+from tarnpricer.mc import standard_error
 
 
 def simulate_fixing_paths(
@@ -92,3 +95,39 @@ def control_values(spot_paths, contract, discounts):
     """Discounted uncapped vanilla strip along each path, the control."""
     gross = np.maximum(contract.beta * (spot_paths - contract.strike), 0.0)
     return gross @ discounts
+
+
+def column_estimates(cases, model, config, spot, batch_size):
+    """(price, stderr, coefficient) of each of ``cases`` from whole columns.
+
+    The engine's paths (batch ``b`` of ``batch_size`` paths drawn from the
+    seeded Philox stream jumped ``b`` times) are priced by the kernels above
+    and held whole: each case's coefficient is its pilot's ``np.cov`` slope
+    on the first tenth of the paths (or the pinned one), and its price and
+    standard error are ``samples.mean()`` and ``standard_error(samples)``
+    over the samples after the pilot.
+    """
+    times = cases[0].fixing_times
+    discounts = np.array([discount_factor(model.domestic, 0.0, t) for t in times])
+    n, base = config.n_paths, np.random.Philox(config.seed)
+    batches = [simulate_fixing_paths(model, spot, times, min(batch_size, n - start),
+                                     np.random.Generator(base.jumped(b)),
+                                     config.substeps_per_interval)
+               for b, start in enumerate(range(0, n, batch_size))]
+    payoffs = np.concatenate([walk_present_value(p, cases, discounts) for p in batches], axis=1)
+    if not (config.control_variate and model.has_exact_transition):
+        return [(float(row.mean()), standard_error(row), None) for row in payoffs]
+    controls = np.concatenate([control_values(p, cases[0], discounts) for p in batches])
+    mean = sum(vanilla_price(spot, cases[0].strike, cases[0].beta, t,
+                             model.domestic, model.foreign, model.vol) for t in times)
+    n_pilot = max(2, n // 10) if config.cv_coefficient is None else 0
+    out = []
+    for row in payoffs:
+        if n_pilot:
+            cov = np.cov(row[:n_pilot], controls[:n_pilot])
+            lam = float(cov[0, 1]) / float(cov[1, 1]) if cov[1, 1] > 0.0 else 0.0
+        else:
+            lam = float(config.cv_coefficient)
+        samples = row[n_pilot:] - lam * (controls[n_pilot:] - mean)
+        out.append((float(samples.mean()), standard_error(samples), lam))
+    return out

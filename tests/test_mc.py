@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tarnpricer import (
     FdConfig,
@@ -324,6 +326,90 @@ class TestMatchesPathMajorOracle:
         assert got.cv_coefficient == want.cv_coefficient
 
 
+class TestMatchesWholeColumnEstimator:
+    """The streaming pass against the estimator that holds whole columns."""
+
+    @pytest.mark.parametrize("batch_size", [1000, 300, 70],
+                             ids=["pilot_inside_a_batch", "pilot_on_a_batch_boundary",
+                                  "pilot_over_five_batches"])
+    @pytest.mark.parametrize("config, model", [
+        (McConfig(n_paths=3000, seed=6), None),
+        (McConfig(n_paths=3000, seed=6, cv_coefficient=0.7), None),
+        (McConfig(n_paths=3000, seed=6, control_variate=False), None),
+        (McConfig(n_paths=3000, seed=6, substeps_per_interval=2), smile_model()),
+    ], ids=["estimated_lambda", "pinned_lambda", "no_cv", "local_vol"])
+    def test_price_stderr_and_coefficient(self, monkeypatch, batch_size, config, model):
+        # 3000 paths: a 300-path pilot when the coefficient is estimated
+        monkeypatch.setattr(mc, "BATCH_SIZE", batch_size)
+        model, cache = model or term_structure_model(), {}
+        got = [mc_price(c, model, config, 1.02, cache=cache, cases=CASES) for c in CASES]
+        want = path_oracle.column_estimates(CASES, model, config, 1.02, batch_size)
+        for res, (price, stderr, lam) in zip(got, want):
+            assert (res.cv_coefficient is None) == (lam is None)
+            if lam is not None:
+                assert bits([res.cv_coefficient]) == bits([lam])
+            assert res.price == pytest.approx(price, rel=1e-14, abs=0.0)
+            assert res.stderr == pytest.approx(stderr, rel=1e-14, abs=0.0)
+
+
+def merged(block, sizes):
+    """Each row's mean and standard error from ``block`` merged in batches of
+    ``sizes`` columns, as the engine merges its batches."""
+    moments, start = (0, np.zeros(len(block)), np.zeros(len(block))), 0
+    for size in sizes:
+        moments = mc._merged(moments, block[:, start:start + size])
+        start += size
+    count, mean, m2 = moments
+    return mean, np.sqrt(m2 / count) / math.sqrt(count)
+
+
+@st.composite
+def split_columns(draw):
+    """A column of 2-200 samples around an offset, and batch sizes that
+    cover it, of any size from 1."""
+    n = draw(st.integers(2, 200))
+    spread = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    column = draw(st.lists(st.floats(-spread, spread), min_size=n, max_size=n))
+    column = np.array(column) + draw(st.sampled_from([0.0, 0.3, -7.5]))
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(draw(st.integers(1, n - sum(sizes))))
+    return column, sizes
+
+
+class TestBatchMomentMerge:
+    """``mc._merged``, the engine's per-batch reduction and merge."""
+
+    @given(split_columns())
+    def test_matches_the_whole_column(self, split):
+        # within a few ulps of the column's largest magnitude
+        column, sizes = split
+        mean, stderr = merged(column[None, :], sizes)
+        ulp = np.spacing(np.max(np.abs(column)))
+        assert abs(mean[0] - column.mean()) <= 8 * ulp
+        assert abs(stderr[0] - standard_error(column)) <= 4 * ulp
+
+    @given(split_columns(), st.floats(-1e6, 1e6))
+    def test_a_constant_column_is_exact(self, split, value):
+        column, sizes = split
+        mean, stderr = merged(np.full((1, column.size), value), sizes)
+        assert mean[0] == value and stderr[0] == 0.0
+
+    @given(split_columns(), st.data())
+    def test_a_nan_fails_only_its_row(self, split, data):
+        column, sizes = split
+        block = np.array([column, 2.0 * column + 1.0, np.full(column.size, 0.5)])
+        want = [merged(block[i:i + 1], sizes) for i in range(3)]
+        row = data.draw(st.integers(0, 2))
+        block[row, data.draw(st.integers(0, column.size - 1))] = np.nan
+        mean, stderr = merged(block, sizes)
+        for i in range(3):
+            if i == row:
+                assert not (math.isfinite(mean[i]) and math.isfinite(stderr[i]))
+            else:  # bit for bit as merged alone
+                assert bits([mean[i], stderr[i]]) == bits([want[i][0][0], want[i][1][0]])
+
+
 def counting(monkeypatch, *names):
     """Record the engine's calls to each ``mc.<name>``, by name, in call order."""
     calls = []
@@ -393,10 +479,10 @@ class TestSharedSimulation:
         calls = counting(monkeypatch, "simulate_fixing_paths", "batch_present_value",
                          "_control_values", "vanilla_price")
         run_cases(McConfig(n_paths=2 * BATCH_SIZE + 1, seed=5), {}, cases=CASES)
-        # the first call prices all six cases on each batch in one payoff
-        # call; the others are served
+        # the first call makes the control mean, then prices all six cases
+        # on each batch in one payoff call; the others are served
         batch = ["simulate_fixing_paths", "batch_present_value", "_control_values"]
-        assert calls == batch * 3 + ["vanilla_price"] * 20
+        assert calls == ["vanilla_price"] * 20 + batch * 3
 
     def test_a_group_takes_the_gross_amounts_as_often_as_one_case(self, monkeypatch):
         # per batch: twice for the payoffs of the whole group, once for the
@@ -450,8 +536,8 @@ class TestSharedSimulation:
     @pytest.mark.parametrize("extra_paths, groups", [(0, [3, 3]), (1, [2, 2, 2])],
                              ids=["at_the_budget", "one_path_over"])
     def test_groups_fit_the_byte_budget(self, monkeypatch, extra_paths, groups):
-        # three payoff columns of 3000 paths fit: six cases are two groups;
-        # with one path more only two columns fit
+        # three cases' values of one 3000-path batch fit: six cases are two
+        # groups; with one path more only two cases' values fit
         monkeypatch.setattr(mc, "_GROUP_BYTES", 3 * 3000 * 8)
         config = McConfig(n_paths=3000 + extra_paths, seed=5, control_variate=False)
         calls = counting(monkeypatch, "simulate_fixing_paths")
@@ -467,18 +553,18 @@ class TestSharedSimulation:
         assert calls == ["simulate_fixing_paths", "batch_present_value"] * len(groups)
         assert [len(g) for g in priced] == groups and sum(priced, ()) == CASES
 
-    @pytest.mark.parametrize("n_cases, n_paths, sizes", [
-        (12, 200_000, [4, 4, 4]),  # table1: 1.6 MB a column
-        (6, 50_000, [6]),  # local_vol
-        (3, 200_000, [3]),  # refine's MC-only job
-        (11, 200_000, [3, 4, 4]),
-        (1, 2 * 2**20, [1]),  # one column over the budget is still a group
-        (3, 2 * 2**20, [1, 1, 1]),
+    @pytest.mark.parametrize("n_cases, held, sizes", [
+        (12, 20_000 + BATCH_SIZE, [12]),  # table1: a 200k-path pilot and a batch
+        (6, BATCH_SIZE, [6]),  # local_vol: no pilot
+        (3, 20_000 + BATCH_SIZE, [3]),  # refine's MC-only job
+        (11, 2**18, [3, 4, 4]),  # 2 MB a case
+        (1, 2**20 + 1, [1]),  # one case over the budget is still a group
+        (3, 2**20 + 1, [1, 1, 1]),
     ])
-    def test_group_sizes(self, n_cases, n_paths, sizes):
+    def test_group_sizes(self, n_cases, held, sizes):
         cases = tuple(benchmark_contract(KnockoutType.NO_GAIN, 0.1 * (i + 1))
                       for i in range(n_cases))
-        groups = mc._groups(cases, n_paths)
+        groups = mc._groups(cases, held)
         assert [len(g) for g in groups] == sizes
         assert sum(groups, ()) == cases
 
@@ -514,8 +600,10 @@ class TestSharedSimulation:
                                                 alive):
         # batches still alive as each batch is simulated: only the previous
         # one, with or without a group to price, and none of an earlier group
-        # as the next group starts
-        monkeypatch.setattr(mc, "_GROUP_BYTES", len(CASES) // groups * 3 * BATCH_SIZE * 8)
+        # as the next group starts; a case holds a batch and, with the
+        # control variate, a pilot of 3 * BATCH_SIZE // 10 paths
+        held = BATCH_SIZE + 3 * BATCH_SIZE // 10
+        monkeypatch.setattr(mc, "_GROUP_BYTES", len(CASES) // groups * held * 8)
         original, made, seen = mc.simulate_fixing_paths, [], []
 
         def simulate(*args):
@@ -544,25 +632,55 @@ class TestSharedSimulation:
         records = run(config)
         assert len(records) == 6 and len(calls) == 2
 
-    def test_a_failing_case_does_not_fail_its_group(self, monkeypatch):
-        # four cases of one group; part_gain at 0.5 gets a NaN payoff column
+    @pytest.mark.parametrize("batch_size, batch, path", [
+        (BATCH_SIZE, None, None),
+        (200, 2, 37),
+        (200, 1, 50),
+    ], ids=["every_path", "a_path_after_the_pilot", "a_path_in_the_pilot"])
+    def test_a_failing_case_does_not_fail_its_group(self, monkeypatch, batch_size, batch,
+                                                    path):
+        # four cases of one group; part_gain at 0.5 gets a NaN payoff on
+        # every path of its one batch, or on one path of a batch of 200: of
+        # batch 2, after the 300-path pilot, or of batch 1, inside it
+        monkeypatch.setattr(mc, "BATCH_SIZE", batch_size)
         config = dataclasses.replace(
             PRESETS["table1"](), engines=("mc",), targets=(0.3, 0.5),
             knockouts=(KnockoutType.NO_GAIN, KnockoutType.PART_GAIN),
             mc=McConfig(n_paths=3000, seed=4))
-        original = mc.batch_present_value
+        simulate, original = mc.simulate_fixing_paths, mc.batch_present_value
+        batches, results = [], []
+
+        def simulated(*args):
+            paths = simulate(*args)
+            batches.append(weakref.ref(paths))
+            return paths
 
         def present_value(paths, cases, discounts):
             value = original(paths, cases, discounts)
-            for row, contract in zip(value, cases):
-                if (contract.knockout, contract.target) == (KnockoutType.PART_GAIN, 0.5):
-                    row[:] = np.nan
+            if batch in (None, len(batches) - 1):  # the batch just simulated
+                for row, contract in zip(value, cases):
+                    if (contract.knockout, contract.target) == (KnockoutType.PART_GAIN, 0.5):
+                        row[slice(None) if batch is None else path] = np.nan
             return value
 
+        def price(*args, **kwargs):
+            result = mc_price(*args, **kwargs)
+            results.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(mc, "simulate_fixing_paths", simulated)
         monkeypatch.setattr(mc, "batch_present_value", present_value)
-        calls = counting(monkeypatch, "simulate_fixing_paths")
-        records = run(config)
-        assert len(calls) == 1
+        monkeypatch.setattr(cli, "mc_price", price)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            records = run(config)
+            assert len(batches) == -(-3000 // batch_size) and len(results) == 3
+            assert all(ref() is None for ref in batches + results)
+        finally:
+            if enabled:
+                gc.enable()
+        monkeypatch.setattr(mc, "batch_present_value", original)
         failed = [(r.knockout, r.target) for r in records if not r.status.startswith("ok")]
         assert failed == [("part_gain", 0.5)]
         for rec in records:
@@ -573,10 +691,10 @@ class TestSharedSimulation:
             alone = mc_price(contract, config.model, config.mc, config.spot)
             assert bits([rec.price, rec.error_metric]) == bits([alone.price, alone.stderr])
 
-    def test_cli_run_makes_one_control_column_for_all_its_groups(self, monkeypatch):
+    def test_cli_run_makes_one_control_mean_for_all_its_groups(self, monkeypatch):
         # with fd: the dict then holds the entries of both engines
-        n_paths = BATCH_SIZE + 1000
-        monkeypatch.setattr(mc, "_GROUP_BYTES", 2 * n_paths * 8)
+        n_paths = BATCH_SIZE + 1000  # a pilot of 1738 paths and two batches
+        monkeypatch.setattr(mc, "_GROUP_BYTES", 2 * (1738 + BATCH_SIZE) * 8)
         caches = []
 
         def price(*args, cache, cases):
@@ -591,12 +709,11 @@ class TestSharedSimulation:
             fd=FdConfig(spot_nodes=60, accumulation_nodes=12, time_steps=40))
         records = run(config)
         assert all(r.status == "ok" for r in records)
-        # six cases in three groups of two, priced by the first MC call, one
-        # payoff call per batch and group; the first group's pass makes the
-        # control column and its mean for all
-        batch = ["simulate_fixing_paths", "batch_present_value"]
-        assert calls == ((batch + ["_control_values"]) * 2 + ["vanilla_price"] * 20
-                         + batch * 4)
+        # six cases in three groups of two, priced by the first MC call,
+        # which makes the control mean once for all; then one payoff call
+        # and one control call per batch and group
+        batch = ["simulate_fixing_paths", "batch_present_value", "_control_values"]
+        assert calls == ["vanilla_price"] * 20 + batch * 2 * 3
         assert len(caches) == 6 and all(c is caches[0] for c in caches)
         assert {key[0] for key in caches[0]} == {"fd.intervals", "mc.result"}
 
@@ -641,8 +758,9 @@ class TestSharedSimulation:
                 gc.enable()
 
     def test_each_case_reports_an_equal_share_of_the_calls_seconds(self, monkeypatch):
-        # three groups of two, priced by the first call
-        monkeypatch.setattr(mc, "_GROUP_BYTES", 2 * 3000 * 8)
+        # three groups of two (a 300-path pilot and a 3000-path batch a
+        # case), priced by the first call
+        monkeypatch.setattr(mc, "_GROUP_BYTES", 2 * 3300 * 8)
         cache = {}
         config, model = McConfig(n_paths=3000, seed=2), flat_model()
         times = [mc_price(c, model, config, 1.05, cache=cache, cases=CASES).wall_time

@@ -73,7 +73,7 @@ def main() -> int:
     tier1 = tracer.hits
     tracer.hits = set(imported)
     for name in records_digest.INPUTS:
-        records_digest.digests(name)
+        records_digest.records(name)
     workloads = tracer.hits
     sys.settrace(None)
 
