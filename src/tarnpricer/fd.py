@@ -5,12 +5,14 @@ grid in the accrued payment amount.  Between fixing dates each tracked
 solution obeys the usual log-spot pricing PDE and is marched backward with
 a theta scheme.  A step is one tridiagonal solve for all rows: the default
 zero-gamma end rows are substituted into rows 1 and M-2, and the end
-values are set from them after the solve.  Every tridiagonal system, a
-step's and a spline's, is one LAPACK band array solved by one direct call
-of ``gtsv`` (:func:`_solve_bands`), without
-``scipy.linalg.solve_banded``'s per-call checks; so no solve rejects a NaN
-or an infinity, and :func:`fd_price` instead refuses to return a
-non-finite price.  At a fixing date the tracked
+values are set from them after the solve.  Under local volatility a
+zero-gamma step is symmetrized and solved by one direct call of LAPACK
+``ptsv`` (:func:`_symmetric_step`) where its cell Peclet numbers are below
+1.  Every other tridiagonal system, a step's and a spline's, is one LAPACK
+band array solved by one direct call of ``gtsv`` (:func:`_solve_bands`),
+without ``scipy.linalg.solve_banded``'s per-call checks; so no solve
+rejects a NaN or an infinity, and :func:`fd_price` instead refuses to
+return a non-finite price.  At a fixing date the tracked
 solutions exchange information through a jump condition: for every spot
 node where the fixing pays less than the target, ``0 < gross < U``, the
 post-fixing values across the accumulation grid are interpolated with a
@@ -73,6 +75,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv as _gtsv
+from scipy.linalg.lapack import dptsv as _ptsv
 
 from .contract import TarnContract, check_cases, fixing_flows, shared_terms, sharing_cases
 from .market import MarketModel, check_count, check_fields, check_positive
@@ -199,7 +202,8 @@ def _solve_bands(ab, rhs, overwrite_rhs=False):
     """Solve the tridiagonal system ``ab`` (``ab[1 + i - j, j] = a[i, j]``,
     overwritten) for ``rhs``, (n,) or (n, k), by LAPACK ``gtsv``.
 
-    Every FD tridiagonal solve comes here.  LAPACK is called directly:
+    Every FD tridiagonal solve comes here but the symmetric steps of
+    :func:`_symmetric_step`.  LAPACK is called directly:
     ``scipy.linalg.solve_banded((1, 1), ...)`` ends in the same ``gtsv``
     call, bit for bit, but its batching, validation and finiteness check
     cost three times the solve itself at 200 nodes.  ``rhs`` is solved in
@@ -459,6 +463,137 @@ def coefficients_at(model: MarketModel, spots: np.ndarray, t: float, dx: float):
     return half - adv, -2.0 * half - r_d, half + adv
 
 
+def _explicit_side(rows, w, bands, scale=1.0):
+    """The explicit half of a theta step: ``u[i] + w (L u)[i]`` on the
+    interior nodes of ``rows`` (J, M), for the operator ``bands``, each
+    interior row times ``scale`` (a scalar or one weight per row), in a new
+    (J, M) array whose end columns are zero."""
+    lo, di, up = bands
+    rhs = np.empty(rows.shape)
+    inner = rhs[:, 1:-1]
+    np.multiply(rows[:, 1:-1], scale * (1.0 + w * di), out=inner)
+    term = rows[:, :-2] * (scale * (w * lo))
+    inner += term
+    np.multiply(rows[:, 2:], scale * (w * up), out=term)
+    inner += term
+    rhs[:, 0] = rhs[:, -1] = 0.0
+    return rhs
+
+
+# The symmetric step is taken when its block, rows 2..M-3, holds at least
+# three rows.  Smaller grids keep gtsv, which costs no more there; on 4
+# nodes the folded rows 1 and M-2 are neighbours, with no block between.
+_SYMMETRIC_MIN_NODES = 7
+
+# The symmetrizing scales span at most this ratio (normalized to at most 1,
+# none below 1e-100), so no scaled value is pushed towards the subnormals.
+_MIN_LOG_SCALE = 2.0 * math.log(1e-100)
+
+
+def _symmetric_step(rows, w, bands_from, bands_to, c):
+    """The zero-gamma theta step with per-node implicit bands as one LAPACK
+    ``ptsv`` solve, or None when it must take ``gtsv`` instead.
+
+    Rows 1 and M-2, which the zero-gamma fold makes unsymmetric, are
+    eliminated into rows 2 and M-3 first.  When every product
+    ``up[i] lo[i+1]`` of rows 2..M-3 is positive (a cell Peclet number
+    below 1), the diagonal similarity ``s[i+1] / s[i] = sqrt(up[i] /
+    lo[i+1])`` makes those rows symmetric, with off-diagonal ``c
+    sqrt(up[i] lo[i+1])``; with a positive diagonal and strict diagonal
+    dominance they are positive definite.  ``s`` is folded into the
+    explicit side's per-node weights, the system is solved in place with
+    rows 0, 1, M-2 and M-1 as decoupled identity rows, and one multiply
+    by ``1 / s`` undoes it before rows 1 and M-2 are back-substituted.
+
+    ``gtsv`` is left the steps where a product is not positive, where the
+    scales would span more than 1e100, where a folded row's pivot is not
+    positive (rows 1 and M-2 are eliminated without a row exchange), and
+    where ``ptsv`` finds the block not positive definite after all.
+    """
+    lo, di, up = bands_to
+    m = rows.shape[1]
+    product = up[1:-2] * lo[2:-1]
+    if not (product > 0.0).all():
+        return None
+    scale = np.ones(m - 2)  # per interior row 1..M-2; rows 2..M-3 are s
+    block = scale[1:-1]
+    block[0] = 0.0
+    np.cumsum(np.log(up[1:-2] / lo[2:-1]), out=block[1:])
+    block -= block.max()
+    if not block.min() >= _MIN_LOG_SCALE:
+        return None
+    block *= 0.5
+    np.exp(block, out=block)
+
+    # rows 1 and M-2 with u0 = 2 u1 - u2 and its mirror: each row's pivot,
+    # its coupling to row 2 (M-3) over that pivot, and row 2's (M-3's)
+    # weight of it
+    pivot1 = 1.0 + c * (di[0] + 2.0 * lo[0])
+    pivot2 = 1.0 + c * (di[-1] + 2.0 * up[-1])
+    if not (pivot1 > 0.0 and pivot2 > 0.0):
+        return None
+    couple1 = c * (up[0] - lo[0]) / pivot1
+    couple2 = c * (lo[-1] - up[-1]) / pivot2
+    weight1, weight2 = c * lo[1], c * up[-2]
+    diag = np.ones(m)
+    diag[2:-2] = 1.0 + c * di[1:-1]
+    diag[2] -= weight1 * couple1
+    diag[-3] -= weight2 * couple2
+    off = np.zeros(m - 1)
+    off[2:-2] = c * np.sqrt(product)
+
+    rhs = _explicit_side(rows, w, bands_from, scale)
+    rhs[:, 2] -= (block[0] * weight1 / pivot1) * rhs[:, 1]
+    rhs[:, -3] -= (block[-1] * weight2 / pivot2) * rhs[:, -2]
+    # overwrite_d, overwrite_e and overwrite_b, positional as in _solve_bands
+    *_, info = _ptsv(diag, off, rhs.T, True, True, True)
+    if info:
+        return None  # not positive definite after all: ptsv left rhs unsolved
+    unscale = np.ones(m)
+    np.divide(1.0, block, out=unscale[2:-2])
+    unscale[1] = 1.0 / pivot1
+    unscale[-2] = 1.0 / pivot2
+    rhs *= unscale
+    rhs[:, 1] -= couple1 * rhs[:, 2]
+    rhs[:, -2] -= couple2 * rhs[:, -3]
+    return rhs
+
+
+def _banded_step(rows, w, bands_from, bands_to, c, zero_gamma, spots, beta, dx):
+    """The theta step as one LAPACK ``gtsv`` solve for every closure and
+    band shape, before the zero-gamma end values are set."""
+    rhs = _explicit_side(rows, w, bands_from)
+
+    # Implicit side I - theta dt L, stored as ab[1 + i - j, j] = a[i, j].
+    lo, di, up = bands_to
+    m = rows.shape[1]
+    ab = np.zeros((3, m))
+    ab[0, 2:] = c * up
+    ab[1, 1:-1] = 1.0 + c * di
+    ab[2, :-2] = c * lo
+    ab[1, 0] = ab[1, -1] = 1.0
+    if zero_gamma:
+        # row 1 with u0 = 2 u1 - u2 substituted, and its mirror row M-2
+        ab[1, 1] += 2.0 * ab[2, 0]
+        ab[0, 2] -= ab[2, 0]
+        ab[2, 0] = 0.0
+        ab[1, -2] += 2.0 * ab[0, -1]
+        ab[2, -3] -= ab[0, -1]
+        ab[0, -1] = 0.0
+    elif beta == 1:
+        ab[2, -2] = -1.0
+        rhs[:, -1] = dx * spots[-1]
+    else:
+        ab[1, 0] = -1.0
+        ab[0, 1] = 1.0
+        rhs[:, 0] = -dx * spots[0]
+
+    # A zero pivot is not seen for theta in [0, 1] and sigma > 0.  The one
+    # singular case, zero gamma on 3 nodes (both end rows are then one
+    # equation), is rejected by FdConfig, whose grids every caller marches.
+    return _solve_bands(ab, rhs.T, overwrite_rhs=True).T
+
+
 def theta_step(
     rows,
     dt: float,
@@ -479,7 +614,12 @@ def theta_step(
     :func:`coefficients_at` at the level being left (explicit side, weight
     1 - theta) and ``bands_to`` those at the level being solved for
     (implicit side, weight theta).  The step is one
-    tridiagonal solve for all rows.  The boundary closure holds exactly at
+    tridiagonal solve for all rows: ``ptsv`` on the symmetrized system
+    (:func:`_symmetric_step`) when the closure is zero gamma, the implicit
+    bands are per-node arrays (local volatility) and M >= 7, else, or when
+    that declines, ``gtsv`` (:func:`_banded_step`).  Scalar bands, whose
+    steps mostly feed interval maps, keep ``gtsv``: at 1-73 rows on 200
+    nodes the symmetric step was slower.  The boundary closure holds exactly at
     the new level.  The zero-gamma end rows ``u0 = 2 u1 - u2`` and
     ``u[M-1] = 2 u[M-2] - u[M-3]`` are substituted into rows 1 and M-2, so
     they need M >= 4, which :class:`FdConfig` enforces; the solve leaves
@@ -489,48 +629,14 @@ def theta_step(
     """
     m = rows.shape[1]
     zero_gamma = boundary is BoundaryKind.ZERO_GAMMA
-
-    # Explicit side on the interior, u[i] + w (L u)[i] with per-node weights.
-    lo, di, up = bands_from
     w = (1.0 - theta) * dt
-    rhs = np.empty(rows.shape)
-    inner = rhs[:, 1:-1]
-    np.multiply(rows[:, 1:-1], 1.0 + w * di, out=inner)
-    term = rows[:, :-2] * (w * lo)
-    inner += term
-    np.multiply(rows[:, 2:], w * up, out=term)
-    inner += term
-    del term
-
-    # Implicit side I - theta dt L, stored as ab[1 + i - j, j] = a[i, j].
-    lo, di, up = bands_to
     c = -theta * dt
-    ab = np.zeros((3, m))
-    ab[0, 2:] = c * up
-    ab[1, 1:-1] = 1.0 + c * di
-    ab[2, :-2] = c * lo
-    ab[1, 0] = ab[1, -1] = 1.0
-    rhs[:, 0] = rhs[:, -1] = 0.0
-    if zero_gamma:
-        # row 1 with u0 = 2 u1 - u2 substituted, and its mirror row M-2
-        ab[1, 1] += 2.0 * ab[2, 0]
-        ab[0, 2] -= ab[2, 0]
-        ab[2, 0] = 0.0
-        ab[1, -2] += 2.0 * ab[0, -1]
-        ab[2, -3] -= ab[0, -1]
-        ab[0, -1] = 0.0
-    elif beta == 1:
-        ab[2, -2] = -1.0
-        rhs[:, -1] = dx * spots[-1]
-    else:
-        ab[1, 0] = -1.0
-        ab[0, 1] = 1.0
-        rhs[:, 0] = -dx * spots[0]
-
-    # A zero pivot is not seen for theta in [0, 1] and sigma > 0.  The one
-    # singular case, zero gamma on 3 nodes (both end rows are then one
-    # equation), is rejected by FdConfig, whose grids every caller marches.
-    out = _solve_bands(ab, rhs.T, overwrite_rhs=True).T
+    out = None
+    if zero_gamma and m >= _SYMMETRIC_MIN_NODES and np.ndim(bands_to[0]):
+        out = _symmetric_step(rows, w, bands_from, bands_to, c)
+    if out is None:
+        out = _banded_step(rows, w, bands_from, bands_to, c, zero_gamma,
+                           spots, beta, dx)
     if zero_gamma:
         out[:, 0] = 2.0 * out[:, 1] - out[:, 2]
         out[:, -1] = 2.0 * out[:, -2] - out[:, -3]

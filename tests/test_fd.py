@@ -317,6 +317,160 @@ class TestThetaStep:
         assert 1.6 < order2 < 2.6
 
 
+def record_lapack(monkeypatch):
+    """Wrap the LAPACK routines fd binds at import so that each call appends
+    its name, ``gtsv`` or ``ptsv``, to the returned list."""
+    ran = []
+    for name in ("gtsv", "ptsv"):
+        routine = getattr(fd, "_" + name)
+
+        def recording(*args, routine=routine, name=name):
+            ran.append(name)
+            return routine(*args)
+
+        monkeypatch.setattr(fd, "_" + name, recording)
+    return ran
+
+
+def per_node(rng, m, dx, level, rate, foreign, peclet=0.0):
+    """Per-node PDE coefficients as a smile gives them: variance within a
+    factor 2 of ``level``, and drift r_d - r_f - v/2 plus, with ``peclet``,
+    a random advection of cell Peclet number up to ``peclet`` at each node."""
+    variance = level * (1.0 + rng.random(m))
+    drift = (rate - foreign - 0.5 * variance
+             + rng.uniform(-peclet, peclet, m) * variance / dx)
+    return Coefficients(variance=variance, drift=drift, rate=rate)
+
+
+def assert_step_matches_oracle(rows, dt, dx, theta, coef_from, coef_to,
+                               boundary=BoundaryKind.ZERO_GAMMA, beta=1):
+    """``theta_step`` on nodes ``dx`` apart from spot 1 agrees with the
+    pentadiagonal oracle within 1e-12 of each row's largest value.  The
+    bands are scalars where the coefficients are, as for exact transitions."""
+    m = rows.shape[1]
+    spots = np.exp(dx * np.arange(m))
+    bands_from, bands_to = (
+        tuple(band if np.ndim(coef.variance) else band[0]
+              for band in interior_bands(coef, dx, m))
+        for coef in (coef_from, coef_to))
+    got = theta_step(rows, dt, dx, theta, bands_from, bands_to, boundary, spots, beta)
+    want = step_oracle.theta_step(rows, dt, dx, theta, coef_from, coef_to,
+                                  boundary, spots=spots, beta=beta)
+    assert np.all(np.isfinite(got))
+    scale = np.max(np.abs(want), axis=-1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    return got
+
+
+class TestSymmetricStep:
+    # a zero-gamma step with per-node implicit bands is solved by LAPACK
+    # ptsv on its symmetrized rows 2..M-3; every other step keeps gtsv
+
+    @staticmethod
+    def local_vol_step(monkeypatch, m=60, coef_to=None, theta=0.5, rows=3, **step):
+        """The LAPACK routines a step on smile-like per-node coefficients
+        ran, checked against the oracle."""
+        rng = np.random.default_rng(11)
+        dx = 1.2 / (m - 1)
+        coef_from = per_node(rng, m, dx, 0.04, 0.03, 0.01)
+        if coef_to is None:
+            coef_to = per_node(rng, m, dx, 0.05, 0.02, 0.01)
+        values = rng.standard_normal((rows, m)).cumsum(axis=1)
+        ran = record_lapack(monkeypatch)
+        assert_step_matches_oracle(values, 0.005, dx, theta, coef_from, coef_to, **step)
+        return ran
+
+    @pytest.mark.parametrize("m", [7, 60, 1000])
+    def test_local_vol_takes_ptsv(self, monkeypatch, m):
+        assert self.local_vol_step(monkeypatch, m) == ["ptsv"]
+
+    def test_scalar_bands_keep_gtsv(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        rows = rng.standard_normal((3, 60)).cumsum(axis=1)
+        ran = record_lapack(monkeypatch)
+        assert_step_matches_oracle(rows, 0.005, 0.02, 0.5,
+                                   Coefficients(0.04, 0.01, 0.03),
+                                   Coefficients(0.05, 0.005, 0.02))
+        assert ran == ["gtsv"]
+
+    @pytest.mark.parametrize("beta", [1, -1])
+    def test_dirichlet_neumann_keeps_gtsv(self, monkeypatch, beta):
+        ran = self.local_vol_step(
+            monkeypatch, boundary=BoundaryKind.DIRICHLET_NEUMANN_BY_DIRECTION, beta=beta)
+        assert ran == ["gtsv"]
+
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_small_grids_keep_gtsv(self, monkeypatch, m):
+        assert self.local_vol_step(monkeypatch, m) == ["gtsv"]
+
+    def test_a_node_at_cell_peclet_one_keeps_gtsv(self, monkeypatch):
+        # lower band (v - drift dx) / (2 dx^2) < 0 at one node: that
+        # node's product with its neighbour's upper band is negative
+        m, dx = 60, 1.2 / 59
+        coef = per_node(np.random.default_rng(13), m, dx, 0.05, 0.02, 0.01)
+        drift = coef.drift.copy()
+        drift[m // 2] = 1.5 * coef.variance[m // 2] / dx
+        ran = self.local_vol_step(monkeypatch, m, coef._replace(drift=drift))
+        assert ran == ["gtsv"]
+
+    def test_a_step_not_positive_definite_is_redone_by_gtsv(self, monkeypatch):
+        # r_d = r_f = -1000 with near-zero drift: every product is positive,
+        # but the diagonal 1 + theta dt (v / dx^2 + r_d) of rows 2..M-3 is
+        # negative.  A large variance at nodes 1 and M-2, advected towards
+        # the ends, keeps the pivots of the folded rows positive.
+        m, dx = 60, 1.2 / 59
+        variance = 0.05 * (1.0 + np.random.default_rng(14).random(m))
+        drift = -0.5 * variance
+        variance[[1, -2]] = 1.0
+        drift[[1, -2]] = 0.9 / dx, -0.9 / dx
+        coef = Coefficients(variance, drift, -1000.0)
+        ran = self.local_vol_step(monkeypatch, m, coef, theta=1.0)
+        assert ran == ["ptsv", "gtsv"]
+
+    def test_scales_that_could_underflow_keep_gtsv(self, monkeypatch):
+        # cell Peclet 0.99 at every node: s grows 14-fold from node to node,
+        # beyond 1e100 over the grid
+        m, dx = 200, 1.2 / 199
+        variance = np.full(m, 0.05)
+        coef = Coefficients(variance, 0.99 * variance / dx, 0.0)
+        ran = self.local_vol_step(monkeypatch, m, coef, rows=1)
+        assert ran == ["gtsv"]
+
+    def test_a_fold_pivot_that_is_not_positive_keeps_gtsv(self, monkeypatch):
+        # row 1 with u0 = 2 u1 - u2 has pivot 1 + theta dt (r_d + drift / dx),
+        # here 1 + 0.5 (-1 - 1) = 0 exactly; gtsv pivots past it
+        m = 20
+        coef = Coefficients(np.full(m, 2.0), np.full(m, -1.0), -1.0)
+        rng = np.random.default_rng(15)
+        rows = rng.standard_normal((2, m)).cumsum(axis=1)
+        ran = record_lapack(monkeypatch)
+        assert_step_matches_oracle(rows, 1.0, 1.0, 0.5, coef, coef)
+        assert ran == ["gtsv"]
+
+    @given(
+        m=st.integers(6, 400),
+        rows=st.integers(1, 8),
+        theta=st.sampled_from([0.0, 0.5, 1.0]),
+        peclet=st.floats(0.0, 0.99),
+        levels=st.tuples(st.floats(0.005, 0.1), st.floats(0.005, 0.1)),
+        rates=st.tuples(st.floats(-0.02, 0.08), st.floats(-0.02, 0.08)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_oracle_at_any_peclet_below_one(self, m, rows, theta, peclet,
+                                                        levels, rates, seed):
+        # every product up[i] lo[i+1] is positive; the mesh ratio theta dt
+        # v / dx^2 is at most 2, on nodes 0.01 apart
+        rng = np.random.default_rng(seed)
+        dx = 0.01
+        coef_from, coef_to = (per_node(rng, m, dx, level, rate, 0.01, peclet)
+                              for level, rate in zip(levels, rates))
+        values = rng.standard_normal((rows, m)).cumsum(axis=1)
+        out = assert_step_matches_oracle(values, 0.001, dx, theta, coef_from, coef_to)
+        scale = np.max(np.abs(out), axis=-1)
+        assert np.all(np.abs(out[:, 0] - 2 * out[:, 1] + out[:, 2]) < 1e-11 * scale)
+        assert np.all(np.abs(out[:, -1] - 2 * out[:, -2] + out[:, -3]) < 1e-11 * scale)
+
+
 def smooth_state(grid, j_nodes, m_nodes):
     a = grid.accum_nodes[:, None]
     x = grid.log_spots[None, :]

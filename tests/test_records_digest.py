@@ -82,3 +82,38 @@ def test_the_cli_form_prints_each_move_and_the_fd_verdict(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert "mc price 0.5" in out and "fd price 0" in out
     assert out[-1] == "fd records identical: yes"
+
+
+TWO_WORKLOADS = BEFORE + ["local_vol 2", line("fd", 0.5), line("mc", 0.45)]
+
+
+def test_each_workload_has_its_own_moves():
+    # local_vol's FD price moves; table1's records are equal
+    after = BEFORE + ["local_vol 2", line("fd", 0.5 * (1 + 2**-49)), line("mc", 0.45)]
+    per = records_digest.workload_moves(TWO_WORKLOADS, after)
+    assert list(per) == ["table1", "local_vol"]
+    table1, table1_fd_identical = per["table1"]
+    assert table1_fd_identical and set(table1.values()) == {0.0}
+    local_vol, local_vol_fd_identical = per["local_vol"]
+    assert not local_vol_fd_identical
+    assert local_vol["fd", "price"] == pytest.approx(2**-49, rel=1e-3)
+    assert local_vol["mc", "price"] == 0.0 and ("diff", "price") not in local_vol
+
+
+def test_workload_moves_reject_other_inputs():
+    with pytest.raises(ValueError):
+        records_digest.workload_moves(TWO_WORKLOADS, TWO_WORKLOADS[:4] + ["refine 2"]
+                                      + TWO_WORKLOADS[5:])
+
+
+def test_the_cli_form_prints_each_workload_then_the_pooled_lines(tmp_path, capsys):
+    after = BEFORE + ["local_vol 2", line("fd", 0.75), line("mc", 0.45)]
+    (tmp_path / "a.txt").write_text("\n".join(TWO_WORKLOADS) + "\n")
+    (tmp_path / "b.txt").write_text("\n".join(after) + "\n")
+    records_digest.main(["--compare", str(tmp_path / "a.txt"), str(tmp_path / "b.txt")])
+    out = capsys.readouterr().out.splitlines()
+    assert "table1 fd price 0" in out and "table1 fd records identical: yes" in out
+    assert "local_vol fd price 0.5" in out and "local_vol fd records identical: no" in out
+    assert "local_vol mc price 0" in out
+    assert out.index("table1 fd records identical: yes") < out.index("local_vol fd price 0.5")
+    assert "fd price 0.5" in out and out[-1] == "fd records identical: no"

@@ -15,10 +15,12 @@ Where records move on purpose, two ``--values`` outputs show by how much::
     python tools/records_digest.py --values > a.txt   # in each checkout
     python tools/records_digest.py --compare a.txt b.txt
 
-The comparison prints the largest relative move of each engine's number
-fields over all the records, and of any other field that changed
-(``inf``, as for a value that appeared or vanished), and whether the FD
-records are identical.
+The comparison prints, for each workload and then over all the records,
+the largest relative move of each engine's number fields, and of any
+other field that changed (``inf``, as for a value that appeared or
+vanished), and whether the FD records are identical.  Each workload's
+lines start with its name, so one that moves shows apart from those that
+do not.
 
 It imports ``tarnpricer`` from the checkout's ``src``.
 """
@@ -95,6 +97,15 @@ def moves(before: list[str], after: list[str]) -> tuple[dict, bool]:
     return largest, fd_identical
 
 
+def workload_moves(before: list[str], after: list[str]) -> dict[str, tuple[dict, bool]]:
+    """:func:`moves` of each workload's block of ``--values`` lines, its
+    header and the records under it, keyed by the workload's name."""
+    moves(before, after)  # raises unless the headers stand at the same lines
+    heads = [i for i, line in enumerate(before) if not line.startswith("{")]
+    return {before[a].split()[0]: moves(before[a:b], after[a:b])
+            for a, b in zip(heads, heads[1:] + [len(before)])}
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--values", action="store_true",
@@ -104,10 +115,12 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     if args.compare:
         before, after = (Path(p).read_text().splitlines() for p in args.compare)
-        largest, fd_identical = moves(before, after)
-        for (engine, field), move in sorted(largest.items()):
-            print(f"{engine} {field} {move:.3g}")
-        print(f"fd records identical: {'yes' if fd_identical else 'no'}")
+        results = workload_moves(before, after) | {"": moves(before, after)}
+        for name, (largest, fd_identical) in results.items():
+            prefix = f"{name} " if name else ""  # the pooled lines come last
+            for (engine, field), move in sorted(largest.items()):
+                print(f"{prefix}{engine} {field} {move:.3g}")
+            print(f"{prefix}fd records identical: {'yes' if fd_identical else 'no'}")
         return
     for name in INPUTS:
         lines = records(name)
