@@ -3,35 +3,35 @@
 The solver tracks one one-dimensional PDE solution per node of an auxiliary
 grid in the accrued payment amount.  Between fixing dates each tracked
 solution obeys the usual log-spot pricing PDE and is marched backward with
-a theta scheme.  A step is one tridiagonal solve for all rows: the default
-zero-gamma end rows are substituted into rows 1 and M-2, and the end
-values are set from them after the solve.  Under local volatility a
-zero-gamma step is symmetrized and solved by one direct call of LAPACK
+a theta scheme.  A step is one tridiagonal solve for all rows: the boundary
+closure, made once per pricing (:func:`_closure`), is substituted into rows
+1 and M-2, and the end values are set from it after the solve.  Under local
+volatility a step is symmetrized and solved by one direct call of LAPACK
 ``ptsv`` (:func:`_symmetric_step`) where its cell Peclet numbers are below
 1.  Every other tridiagonal system, a step's and a spline's, is one LAPACK
 band array solved by one direct call of ``gtsv`` (:func:`_solve_bands`),
 without ``scipy.linalg.solve_banded``'s per-call checks; so no solve
 rejects a NaN or an infinity, and :func:`fd_price` instead refuses to
-return a non-finite price.  At a fixing date the tracked
-solutions exchange information through a jump condition: for every spot
-node where the fixing pays less than the target, ``0 < gross < U``, the
-post-fixing values across the accumulation grid are interpolated with a
-natural cubic spline at the amount the fixing shifts the state to, giving
-the continuation value, and the fixing's cash flow is added on top.  The
-other spot nodes need no spline: where the gross amount is zero the state
-does not move, and where it reaches the target every state knocks out.
-After the first fixing only the zero-accrual solution remains relevant and
-is marched down to the valuation date.  The shift is applied forward, from the
-pre-fixing amount at a grid node to the (generally off-grid) post-fixing
-amount, which can pass the target: that is how the knockout enters the
-lattice.  The fixing's cash flows come from
-:func:`tarnpricer.contract.fixing_flows`, the kernel Monte Carlo uses too.
-A fixing enters its jump only through its extra payment, which is the
-amount times a per-cell factor, so a pricing builds everything in the jump
-that does not depend on the lattice values (the cash flows, the spot nodes
-that are splined, and where and with which weights each of their shifted
-amounts is read on its spline) once as a :class:`JumpPlan` and reuses it
-at every fixing; per fixing only the spline system is solved and read.
+return a non-finite price.  At a fixing date the tracked solutions exchange
+information through a jump condition: for every spot node where the fixing
+pays less than the target, ``0 < gross < U``, the post-fixing values across
+the accumulation grid are interpolated with a natural cubic spline at the
+amount the fixing shifts the state to, giving the continuation value, and
+the fixing's cash flow is added on top.  The other spot nodes need no
+spline: where the gross amount is zero the state does not move, and where
+it reaches the target every state knocks out. After the first fixing only
+the zero-accrual solution remains relevant and is marched down to the
+valuation date.  The shift is applied forward, from the pre-fixing amount
+at a grid node to the (generally off-grid) post-fixing amount, which can
+pass the target: that is how the knockout enters the lattice.  The fixing's
+cash flows come from :func:`tarnpricer.contract.fixing_flows`, the kernel
+Monte Carlo uses too. A fixing enters its jump only through its extra
+payment, which is the amount times a per-cell factor, so a pricing builds
+everything in the jump that does not depend on the lattice values (the cash
+flows, the spot nodes that are splined, and where and with which weights
+each of their shifted amounts is read on its spline) once as a
+:class:`JumpPlan` and reuses it at every fixing; per fixing only the spline
+system is solved and read.
 
 Between fixings every tracked row is marched by the same operator, made
 once per time level as its bands (:func:`coefficients_at`).  When the
@@ -490,12 +490,27 @@ _SYMMETRIC_MIN_NODES = 7
 _MIN_LOG_SCALE = 2.0 * math.log(1e-100)
 
 
-def _symmetric_step(rows, w, bands_from, bands_to, c):
-    """The zero-gamma theta step with per-node implicit bands as one LAPACK
-    ``ptsv`` solve, or None when it must take ``gtsv`` instead.
+def _closure(boundary, beta, spots, dx):
+    """A pricing's boundary closure, ``(a, b, g)`` at the lower end and at
+    the upper: each end value is ``a`` times its interior neighbour plus
+    ``b`` times the next node plus ``g``.  Zero gamma, ``u0 = 2 u1 - u2``
+    and its mirror, is ``(2, -1, 0)`` at both ends; Dirichlet/Neumann is
+    ``(0, 0, 0)`` where the payoff vanishes and a unit slope in the spot,
+    ``(1, 0, dx S)`` on the grid's ``spots``, at the other end."""
+    if boundary is BoundaryKind.ZERO_GAMMA:
+        return (2.0, -1.0, 0.0), (2.0, -1.0, 0.0)
+    zero = (0.0, 0.0, 0.0)
+    if beta == 1:
+        return zero, (1.0, 0.0, dx * float(spots[-1]))
+    return (1.0, 0.0, dx * float(spots[0])), zero
 
-    Rows 1 and M-2, which the zero-gamma fold makes unsymmetric, are
-    eliminated into rows 2 and M-3 first.  When every product
+
+def _symmetric_step(rows, w, bands_from, bands_to, c, closure):
+    """The theta step with per-node implicit bands as one LAPACK ``ptsv``
+    solve, or None when it must take ``gtsv`` instead.
+
+    Rows 1 and M-2, which the substituted ``closure`` makes unsymmetric,
+    are eliminated into rows 2 and M-3 first.  When every product
     ``up[i] lo[i+1]`` of rows 2..M-3 is positive (a cell Peclet number
     below 1), the diagonal similarity ``s[i+1] / s[i] = sqrt(up[i] /
     lo[i+1])`` makes those rows symmetric, with off-diagonal ``c
@@ -525,15 +540,16 @@ def _symmetric_step(rows, w, bands_from, bands_to, c):
     block *= 0.5
     np.exp(block, out=block)
 
-    # rows 1 and M-2 with u0 = 2 u1 - u2 and its mirror: each row's pivot,
-    # its coupling to row 2 (M-3) over that pivot, and row 2's (M-3's)
-    # weight of it
-    pivot1 = 1.0 + c * (di[0] + 2.0 * lo[0])
-    pivot2 = 1.0 + c * (di[-1] + 2.0 * up[-1])
+    # rows 1 and M-2 with u0 = a u1 + b u2 + g and its mirror: each row's
+    # pivot, its coupling to row 2 (M-3) over that pivot, and row 2's
+    # (M-3's) weight of it; g moves to the right-hand side
+    (a_lo, b_lo, g_lo), (a_hi, b_hi, g_hi) = closure
+    pivot1 = 1.0 + c * (di[0] + a_lo * lo[0])
+    pivot2 = 1.0 + c * (di[-1] + a_hi * up[-1])
     if not (pivot1 > 0.0 and pivot2 > 0.0):
         return None
-    couple1 = c * (up[0] - lo[0]) / pivot1
-    couple2 = c * (lo[-1] - up[-1]) / pivot2
+    couple1 = c * (up[0] + b_lo * lo[0]) / pivot1
+    couple2 = c * (lo[-1] + b_hi * up[-1]) / pivot2
     weight1, weight2 = c * lo[1], c * up[-2]
     diag = np.ones(m)
     diag[2:-2] = 1.0 + c * di[1:-1]
@@ -543,6 +559,8 @@ def _symmetric_step(rows, w, bands_from, bands_to, c):
     off[2:-2] = c * np.sqrt(product)
 
     rhs = _explicit_side(rows, w, bands_from, scale)
+    rhs[:, 1] -= g_lo * (c * lo[0])
+    rhs[:, -2] -= g_hi * (c * up[-1])
     rhs[:, 2] -= (block[0] * weight1 / pivot1) * rhs[:, 1]
     rhs[:, -3] -= (block[-1] * weight2 / pivot2) * rhs[:, -2]
     # overwrite_d, overwrite_e and overwrite_b, positional as in _solve_bands
@@ -559,9 +577,10 @@ def _symmetric_step(rows, w, bands_from, bands_to, c):
     return rhs
 
 
-def _banded_step(rows, w, bands_from, bands_to, c, zero_gamma, spots, beta, dx):
-    """The theta step as one LAPACK ``gtsv`` solve for every closure and
-    band shape, before the zero-gamma end values are set."""
+def _banded_step(rows, w, bands_from, bands_to, c, closure):
+    """The theta step as one LAPACK ``gtsv`` solve, for any band shape, with
+    the ``closure`` substituted into rows 1 and M-2; rows 0 and M-1 are
+    left identity rows, whose values :func:`theta_step` sets."""
     rhs = _explicit_side(rows, w, bands_from)
 
     # Implicit side I - theta dt L, stored as ab[1 + i - j, j] = a[i, j].
@@ -572,21 +591,16 @@ def _banded_step(rows, w, bands_from, bands_to, c, zero_gamma, spots, beta, dx):
     ab[1, 1:-1] = 1.0 + c * di
     ab[2, :-2] = c * lo
     ab[1, 0] = ab[1, -1] = 1.0
-    if zero_gamma:
-        # row 1 with u0 = 2 u1 - u2 substituted, and its mirror row M-2
-        ab[1, 1] += 2.0 * ab[2, 0]
-        ab[0, 2] -= ab[2, 0]
-        ab[2, 0] = 0.0
-        ab[1, -2] += 2.0 * ab[0, -1]
-        ab[2, -3] -= ab[0, -1]
-        ab[0, -1] = 0.0
-    elif beta == 1:
-        ab[2, -2] = -1.0
-        rhs[:, -1] = dx * spots[-1]
-    else:
-        ab[1, 0] = -1.0
-        ab[0, 1] = 1.0
-        rhs[:, 0] = -dx * spots[0]
+    # row 1 with u0 = a u1 + b u2 + g substituted, and its mirror row M-2
+    (a_lo, b_lo, g_lo), (a_hi, b_hi, g_hi) = closure
+    rhs[:, 1] -= g_lo * ab[2, 0]
+    ab[1, 1] += a_lo * ab[2, 0]
+    ab[0, 2] += b_lo * ab[2, 0]
+    ab[2, 0] = 0.0
+    rhs[:, -2] -= g_hi * ab[0, -1]
+    ab[1, -2] += a_hi * ab[0, -1]
+    ab[2, -3] += b_hi * ab[0, -1]
+    ab[0, -1] = 0.0
 
     # A zero pivot is not seen for theta in [0, 1] and sigma > 0.  The one
     # singular case, zero gamma on 3 nodes (both end rows are then one
@@ -594,56 +608,38 @@ def _banded_step(rows, w, bands_from, bands_to, c, zero_gamma, spots, beta, dx):
     return _solve_bands(ab, rhs.T, overwrite_rhs=True).T
 
 
-def theta_step(
-    rows,
-    dt: float,
-    dx: float,
-    theta: float,
-    bands_from,
-    bands_to,
-    boundary: BoundaryKind,
-    spots: np.ndarray,
-    beta: int,
-):
+def theta_step(rows, dt: float, theta: float, bands_from, bands_to, closure):
     """One backward time step of the theta scheme on the log-spot PDE.
 
     ``rows`` is a (J, M) float array; every row is stepped independently
     with the same matrix.  :func:`_march`, the one caller, passes a positive
-    ``dt`` and the grid's ``spots`` and the contract's ``beta``, so none is
-    checked here.  ``bands_from`` are the operator bands of
-    :func:`coefficients_at` at the level being left (explicit side, weight
-    1 - theta) and ``bands_to`` those at the level being solved for
-    (implicit side, weight theta).  The step is one
-    tridiagonal solve for all rows: ``ptsv`` on the symmetrized system
-    (:func:`_symmetric_step`) when the closure is zero gamma, the implicit
-    bands are per-node arrays (local volatility) and M >= 7, else, or when
-    that declines, ``gtsv`` (:func:`_banded_step`).  Scalar bands, whose
-    steps mostly feed interval maps, keep ``gtsv``: at 1-73 rows on 200
-    nodes the symmetric step was slower.  The boundary closure holds exactly at
-    the new level.  The zero-gamma end rows ``u0 = 2 u1 - u2`` and
-    ``u[M-1] = 2 u[M-2] - u[M-3]`` are substituted into rows 1 and M-2, so
-    they need M >= 4, which :class:`FdConfig` enforces; the solve leaves
-    rows 0 and M-1 as identity rows, and the end values are set from the
-    closure after it.  The Dirichlet/Neumann variant is tridiagonal as it
-    stands and reads ``spots`` for the slope condition.
+    ``dt``, so it is not checked here.  ``bands_from`` are the operator
+    bands of :func:`coefficients_at` at the level being left (explicit
+    side, weight 1 - theta) and ``bands_to`` those at the level being
+    solved for (implicit side, weight theta).  The pricing's ``closure``
+    (:func:`_closure`) is substituted into rows 1 and M-2, so the step is
+    one tridiagonal solve for all rows, and sets the end values after it,
+    so it holds exactly at the new level.  The solve is ``ptsv`` on the
+    symmetrized system (:func:`_symmetric_step`) when the implicit bands
+    are per-node arrays (local volatility) and M >= 7, else, or when that
+    declines, ``gtsv`` (:func:`_banded_step`).  Scalar bands, whose steps
+    mostly feed interval maps, keep ``gtsv``: at 1-73 rows on 200 nodes
+    the symmetric step was slower.
     """
-    m = rows.shape[1]
-    zero_gamma = boundary is BoundaryKind.ZERO_GAMMA
     w = (1.0 - theta) * dt
     c = -theta * dt
     out = None
-    if zero_gamma and m >= _SYMMETRIC_MIN_NODES and np.ndim(bands_to[0]):
-        out = _symmetric_step(rows, w, bands_from, bands_to, c)
+    if rows.shape[1] >= _SYMMETRIC_MIN_NODES and np.ndim(bands_to[0]):
+        out = _symmetric_step(rows, w, bands_from, bands_to, c, closure)
     if out is None:
-        out = _banded_step(rows, w, bands_from, bands_to, c, zero_gamma,
-                           spots, beta, dx)
-    if zero_gamma:
-        out[:, 0] = 2.0 * out[:, 1] - out[:, 2]
-        out[:, -1] = 2.0 * out[:, -2] - out[:, -3]
+        out = _banded_step(rows, w, bands_from, bands_to, c, closure)
+    (a_lo, b_lo, g_lo), (a_hi, b_hi, g_hi) = closure
+    out[:, 0] = a_lo * out[:, 1] + b_lo * out[:, 2] + g_lo
+    out[:, -1] = a_hi * out[:, -2] + b_hi * out[:, -3] + g_hi
     return out
 
 
-def _intervals(cache, cases, model, contract, grid, config, spot):
+def _intervals(cache, cases, model, contract, grid, config, spot, closure):
     """The (runs, map or None) pair of every interval, last first, as the
     backward loop takes them, ``runs`` as :func:`_interval_runs` makes them.
 
@@ -682,7 +678,7 @@ def _intervals(cache, cases, model, contract, grid, config, spot):
             first = made[ks[0]]
             rows = [config.accumulation_nodes if k else 1 for k in ks]
             if _map_pays([len(run) for _, run in first], rows, count, m):
-                mapped = _build_map(first, grid, config.boundary, contract.beta)
+                mapped = _build_map(first, m, closure)
                 for k in ks:
                     maps[k] = mapped
         cache[key] = tuple(zip(made, maps))
@@ -737,7 +733,7 @@ def _drop_negligible(stacked):
                   where=(block < _NEGLIGIBLE) & (block > -_NEGLIGIBLE))
 
 
-def _march_map(stacked, step, n, grid, boundary, beta):
+def _march_map(stacked, step, n, closure):
     """The stacked map ``stacked`` followed by ``n`` copies of ``step``.
 
     A map ``x -> x @ P + p`` is held as one (M + 1, M) array, P over p.
@@ -745,11 +741,11 @@ def _march_map(stacked, step, n, grid, boundary, beta):
     of the zero row, P + p and p; subtracting the marched p again leaves
     the new linear part.
     """
-    m = grid.spots.size
+    m = stacked.shape[1]
     stacked[:m] += stacked[m]
     for start in range(0, m + 1, _MAP_BLOCK_ROWS):
         block = stacked[start:start + _MAP_BLOCK_ROWS]
-        block[:] = _march(block, [(None, [step] * n)], grid, boundary, beta)
+        block[:] = _march(block, [(None, [step] * n)], closure)
     stacked[:m] -= stacked[m]
     _drop_negligible(stacked)
     return stacked
@@ -808,9 +804,9 @@ def _map_pays(lengths, rows, count, m) -> bool:
     return build < march
 
 
-def _build_map(runs, grid, boundary, beta):
-    """(P, p0) of the interval's :func:`_interval_runs` ``runs``, built run
-    by run, each taken as its first step repeated.
+def _build_map(runs, m, closure):
+    """(P, p0) of the interval's :func:`_interval_runs` ``runs`` on M = ``m``
+    nodes, built run by run, each taken as its first step repeated.
 
     Marching a run of n identical steps onto the map so far costs n steps
     of M + 1 rows.  Powering it costs one such step, the one-step map,
@@ -828,16 +824,15 @@ def _build_map(runs, grid, boundary, beta):
     three (M + 1, M) arrays are live: the map so far, the current power and
     the product being formed.
     """
-    m = grid.spots.size
     total = None
     for _, run in runs:
         step, n = run[0], len(run)
         if _power_products(n, first=total is None) is None:
             if total is None:
                 total = np.eye(m + 1, m)
-            total = _march_map(total, step, n, grid, boundary, beta)
+            total = _march_map(total, step, n, closure)
             continue
-        power = _march_map(np.eye(m + 1, m), step, 1, grid, boundary, beta)
+        power = _march_map(np.eye(m + 1, m), step, 1, closure)
         while n:
             if n & 1:
                 total = power if total is None else _compose(total, power)
@@ -847,13 +842,12 @@ def _build_map(runs, grid, boundary, beta):
     return total[:m], total[m]
 
 
-def _march(values, runs, grid, boundary, beta):
+def _march(values, runs, closure):
     """March ``values`` (rows, M) through the steps of ``runs``, (key,
     steps) pairs, one theta step each with the step's own dt."""
     for _, steps in runs:
         for dt, th, bf, bt in steps:
-            values = theta_step(values, dt, grid.dx, th, bf, bt, boundary,
-                                spots=grid.spots, beta=beta)
+            values = theta_step(values, dt, th, bf, bt, closure)
     return values
 
 
@@ -985,8 +979,9 @@ def fd_price(
     started = time.perf_counter()
     grid = build_grid(contract, model, config, spot)
     _check_explicit_stability(grid, model, config)
+    closure = _closure(config.boundary, contract.beta, grid.spots, grid.dx)
     # maps are built before the jump plan and the lattice take their memory
-    intervals = _intervals(cache, cases, model, contract, grid, config, spot)
+    intervals = _intervals(cache, cases, model, contract, grid, config, spot, closure)
     plan = JumpPlan.build(contract, grid)
     values = np.zeros((config.accumulation_nodes, config.spot_nodes))
     for k, (runs, mapped) in zip(range(contract.num_fixings, 0, -1), intervals):
@@ -994,7 +989,7 @@ def fd_price(
         if k == 1:
             values = values[:1]
         if mapped is None:
-            values = _march(values, runs, grid, config.boundary, contract.beta)
+            values = _march(values, runs, closure)
         else:
             matrix, offset = mapped
             values = values @ matrix

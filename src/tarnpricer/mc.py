@@ -278,16 +278,16 @@ def mc_price(
     pilot values and one batch's values, 8 bytes each; cases whose values
     exceed 8 MiB are split in order into the fewest groups that fit, with
     sizes that differ by at most one, a pass each.  Each case reports an
-    equal share of the call's seconds as its ``wall_time``.  The other
-    cases' results, or the exceptions their estimates gave, are stored in
-    the dict, keyed by the contract, model, spot and whole config, and
-    their own calls return them (a stored exception is raised as a fresh
-    one of its type and message).  The dict is not locked.  Without a
-    dict, or with ``contract`` not in ``cases``, the case is priced alone.
-    Either way no more than two batches are alive at a time, and the
-    estimate is the same bit for bit.
+    equal share of the call's seconds as its ``wall_time``.  Every case's
+    result, a failing case's too, is stored in the dict, keyed by the
+    contract, model, spot and whole config, and the case's own call
+    returns it.  The dict is not locked.  Without a dict, or with
+    ``contract`` not in ``cases``, the case is priced alone.  Either way no
+    more than two batches are alive at a time, and the estimate is the same
+    bit for bit.
 
-    A price or standard error that is not finite raises ``ValueError``.
+    A price or standard error that is not finite is never returned: the
+    call for that case raises ``ValueError``, naming the price first.
     """
     started = time.perf_counter()
     check_positive(spot, "spot")
@@ -313,15 +313,12 @@ def mc_price(
         share = (time.perf_counter() - started) / len(same)
         downgraded = config.control_variate and not use_cv
         for case, (price, stderr, lam) in zip(same, estimates):
-            outcome = McResult(price=price, stderr=stderr, cv_coefficient=lam,
-                               wall_time=share, cv_downgraded=downgraded)
-            # the price's error wins; made, not raised, it holds no traceback
-            for name, value in (("standard error", stderr), ("price", price)):
-                if not math.isfinite(value):
-                    outcome = ValueError(f"MC {name} is not finite ({value}): a path's "
-                                         "present value or control is a NaN or an infinity")
-            cache[result_key + (case,)] = outcome
-    outcome = cache[result_key + (contract,)]
-    if isinstance(outcome, Exception):  # raised, it would hold the callers' frames
-        raise type(outcome)(*outcome.args)
-    return outcome
+            cache[result_key + (case,)] = McResult(
+                price=price, stderr=stderr, cv_coefficient=lam, wall_time=share,
+                cv_downgraded=downgraded)
+    result = cache[result_key + (contract,)]
+    for name, value in (("price", result.price), ("standard error", result.stderr)):
+        if not math.isfinite(value):
+            raise ValueError(f"MC {name} is not finite ({value}): a path's "
+                             "present value or control is a NaN or an infinity")
+    return result

@@ -164,10 +164,10 @@ def interior_bands(coef, dx, m):
 
 
 def zero_gamma_step(rows, dt, dx, theta, coef):
-    """One ``theta_step`` with the zero-gamma closure, on nodes ``dx`` apart from spot 1."""
-    spots = np.exp(dx * np.arange(rows.shape[1]))
+    """One ``theta_step`` with the zero-gamma closure, on nodes ``dx`` apart."""
     bands = interior_bands(coef, dx, rows.shape[1])
-    return theta_step(rows, dt, dx, theta, bands, bands, BoundaryKind.ZERO_GAMMA, spots, 1)
+    closure = fd._closure(BoundaryKind.ZERO_GAMMA, 1, None, dx)
+    return theta_step(rows, dt, theta, bands, bands, closure)
 
 
 def model_coefficients(model, spots, t):
@@ -240,14 +240,12 @@ class TestThetaStep:
         rows = np.abs(rng.standard_normal((1, 41))).cumsum(axis=1)
         bands = interior_bands(Coefficients(variance=0.04, drift=-0.02, rate=0.0),
                                dx, 41)
-        out = theta_step(rows, 0.01, dx, 0.5, bands, bands,
-                         boundary=BoundaryKind.DIRICHLET_NEUMANN_BY_DIRECTION,
-                         spots=spots, beta=1)[0]
+        out = theta_step(rows, 0.01, 0.5, bands, bands, fd._closure(
+            BoundaryKind.DIRICHLET_NEUMANN_BY_DIRECTION, 1, spots, dx))[0]
         assert out[0] == pytest.approx(0.0, abs=1e-14)
         assert out[-1] - out[-2] == pytest.approx(dx * spots[-1], rel=1e-12)
-        out = theta_step(rows, 0.01, dx, 0.5, bands, bands,
-                         boundary=BoundaryKind.DIRICHLET_NEUMANN_BY_DIRECTION,
-                         spots=spots, beta=-1)[0]
+        out = theta_step(rows, 0.01, 0.5, bands, bands, fd._closure(
+            BoundaryKind.DIRICHLET_NEUMANN_BY_DIRECTION, -1, spots, dx))[0]
         assert out[-1] == pytest.approx(0.0, abs=1e-14)
         assert out[1] - out[0] == pytest.approx(-dx * spots[0], rel=1e-12)
 
@@ -276,8 +274,8 @@ class TestThetaStep:
                   rng.standard_normal((6, m)).cumsum(axis=1)]
         for rows, theta, beta in itertools.product(stacks, (0.0, 0.5, 1.0),
                                                    (1, -1)):
-            got = theta_step(rows, 0.02, dx, theta, bands_from, bands_to,
-                             boundary, spots=spots, beta=beta)
+            got = theta_step(rows, 0.02, theta, bands_from, bands_to,
+                             fd._closure(boundary, beta, spots, dx))
             want = step_oracle.theta_step(rows, 0.02, dx, theta, coef_from,
                                           coef_to, boundary, spots=spots, beta=beta)
             assert got.shape == want.shape
@@ -353,7 +351,8 @@ def assert_step_matches_oracle(rows, dt, dx, theta, coef_from, coef_to,
         tuple(band if np.ndim(coef.variance) else band[0]
               for band in interior_bands(coef, dx, m))
         for coef in (coef_from, coef_to))
-    got = theta_step(rows, dt, dx, theta, bands_from, bands_to, boundary, spots, beta)
+    got = theta_step(rows, dt, theta, bands_from, bands_to,
+                     fd._closure(boundary, beta, spots, dx))
     want = step_oracle.theta_step(rows, dt, dx, theta, coef_from, coef_to,
                                   boundary, spots=spots, beta=beta)
     assert np.all(np.isfinite(got))
@@ -363,8 +362,9 @@ def assert_step_matches_oracle(rows, dt, dx, theta, coef_from, coef_to,
 
 
 class TestSymmetricStep:
-    # a zero-gamma step with per-node implicit bands is solved by LAPACK
-    # ptsv on its symmetrized rows 2..M-3; every other step keeps gtsv
+    # a step with per-node implicit bands is solved by LAPACK ptsv on its
+    # symmetrized rows 2..M-3, under either closure; every other step
+    # keeps gtsv
 
     @staticmethod
     def local_vol_step(monkeypatch, m=60, coef_to=None, theta=0.5, rows=3, **step):
@@ -394,10 +394,10 @@ class TestSymmetricStep:
         assert ran == ["gtsv"]
 
     @pytest.mark.parametrize("beta", [1, -1])
-    def test_dirichlet_neumann_keeps_gtsv(self, monkeypatch, beta):
+    def test_dirichlet_neumann_takes_ptsv(self, monkeypatch, beta):
         ran = self.local_vol_step(
             monkeypatch, boundary=BoundaryKind.DIRICHLET_NEUMANN_BY_DIRECTION, beta=beta)
-        assert ran == ["gtsv"]
+        assert ran == ["ptsv"]
 
     @pytest.mark.parametrize("m", [4, 5, 6])
     def test_small_grids_keep_gtsv(self, monkeypatch, m):
@@ -454,10 +454,13 @@ class TestSymmetricStep:
         peclet=st.floats(0.0, 0.99),
         levels=st.tuples(st.floats(0.005, 0.1), st.floats(0.005, 0.1)),
         rates=st.tuples(st.floats(-0.02, 0.08), st.floats(-0.02, 0.08)),
+        boundary=st.sampled_from(list(BoundaryKind)),
+        beta=st.sampled_from([1, -1]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_the_oracle_at_any_peclet_below_one(self, m, rows, theta, peclet,
-                                                        levels, rates, seed):
+                                                        levels, rates, boundary, beta,
+                                                        seed):
         # every product up[i] lo[i+1] is positive; the mesh ratio theta dt
         # v / dx^2 is at most 2, on nodes 0.01 apart
         rng = np.random.default_rng(seed)
@@ -465,10 +468,20 @@ class TestSymmetricStep:
         coef_from, coef_to = (per_node(rng, m, dx, level, rate, 0.01, peclet)
                               for level, rate in zip(levels, rates))
         values = rng.standard_normal((rows, m)).cumsum(axis=1)
-        out = assert_step_matches_oracle(values, 0.001, dx, theta, coef_from, coef_to)
+        out = assert_step_matches_oracle(values, 0.001, dx, theta, coef_from, coef_to,
+                                         boundary, beta)
+        # the closure holds at both ends of the new level
         scale = np.max(np.abs(out), axis=-1)
-        assert np.all(np.abs(out[:, 0] - 2 * out[:, 1] + out[:, 2]) < 1e-11 * scale)
-        assert np.all(np.abs(out[:, -1] - 2 * out[:, -2] + out[:, -3]) < 1e-11 * scale)
+        spots = np.exp(dx * np.arange(m))
+        if boundary is BoundaryKind.ZERO_GAMMA:
+            gaps = (out[:, 0] - 2 * out[:, 1] + out[:, 2],
+                    out[:, -1] - 2 * out[:, -2] + out[:, -3])
+        elif beta == 1:
+            gaps = (out[:, 0], out[:, -1] - out[:, -2] - dx * spots[-1])
+        else:
+            gaps = (out[:, 0] - out[:, 1] - dx * spots[0], out[:, -1])
+        for gap in gaps:
+            assert np.all(np.abs(gap) < 1e-11 * scale)
 
 
 def smooth_state(grid, j_nodes, m_nodes):

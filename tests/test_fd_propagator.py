@@ -37,12 +37,18 @@ from conftest import benchmark_contract, benchmark_times, flat_model
 GRID = FdConfig(spot_nodes=120, accumulation_nodes=20, time_steps=120)
 
 
+def closure_of(contract, config, grid):
+    """The boundary closure ``fd_price`` makes for ``contract`` on ``grid``."""
+    return fd._closure(config.boundary, contract.beta, grid.spots, grid.dx)
+
+
 def reference_price(contract, model, config, spot):
     """Backward induction with one theta_step call per time step."""
     grid = build_grid(contract, model, config, spot)
     times = (0.0,) + contract.fixing_times
     values = np.zeros((config.accumulation_nodes, config.spot_nodes))
     plan = JumpPlan.build(contract, grid)
+    closure = closure_of(contract, config, grid)
     for k in range(contract.num_fixings, 0, -1):
         values = apply_jump(values, plan, contract.extra_payments[k - 1])
         if k == 1:
@@ -55,10 +61,10 @@ def reference_price(contract, model, config, spot):
             t_to = t_lo if s == n_steps - 1 else t_hi - (s + 1) * dt
             th = 1.0 if s < config.implicit_startup_steps else config.theta
             values = theta_step(
-                values, t_from - t_to, grid.dx, th,
+                values, t_from - t_to, th,
                 coefficients_at(model, grid.spots, t_from, grid.dx),
                 coefficients_at(model, grid.spots, t_to, grid.dx),
-                config.boundary, spots=grid.spots, beta=contract.beta,
+                closure,
             )
     row = values[0]
     if grid.spot_index is not None:
@@ -485,7 +491,7 @@ def test_runs_of_one_interval_compose(monkeypatch, contract, config, spot):
     runs = fd._interval_runs(model, grid, times[2], times[1], 15, config)
     assert run_lengths(runs) == [1, 1, 13]
     products.clear()
-    fd._build_map(runs, grid, config.boundary, contract.beta)
+    fd._build_map(runs, grid.spots.size, closure_of(contract, config, grid))
     # 13 = 0b1101: three squarings, three products onto the map so far
     assert len(products) == 6
     built.clear()
@@ -513,7 +519,7 @@ def test_map_build_memory_is_bounded(startup):
     runs = fd._interval_runs(model, grid, grid.fixing_times[0], 0.0, 50, config)
     tracemalloc.start()
     try:
-        fd._build_map(runs, grid, config.boundary, contract.beta)
+        fd._build_map(runs, grid.spots.size, closure_of(contract, config, grid))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -533,7 +539,8 @@ def test_maps_keep_no_entry_a_product_could_underflow_on(n, t_hi):
     config = FdConfig(spot_nodes=m, accumulation_nodes=20, time_steps=120)
     grid = build_grid(contract, model, config, 1.05)
     runs = fd._interval_runs(model, grid, t_hi, 0.0, n, config)
-    for array in fd._build_map(runs, grid, config.boundary, contract.beta):
+    closure = closure_of(contract, config, grid)
+    for array in fd._build_map(runs, grid.spots.size, closure):
         assert np.all((array == 0.0) | (np.abs(array) >= fd._NEGLIGIBLE))
 
 

@@ -718,9 +718,9 @@ class TestSharedSimulation:
         assert {key[0] for key in caches[0]} == {"fd.intervals", "mc.result"}
 
     def test_a_failing_case_keeps_nothing_alive_after_the_run(self, monkeypatch):
-        # the stored exception holds no frame and each call raises a fresh
-        # one, so no reference cycle keeps the group's batch, or the run's
-        # dict and the results in it, alive once the run returns
+        # the dict holds only results and each call raises its own error, so
+        # no reference cycle keeps the group's batch, or the run's dict and
+        # the results in it, alive once the run returns
         config = dataclasses.replace(
             PRESETS["table1"](), engines=("mc",), targets=(0.3, 0.5),
             mc=McConfig(n_paths=3000, seed=4))
@@ -769,13 +769,28 @@ class TestSharedSimulation:
 
     @pytest.mark.parametrize("model, n_batches", [(flat_model(), 1), (smile_model(), 2)],
                              ids=["one_batch", "two_local_vol_batches"])
-    def test_the_dict_holds_only_results(self, model, n_batches):
+    def test_the_dict_holds_only_results(self, monkeypatch, model, n_batches):
+        # the last case's payoffs are NaN: its result is stored like the
+        # others', and each call for it raises
+        present_value = mc.batch_present_value
+
+        def nan_for_the_last_case(paths, cases, discounts):
+            value = present_value(paths, cases, discounts)
+            value[[c is CASES[-1] for c in cases]] = np.nan
+            return value
+
+        monkeypatch.setattr(mc, "batch_present_value", nan_for_the_last_case)
         cache = {}
         config = McConfig(n_paths=(n_batches - 1) * BATCH_SIZE + 1000, seed=2)
         mc_price(CASES[0], model, config, 1.05, cache=cache, cases=CASES)
         results = {("mc.result", model, 1.05, config, c) for c in CASES}
         assert set(cache) == results
-        assert all(isinstance(cache[k], mc.McResult) for k in results)
+        assert all(type(cache[k]) is mc.McResult for k in results)
+        assert math.isnan(cache[("mc.result", model, 1.05, config, CASES[-1])].price)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^MC price is not finite \(nan\)"):
+                mc_price(CASES[-1], model, config, 1.05, cache=cache, cases=CASES)
+        assert set(cache) == results
 
     @pytest.mark.parametrize("change, vanillas", [
         (dict(config=McConfig(n_paths=3000, seed=10)), 20),

@@ -21,6 +21,24 @@ def test_every_layer_target_exists(target):
     assert hasattr(target.owner, target.attr)
 
 
+def test_a_theta_step_span_counts_its_rows():
+    # perfbench's fd.theta_step.rows is the first argument's row count: a
+    # signature that moved the (J, M) rows would break it silently
+    import numpy as np
+
+    from tarnpricer import BoundaryKind, fd
+    from tracing import Tracer
+
+    (target,) = [t for t in TARGETS if t.name == "fd.theta_step"]
+    tracer = Tracer()
+    step = tracer.wrap(fd.theta_step, target)
+    rows = np.ones((5, 12))
+    closure = fd._closure(BoundaryKind.ZERO_GAMMA, 1, None, 0.1)
+    out = step(rows, 0.01, 0.5, (1.0, -2.0, 1.0), (1.0, -2.0, 1.0), closure)
+    assert out.shape == rows.shape
+    assert [(s.name, s.count) for s in tracer.spans] == [("fd.theta_step", 5)]
+
+
 def test_cli_run_makes_one_engine_call_per_case():
     # perfbench times each engine call as an fd.price or mc.price span, and
     # a pass with none is an error there: a run whose cases share their
