@@ -8,11 +8,12 @@ closure, made once per pricing (:func:`_closure`), is substituted into rows
 1 and M-2, and the end values are set from it after the solve.  Under local
 volatility a step is symmetrized and solved by one direct call of LAPACK
 ``ptsv`` (:func:`_symmetric_step`) where its cell Peclet numbers are below
-1.  Every other tridiagonal system, a step's and a spline's, is one LAPACK
-band array solved by one direct call of ``gtsv`` (:func:`_solve_bands`),
-without ``scipy.linalg.solve_banded``'s per-call checks; so no solve
-rejects a NaN or an infinity, and :func:`fd_price` instead refuses to
-return a non-finite price.  At a fixing date the tracked solutions exchange
+1 and it steps 4 rows or more.  Every other tridiagonal system, a step's
+and a spline's, is one LAPACK band array solved by one direct call of
+``gtsv`` (:func:`_solve_bands`), without ``scipy.linalg.solve_banded``'s
+per-call checks; so no solve rejects a NaN or an infinity, and
+:func:`fd_price` instead refuses to return a non-finite price.  At a
+fixing date the tracked solutions exchange
 information through a jump condition: for every spot node where the fixing
 pays less than the target, ``0 < gross < U``, the post-fixing values across
 the accumulation grid are interpolated with a natural cubic spline at the
@@ -62,6 +63,12 @@ it.  Local volatility has per-node bands that change every step;
 it is marched step by step and holds no entry.  So a pricing is one
 backward loop: at each fixing a jump, then the interval's map applied or
 its steps marched.
+
+A march (:func:`_march`) steps its rows in two (J, M) buffers that it
+swaps, each step solved in place in the one that does not hold its
+input.  A symmetric step's explicit side is carried to the next step,
+which makes its own from it and the solved level in three passes instead
+of the five of the three-band stencil (:func:`theta_step`).
 """
 
 from __future__ import annotations
@@ -463,27 +470,52 @@ def coefficients_at(model: MarketModel, spots: np.ndarray, t: float, dx: float):
     return half - adv, -2.0 * half - r_d, half + adv
 
 
-def _explicit_side(rows, w, bands, scale=1.0):
+def _explicit_side(rows, w, bands, scale, out, work):
     """The explicit half of a theta step: ``u[i] + w (L u)[i]`` on the
     interior nodes of ``rows`` (J, M), for the operator ``bands``, each
-    interior row times ``scale`` (a scalar or one weight per row), in a new
-    (J, M) array whose end columns are zero."""
+    interior row times ``scale`` (a scalar or one weight per row), written
+    into the interior columns of ``out`` (J, M), with ``work`` (J, M - 2)
+    as the temporary: the three-band stencil, five full passes."""
     lo, di, up = bands
-    rhs = np.empty(rows.shape)
-    inner = rhs[:, 1:-1]
+    inner = out[:, 1:-1]
     np.multiply(rows[:, 1:-1], scale * (1.0 + w * di), out=inner)
-    term = rows[:, :-2] * (scale * (w * lo))
-    inner += term
-    np.multiply(rows[:, 2:], scale * (w * up), out=term)
-    inner += term
-    rhs[:, 0] = rhs[:, -1] = 0.0
-    return rhs
+    np.multiply(rows[:, :-2], scale * (w * lo), out=work)
+    inner += work
+    np.multiply(rows[:, 2:], scale * (w * up), out=work)
+    inner += work
+
+
+@dataclass(eq=False)
+class _Carry:
+    """What a march's steps pass on: its (J, M - 2) temporary, ``work``,
+    and after a symmetric step that step's explicit side, ``side``, a
+    (J, M) array made by the first symmetric step, none for scalar bands.
+    ``side`` then holds ``scale * e`` on the interior nodes and zeros at
+    both ends, where ``e`` is the step's explicit side before the closure
+    and the elimination of rows 1 and M-2 and ``scale`` its symmetrizing
+    weights; ``bands`` are the step's implicit bands and ``c`` its
+    ``-theta dt``.  ``bands`` is None when ``side`` holds nothing to
+    carry."""
+
+    work: np.ndarray
+    side: np.ndarray | None = None
+    bands: tuple | None = None
+    c: float = 0.0
+    scale: np.ndarray | None = None
 
 
 # The symmetric step is taken when its block, rows 2..M-3, holds at least
 # three rows.  Smaller grids keep gtsv, which costs no more there; on 4
 # nodes the folded rows 1 and M-2 are neighbours, with no block between.
 _SYMMETRIC_MIN_NODES = 7
+
+# ... and when it steps at least this many rows: its small per-node vector
+# work, about 20 us a step, is not earned back on fewer.  Marching 17
+# local-vol steps (2-core Xeon, medians of 60 marches), ptsv with the
+# carried explicit side took 62-74 us a step against 41-68 us for gtsv on
+# 1-3 rows of 1000 nodes, and 83-95 against 84-108 us on 4-6 rows.  The
+# break-even is about 4 rows at 2000 nodes too, and 16 at 200.
+_SYMMETRIC_MIN_ROWS = 4
 
 # The symmetrizing scales span at most this ratio (normalized to at most 1,
 # none below 1e-100), so no scaled value is pushed towards the subnormals.
@@ -505,9 +537,9 @@ def _closure(boundary, beta, spots, dx):
     return (1.0, 0.0, dx * float(spots[0])), zero
 
 
-def _symmetric_step(rows, w, bands_from, bands_to, c, closure):
+def _symmetric_step(rows, w, bands_from, bands_to, c, closure, out, carry):
     """The theta step with per-node implicit bands as one LAPACK ``ptsv``
-    solve, or None when it must take ``gtsv`` instead.
+    solve in ``out``, or False when it must take ``gtsv`` instead.
 
     Rows 1 and M-2, which the substituted ``closure`` makes unsymmetric,
     are eliminated into rows 2 and M-3 first.  When every product
@@ -520,23 +552,32 @@ def _symmetric_step(rows, w, bands_from, bands_to, c, closure):
     rows 0, 1, M-2 and M-1 as decoupled identity rows, and one multiply
     by ``1 / s`` undoes it before rows 1 and M-2 are back-substituted.
 
+    The explicit side is made from the previous step's, which ``carry``
+    holds when that step's implicit bands are ``bands_from`` (see
+    :func:`theta_step`): two per-node weighted multiplies and an add in
+    place of the stencil, with ``s`` and the previous step's ``1 / s``
+    folded into the weights.  Either way this step's ``s e`` is copied
+    into ``carry`` before the solve, unless ``c`` is zero (a theta 0 step,
+    whose level gives no ``L u``).
+
     ``gtsv`` is left the steps where a product is not positive, where the
     scales would span more than 1e100, where a folded row's pivot is not
     positive (rows 1 and M-2 are eliminated without a row exchange), and
-    where ``ptsv`` finds the block not positive definite after all.
+    where ``ptsv`` finds the block not positive definite after all; the
+    carry is then dropped, and ``rows`` are intact for the stencil.
     """
     lo, di, up = bands_to
     m = rows.shape[1]
     product = up[1:-2] * lo[2:-1]
     if not (product > 0.0).all():
-        return None
+        return False
     scale = np.ones(m - 2)  # per interior row 1..M-2; rows 2..M-3 are s
     block = scale[1:-1]
     block[0] = 0.0
     np.cumsum(np.log(up[1:-2] / lo[2:-1]), out=block[1:])
     block -= block.max()
     if not block.min() >= _MIN_LOG_SCALE:
-        return None
+        return False
     block *= 0.5
     np.exp(block, out=block)
 
@@ -547,7 +588,7 @@ def _symmetric_step(rows, w, bands_from, bands_to, c, closure):
     pivot1 = 1.0 + c * (di[0] + a_lo * lo[0])
     pivot2 = 1.0 + c * (di[-1] + a_hi * up[-1])
     if not (pivot1 > 0.0 and pivot2 > 0.0):
-        return None
+        return False
     couple1 = c * (up[0] + b_lo * lo[0]) / pivot1
     couple2 = c * (lo[-1] + b_hi * up[-1]) / pivot2
     weight1, weight2 = c * lo[1], c * up[-2]
@@ -558,30 +599,48 @@ def _symmetric_step(rows, w, bands_from, bands_to, c, closure):
     off = np.zeros(m - 1)
     off[2:-2] = c * np.sqrt(product)
 
-    rhs = _explicit_side(rows, w, bands_from, scale)
-    rhs[:, 1] -= g_lo * (c * lo[0])
-    rhs[:, -2] -= g_hi * (c * up[-1])
-    rhs[:, 2] -= (block[0] * weight1 / pivot1) * rhs[:, 1]
-    rhs[:, -3] -= (block[-1] * weight2 / pivot2) * rhs[:, -2]
+    # the carry's passes run on whole rows, with zero weights at the ends:
+    # numpy took about 4 times as long on the (J, M - 2) interior views
+    side = carry.side
+    if carry.bands is bands_from:
+        q = w / carry.c
+        weights = np.zeros((2, m))
+        np.multiply(scale, q / carry.scale, out=weights[0, 1:-1])
+        np.multiply(scale, 1.0 - q, out=weights[1, 1:-1])
+        side *= weights[0]
+        np.multiply(rows, weights[1], out=out)
+        out += side
+    else:
+        _explicit_side(rows, w, bands_from, scale, out, carry.work)
+    if c:
+        if side is None:
+            side = carry.side = np.empty(rows.shape)
+        np.copyto(side, out)
+    out[:, 1] -= g_lo * (c * lo[0])
+    out[:, -2] -= g_hi * (c * up[-1])
+    out[:, 2] -= (block[0] * weight1 / pivot1) * out[:, 1]
+    out[:, -3] -= (block[-1] * weight2 / pivot2) * out[:, -2]
     # overwrite_d, overwrite_e and overwrite_b, positional as in _solve_bands
-    *_, info = _ptsv(diag, off, rhs.T, True, True, True)
+    *_, info = _ptsv(diag, off, out.T, True, True, True)
     if info:
-        return None  # not positive definite after all: ptsv left rhs unsolved
+        return False  # not positive definite after all: ptsv left out unsolved
+    # a theta 0 step kept no explicit side: its level gives no L u
+    carry.bands, carry.c, carry.scale = bands_to if c else None, c, scale
     unscale = np.ones(m)
     np.divide(1.0, block, out=unscale[2:-2])
     unscale[1] = 1.0 / pivot1
     unscale[-2] = 1.0 / pivot2
-    rhs *= unscale
-    rhs[:, 1] -= couple1 * rhs[:, 2]
-    rhs[:, -2] -= couple2 * rhs[:, -3]
-    return rhs
+    out *= unscale
+    out[:, 1] -= couple1 * out[:, 2]
+    out[:, -2] -= couple2 * out[:, -3]
+    return True
 
 
-def _banded_step(rows, w, bands_from, bands_to, c, closure):
-    """The theta step as one LAPACK ``gtsv`` solve, for any band shape, with
-    the ``closure`` substituted into rows 1 and M-2; rows 0 and M-1 are
-    left identity rows, whose values :func:`theta_step` sets."""
-    rhs = _explicit_side(rows, w, bands_from)
+def _banded_step(rows, w, bands_from, bands_to, c, closure, out, work):
+    """The theta step as one LAPACK ``gtsv`` solve in ``out``, for any band
+    shape, with the ``closure`` substituted into rows 1 and M-2; rows 0
+    and M-1 are left identity rows, whose values :func:`theta_step` sets."""
+    _explicit_side(rows, w, bands_from, 1.0, out, work)
 
     # Implicit side I - theta dt L, stored as ab[1 + i - j, j] = a[i, j].
     lo, di, up = bands_to
@@ -593,11 +652,11 @@ def _banded_step(rows, w, bands_from, bands_to, c, closure):
     ab[1, 0] = ab[1, -1] = 1.0
     # row 1 with u0 = a u1 + b u2 + g substituted, and its mirror row M-2
     (a_lo, b_lo, g_lo), (a_hi, b_hi, g_hi) = closure
-    rhs[:, 1] -= g_lo * ab[2, 0]
+    out[:, 1] -= g_lo * ab[2, 0]
     ab[1, 1] += a_lo * ab[2, 0]
     ab[0, 2] += b_lo * ab[2, 0]
     ab[2, 0] = 0.0
-    rhs[:, -2] -= g_hi * ab[0, -1]
+    out[:, -2] -= g_hi * ab[0, -1]
     ab[1, -2] += a_hi * ab[0, -1]
     ab[2, -3] += b_hi * ab[0, -1]
     ab[0, -1] = 0.0
@@ -605,10 +664,11 @@ def _banded_step(rows, w, bands_from, bands_to, c, closure):
     # A zero pivot is not seen for theta in [0, 1] and sigma > 0.  The one
     # singular case, zero gamma on 3 nodes (both end rows are then one
     # equation), is rejected by FdConfig, whose grids every caller marches.
-    return _solve_bands(ab, rhs.T, overwrite_rhs=True).T
+    _solve_bands(ab, out.T, overwrite_rhs=True)
 
 
-def theta_step(rows, dt: float, theta: float, bands_from, bands_to, closure):
+def theta_step(rows, dt: float, theta: float, bands_from, bands_to, closure, *,
+               out=None, carry=None):
     """One backward time step of the theta scheme on the log-spot PDE.
 
     ``rows`` is a (J, M) float array; every row is stepped independently
@@ -621,18 +681,38 @@ def theta_step(rows, dt: float, theta: float, bands_from, bands_to, closure):
     one tridiagonal solve for all rows, and sets the end values after it,
     so it holds exactly at the new level.  The solve is ``ptsv`` on the
     symmetrized system (:func:`_symmetric_step`) when the implicit bands
-    are per-node arrays (local volatility) and M >= 7, else, or when that
-    declines, ``gtsv`` (:func:`_banded_step`).  Scalar bands, whose steps
-    mostly feed interval maps, keep ``gtsv``: at 1-73 rows on 200 nodes
-    the symmetric step was slower.
+    are per-node arrays (local volatility), M >= 7 and J >= 4, else, or
+    when that declines, ``gtsv`` (:func:`_banded_step`).  Scalar bands,
+    whose steps mostly feed interval maps, keep ``gtsv``: at 1-73 rows on
+    200 nodes the symmetric step was slower.
+
+    The step is solved in place in ``out``, a C-contiguous (J, M) array
+    that does not overlap ``rows``, new by default, and returns ``out``
+    itself.  The keyword arguments are :func:`_march`'s: ``carry``, a
+    :class:`_Carry` passed from step to step, lends the step its
+    temporary and carries a symmetric step's explicit side ``e`` to the
+    next step.  A solved level ``u`` satisfies ``u + c L u = e`` on rows
+    1..M-2, with ``c = -theta dt`` and ``L`` the operator of
+    ``bands_to``, so the next step, whose ``bands_from`` are those bands,
+    makes its explicit side as ``(1 - q) u + q e`` with ``q = w / c`` and
+    its own ``w = (1 - theta) dt``: exact in algebra, though not bit for
+    bit.  The three-band stencil still runs on a march's first step, on
+    a step after a theta 0 step or after one that took ``gtsv``, on a
+    step whose ``bands_from`` are not the previous step's ``bands_to``,
+    and on every ``gtsv`` step.
     """
     w = (1.0 - theta) * dt
     c = -theta * dt
-    out = None
-    if rows.shape[1] >= _SYMMETRIC_MIN_NODES and np.ndim(bands_to[0]):
-        out = _symmetric_step(rows, w, bands_from, bands_to, c, closure)
+    j, m = rows.shape
     if out is None:
-        out = _banded_step(rows, w, bands_from, bands_to, c, closure)
+        out = np.empty((j, m))
+    if carry is None:
+        carry = _Carry(np.empty((j, m - 2)))
+    out[:, 0] = out[:, -1] = 0.0  # the identity rows' right-hand side
+    if not (j >= _SYMMETRIC_MIN_ROWS and m >= _SYMMETRIC_MIN_NODES and np.ndim(bands_to[0])
+            and _symmetric_step(rows, w, bands_from, bands_to, c, closure, out, carry)):
+        carry.bands = None  # the stencil overwrites its work
+        _banded_step(rows, w, bands_from, bands_to, c, closure, out, carry.work)
     (a_lo, b_lo, g_lo), (a_hi, b_hi, g_hi) = closure
     out[:, 0] = a_lo * out[:, 1] + b_lo * out[:, 2] + g_lo
     out[:, -1] = a_hi * out[:, -2] + b_hi * out[:, -3] + g_hi
@@ -745,7 +825,9 @@ def _march_map(stacked, step, n, closure):
     stacked[:m] += stacked[m]
     for start in range(0, m + 1, _MAP_BLOCK_ROWS):
         block = stacked[start:start + _MAP_BLOCK_ROWS]
-        block[:] = _march(block, [(None, [step] * n)], closure)
+        marched = _march(block, [(None, [step] * n)], closure)
+        if marched is not block:
+            block[:] = marched
     stacked[:m] -= stacked[m]
     _drop_negligible(stacked)
     return stacked
@@ -843,11 +925,20 @@ def _build_map(runs, m, closure):
 
 
 def _march(values, runs, closure):
-    """March ``values`` (rows, M) through the steps of ``runs``, (key,
-    steps) pairs, one theta step each with the step's own dt."""
+    """March ``values`` (rows, M), C-contiguous, through the steps of
+    ``runs``, (key, steps) pairs, one theta step each with the step's own
+    dt, in two buffers: ``values`` itself, overwritten, and one more of
+    its shape.  Each step writes into the buffer that does not hold its
+    input, which the next step then overwrites; the march's one
+    :class:`_Carry` lends every step its temporary and carries each
+    symmetric step's explicit side to the next.  Returns the buffer that
+    holds the last step's level."""
+    spare = np.empty(values.shape)
+    carry = _Carry(np.empty((values.shape[0], values.shape[1] - 2)))
     for _, steps in runs:
         for dt, th, bf, bt in steps:
-            values = theta_step(values, dt, th, bf, bt, closure)
+            out = theta_step(values, dt, th, bf, bt, closure, out=spare, carry=carry)
+            values, spare = out, values
     return values
 
 

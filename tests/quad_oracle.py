@@ -1,8 +1,10 @@
 """Exact prices of two-fixing notes by quadrature: the reference the FD and
 MC engines are tested against where neither is exact.
 
-With two fixings and an exact lognormal transition the price is a
-one-dimensional integral over the first fixing's spot S1.  Given S1, the
+With two fixings and an exact lognormal transition (flat or term-structure
+volatility, which enters only as each fixing interval's integrated
+variance) the price is a one-dimensional integral over the first fixing's
+spot S1.  Given S1, the
 second fixing's expected flow is in closed form: with ``g = max(beta (S2
 - K), 0)`` the gross amount and ``c = U - g(S1)`` the room left under the
 target, it is ``E[g 1{g < c}]`` (no_gain), ``E[min(g, c)]`` (part_gain)
@@ -54,7 +56,8 @@ def _second_flow(contract, forward, sd, room):
 
 def price(contract: TarnContract, model: MarketModel, spot: float) -> float:
     """The exact price of a two-fixing ``contract`` without extra payments
-    under an exact-transition ``model``, to about 1e-13 relative."""
+    under an exact-transition ``model`` (flat or term-structure volatility),
+    to about 1e-13 relative."""
     assert contract.num_fixings == 2 and not any(contract.extra_payments)
     assert model.has_exact_transition
     t1, t2 = contract.fixing_times

@@ -362,12 +362,13 @@ def assert_step_matches_oracle(rows, dt, dx, theta, coef_from, coef_to,
 
 
 class TestSymmetricStep:
-    # a step with per-node implicit bands is solved by LAPACK ptsv on its
-    # symmetrized rows 2..M-3, under either closure; every other step
-    # keeps gtsv
+    # a step of 4 rows or more with per-node implicit bands is solved by
+    # LAPACK ptsv on its symmetrized rows 2..M-3, under either closure;
+    # every other step keeps gtsv
 
     @staticmethod
-    def local_vol_step(monkeypatch, m=60, coef_to=None, theta=0.5, rows=3, **step):
+    def local_vol_step(monkeypatch, m=60, coef_to=None, theta=0.5,
+                       rows=fd._SYMMETRIC_MIN_ROWS, **step):
         """The LAPACK routines a step on smile-like per-node coefficients
         ran, checked against the oracle."""
         rng = np.random.default_rng(11)
@@ -403,6 +404,14 @@ class TestSymmetricStep:
     def test_small_grids_keep_gtsv(self, monkeypatch, m):
         assert self.local_vol_step(monkeypatch, m) == ["gtsv"]
 
+    @pytest.mark.parametrize("m", [60, 1000])
+    def test_fewer_rows_keep_gtsv(self, monkeypatch, m):
+        # at 1-3 rows of 1000 nodes gtsv took less time than ptsv: a local
+        # vol case marches one row from its first fixing to the valuation date
+        assert self.local_vol_step(monkeypatch, m, rows=1) == ["gtsv"]
+        assert self.local_vol_step(monkeypatch, m, rows=fd._SYMMETRIC_MIN_ROWS - 1) \
+            == ["gtsv"]
+
     def test_a_node_at_cell_peclet_one_keeps_gtsv(self, monkeypatch):
         # lower band (v - drift dx) / (2 dx^2) < 0 at one node: that
         # node's product with its neighbour's upper band is negative
@@ -433,7 +442,7 @@ class TestSymmetricStep:
         m, dx = 200, 1.2 / 199
         variance = np.full(m, 0.05)
         coef = Coefficients(variance, 0.99 * variance / dx, 0.0)
-        ran = self.local_vol_step(monkeypatch, m, coef, rows=1)
+        ran = self.local_vol_step(monkeypatch, m, coef)
         assert ran == ["gtsv"]
 
     def test_a_fold_pivot_that_is_not_positive_keeps_gtsv(self, monkeypatch):
@@ -442,14 +451,14 @@ class TestSymmetricStep:
         m = 20
         coef = Coefficients(np.full(m, 2.0), np.full(m, -1.0), -1.0)
         rng = np.random.default_rng(15)
-        rows = rng.standard_normal((2, m)).cumsum(axis=1)
+        rows = rng.standard_normal((fd._SYMMETRIC_MIN_ROWS, m)).cumsum(axis=1)
         ran = record_lapack(monkeypatch)
         assert_step_matches_oracle(rows, 1.0, 1.0, 0.5, coef, coef)
         assert ran == ["gtsv"]
 
     @given(
         m=st.integers(6, 400),
-        rows=st.integers(1, 8),
+        rows=st.integers(1, 12),
         theta=st.sampled_from([0.0, 0.5, 1.0]),
         peclet=st.floats(0.0, 0.99),
         levels=st.tuples(st.floats(0.005, 0.1), st.floats(0.005, 0.1)),
@@ -482,6 +491,69 @@ class TestSymmetricStep:
             gaps = (out[:, 0] - out[:, 1] - dx * spots[0], out[:, -1])
         for gap in gaps:
             assert np.all(np.abs(gap) < 1e-11 * scale)
+
+
+class TestCarriedExplicitSide:
+    # a march carries each symmetric step's explicit side over to the next
+    # step, which makes its own from it and the solved level: the march
+    # must be theta_step called step by step, stencil each time
+
+    @staticmethod
+    def march_and_reference(monkeypatch, boundary, beta):
+        """The march of nine per-node steps on 60 nodes and the reference,
+        the explicit-side stencils the march ran and the LAPACK routines."""
+        m, dx, dt = 60, 1.2 / 59, 0.002
+        rng = np.random.default_rng(21)
+        spots = np.exp(dx * np.arange(m))
+        coefs = [per_node(rng, m, dx, 0.05, 0.02, 0.01, peclet=0.5) for _ in range(10)]
+        # a node at cell Peclet 1.5 at level 4: the step onto it takes gtsv
+        drift = coefs[4].drift.copy()
+        drift[m // 2] = 1.5 * coefs[4].variance[m // 2] / dx
+        coefs[4] = coefs[4]._replace(drift=drift)
+        levels = [interior_bands(coef, dx, m) for coef in coefs]
+        thetas = [1.0, 1.0, 0.5, 0.5, 0.5, 0.5, 0.0, 0.5, 0.5]
+        steps = [(dt, th, levels[s], levels[s + 1]) for s, th in enumerate(thetas)]
+        closure = fd._closure(boundary, beta, spots, dx)
+        rows = rng.standard_normal((fd._SYMMETRIC_MIN_ROWS, m)).cumsum(axis=1)
+
+        want = rows
+        for step in steps:
+            want = theta_step(want, *step, closure)
+
+        stencils = []
+        original = fd._explicit_side
+        monkeypatch.setattr(fd, "_explicit_side",
+                            lambda *args: stencils.append(None) or original(*args))
+        ran = record_lapack(monkeypatch)
+        got = fd._march(rows.copy(), [(None, steps)], closure)
+        return got, want, len(stencils), ran
+
+    @pytest.mark.parametrize("beta", [1, -1])
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    def test_march_matches_the_step_by_step_reference(self, monkeypatch, boundary, beta):
+        got, want, stencils, ran = self.march_and_reference(monkeypatch, boundary, beta)
+        scale = np.max(np.abs(want), axis=-1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        # the stencil runs on the first step, on the step onto level 4
+        # (gtsv), on the step off it and on the step after theta = 0;
+        # the other five steps carry
+        assert stencils == 4
+        assert ran == ["ptsv"] * 3 + ["gtsv"] + ["ptsv"] * 5
+
+    def test_a_step_returns_its_out_buffer(self, monkeypatch):
+        # the march swaps its two buffers by identity, so a step returns
+        # out itself, solved in place, not a view of it, on either solve
+        m, dx = 60, 0.02
+        rng = np.random.default_rng(22)
+        rows = rng.standard_normal((fd._SYMMETRIC_MIN_ROWS, m)).cumsum(axis=1)
+        closure = fd._closure(BoundaryKind.ZERO_GAMMA, 1, None, dx)
+        per_node_bands = interior_bands(per_node(rng, m, dx, 0.05, 0.02, 0.01), dx, m)
+        scalar_bands = tuple(band[0] for band in per_node_bands)
+        ran = record_lapack(monkeypatch)
+        for bands in (scalar_bands, per_node_bands):
+            out = np.empty_like(rows)
+            assert theta_step(rows, 0.005, 0.5, bands, bands, closure, out=out) is out
+        assert ran == ["gtsv", "ptsv"]
 
 
 def smooth_state(grid, j_nodes, m_nodes):

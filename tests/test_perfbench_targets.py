@@ -39,6 +39,25 @@ def test_a_theta_step_span_counts_its_rows():
     assert [(s.name, s.count) for s in tracer.spans] == [("fd.theta_step", 5)]
 
 
+def test_the_engine_s_theta_steps_count_their_rows():
+    # the same count through the engine's own calls: a local-vol pricing
+    # marches J rows between fixings and one row before the first, so
+    # every span counts J or 1, whatever keywords the march passes
+    from conftest import benchmark_contract, smile_model
+    from tarnpricer import FdConfig, KnockoutType, fd
+    from tracing import Tracer
+
+    (target,) = [t for t in TARGETS if t.name == "fd.theta_step"]
+    tracer = Tracer()
+    config = FdConfig(spot_nodes=60, accumulation_nodes=10, time_steps=40)
+    contract = benchmark_contract(KnockoutType.PART_GAIN, 0.3)
+    with tracer.patched([target]):
+        fd.fd_price(contract, smile_model(), config, 1.0)
+    counts = [s.count for s in tracer.spans]
+    assert len(counts) == config.time_steps
+    assert set(counts) == {config.accumulation_nodes, 1}
+
+
 def test_cli_run_makes_one_engine_call_per_case():
     # perfbench times each engine call as an fd.price or mc.price span, and
     # a pass with none is an error there: a run whose cases share their

@@ -11,6 +11,7 @@ from tarnpricer import (
     McConfig,
     RateCurve,
     TarnContract,
+    TermStructureVol,
     fd_price,
     mc_price,
     vanilla_price,
@@ -21,11 +22,17 @@ import quad_oracle
 # estimate_error's example note: a put-direction note with two fixings
 PUT_MODEL = MarketModel(domestic=RateCurve.flat(0.0552), foreign=RateCurve.flat(-0.00125),
                         vol=ConstantVol(0.0876))
+# the same rates under a term structure with a knot inside each fixing
+# interval: only each interval's integrated variance changes
+TERM_MODEL = MarketModel(domestic=RateCurve.flat(0.0552), foreign=RateCurve.flat(-0.00125),
+                         vol=TermStructureVol((0.0, 0.1, 0.25), (0.08, 0.1, 0.07)))
 CALL_MODEL = MarketModel(domestic=RateCurve.flat(0.02), foreign=RateCurve.flat(0.01),
                          vol=ConstantVol(0.12))
 NOTES = {
     "put": (dict(strike=1.1294, target=0.0304, beta=-1, fixing_times=(0.158, 0.317)),
             PUT_MODEL, 1.0761),
+    "put_term_structure": (dict(strike=1.1294, target=0.0304, beta=-1,
+                                fixing_times=(0.158, 0.317)), TERM_MODEL, 1.0761),
     "call": (dict(strike=1.0, target=0.05, beta=1, fixing_times=(0.25, 0.5)),
              CALL_MODEL, 1.02),
 }
@@ -69,6 +76,13 @@ def test_mc_agrees_within_four_standard_errors(name):
 def test_fd_part_gain_agrees_at_a_small_grid():
     # -4.9e-5 relative at 200x50x200
     contract, model, spot = note("put", KnockoutType.PART_GAIN)
+    got = fd_price(contract, model, SMALL_GRID, spot).price
+    assert got == pytest.approx(quad_oracle.price(contract, model, spot), rel=1e-4)
+
+
+def test_fd_part_gain_agrees_under_a_term_structure():
+    # -4.7e-5 relative at 200x50x200
+    contract, model, spot = note("put_term_structure", KnockoutType.PART_GAIN)
     got = fd_price(contract, model, SMALL_GRID, spot).price
     assert got == pytest.approx(quad_oracle.price(contract, model, spot), rel=1e-4)
 
