@@ -66,9 +66,10 @@ its steps marched.
 
 A march (:func:`_march`) steps its rows in two (J, M) buffers that it
 swaps, each step solved in place in the one that does not hold its
-input.  A symmetric step's explicit side is carried to the next step,
-which makes its own from it and the solved level in three passes instead
-of the five of the three-band stencil (:func:`theta_step`).
+input.  A step makes its explicit side once, before it picks its solve.
+Under local volatility that side is carried to the next step, which
+makes its own from it and the solved level in three passes instead of
+the five of the three-band stencil (:func:`theta_step`).
 """
 
 from __future__ import annotations
@@ -470,38 +471,33 @@ def coefficients_at(model: MarketModel, spots: np.ndarray, t: float, dx: float):
     return half - adv, -2.0 * half - r_d, half + adv
 
 
-def _explicit_side(rows, w, bands, scale, out, work):
+def _explicit_side(rows, w, bands, out, work):
     """The explicit half of a theta step: ``u[i] + w (L u)[i]`` on the
-    interior nodes of ``rows`` (J, M), for the operator ``bands``, each
-    interior row times ``scale`` (a scalar or one weight per row), written
+    interior nodes of ``rows`` (J, M), for the operator ``bands``, written
     into the interior columns of ``out`` (J, M), with ``work`` (J, M - 2)
     as the temporary: the three-band stencil, five full passes."""
     lo, di, up = bands
     inner = out[:, 1:-1]
-    np.multiply(rows[:, 1:-1], scale * (1.0 + w * di), out=inner)
-    np.multiply(rows[:, :-2], scale * (w * lo), out=work)
+    np.multiply(rows[:, 1:-1], 1.0 + w * di, out=inner)
+    np.multiply(rows[:, :-2], w * lo, out=work)
     inner += work
-    np.multiply(rows[:, 2:], scale * (w * up), out=work)
+    np.multiply(rows[:, 2:], w * up, out=work)
     inner += work
 
 
 @dataclass(eq=False)
 class _Carry:
     """What a march's steps pass on: its (J, M - 2) temporary, ``work``,
-    and after a symmetric step that step's explicit side, ``side``, a
-    (J, M) array made by the first symmetric step, none for scalar bands.
-    ``side`` then holds ``scale * e`` on the interior nodes and zeros at
-    both ends, where ``e`` is the step's explicit side before the closure
-    and the elimination of rows 1 and M-2 and ``scale`` its symmetrizing
-    weights; ``bands`` are the step's implicit bands and ``c`` its
-    ``-theta dt``.  ``bands`` is None when ``side`` holds nothing to
-    carry."""
+    and a per-node step's explicit side ``e``, ``side``, a (J, M) array
+    made by the first such step.  ``bands`` are that step's implicit bands
+    and ``c`` its ``-theta dt``; ``bands`` is None when ``side`` holds
+    nothing to carry: after a scalar-band step, whose march makes no side,
+    and after a theta 0 step, whose level gives no ``L u``."""
 
     work: np.ndarray
     side: np.ndarray | None = None
     bands: tuple | None = None
     c: float = 0.0
-    scale: np.ndarray | None = None
 
 
 # The symmetric step is taken when its block, rows 2..M-3, holds at least
@@ -509,16 +505,22 @@ class _Carry:
 # nodes the folded rows 1 and M-2 are neighbours, with no block between.
 _SYMMETRIC_MIN_NODES = 7
 
-# ... and when it steps at least this many rows: its small per-node vector
-# work, about 20 us a step, is not earned back on fewer.  Marching 17
-# local-vol steps (2-core Xeon, medians of 60 marches), ptsv with the
-# carried explicit side took 62-74 us a step against 41-68 us for gtsv on
-# 1-3 rows of 1000 nodes, and 83-95 against 84-108 us on 4-6 rows.  The
-# break-even is about 4 rows at 2000 nodes too, and 16 at 200.
+# ... and when it steps at least this many rows: its per-node vector work,
+# about 25 us a step at 1000 nodes, is not earned back on fewer.  Marching
+# 17 local-vol steps, both solves making their explicit side from the
+# carry (2-core Xeon, medians of 150 marches, two rounds), ptsv took 72-107
+# against 45-62 us a step for gtsv on 1 row of 1000 nodes, 93-96 against
+# 75-77 on 4, 129-131 against 121-122 on 8 and 161-170 against 164-172 on
+# 12; at 2000 nodes 101 against 68 on 1 row, 165-195 against 146-160 on 4
+# and 215-233 against 223-236 on 8; at 200 nodes ptsv was slower up to 16
+# rows.  Since gtsv steps carry too, the break-even is about 8-12 rows at
+# 1000-2000 nodes, no longer 4.  The threshold stays 4: a pricing marches
+# one row or its J rows (80 in the local-vol benchmark), on the same side
+# of either.
 _SYMMETRIC_MIN_ROWS = 4
 
-# The symmetrizing scales span at most this ratio (normalized to at most 1,
-# none below 1e-100), so no scaled value is pushed towards the subnormals.
+# The row weights span at most this ratio (normalized to at most 1, none
+# below 1e-200), so no weighted value is pushed towards the subnormals.
 _MIN_LOG_SCALE = 2.0 * math.log(1e-100)
 
 
@@ -537,49 +539,42 @@ def _closure(boundary, beta, spots, dx):
     return (1.0, 0.0, dx * float(spots[0])), zero
 
 
-def _symmetric_step(rows, w, bands_from, bands_to, c, closure, out, carry):
-    """The theta step with per-node implicit bands as one LAPACK ``ptsv``
-    solve in ``out``, or False when it must take ``gtsv`` instead.
+def _symmetric_step(out, bands_to, c, closure):
+    """Solve the theta step whose right-hand side, the explicit side, is in
+    ``out`` for per-node implicit bands by one LAPACK ``ptsv``, in place;
+    or return False when it must take ``gtsv`` instead.
 
     Rows 1 and M-2, which the substituted ``closure`` makes unsymmetric,
     are eliminated into rows 2 and M-3 first.  When every product
     ``up[i] lo[i+1]`` of rows 2..M-3 is positive (a cell Peclet number
-    below 1), the diagonal similarity ``s[i+1] / s[i] = sqrt(up[i] /
-    lo[i+1])`` makes those rows symmetric, with off-diagonal ``c
-    sqrt(up[i] lo[i+1])``; with a positive diagonal and strict diagonal
-    dominance they are positive definite.  ``s`` is folded into the
-    explicit side's per-node weights, the system is solved in place with
-    rows 0, 1, M-2 and M-1 as decoupled identity rows, and one multiply
-    by ``1 / s`` undoes it before rows 1 and M-2 are back-substituted.
-
-    The explicit side is made from the previous step's, which ``carry``
-    holds when that step's implicit bands are ``bands_from`` (see
-    :func:`theta_step`): two per-node weighted multiplies and an add in
-    place of the stencil, with ``s`` and the previous step's ``1 / s``
-    folded into the weights.  Either way this step's ``s e`` is copied
-    into ``carry`` before the solve, unless ``c`` is zero (a theta 0 step,
-    whose level gives no ``L u``).
+    below 1), weighting those rows by ``d``, ``d[i+1] / d[i] = up[i] /
+    lo[i+1]``, makes them symmetric, with diagonal ``d (1 + c di)`` and
+    off-diagonal ``c d[i] up[i]``; with a positive diagonal and strict
+    diagonal dominance they are positive definite.  Rows 1 and M-2 are
+    weighted by the inverses of their pivots, so one multiply by the
+    weights makes the right-hand side, ``ptsv`` solves it with rows 0, 1,
+    M-2 and M-1 as decoupled identity rows, and the level is read straight
+    off the solve once rows 1 and M-2 are back-substituted.
 
     ``gtsv`` is left the steps where a product is not positive, where the
-    scales would span more than 1e100, where a folded row's pivot is not
-    positive (rows 1 and M-2 are eliminated without a row exchange), and
-    where ``ptsv`` finds the block not positive definite after all; the
-    carry is then dropped, and ``rows`` are intact for the stencil.
+    weights would span more than 1e200, and where a folded row's pivot is
+    not positive (rows 1 and M-2 are eliminated without a row exchange):
+    ``out`` is then untouched.  It is also left the steps where ``ptsv``
+    finds the block not positive definite after all, ``out`` then weighted
+    and unsolved.
     """
     lo, di, up = bands_to
-    m = rows.shape[1]
-    product = up[1:-2] * lo[2:-1]
-    if not (product > 0.0).all():
+    m = out.shape[1]
+    if not (up[1:-2] * lo[2:-1] > 0.0).all():
         return False
-    scale = np.ones(m - 2)  # per interior row 1..M-2; rows 2..M-3 are s
-    block = scale[1:-1]
-    block[0] = 0.0
-    np.cumsum(np.log(up[1:-2] / lo[2:-1]), out=block[1:])
-    block -= block.max()
-    if not block.min() >= _MIN_LOG_SCALE:
+    weights = np.ones(m)  # per row; rows 2..M-3 are d
+    d = weights[2:-2]
+    d[0] = 0.0
+    np.cumsum(np.log(up[1:-2] / lo[2:-1]), out=d[1:])
+    d -= d.max()
+    if not d.min() >= _MIN_LOG_SCALE:
         return False
-    block *= 0.5
-    np.exp(block, out=block)
+    np.exp(d, out=d)
 
     # rows 1 and M-2 with u0 = a u1 + b u2 + g and its mirror: each row's
     # pivot, its coupling to row 2 (M-3) over that pivot, and row 2's
@@ -596,55 +591,34 @@ def _symmetric_step(rows, w, bands_from, bands_to, c, closure, out, carry):
     diag[2:-2] = 1.0 + c * di[1:-1]
     diag[2] -= weight1 * couple1
     diag[-3] -= weight2 * couple2
+    diag[2:-2] *= d
     off = np.zeros(m - 1)
-    off[2:-2] = c * np.sqrt(product)
+    np.multiply(d[:-1], c * up[1:-2], out=off[2:-2])
+    weights[1] = 1.0 / pivot1
+    weights[-2] = 1.0 / pivot2
 
-    # the carry's passes run on whole rows, with zero weights at the ends:
-    # numpy took about 4 times as long on the (J, M - 2) interior views
-    side = carry.side
-    if carry.bands is bands_from:
-        q = w / carry.c
-        weights = np.zeros((2, m))
-        np.multiply(scale, q / carry.scale, out=weights[0, 1:-1])
-        np.multiply(scale, 1.0 - q, out=weights[1, 1:-1])
-        side *= weights[0]
-        np.multiply(rows, weights[1], out=out)
-        out += side
-    else:
-        _explicit_side(rows, w, bands_from, scale, out, carry.work)
-    if c:
-        if side is None:
-            side = carry.side = np.empty(rows.shape)
-        np.copyto(side, out)
     out[:, 1] -= g_lo * (c * lo[0])
     out[:, -2] -= g_hi * (c * up[-1])
-    out[:, 2] -= (block[0] * weight1 / pivot1) * out[:, 1]
-    out[:, -3] -= (block[-1] * weight2 / pivot2) * out[:, -2]
+    out[:, 2] -= (weight1 / pivot1) * out[:, 1]
+    out[:, -3] -= (weight2 / pivot2) * out[:, -2]
+    out *= weights
     # overwrite_d, overwrite_e and overwrite_b, positional as in _solve_bands
     *_, info = _ptsv(diag, off, out.T, True, True, True)
     if info:
         return False  # not positive definite after all: ptsv left out unsolved
-    # a theta 0 step kept no explicit side: its level gives no L u
-    carry.bands, carry.c, carry.scale = bands_to if c else None, c, scale
-    unscale = np.ones(m)
-    np.divide(1.0, block, out=unscale[2:-2])
-    unscale[1] = 1.0 / pivot1
-    unscale[-2] = 1.0 / pivot2
-    out *= unscale
     out[:, 1] -= couple1 * out[:, 2]
     out[:, -2] -= couple2 * out[:, -3]
     return True
 
 
-def _banded_step(rows, w, bands_from, bands_to, c, closure, out, work):
-    """The theta step as one LAPACK ``gtsv`` solve in ``out``, for any band
-    shape, with the ``closure`` substituted into rows 1 and M-2; rows 0
-    and M-1 are left identity rows, whose values :func:`theta_step` sets."""
-    _explicit_side(rows, w, bands_from, 1.0, out, work)
-
+def _banded_step(out, bands_to, c, closure):
+    """Solve the theta step whose right-hand side is in ``out`` by one
+    LAPACK ``gtsv``, in place, for any band shape, with the ``closure``
+    substituted into rows 1 and M-2; rows 0 and M-1 are left identity
+    rows, whose values :func:`theta_step` sets."""
     # Implicit side I - theta dt L, stored as ab[1 + i - j, j] = a[i, j].
     lo, di, up = bands_to
-    m = rows.shape[1]
+    m = out.shape[1]
     ab = np.zeros((3, m))
     ab[0, 2:] = c * up
     ab[1, 1:-1] = 1.0 + c * di
@@ -676,7 +650,8 @@ def theta_step(rows, dt: float, theta: float, bands_from, bands_to, closure, *,
     ``dt``, so it is not checked here.  ``bands_from`` are the operator
     bands of :func:`coefficients_at` at the level being left (explicit
     side, weight 1 - theta) and ``bands_to`` those at the level being
-    solved for (implicit side, weight theta).  The pricing's ``closure``
+    solved for (implicit side, weight theta).  The step makes its explicit
+    side once, then solves for it.  The pricing's ``closure``
     (:func:`_closure`) is substituted into rows 1 and M-2, so the step is
     one tridiagonal solve for all rows, and sets the end values after it,
     so it holds exactly at the new level.  The solve is ``ptsv`` on the
@@ -690,16 +665,17 @@ def theta_step(rows, dt: float, theta: float, bands_from, bands_to, closure, *,
     that does not overlap ``rows``, new by default, and returns ``out``
     itself.  The keyword arguments are :func:`_march`'s: ``carry``, a
     :class:`_Carry` passed from step to step, lends the step its
-    temporary and carries a symmetric step's explicit side ``e`` to the
-    next step.  A solved level ``u`` satisfies ``u + c L u = e`` on rows
-    1..M-2, with ``c = -theta dt`` and ``L`` the operator of
-    ``bands_to``, so the next step, whose ``bands_from`` are those bands,
-    makes its explicit side as ``(1 - q) u + q e`` with ``q = w / c`` and
-    its own ``w = (1 - theta) dt``: exact in algebra, though not bit for
-    bit.  The three-band stencil still runs on a march's first step, on
-    a step after a theta 0 step or after one that took ``gtsv``, on a
-    step whose ``bands_from`` are not the previous step's ``bands_to``,
-    and on every ``gtsv`` step.
+    temporary and carries a per-node step's explicit side ``e`` to the
+    next step, whichever routine solved it.  A solved level ``u``
+    satisfies ``u + c L u = e`` on rows 1..M-2, with ``c = -theta dt`` and
+    ``L`` the operator of ``bands_to``, so the next step, whose
+    ``bands_from`` are those bands, makes its explicit side as ``(1 - q) u
+    + q e`` with ``q = w / c`` and its own ``w = (1 - theta) dt``: exact in
+    algebra, though not bit for bit.  The three-band stencil runs instead
+    on a march's first step, on a step after a theta 0 step, on a step
+    whose ``bands_from`` are not the previous step's ``bands_to``, and on
+    every scalar-band step.  A ``ptsv`` that finds its system not
+    positive definite is redone by ``gtsv`` from the kept ``e``.
     """
     w = (1.0 - theta) * dt
     c = -theta * dt
@@ -708,11 +684,28 @@ def theta_step(rows, dt: float, theta: float, bands_from, bands_to, closure, *,
         out = np.empty((j, m))
     if carry is None:
         carry = _Carry(np.empty((j, m - 2)))
+    if carry.bands is bands_from:
+        # the carry's passes run on whole rows: numpy took about 4 times as
+        # long on the (J, M - 2) interior views
+        q = w / carry.c
+        np.multiply(rows, 1.0 - q, out=out)
+        carry.side *= q
+        out += carry.side
+    else:
+        _explicit_side(rows, w, bands_from, out, carry.work)
     out[:, 0] = out[:, -1] = 0.0  # the identity rows' right-hand side
-    if not (j >= _SYMMETRIC_MIN_ROWS and m >= _SYMMETRIC_MIN_NODES and np.ndim(bands_to[0])
-            and _symmetric_step(rows, w, bands_from, bands_to, c, closure, out, carry)):
-        carry.bands = None  # the stencil overwrites its work
-        _banded_step(rows, w, bands_from, bands_to, c, closure, out, carry.work)
+    per_node = np.ndim(bands_to[0]) > 0
+    # scalar bands make no side, and a theta 0 step's level gives no L u
+    carry.bands, carry.c = bands_to if per_node and c else None, c
+    if carry.bands is not None:
+        if carry.side is None:
+            carry.side = np.empty((j, m))
+        np.copyto(carry.side, out)
+    symmetric = j >= _SYMMETRIC_MIN_ROWS and m >= _SYMMETRIC_MIN_NODES and per_node
+    if not (symmetric and _symmetric_step(out, bands_to, c, closure)):
+        if symmetric and c:
+            np.copyto(out, carry.side)  # ptsv may have declined out weighted
+        _banded_step(out, bands_to, c, closure)
     (a_lo, b_lo, g_lo), (a_hi, b_hi, g_hi) = closure
     out[:, 0] = a_lo * out[:, 1] + b_lo * out[:, 2] + g_lo
     out[:, -1] = a_hi * out[:, -2] + b_hi * out[:, -3] + g_hi

@@ -9,9 +9,14 @@ second fixing's expected flow is in closed form: with ``g = max(beta (S2
 - K), 0)`` the gross amount and ``c = U - g(S1)`` the room left under the
 target, it is ``E[g 1{g < c}]`` (no_gain), ``E[min(g, c)]`` (part_gain)
 or ``E[g]`` (full_gain), each from lognormal vanilla moments (Garman &
-Kohlhagen).  The integrand is smooth between two breakpoints: the strike,
-where ``g(S1)`` has a kink, and the first fixing's breach spot ``K + beta
-U``, where the note dies.  Each panel is one ``scipy.integrate.quad``
+Kohlhagen).  An extra payment is paid with each fixing the note lives
+through, and under full_gain at the breach too: the second one adds
+``e2 P(g < c)`` (no_gain) or ``e2`` (full_gain).  Under part_gain the
+extra is scaled by ``c / g`` at the breach, which takes an inner
+quadrature, so extras are priced under no_gain and full_gain only.  The
+integrand is smooth between two breakpoints: the strike, where ``g(S1)``
+has a kink, and the first fixing's breach spot ``K + beta U``, where the
+note dies.  Each panel is one ``scipy.integrate.quad``
 (QUADPACK) over the standard normal variate of ``log S1``.  Nothing of the
 engines is used, only the model's curves.
 """
@@ -39,26 +44,29 @@ def _vanilla(forward, strike, sd, beta):
 
 
 def _second_flow(contract, forward, sd, room):
-    """The second fixing's expected flow, undiscounted, for a note with
-    ``room`` left under the target and the second spot lognormal of mean
-    ``forward`` and log standard deviation ``sd``."""
+    """The second fixing's expected flow, its extra payment included,
+    undiscounted, for a note with ``room`` left under the target and the
+    second spot lognormal of mean ``forward`` and log standard deviation
+    ``sd``."""
     gross, _ = _vanilla(forward, contract.strike, sd, contract.beta)
+    extra = contract.extra_payments[1]
     if contract.knockout is KnockoutType.FULL_GAIN:
-        return gross
+        return gross + extra
     # E[max(g - c, 0)] and P(g > c): the vanilla struck at the breach spot
     above, breach = _vanilla(forward, contract.strike + contract.beta * room, sd,
                              contract.beta)
     capped = gross - above  # E[min(g, c)]
     if contract.knockout is KnockoutType.PART_GAIN:
         return capped
-    return capped - room * breach  # E[g 1{g < c}]
+    return capped - room * breach + extra * (1.0 - breach)  # E[(g + e2) 1{g < c}]
 
 
 def price(contract: TarnContract, model: MarketModel, spot: float) -> float:
-    """The exact price of a two-fixing ``contract`` without extra payments
-    under an exact-transition ``model`` (flat or term-structure volatility),
-    to about 1e-13 relative."""
-    assert contract.num_fixings == 2 and not any(contract.extra_payments)
+    """The exact price of a two-fixing ``contract``, with extra payments
+    unless it is part_gain, under an exact-transition ``model`` (flat or
+    term-structure volatility), to about 1e-13 relative."""
+    assert contract.num_fixings == 2
+    assert contract.knockout is not KnockoutType.PART_GAIN or not any(contract.extra_payments)
     assert model.has_exact_transition
     t1, t2 = contract.fixing_times
     strike, target, beta = contract.strike, contract.target, contract.beta
@@ -71,6 +79,7 @@ def price(contract: TarnContract, model: MarketModel, spot: float) -> float:
     sd2 = math.sqrt(integrated_variance(model.vol, t1, t2))
     mean1 = math.log(spot) + growth(0.0, t1) - 0.5 * sd1 * sd1
     carry = math.exp(growth(t1, t2))
+    extra = contract.extra_payments[0]
     breach_pays = {KnockoutType.FULL_GAIN: None, KnockoutType.PART_GAIN: target,
                    KnockoutType.NO_GAIN: 0.0}[contract.knockout]
 
@@ -78,10 +87,10 @@ def price(contract: TarnContract, model: MarketModel, spot: float) -> float:
         s1 = math.exp(mean1 + sd1 * z)
         gross = max(beta * (s1 - strike), 0.0)
         if gross >= target:  # the first fixing breaches
-            value = df1 * (gross if breach_pays is None else breach_pays)
+            value = df1 * (gross + extra if breach_pays is None else breach_pays)
         else:
-            value = df1 * gross + df2 * _second_flow(contract, s1 * carry, sd2,
-                                                     target - gross)
+            value = df1 * (gross + extra) + df2 * _second_flow(contract, s1 * carry, sd2,
+                                                               target - gross)
         return value * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
     breaks = sorted((math.log(s) - mean1) / sd1

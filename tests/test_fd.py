@@ -456,6 +456,26 @@ class TestSymmetricStep:
         assert_step_matches_oracle(rows, 1.0, 1.0, 0.5, coef, coef)
         assert ran == ["gtsv"]
 
+    def test_a_local_vol_pricing_takes_ptsv_on_every_step_of_enough_rows(self, monkeypatch):
+        # a step that falls back to gtsv prices the same to rounding, so
+        # only the routines show it: J rows between fixings take ptsv, the
+        # one row before the first fixing gtsv
+        ran = record_lapack(monkeypatch)
+        steps = []
+        original = fd.theta_step
+
+        def step(rows, *args, **kwargs):
+            start = len(ran)
+            out = original(rows, *args, **kwargs)
+            steps.append((rows.shape[0], tuple(ran[start:])))
+            return out
+
+        monkeypatch.setattr(fd, "theta_step", step)
+        config = FdConfig(spot_nodes=60, accumulation_nodes=10, time_steps=40)
+        fd_price(benchmark_contract(KnockoutType.PART_GAIN, 0.3), smile_model(), config, 1.0)
+        assert len(steps) == config.time_steps
+        assert set(steps) == {(config.accumulation_nodes, ("ptsv",)), (1, ("gtsv",))}
+
     @given(
         m=st.integers(6, 400),
         rows=st.integers(1, 12),
@@ -494,29 +514,25 @@ class TestSymmetricStep:
 
 
 class TestCarriedExplicitSide:
-    # a march carries each symmetric step's explicit side over to the next
-    # step, which makes its own from it and the solved level: the march
-    # must be theta_step called step by step, stencil each time
+    # a march carries each per-node step's explicit side over to the next
+    # step, which makes its own from it and the solved level, whichever
+    # routine solved it: the march must be theta_step called step by step,
+    # stencil each time
 
     @staticmethod
-    def march_and_reference(monkeypatch, boundary, beta):
-        """The march of nine per-node steps on 60 nodes and the reference,
-        the explicit-side stencils the march ran and the LAPACK routines."""
-        m, dx, dt = 60, 1.2 / 59, 0.002
-        rng = np.random.default_rng(21)
+    def march_and_reference(monkeypatch, coefs, values, thetas,
+                            boundary=BoundaryKind.ZERO_GAMMA, beta=1, dt=0.002):
+        """The march of ``values`` (rows, 60), one step per theta of
+        ``thetas`` through the levels of ``coefs``, checked against the
+        reference; the explicit-side stencils it ran and the LAPACK
+        routines."""
+        m, dx = 60, 1.2 / 59
         spots = np.exp(dx * np.arange(m))
-        coefs = [per_node(rng, m, dx, 0.05, 0.02, 0.01, peclet=0.5) for _ in range(10)]
-        # a node at cell Peclet 1.5 at level 4: the step onto it takes gtsv
-        drift = coefs[4].drift.copy()
-        drift[m // 2] = 1.5 * coefs[4].variance[m // 2] / dx
-        coefs[4] = coefs[4]._replace(drift=drift)
         levels = [interior_bands(coef, dx, m) for coef in coefs]
-        thetas = [1.0, 1.0, 0.5, 0.5, 0.5, 0.5, 0.0, 0.5, 0.5]
         steps = [(dt, th, levels[s], levels[s + 1]) for s, th in enumerate(thetas)]
         closure = fd._closure(boundary, beta, spots, dx)
-        rows = rng.standard_normal((fd._SYMMETRIC_MIN_ROWS, m)).cumsum(axis=1)
 
-        want = rows
+        want = values
         for step in steps:
             want = theta_step(want, *step, closure)
 
@@ -525,20 +541,94 @@ class TestCarriedExplicitSide:
         monkeypatch.setattr(fd, "_explicit_side",
                             lambda *args: stencils.append(None) or original(*args))
         ran = record_lapack(monkeypatch)
-        got = fd._march(rows.copy(), [(None, steps)], closure)
-        return got, want, len(stencils), ran
+        got = fd._march(values.copy(), [(None, steps)], closure)
+        scale = np.max(np.abs(want), axis=-1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        return len(stencils), ran
+
+    @staticmethod
+    def smile_march(count, rows):
+        """``count`` smile-like levels on 60 nodes and ``rows`` rows to march."""
+        m, dx = 60, 1.2 / 59
+        rng = np.random.default_rng(21)
+        coefs = [per_node(rng, m, dx, 0.05, 0.02, 0.01, peclet=0.5) for _ in range(count)]
+        return coefs, rng.standard_normal((rows, m)).cumsum(axis=1)
 
     @pytest.mark.parametrize("beta", [1, -1])
     @pytest.mark.parametrize("boundary", list(BoundaryKind))
     def test_march_matches_the_step_by_step_reference(self, monkeypatch, boundary, beta):
-        got, want, stencils, ran = self.march_and_reference(monkeypatch, boundary, beta)
+        coefs, values = self.smile_march(10, fd._SYMMETRIC_MIN_ROWS)
+        # a node at cell Peclet 1.5 at level 4: the step onto it takes gtsv
+        m, dx = 60, 1.2 / 59
+        drift = coefs[4].drift.copy()
+        drift[m // 2] = 1.5 * coefs[4].variance[m // 2] / dx
+        coefs[4] = coefs[4]._replace(drift=drift)
+        thetas = [1.0, 1.0, 0.5, 0.5, 0.5, 0.5, 0.0, 0.5, 0.5]
+        stencils, ran = self.march_and_reference(monkeypatch, coefs, values, thetas,
+                                                 boundary, beta)
+        # the stencil runs on the first step and on the step after theta = 0;
+        # the other seven steps carry, onto and off level 4 (gtsv) too
+        assert stencils == 2
+        assert ran == ["ptsv"] * 3 + ["gtsv"] + ["ptsv"] * 5
+
+    def test_a_march_of_fewer_rows_carries_through_gtsv(self, monkeypatch):
+        thetas = [1.0, 1.0, 0.5, 0.5, 0.5, 0.5]
+        coefs, values = self.smile_march(7, fd._SYMMETRIC_MIN_ROWS - 1)
+        stencils, ran = self.march_and_reference(monkeypatch, coefs, values, thetas)
+        assert stencils == 1
+        assert ran == ["gtsv"] * 6
+
+    def test_a_carried_ptsv_not_positive_definite_is_redone_by_gtsv(self, monkeypatch):
+        # level 2 has the coefficients of TestSymmetricStep's step that is
+        # not positive definite: ptsv declines the carried step onto it
+        # after weighting its right-hand side, and gtsv solves the kept e
+        coefs, values = self.smile_march(5, fd._SYMMETRIC_MIN_ROWS)
+        m, dx = 60, 1.2 / 59
+        variance = 0.05 * (1.0 + np.random.default_rng(14).random(m))
+        drift = -0.5 * variance
+        variance[[1, -2]] = 1.0
+        drift[[1, -2]] = 0.9 / dx, -0.9 / dx
+        coefs[2] = Coefficients(variance, drift, -1000.0)
+        stencils, ran = self.march_and_reference(monkeypatch, coefs, values, [0.5] * 4,
+                                                 dt=0.005)
+        assert stencils == 1
+        assert ran == ["ptsv", "ptsv", "gtsv", "ptsv", "ptsv"]
+
+    @given(
+        m=st.integers(6, 400),
+        rows=st.integers(1, 12),
+        thetas=st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=2, max_size=8),
+        peclet=st.floats(0.0, 0.99),
+        steep=st.one_of(st.none(), st.integers(0, 8)),
+        boundary=st.sampled_from(list(BoundaryKind)),
+        beta=st.sampled_from([1, -1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_march_matches_the_oracle_step_by_step(self, m, rows, thetas, peclet, steep,
+                                                     boundary, beta, seed):
+        # TestSymmetricStep's property test's mesh, marched: ptsv and gtsv
+        # steps, carried and not; ``steep`` puts a node at cell Peclet 1.5
+        # on that level, whose step onto it then takes gtsv
+        rng = np.random.default_rng(seed)
+        dx, dt = 0.01, 0.001
+        coefs = [per_node(rng, m, dx, rng.uniform(0.005, 0.1), rng.uniform(-0.02, 0.08),
+                          0.01, peclet) for _ in range(len(thetas) + 1)]
+        if steep is not None and steep <= len(thetas):
+            drift = coefs[steep].drift.copy()
+            drift[m // 2] = 1.5 * coefs[steep].variance[m // 2] / dx
+            coefs[steep] = coefs[steep]._replace(drift=drift)
+        levels = [interior_bands(coef, dx, m) for coef in coefs]
+        spots = np.exp(dx * np.arange(m))
+        closure = fd._closure(boundary, beta, spots, dx)
+        values = rng.standard_normal((rows, m)).cumsum(axis=1)
+        steps = [(dt, th, levels[s], levels[s + 1]) for s, th in enumerate(thetas)]
+        got = fd._march(values.copy(), [(None, steps)], closure)
+        want = values
+        for s, theta in enumerate(thetas):
+            want = step_oracle.theta_step(want, dt, dx, theta, coefs[s], coefs[s + 1],
+                                          boundary, spots=spots, beta=beta)
         scale = np.max(np.abs(want), axis=-1, keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
-        # the stencil runs on the first step, on the step onto level 4
-        # (gtsv), on the step off it and on the step after theta = 0;
-        # the other five steps carry
-        assert stencils == 4
-        assert ran == ["ptsv"] * 3 + ["gtsv"] + ["ptsv"] * 5
 
     def test_a_step_returns_its_out_buffer(self, monkeypatch):
         # the march swaps its two buffers by identity, so a step returns

@@ -16,6 +16,7 @@ from tarnpricer import (
     mc_price,
     vanilla_price,
 )
+from tarnpricer.market import discount_factor
 
 import quad_oracle
 
@@ -36,6 +37,7 @@ NOTES = {
     "call": (dict(strike=1.0, target=0.05, beta=1, fixing_times=(0.25, 0.5)),
              CALL_MODEL, 1.02),
 }
+EXTRAS = (0.01, 0.02)  # one extra payment per fixing of every note above
 SMALL_GRID = FdConfig(spot_nodes=200, accumulation_nodes=50, time_steps=200)
 
 
@@ -62,10 +64,37 @@ def test_an_unreachable_target_leaves_the_vanilla_strip(name):
     assert quad_oracle.price(contract, model, spot) == pytest.approx(strip, rel=1e-12)
 
 
+@pytest.mark.parametrize("knockout", [KnockoutType.NO_GAIN, KnockoutType.FULL_GAIN],
+                         ids=lambda v: v.value)
+@pytest.mark.parametrize("name", sorted(NOTES))
+def test_an_unreachable_target_leaves_the_strip_and_the_extras(name, knockout):
+    terms, model, spot = NOTES[name]
+    contract = TarnContract(**(terms | dict(target=100.0)), knockout=knockout,
+                            extra_payments=EXTRAS)
+    strip = sum(vanilla_price(spot, contract.strike, contract.beta, t, model.domestic,
+                              model.foreign, model.vol)
+                + extra * discount_factor(model.domestic, 0.0, t)
+                for t, extra in zip(contract.fixing_times, EXTRAS))
+    assert quad_oracle.price(contract, model, spot) == pytest.approx(strip, rel=1e-12)
+
+
 @pytest.mark.parametrize("name", sorted(NOTES))
 def test_mc_agrees_within_four_standard_errors(name):
     cases = tuple(note(name, knockout)[0] for knockout in KnockoutType)
     _, model, spot = NOTES[name]
+    cache, config = {}, McConfig(n_paths=200_000, seed=11)
+    for contract in cases:
+        result = mc_price(contract, model, config, spot, cache=cache, cases=cases)
+        exact = quad_oracle.price(contract, model, spot)
+        assert abs(result.price - exact) <= 4.0 * result.stderr
+
+
+def test_mc_agrees_with_extras_within_four_standard_errors():
+    # every fixing the note lives through pays its extra, and a full_gain
+    # breach does too; a no_gain breach pays neither its flow nor its extra
+    terms, model, spot = NOTES["put"]
+    cases = tuple(TarnContract(**terms, knockout=knockout, extra_payments=EXTRAS)
+                  for knockout in (KnockoutType.NO_GAIN, KnockoutType.FULL_GAIN))
     cache, config = {}, McConfig(n_paths=200_000, seed=11)
     for contract in cases:
         result = mc_price(contract, model, config, spot, cache=cache, cases=cases)
