@@ -164,83 +164,72 @@ def batch_present_value(
     """Discounted value of each row of ``spot_paths`` (one column per
     fixing) to each of ``cases``: row i of the result is case i's.
 
-    ``cases`` is a nonempty tuple of contracts with equal
-    :data:`shared_terms`, and ``discounts`` holds one discount factor per
-    fixing.  A path's value to a case is a function of its knockout time:
-    the accrued amount starts at zero and grows by every gross amount until
-    the breach fixing, ``tau``, the count of fixings whose cumulative gross
-    amount stays below the case's target (monotone, so those are the first
-    ``tau``).  The fixings before ``tau`` pay their gross amount and extra;
-    the breach fixing pays what :func:`fixing_flows` gives it, and later
-    fixings pay nothing.  Terms are added in fixing order, so each row
-    matches a fixing-by-fixing walk bit for bit.  The gross amounts and
-    their running sums are the same for every case, so they are made once
-    for all, and the discounted running sums of the paid flows once per
-    distinct ``extra_payments``.  The work runs on ``spot_paths.T``, so a
+    :func:`~tarnpricer.mc._price_group`, the one caller, passes a float
+    array of shape (n_paths, K), a nonempty tuple of contracts with equal
+    :data:`shared_terms` and K fixings, and one discount factor per fixing,
+    so none of this is checked here.  A path's value to a case is a
+    function of its knockout time: the accrued amount starts at zero and
+    grows by every gross amount until the breach fixing, ``tau``, the count
+    of fixings whose cumulative gross amount stays below the case's target
+    (monotone, so those are the first ``tau``).  The fixings before ``tau``
+    pay their gross amount and extra; the breach fixing pays what
+    :func:`fixing_flows` gives it, and later fixings pay nothing.  Terms
+    are added in fixing order, so each row matches a fixing-by-fixing walk
+    bit for bit.  Each quantity is made once for all the cases it depends
+    on: the gross amounts and their running sums once; per distinct
+    target, ``tau``, the breaching paths and their breach fixings, the
+    amount accrued before those and the gross amounts at them; per
+    distinct ``extra_payments``, the discounted running sums of the paid
+    flows, and per (target, extras) their value at ``tau - 1``.  A case
+    makes only its breach flows.  The work runs on ``spot_paths.T``, so a
     fixing-major buffer passed as its transpose is read row by row.
     """
-    if not cases or any(shared_terms(c) != shared_terms(cases[0]) for c in cases):
-        raise ValueError("cases must be a nonempty tuple of contracts with equal "
-                         "fixing_times, strike and beta")
     first = cases[0]
-    paths = np.asarray(spot_paths, dtype=float)
     k_total = first.num_fixings
-    if paths.ndim != 2 or paths.shape[1] != k_total:
-        raise ValueError("spot_paths must have shape (n_paths, num_fixings)")
-    discounts = np.asarray(discounts, dtype=float)
-    if discounts.shape != (k_total,):
-        raise ValueError(f"discounts must have shape ({k_total},), "
-                         f"got {discounts.shape}")
-
-    accrued = first.gross(paths.T)  # row k: accrued through fixing k + 1
+    accrued = first.gross(spot_paths.T)  # row k: accrued through fixing k + 1
     for k in range(1, k_total):
         accrued[k] += accrued[k - 1]
 
-    # Each case keeps only its tau while the (K, n) arrays are made, in the
-    # narrowest type that holds it: summed in that type, the mask takes half
-    # the time of count_nonzero, which sums in intp.
+    # Each target keeps its tau in the narrowest type that holds it: the mask
+    # sums in that type in half the time of count_nonzero, which sums in intp.
     count_type = np.min_scalar_type(k_total)
-
-    def breaches(tau):
-        """The paths that breach, and their breach fixings, 0-based."""
+    knockouts = {}  # target -> tau, breaching paths, breach fixings, accrued before
+    for target in dict.fromkeys(case.target for case in cases):
+        tau = (accrued < target).sum(axis=0, dtype=count_type)
         hit = np.flatnonzero(tau < k_total)
-        return hit, tau[hit].astype(np.intp)
-
-    taus, accrued_at = [], []
-    for case in cases:
-        taus.append((accrued < case.target).sum(axis=0, dtype=count_type))
-        hit, at = breaches(taus[-1])
-        accrued_at.append(np.where(at > 0, accrued[at - 1, hit], 0.0))
+        at = tau[hit].astype(np.intp)
+        knockouts[target] = tau, hit, at, np.where(at > 0, accrued[at - 1, hit], 0.0)
     # Free the accrued rows before the gross amounts are taken again: with
     # two (K, n) temporaries live, the allocator hands about 5 MB a batch
     # back to the system and faults it in again, which costs more.
     del accrued
 
-    gross = first.gross(paths.T)
-    breach_values = []  # each case's discounted flows at its breach fixings
-    for case, tau in zip(cases, taus):
-        hit, at = breaches(tau)
-        extras = np.array(case.extra_payments)
-        payment, extra, _ = fixing_flows(gross[at, hit], accrued_at.pop(0), extras[at],
-                                         case.knockout, case.target)
-        breach_values.append(discounts[at] * (payment + extra))
-
-    value = np.zeros((len(cases), paths.shape[0]))  # a walk's sum starts at +0.0
-    columns = np.arange(paths.shape[0])
-    sharing = {}  # extra_payments -> the indices of the cases with them
+    gross = first.gross(spot_paths.T)
+    breach_gross = {target: gross[at, hit]  # gathered before paid overwrites gross
+                    for target, (_, hit, at, _) in knockouts.items()}
+    value = np.zeros((len(cases), spot_paths.shape[0]))  # a walk's sum starts at +0.0
+    columns = np.arange(spot_paths.shape[0])
+    sharing = {}  # extra_payments -> target -> the indices of the cases with both
     for i, case in enumerate(cases):
-        sharing.setdefault(case.extra_payments, []).append(i)
-    for count, (extras, indices) in enumerate(sharing.items(), 1):
+        sharing.setdefault(case.extra_payments, {}).setdefault(case.target, []).append(i)
+    for count, (extra_payments, targets) in enumerate(sharing.items(), 1):
+        extras = np.array(extra_payments)
         # Discounted flows summed in fixing order, in place: row k then holds
         # what the fixings through k + 1 pay a path still alive after them.
         # The last extras take the gross amounts' own buffer.
         paid = gross if count == len(sharing) else gross.copy()
-        paid += np.array(extras)[:, None]
+        paid += extras[:, None]
         paid *= discounts[:, None]
         for k in range(1, k_total):
             paid[k] += paid[k - 1]
-        for i in indices:
-            tau = taus[i].astype(np.intp)
-            value[i] += np.where(tau > 0, paid[tau - 1, columns], 0.0)
-            value[i, np.flatnonzero(tau < k_total)] += breach_values[i]
+        for target, indices in targets.items():
+            tau, hit, at, before = knockouts[target]
+            gross_at, extras_at = breach_gross[target], extras[at]
+            tau = tau.astype(np.intp)  # so that tau - 1 does not wrap
+            survived = np.where(tau > 0, paid[tau - 1, columns], 0.0)
+            for i in indices:
+                payment, extra, _ = fixing_flows(gross_at, before, extras_at,
+                                                 cases[i].knockout, target)
+                value[i] += survived
+                value[i, hit] += discounts[at] * (payment + extra)
     return value

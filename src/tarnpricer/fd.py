@@ -642,7 +642,7 @@ def _banded_step(out, bands_to, c, closure):
 
 
 def theta_step(rows, dt: float, theta: float, bands_from, bands_to, closure, *,
-               out=None, carry=None):
+               out, carry):
     """One backward time step of the theta scheme on the log-spot PDE.
 
     ``rows`` is a (J, M) float array; every row is stepped independently
@@ -662,11 +662,11 @@ def theta_step(rows, dt: float, theta: float, bands_from, bands_to, closure, *,
     200 nodes the symmetric step was slower.
 
     The step is solved in place in ``out``, a C-contiguous (J, M) array
-    that does not overlap ``rows``, new by default, and returns ``out``
-    itself.  The keyword arguments are :func:`_march`'s: ``carry``, a
-    :class:`_Carry` passed from step to step, lends the step its
-    temporary and carries a per-node step's explicit side ``e`` to the
-    next step, whichever routine solved it.  A solved level ``u``
+    that does not overlap ``rows``, and returns ``out`` itself.  Both
+    keyword arguments are required, as :func:`_march` makes them:
+    ``carry``, a :class:`_Carry` passed from step to step, lends the step
+    its (J, M - 2) temporary and carries a per-node step's explicit side
+    ``e`` to the next step, whichever routine solved it.  A solved level ``u``
     satisfies ``u + c L u = e`` on rows 1..M-2, with ``c = -theta dt`` and
     ``L`` the operator of ``bands_to``, so the next step, whose
     ``bands_from`` are those bands, makes its explicit side as ``(1 - q) u
@@ -680,10 +680,6 @@ def theta_step(rows, dt: float, theta: float, bands_from, bands_to, closure, *,
     w = (1.0 - theta) * dt
     c = -theta * dt
     j, m = rows.shape
-    if out is None:
-        out = np.empty((j, m))
-    if carry is None:
-        carry = _Carry(np.empty((j, m - 2)))
     if carry.bands is bands_from:
         # the carry's passes run on whole rows: numpy took about 4 times as
         # long on the (J, M - 2) interior views

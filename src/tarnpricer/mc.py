@@ -22,12 +22,13 @@ pricing given the run's ``cache`` dict and its ``cases`` prices every case
 that shares its paths in one pass over the batches: each batch is
 simulated once, so the cases see common random numbers, and priced for
 all of them in one payoff pass, which makes the gross amounts and their
-running sums once.  No payoff column is held.  Each batch's samples are
-reduced per case to a count, a mean and a sum of squared deviations, and
-merged into the case's running totals (Chan, Golub & LeVeque, 1983); only
-the control-variate pilot's values are kept until it fixes the
-coefficient.  The other cases' results wait in the dict for their own
-calls.
+running sums once, each distinct target's knockout times once, and each
+case only its breach-fixing flows.  No payoff column is held.  Each
+batch's samples are reduced per case to a count, a mean and a sum of
+squared deviations, and merged into the case's running totals (Chan,
+Golub & LeVeque, 1983); only the control-variate pilot's values are
+kept until it fixes the coefficient.  The other cases' results wait in
+the dict for their own calls.
 """
 
 from __future__ import annotations

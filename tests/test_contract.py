@@ -286,15 +286,18 @@ DYADIC_SPOTS = tuple(1.0 + j / 8 for j in range(-4, 9))
 
 @st.composite
 def path_batches(draw):
-    """A group of 1 to 4 contracts on one schedule of 1 to 24 fixings, one
+    """A group of 1 to 6 contracts on one schedule of 1 to 24 fixings, one
     strike and one beta, with discounts and 1 to 8 paths.
 
     Both betas; each contract draws its own knockout, target and extras
     (none, all zeros or mixed ones), so a group mixes them, repeated or
-    distinct extras included.  Half the groups use only the dyadic spots
-    and targets of m/8, so zero-gross fixings and accrued amounts exactly
-    at the target are common; the others mix in arbitrary spots and
-    targets, up to a huge one that no path breaches.
+    distinct extras included.  Half the groups draw their targets from a
+    pool of 1 or 2 values and hold up to 6 contracts, so one target is
+    often shared across knockouts and distinct extras; the others draw
+    each target afresh for up to 4.  Half the groups use only the dyadic
+    spots and targets of m/8, so zero-gross fixings and accrued amounts
+    exactly at the target are common; the others mix in arbitrary spots
+    and targets, up to a huge one that no path breaches.
     """
     k_total = draw(st.integers(1, 24))
     times = tuple(0.1 * (k + 1) for k in range(k_total))
@@ -302,6 +305,10 @@ def path_batches(draw):
     dyadic = draw(st.booleans())
     eighths = st.sampled_from([m / 8 for m in range(1, 25)])
     targets = eighths if dyadic else st.one_of(st.floats(0.01, 3.0), st.just(1e9))
+    size = st.integers(1, 4)
+    if draw(st.booleans()):
+        targets = st.sampled_from(draw(st.lists(targets, min_size=1, max_size=2)))
+        size = st.integers(1, 6)
     extras = st.one_of(
         st.just(None), st.just((0.0,) * k_total),
         st.lists(st.one_of(st.just(0.0), st.floats(-0.2, 0.2)),
@@ -309,7 +316,7 @@ def path_batches(draw):
     cases = tuple(
         make_contract(draw(st.sampled_from(list(KnockoutType))), target=draw(targets),
                       beta=beta, extras=draw(extras), times=times)
-        for _ in range(draw(st.integers(1, 4))))
+        for _ in range(draw(size)))
     discounts = draw(st.lists(st.one_of(st.just(1.0), st.floats(0.5, 1.0)),
                               min_size=k_total, max_size=k_total))
     spot = st.sampled_from(DYADIC_SPOTS)
@@ -333,37 +340,17 @@ class TestBatchPresentValue:
         assert [bits(row) for row in got] == want
 
     def test_a_case_is_valued_the_same_in_any_group(self):
-        # distinct extras in one group: one shares the gross buffer, one a copy
+        # distinct extras in one group: one shares the gross buffer, one a copy;
+        # the last two share a target and differ only in extras and knockout
         rng = np.random.default_rng(5)
         paths, discounts = np.abs(random_paths(rng, 50, 3)) + 1e-6, np.full(3, 0.97)
         cases = (make_contract(KnockoutType.PART_GAIN, extras=(0.01, 0.0, -0.02)),
                  make_contract(KnockoutType.NO_GAIN, target=0.2),
-                 make_contract(KnockoutType.FULL_GAIN, target=0.5, extras=(0.01, 0.0, -0.02)))
+                 make_contract(KnockoutType.FULL_GAIN, target=0.5, extras=(0.01, 0.0, -0.02)),
+                 make_contract(KnockoutType.PART_GAIN, target=0.5, extras=(0.0, 0.03, 0.01)))
         together = batch_present_value(paths, cases, discounts)
         for case, row in zip(cases, together):
             assert bits(row) == bits(batch_present_value(paths, (case,), discounts)[0])
-
-    @pytest.mark.parametrize("discounts", [np.ones(5), np.ones((3, 1)),
-                                           np.ones(2), 1.0])
-    def test_rejects_misshapen_discounts_by_name(self, discounts):
-        # length 5 used to be truncated, (3, 1) accepted, length 2 an IndexError
-        with pytest.raises(ValueError, match=r"^discounts must have shape \(3,\), got"):
-            batch_present_value(np.ones((4, 3)), (make_contract(),), discounts)
-
-    @pytest.mark.parametrize("spot_paths", [np.ones((4, 2)), np.ones(3), np.ones((2, 4, 3))])
-    def test_rejects_misshapen_spot_paths_by_name(self, spot_paths):
-        with pytest.raises(ValueError, match=r"^spot_paths must have shape "
-                                             r"\(n_paths, num_fixings\)$"):
-            batch_present_value(spot_paths, (make_contract(),), np.ones(3))
-
-    @pytest.mark.parametrize("cases", [
-        (), (make_contract(), make_contract(strike=1.1)), (make_contract(), make_contract(beta=-1)),
-        (make_contract(), make_contract(times=(0.25, 0.5, 0.8))),
-    ], ids=["empty", "strike", "beta", "fixing_times"])
-    def test_rejects_cases_that_do_not_share_their_terms(self, cases):
-        with pytest.raises(ValueError, match=r"^cases must be a nonempty tuple of contracts "
-                                             r"with equal fixing_times, strike and beta$"):
-            batch_present_value(np.ones((4, 3)), cases, np.ones(3))
 
 
 class TestSharingCases:

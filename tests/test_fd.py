@@ -163,11 +163,18 @@ def interior_bands(coef, dx, m):
     return tuple(band[1:-1] for band in step_oracle.operator_bands(coef, dx, m))
 
 
+def step_buffers(rows):
+    """``theta_step``'s ``out`` and ``carry`` keywords for one step of
+    ``rows`` alone, as :func:`fd._march` makes them for its first step."""
+    j, m = rows.shape
+    return {"out": np.empty((j, m)), "carry": fd._Carry(np.empty((j, m - 2)))}
+
+
 def zero_gamma_step(rows, dt, dx, theta, coef):
     """One ``theta_step`` with the zero-gamma closure, on nodes ``dx`` apart."""
     bands = interior_bands(coef, dx, rows.shape[1])
     closure = fd._closure(BoundaryKind.ZERO_GAMMA, 1, None, dx)
-    return theta_step(rows, dt, theta, bands, bands, closure)
+    return theta_step(rows, dt, theta, bands, bands, closure, **step_buffers(rows))
 
 
 def model_coefficients(model, spots, t):
@@ -241,11 +248,13 @@ class TestThetaStep:
         bands = interior_bands(Coefficients(variance=0.04, drift=-0.02, rate=0.0),
                                dx, 41)
         out = theta_step(rows, 0.01, 0.5, bands, bands, fd._closure(
-            BoundaryKind.DIRICHLET_NEUMANN_BY_DIRECTION, 1, spots, dx))[0]
+            BoundaryKind.DIRICHLET_NEUMANN_BY_DIRECTION, 1, spots, dx),
+            **step_buffers(rows))[0]
         assert out[0] == pytest.approx(0.0, abs=1e-14)
         assert out[-1] - out[-2] == pytest.approx(dx * spots[-1], rel=1e-12)
         out = theta_step(rows, 0.01, 0.5, bands, bands, fd._closure(
-            BoundaryKind.DIRICHLET_NEUMANN_BY_DIRECTION, -1, spots, dx))[0]
+            BoundaryKind.DIRICHLET_NEUMANN_BY_DIRECTION, -1, spots, dx),
+            **step_buffers(rows))[0]
         assert out[-1] == pytest.approx(0.0, abs=1e-14)
         assert out[1] - out[0] == pytest.approx(-dx * spots[0], rel=1e-12)
 
@@ -275,7 +284,7 @@ class TestThetaStep:
         for rows, theta, beta in itertools.product(stacks, (0.0, 0.5, 1.0),
                                                    (1, -1)):
             got = theta_step(rows, 0.02, theta, bands_from, bands_to,
-                             fd._closure(boundary, beta, spots, dx))
+                             fd._closure(boundary, beta, spots, dx), **step_buffers(rows))
             want = step_oracle.theta_step(rows, 0.02, dx, theta, coef_from,
                                           coef_to, boundary, spots=spots, beta=beta)
             assert got.shape == want.shape
@@ -352,7 +361,7 @@ def assert_step_matches_oracle(rows, dt, dx, theta, coef_from, coef_to,
               for band in interior_bands(coef, dx, m))
         for coef in (coef_from, coef_to))
     got = theta_step(rows, dt, theta, bands_from, bands_to,
-                     fd._closure(boundary, beta, spots, dx))
+                     fd._closure(boundary, beta, spots, dx), **step_buffers(rows))
     want = step_oracle.theta_step(rows, dt, dx, theta, coef_from, coef_to,
                                   boundary, spots=spots, beta=beta)
     assert np.all(np.isfinite(got))
@@ -534,7 +543,7 @@ class TestCarriedExplicitSide:
 
         want = values
         for step in steps:
-            want = theta_step(want, *step, closure)
+            want = theta_step(want, *step, closure, **step_buffers(want))
 
         stencils = []
         original = fd._explicit_side
@@ -641,8 +650,9 @@ class TestCarriedExplicitSide:
         scalar_bands = tuple(band[0] for band in per_node_bands)
         ran = record_lapack(monkeypatch)
         for bands in (scalar_bands, per_node_bands):
-            out = np.empty_like(rows)
-            assert theta_step(rows, 0.005, 0.5, bands, bands, closure, out=out) is out
+            buffers = step_buffers(rows)
+            assert theta_step(rows, 0.005, 0.5, bands, bands, closure,
+                              **buffers) is buffers["out"]
         assert ran == ["gtsv", "ptsv"]
 
 

@@ -33,6 +33,7 @@ from tarnpricer.fd import (
 )
 
 from conftest import benchmark_contract, benchmark_times, flat_model
+from test_fd import step_buffers
 
 GRID = FdConfig(spot_nodes=120, accumulation_nodes=20, time_steps=120)
 
@@ -64,7 +65,7 @@ def reference_price(contract, model, config, spot):
                 values, t_from - t_to, th,
                 coefficients_at(model, grid.spots, t_from, grid.dx),
                 coefficients_at(model, grid.spots, t_to, grid.dx),
-                closure,
+                closure, **step_buffers(values),
             )
     row = values[0]
     if grid.spot_index is not None:

@@ -27,6 +27,7 @@ def test_a_theta_step_span_counts_its_rows():
     import numpy as np
 
     from tarnpricer import BoundaryKind, fd
+    from test_fd import step_buffers
     from tracing import Tracer
 
     (target,) = [t for t in TARGETS if t.name == "fd.theta_step"]
@@ -34,8 +35,9 @@ def test_a_theta_step_span_counts_its_rows():
     step = tracer.wrap(fd.theta_step, target)
     rows = np.ones((5, 12))
     closure = fd._closure(BoundaryKind.ZERO_GAMMA, 1, None, 0.1)
-    out = step(rows, 0.01, 0.5, (1.0, -2.0, 1.0), (1.0, -2.0, 1.0), closure)
-    assert out.shape == rows.shape
+    buffers = step_buffers(rows)
+    out = step(rows, 0.01, 0.5, (1.0, -2.0, 1.0), (1.0, -2.0, 1.0), closure, **buffers)
+    assert out is buffers["out"] and out.shape == rows.shape
     assert [(s.name, s.count) for s in tracer.spans] == [("fd.theta_step", 5)]
 
 
