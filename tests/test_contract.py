@@ -352,6 +352,49 @@ class TestBatchPresentValue:
         for case, row in zip(cases, together):
             assert bits(row) == bits(batch_present_value(paths, (case,), discounts)[0])
 
+    @pytest.mark.parametrize("layout", ["knockouts", "extras", "crossed"])
+    @pytest.mark.parametrize("breach", ["never", "at_first_fixing", "exactly_at_target",
+                                        "mixed"])
+    def test_cases_sharing_a_target_each_match_the_oracle(self, breach, layout):
+        # The knockout state is made once per target and the survivors'
+        # sum once per (target, extras): each case must still get its own.
+        rng = np.random.default_rng(17)
+        k_total, n = 6, 40
+        times = tuple(0.1 * (k + 1) for k in range(k_total))
+        paths = rng.choice(DYADIC_SPOTS, size=(n, k_total))
+        target, other = {"never": (1e9, 0.25), "at_first_fixing": (1 / 8, 1e9),
+                         "exactly_at_target": (3 / 8, 5 / 8), "mixed": (0.3, 0.7)}[breach]
+        if breach == "at_first_fixing":
+            paths[:, 0] = rng.choice(DYADIC_SPOTS[5:], size=n)  # gross >= 1/8
+        elif breach == "exactly_at_target":
+            paths[: n // 2] = 1.125  # accrues 1/8 a fixing, reaching 3/8 at fixing 3
+        elif breach == "mixed":
+            paths = np.abs(random_paths(rng, n, k_total)) + 1e-6
+        accrued = np.cumsum(np.maximum(paths - 1.0, 0.0), axis=1)
+        tau = (accrued < target).sum(axis=1)
+        assert {"never": np.all(tau == k_total), "at_first_fixing": np.all(tau == 0),
+                "exactly_at_target": np.any(accrued[:, 2] == target),
+                "mixed": 0 < np.count_nonzero(tau < k_total) < n}[breach]
+
+        mixed_extras = tuple(0.01 * (-1) ** k * (k + 1) for k in range(k_total))
+        zeros = (0.0,) * k_total
+        if layout == "knockouts":
+            spec = [(target, kind, mixed_extras) for kind in KnockoutType]
+        elif layout == "extras":
+            spec = [(target, KnockoutType.PART_GAIN, extras)
+                    for extras in (None, zeros, mixed_extras)]
+        else:  # each target and each extras shared, each (target, extras) once
+            spec = [(target, KnockoutType.FULL_GAIN, mixed_extras),
+                    (other, KnockoutType.NO_GAIN, zeros),
+                    (target, KnockoutType.PART_GAIN, zeros),
+                    (other, KnockoutType.PART_GAIN, mixed_extras)]
+        cases = tuple(make_contract(kind, target=u, extras=extras, times=times)
+                      for u, kind, extras in spec)
+        discounts = np.linspace(0.99, 0.9, k_total)
+        want = [bits([path_present_value(p, case, discounts) for p in paths])
+                for case in cases]
+        assert [bits(row) for row in batch_present_value(paths, cases, discounts)] == want
+
 
 class TestSharingCases:
     def test_keeps_the_cases_on_its_terms_in_order_each_once(self):
