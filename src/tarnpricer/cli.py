@@ -13,6 +13,7 @@ import argparse
 import configparser
 import dataclasses
 import enum
+import functools
 import hashlib
 import io
 import json
@@ -92,8 +93,8 @@ class RunConfig:
     convergence: bool = False
 
     def __post_init__(self) -> None:
-        check_fields(self, names={"targets": "contract.target", "spot": "run.spot"} | {
-            f: f"contract.{f}" for f in ("beta", "strike", "fixing_times", "extra_payments")})
+        check_fields(self, names={spec[0]: f"{section}.{key}"
+                                  for (section, key), spec in _KEYS.items()})
         if not self.targets:
             raise ValueError("contract.target: at least one target is required")
         if not self.knockouts:
@@ -124,14 +125,14 @@ class RunConfig:
 @dataclass(frozen=True)
 class ResultRecord:
     engine: str
-    knockout: str
-    target: float
     price: float
-    error_metric: float | None
-    error_kind: str
     grid: str
     wall_time_s: float
+    knockout: str
+    target: float
     fingerprint: str
+    error_metric: float | None = None
+    error_kind: str = "none"
     status: str = "ok"
 
     def to_dict(self) -> dict:
@@ -140,16 +141,8 @@ class ResultRecord:
 
 # The [model] curves, each one flat key or a <curve>_times/<curve>_values pair.
 _CURVES = ("domestic_rate", "foreign_rate", "volatility")
-
-_KNOWN_KEYS = {
-    "contract": {
-        "strike", "beta", "knockout", "target", "fixing_times", "extra_payments",
-    },
-    "model": {f"{curve}{form}" for curve in _CURVES
-              for form in ("", "_times", "_values")} | {"volatility_file"},
-    "run": {"spot", "engines"},
-    "output": {"format", "path"},
-}
+_MODEL_KEYS = {f"{curve}{form}" for curve in _CURVES
+               for form in ("", "_times", "_values")} | {"volatility_file"}
 
 # Sections read off a config dataclass: one key per field, named as the
 # field except where _KEY_NAMES says otherwise.
@@ -180,7 +173,7 @@ def _floats(raw: str, where: str) -> tuple[float, ...]:
         raise ConfigError(f"{where}: expected numbers, got {raw!r}") from exc
 
 
-def _number(raw: str, kind: type, where: str):
+def _number(raw: str, where: str, kind: type = float):
     try:
         return kind(raw)
     except ValueError as exc:
@@ -198,6 +191,41 @@ def _choice(kind: type[enum.Enum], raw: str, where: str):
         raise ConfigError(f"{where}: unknown value {raw!r} (use {valid})") from exc
 
 
+def _engines(raw: str, where: str) -> tuple[str, ...]:
+    """The entries of an engine list, lower-cased; :class:`RunConfig`, and
+    :func:`main` for ``--engines``, check them."""
+    return tuple(e.lower() for e in _items(raw, where))
+
+
+def _check_engines(engines: tuple[str, ...], where: str) -> None:
+    if not engines:
+        raise ValueError(f"{where}: at least one engine must be enabled")
+    for i, e in enumerate(engines):
+        if e not in ("fd", "mc"):
+            raise ValueError(f"{where}: unknown engine {e!r} (use fd, mc)")
+        if e in engines[:i]:
+            raise ValueError(f"{where}: {e} is listed twice")
+
+
+# The [contract], [run] and [output] keys: (section, key) -> the RunConfig
+# field the key sets, its reader of (raw, where) and, unless the key is
+# required, its default.
+_KEYS = {
+    ("contract", "strike"): ("strike", _number),
+    ("contract", "beta"): ("beta", functools.partial(_number, kind=int), 1),
+    ("contract", "target"): ("targets", _floats),
+    ("contract", "knockout"): ("knockouts", lambda raw, where: tuple(
+        _choice(KnockoutType, name, where) for name in _items(raw, where))),
+    ("contract", "fixing_times"): ("fixing_times", _floats),
+    ("contract", "extra_payments"): ("extra_payments", lambda raw, where: (
+        _floats(raw, where) if raw.strip() else None), None),
+    ("run", "spot"): ("spot", _number),
+    ("run", "engines"): ("engines", _engines, ("fd", "mc")),
+    ("output", "format"): ("output_format", lambda raw, where: raw.lower(), "human"),
+    ("output", "path"): ("output_path", lambda raw, where: raw or None, None),
+}
+
+
 def _field_value(raw: str, default, where: str):
     """Parse ``raw`` by the type of a field's ``default``: an enum by its
     value, a bool as on/off, then int, then float; an empty value stands
@@ -211,7 +239,7 @@ def _field_value(raw: str, default, where: str):
         return states[raw.lower()]
     if default is None and not raw:
         return None
-    return _number(raw, int if isinstance(default, int) else float, where)
+    return _number(raw, where, int if isinstance(default, int) else float)
 
 
 def _engine_section(parser, name: str):
@@ -237,7 +265,7 @@ def _curve(sec, name: str, flat: Callable, piecewise: Callable):
     if not given:
         return None
     if given == [name]:
-        curve, args = flat, [_number(sec[name], float, f"model.{name}")]
+        curve, args = flat, [_number(sec[name], f"model.{name}")]
     elif given == pair:
         curve, args = piecewise, [_floats(sec[key], f"model.{key}") for key in pair]
     else:
@@ -288,8 +316,10 @@ def parse_config(text: str, base_dir: str = ".", source: str = "<string>") -> Ru
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse configuration: {exc}") from exc
 
-    known = _KNOWN_KEYS | {name: set(_section_fields(cls))
-                           for name, cls in _ENGINE_SECTIONS.items()}
+    known = {"model": _MODEL_KEYS} | {name: set(_section_fields(cls))
+                                      for name, cls in _ENGINE_SECTIONS.items()}
+    for section, key in _KEYS:
+        known.setdefault(section, set()).add(key)
     unknown = []
     for section in parser.sections():
         if section not in known:
@@ -305,19 +335,12 @@ def parse_config(text: str, base_dir: str = ".", source: str = "<string>") -> Ru
         if required not in parser:
             raise ConfigError(f"missing required section [{required}]")
 
-    con = parser["contract"]
-    for key in ("strike", "target", "knockout", "fixing_times"):
-        if key not in con:
-            raise ConfigError(f"contract.{key}: required key is missing")
-    strike = _number(con["strike"], float, "contract.strike")
-    beta = _number(con.get("beta", "1"), int, "contract.beta")
-    fixing_times = _floats(con["fixing_times"], "contract.fixing_times")
-    targets = _floats(con["target"], "contract.target")
-    knockouts = tuple(_choice(KnockoutType, name, "contract.knockout")
-                      for name in _items(con["knockout"], "contract.knockout"))
-    extra_payments = None
-    if "extra_payments" in con and con["extra_payments"].strip():
-        extra_payments = _floats(con["extra_payments"], "contract.extra_payments")
+    given = {}
+    for (section, key), (field, read, *default) in _KEYS.items():
+        sec = parser[section] if section in parser else {}
+        if key not in sec and not default:
+            raise ConfigError(f"{section}.{key}: required key is missing")
+        given[field] = read(sec[key], f"{section}.{key}") if key in sec else default[0]
 
     mod = parser["model"]
     domestic, foreign = (
@@ -326,46 +349,11 @@ def parse_config(text: str, base_dir: str = ".", source: str = "<string>") -> Ru
     )
     model = MarketModel(domestic=domestic, foreign=foreign,
                         vol=_volatility(mod, base_dir))
-
-    runsec = parser["run"]
-    if "spot" not in runsec:
-        raise ConfigError("run.spot: required key is missing")
-    spot = _number(runsec["spot"], float, "run.spot")
-    out_sec = parser["output"] if "output" in parser else {}
     try:
-        return RunConfig(
-            strike=strike,
-            beta=beta,
-            targets=targets,
-            knockouts=knockouts,
-            fixing_times=fixing_times,
-            extra_payments=extra_payments,
-            model=model,
-            spot=spot,
-            engines=_engines(runsec.get("engines", "fd,mc"), "run.engines"),
-            fd=_engine_section(parser, "fd"),
-            mc=_engine_section(parser, "mc"),
-            output_format=out_sec.get("format", "human").lower(),
-            output_path=out_sec.get("path") or None,
-        )
+        return RunConfig(model=model, fd=_engine_section(parser, "fd"),
+                         mc=_engine_section(parser, "mc"), **given)
     except ValueError as exc:  # the message starts with the key at fault
         raise ConfigError(str(exc)) from exc
-
-
-def _engines(raw: str, where: str) -> tuple[str, ...]:
-    engines = tuple(e.lower() for e in _items(raw, where))
-    _check_engines(engines, where)
-    return engines
-
-
-def _check_engines(engines: tuple[str, ...], where: str) -> None:
-    if not engines:
-        raise ValueError(f"{where}: at least one engine must be enabled")
-    for i, e in enumerate(engines):
-        if e not in ("fd", "mc"):
-            raise ValueError(f"{where}: unknown engine {e!r} (use fd, mc)")
-        if e in engines[:i]:
-            raise ValueError(f"{where}: {e} is listed twice")
 
 
 def _payload(value):
@@ -427,18 +415,18 @@ def _case_contract(config: RunConfig, knockout: KnockoutType,
 def run(config: RunConfig) -> list[ResultRecord]:
     """Price every (knockout, target) case with the enabled engines.
 
-    Each engine call gives the engine fields of its rows; the case fields
-    are added here, where every record is built.  Engine failures are
-    captured per record (status carries the message) and do not stop the
-    remaining cases.  FD rows come before MC rows, and a case with an ok
-    price from both engines gets a diff row.  Every case is given one
-    cache dict, made for this run, and the tuple of the run's contracts:
-    the FD cases share its interval maps, since their spot grid and fixing
-    schedule do not depend on the target or the knockout type, and for the
-    same reason the first MC call prices all the run's cases in one pass
-    that simulates each batch once (see :func:`mc.mc_price`), and each
-    later one reads its result from the dict; each case's ``wall_time_s``
-    is an equal share of that call's seconds.
+    Each case's records are built by one partial of :class:`ResultRecord`
+    that holds the case fields; each engine call gives the engine fields.
+    Engine failures are captured per record (status carries the message)
+    and do not stop the remaining cases.  FD rows come before MC rows, and
+    a case with an ok price from both engines gets a diff row.  Every case
+    is given one cache dict, made for this run, and the tuple of the run's
+    contracts: the FD cases share its interval maps, since their spot grid
+    and fixing schedule do not depend on the target or the knockout type,
+    and for the same reason the first MC call prices all the run's cases in
+    one pass that simulates each batch once (see :func:`mc.mc_price`), and
+    each later one reads its result from the dict; each case's
+    ``wall_time_s`` is an equal share of that call's seconds.
     """
     tag = fingerprint(config)
     engines = [e for e in ("fd", "mc") if e in config.engines]
@@ -447,63 +435,55 @@ def run(config: RunConfig) -> list[ResultRecord]:
                   for knockout in config.knockouts for target in config.targets)
     records: list[ResultRecord] = []
     for contract in cases:
+        record = functools.partial(ResultRecord, knockout=contract.knockout.value,
+                                   target=contract.target, fingerprint=tag)
         rows = []
         for engine in engines:
             grid = _configured_grid(config, engine)
             try:
-                rows += _engine_rows(engine, config, contract, grid, cache, cases)
+                rows += _engine_rows(engine, record, config, contract, grid, cache, cases)
             except Exception as exc:  # capture per record, keep the batch going
-                rows.append(_row(engine, float("nan"), grid, 0.0,
-                                 status=f"error: {exc}"))
+                rows.append(record(engine, float("nan"), grid, 0.0, status=f"error: {exc}"))
         first_ok = {}
         for row in rows:
-            if row["status"].startswith("ok"):
-                first_ok.setdefault(row["engine"], row["price"])
+            if row.status.startswith("ok"):
+                first_ok.setdefault(row.engine, row.price)
         fd_value, mc_value = first_ok.get("fd"), first_ok.get("mc")
         if fd_value is not None and mc_value is not None and mc_value != 0.0:
-            rows.append(_row("diff", fd_value - mc_value, "", 0.0,
-                             abs(fd_value - mc_value) / abs(mc_value),
-                             "relative_difference"))
-        records += [
-            ResultRecord(knockout=contract.knockout.value, target=contract.target,
-                         fingerprint=tag, **row)
-            for row in rows
-        ]
+            rows.append(record("diff", fd_value - mc_value, "", 0.0,
+                               error_metric=abs(fd_value - mc_value) / abs(mc_value),
+                               error_kind="relative_difference"))
+        records += rows
     return records
 
 
-def _row(engine: str, price: float, grid: str, wall_time_s: float,
-         error_metric: float | None = None, error_kind: str = "none",
-         status: str = "ok") -> dict:
-    """The engine fields of one record; :func:`run` adds the case fields."""
-    return dict(engine=engine, price=price, error_metric=error_metric,
-                error_kind=error_kind, grid=grid, wall_time_s=wall_time_s,
-                status=status)
-
-
-def _engine_rows(engine: str, config: RunConfig, contract: TarnContract,
-                 grid: str, cache: dict, cases: tuple[TarnContract, ...]) -> list[dict]:
-    """Price one case of the run's ``cases`` with one engine; ``grid`` is
-    the engine's configured grid.  The engine functions are module globals,
-    looked up per call."""
+def _engine_rows(engine: str, record: Callable[..., ResultRecord], config: RunConfig,
+                 contract: TarnContract, grid: str, cache: dict,
+                 cases: tuple[TarnContract, ...]) -> list[ResultRecord]:
+    """Price one case of the run's ``cases`` with one engine, its records
+    built by ``record`` from their engine fields; ``grid`` is the engine's
+    configured grid.  The engine functions are module globals, looked up
+    per call."""
     if engine == "mc":
         res = mc_price(contract, config.model, config.mc, config.spot, cache=cache,
                        cases=cases)
         status = ("ok (control variate disabled for local volatility)"
                   if res.cv_downgraded else "ok")
-        return [_row("mc", res.price, grid, res.wall_time, res.stderr, "stderr", status)]
+        return [record("mc", res.price, grid, res.wall_time, error_metric=res.stderr,
+                       error_kind="stderr", status=status)]
     args = (contract, config.model, config.fd, config.spot)
     if config.convergence:
         study = convergence_order(*args)
-        return [_row("fd", r.price, _grid_string(r.grid_shape), r.wall_time)
-                for r in study.results] + [_row("fd_order", study.order, "", 0.0)]
+        return [record("fd", r.price, _grid_string(r.grid_shape), r.wall_time)
+                for r in study.results] + [record("fd_order", study.order, "", 0.0)]
     if config.refine:
         est = estimate_error(*args)
-        return [_row("fd", est.coarse.price, grid,
-                     est.coarse.wall_time + est.refined.wall_time,
-                     est.relative_error, "refined_relative_error")]
+        return [record("fd", est.coarse.price, grid,
+                       est.coarse.wall_time + est.refined.wall_time,
+                       error_metric=est.relative_error,
+                       error_kind="refined_relative_error")]
     res = fd_price(*args, cache=cache, cases=cases)
-    return [_row("fd", res.price, grid, res.wall_time)]
+    return [record("fd", res.price, grid, res.wall_time)]
 
 
 def emit(records: list[ResultRecord], output_format: str,
@@ -593,7 +573,7 @@ def _table_line(cells: list[str]) -> str:
 def _human_table(records: list[ResultRecord]) -> str:
     """One table per knockout type, a row per target.  Records outside the
     table (fd_order, the finer grids of a convergence study) follow it,
-    one line each."""
+    one line each, as do failed records, whose status gives the reason."""
     by_case: dict[tuple[str, float], dict[str, ResultRecord]] = {}
     extras: list[ResultRecord] = []
     for rec in records:
@@ -602,6 +582,8 @@ def _human_table(records: list[ResultRecord]) -> str:
             extras.append(rec)
         else:
             by_case.setdefault(key, {})[rec.engine] = rec
+            if rec.status.startswith("error"):  # its cell only says failed
+                extras.append(rec)
     tabled = [rec for case in by_case.values() for rec in case.values()]
     columns = [
         col for col in _COLUMNS
@@ -699,6 +681,9 @@ def main(argv=None) -> int:
         else:
             raise ConfigError("a config file or --preset is required")
 
+        if args.engines is not None:
+            args.engines = _engines(args.engines, "--engines")
+            _check_engines(args.engines, "--engines")
         mc = None
         if args.seed is not None:
             try:
@@ -706,7 +691,7 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 raise ConfigError(f"--seed: {exc}") from exc
         overrides = {
-            "engines": args.engines is not None and _engines(args.engines, "--engines"),
+            "engines": args.engines,
             "mc": mc,
             "output_format": args.fmt,
             "output_path": args.output,

@@ -8,7 +8,7 @@ closure, made once per pricing (:func:`_closure`), is substituted into rows
 1 and M-2, and the end values are set from it after the solve.  Under local
 volatility a step is symmetrized and solved by one direct call of LAPACK
 ``ptsv`` (:func:`_symmetric_step`) where its cell Peclet numbers are below
-1 and it steps 4 rows or more.  Every other tridiagonal system, a step's
+1 and it steps 24 rows or more.  Every other tridiagonal system, a step's
 and a spline's, is one LAPACK band array solved by one direct call of
 ``gtsv`` (:func:`_solve_bands`), without ``scipy.linalg.solve_banded``'s
 per-call checks; so no solve rejects a NaN or an infinity, and
@@ -505,19 +505,16 @@ class _Carry:
 # nodes the folded rows 1 and M-2 are neighbours, with no block between.
 _SYMMETRIC_MIN_NODES = 7
 
-# ... and when it steps at least this many rows: its per-node vector work,
-# about 25 us a step at 1000 nodes, is not earned back on fewer.  Marching
-# 17 local-vol steps, both solves making their explicit side from the
-# carry (2-core Xeon, medians of 150 marches, two rounds), ptsv took 72-107
-# against 45-62 us a step for gtsv on 1 row of 1000 nodes, 93-96 against
-# 75-77 on 4, 129-131 against 121-122 on 8 and 161-170 against 164-172 on
-# 12; at 2000 nodes 101 against 68 on 1 row, 165-195 against 146-160 on 4
-# and 215-233 against 223-236 on 8; at 200 nodes ptsv was slower up to 16
-# rows.  Since gtsv steps carry too, the break-even is about 8-12 rows at
-# 1000-2000 nodes, no longer 4.  The threshold stays 4: a pricing marches
-# one row or its J rows (80 in the local-vol benchmark), on the same side
-# of either.
-_SYMMETRIC_MIN_ROWS = 4
+# ... and when it steps at least this many rows: its per-node vector work
+# is not earned back on fewer.  Marching 17 local-vol steps, both solves
+# making their explicit side from the carry (2-core Xeon, medians of 150
+# marches, two rounds), ptsv took 285-292 against 247-252 us a step for
+# gtsv on 12 rows of 1000 nodes, 306-338 against 299-324 on 20, 357-363
+# against 357-362 on 24 and 471-480 against 480-483 on 32; the two tied
+# at 20 rows of 2000 nodes, and at 200 nodes ptsv was slower up to 32
+# rows.  A pricing marches one row or its J rows (80 in the local-vol
+# benchmark), on the same side of either.
+_SYMMETRIC_MIN_ROWS = 24
 
 # The row weights span at most this ratio (normalized to at most 1, none
 # below 1e-200), so no weighted value is pushed towards the subnormals.
@@ -651,12 +648,13 @@ def theta_step(rows, dt: float, theta: float, bands_from, bands_to, closure, *,
     bands of :func:`coefficients_at` at the level being left (explicit
     side, weight 1 - theta) and ``bands_to`` those at the level being
     solved for (implicit side, weight theta).  The step makes its explicit
-    side once, then solves for it.  The pricing's ``closure``
-    (:func:`_closure`) is substituted into rows 1 and M-2, so the step is
-    one tridiagonal solve for all rows, and sets the end values after it,
-    so it holds exactly at the new level.  The solve is ``ptsv`` on the
+    side once, then solves for it; at theta 0 that side is the new level,
+    and nothing is solved.  The pricing's ``closure`` (:func:`_closure`)
+    is substituted into rows 1 and M-2, so the step is one tridiagonal
+    solve for all rows, and sets the end values after it, so it holds
+    exactly at the new level.  The solve is ``ptsv`` on the
     symmetrized system (:func:`_symmetric_step`) when the implicit bands
-    are per-node arrays (local volatility), M >= 7 and J >= 4, else, or
+    are per-node arrays (local volatility), M >= 7 and J >= 24, else, or
     when that declines, ``gtsv`` (:func:`_banded_step`).  Scalar bands,
     whose steps mostly feed interval maps, keep ``gtsv``: at 1-73 rows on
     200 nodes the symmetric step was slower.
@@ -698,8 +696,9 @@ def theta_step(rows, dt: float, theta: float, bands_from, bands_to, closure, *,
             carry.side = np.empty((j, m))
         np.copyto(carry.side, out)
     symmetric = j >= _SYMMETRIC_MIN_ROWS and m >= _SYMMETRIC_MIN_NODES and per_node
-    if not (symmetric and _symmetric_step(out, bands_to, c, closure)):
-        if symmetric and c:
+    # a theta 0 step's explicit side is its level: nothing to solve
+    if c and not (symmetric and _symmetric_step(out, bands_to, c, closure)):
+        if symmetric:
             np.copyto(out, carry.side)  # ptsv may have declined out weighted
         _banded_step(out, bands_to, c, closure)
     (a_lo, b_lo, g_lo), (a_hi, b_hi, g_hi) = closure

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from tarnpricer import KnockoutType, MarketModel, RateCurve, TermStructureVol
 from tarnpricer.cli import (
     _ENGINE_SECTIONS,
-    _KNOWN_KEYS,
+    _KEYS,
     ConfigError,
     PRESETS,
     ResultRecord,
@@ -463,8 +463,9 @@ def words_but(valid):
         lambda w: w.lower() not in valid)
 
 
-# For every key of [contract], [run], [fd] and [mc]: values that must be
-# rejected, as non-finite, of the wrong kind or out of range.
+# For every key of [contract], [run], [output], [fd] and [mc] but
+# output.path: values that must be rejected, as non-finite, of the wrong
+# kind or out of range.
 BAD_VALUES = {
     ("contract", "strike"): NON_NUMBERS | NON_POSITIVE,
     ("contract", "target"): NON_NUMBERS | NON_POSITIVE,
@@ -478,6 +479,7 @@ BAD_VALUES = {
         lambda xs: len(xs) != 3).map(", ".join),
     ("run", "spot"): NON_NUMBERS | NON_POSITIVE,
     ("run", "engines"): words_but({"fd", "mc"}),
+    ("output", "format"): words_but({"human", "records"}),
     ("fd", "spot_nodes"): NON_INTEGERS | below(4) | TOO_LARGE,
     ("fd", "accumulation_nodes"): NON_INTEGERS | below(4) | TOO_LARGE,
     ("fd", "time_steps"): NON_INTEGERS | below(1) | TOO_LARGE,
@@ -509,15 +511,14 @@ def with_value(section: str, key: str, value: str) -> str:
 
 class TestSectionFuzz:
     def test_every_key_is_fuzzed(self):
-        keys = {("contract", k) for k in _KNOWN_KEYS["contract"]}
-        keys |= {("run", k) for k in _KNOWN_KEYS["run"]}
+        keys = set(_KEYS) - {("output", "path")}  # any string is a valid path
         keys |= {(name, k) for name, cls in _ENGINE_SECTIONS.items()
                  for k in _section_fields(cls)}
         assert set(BAD_VALUES) == keys
 
     @pytest.mark.parametrize("section, key", sorted(BAD_VALUES),
                              ids=[f"{s}.{k}" for s, k in sorted(BAD_VALUES)])
-    @settings(max_examples=30)  # 21 keys: a few seconds in all
+    @settings(max_examples=30)  # 22 keys: a few seconds in all
     @given(data=st.data())
     def test_bad_value_rejected_by_key(self, section, key, data):
         """A value that is non-finite, of the wrong kind or out of range is
@@ -747,6 +748,8 @@ class TestRunAndEmit:
             "",
             "fd no_gain target=0.3 grid=120x20x32 value=0.145531 [ok]",
             "fd_order no_gain target=0.3 grid=- value=3.449202 [ok]",
+            "fd no_gain target=0.5 grid=60x10x2 value=nan [error: too few time steps]",
+            "mc full_gain target=0.3 grid=2paths value=nan [error: n_paths too small]",
             "",
         ])
 

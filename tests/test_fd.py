@@ -371,7 +371,7 @@ def assert_step_matches_oracle(rows, dt, dx, theta, coef_from, coef_to,
 
 
 class TestSymmetricStep:
-    # a step of 4 rows or more with per-node implicit bands is solved by
+    # a step of 24 rows or more with per-node implicit bands is solved by
     # LAPACK ptsv on its symmetrized rows 2..M-3, under either closure;
     # every other step keeps gtsv
 
@@ -415,7 +415,7 @@ class TestSymmetricStep:
 
     @pytest.mark.parametrize("m", [60, 1000])
     def test_fewer_rows_keep_gtsv(self, monkeypatch, m):
-        # at 1-3 rows of 1000 nodes gtsv took less time than ptsv: a local
+        # at up to 20 rows of 1000 nodes gtsv took less time than ptsv: a local
         # vol case marches one row from its first fixing to the valuation date
         assert self.local_vol_step(monkeypatch, m, rows=1) == ["gtsv"]
         assert self.local_vol_step(monkeypatch, m, rows=fd._SYMMETRIC_MIN_ROWS - 1) \
@@ -480,14 +480,15 @@ class TestSymmetricStep:
             return out
 
         monkeypatch.setattr(fd, "theta_step", step)
-        config = FdConfig(spot_nodes=60, accumulation_nodes=10, time_steps=40)
+        config = FdConfig(spot_nodes=60, accumulation_nodes=fd._SYMMETRIC_MIN_ROWS,
+                          time_steps=40)
         fd_price(benchmark_contract(KnockoutType.PART_GAIN, 0.3), smile_model(), config, 1.0)
         assert len(steps) == config.time_steps
         assert set(steps) == {(config.accumulation_nodes, ("ptsv",)), (1, ("gtsv",))}
 
     @given(
         m=st.integers(6, 400),
-        rows=st.integers(1, 12),
+        rows=st.integers(1, 2 * fd._SYMMETRIC_MIN_ROWS),
         theta=st.sampled_from([0.0, 0.5, 1.0]),
         peclet=st.floats(0.0, 0.99),
         levels=st.tuples(st.floats(0.005, 0.1), st.floats(0.005, 0.1)),
@@ -576,9 +577,10 @@ class TestCarriedExplicitSide:
         stencils, ran = self.march_and_reference(monkeypatch, coefs, values, thetas,
                                                  boundary, beta)
         # the stencil runs on the first step and on the step after theta = 0;
-        # the other seven steps carry, onto and off level 4 (gtsv) too
+        # the other seven steps carry, onto and off level 4 (gtsv) too, and
+        # the theta = 0 step solves nothing
         assert stencils == 2
-        assert ran == ["ptsv"] * 3 + ["gtsv"] + ["ptsv"] * 5
+        assert ran == ["ptsv"] * 3 + ["gtsv"] + ["ptsv"] * 4
 
     def test_a_march_of_fewer_rows_carries_through_gtsv(self, monkeypatch):
         thetas = [1.0, 1.0, 0.5, 0.5, 0.5, 0.5]
@@ -605,7 +607,7 @@ class TestCarriedExplicitSide:
 
     @given(
         m=st.integers(6, 400),
-        rows=st.integers(1, 12),
+        rows=st.integers(1, 2 * fd._SYMMETRIC_MIN_ROWS),
         thetas=st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=2, max_size=8),
         peclet=st.floats(0.0, 0.99),
         steep=st.one_of(st.none(), st.integers(0, 8)),
@@ -638,6 +640,31 @@ class TestCarriedExplicitSide:
                                           boundary, spots=spots, beta=beta)
         scale = np.max(np.abs(want), axis=-1, keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    @pytest.mark.parametrize("per_node_bands", [False, True], ids=["scalar", "per_node"])
+    def test_an_explicit_step_is_its_explicit_side(self, monkeypatch, per_node_bands,
+                                                   boundary):
+        # theta = 0 leaves nothing to solve: the step is the three-band
+        # stencil with the closure's end values, bit for bit, and runs no
+        # LAPACK routine
+        m, dx, dt = 60, 0.02, 0.005
+        rng = np.random.default_rng(23)
+        rows = rng.standard_normal((fd._SYMMETRIC_MIN_ROWS, m)).cumsum(axis=1)
+        levels = [interior_bands(per_node(rng, m, dx, 0.05, 0.02, 0.01), dx, m)
+                  for _ in range(2)]
+        if not per_node_bands:
+            levels = [tuple(band[0] for band in bands) for bands in levels]
+        closure = fd._closure(boundary, 1, np.exp(dx * np.arange(m)), dx)
+        want = np.empty_like(rows)
+        fd._explicit_side(rows, dt, levels[0], want, np.empty((rows.shape[0], m - 2)))
+        (a_lo, b_lo, g_lo), (a_hi, b_hi, g_hi) = closure
+        want[:, 0] = a_lo * want[:, 1] + b_lo * want[:, 2] + g_lo
+        want[:, -1] = a_hi * want[:, -2] + b_hi * want[:, -3] + g_hi
+        ran = record_lapack(monkeypatch)
+        got = theta_step(rows, dt, 0.0, *levels, closure, **step_buffers(rows))
+        assert np.array_equal(got, want)
+        assert ran == []
 
     def test_a_step_returns_its_out_buffer(self, monkeypatch):
         # the march swaps its two buffers by identity, so a step returns

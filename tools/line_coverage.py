@@ -13,12 +13,13 @@ paths that no workload takes.  Usage, from the repository root::
 
     python tools/line_coverage.py
 
-It takes no flags and edits no file; it takes about a minute and a half on
-a 2-core Xeon.
+It takes no options but ``--help`` and edits no file; it takes about a
+minute and a half on a 2-core Xeon.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import sys
 from pathlib import Path
@@ -61,7 +62,10 @@ class Tracer:
         return self.local
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    argparse.ArgumentParser(description=__doc__,
+                            formatter_class=argparse.RawDescriptionHelpFormatter
+                            ).parse_args(argv)
     tracer = Tracer()
     sys.settrace(tracer)
     import pytest
