@@ -146,14 +146,25 @@ def fixing_flows(gross, accrued, extra, kind: KnockoutType, target: float):
     if kind is KnockoutType.FULL_GAIN:
         return (np.broadcast_to(gross, dead.shape),
                 np.broadcast_to(extra, dead.shape), dead)
+    payment, breach_extra = breach_flows(gross, target - accrued, extra, kind)
+    return np.where(dead, payment, gross), np.where(dead, breach_extra, extra), dead
+
+
+def breach_flows(gross, room, extra, kind: KnockoutType):
+    """What a breaching fixing pays: ``(payment, extra)`` for the gross
+    amount ``gross`` with ``room = target - accrued`` left under the target
+    and the fixing's extra payment ``extra``, all broadcasting.  Full gain
+    pays both in full, no gain neither, and part gain the room, with the
+    extra scaled by ``room / gross``, or by ``room`` where ``gross`` is
+    zero, as it can be only with no room left.  :func:`fixing_flows` pays
+    this on its breaches; the lattice also pays it on the breached side of
+    a spot cell that the breach spot crosses."""
+    if kind is KnockoutType.FULL_GAIN:
+        return gross, extra
     if kind is KnockoutType.NO_GAIN:
-        return np.where(dead, 0.0, gross), np.where(dead, 0.0, extra), dead
-    # Part gain pays the shortfall to the target, and the extra scaled by
-    # shortfall / gross (gross > 0 on a breach).
-    shortfall = target - accrued
+        return 0.0, 0.0
     safe_gross = np.where(gross > 0.0, gross, 1.0)
-    return (np.where(dead, shortfall, gross),
-            np.where(dead, (shortfall / safe_gross) * extra, extra), dead)
+    return room, (room / safe_gross) * extra
 
 
 def batch_present_value(

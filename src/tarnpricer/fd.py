@@ -85,7 +85,8 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv as _gtsv
 from scipy.linalg.lapack import dptsv as _ptsv
 
-from .contract import TarnContract, check_cases, fixing_flows, shared_terms, sharing_cases
+from .contract import (TarnContract, breach_flows, check_cases, fixing_flows, shared_terms,
+                       sharing_cases)
 from .market import MarketModel, check_count, check_fields, check_positive
 
 __all__ = [
@@ -967,6 +968,14 @@ class JumpPlan:
     The gross amount ``max(beta (S - K), 0)`` is monotone along the sorted
     spot nodes, so the band is one slice, from the first such node to the
     last; an empty band is ``slice(0, 0)``.
+
+    ``cells`` are the nodes whose log-spot cell ``[x - dx/2, x + dx/2]``
+    their row's breach spot ``S* = K + beta (U - A)`` crosses, one or two a
+    row, as flat arrays: their rows and columns, the breached fraction
+    ``f`` of each cell, whether the node itself is breached, the payment
+    on the cell's live side and the payment and extra factor on its
+    breached side.  :func:`apply_jump` gives each such node the cell
+    average ``(1 - f) alive + f dead`` of its two sides.
     """
 
     grid: FdGrid
@@ -975,6 +984,7 @@ class JumpPlan:
     extra_weight: np.ndarray
     band: slice
     reads: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    cells: tuple[np.ndarray, ...]
 
     @classmethod
     def build(cls, contract: TarnContract, grid: FdGrid) -> "JumpPlan":
@@ -990,7 +1000,46 @@ class JumpPlan:
         queries = accum + payment[:, band]
         np.minimum(queries, contract.target, out=queries)
         reads = _spline_reads(0.0, grid.h, queries, grid.accum_nodes.size)
-        return cls(grid, payment, dead, extra_weight, band, reads)
+        return cls(grid, payment, dead, extra_weight, band, reads,
+                   _crossed_cells(contract, grid, gross, dead))
+
+
+def _crossed_cells(contract, grid, gross, dead):
+    """:class:`JumpPlan`'s ``cells``: per row, the one or two nodes nearest
+    its breach spot whose cell the breach spot crosses, ``0 < f < 1``.
+
+    The breached fraction of node x's cell is ``f = 1/2 + beta (x - ln S*)
+    / dx``, clipped to [0, 1]; a put's row whose room is at least the
+    strike has no breach spot.  At a breached node the live side is the
+    breach at the cell's edge: its shift lands on the target, which pays
+    the room and continues from the top row.  The breached side pays what
+    a breach pays (:func:`tarnpricer.contract.breach_flows`) at the node's
+    own gross amount, or at the room where the node is not breached.
+    """
+    room = contract.target - grid.accum_nodes
+    breach_spot = contract.strike + contract.beta * room
+    rows = np.flatnonzero(breach_spot > 0.0)
+    ln_breach = np.log(breach_spot[rows])
+    x = grid.log_spots
+    nearest = np.rint((ln_breach - x[0]) / grid.dx).astype(np.int64)
+    rows = np.repeat(rows, 3)
+    ln_breach = np.repeat(ln_breach, 3)
+    cols = (nearest[:, None] + np.arange(-1, 2)).ravel()
+    inside = (cols >= 0) & (cols < x.size)
+    rows, cols, ln_breach = rows[inside], cols[inside], ln_breach[inside]
+    fraction = (x[cols] - ln_breach) / grid.dx
+    fraction *= contract.beta
+    fraction += 0.5
+    crossed = (fraction > 0.0) & (fraction < 1.0)
+    rows, cols, fraction = rows[crossed], cols[crossed], fraction[crossed]
+    breached = dead[rows, cols]
+    node_gross, node_room = gross[cols], room[rows]
+    live_payment = np.where(breached, node_room, node_gross)
+    dead_payment, dead_extra = breach_flows(
+        np.where(breached, node_gross, node_room), node_room, 1.0, contract.knockout)
+    return (rows, cols, fraction, breached, live_payment,
+            np.broadcast_to(dead_payment, rows.shape),
+            np.broadcast_to(dead_extra, rows.shape))
 
 
 def apply_jump(values: np.ndarray, plan: JumpPlan, extra: float) -> np.ndarray:
@@ -1007,10 +1056,20 @@ def apply_jump(values: np.ndarray, plan: JumpPlan, extra: float) -> np.ndarray:
     is the value itself; where it is at least the target every state
     (``A >= 0``) knocks out.  The new value is continuation plus the
     fixing's payment and its extra payment ``extra`` times the plan's
-    weight, on the whole lattice.  The last fixing runs through the same
-    code on an all-zero lattice, which is exactly the
-    worthless-after-expiry final condition.  Everything but the spline
-    itself comes from ``plan``.
+    weight, on the whole lattice.
+
+    A node whose spot cell the breach spot crosses (the plan's ``cells``)
+    takes the cell average ``(1 - f) alive + f dead`` instead (Pooley,
+    Vetzal & Forsyth, 2003), so that the knockout is resolved to within a
+    cell rather than sampled at the nodes.  ``alive`` is the continuation
+    plus the live side's payment and the extra; at a breached node its
+    continuation is the top row's pre-jump value, read directly, so no
+    column outside the band is splined.  ``dead`` is the breached side's
+    payment plus the extra times its factor.
+
+    The last fixing runs through the same code on an all-zero lattice,
+    which is exactly the worthless-after-expiry final condition.
+    Everything but the spline itself comes from ``plan``.
     """
     h = plan.grid.h
     continuation = values.copy()
@@ -1020,10 +1079,20 @@ def apply_jump(values: np.ndarray, plan: JumpPlan, extra: float) -> np.ndarray:
         # before it reads the values: this bounds the jump's peak memory.
         continuation[:, plan.band] = _spline_eval(
             inside, _spline_second_derivs(inside, h), h, plan.reads)
+    rows, cols, fraction, breached, live_payment, dead_payment, dead_extra = plan.cells
+    alive = np.where(breached, values[-1, cols], continuation[rows, cols])
     continuation[plan.dead] = 0.0
     continuation += plan.payment
     if extra:
         continuation += extra * plan.extra_weight
+    alive += live_payment
+    alive += extra
+    dead = dead_extra * extra
+    dead += dead_payment
+    alive *= 1.0 - fraction
+    dead *= fraction
+    alive += dead
+    continuation[rows, cols] = alive
     return continuation
 
 

@@ -716,7 +716,14 @@ class TestApplyJump:
         assert grid.spots.max() <= 10.0
         values = smooth_state(grid, 11, 41)
         out = planned_jump(values.copy(), contract, grid)
-        assert np.allclose(out, values, atol=1e-13)
+        # but for the strike node's cell, which the breach spot crosses on
+        # the rows whose room is under half a cell
+        crossed = crossed_cells(contract, grid)
+        assert crossed[-1, -1] and np.all(crossed.sum(axis=1) <= 1)
+        assert not crossed[:, :-1].any()
+        assert np.allclose(out[~crossed], values[~crossed], atol=1e-13)
+        # the top row's breached half pays no room: its value is halved
+        assert out[-1, -1] == pytest.approx(0.5 * values[-1, -1], rel=1e-14)
 
     def test_single_fixing_gives_vanilla_payoff(self):
         contract = TarnContract(strike=1.0, target=1e6, beta=1,
@@ -734,7 +741,11 @@ class TestApplyJump:
         out = planned_jump(values.copy(), contract, grid)
         gross = np.maximum(grid.spots - 1.0, 0.0)[None, :]
         breach = (grid.accum_nodes[:, None] + gross >= 0.3) & (gross > 0)
-        assert np.all(out[breach] == 0.0)
+        crossed = crossed_cells(contract, grid)
+        assert np.all(out[breach & ~crossed] == 0.0)
+        # a breached node whose cell the breach spot crosses keeps its
+        # cell's live share
+        assert np.all(out[breach & crossed] > 0.0)
 
     def test_continuation_matches_independent_spline(self):
         # jump-value identity: V_new - payment - extra must equal the natural
@@ -744,10 +755,11 @@ class TestApplyJump:
             contract, grid = self.make(knockout)
             values = smooth_state(grid, 21, 61)
             out = planned_jump(values.copy(), contract, grid)
+            crossed = crossed_cells(contract, grid)  # cell averages instead
             for m in range(0, 61, 7):
                 ref = CubicSpline(grid.accum_nodes, values[:, m],
                                   bc_type="natural")
-                for j in range(21):
+                for j in np.flatnonzero(~crossed[:, m]):
                     o = fixing_outcome(grid.spots[m], grid.accum_nodes[j], 1,
                                        contract, allow_at_target=True)
                     residual = out[j, m] - o.payment - o.extra_payment
@@ -801,14 +813,23 @@ def replace_extra(contract, extras):
 ORACLE_ULPS = 4
 
 
+def crossed_cells(contract, grid):
+    """The (J, M) mask of the nodes whose cell the planned jump averages."""
+    rows, cols = JumpPlan.build(contract, grid).cells[:2]
+    crossed = np.zeros((grid.accum_nodes.size, grid.spots.size), dtype=bool)
+    crossed[rows, cols] = True
+    return crossed
+
+
 def assert_jump_matches_oracle(before, after, fixing_index, contract, grid):
     """The band rule of the planned jump, checked against the oracle jump.
 
-    Where the fixing pays (gross > 0), in the band 0 < gross < U and where
-    gross >= U knocks every state out, the planned jump is byte-identical
-    to the oracle.  Where it pays nothing it is the pre-jump value plus the
-    extra payment exactly, which the oracle's spline read at the node
-    matches to a few ulps of the lattice scale.
+    Where the fixing pays (gross > 0), in the band 0 < gross < U, where
+    gross >= U knocks every state out and in the cells the breach spot
+    crosses, the planned jump is byte-identical to the oracle.  Where it
+    pays nothing it is the pre-jump value plus the extra payment exactly,
+    outside the crossed cells, and the oracle's spline read at the node
+    matches it to a few ulps of the lattice scale, inside them too.
     """
     want = jump_oracle.apply_jump(before, fixing_index, contract, grid)
     gross = contract.gross(grid.spots)
@@ -818,7 +839,8 @@ def assert_jump_matches_oracle(before, after, fixing_index, contract, grid):
         gross[~pays], grid.accum_nodes[:, None],
         contract.extra_payments[fixing_index - 1], contract.knockout,
         contract.target)
-    assert np.array_equal(after[:, ~pays], before[:, ~pays] + extra)
+    kept = ~crossed_cells(contract, grid)[:, ~pays]
+    assert np.array_equal(after[:, ~pays][kept], (before[:, ~pays] + extra)[kept])
     scale = max(np.abs(before).max(), np.abs(after).max())
     gap = np.abs(want[:, ~pays] - after[:, ~pays])
     assert np.all(gap <= ORACLE_ULPS * np.spacing(scale)), fixing_index

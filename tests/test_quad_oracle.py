@@ -116,10 +116,22 @@ def test_fd_part_gain_agrees_under_a_term_structure():
     assert got == pytest.approx(quad_oracle.price(contract, model, spot), rel=1e-4)
 
 
-@pytest.mark.xfail(strict=True, reason="FD no_gain at 200x50x200 is +3.86% off the exact "
-                   "price: the knockout's jump is not resolved (ROADMAP, FD accuracy "
-                   "at the knockout)")
 def test_fd_no_gain_agrees_at_a_small_grid():
+    # +4.9e-5 relative at 200x50x200 with the cell-averaged knockout jump;
+    # sampling the breach at the spot nodes read +3.86%
     contract, model, spot = note("put", KnockoutType.NO_GAIN)
     got = fd_price(contract, model, SMALL_GRID, spot).price
     assert got == pytest.approx(quad_oracle.price(contract, model, spot), rel=0.005)
+
+
+@pytest.mark.parametrize("name, knockout, rel", [
+    # measured at 200x50x200 with the cell-averaged knockout jump; sampling
+    # the breach at the spot nodes read +0.26%, -3.45% and -0.62%
+    ("put", KnockoutType.FULL_GAIN, 1e-4),  # +3.7e-5
+    ("call", KnockoutType.NO_GAIN, 1.5e-3),  # -6.7e-4
+    ("call", KnockoutType.FULL_GAIN, 5e-4),  # -2.3e-4
+], ids=["put-full_gain", "call-no_gain", "call-full_gain"])
+def test_fd_agrees_across_the_knockout_at_a_small_grid(name, knockout, rel):
+    contract, model, spot = note(name, knockout)
+    got = fd_price(contract, model, SMALL_GRID, spot).price
+    assert got == pytest.approx(quad_oracle.price(contract, model, spot), rel=rel)
