@@ -76,6 +76,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import sys
 import time
 from collections import defaultdict
@@ -708,20 +709,21 @@ def theta_step(rows, dt: float, theta: float, bands_from, bands_to, closure, *,
     return out
 
 
-def _intervals(cache, cases, model, contract, grid, config, spot, closure):
+def _intervals(cache, lattices, model, contract, grid, config, spot, closure):
     """The (runs, map or None) pair of every interval, last first, as the
     backward loop takes them, ``runs`` as :func:`_interval_runs` makes them.
 
     None means that stepping the interval's rows costs less than its map
     (P, p0), ``row -> row @ P + p0``.  Intervals with equal run keys and
     lengths share one map, decided once by :func:`_map_pays` from the rows
-    one pricing marches through each (one in the first interval, J in the
-    others) and the count of ``cases`` on ``contract``'s terms, 1 without
-    a dict.  The pairs, a tuple with read-only maps, are one ``cache``
-    entry keyed by the count and the call's inputs less the target and
-    the knockout type, which neither they nor ``grid`` read.  Local
-    volatility holds none: its steps carry per-node levels and are made
-    one interval at a time as the loop reaches them.
+    that ``lattices``, the (cases, accumulation nodes) lattices on
+    ``contract``'s terms (:func:`_lattices`), march through each: a
+    lattice's cases in the first interval, its nodes in the others.  The
+    pairs, a tuple with read-only maps, are one ``cache`` entry keyed by
+    those rows and the call's inputs less the target and the knockout
+    type, which neither they nor the spot grid read.  Local volatility
+    holds none: its steps carry per-node levels and are made one interval
+    at a time as the loop reaches them.
     """
     times = (0.0,) + grid.fixing_times
 
@@ -733,10 +735,8 @@ def _intervals(cache, cases, model, contract, grid, config, spot, closure):
     if not model.has_exact_transition:
         return ((runs(k), None) for k in reversed(range(k_total)))
     m = grid.spots.size
-    if cache is None:
-        cache, cases = {}, ()
-    count = len(sharing_cases(contract, cases))
-    key = ("fd.intervals", count, model, config, spot) + shared_terms(contract)
+    marched = tuple((nodes, len(group)) for group, nodes in lattices)
+    key = ("fd.intervals", marched, model, config, spot) + shared_terms(contract)
     if key not in cache:
         made = [runs(k) for k in range(k_total)]
         shared = defaultdict(list)  # run keys and lengths -> the intervals
@@ -745,8 +745,8 @@ def _intervals(cache, cases, model, contract, grid, config, spot, closure):
         maps = [None] * k_total
         for ks in shared.values():
             first = made[ks[0]]
-            rows = [config.accumulation_nodes if k else 1 for k in ks]
-            if _map_pays([len(run) for _, run in first], rows, count, m):
+            rows = [nodes if k else cases for k in ks for nodes, cases in marched]
+            if _map_pays([len(run) for _, run in first], rows, m):
                 mapped = _build_map(first, m, closure)
                 for k in ks:
                     maps[k] = mapped
@@ -854,20 +854,20 @@ def _power_products(n, first):
     return products if n > 1 + products else None
 
 
-def _map_pays(lengths, rows, count, m) -> bool:
+def _map_pays(lengths, rows, m) -> bool:
     """Whether building an interval map costs less than marching its rows.
 
-    ``lengths`` are the run lengths of the map's steps, ``rows`` the rows
-    one pricing marches through each interval the map serves and ``count``
-    how many pricings share the map.  Marching pays a step per interval
-    and time step; building pays :func:`_build_map`'s (M + 1)-row steps
-    and products, plus one (rows, M) by (M, M) product per pricing.
+    ``lengths`` are the run lengths of the map's steps and ``rows`` the
+    rows of each lattice that one interval the map serves marches, a
+    lattice and interval an entry.  Marching pays a step per entry and
+    time step; building pays :func:`_build_map`'s (M + 1)-row steps and
+    products, plus one (rows, M) by (M, M) product per entry.
     """
     def step(r):
         return _STEP_S + _NODE_S * r * m
 
-    march = count * sum(lengths) * sum(step(r) for r in rows)
-    build = count * _PRODUCT_S * sum(rows) * m * m
+    march = sum(lengths) * sum(step(r) for r in rows)
+    build = _PRODUCT_S * sum(rows) * m * m
     for i, n in enumerate(lengths):
         products = _power_products(n, first=i == 0)
         build += (n * step(m + 1) if products is None
@@ -1096,6 +1096,85 @@ def apply_jump(values: np.ndarray, plan: JumpPlan, extra: float) -> np.ndarray:
     return continuation
 
 
+# A target is a node of a shared lattice when its row, (J - 1) U / U_max,
+# lies this close to an integer.
+_NODE_TOLERANCE = 1e-9
+
+
+def _room_nodes(targets, nodes):
+    """The accumulation node count of one lattice for all ``targets``, or
+    None: the least count from ``nodes`` up at which every target is a node
+    of the largest target's grid, ``(count - 1) U / U_max`` an integer
+    within rounding.  The search stops at the count whose spacing is the
+    smallest target's own, ``U_min / (nodes - 1)``, and at the rows the
+    targets' own lattices would take together, ``len(targets) * nodes``."""
+    top, low = max(targets), min(targets)
+    last = min(int((nodes - 1) * top / low) + 1, len(targets) * nodes)
+    for count in range(nodes, last + 1):
+        rows = [(count - 1) * target / top for target in targets]
+        if all(abs(row - round(row)) <= _NODE_TOLERANCE for row in rows):
+            return count
+    return None
+
+
+def _lattices(contract, cases, nodes):
+    """The lattices that price the cases on ``contract``'s terms (see
+    :func:`~tarnpricer.contract.sharing_cases`), as (cases, accumulation
+    nodes) pairs.  The cases of one knockout type and extra payments are
+    one lattice when their targets are nodes of one room grid
+    (:func:`_room_nodes`); otherwise, and alone, a case is its own lattice
+    of ``nodes``."""
+    groups = defaultdict(list)
+    for case in sharing_cases(contract, cases):
+        groups[case.knockout, case.extra_payments].append(case)
+    lattices = []
+    for group in groups.values():
+        shared = len(group) > 1 and _room_nodes([case.target for case in group], nodes)
+        if shared:
+            lattices.append((tuple(group), shared))
+        else:
+            lattices += [((case,), nodes) for case in group]
+    return lattices
+
+
+def _price_lattice(group, nodes, lattices, model, config, spot, cache):
+    """The prices of ``group``'s cases by one backward induction on the
+    lattice of its largest target with ``nodes`` accumulation nodes.
+
+    A fixing's flows depend on the accrued amount A and the target U only
+    through the room left, U - A, so the row of accrued amount ``U_max -
+    U`` holds the values of target U at zero accrued; after the first
+    fixing's jump those rows, one per case, are marched down to the
+    valuation date.  A lone case's row is the zero-accrual row.
+    ``lattices`` are all the lattices on the group's terms, which decide
+    whether an interval is mapped (:func:`_intervals`).
+    """
+    top = max(group, key=operator.attrgetter("target"))
+    grid = build_grid(top, model, replace(config, accumulation_nodes=nodes), spot)
+    _check_explicit_stability(grid, model, config)
+    closure = _closure(config.boundary, top.beta, grid.spots, grid.dx)
+    # maps are built before the jump plan and the lattice take their memory
+    intervals = _intervals(cache, lattices, model, top, grid, config, spot, closure)
+    plan = JumpPlan.build(top, grid)
+    rows = [nodes - 1 - round((nodes - 1) * case.target / top.target) for case in group]
+    values = np.zeros((nodes, config.spot_nodes))
+    for k, (runs, mapped) in zip(range(top.num_fixings, 0, -1), intervals):
+        values = apply_jump(values, plan, top.extra_payments[k - 1])
+        if k == 1:
+            values = values[rows]
+        if mapped is None:
+            values = _march(values, runs, closure)
+        else:
+            matrix, offset = mapped
+            values = values @ matrix
+            values += offset
+    if grid.spot_index is not None:
+        return [float(row[grid.spot_index]) for row in values]
+    # the spline would reject a non-finite row with its own message
+    return [float(natural_cubic_spline(grid.log_spots, row, math.log(spot)))
+            if np.isfinite(row).all() else math.nan for row in values]
+
+
 def fd_price(
     contract: TarnContract,
     model: MarketModel,
@@ -1112,53 +1191,49 @@ def fd_price(
     fixing marches only the zero-accrual solution down to the valuation
     date.  The price is the value at the spot node, or a one-off spline
     interpolation in the log-spot when the spot is off-grid.
+
     ``cache`` is a dict the caller owns (not locked) and the engine's only
-    cache: calls given one dict share one ``"fd.intervals"`` entry, every
-    interval's runs and read-only map or None, keyed by the call's inputs
-    less the target and the knockout type (see :func:`_intervals`), until
-    the caller drops it; by default it lives for this call.  ``cases``, a
-    tuple of the run's contracts as for :func:`~tarnpricer.mc.mc_price`,
-    decides only whether an interval is mapped or its rows are marched:
-    the maps serve the cases on ``contract``'s schedule, strike and
-    direction, or ``contract`` alone without a dict or outside ``cases``.
-    A non-finite price is never returned: it raises ValueError.
+    cache, and ``cases`` a tuple of the run's contracts as for
+    :func:`~tarnpricer.mc.mc_price`.  Given both, with ``contract`` among
+    the cases, the cases with ``contract``'s schedule, strike, direction,
+    knockout type and extra payments whose targets are all nodes of one
+    accumulation grid on [0, U_max] (:func:`_room_nodes`: the least node
+    count from ``config.accumulation_nodes`` up) are priced by one lattice,
+    the largest target's, at the first call (:func:`_price_lattice`).
+    Each such case's result is stored in the dict with an equal share of
+    that call's seconds as its ``wall_time`` and the lattice's node count
+    in its ``grid_shape``, and its own call returns it.  Every other case
+    is priced alone, on ``config``'s grid, and stores nothing.  Calls given
+    one dict share one ``"fd.intervals"`` entry, every interval's runs and
+    read-only map or None, keyed by the lattices on the call's terms and
+    the call's inputs less the target and the knockout type (see
+    :func:`_intervals`), until the caller drops it; by default it lives for
+    this call.  A non-finite price is never returned: it raises ValueError.
     """
     check_cases(cases)
     started = time.perf_counter()
-    grid = build_grid(contract, model, config, spot)
-    _check_explicit_stability(grid, model, config)
-    closure = _closure(config.boundary, contract.beta, grid.spots, grid.dx)
-    # maps are built before the jump plan and the lattice take their memory
-    intervals = _intervals(cache, cases, model, contract, grid, config, spot, closure)
-    plan = JumpPlan.build(contract, grid)
-    values = np.zeros((config.accumulation_nodes, config.spot_nodes))
-    for k, (runs, mapped) in zip(range(contract.num_fixings, 0, -1), intervals):
-        values = apply_jump(values, plan, contract.extra_payments[k - 1])
-        if k == 1:
-            values = values[:1]
-        if mapped is None:
-            values = _march(values, runs, closure)
-        else:
-            matrix, offset = mapped
-            values = values @ matrix
-            values += offset
-    row = values[0]
-    if grid.spot_index is not None:
-        price = float(row[grid.spot_index])
-    elif np.isfinite(row).all():
-        price = float(natural_cubic_spline(grid.log_spots, row, math.log(spot)))
+    if cache is None:  # no other case's result would be kept
+        cache, cases = {}, ()
+    lattices = _lattices(contract, cases, config.accumulation_nodes)
+    group, nodes = next(lattice for lattice in lattices if contract in lattice[0])
+    shape = (config.spot_nodes, nodes, config.time_steps)
+    key = ("fd.result", model, config, spot, group)
+    if len(group) == 1:
+        (price,) = _price_lattice(group, nodes, lattices, model, config, spot, cache)
+        result = PriceResult(price, time.perf_counter() - started, shape)
     else:
-        price = math.nan  # the spline would reject the row with its own message
-    if not math.isfinite(price):
+        if key + (contract,) not in cache:
+            prices = _price_lattice(group, nodes, lattices, model, config, spot, cache)
+            share = (time.perf_counter() - started) / len(group)
+            for case, price in zip(group, prices):
+                cache[key + (case,)] = PriceResult(price, share, shape)
+        result = cache[key + (contract,)]
+    if not math.isfinite(result.price):
         # the solves do not check for NaN or inf, but either reaches the
         # spot row through the solves, the splines and the map products
-        raise ValueError(f"FD price is not finite ({price}): the lattice "
+        raise ValueError(f"FD price is not finite ({result.price}): the lattice "
                          "holds a NaN or an infinity")
-    return PriceResult(
-        price=price,
-        wall_time=time.perf_counter() - started,
-        grid_shape=(config.spot_nodes, config.accumulation_nodes, config.time_steps),
-    )
+    return result
 
 
 def _ladder(contract, model, config, spot, factors) -> list[PriceResult]:

@@ -43,8 +43,13 @@ def closure_of(contract, config, grid):
     return fd._closure(config.boundary, contract.beta, grid.spots, grid.dx)
 
 
-def reference_price(contract, model, config, spot):
-    """Backward induction with one theta_step call per time step."""
+def reference_price(contract, model, config, spot, target=None):
+    """Backward induction with one theta_step call per time step: the price
+    of ``contract`` or, on its lattice, of its terms at ``target``, read
+    from the row whose room left is ``target``."""
+    target = contract.target if target is None else target
+    j = config.accumulation_nodes - 1
+    row = j - round(j * target / contract.target)
     grid = build_grid(contract, model, config, spot)
     times = (0.0,) + contract.fixing_times
     values = np.zeros((config.accumulation_nodes, config.spot_nodes))
@@ -53,7 +58,7 @@ def reference_price(contract, model, config, spot):
     for k in range(contract.num_fixings, 0, -1):
         values = apply_jump(values, plan, contract.extra_payments[k - 1])
         if k == 1:
-            values = values[:1]
+            values = values[row:row + 1]
         t_hi, t_lo = times[k], times[k - 1]
         n_steps = grid.steps_per_interval[k - 1]
         dt = (t_hi - t_lo) / n_steps
@@ -174,9 +179,10 @@ def run_lengths(runs):
 
 
 def run_of(contract, n):
-    """``contract`` and n - 1 cases on its terms with higher targets: the
-    cases of a run, all of which share its maps."""
-    return tuple(replace(contract, target=contract.target * (1 + i)) for i in range(n))
+    """``contract`` and n - 1 cases on its terms with other extra payments:
+    the cases of a run, all of which share its maps, each its own lattice."""
+    return tuple(replace(contract, extra_payments=(0.001 * i,) * contract.num_fixings)
+                 for i in range(n))
 
 
 def test_equal_intervals_share_one_map(monkeypatch):
@@ -258,8 +264,10 @@ def test_a_run_makes_each_interval_steps_once(monkeypatch):
 
 
 def test_run_builds_maps_its_cases_pay_for(monkeypatch):
-    # 12 cases pay for the map of each of the eight intervals, the one-row
-    # first interval's too
+    # 12 cases, three lattices of 21 rows (each knockout's four targets are
+    # nodes of one room grid), pay for the map of each of the eight
+    # intervals, the first interval's four rows a lattice too; each price
+    # is its row of the largest target's lattice, marched step by step
     built = count_builds(monkeypatch)
     model = knot_in_every_interval_model()
     config = dataclasses.replace(
@@ -267,19 +275,21 @@ def test_run_builds_maps_its_cases_pay_for(monkeypatch):
         fixing_times=benchmark_times(8), targets=(0.1, 0.2, 0.3, 0.4))
     records = cli.run(config)
     assert len(built) == 8
+    lattice = replace(GRID, accumulation_nodes=21)
     for rec in records:
-        contract = TarnContract(strike=1.0, target=rec.target, beta=1,
+        contract = TarnContract(strike=1.0, target=0.4, beta=1,
                                 fixing_times=benchmark_times(8),
                                 knockout=KnockoutType(rec.knockout))
         assert rec.price == pytest.approx(
-            reference_price(contract, model, GRID, 1.05), rel=1e-12, abs=0.0)
+            reference_price(contract, model, lattice, 1.05, rec.target),
+            rel=1e-12, abs=0.0)
 
 
 def test_one_row_through_a_long_interval_at_large_m_is_marched():
     # 100 one-row steps cost about 10 ms; one (M + 1)-row step and the
     # products of a build, seconds
-    assert not fd._map_pays([100], [1], 1, 2000)
-    assert not fd._map_pays([50], [50, 50], 3, 2000)
+    assert not fd._map_pays([100], [1], 2000)
+    assert not fd._map_pays([50], [50] * 6, 2000)
 
 
 def test_knot_interval_of_a_small_run_is_mapped():
@@ -296,8 +306,8 @@ def test_knot_interval_of_a_small_run_is_mapped():
     grid = build_grid(contract, model, config, 1.05)
     lengths = run_lengths(fd._interval_runs(model, grid, 0.3, 0.2, 50, config))
     assert lengths == [42, 1, 7]
-    assert fd._map_pays(lengths, [50], 3, 200)
-    assert not fd._map_pays(lengths, [1], 1, 200)
+    assert fd._map_pays(lengths, [50] * 3, 200)
+    assert not fd._map_pays(lengths, [1], 200)
 
 
 def step_bits(dt, theta, bands_from, bands_to):
@@ -643,20 +653,23 @@ def test_local_vol_pricings_hold_no_entry():
                   for knockout in KnockoutType for target in (0.2, 0.3))
     for contract in cases:
         fd_price(contract, model, GRID, 1.05, cache=cache, cases=cases)
-    assert cache == {}
+    # each knockout's two targets share a lattice, whose results are kept
+    assert {key[0] for key in cache} == {"fd.result"}
+    assert all(isinstance(result, fd.PriceResult) for result in cache.values())
 
 
-def spy_counts(monkeypatch):
-    """The count each ``fd._map_pays`` call is given, in order."""
-    counts = []
-    original = fd._map_pays
+def spy_lattices(monkeypatch):
+    """The (cases, accumulation nodes) of the lattices each
+    ``fd._intervals`` call is given, in order."""
+    lattices = []
+    original = fd._intervals
 
-    def spy(lengths, rows, count, m):
-        counts.append(count)
-        return original(lengths, rows, count, m)
+    def spy(cache, given, *args):
+        lattices.append([(len(group), nodes) for group, nodes in given])
+        return original(cache, given, *args)
 
-    monkeypatch.setattr(fd, "_map_pays", spy)
-    return counts
+    monkeypatch.setattr(fd, "_intervals", spy)
+    return lattices
 
 
 SAME_TERMS = (replace(call_contract(), target=0.3), call_contract(KnockoutType.NO_GAIN))
@@ -664,21 +677,25 @@ OTHER_TERMS = (replace(call_contract(), strike=1.02),
                replace(call_contract(), fixing_times=benchmark_times(7),
                        extra_payments=None),
                put_contract())
+SHARED = (2, 22)  # targets 0.2 and 0.3 are nodes 14 and 21 of a 22-node room grid
+ALONE = (1, 20)
 
 
-@pytest.mark.parametrize("cache, cases, count", [
-    ({}, (call_contract(),) + SAME_TERMS + OTHER_TERMS, 3),
-    ({}, OTHER_TERMS[:1] + SAME_TERMS + OTHER_TERMS[1:] + (call_contract(),), 3),
-    ({}, SAME_TERMS + OTHER_TERMS, 1),
-    (None, (call_contract(),) + SAME_TERMS + OTHER_TERMS, 1),
-    ({}, (), 1),
-    ({}, (call_contract(), SAME_TERMS[0], call_contract(), replace(SAME_TERMS[0])), 2),
+@pytest.mark.parametrize("cache, cases, lattices", [
+    ({}, (call_contract(),) + SAME_TERMS + OTHER_TERMS, [SHARED, ALONE]),
+    ({}, OTHER_TERMS[:1] + SAME_TERMS + OTHER_TERMS[1:] + (call_contract(),),
+     [SHARED, ALONE]),
+    ({}, SAME_TERMS + OTHER_TERMS, [ALONE]),
+    (None, (call_contract(),) + SAME_TERMS + OTHER_TERMS, [ALONE]),
+    ({}, (), [ALONE]),
+    ({}, (call_contract(), SAME_TERMS[0], call_contract(), replace(SAME_TERMS[0])),
+     [SHARED]),
 ], ids=["in_its_cases", "in_its_cases_last", "not_in_its_cases", "no_dict", "no_cases",
         "listed_twice"])
-def test_map_count_is_the_cases_on_its_terms(monkeypatch, cache, cases, count):
+def test_maps_count_the_lattices_on_its_terms(monkeypatch, cache, cases, lattices):
     # cases on another strike, schedule or direction march their own rows;
-    # without a dict, or outside its cases, a pricing shares its maps with
-    # no other
-    counts = spy_counts(monkeypatch)
+    # the part_gain targets share one lattice, the no_gain case is its own;
+    # without a dict, or outside its cases, a pricing is its own lattice
+    spied = spy_lattices(monkeypatch)
     fd_price(call_contract(), flat_model(r_d=0.02), GRID, 1.05, cache=cache, cases=cases)
-    assert counts and set(counts) == {count}
+    assert spied == [lattices]
