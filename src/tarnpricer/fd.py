@@ -1260,8 +1260,8 @@ def estimate_error(
     the proxy then understates the error: for a no-gain note with beta -1,
     strike 1.1294, spot 1.0761, target 0.0304, fixings at 0.158 and 0.317,
     flat sigma 0.0876, r_d 0.0552 and r_f -0.00125, a 200x50x200 grid
-    reports 0.85% against an actual 3.86% (the exact quadrature price),
-    the refined error being 0.77 of the coarse one.
+    reports 2.1e-5 against an actual 4.9e-5 (the exact quadrature price),
+    the refined error being 1.4 times the coarse one.
     """
     coarse, refined = _ladder(contract, model, config, spot, (1, 2))
     if refined.price == 0.0:
