@@ -424,9 +424,13 @@ def run(config: RunConfig) -> list[ResultRecord]:
     contracts: the FD cases share its interval maps, since their spot grid
     and fixing schedule do not depend on the target or the knockout type,
     and for the same reason the first MC call prices all the run's cases in
-    one pass that simulates each batch once (see :func:`mc.mc_price`), and
-    each later one reads its result from the dict; each case's
-    ``wall_time_s`` is an equal share of that call's seconds.
+    one pass that simulates each batch once (see :func:`mc.mc_price`).
+    The first FD call of a knockout type prices all its targets on one
+    lattice when they are all nodes of its accumulation grid, whose node
+    count is then the least one from ``accumulation_nodes`` up that makes
+    them so (see :func:`fd.fd_price`).  Each later call reads its result
+    from the dict, and each case's ``wall_time_s`` is an equal share of the
+    first call's seconds.
     """
     tag = fingerprint(config)
     engines = [e for e in ("fd", "mc") if e in config.engines]

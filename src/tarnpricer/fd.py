@@ -24,7 +24,10 @@ it reaches the target every state knocks out. After the first fixing only
 the zero-accrual solution remains relevant and is marched down to the
 valuation date.  The shift is applied forward, from the pre-fixing amount
 at a grid node to the (generally off-grid) post-fixing amount, which can
-pass the target: that is how the knockout enters the lattice.  The fixing's
+pass the target: that is how the knockout enters the lattice.  The nodes
+whose log-spot cell holds a row's breach spot take the cell's average of
+the live and the knocked-out value instead, so the knockout is resolved
+within a cell rather than sampled at the nodes.  The fixing's
 cash flows come from :func:`tarnpricer.contract.fixing_flows`, the kernel
 Monte Carlo uses too. A fixing enters its jump only through its extra
 payment, which is the amount times a per-cell factor, so a pricing builds
@@ -58,8 +61,14 @@ Every interval's runs and map or None are one ``"fd.intervals"`` entry
 of a ``cache`` dict, keyed by the call's inputs less the target and the
 knockout type, which neither reads; so the cases of a run, passed one
 dict and the run's ``cases`` as with :func:`~tarnpricer.mc.mc_price`,
-make them once.  That dict is the engine's only cache: no memo outlives
-it.  Local volatility has per-node bands that change every step;
+make them once.  A fixing's flows depend on the accrued amount and the
+target only through the room left between them, so the lattice of a
+run's largest target holds each smaller target's values in the row of its
+room, wherever that is a node: the run's cases of one knockout type and
+extra payments whose targets are all nodes of one accumulation grid are
+priced by one lattice at the first call, which stores their results in
+the dict (:func:`_price_lattice`).  That dict is the engine's only cache:
+no memo outlives it.  Local volatility has per-node bands that change every step;
 it is marched step by step and holds no entry.  So a pricing is one
 backward loop: at each fixing a jump, then the interval's map applied or
 its steps marched.
@@ -1217,11 +1226,11 @@ def fd_price(
     lattices = _lattices(contract, cases, config.accumulation_nodes)
     group, nodes = next(lattice for lattice in lattices if contract in lattice[0])
     shape = (config.spot_nodes, nodes, config.time_steps)
-    key = ("fd.result", model, config, spot, group)
     if len(group) == 1:
         (price,) = _price_lattice(group, nodes, lattices, model, config, spot, cache)
         result = PriceResult(price, time.perf_counter() - started, shape)
     else:
+        key = ("fd.result", model, config, spot, group)
         if key + (contract,) not in cache:
             prices = _price_lattice(group, nodes, lattices, model, config, spot, cache)
             share = (time.perf_counter() - started) / len(group)
