@@ -980,11 +980,12 @@ class JumpPlan:
 
     ``cells`` are the nodes whose log-spot cell ``[x - dx/2, x + dx/2]``
     their row's breach spot ``S* = K + beta (U - A)`` crosses, one or two a
-    row, as flat arrays: their rows and columns, the breached fraction
-    ``f`` of each cell, whether the node itself is breached, the payment
-    on the cell's live side and the payment and extra factor on its
-    breached side.  :func:`apply_jump` gives each such node the cell
-    average ``(1 - f) alive + f dead`` of its two sides.
+    row, as flat arrays (:func:`_crossed_cells`): their flat indices in the
+    lattice, those of their columns' top-row nodes, whether the node itself
+    is breached, and the three terms of their cell average: the live
+    share ``1 - f`` of the continuation, the averaged payment and the
+    averaged factor of the extra payment.  :func:`apply_jump` gives each
+    such node ``(1 - f) alive + f dead``.
     """
 
     grid: FdGrid
@@ -1014,7 +1015,7 @@ class JumpPlan:
 
 
 def _crossed_cells(contract, grid, gross, dead):
-    """:class:`JumpPlan`'s ``cells``: per row, the one or two nodes nearest
+    """:class:`JumpPlan`'s ``cells``: per row, the one or two nodes next to
     its breach spot whose cell the breach spot crosses, ``0 < f < 1``.
 
     The breached fraction of node x's cell is ``f = 1/2 + beta (x - ln S*)
@@ -1023,32 +1024,35 @@ def _crossed_cells(contract, grid, gross, dead):
     breach at the cell's edge: its shift lands on the target, which pays
     the room and continues from the top row.  The breached side pays what
     a breach pays (:func:`tarnpricer.contract.breach_flows`) at the node's
-    own gross amount, or at the room where the node is not breached.
+    own gross amount, or at the room where the node is not breached.  The
+    node's value is ``keep * continuation + payment + extra * weight``,
+    with ``keep = 1 - f``, ``payment = keep * live + f * dead`` and
+    ``weight = keep + f * factor``.
     """
+    j_nodes, m_nodes = dead.shape
     room = contract.target - grid.accum_nodes
     breach_spot = contract.strike + contract.beta * room
     rows = np.flatnonzero(breach_spot > 0.0)
-    ln_breach = np.log(breach_spot[rows])
+    ln_breach = np.log(breach_spot[rows])[:, None]
     x = grid.log_spots
-    nearest = np.rint((ln_breach - x[0]) / grid.dx).astype(np.int64)
-    rows = np.repeat(rows, 3)
-    ln_breach = np.repeat(ln_breach, 3)
-    cols = (nearest[:, None] + np.arange(-1, 2)).ravel()
-    inside = (cols >= 0) & (cols < x.size)
-    rows, cols, ln_breach = rows[inside], cols[inside], ln_breach[inside]
-    fraction = (x[cols] - ln_breach) / grid.dx
+    cols = np.rint((ln_breach - x[0]) / grid.dx).astype(np.int64) + np.arange(-1, 2)
+    inside = (cols >= 0) & (cols < m_nodes)
+    fraction = (x.take(cols, mode="clip") - ln_breach) / grid.dx
     fraction *= contract.beta
     fraction += 0.5
-    crossed = (fraction > 0.0) & (fraction < 1.0)
-    rows, cols, fraction = rows[crossed], cols[crossed], fraction[crossed]
-    breached = dead[rows, cols]
-    node_gross, node_room = gross[cols], room[rows]
-    live_payment = np.where(breached, node_room, node_gross)
+    crossed = inside & (fraction > 0.0) & (fraction < 1.0)
+    flat = (rows[:, None] * m_nodes + cols)[crossed]
+    cols, fraction = cols[crossed], fraction[crossed]
+    breached = dead.ravel()[flat]
+    node_gross, node_room = gross[cols], room[flat // m_nodes]
     dead_payment, dead_extra = breach_flows(
         np.where(breached, node_gross, node_room), node_room, 1.0, contract.knockout)
-    return (rows, cols, fraction, breached, live_payment,
-            np.broadcast_to(dead_payment, rows.shape),
-            np.broadcast_to(dead_extra, rows.shape))
+    keep = 1.0 - fraction
+    payment = keep * np.where(breached, node_room, node_gross)
+    payment += fraction * dead_payment
+    weight = fraction * dead_extra
+    weight += keep
+    return flat, (j_nodes - 1) * m_nodes + cols, breached, keep, payment, weight
 
 
 def apply_jump(values: np.ndarray, plan: JumpPlan, extra: float) -> np.ndarray:
@@ -1088,20 +1092,16 @@ def apply_jump(values: np.ndarray, plan: JumpPlan, extra: float) -> np.ndarray:
         # before it reads the values: this bounds the jump's peak memory.
         continuation[:, plan.band] = _spline_eval(
             inside, _spline_second_derivs(inside, h), h, plan.reads)
-    rows, cols, fraction, breached, live_payment, dead_payment, dead_extra = plan.cells
-    alive = np.where(breached, values[-1, cols], continuation[rows, cols])
+    flat, top, breached, keep, payment, weight = plan.cells
+    cells = np.where(breached, values.take(top), continuation.take(flat))
     continuation[plan.dead] = 0.0
     continuation += plan.payment
+    cells *= keep
+    cells += payment
     if extra:
         continuation += extra * plan.extra_weight
-    alive += live_payment
-    alive += extra
-    dead = dead_extra * extra
-    dead += dead_payment
-    alive *= 1.0 - fraction
-    dead *= fraction
-    alive += dead
-    continuation[rows, cols] = alive
+        cells += extra * weight
+    continuation.put(flat, cells)
     return continuation
 
 
@@ -1159,7 +1159,8 @@ def _price_lattice(group, nodes, lattices, model, config, spot, cache):
     whether an interval is mapped (:func:`_intervals`).
     """
     top = max(group, key=operator.attrgetter("target"))
-    grid = build_grid(top, model, replace(config, accumulation_nodes=nodes), spot)
+    grid = build_grid(top, model, config if nodes == config.accumulation_nodes
+                      else replace(config, accumulation_nodes=nodes), spot)
     _check_explicit_stability(grid, model, config)
     closure = _closure(config.boundary, top.beta, grid.spots, grid.dx)
     # maps are built before the jump plan and the lattice take their memory

@@ -91,22 +91,22 @@ def apply_jump(values: np.ndarray, fixing_index: int, contract: TarnContract,
     # the live side: a breached node's shift lands on the target, pays the
     # room and continues from the top row
     alive = np.where(dead, values[-1], spline)
-    alive += np.where(dead, room, gross)
-    alive += extra_payment
+    alive_paid = np.where(dead, room, gross)
     # the breached side, at the node's gross amount or, at a live node, at
     # the room, where the cell's breach begins
     at = np.where(dead, gross, room)
     if contract.knockout is KnockoutType.NO_GAIN:
-        paid, factor = np.zeros(values.shape), np.zeros(values.shape)
+        dead_paid, factor = np.zeros(values.shape), np.zeros(values.shape)
     elif contract.knockout is KnockoutType.FULL_GAIN:
-        paid, factor = at, np.ones(values.shape)
+        dead_paid, factor = at, np.ones(values.shape)
     else:
-        paid = room
+        dead_paid = room
         factor = room / np.where(at > 0.0, at, 1.0)
-    gone = factor * extra_payment
-    gone += paid
-    alive *= 1.0 - fraction
-    gone *= fraction
-    alive += gone
+    # (1 - f) (alive + paid + e) + f (paid + e factor), summed as
+    # (1 - f) alive + [(1 - f) paid + f paid] + e [f factor + (1 - f)]
+    live = 1.0 - fraction
+    alive *= live
+    alive += live * alive_paid + fraction * dead_paid
+    alive += extra_payment * (fraction * factor + live)
     continuation[crossed] = alive[crossed]
     return continuation

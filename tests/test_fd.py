@@ -815,9 +815,9 @@ ORACLE_ULPS = 4
 
 def crossed_cells(contract, grid):
     """The (J, M) mask of the nodes whose cell the planned jump averages."""
-    rows, cols = JumpPlan.build(contract, grid).cells[:2]
+    flat = JumpPlan.build(contract, grid).cells[0]
     crossed = np.zeros((grid.accum_nodes.size, grid.spots.size), dtype=bool)
-    crossed[rows, cols] = True
+    crossed.ravel()[flat] = True
     return crossed
 
 
