@@ -1174,8 +1174,9 @@ class TestFdPrice:
     def test_a_non_finite_lattice_is_never_priced(self, monkeypatch, bad, policy):
         # the solves do not check their input, so the price is checked: one
         # bad cell in each jump reaches the spot row, in a direct call and
-        # through the front end, which records the error instead of a price;
-        # read at a node or off a spline, it is the same error
+        # through the front end, which records the error instead of a price,
+        # for each target of a shared lattice; read at a node or off a
+        # spline, it is the same error
         original = fd.apply_jump
 
         def spoiled(values, plan, extra):
@@ -1189,14 +1190,16 @@ class TestFdPrice:
                            flat_model(), small, 1.05).spot_index is None) == (
             policy is PinPolicy.STRIKE_ONLY_THEN_INTERPOLATE)
         config = replace(cli.preset_table1(), engines=("fd",), fd=small,
-                         targets=(0.3,), knockouts=(KnockoutType.NO_GAIN,))
+                         targets=(0.3, 0.9), knockouts=(KnockoutType.NO_GAIN,))
         with np.errstate(all="ignore"):  # inf - inf warns on its way
             with pytest.raises(ValueError, match="^FD price is not finite"):
                 fd_price(benchmark_contract(KnockoutType.NO_GAIN, 0.3),
                          flat_model(), small, 1.05)
-            [record] = cli.run(config)
-        assert record.status.startswith("error: FD price is not finite")
-        assert math.isnan(record.price)
+            records = cli.run(config)
+        assert len(records) == 2
+        for record in records:
+            assert record.status.startswith("error: FD price is not finite")
+            assert math.isnan(record.price)
 
 
 class TestErrorEstimate:
