@@ -421,16 +421,16 @@ def run(config: RunConfig) -> list[ResultRecord]:
     and do not stop the remaining cases.  FD rows come before MC rows, and
     a case with an ok price from both engines gets a diff row.  Every case
     is given one cache dict, made for this run, and the tuple of the run's
-    contracts: the FD cases share its interval maps, since their spot grid
-    and fixing schedule do not depend on the target or the knockout type,
-    and for the same reason the first MC call prices all the run's cases in
-    one pass that simulates each batch once (see :func:`mc.mc_price`).
-    The first FD call of a knockout type prices all its targets on one
-    lattice when they are all nodes of its accumulation grid, whose node
-    count is then the least one from ``accumulation_nodes`` up that makes
-    them so (see :func:`fd.fd_price`).  Each later call reads its result
-    from the dict, and each case's ``wall_time_s`` is an equal share of the
-    first call's seconds.
+    contracts.  Since the spot grid, the fixing schedule and the paths do
+    not depend on the target or the knockout type, the first call of each
+    engine prices all the run's cases: FD on one spot grid and one set of
+    interval maps, the targets of a knockout type on one lattice when they
+    are all nodes of its accumulation grid, whose node count is then the
+    least one from ``accumulation_nodes`` up that makes them so (see
+    :func:`fd.fd_price`), and MC in one pass that simulates each batch once
+    (see :func:`mc.mc_price`).  Each later call reads its result from the
+    dict, and each case's ``wall_time_s`` is an equal share of the first
+    call's seconds.
     """
     tag = fingerprint(config)
     engines = [e for e in ("fd", "mc") if e in config.engines]

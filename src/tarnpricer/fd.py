@@ -53,25 +53,23 @@ short run, such as a start-up step or the step across a knot, costs no
 more to march than to power and is marched onto the map so far instead.
 Intervals with equal run keys and lengths share one map.  A map
 is built only when that costs less than stepping the rows that pass
-through its intervals, in this pricing and the other cases of its run on
-its schedule, strike and direction: both costs are estimated in seconds
-from per-step and per-product constants measured on a 2-core Xeon.
-Otherwise the rows are stepped, each step with its own length.
-Every interval's runs and map or None are one ``"fd.intervals"`` entry
-of a ``cache`` dict, keyed by the call's inputs less the target and the
-knockout type, which neither reads; so the cases of a run, passed one
-dict and the run's ``cases`` as with :func:`~tarnpricer.mc.mc_price`,
-make them once.  A fixing's flows depend on the accrued amount and the
-target only through the room left between them, so the lattice of a
-run's largest target holds each smaller target's values in the row of its
-room, wherever that is a node: the run's cases of one knockout type and
-extra payments whose targets are all nodes of one accumulation grid are
-priced by one lattice at the first call, which stores their results in
-the dict (:func:`_price_lattice`).  That dict is the engine's only cache:
-no memo outlives it.  Local volatility has per-node bands that change every step;
-it is marched step by step and holds no entry.  So a pricing is one
-backward loop: at each fixing a jump, then the interval's map applied or
-its steps marched.
+through its intervals in all the lattices of the pricing: both costs are
+estimated in seconds from per-step and per-product constants measured on
+a 2-core Xeon.  Otherwise the rows are stepped, each step with its own
+length.  A fixing's flows depend on the accrued amount and the target
+only through the room left between them, so the lattice of a run's
+largest target holds each smaller target's values in the row of its room,
+wherever that is a node: the cases of one knockout type and extra
+payments whose targets are all nodes of one accumulation grid are priced
+by one lattice (:func:`_price_lattice`).  The first call of a run, as
+with :func:`~tarnpricer.mc.mc_price`, prices every lattice of the cases
+on its schedule, strike and direction, which share one spot grid and one
+set of interval maps, and stores every case's result in the caller's
+dict.  That dict is the engine's only cache, and it holds only results.
+Local volatility has per-node bands that change every step; it is
+marched step by step, one interval's steps made at a time.  So a lattice
+is one backward loop: at each fixing a jump, then the interval's map
+applied or its steps marched.
 
 A march (:func:`_march`) steps its rows in two (J, M) buffers that it
 swaps, each step solved in place in the one that does not hold its
@@ -95,8 +93,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv as _gtsv
 from scipy.linalg.lapack import dptsv as _ptsv
 
-from .contract import (TarnContract, breach_flows, check_cases, fixing_flows, shared_terms,
-                       sharing_cases)
+from .contract import TarnContract, breach_flows, check_cases, fixing_flows, sharing_cases
 from .market import MarketModel, check_count, check_fields, check_positive
 
 __all__ = [
@@ -523,8 +520,10 @@ _SYMMETRIC_MIN_NODES = 7
 # gtsv on 12 rows of 1000 nodes, 306-338 against 299-324 on 20, 357-363
 # against 357-362 on 24 and 471-480 against 480-483 on 32; the two tied
 # at 20 rows of 2000 nodes, and at 200 nodes ptsv was slower up to 32
-# rows.  A pricing marches one row or its J rows (80 in the local-vol
-# benchmark), on the same side of either.
+# rows.  A lattice marches one row per target (1-4 in the benchmark, 2
+# under local volatility) from its first fixing to the valuation date, and
+# its J rows (81 under local volatility) elsewhere, on the same side of
+# either.
 _SYMMETRIC_MIN_ROWS = 24
 
 # The row weights span at most this ratio (normalized to at most 1, none
@@ -718,21 +717,19 @@ def theta_step(rows, dt: float, theta: float, bands_from, bands_to, closure, *,
     return out
 
 
-def _intervals(cache, lattices, model, contract, grid, config, spot, closure):
-    """The (runs, map or None) pair of every interval, last first, as the
-    backward loop takes them, ``runs`` as :func:`_interval_runs` makes them.
+def _intervals(lattices, model, grid, config, closure):
+    """A function of an interval's index k, the first interval 0, that
+    gives its (runs, map or None) pair, ``runs`` as :func:`_interval_runs`
+    makes them, for every lattice of a pricing.
 
     None means that stepping the interval's rows costs less than its map
     (P, p0), ``row -> row @ P + p0``.  Intervals with equal run keys and
-    lengths share one map, decided once by :func:`_map_pays` from the rows
-    that ``lattices``, the (cases, accumulation nodes) lattices on
-    ``contract``'s terms (:func:`_lattices`), march through each: a
-    lattice's cases in the first interval, its nodes in the others.  The
-    pairs, a tuple with read-only maps, are one ``cache`` entry keyed by
-    those rows and the call's inputs less the target and the knockout
-    type, which neither they nor the spot grid read.  Local volatility
-    holds none: its steps carry per-node levels and are made one interval
-    at a time as the loop reaches them.
+    lengths share one read-only map, decided once by :func:`_map_pays` from
+    the rows that ``lattices``, the (cases, accumulation nodes) lattices of
+    the pricing (:func:`_lattices`), march through each: a lattice's cases
+    in the first interval, its nodes in the others.  Local volatility has
+    no map: its steps carry per-node levels, so each lookup makes the
+    interval's runs anew and a lattice holds one interval's at a time.
     """
     times = (0.0,) + grid.fixing_times
 
@@ -740,27 +737,24 @@ def _intervals(cache, lattices, model, contract, grid, config, spot, closure):
         return _interval_runs(model, grid, times[k + 1], times[k],
                               grid.steps_per_interval[k], config)
 
-    k_total = len(grid.fixing_times)
     if not model.has_exact_transition:
-        return ((runs(k), None) for k in reversed(range(k_total)))
+        return lambda k: (runs(k), None)
+    k_total = len(grid.fixing_times)
     m = grid.spots.size
-    marched = tuple((nodes, len(group)) for group, nodes in lattices)
-    key = ("fd.intervals", marched, model, config, spot) + shared_terms(contract)
-    if key not in cache:
-        made = [runs(k) for k in range(k_total)]
-        shared = defaultdict(list)  # run keys and lengths -> the intervals
-        for k, interval in enumerate(made):
-            shared[tuple((run_key, len(run)) for run_key, run in interval)].append(k)
-        maps = [None] * k_total
-        for ks in shared.values():
-            first = made[ks[0]]
-            rows = [nodes if k else cases for k in ks for nodes, cases in marched]
-            if _map_pays([len(run) for _, run in first], rows, m):
-                mapped = _build_map(first, m, closure)
-                for k in ks:
-                    maps[k] = mapped
-        cache[key] = tuple(zip(made, maps))
-    return reversed(cache[key])
+    made = [runs(k) for k in range(k_total)]
+    shared = defaultdict(list)  # run keys and lengths -> the intervals
+    for k, interval in enumerate(made):
+        shared[tuple((run_key, len(run)) for run_key, run in interval)].append(k)
+    maps = [None] * k_total
+    for ks in shared.values():
+        first = made[ks[0]]
+        rows = [nodes if k else len(group) for k in ks for group, nodes in lattices]
+        if _map_pays([len(run) for _, run in first], rows, m):
+            mapped = _build_map(first, m, closure)
+            for k in ks:
+                maps[k] = mapped
+    pairs = tuple(zip(made, maps))
+    return lambda k: pairs[k]
 
 
 def _interval_runs(model, grid, t_hi, t_lo, n_steps, config):
@@ -918,7 +912,7 @@ def _build_map(runs, m, closure):
                 total = power if total is None else _compose(total, power)
             n >>= 1
             power = _compose(power, power) if n else None
-    total.setflags(write=False)  # every pricing given the cache reads it
+    total.setflags(write=False)  # every lattice of the pricing reads it
     return total[:m], total[m]
 
 
@@ -1126,15 +1120,15 @@ def _room_nodes(targets, nodes):
     return None
 
 
-def _lattices(contract, cases, nodes):
-    """The lattices that price the cases on ``contract``'s terms (see
-    :func:`~tarnpricer.contract.sharing_cases`), as (cases, accumulation
+def _lattices(cases, nodes):
+    """The lattices that price ``cases``, the cases on one contract's terms
+    (:func:`~tarnpricer.contract.sharing_cases`), as (cases, accumulation
     nodes) pairs.  The cases of one knockout type and extra payments are
     one lattice when their targets are nodes of one room grid
     (:func:`_room_nodes`); otherwise, and alone, a case is its own lattice
     of ``nodes``."""
     groups = defaultdict(list)
-    for case in sharing_cases(contract, cases):
+    for case in cases:
         groups[case.knockout, case.extra_payments].append(case)
     lattices = []
     for group in groups.values():
@@ -1146,29 +1140,25 @@ def _lattices(contract, cases, nodes):
     return lattices
 
 
-def _price_lattice(group, nodes, lattices, model, config, spot, cache):
+def _price_lattice(group, nodes, interval, model, config, spot, closure):
     """The prices of ``group``'s cases by one backward induction on the
-    lattice of its largest target with ``nodes`` accumulation nodes.
+    lattice of its largest target with ``nodes`` accumulation nodes,
+    through the pricing's ``interval`` pairs (:func:`_intervals`).
 
     A fixing's flows depend on the accrued amount A and the target U only
     through the room left, U - A, so the row of accrued amount ``U_max -
     U`` holds the values of target U at zero accrued; after the first
     fixing's jump those rows, one per case, are marched down to the
     valuation date.  A lone case's row is the zero-accrual row.
-    ``lattices`` are all the lattices on the group's terms, which decide
-    whether an interval is mapped (:func:`_intervals`).
     """
     top = max(group, key=operator.attrgetter("target"))
     grid = build_grid(top, model, config if nodes == config.accumulation_nodes
                       else replace(config, accumulation_nodes=nodes), spot)
-    _check_explicit_stability(grid, model, config)
-    closure = _closure(config.boundary, top.beta, grid.spots, grid.dx)
-    # maps are built before the jump plan and the lattice take their memory
-    intervals = _intervals(cache, lattices, model, top, grid, config, spot, closure)
     plan = JumpPlan.build(top, grid)
     rows = [nodes - 1 - round((nodes - 1) * case.target / top.target) for case in group]
     values = np.zeros((nodes, config.spot_nodes))
-    for k, (runs, mapped) in zip(range(top.num_fixings, 0, -1), intervals):
+    for k in range(top.num_fixings, 0, -1):
+        runs, mapped = interval(k - 1)
         values = apply_jump(values, plan, top.extra_payments[k - 1])
         if k == 1:
             values = values[rows]
@@ -1203,41 +1193,44 @@ def fd_price(
     interpolation in the log-spot when the spot is off-grid.
 
     ``cache`` is a dict the caller owns (not locked) and the engine's only
-    cache, and ``cases`` a tuple of the run's contracts as for
+    cache, and ``cases`` a tuple of the run's contracts, as for
     :func:`~tarnpricer.mc.mc_price`.  Given both, with ``contract`` among
-    the cases, the cases with ``contract``'s schedule, strike, direction,
-    knockout type and extra payments whose targets are all nodes of one
-    accumulation grid on [0, U_max] (:func:`_room_nodes`: the least node
-    count from ``config.accumulation_nodes`` up) are priced by one lattice,
-    the largest target's, at the first call (:func:`_price_lattice`).
-    Each such case's result is stored in the dict with an equal share of
-    that call's seconds as its ``wall_time`` and the lattice's node count
-    in its ``grid_shape``, and its own call returns it.  Every other case
-    is priced alone, on ``config``'s grid, and stores nothing.  Calls given
-    one dict share one ``"fd.intervals"`` entry, every interval's runs and
-    read-only map or None, keyed by the lattices on the call's terms and
-    the call's inputs less the target and the knockout type (see
-    :func:`_intervals`), until the caller drops it; by default it lives for
-    this call.  A non-finite price is never returned: it raises ValueError.
+    the cases, a pricing prices every case with ``contract``'s schedule,
+    strike and direction (:func:`~tarnpricer.contract.sharing_cases`), on
+    one spot grid and one set of interval maps (:func:`_intervals`).  The
+    cases of one knockout type and extra payments whose targets are all
+    nodes of one accumulation grid on [0, U_max] (:func:`_room_nodes`: the
+    least node count from ``config.accumulation_nodes`` up) are priced by
+    one lattice, the largest target's; every other case by its own, on
+    ``config``'s grid (:func:`_price_lattice`).  Every case's result is
+    stored in the dict, keyed by the call's inputs and those cases, with an
+    equal share of the call's seconds as its ``wall_time`` and its
+    lattice's node count in its ``grid_shape``, and its own call returns
+    it.  Without a dict, or with ``contract`` not in ``cases``, the case is
+    priced alone.  A non-finite price is never returned: it raises
+    ValueError.
     """
     check_cases(cases)
     started = time.perf_counter()
     if cache is None:  # no other case's result would be kept
         cache, cases = {}, ()
-    lattices = _lattices(contract, cases, config.accumulation_nodes)
-    group, nodes = next(lattice for lattice in lattices if contract in lattice[0])
-    shape = (config.spot_nodes, nodes, config.time_steps)
-    if len(group) == 1:
-        (price,) = _price_lattice(group, nodes, lattices, model, config, spot, cache)
-        result = PriceResult(price, time.perf_counter() - started, shape)
-    else:
-        key = ("fd.result", model, config, spot, group)
-        if key + (contract,) not in cache:
-            prices = _price_lattice(group, nodes, lattices, model, config, spot, cache)
-            share = (time.perf_counter() - started) / len(group)
-            for case, price in zip(group, prices):
-                cache[key + (case,)] = PriceResult(price, share, shape)
-        result = cache[key + (contract,)]
+    same = sharing_cases(contract, cases)
+    key = ("fd.result", model, config, spot, same)
+    if key + (contract,) not in cache:
+        grid = build_grid(contract, model, config, spot)  # every lattice's spot grid
+        _check_explicit_stability(grid, model, config)
+        closure = _closure(config.boundary, contract.beta, grid.spots, grid.dx)
+        lattices = _lattices(same, config.accumulation_nodes)
+        # maps are built before the jump plans and the lattices take their memory
+        interval = _intervals(lattices, model, grid, config, closure)
+        priced = [(case, price, (config.spot_nodes, nodes, config.time_steps))
+                  for group, nodes in lattices
+                  for case, price in zip(group, _price_lattice(
+                      group, nodes, interval, model, config, spot, closure))]
+        share = (time.perf_counter() - started) / len(priced)
+        for case, price, shape in priced:
+            cache[key + (case,)] = PriceResult(price, share, shape)
+    result = cache[key + (contract,)]
     if not math.isfinite(result.price):
         # the solves do not check for NaN or inf, but either reaches the
         # spot row through the solves, the splines and the map products

@@ -416,7 +416,8 @@ class TestSymmetricStep:
     @pytest.mark.parametrize("m", [60, 1000])
     def test_fewer_rows_keep_gtsv(self, monkeypatch, m):
         # at up to 20 rows of 1000 nodes gtsv took less time than ptsv: a local
-        # vol case marches one row from its first fixing to the valuation date
+        # vol lattice marches one row per target (2 in the benchmark) from its
+        # first fixing to the valuation date
         assert self.local_vol_step(monkeypatch, m, rows=1) == ["gtsv"]
         assert self.local_vol_step(monkeypatch, m, rows=fd._SYMMETRIC_MIN_ROWS - 1) \
             == ["gtsv"]

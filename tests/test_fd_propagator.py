@@ -174,6 +174,22 @@ def count_made(monkeypatch):
     return made
 
 
+def spy_intervals(monkeypatch):
+    """The (lattices, interval) of every ``fd._intervals`` call, in order:
+    the (cases, accumulation nodes) of the lattices it is given, and the
+    function of the interval index it returns."""
+    calls = []
+    original = fd._intervals
+
+    def spy(lattices, *args):
+        calls.append(([(len(group), nodes) for group, nodes in lattices],
+                      original(lattices, *args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(fd, "_intervals", spy)
+    return calls
+
+
 def run_lengths(runs):
     return [len(run) for _, run in runs]
 
@@ -200,6 +216,7 @@ def test_equal_steps_on_a_rounding_boundary_form_one_run(monkeypatch):
     # interval's nominal dt, each interval is still one run, and one map
     # serves all five
     built = count_builds(monkeypatch)
+    spied = spy_intervals(monkeypatch)
     times = tuple(0.11826178626460132 * k for k in range(1, 6))
     model = flat_model(r_d=0.02, r_f=0.01)
     config = FdConfig(spot_nodes=200, accumulation_nodes=50, time_steps=200)
@@ -210,7 +227,8 @@ def test_equal_steps_on_a_rounding_boundary_form_one_run(monkeypatch):
         got = fd_price(contract, model, config, 1.0, cache=cache, cases=cases).price
         assert got == pytest.approx(reference_price(contract, model, config, 1.0),
                                     rel=1e-12, abs=0.0)
-    (entry,) = cache.values()
+    ((_, interval),) = spied
+    entry = [interval(k) for k in range(5)]
     assert len({f"{step[0]:.11e}" for _, run in entry[2][0] for step in run}) == 2
     assert [len(runs) for runs, _ in entry] == [1] * 5
     assert len(built) == 1
@@ -252,8 +270,8 @@ def test_each_interval_makes_its_steps_once(monkeypatch, local):
 
 
 def test_a_run_makes_each_interval_steps_once(monkeypatch):
-    # a run's three cases share one pricing shape, so one "fd.intervals"
-    # entry of its cache: K intervals' runs are made, not 3K
+    # the first call of a run prices its three cases, one lattice each, on
+    # one set of intervals: K intervals' runs are made, not 3K
     made = count_made(monkeypatch)
     config = dataclasses.replace(
         cli.preset_table1(), engines=("fd",), fd=GRID,
@@ -283,6 +301,25 @@ def test_run_builds_maps_its_cases_pay_for(monkeypatch):
         assert rec.price == pytest.approx(
             reference_price(contract, model, lattice, 1.05, rec.target),
             rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("model, shapes", [
+    (flat_model(r_d=0.02), 1), (knot_in_every_interval_model(), 8),
+], ids=["equal_intervals", "knot_in_every_interval"])
+def test_each_terms_group_builds_each_interval_shape_once(monkeypatch, model, shapes):
+    # two strikes are two groups of twelve cases on one dict, each group
+    # the run above: its first call builds one map per interval shape for
+    # its three lattices, and its other eleven calls read their results
+    built = count_builds(monkeypatch)
+    cases = tuple(TarnContract(strike=strike, target=target, beta=1,
+                               fixing_times=benchmark_times(8), knockout=knockout)
+                  for strike in (1.0, 1.02) for knockout in KnockoutType
+                  for target in (0.1, 0.2, 0.3, 0.4))
+    cache, counts = {}, []
+    for contract in cases:
+        fd_price(contract, model, GRID, 1.05, cache=cache, cases=cases)
+        counts.append(len(built))
+    assert counts == [shapes] * 12 + [2 * shapes] * 12
 
 
 def test_one_row_through_a_long_interval_at_large_m_is_marched():
@@ -557,7 +594,7 @@ def test_maps_keep_no_entry_a_product_could_underflow_on(n, t_hi):
         assert np.all((array == 0.0) | (np.abs(array) >= fd._NEGLIGIBLE))
 
 
-def test_a_price_never_depends_on_what_was_priced_before_it():
+def test_a_price_never_depends_on_what_was_priced_before_it(monkeypatch):
     # one dict across two spot grids, two accumulation grids (the rows an
     # interval's map-or-march choice is made from), runs of one and of 12
     # cases, two models, both boundaries and both betas, walked forward and
@@ -581,31 +618,28 @@ def test_a_price_never_depends_on_what_was_priced_before_it():
     # marches 2 of its 8 intervals at J = 20 and 4 at J = 6
     by_j = [(call_contract(), models[1], replace(GRID, accumulation_nodes=j), ())
             for j in (20, 6)]
-    marched = []
+    spied = spy_intervals(monkeypatch)
     for contract, model, config, run in by_j:
-        own = {}
-        fd_price(contract, model, config, 1.05, cache=own, cases=run)
-        (entry,) = own.values()
-        marched.append(sum(mapped is None for _, mapped in entry))
-    assert marched == [2, 4]
+        fd_price(contract, model, config, 1.05, cache={}, cases=run)
+    assert [sum(interval(k)[1] is None for k in range(8))
+            for _, interval in spied] == [2, 4]
     cases += by_j
     for contract, model, config, run in cases + cases[::-1]:
         got = fd_price(contract, model, config, 1.05, cache=cache, cases=run).price
         want = fd_price(contract, model, config, 1.05, cache={}, cases=run).price
         assert got == want
-    assert {key[3].spot_nodes for key in cache
-            if key[0] == "fd.intervals"} == {120, 90}
+    assert {key[2].spot_nodes for key in cache} == {120, 90}
 
 
-def interval_entries(cache):
-    return [key for key in cache if key[0] == "fd.intervals"]
+def results(cache):
+    return [key for key in cache if key[0] == "fd.result"]
 
 
-def test_pricings_of_one_shape_share_one_entry(monkeypatch):
+def test_the_first_call_of_a_run_prices_every_case(monkeypatch):
     # the target and the knockout type change neither the spot grid nor J,
-    # so the second pricing makes no step and builds no map; it reads the
-    # held maps, which no pricing may write to, and equals a pricing that
-    # made its own
+    # so both cases are priced at the first call, through maps that no
+    # lattice may write to; the second call makes no step, builds no map
+    # and reads a result equal to a pricing of its own
     built = count_builds(monkeypatch)
     made = count_made(monkeypatch)
     cache = {}
@@ -621,27 +655,30 @@ def test_pricings_of_one_shape_share_one_entry(monkeypatch):
             offset += 1.0
     built.clear()
     made.clear()
+    assert [key[-1] for key in results(cache)] == list(cases) and len(cache) == 2
     again = fd_price(other, model, GRID, 1.05, cache=cache, cases=cases).price
     assert (built, made) == ([], [])
-    assert len(interval_entries(cache)) == 1
-    assert isinstance(cache[interval_entries(cache)[0]], tuple)
     assert again == fd_price(other, model, GRID, 1.05, cache={}, cases=cases).price
 
 
-def test_each_shape_input_adds_one_entry():
+def test_each_input_of_a_price_is_in_its_key():
+    # every call below prices: a case alone and the same case in a run of
+    # 12 are two keys, since the run's other lattices can change its maps
     cache = {}
     model = flat_model(r_d=0.02)
     shapes = [
-        (call_contract(), GRID, ()),
-        (call_contract(), replace(GRID, accumulation_nodes=6), ()),
-        (call_contract(), GRID, run_of(call_contract(), 12)),
+        (call_contract(), GRID, (), 1),
+        (call_contract(), replace(GRID, accumulation_nodes=6), (), 1),
+        (call_contract(), GRID, run_of(call_contract(), 12), 12),
         (call_contract(),
-         replace(GRID, boundary=BoundaryKind.DIRICHLET_NEUMANN_BY_DIRECTION), ()),
-        (put_contract(), GRID, ()),
+         replace(GRID, boundary=BoundaryKind.DIRICHLET_NEUMANN_BY_DIRECTION), (), 1),
+        (put_contract(), GRID, (), 1),
     ]
-    for count, (contract, config, cases) in enumerate(shapes, start=1):
+    count = 0
+    for contract, config, cases, priced in shapes:
         fd_price(contract, model, config, 1.05, cache=cache, cases=cases)
-        assert len(interval_entries(cache)) == count
+        count += priced
+        assert len(results(cache)) == len(cache) == count
 
 
 def test_local_vol_pricings_hold_no_entry():
@@ -656,20 +693,6 @@ def test_local_vol_pricings_hold_no_entry():
     # each knockout's two targets share a lattice, whose results are kept
     assert {key[0] for key in cache} == {"fd.result"}
     assert all(isinstance(result, fd.PriceResult) for result in cache.values())
-
-
-def spy_lattices(monkeypatch):
-    """The (cases, accumulation nodes) of the lattices each
-    ``fd._intervals`` call is given, in order."""
-    lattices = []
-    original = fd._intervals
-
-    def spy(cache, given, *args):
-        lattices.append([(len(group), nodes) for group, nodes in given])
-        return original(cache, given, *args)
-
-    monkeypatch.setattr(fd, "_intervals", spy)
-    return lattices
 
 
 SAME_TERMS = (replace(call_contract(), target=0.3), call_contract(KnockoutType.NO_GAIN))
@@ -696,6 +719,6 @@ def test_maps_count_the_lattices_on_its_terms(monkeypatch, cache, cases, lattice
     # cases on another strike, schedule or direction march their own rows;
     # the part_gain targets share one lattice, the no_gain case is its own;
     # without a dict, or outside its cases, a pricing is its own lattice
-    spied = spy_lattices(monkeypatch)
+    spied = spy_intervals(monkeypatch)
     fd_price(call_contract(), flat_model(r_d=0.02), GRID, 1.05, cache=cache, cases=cases)
-    assert spied == [lattices]
+    assert [given for given, _ in spied] == [lattices]

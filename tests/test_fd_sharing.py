@@ -1,10 +1,13 @@
 """One FD lattice per schedule, strike, direction, knockout type and extra
 payments prices all of a run's targets whose rooms left are nodes of one
-accumulation grid; every other case is priced alone."""
+accumulation grid; every other case is priced on a lattice of its own.  The
+first call of a run prices them all."""
 
 import dataclasses
-import time
+import itertools
+import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +22,7 @@ from tarnpricer import (
     fd_price,
 )
 from tarnpricer import fd
+from tarnpricer.mc import McResult
 
 from conftest import benchmark_contract, flat_model
 
@@ -63,39 +67,89 @@ def test_targets_that_are_not_nodes_are_priced_alone():
     for case in cases:
         got = fd_price(case, model, SMALL, 1.02, cache=cache, cases=cases).price
         assert got == fd_price(case, model, SMALL, 1.02).price
-    assert not [key for key in cache if key[0] == "fd.result"]
+    assert len(cache) == len(cases)
+    assert {result.grid_shape for result in cache.values()} == {(200, 50, 200)}
 
 
 def test_a_run_builds_one_jump_plan_per_knockout(monkeypatch):
-    # the first call of each knockout prices its four targets; the others
-    # read their results, and each result's seconds are an equal share of
-    # the first call's, which took at least the lattice's
-    plans, lattice_s, call_s = [], [], []
-    build, price_lattice, price = fd.JumpPlan.build, fd._price_lattice, cli.fd_price
+    # the first call prices every case, each knockout's four targets on
+    # one lattice; the other eleven calls read their results
+    plans, lattices = [], []
+    build, price_lattice = fd.JumpPlan.build, fd._price_lattice
 
     def planning(contract, grid):
         plans.append(contract)
         return build(contract, grid)
 
-    def timed(record, function):
-        def call(*args, **kwargs):
-            started = time.perf_counter()
-            out = function(*args, **kwargs)
-            record.append(time.perf_counter() - started)
-            return out
-        return call
+    def pricing(group, *args):
+        lattices.append(len(group))
+        return price_lattice(group, *args)
 
     monkeypatch.setattr(fd.JumpPlan, "build", planning)
-    monkeypatch.setattr(fd, "_price_lattice", timed(lattice_s, price_lattice))
-    monkeypatch.setattr(cli, "fd_price", timed(call_s, price))
+    monkeypatch.setattr(fd, "_price_lattice", pricing)
+    calls = []
+    price = cli.fd_price
+    monkeypatch.setattr(cli, "fd_price",
+                        lambda *args, **kwargs: calls.append(len(lattices))
+                        or price(*args, **kwargs))
     config = dataclasses.replace(cli.preset_table1(), engines=("fd",), fd=SMALL)
     records = cli.run(config)
     assert [(c.knockout, c.target) for c in plans] == [(k, 0.9) for k in config.knockouts]
-    assert len(lattice_s) == 3 and len(call_s) == 12
-    for g in range(3):
-        shares = [r.wall_time_s for r in records[4 * g:4 * g + 4]]
-        assert len(set(shares)) == 1
-        assert lattice_s[g] <= sum(shares) <= call_s[4 * g]
+    assert lattices == [4, 4, 4]
+    assert calls == [0] + [3] * 11
+    assert [r.status for r in records] == ["ok"] * 12
+
+
+def test_a_runs_shares_sum_to_its_first_calls_seconds(monkeypatch):
+    # a clock that reads one second later at every reading: the first call
+    # reads it before and after its lattices, each later call once
+    monkeypatch.setattr(fd, "time", SimpleNamespace(perf_counter=itertools.count().__next__))
+    config = dataclasses.replace(cli.preset_table1(), engines=("fd",), fd=SMALL)
+    shares = [r.wall_time_s for r in cli.run(config)]
+    assert len(shares) == 12 and len(set(shares)) == 1
+    assert math.fsum(shares) == pytest.approx(1.0, rel=1e-15, abs=0.0)
+
+
+def test_a_run_keeps_only_results(monkeypatch):
+    # one entry per case and engine: no maps, no intervals, no paths
+    caches = []
+    price = cli.fd_price
+
+    def keeping(*args, cache, cases):
+        caches.append(cache)
+        return price(*args, cache=cache, cases=cases)
+
+    monkeypatch.setattr(cli, "fd_price", keeping)
+    config = dataclasses.replace(
+        cli.preset_table1(), fd=SMALL, mc=dataclasses.replace(cli.preset_table1().mc,
+                                                              n_paths=4000))
+    cli.run(config)
+    cache = caches[0]
+    assert all(c is cache for c in caches) and len(caches) == 12
+    kinds = [key[0] for key in cache]
+    assert (kinds.count("fd.result"), kinds.count("mc.result"), len(kinds)) == (12, 12, 24)
+    assert all(isinstance(result, (fd.PriceResult, McResult)) for result in cache.values())
+
+
+@pytest.mark.parametrize("keep, listed", [(False, True), (True, False)],
+                         ids=["no_dict", "not_in_its_cases"])
+def test_a_lone_call_prices_only_its_own_lattice(monkeypatch, keep, listed):
+    # without a dict, or outside its cases, a call prices its own lattice
+    # on its own grid, whatever else the cases hold
+    groups = []
+    price_lattice = fd._price_lattice
+    monkeypatch.setattr(fd, "_price_lattice",
+                        lambda group, nodes, *args: groups.append((group, nodes))
+                        or price_lattice(group, nodes, *args))
+    contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
+    others = tuple(benchmark_contract(k, u) for k in KnockoutType for u in TARGETS)
+    cases = others if listed else tuple(c for c in others if c != contract)
+    cache = {} if keep else None
+    result = fd_price(contract, flat_model(), SMALL, 1.05, cache=cache, cases=cases)
+    assert groups == [((contract,), 50)]
+    assert result.grid_shape == (200, 50, 200)
+    if keep:
+        assert list(cache.values()) == [result]
 
 
 @pytest.mark.parametrize("knockout", KnockoutType, ids=lambda k: k.value)

@@ -715,7 +715,7 @@ class TestSharedSimulation:
         batch = ["simulate_fixing_paths", "batch_present_value", "_control_values"]
         assert calls == ["vanilla_price"] * 20 + batch * 2 * 3
         assert len(caches) == 6 and all(c is caches[0] for c in caches)
-        assert {key[0] for key in caches[0]} == {"fd.intervals", "fd.result", "mc.result"}
+        assert {key[0] for key in caches[0]} == {"fd.result", "mc.result"}
 
     def test_a_failing_case_keeps_nothing_alive_after_the_run(self, monkeypatch):
         # the dict holds only results and each call raises its own error, so
