@@ -1,6 +1,8 @@
 """Exact two-fixing prices (``tests/quad_oracle.py``) against their reference
 values, against Monte Carlo and against the FD engine."""
 
+from dataclasses import replace
+
 import pytest
 
 from tarnpricer import (
@@ -135,3 +137,16 @@ def test_fd_agrees_across_the_knockout_at_a_small_grid(name, knockout, rel):
     contract, model, spot = note(name, knockout)
     got = fd_price(contract, model, SMALL_GRID, spot).price
     assert got == pytest.approx(quad_oracle.price(contract, model, spot), rel=rel)
+
+
+@pytest.mark.xfail(strict=True, reason="the strike node's cell holds the paying spots "
+                   "(K, K + U) of a target below the first paying node's gross amount, "
+                   "but its live side pays the node's own gross amount, zero")
+def test_fd_no_gain_resolves_a_target_below_the_first_paying_node():
+    # the call note with U = 0.002, below the 0.0033 gross amount of the
+    # node above the strike at 200x50x200: exact 1.6245e-5, FD 5.709e-6
+    # (-64.9%); at 400 and 800 spot nodes FD reads -5.5% and -3.2%
+    contract, model, spot = note("call", KnockoutType.NO_GAIN)
+    contract = replace(contract, target=0.002)
+    got = fd_price(contract, model, SMALL_GRID, spot).price
+    assert got == pytest.approx(quad_oracle.price(contract, model, spot), rel=0.05)
