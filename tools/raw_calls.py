@@ -13,12 +13,16 @@ run per checkout on the first seed, parent first, then one pair per seed,
 the parent first in even-indexed pairs, since whichever side runs second
 reads slower.  It prints one line per run as it finishes::
 
-    pair N  seed S  side  fd_raw_p50  mc_raw_p50  probe_p50  factor  fd_p50  mc_p50
+    pair N  seed S  side  fd_raw_p50  mc_raw_p50  probe_p50  factor  wall_raw_p50
+    fd_p50  mc_p50
 
 the medians of the raw FD and MC call seconds and of the probe seconds over
-every pass, the scale factor ``probe_ref_s / probe_p50`` and the scaled
-call medians that ``run.py`` reports as ``fd_price_s_p50`` and
-``mc_price_s_p50``.  Compare the pairs: the warm-up runs, labelled
+every pass, the scale factor ``probe_ref_s / probe_p50``, the median of
+the passes' unscaled wall seconds (probes left out, the worker's
+``wall_s``), and the scaled call medians that ``run.py`` reports as
+``fd_price_s_p50`` and ``mc_price_s_p50``.  A raw pass wall that moves
+with the scaled metrics is the program's; scaled metrics that move while
+it stays are the probe's.  Compare the pairs: the warm-up runs, labelled
 ``warm-up``, read fast and are only shown.  Usage::
 
     python tools/raw_calls.py PARENT CHANGE --workload local_vol --seeds 2711-2712
@@ -54,13 +58,15 @@ def worker_run(checkout: Path, workload: str, seed: int) -> dict:
 
 
 def medians(result: dict) -> dict:
-    """Raw and scaled call medians, the probe median and the scale factor."""
+    """Raw and scaled call medians, the probe median, the scale factor and
+    the raw pass wall median."""
     passes = result["passes"]
     fd = statistics.median(t for p in passes for t in p["fd_s"])
     mc = statistics.median(t for p in passes for t in p["mc_s"])
     probe = statistics.median(t for p in passes for t in p["probe_s"])
     factor = result["probe_ref_s"] / probe
     return {"fd_raw_p50": fd, "mc_raw_p50": mc, "probe_p50": probe, "factor": factor,
+            "wall_raw_p50": statistics.median(p["wall_s"] for p in passes),
             "fd_p50": fd * factor, "mc_p50": mc * factor}
 
 
