@@ -8,7 +8,7 @@ closure, made once per pricing (:func:`_closure`), is substituted into rows
 1 and M-2, and the end values are set from it after the solve.  Under local
 volatility a step is symmetrized and solved by one direct call of LAPACK
 ``ptsv`` (:func:`_symmetric_step`) where its cell Peclet numbers are below
-1 and it steps 24 rows or more.  Every other tridiagonal system, a step's
+1, whatever its row count.  Every other tridiagonal system, a step's
 and a spline's, is one LAPACK band array solved by one direct call of
 ``gtsv`` (:func:`_solve_bands`), without ``scipy.linalg.solve_banded``'s
 per-call checks; so no solve rejects a NaN or an infinity, and
@@ -63,9 +63,11 @@ wherever that is a node: the cases of one knockout type and extra
 payments whose targets are all nodes of one accumulation grid are priced
 by one lattice (:func:`_price_lattice`).  The first call of a run, as
 with :func:`~tarnpricer.mc.mc_price`, prices every lattice of the cases
-on its schedule, strike and direction, which share one spot grid and one
-set of interval maps, and stores every case's result in the caller's
-dict.  That dict is the engine's only cache, and it holds only results.
+on its schedule, strike and direction, which share one spot grid and
+time schedule (:func:`build_grid`, made once per pricing) and one set of
+interval maps, and stores every case's result in the caller's dict; a
+lattice owns only its accumulation axis, made by its :class:`JumpPlan`.
+That dict is the engine's only cache, and it holds only results.
 Local volatility has per-node bands that change every step; it is
 marched step by step, one interval's steps made at a time.  So a lattice
 is one backward loop: at each fixing a jump, then the interval's map
@@ -162,7 +164,9 @@ class FdConfig:
 
 @dataclass(frozen=True, eq=False)
 class FdGrid:
-    """Realized grids for one pricing run.
+    """The log-spot grid and time schedule of one pricing, which all its
+    lattices share; each lattice's accumulation axis is its
+    :class:`JumpPlan`'s.
 
     ``spot_index`` is the node of the initial spot, or None when the spot is
     off-grid and the price is read by a one-off spline interpolation in the
@@ -173,15 +177,12 @@ class FdGrid:
     spots: np.ndarray
     dx: float
     spot_index: int | None
-    accum_nodes: np.ndarray
-    h: float
     steps_per_interval: tuple[int, ...]
     fixing_times: tuple[float, ...]
 
     def __post_init__(self) -> None:
         self.log_spots.setflags(write=False)
         self.spots.setflags(write=False)
-        self.accum_nodes.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -426,14 +427,16 @@ def build_grid(
     config: FdConfig,
     spot: float,
 ) -> FdGrid:
-    """Construct the log-spot grid, accumulation grid and step allocation.
+    """Construct the log-spot grid and step allocation of one pricing.
 
     The log-spot domain spans ``domain_width_sigmas`` representative
     standard deviations either side of the spot (representative volatility:
     the largest level the specification can reach over the note's life).
-    The accumulation grid runs uniformly from zero to the target.
+    ``spot`` is not checked here: :func:`fd_price` has checked it.  A theta
+    < 1/2 scheme whose explicit part would blow up is rejected here, where
+    dt and dx are made: by von Neumann it is stable when (1 - 2 theta) dt
+    sigma^2 / dx^2 <= 1 on every step, with the representative volatility.
     """
-    check_positive(spot, "spot")
     horizon = contract.maturity
     sigma_bar = model.vol.max_sigma(horizon)
     half_width = config.domain_width_sigmas * sigma_bar * math.sqrt(horizon)
@@ -445,18 +448,24 @@ def build_grid(
     spots[strike_index] = contract.strike  # remove round-trip noise at the pins
     if spot_index is not None:
         spots[spot_index] = spot
-    accum = np.linspace(0.0, contract.target, config.accumulation_nodes)
-    h = contract.target / (config.accumulation_nodes - 1)
     times = (0.0,) + contract.fixing_times
     durations = [b - a for a, b in zip(times, times[1:])]
     steps = _allocate_steps(config.time_steps, durations)
+    if config.theta < 0.5:
+        dt = max(d / n for d, n in zip(durations, steps))
+        ratio = (1.0 - 2.0 * config.theta) * dt * sigma_bar * sigma_bar / (dx * dx)
+        if ratio > 1.0:
+            raise ValueError(
+                f"unstable explicit scheme: theta = {config.theta} with "
+                f"time_steps = {config.time_steps} gives (1 - 2 theta) dt sigma^2 "
+                f"/ dx^2 = {ratio:.3g} > 1; raise theta to 0.5 or more, or "
+                "raise time_steps"
+            )
     return FdGrid(
         log_spots=x,
         spots=spots,
         dx=dx,
         spot_index=spot_index,
-        accum_nodes=accum,
-        h=h,
         steps_per_interval=steps,
         fixing_times=contract.fixing_times,
     )
@@ -512,19 +521,6 @@ class _Carry:
 # three rows.  Smaller grids keep gtsv, which costs no more there; on 4
 # nodes the folded rows 1 and M-2 are neighbours, with no block between.
 _SYMMETRIC_MIN_NODES = 7
-
-# ... and when it steps at least this many rows: its per-node vector work
-# is not earned back on fewer.  Marching 17 local-vol steps, both solves
-# making their explicit side from the carry (2-core Xeon, medians of 150
-# marches, two rounds), ptsv took 285-292 against 247-252 us a step for
-# gtsv on 12 rows of 1000 nodes, 306-338 against 299-324 on 20, 357-363
-# against 357-362 on 24 and 471-480 against 480-483 on 32; the two tied
-# at 20 rows of 2000 nodes, and at 200 nodes ptsv was slower up to 32
-# rows.  A lattice marches one row per target (1-4 in the benchmark, 2
-# under local volatility) from its first fixing to the valuation date, and
-# its J rows (81 under local volatility) elsewhere, on the same side of
-# either.
-_SYMMETRIC_MIN_ROWS = 24
 
 # The row weights span at most this ratio (normalized to at most 1, none
 # below 1e-200), so no weighted value is pushed towards the subnormals.
@@ -664,8 +660,8 @@ def theta_step(rows, dt: float, theta: float, bands_from, bands_to, closure, *,
     solve for all rows, and sets the end values after it, so it holds
     exactly at the new level.  The solve is ``ptsv`` on the
     symmetrized system (:func:`_symmetric_step`) when the implicit bands
-    are per-node arrays (local volatility), M >= 7 and J >= 24, else, or
-    when that declines, ``gtsv`` (:func:`_banded_step`).  Scalar bands,
+    are per-node arrays (local volatility) and M >= 7, whatever J, else,
+    or when that declines, ``gtsv`` (:func:`_banded_step`).  Scalar bands,
     whose steps mostly feed interval maps, keep ``gtsv``: at 1-73 rows on
     200 nodes the symmetric step was slower.
 
@@ -705,7 +701,7 @@ def theta_step(rows, dt: float, theta: float, bands_from, bands_to, closure, *,
         if carry.side is None:
             carry.side = np.empty((j, m))
         np.copyto(carry.side, out)
-    symmetric = j >= _SYMMETRIC_MIN_ROWS and m >= _SYMMETRIC_MIN_NODES and per_node
+    symmetric = per_node and m >= _SYMMETRIC_MIN_NODES
     # a theta 0 step's explicit side is its level: nothing to solve
     if c and not (symmetric and _symmetric_step(out, bands_to, c, closure)):
         if symmetric:
@@ -934,36 +930,17 @@ def _march(values, runs, closure):
     return values
 
 
-def _check_explicit_stability(grid, model, config) -> None:
-    """Reject a theta < 1/2 scheme whose explicit part would blow up.
-
-    Von Neumann: the scheme is stable when
-    (1 - 2 theta) * dt * sigma^2 / dx^2 <= 1 on every step.
-    """
-    if config.theta >= 0.5:
-        return
-    starts = (0.0,) + grid.fixing_times
-    dt = max((b - a) / n for a, b, n in
-             zip(starts, grid.fixing_times, grid.steps_per_interval))
-    sigma = model.vol.max_sigma(grid.fixing_times[-1])
-    ratio = (1.0 - 2.0 * config.theta) * dt * sigma * sigma / (grid.dx * grid.dx)
-    if ratio > 1.0:
-        raise ValueError(
-            f"unstable explicit scheme: theta = {config.theta} with "
-            f"time_steps = {config.time_steps} gives (1 - 2 theta) dt sigma^2 "
-            f"/ dx^2 = {ratio:.3g} > 1; raise theta to 0.5 or more, or "
-            "raise time_steps"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class JumpPlan:
     """Everything in a fixing jump that does not depend on the lattice.
 
     A fixing enters the jump only through its extra payment, which is the
     amount times a per-cell factor, so one plan serves every fixing of a
-    pricing.  It holds the fixing's cash flows on the (J, M) lattice
-    (``payment``, the ``dead`` breach mask and ``extra_weight``, the
+    lattice.  The plan makes the lattice's accumulation axis, its J nodes
+    uniform from exactly zero to exactly the target, and keeps only their
+    spacing ``h``, which the spline solve needs.  It holds the fixing's
+    cash flows on the (J, M) lattice (``payment``, the ``dead`` breach
+    mask and ``extra_weight``, the
     factor of the extra payment: :func:`tarnpricer.contract.fixing_flows`
     of a unit extra), the ``band`` of spot nodes whose gross amount lies in
     ``(0, U)``, and where each of the band's cells has its shifted amount
@@ -982,7 +959,7 @@ class JumpPlan:
     such node ``(1 - f) alive + f dead``.
     """
 
-    grid: FdGrid
+    h: float
     payment: np.ndarray
     dead: np.ndarray
     extra_weight: np.ndarray
@@ -991,26 +968,29 @@ class JumpPlan:
     cells: tuple[np.ndarray, ...]
 
     @classmethod
-    def build(cls, contract: TarnContract, grid: FdGrid) -> "JumpPlan":
-        """The plan of every fixing of ``contract`` on ``grid``."""
-        accum = grid.accum_nodes[:, None]
+    def build(cls, contract: TarnContract, grid: FdGrid, nodes: int) -> "JumpPlan":
+        """The plan of every fixing of ``contract`` on ``grid``'s spots and
+        ``nodes`` accumulation nodes from zero to the target."""
+        accum = np.linspace(0.0, contract.target, nodes)
+        h = contract.target / (nodes - 1)
         gross = contract.gross(grid.spots)
         payment, extra_weight, dead = fixing_flows(
-            gross, accum, 1.0, contract.knockout, contract.target,
+            gross, accum[:, None], 1.0, contract.knockout, contract.target,
         )
         paying = np.flatnonzero((gross > 0.0) & (gross < contract.target))
         band = (slice(int(paying[0]), int(paying[-1]) + 1) if paying.size
                 else slice(0, 0))
-        queries = accum + payment[:, band]
+        queries = accum[:, None] + payment[:, band]
         np.minimum(queries, contract.target, out=queries)
-        reads = _spline_reads(0.0, grid.h, queries, grid.accum_nodes.size)
-        return cls(grid, payment, dead, extra_weight, band, reads,
-                   _crossed_cells(contract, grid, gross, dead))
+        reads = _spline_reads(0.0, h, queries, nodes)
+        return cls(h, payment, dead, extra_weight, band, reads,
+                   _crossed_cells(contract, grid, accum, gross, dead))
 
 
-def _crossed_cells(contract, grid, gross, dead):
-    """:class:`JumpPlan`'s ``cells``: per row, the one or two nodes next to
-    its breach spot whose cell the breach spot crosses, ``0 < f < 1``.
+def _crossed_cells(contract, grid, accum, gross, dead):
+    """:class:`JumpPlan`'s ``cells``: per row of the accumulation nodes
+    ``accum``, the one or two nodes next to its breach spot whose cell the
+    breach spot crosses, ``0 < f < 1``.
 
     The breached fraction of node x's cell is ``f = 1/2 + beta (x - ln S*)
     / dx``, clipped to [0, 1]; a put's row whose room is at least the
@@ -1024,7 +1004,7 @@ def _crossed_cells(contract, grid, gross, dead):
     ``weight = keep + f * factor``.
     """
     j_nodes, m_nodes = dead.shape
-    room = contract.target - grid.accum_nodes
+    room = contract.target - accum
     breach_spot = contract.strike + contract.beta * room
     rows = np.flatnonzero(breach_spot > 0.0)
     ln_breach = np.log(breach_spot[rows])[:, None]
@@ -1078,7 +1058,7 @@ def apply_jump(values: np.ndarray, plan: JumpPlan, extra: float) -> np.ndarray:
     which is exactly the worthless-after-expiry final condition.
     Everything but the spline itself comes from ``plan``.
     """
-    h = plan.grid.h
+    h = plan.h
     continuation = values.copy()
     inside = values[:, plan.band]
     if inside.size:
@@ -1140,10 +1120,11 @@ def _lattices(cases, nodes):
     return lattices
 
 
-def _price_lattice(group, nodes, interval, model, config, spot, closure):
+def _price_lattice(group, nodes, interval, grid, spot, closure):
     """The prices of ``group``'s cases by one backward induction on the
-    lattice of its largest target with ``nodes`` accumulation nodes,
-    through the pricing's ``interval`` pairs (:func:`_intervals`).
+    lattice of its largest target with ``nodes`` accumulation nodes, on
+    the pricing's spot ``grid`` and through its ``interval`` pairs
+    (:func:`_intervals`).
 
     A fixing's flows depend on the accrued amount A and the target U only
     through the room left, U - A, so the row of accrued amount ``U_max -
@@ -1152,11 +1133,9 @@ def _price_lattice(group, nodes, interval, model, config, spot, closure):
     valuation date.  A lone case's row is the zero-accrual row.
     """
     top = max(group, key=operator.attrgetter("target"))
-    grid = build_grid(top, model, config if nodes == config.accumulation_nodes
-                      else replace(config, accumulation_nodes=nodes), spot)
-    plan = JumpPlan.build(top, grid)
+    plan = JumpPlan.build(top, grid, nodes)
     rows = [nodes - 1 - round((nodes - 1) * case.target / top.target) for case in group]
-    values = np.zeros((nodes, config.spot_nodes))
+    values = np.zeros((nodes, grid.spots.size))
     for k in range(top.num_fixings, 0, -1):
         runs, mapped = interval(k - 1)
         values = apply_jump(values, plan, top.extra_payments[k - 1])
@@ -1197,28 +1176,30 @@ def fd_price(
     :func:`~tarnpricer.mc.mc_price`.  Given both, with ``contract`` among
     the cases, a pricing prices every case with ``contract``'s schedule,
     strike and direction (:func:`~tarnpricer.contract.sharing_cases`), on
-    one spot grid and one set of interval maps (:func:`_intervals`).  The
-    cases of one knockout type and extra payments whose targets are all
-    nodes of one accumulation grid on [0, U_max] (:func:`_room_nodes`: the
-    least node count from ``config.accumulation_nodes`` up) are priced by
-    one lattice, the largest target's; every other case by its own, on
-    ``config``'s grid (:func:`_price_lattice`).  Every case's result is
-    stored in the dict, keyed by the call's inputs and those cases, with an
-    equal share of the call's seconds as its ``wall_time`` and its
-    lattice's node count in its ``grid_shape``, and its own call returns
-    it.  Without a dict, or with ``contract`` not in ``cases``, the case is
-    priced alone.  A non-finite price is never returned: it raises
-    ValueError.
+    one spot grid, built once (:func:`build_grid`), and one set of
+    interval maps (:func:`_intervals`).  The cases of one knockout type and
+    extra payments whose targets are all nodes of one accumulation grid on
+    [0, U_max] (:func:`_room_nodes`: the least node count from
+    ``config.accumulation_nodes`` up) are priced by one lattice, the
+    largest target's; every other case by its own, of
+    ``config.accumulation_nodes`` nodes (:func:`_price_lattice`).  Every
+    case's result is stored in the dict, keyed by the call's inputs and
+    those cases, with an equal share of the call's seconds as its
+    ``wall_time`` and its lattice's node count in its ``grid_shape``, and
+    its own call returns it.  ``spot`` is checked before the dict is read,
+    so a read rejects what a pricing would.  Without a dict, or with
+    ``contract`` not in ``cases``, the case is priced alone.  A non-finite
+    price is never returned: it raises ValueError.
     """
-    check_cases(cases)
     started = time.perf_counter()
+    check_positive(spot, "spot")
+    check_cases(cases)
     if cache is None:  # no other case's result would be kept
         cache, cases = {}, ()
     same = sharing_cases(contract, cases)
     key = ("fd.result", model, config, spot, same)
     if key + (contract,) not in cache:
         grid = build_grid(contract, model, config, spot)  # every lattice's spot grid
-        _check_explicit_stability(grid, model, config)
         closure = _closure(config.boundary, contract.beta, grid.spots, grid.dx)
         lattices = _lattices(same, config.accumulation_nodes)
         # maps are built before the jump plans and the lattices take their memory
@@ -1226,7 +1207,7 @@ def fd_price(
         priced = [(case, price, (config.spot_nodes, nodes, config.time_steps))
                   for group, nodes in lattices
                   for case, price in zip(group, _price_lattice(
-                      group, nodes, interval, model, config, spot, closure))]
+                      group, nodes, interval, grid, spot, closure))]
         share = (time.perf_counter() - started) / len(priced)
         for case, price, shape in priced:
             cache[key + (case,)] = PriceResult(price, share, shape)

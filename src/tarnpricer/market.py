@@ -236,6 +236,8 @@ def integrated_variance(vol: VolatilitySpec, t0: float, t1: float) -> float:
 
 def _is_float(value) -> bool:
     """A real number, no bool, that a float can hold (not ``10**400``)."""
+    if type(value) is float:  # skips the ABC check: engine reads check the spot
+        return True
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         return False
     try:

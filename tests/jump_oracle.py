@@ -55,18 +55,20 @@ def natural_cubic_spline(nodes, values, query):
 
 
 def apply_jump(values: np.ndarray, fixing_index: int, contract: TarnContract,
-               grid: FdGrid) -> np.ndarray:
-    """The forward jump of fixing ``fixing_index`` on the (J, M) lattice,
-    cell-averaged where the breach spot crosses a node's log-spot cell."""
-    accum = grid.accum_nodes[:, None]
+               grid: FdGrid, accum_nodes: np.ndarray) -> np.ndarray:
+    """The forward jump of fixing ``fixing_index`` on the (J, M) lattice
+    over ``grid``'s spots and the J uniform ``accum_nodes``, cell-averaged
+    where the breach spot crosses a node's log-spot cell."""
+    h = accum_nodes[1] - accum_nodes[0]
+    accum = accum_nodes[:, None]
     gross = contract.gross(grid.spots)
     extra_payment = contract.extra_payments[fixing_index - 1]
     payment, extra, dead = fixing_flows(gross, accum, extra_payment,
                                         contract.knockout, contract.target)
     queries = accum + payment
     np.minimum(queries, contract.target, out=queries)
-    second = _spline_second_derivs(values, grid.h)
-    spline = spline_eval(values, second, 0.0, grid.h, queries)
+    second = _spline_second_derivs(values, h)
+    spline = spline_eval(values, second, 0.0, h, queries)
     continuation = spline.copy()
     continuation[dead] = 0.0
     continuation += payment
@@ -75,7 +77,7 @@ def apply_jump(values: np.ndarray, fixing_index: int, contract: TarnContract,
     # every node's breached fraction of its cell [x - dx/2, x + dx/2]:
     # beta = +1 breaches above S* = K + beta (U - A), beta = -1 below it,
     # and a put row with no positive S* never breaches
-    room = contract.target - grid.accum_nodes
+    room = contract.target - accum_nodes
     breach_spot = contract.strike + contract.beta * room
     ln_breach = np.full(room.shape, -np.inf)
     positive = breach_spot > 0.0

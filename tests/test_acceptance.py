@@ -209,8 +209,9 @@ def test_criterion_7_dominance_and_monotonicity():
            "both engines")
 
 
-def apply_jump_backward(values, plan, extra, contract):
-    """Fixing-date update of ``contract`` with the shift applied backward.
+def apply_jump_backward(values, extra, contract, grid, accum_nodes):
+    """Fixing-date update of ``contract`` on ``grid``'s spots and the
+    accrued amounts ``accum_nodes``, with the shift applied backward.
     Known wrong.
 
     The backward relation moves a grid amount down by the payment, and the
@@ -222,15 +223,14 @@ def apply_jump_backward(values, plan, extra, contract):
     amounts can also go negative, and reading the node values back requires
     extrapolating above them.
     """
-    grid = plan.grid
     gross = contract.gross(grid.spots)[None, :]
-    shifted = grid.accum_nodes[:, None] - gross
+    shifted = accum_nodes[:, None] - gross
     jumped = values + gross + extra
     out = np.empty_like(values)
     for m in range(values.shape[1]):
         interp = CubicSpline(shifted[:, m], jumped[:, m], bc_type="natural",
                              extrapolate=True)
-        out[:, m] = interp(grid.accum_nodes)
+        out[:, m] = interp(accum_nodes)
     return out
 
 
@@ -238,8 +238,15 @@ def test_criterion_8_backward_jump_is_wrong(monkeypatch):
     contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
     cfg = FdConfig(spot_nodes=160, accumulation_nodes=40, time_steps=160)
     forward = fd_price(contract, MODEL, cfg, 1.05).price
-    monkeypatch.setattr(fd, "apply_jump", lambda values, plan, extra:
-                        apply_jump_backward(values, plan, extra, contract))
+    # each pricing's spot grid, as it builds it, and its lattice's
+    # accumulation axis, uniform from zero to the target
+    grids = []
+    build_grid = fd.build_grid
+    monkeypatch.setattr(fd, "build_grid",
+                        lambda *args: grids.append(build_grid(*args)) or grids[-1])
+    monkeypatch.setattr(fd, "apply_jump", lambda values, plan, extra: apply_jump_backward(
+        values, extra, contract, grids[-1],
+        np.linspace(0.0, contract.target, values.shape[0])))
     est_b = estimate_error(contract, MODEL, cfg, 1.05)
     deviation = abs(est_b.coarse.price - forward) / abs(forward)
     ok = deviation > est_b.relative_error

@@ -122,17 +122,10 @@ class TestBuildGrid:
         grid = build_grid(contract, flat_model(), cfg, 1.05)
         assert grid.spot_index is None
 
-    def test_accumulation_grid_endpoints_exact(self):
-        contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
-        grid = build_grid(contract, flat_model(), FdConfig(), 1.05)
-        assert grid.accum_nodes[0] == 0.0
-        assert grid.accum_nodes[-1] == 0.3
-
     @pytest.mark.parametrize("spot", [math.nan, math.inf, -1.0, 0.0])
     def test_bad_spot_rejected_by_name(self, spot):
+        # fd_price checks the spot at its entry; build_grid trusts it
         contract = benchmark_contract(KnockoutType.NO_GAIN, 0.3)
-        with pytest.raises(ValueError, match="spot"):
-            build_grid(contract, flat_model(), FdConfig(), spot)
         with pytest.raises(ValueError, match="spot"):
             fd_price(contract, flat_model(), FdConfig(), spot)
 
@@ -371,13 +364,13 @@ def assert_step_matches_oracle(rows, dt, dx, theta, coef_from, coef_to,
 
 
 class TestSymmetricStep:
-    # a step of 24 rows or more with per-node implicit bands is solved by
-    # LAPACK ptsv on its symmetrized rows 2..M-3, under either closure;
-    # every other step keeps gtsv
+    # a step with per-node implicit bands on 7 nodes or more is solved by
+    # LAPACK ptsv on its symmetrized rows 2..M-3, under either closure,
+    # whatever its row count; every other step keeps gtsv
 
     @staticmethod
     def local_vol_step(monkeypatch, m=60, coef_to=None, theta=0.5,
-                       rows=fd._SYMMETRIC_MIN_ROWS, **step):
+                       rows=24, **step):
         """The LAPACK routines a step on smile-like per-node coefficients
         ran, checked against the oracle."""
         rng = np.random.default_rng(11)
@@ -414,13 +407,11 @@ class TestSymmetricStep:
         assert self.local_vol_step(monkeypatch, m) == ["gtsv"]
 
     @pytest.mark.parametrize("m", [60, 1000])
-    def test_fewer_rows_keep_gtsv(self, monkeypatch, m):
-        # at up to 20 rows of 1000 nodes gtsv took less time than ptsv: a local
-        # vol lattice marches one row per target (2 in the benchmark) from its
-        # first fixing to the valuation date
-        assert self.local_vol_step(monkeypatch, m, rows=1) == ["gtsv"]
-        assert self.local_vol_step(monkeypatch, m, rows=fd._SYMMETRIC_MIN_ROWS - 1) \
-            == ["gtsv"]
+    def test_few_rows_take_ptsv(self, monkeypatch, m):
+        # a local-vol lattice marches one row per target (2 in the benchmark)
+        # from its first fixing to the valuation date: no row count keeps gtsv
+        assert self.local_vol_step(monkeypatch, m, rows=1) == ["ptsv"]
+        assert self.local_vol_step(monkeypatch, m, rows=23) == ["ptsv"]
 
     def test_a_node_at_cell_peclet_one_keeps_gtsv(self, monkeypatch):
         # lower band (v - drift dx) / (2 dx^2) < 0 at one node: that
@@ -461,15 +452,15 @@ class TestSymmetricStep:
         m = 20
         coef = Coefficients(np.full(m, 2.0), np.full(m, -1.0), -1.0)
         rng = np.random.default_rng(15)
-        rows = rng.standard_normal((fd._SYMMETRIC_MIN_ROWS, m)).cumsum(axis=1)
+        rows = rng.standard_normal((24, m)).cumsum(axis=1)
         ran = record_lapack(monkeypatch)
         assert_step_matches_oracle(rows, 1.0, 1.0, 0.5, coef, coef)
         assert ran == ["gtsv"]
 
-    def test_a_local_vol_pricing_takes_ptsv_on_every_step_of_enough_rows(self, monkeypatch):
+    def test_a_local_vol_pricing_takes_ptsv_on_every_step(self, monkeypatch):
         # a step that falls back to gtsv prices the same to rounding, so
-        # only the routines show it: J rows between fixings take ptsv, the
-        # one row before the first fixing gtsv
+        # only the routines show it: J rows between fixings and the one row
+        # before the first fixing all take ptsv
         ran = record_lapack(monkeypatch)
         steps = []
         original = fd.theta_step
@@ -481,15 +472,14 @@ class TestSymmetricStep:
             return out
 
         monkeypatch.setattr(fd, "theta_step", step)
-        config = FdConfig(spot_nodes=60, accumulation_nodes=fd._SYMMETRIC_MIN_ROWS,
-                          time_steps=40)
+        config = FdConfig(spot_nodes=60, accumulation_nodes=24, time_steps=40)
         fd_price(benchmark_contract(KnockoutType.PART_GAIN, 0.3), smile_model(), config, 1.0)
         assert len(steps) == config.time_steps
-        assert set(steps) == {(config.accumulation_nodes, ("ptsv",)), (1, ("gtsv",))}
+        assert set(steps) == {(config.accumulation_nodes, ("ptsv",)), (1, ("ptsv",))}
 
     @given(
         m=st.integers(6, 400),
-        rows=st.integers(1, 2 * fd._SYMMETRIC_MIN_ROWS),
+        rows=st.integers(1, 48),
         theta=st.sampled_from([0.0, 0.5, 1.0]),
         peclet=st.floats(0.0, 0.99),
         levels=st.tuples(st.floats(0.005, 0.1), st.floats(0.005, 0.1)),
@@ -568,7 +558,7 @@ class TestCarriedExplicitSide:
     @pytest.mark.parametrize("beta", [1, -1])
     @pytest.mark.parametrize("boundary", list(BoundaryKind))
     def test_march_matches_the_step_by_step_reference(self, monkeypatch, boundary, beta):
-        coefs, values = self.smile_march(10, fd._SYMMETRIC_MIN_ROWS)
+        coefs, values = self.smile_march(10, 24)
         # a node at cell Peclet 1.5 at level 4: the step onto it takes gtsv
         m, dx = 60, 1.2 / 59
         drift = coefs[4].drift.copy()
@@ -583,9 +573,15 @@ class TestCarriedExplicitSide:
         assert stencils == 2
         assert ran == ["ptsv"] * 3 + ["gtsv"] + ["ptsv"] * 4
 
-    def test_a_march_of_fewer_rows_carries_through_gtsv(self, monkeypatch):
+    def test_a_march_that_declines_ptsv_carries_through_gtsv(self, monkeypatch):
+        # a node at cell Peclet 1.5 on every level: every step declines ptsv
         thetas = [1.0, 1.0, 0.5, 0.5, 0.5, 0.5]
-        coefs, values = self.smile_march(7, fd._SYMMETRIC_MIN_ROWS - 1)
+        coefs, values = self.smile_march(7, 23)
+        m, dx = 60, 1.2 / 59
+        for level, coef in enumerate(coefs):
+            drift = coef.drift.copy()
+            drift[m // 2] = 1.5 * coef.variance[m // 2] / dx
+            coefs[level] = coef._replace(drift=drift)
         stencils, ran = self.march_and_reference(monkeypatch, coefs, values, thetas)
         assert stencils == 1
         assert ran == ["gtsv"] * 6
@@ -594,7 +590,7 @@ class TestCarriedExplicitSide:
         # level 2 has the coefficients of TestSymmetricStep's step that is
         # not positive definite: ptsv declines the carried step onto it
         # after weighting its right-hand side, and gtsv solves the kept e
-        coefs, values = self.smile_march(5, fd._SYMMETRIC_MIN_ROWS)
+        coefs, values = self.smile_march(5, 24)
         m, dx = 60, 1.2 / 59
         variance = 0.05 * (1.0 + np.random.default_rng(14).random(m))
         drift = -0.5 * variance
@@ -608,7 +604,7 @@ class TestCarriedExplicitSide:
 
     @given(
         m=st.integers(6, 400),
-        rows=st.integers(1, 2 * fd._SYMMETRIC_MIN_ROWS),
+        rows=st.integers(1, 48),
         thetas=st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=2, max_size=8),
         peclet=st.floats(0.0, 0.99),
         steep=st.one_of(st.none(), st.integers(0, 8)),
@@ -651,7 +647,7 @@ class TestCarriedExplicitSide:
         # LAPACK routine
         m, dx, dt = 60, 0.02, 0.005
         rng = np.random.default_rng(23)
-        rows = rng.standard_normal((fd._SYMMETRIC_MIN_ROWS, m)).cumsum(axis=1)
+        rows = rng.standard_normal((24, m)).cumsum(axis=1)
         levels = [interior_bands(per_node(rng, m, dx, 0.05, 0.02, 0.01), dx, m)
                   for _ in range(2)]
         if not per_node_bands:
@@ -672,7 +668,7 @@ class TestCarriedExplicitSide:
         # out itself, solved in place, not a view of it, on either solve
         m, dx = 60, 0.02
         rng = np.random.default_rng(22)
-        rows = rng.standard_normal((fd._SYMMETRIC_MIN_ROWS, m)).cumsum(axis=1)
+        rows = rng.standard_normal((24, m)).cumsum(axis=1)
         closure = fd._closure(BoundaryKind.ZERO_GAMMA, 1, None, dx)
         per_node_bands = interior_bands(per_node(rng, m, dx, 0.05, 0.02, 0.01), dx, m)
         scalar_bands = tuple(band[0] for band in per_node_bands)
@@ -684,14 +680,20 @@ class TestCarriedExplicitSide:
         assert ran == ["gtsv", "ptsv"]
 
 
-def smooth_state(grid, j_nodes, m_nodes):
-    a = grid.accum_nodes[:, None]
+def accumulation_axis(contract, j_nodes):
+    """The ``j_nodes`` accrued amounts of ``contract``'s lattice, uniform
+    from zero to the target."""
+    return np.linspace(0.0, contract.target, j_nodes)
+
+
+def smooth_state(grid, accum):
+    a = accum[:, None]
     x = grid.log_spots[None, :]
     return np.exp(-a) * (1.3 + np.sin(2.0 * x)) + 0.5 * a
 
 
 def planned_jump(values, contract, grid, fixing_index=1):
-    plan = JumpPlan.build(contract, grid)
+    plan = JumpPlan.build(contract, grid, values.shape[0])
     return apply_jump(values, plan, contract.extra_payments[fixing_index - 1])
 
 
@@ -702,7 +704,7 @@ class TestApplyJump:
                                 fixing_times=(0.25, 0.5), knockout=knockout)
         cfg = FdConfig(spot_nodes=m, accumulation_nodes=j, time_steps=4)
         grid = build_grid(contract, flat_model(), cfg, spot)
-        return contract, grid
+        return contract, grid, accumulation_axis(contract, j)
 
     def test_out_of_the_money_state_unchanged(self):
         # domain entirely below the strike: gross amount is zero everywhere,
@@ -715,11 +717,11 @@ class TestApplyJump:
         grid = build_grid(contract, flat_model(), cfg, 0.5)
         # the strike is pinned as the top node; gross amount is zero there too
         assert grid.spots.max() <= 10.0
-        values = smooth_state(grid, 11, 41)
+        values = smooth_state(grid, accumulation_axis(contract, 11))
         out = planned_jump(values.copy(), contract, grid)
         # but for the strike node's cell, which the breach spot crosses on
         # the rows whose room is under half a cell
-        crossed = crossed_cells(contract, grid)
+        crossed = crossed_cells(contract, grid, 11)
         assert crossed[-1, -1] and np.all(crossed.sum(axis=1) <= 1)
         assert not crossed[:, :-1].any()
         assert np.allclose(out[~crossed], values[~crossed], atol=1e-13)
@@ -737,12 +739,12 @@ class TestApplyJump:
         assert np.allclose(out[0], payoff, atol=1e-14)
 
     def test_no_gain_breach_zeroes_the_cell(self):
-        contract, grid = self.make(KnockoutType.NO_GAIN)
-        values = smooth_state(grid, 21, 61)
+        contract, grid, accum = self.make(KnockoutType.NO_GAIN)
+        values = smooth_state(grid, accum)
         out = planned_jump(values.copy(), contract, grid)
         gross = np.maximum(grid.spots - 1.0, 0.0)[None, :]
-        breach = (grid.accum_nodes[:, None] + gross >= 0.3) & (gross > 0)
-        crossed = crossed_cells(contract, grid)
+        breach = (accum[:, None] + gross >= 0.3) & (gross > 0)
+        crossed = crossed_cells(contract, grid, 21)
         assert np.all(out[breach & ~crossed] == 0.0)
         # a breached node whose cell the breach spot crosses keeps its
         # cell's live share
@@ -753,35 +755,34 @@ class TestApplyJump:
         # spline of the pre-jump column at the shifted amount, or zero when
         # the fixing kills the note
         for knockout in KnockoutType:
-            contract, grid = self.make(knockout)
-            values = smooth_state(grid, 21, 61)
+            contract, grid, accum = self.make(knockout)
+            values = smooth_state(grid, accum)
             out = planned_jump(values.copy(), contract, grid)
-            crossed = crossed_cells(contract, grid)  # cell averages instead
+            crossed = crossed_cells(contract, grid, 21)  # cell averages instead
             for m in range(0, 61, 7):
-                ref = CubicSpline(grid.accum_nodes, values[:, m],
-                                  bc_type="natural")
+                ref = CubicSpline(accum, values[:, m], bc_type="natural")
                 for j in np.flatnonzero(~crossed[:, m]):
-                    o = fixing_outcome(grid.spots[m], grid.accum_nodes[j], 1,
+                    o = fixing_outcome(grid.spots[m], accum[j], 1,
                                        contract, allow_at_target=True)
                     residual = out[j, m] - o.payment - o.extra_payment
                     if o.terminated:
                         assert residual == 0.0
                     else:
-                        want = ref(grid.accum_nodes[j] + o.payment)
+                        want = ref(accum[j] + o.payment)
                         assert residual == pytest.approx(float(want), abs=1e-10)
 
     def test_lattice_matches_scalar_outcomes(self):
         # the kernel called as apply_jump calls it, on the whole lattice
         for knockout in KnockoutType:
-            contract, grid = self.make(knockout)
+            contract, grid, accum = self.make(knockout)
             contract = replace_extra(contract, (0.01, 0.02))
             pay, extra, dead = fixing_flows(
-                contract.gross(grid.spots), grid.accum_nodes[:, None],
+                contract.gross(grid.spots), accum[:, None],
                 contract.extra_payments[1], contract.knockout, contract.target)
             assert pay.shape == extra.shape == dead.shape == (21, 61)
             for j in range(21):
                 for m in range(0, 61, 5):
-                    o = fixing_outcome(grid.spots[m], grid.accum_nodes[j], 2,
+                    o = fixing_outcome(grid.spots[m], accum[j], 2,
                                        contract, allow_at_target=True)
                     assert pay[j, m] == o.payment
                     assert extra[j, m] == o.extra_payment
@@ -814,10 +815,10 @@ def replace_extra(contract, extras):
 ORACLE_ULPS = 4
 
 
-def crossed_cells(contract, grid):
+def crossed_cells(contract, grid, j_nodes):
     """The (J, M) mask of the nodes whose cell the planned jump averages."""
-    flat = JumpPlan.build(contract, grid).cells[0]
-    crossed = np.zeros((grid.accum_nodes.size, grid.spots.size), dtype=bool)
+    flat = JumpPlan.build(contract, grid, j_nodes).cells[0]
+    crossed = np.zeros((j_nodes, grid.spots.size), dtype=bool)
     crossed.ravel()[flat] = True
     return crossed
 
@@ -832,15 +833,16 @@ def assert_jump_matches_oracle(before, after, fixing_index, contract, grid):
     outside the crossed cells, and the oracle's spline read at the node
     matches it to a few ulps of the lattice scale, inside them too.
     """
-    want = jump_oracle.apply_jump(before, fixing_index, contract, grid)
+    accum = accumulation_axis(contract, before.shape[0])
+    want = jump_oracle.apply_jump(before, fixing_index, contract, grid, accum)
     gross = contract.gross(grid.spots)
     pays = gross > 0.0
     assert after[:, pays].tobytes() == want[:, pays].tobytes(), fixing_index
     _, extra, _ = fixing_flows(
-        gross[~pays], grid.accum_nodes[:, None],
+        gross[~pays], accum[:, None],
         contract.extra_payments[fixing_index - 1], contract.knockout,
         contract.target)
-    kept = ~crossed_cells(contract, grid)[:, ~pays]
+    kept = ~crossed_cells(contract, grid, accum.size)[:, ~pays]
     assert np.array_equal(after[:, ~pays][kept], (before[:, ~pays] + extra)[kept])
     scale = max(np.abs(before).max(), np.abs(after).max())
     gap = np.abs(want[:, ~pays] - after[:, ~pays])
@@ -929,17 +931,35 @@ class TestJumpPlan:
             strike=1.0, target=target, beta=1, fixing_times=self.TIMES,
             knockout=KnockoutType.FULL_GAIN, extra_payments=self.EXTRAS["cycle"])
         grid = build_grid(contract, model, cfg, 1.1)
-        assert JumpPlan.build(contract, grid).band == slice(0, 0)
+        assert JumpPlan.build(contract, grid, cfg.accumulation_nodes).band == slice(0, 0)
         columns = record_spline_columns(monkeypatch)
         price = fd_price(contract, model, cfg, 1.1).price
         assert columns == []
         assert math.isfinite(price) and price > 0.0
         fixings = iter(range(contract.num_fixings, 0, -1))
         monkeypatch.setattr(fd, "apply_jump", lambda values, plan, extra:
-                            jump_oracle.apply_jump(values, next(fixings),
-                                                   contract, grid))
+                            jump_oracle.apply_jump(
+                                values, next(fixings), contract, grid,
+                                accumulation_axis(contract, cfg.accumulation_nodes)))
         assert price == pytest.approx(fd_price(contract, model, cfg, 1.1).price,
                                       rel=1e-14)
+
+    @pytest.mark.parametrize("target, nodes", [(0.3, 100), (0.9, 55), (0.0304, 23)])
+    def test_the_accumulation_axis_runs_exactly_from_zero_to_the_target(
+            self, monkeypatch, target, nodes):
+        # the plan makes its lattice's axis and keeps only its spacing
+        axes = []
+        crossed = fd._crossed_cells
+        monkeypatch.setattr(fd, "_crossed_cells", lambda contract, grid, accum, *args:
+                            axes.append(accum) or crossed(contract, grid, accum, *args))
+        contract = benchmark_contract(KnockoutType.NO_GAIN, target)
+        grid = build_grid(contract, flat_model(), FdConfig(), 1.05)
+        plan = JumpPlan.build(contract, grid, nodes)
+        (accum,) = axes
+        assert accum.shape == (nodes,)
+        assert accum[0] == 0.0 and accum[-1] == target
+        assert plan.h == target / (nodes - 1)
+        assert np.allclose(np.diff(accum), plan.h, rtol=1e-12, atol=0.0)
 
     @given(
         strike=st.floats(0.5, 2.0),
@@ -961,9 +981,9 @@ class TestJumpPlan:
         # a random quadratic in the accrued amount per spot node: smooth
         # across the accumulation grid, as a pricing lattice is
         level, slope, curve = np.random.default_rng(seed).uniform(-1.0, 1.0, (3, 30))
-        a = grid.accum_nodes[:, None] / target
+        a = accumulation_axis(contract, 9)[:, None] / target
         before = 1.5 + level + a * (slope + a * curve)
-        plan = JumpPlan.build(contract, grid)
+        plan = JumpPlan.build(contract, grid, 9)
         after = apply_jump(before, plan, contract.extra_payments[fixing_index - 1])
         assert_jump_matches_oracle(before, after, fixing_index, contract, grid)
 
@@ -973,7 +993,7 @@ class TestJumpPlan:
         spot = 1.0137
         grid = build_grid(contract, flat_model(), cfg, spot)
         assert grid.spot_index is None
-        row = smooth_state(grid, 23, 90)[7]
+        row = smooth_state(grid, accumulation_axis(contract, 23))[7]
         for query in (math.log(spot), grid.log_spots[[0, 5, -1]],
                       np.linspace(grid.log_spots[0], grid.log_spots[-1], 37)):
             got = fd.natural_cubic_spline(grid.log_spots, row, query)

@@ -53,7 +53,7 @@ def reference_price(contract, model, config, spot, target=None):
     grid = build_grid(contract, model, config, spot)
     times = (0.0,) + contract.fixing_times
     values = np.zeros((config.accumulation_nodes, config.spot_nodes))
-    plan = JumpPlan.build(contract, grid)
+    plan = JumpPlan.build(contract, grid, config.accumulation_nodes)
     closure = closure_of(contract, config, grid)
     for k in range(contract.num_fixings, 0, -1):
         values = apply_jump(values, plan, contract.extra_payments[k - 1])

@@ -77,9 +77,9 @@ def test_a_run_builds_one_jump_plan_per_knockout(monkeypatch):
     plans, lattices = [], []
     build, price_lattice = fd.JumpPlan.build, fd._price_lattice
 
-    def planning(contract, grid):
+    def planning(contract, grid, nodes):
         plans.append(contract)
-        return build(contract, grid)
+        return build(contract, grid, nodes)
 
     def pricing(group, *args):
         lattices.append(len(group))
@@ -97,6 +97,24 @@ def test_a_run_builds_one_jump_plan_per_knockout(monkeypatch):
     assert [(c.knockout, c.target) for c in plans] == [(k, 0.9) for k in config.knockouts]
     assert lattices == [4, 4, 4]
     assert calls == [0] + [3] * 11
+    assert [r.status for r in records] == ["ok"] * 12
+
+
+def test_a_run_builds_one_spot_grid(monkeypatch):
+    # the first call builds the spot grid that all three knockouts'
+    # lattices share; the other eleven calls read their results
+    grids = []
+    build_grid = fd.build_grid
+    monkeypatch.setattr(fd, "build_grid",
+                        lambda *args: grids.append(None) or build_grid(*args))
+    calls = []
+    price = cli.fd_price
+    monkeypatch.setattr(cli, "fd_price",
+                        lambda *args, **kwargs: calls.append(len(grids))
+                        or price(*args, **kwargs))
+    config = dataclasses.replace(cli.preset_table1(), engines=("fd",), fd=SMALL)
+    records = cli.run(config)
+    assert calls == [0] + [1] * 11 and len(grids) == 1
     assert [r.status for r in records] == ["ok"] * 12
 
 

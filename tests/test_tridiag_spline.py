@@ -106,7 +106,7 @@ class TestSplineSolveName:
 
         contract = benchmark_contract(KnockoutType.PART_GAIN, 0.3)
         grid = fd.build_grid(contract, flat_model(), self.CONFIG, 1.05)
-        band = fd.JumpPlan.build(contract, grid).band
+        band = fd.JumpPlan.build(contract, grid, self.CONFIG.accumulation_nodes).band
         assert grid.spot_index is not None  # no readout spline
         assert band.stop > band.start  # every jump splines
         monkeypatch.setattr(fd, "tridiagonal_solve", counting_solve)

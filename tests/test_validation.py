@@ -209,6 +209,20 @@ def test_engines_reject_cases_that_are_no_tuple_of_contracts(price, cases, cache
         price(cache=cache, cases=cases)
 
 
+@pytest.mark.parametrize("price", [
+    lambda case, model, spot, **kw: mc_price(case, model, McConfig(n_paths=100), spot, **kw),
+    lambda case, model, spot, **kw: fd_price(case, model, FdConfig(40, 8, 40), spot, **kw),
+], ids=["mc", "fd"])
+@pytest.mark.parametrize("spot", [True, math.nan, 0, -1], ids=str)
+def test_a_read_from_a_run_dict_rejects_a_bad_spot(price, spot):
+    # True == 1.0 and both hash alike, so a read keyed by an unchecked spot
+    # would return the result of a run priced at spot 1.0
+    case, model, cache = contract(), flat_model(), {}
+    price(case, model, 1.0, cache=cache, cases=(case,))
+    with pytest.raises(ValueError, match=f"^spot must be positive and finite, got {spot}$"):
+        price(case, model, spot, cache=cache, cases=(case,))
+
+
 @pytest.mark.parametrize("times", [
     (t for t in TIMES), list(TIMES), np.array(TIMES), tuple(np.float64(t) for t in TIMES),
 ], ids=["generator", "list", "array", "float64s"])
